@@ -5,6 +5,7 @@ use std::fmt;
 
 use ca_codec::{CodecError, Decode, Encode, Reader, Writer};
 
+use crate::kernel::{cmp_bits, copy_bits, fill_ones, first_diff};
 use crate::Nat;
 
 /// A packed, arbitrary-length bitstring, MSB-first.
@@ -52,11 +53,22 @@ impl BitString {
 
     /// Builds a bitstring from explicit bits (MSB first).
     pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
-        let mut s = Self::new();
-        for b in bits {
-            s.push(b);
+        let bits = bits.into_iter();
+        let mut bytes = Vec::with_capacity(bits.size_hint().0.div_ceil(8));
+        let mut len = 0usize;
+        let mut acc = 0u8;
+        for bit in bits {
+            acc = (acc << 1) | u8::from(bit);
+            len += 1;
+            if len.is_multiple_of(8) {
+                bytes.push(acc);
+                acc = 0;
+            }
         }
-        s
+        if !len.is_multiple_of(8) {
+            bytes.push(acc << (8 - len % 8));
+        }
+        Self { bytes, len }
     }
 
     /// Parses a string of `'0'`/`'1'` characters.
@@ -65,15 +77,13 @@ impl BitString {
     ///
     /// Returns `None` if any character is not `'0'` or `'1'`.
     pub fn parse_binary(text: &str) -> Option<Self> {
-        let mut s = Self::new();
-        for c in text.chars() {
-            match c {
-                '0' => s.push(false),
-                '1' => s.push(true),
-                _ => return None,
-            }
-        }
-        Some(s)
+        text.chars()
+            .map(|c| match c {
+                '0' => Some(false),
+                '1' => Some(true),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Number of bits.
@@ -132,21 +142,16 @@ impl BitString {
 
     /// Appends all bits of `other` (the paper's `‖` concatenation).
     pub fn extend_from(&mut self, other: &BitString) {
-        if self.len.is_multiple_of(8) {
-            // Byte-aligned fast path.
-            self.bytes.extend_from_slice(&other.bytes);
-            self.len += other.len;
-        } else {
-            for i in 0..other.len {
-                self.push(other.get(i));
-            }
-        }
+        let old_len = self.len;
+        self.len += other.len;
+        self.bytes.resize(self.len.div_ceil(8), 0);
+        copy_bits(&mut self.bytes, old_len, &other.bytes, 0, other.len);
     }
 
     /// Returns `self ‖ other`.
     pub fn concat(&self, other: &BitString) -> BitString {
-        let mut out = self.clone();
-        out.extend_from(other);
+        let mut out = self.min_extend(self.len + other.len);
+        copy_bits(&mut out.bytes, self.len, &other.bytes, 0, other.len);
         out
     }
 
@@ -161,19 +166,10 @@ impl BitString {
             "slice {start}..{end} out of range (len {})",
             self.len
         );
-        if start.is_multiple_of(8) {
-            // Byte-aligned fast path.
-            let nbits = end - start;
-            let bytes = self.bytes[start / 8..(start / 8) + nbits.div_ceil(8)].to_vec();
-            let mut out = BitString { bytes, len: nbits };
-            out.clear_tail();
-            return out;
-        }
-        let mut out = BitString::new();
-        for i in start..end {
-            out.push(self.get(i));
-        }
-        out
+        let len = end - start;
+        let mut bytes = vec![0u8; len.div_ceil(8)];
+        copy_bits(&mut bytes, 0, &self.bytes, start, len);
+        BitString { bytes, len }
     }
 
     /// The first `n` bits.
@@ -203,35 +199,13 @@ impl BitString {
 
     /// Whether `self` is a prefix of `other`.
     pub fn is_prefix_of(&self, other: &BitString) -> bool {
-        if self.len > other.len {
-            return false;
-        }
-        // Compare whole bytes, then the ragged tail.
-        let full = self.len / 8;
-        if self.bytes[..full] != other.bytes[..full] {
-            return false;
-        }
-        let rem = self.len % 8;
-        if rem == 0 {
-            return true;
-        }
-        let mask = 0xffu8 << (8 - rem);
-        (self.bytes[full] ^ other.bytes[full]) & mask == 0
+        self.len <= other.len && self.common_prefix_len(other) == self.len
     }
 
     /// Length of the longest common prefix of `self` and `other`.
     pub fn common_prefix_len(&self, other: &BitString) -> usize {
         let max = self.len.min(other.len);
-        let full_bytes = max / 8;
-        let mut i = 0;
-        while i < full_bytes && self.bytes[i] == other.bytes[i] {
-            i += 1;
-        }
-        let mut bit = i * 8;
-        while bit < max && self.get(bit) == other.get(bit) {
-            bit += 1;
-        }
-        bit
+        first_diff(&self.bytes, 0, &other.bytes, 0, max).unwrap_or(max)
     }
 
     /// `MINℓ(self)` (paper §2): the lowest `ℓ`-bit string with prefix `self`,
@@ -246,10 +220,11 @@ impl BitString {
             "MIN_l with l = {ell} < |prefix| = {}",
             self.len
         );
-        let mut out = self.clone();
-        out.bytes.resize(ell.div_ceil(8), 0);
-        out.len = ell;
-        out
+        // Sized once: a clone followed by a resize would copy the value twice.
+        let mut bytes = Vec::with_capacity(ell.div_ceil(8));
+        bytes.extend_from_slice(&self.bytes);
+        bytes.resize(ell.div_ceil(8), 0);
+        BitString { bytes, len: ell }
     }
 
     /// `MAXℓ(self)` (paper §2): the highest `ℓ`-bit string with prefix
@@ -264,10 +239,8 @@ impl BitString {
             "MAX_l with l = {ell} < |prefix| = {}",
             self.len
         );
-        let mut out = self.clone();
-        for _ in self.len..ell {
-            out.push(true);
-        }
+        let mut out = self.min_extend(ell);
+        fill_ones(&mut out.bytes, self.len, ell - self.len);
         out
     }
 
@@ -302,18 +275,13 @@ impl BitString {
         let a_eff = self.effective_len();
         let b_eff = other.effective_len();
         match a_eff.cmp(&b_eff) {
-            Ordering::Equal => {
-                let a0 = self.len - a_eff;
-                let b0 = other.len - b_eff;
-                for i in 0..a_eff {
-                    match (self.get(a0 + i), other.get(b0 + i)) {
-                        (false, true) => return Ordering::Less,
-                        (true, false) => return Ordering::Greater,
-                        _ => {}
-                    }
-                }
-                Ordering::Equal
-            }
+            Ordering::Equal => cmp_bits(
+                &self.bytes,
+                self.len - a_eff,
+                &other.bytes,
+                other.len - b_eff,
+                a_eff,
+            ),
             ord => ord,
         }
     }
@@ -355,7 +323,10 @@ impl BitString {
 
     /// Iterates over the bits, MSB first.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+        self.bytes
+            .iter()
+            .flat_map(|&byte| (0..8).map(move |k| byte & (0x80 >> k) != 0))
+            .take(self.len)
     }
 
     /// The packed backing bytes (final partial byte zero-padded).
@@ -373,10 +344,14 @@ impl BitString {
             bytes.len() >= len.div_ceil(8),
             "not enough bytes for {len} bits"
         );
-        let mut s = Self {
-            bytes: bytes[..len.div_ceil(8)].to_vec(),
-            len,
-        };
+        Self::from_vec(bytes[..len.div_ceil(8)].to_vec(), len)
+    }
+
+    /// Takes over `bytes` as the backing store of a `len`-bit string, zeroing
+    /// whatever lies past `len` in the final byte.
+    pub(crate) fn from_vec(bytes: Vec<u8>, len: usize) -> Self {
+        debug_assert_eq!(bytes.len(), len.div_ceil(8));
+        let mut s = Self { bytes, len };
         s.clear_tail();
         s
     }
@@ -407,10 +382,19 @@ impl Ord for BitString {
 
 impl fmt::Display for BitString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for bit in self.iter() {
-            f.write_str(if bit { "1" } else { "0" })?;
+        let (whole, last) = self.bytes.split_at(self.len / 8);
+        for byte in whole {
+            write!(f, "{byte:08b}")?;
         }
-        Ok(())
+        match last.first() {
+            Some(byte) => write!(
+                f,
+                "{:0width$b}",
+                byte >> (8 - self.len % 8),
+                width = self.len % 8
+            ),
+            None => Ok(()),
+        }
     }
 }
 
@@ -445,19 +429,18 @@ impl Decode for BitString {
                 available: r.remaining(),
             });
         }
-        let bytes = r.get_raw(nbytes)?.to_vec();
-        let s = BitString {
-            bytes,
-            len: len_bits,
-        };
+        let bytes = r.get_raw(nbytes)?;
         // Enforce canonical form: a byzantine encoder may not smuggle two
-        // distinct encodings of the same bitstring.
-        let mut canon = s.clone();
-        canon.clear_tail();
-        if canon.bytes != s.bytes {
+        // distinct encodings of the same bitstring. Only the last byte can
+        // carry padding.
+        let rem = len_bits % 8;
+        if rem != 0 && bytes.last().is_some_and(|last| last & (0xff >> rem) != 0) {
             return Err(CodecError::Invalid("non-canonical bitstring padding"));
         }
-        Ok(s)
+        Ok(BitString {
+            bytes: bytes.to_vec(),
+            len: len_bits,
+        })
     }
 }
 
@@ -593,6 +576,28 @@ mod tests {
         w.put_varint(1);
         w.put_raw(&[0b1000_0001]);
         assert!(BitString::decode_from_slice(&w.into_vec()).is_err());
+    }
+
+    #[test]
+    fn codec_checks_padding_of_the_last_byte_only() {
+        let wire = |len: u64, bytes: &[u8]| {
+            let mut w = ca_codec::Writer::new();
+            w.put_varint(len);
+            w.put_raw(bytes);
+            BitString::decode_from_slice(&w.into_vec())
+        };
+        // 19 bits: the low five bits of the third byte are padding.
+        assert_eq!(
+            wire(19, &[0xff, 0xff, 0b1110_0001]),
+            Err(CodecError::Invalid("non-canonical bitstring padding"))
+        );
+        assert_eq!(
+            wire(19, &[0xff, 0xff, 0b1110_0000]),
+            Ok(BitString::repeat(true, 19))
+        );
+        // A whole number of bytes has no padding to be dirty.
+        assert_eq!(wire(24, &[0xff; 3]), Ok(BitString::repeat(true, 24)));
+        assert_eq!(wire(0, &[]), Ok(BitString::empty()));
     }
 
     proptest! {

@@ -34,7 +34,10 @@
 mod bitstring;
 mod fixed;
 mod int;
+mod kernel;
 mod nat;
+#[cfg(test)]
+mod oracle;
 
 pub use bitstring::BitString;
 pub use fixed::{Fixed, ParseFixedError};

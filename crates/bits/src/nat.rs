@@ -80,7 +80,11 @@ impl Nat {
     /// `2^k − 1`: the all-ones value of `k` bits (`Π_ℕ` lines 3, 7, 10 clamp
     /// over-long inputs to this).
     pub fn all_ones(k: usize) -> Self {
-        BitString::repeat(true, k).val()
+        let mut limbs = vec![u32::MAX; k / 32];
+        if !k.is_multiple_of(32) {
+            limbs.push((1 << (k % 32)) - 1);
+        }
+        Nat { limbs }
     }
 
     /// `2^k`.
@@ -115,13 +119,22 @@ impl Nat {
 
     /// `VAL(bits)` (paper §2).
     pub fn from_bits(bits: &BitString) -> Self {
-        let len = bits.len();
-        let mut limbs = vec![0u32; len.div_ceil(32)];
-        for j in 0..len {
-            // Bit at MSB-index (len-1-j) has weight 2^j.
-            if bits.get(len - 1 - j) {
-                limbs[j / 32] |= 1 << (j % 32);
-            }
+        // Read as one big-endian integer, the packed bytes are the value
+        // times 2^pad (pad = the unused low bits of the last byte): four
+        // bytes make one limb of that integer, and shifting `pad` bits down
+        // from each limb into its lower neighbour leaves VAL's limbs.
+        let bytes = bits.as_bytes();
+        let pad = 8 * bytes.len() - bits.len();
+        let (top, body) = bytes.split_at(bytes.len() % 4);
+        let top = top.iter().fold(0u32, |acc, &b| acc << 8 | u32::from(b));
+        let body = body
+            .chunks_exact(4)
+            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]));
+        let mut limbs = vec![0u32; body.len() + 1];
+        let mut upper = 0u32;
+        for (limb, word) in limbs.iter_mut().rev().zip(std::iter::once(top).chain(body)) {
+            *limb = ((u64::from(upper) << 32 | u64::from(word)) >> pad) as u32;
+            upper = word;
         }
         let mut n = Nat { limbs };
         n.normalize();
@@ -134,14 +147,26 @@ impl Nat {
         if self.bit_len() > ell {
             return None;
         }
+        // The inverse of `from_bits`: the packed bytes spell VAL · 2^pad, so
+        // each limb goes out shifted left by `pad`, carrying its top bits
+        // into the next one, four bytes at a time from the back.
         let mut bytes = vec![0u8; ell.div_ceil(8)];
-        for j in 0..self.bit_len() {
-            if self.bit(j) {
-                let msb_index = ell - 1 - j;
-                bytes[msb_index / 8] |= 0x80 >> (msb_index % 8);
-            }
+        let pad = 8 * bytes.len() - ell;
+        let mut limbs = self.limbs.iter();
+        let mut carry = 0u64;
+        let mut next_word = || {
+            let word = (u64::from(limbs.next().copied().unwrap_or(0)) << pad) | carry;
+            carry = word >> 32;
+            (word as u32).to_be_bytes()
+        };
+        let top_len = bytes.len() % 4;
+        let (top, body) = bytes.split_at_mut(top_len);
+        for chunk in body.rchunks_exact_mut(4) {
+            chunk.copy_from_slice(&next_word());
         }
-        Some(BitString::from_packed(&bytes, ell))
+        // `self` fits in ℓ bits, so the bytes cut off here are zero.
+        top.copy_from_slice(&next_word()[4 - top.len()..]);
+        Some(BitString::from_vec(bytes, ell))
     }
 
     /// `BITS(v)` (paper §2): the minimal representation (no leading zeros);
@@ -356,7 +381,8 @@ impl Encode for Nat {
     }
 
     fn encoded_len(&self) -> usize {
-        self.to_bits_min().encoded_len()
+        let bits = self.bit_len();
+        Writer::varint_len(bits as u64) + bits.div_ceil(8)
     }
 }
 
@@ -408,6 +434,21 @@ mod tests {
         assert_eq!(Nat::all_ones(0), Nat::zero());
         assert_eq!(Nat::pow2(0), Nat::one());
         assert_eq!(Nat::all_ones(40).add(&Nat::one()), Nat::pow2(40));
+    }
+
+    #[test]
+    fn all_ones_and_encoded_len_at_limb_boundaries() {
+        for k in [0usize, 1, 31, 32, 33, 64, 65, 1 << 21] {
+            let ones = Nat::all_ones(k);
+            assert_eq!(ones.bit_len(), k);
+            // What the bit-by-bit constructor built: k set bits, i.e. 2^k − 1.
+            assert_eq!(Some(&ones), Nat::pow2(k).checked_sub(&Nat::one()).as_ref());
+            assert_eq!(ones, BitString::repeat(true, k).val());
+            for v in [ones, Nat::pow2(k)] {
+                assert_eq!(v.encoded_len(), v.to_bits_min().encoded_len(), "k = {k}");
+                assert_eq!(v.encoded_len(), v.encode_to_vec().len(), "k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -133,10 +133,10 @@ fn search(
                 Some(agreed) if agreed.len() == window.len() => {
                     // Agreement on an honest window: extend the prefix and
                     // realign values that disagree (Remark 2 keeps them
-                    // valid).
+                    // valid). PREFIX* already prefixes v, so the two
+                    // windows alone order v against the new PREFIX*.
                     prefix.extend_from(&agreed);
-                    let own = v.prefix((mid + 1) * unit);
-                    match own.cmp_val(&prefix) {
+                    match window.cmp_val(&agreed) {
                         std::cmp::Ordering::Less => v = prefix.min_extend(ell),
                         std::cmp::Ordering::Greater => v = prefix.max_extend(ell),
                         std::cmp::Ordering::Equal => {}
@@ -271,6 +271,51 @@ mod tests {
             assert!(out.prefix.is_prefix_of(&out.v));
             // O(log n²) iterations.
             assert!(out.iterations <= (n2.ilog2() as usize) + 2);
+        }
+    }
+
+    #[test]
+    fn unaligned_blocks_snap_below_above_and_stay() {
+        // n = 4, ℓ = 16·5: five-bit blocks, so no window edge but the first
+        // sits on a byte boundary. Parties 0–2 share their first nine blocks
+        // and part ways in the tenth; party 3 leaves them in block 2, once
+        // from below and once from above. The first window (blocks 0..9)
+        // finds its quorum among parties 0–2, who keep their values
+        // (`Equal`), while party 3 snaps to MINℓ (`Less`) or MAXℓ
+        // (`Greater`) of it; every later window ends in ⊥.
+        let (n, ell, unit) = (4, 80, 5);
+        let shared = "10110".repeat(9);
+        let tails = ["00001", "01010", "11100"];
+        let honest: Vec<BitString> = tails
+            .iter()
+            .map(|tail| BitString::parse_binary(&format!("{shared}{tail}")).unwrap())
+            .map(|head| head.min_extend(ell))
+            .collect();
+        let prefix = BitString::parse_binary(&shared).unwrap();
+        for (block2, snapped) in [
+            ("10101", prefix.min_extend(ell)),
+            ("10111", prefix.max_extend(ell)),
+        ] {
+            let mut outlier = honest[0].to_string();
+            outlier.replace_range(2 * unit..3 * unit, block2);
+            let mut inputs = honest.clone();
+            inputs.push(BitString::parse_binary(&outlier).unwrap());
+            let run_inputs = inputs.clone();
+            let report = Sim::new(n).run(move |ctx, id| {
+                find_prefix_blocks(ctx, ell, &run_inputs[id.index()], BaKind::TurpinCoan)
+            });
+            let outs = report.honest_outputs();
+            assert_eq!(outs.len(), n);
+            for (id, out) in outs.iter().enumerate() {
+                let v = if id < 3 { &inputs[id] } else { &snapped };
+                let want = PrefixSearch {
+                    prefix: prefix.clone(),
+                    v: v.clone(),
+                    v_bot: v.clone(),
+                    iterations: 4,
+                };
+                assert_eq!(**out, want, "party {id}, outlier block {block2}");
+            }
         }
     }
 

@@ -113,11 +113,11 @@ pub fn get_output(
     ba: BaKind,
 ) -> BitString {
     ctx.scoped("get_output", |ctx| {
-        let lo = prefix.min_extend(ell);
-        if !prefix.is_prefix_of(v_bot) {
-            // B = 0 ⇔ v⊥ < MINℓ(PREFIX*).
-            let b = v_bot.cmp_val(&lo) != std::cmp::Ordering::Less;
-            ctx.send_all(&b);
+        let k = v_bot.common_prefix_len(prefix);
+        if k < prefix.len() {
+            // B = 0 ⇔ v⊥ < MINℓ(PREFIX*): v⊥ leaves PREFIX* at bit k, and
+            // its bit there says on which side of PREFIX*'s range it lies.
+            ctx.send_all(&v_bot.get(k));
         }
         let inbox = ctx.next_round();
         let bits: Vec<bool> = inbox
@@ -136,7 +136,7 @@ pub fn get_output(
         if agreed {
             prefix.max_extend(ell)
         } else {
-            lo
+            prefix.min_extend(ell)
         }
     })
 }
@@ -183,6 +183,45 @@ mod tests {
         assert!(outs.windows(2).all(|w| w[0] == w[1]));
         // Announcing parties all said "below" ⇒ MIN₈("10") = 1000_0000.
         assert_eq!(outs[0].val(), Nat::from_u64(0b1000_0000));
+    }
+
+    #[test]
+    fn get_output_unaligned_prefix_below_above_and_silent() {
+        // ℓ = 45 with a 13-bit PREFIX*: nothing sits on a byte boundary.
+        // Party 0 lies below PREFIX*'s range and announces 0, parties 1–2
+        // lie above and announce 1, party 3 extends PREFIX* and stays
+        // silent. Two of three announcements say "above" ⇒ MAXℓ; a fourth
+        // announcement, or a flipped one, would tip the vote to MINℓ.
+        let ell = 45;
+        let prefix = BitString::parse_binary("1011001110001").unwrap();
+        let below = BitString::parse_binary("1011001101111").unwrap();
+        let above = BitString::parse_binary("1011001110010").unwrap();
+        let v_bots = [
+            below.max_extend(ell),
+            above.min_extend(ell),
+            above.max_extend(ell),
+            prefix
+                .concat(&BitString::parse_binary("01").unwrap())
+                .min_extend(ell),
+        ];
+        let report = Sim::new(4)
+            .run(|ctx, id| get_output(ctx, ell, &v_bots[id.index()], &prefix, BaKind::TurpinCoan));
+        for out in report.honest_outputs() {
+            assert_eq!(*out, prefix.max_extend(ell));
+        }
+
+        // All three announcers below ⇒ MINℓ.
+        let v_bots = [
+            below.max_extend(ell),
+            below.min_extend(ell),
+            BitString::repeat(false, ell),
+            prefix.max_extend(ell),
+        ];
+        let report = Sim::new(4)
+            .run(|ctx, id| get_output(ctx, ell, &v_bots[id.index()], &prefix, BaKind::TurpinCoan));
+        for out in report.honest_outputs() {
+            assert_eq!(*out, prefix.min_extend(ell));
+        }
     }
 
     #[test]

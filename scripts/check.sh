@@ -37,24 +37,29 @@
 #                      must emit its BENCH artifact with the blocked RS
 #                      kernels differentially equal to the scalar oracle
 #                      and ≥ 2× faster on the grid's largest cell
+#  12. benchmark      — `benchmark/` is a workspace of its own that stages 2
+#                      and 4 never compile: build it in release against
+#                      this tree and run one short workload, so that a
+#                      library signature change fails here and not in the
+#                      acceptance driver (exit code only, no timing gate)
 #
 # Everything runs offline: external crates are vendored under shims/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/11] cargo fmt --check"
+echo "==> [1/12] cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> [2/11] cargo clippy (warnings denied)"
+echo "==> [2/12] cargo clippy (warnings denied)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> [3/11] ca-analyzer --deny"
+echo "==> [3/12] ca-analyzer --deny"
 cargo run --offline -q -p ca-analyzer -- --deny
 
-echo "==> [4/11] cargo test (workspace)"
+echo "==> [4/12] cargo test (workspace)"
 cargo test --workspace --offline -q
 
-echo "==> [5/11] trace smoke (artifacts + invariants + NullSink guard)"
+echo "==> [5/12] trace smoke (artifacts + invariants + NullSink guard)"
 artifacts="$(mktemp -d)"
 trap 'rm -rf "$artifacts"' EXIT
 cargo run --offline -q -p ca-bench --bin experiments -- f3 --quick --artifacts "$artifacts" >/dev/null
@@ -66,17 +71,17 @@ cargo run --offline -q -p ca-trace --bin ca-trace -- report "$artifacts/run.json
 cargo test --offline -q -p convex-agreement --test trace_invariants \
     tracing_does_not_perturb_metrics >/dev/null
 
-echo "==> [6/11] engine smoke (S1 artifact + closed-loop load)"
+echo "==> [6/12] engine smoke (S1 artifact + closed-loop load)"
 cargo run --offline -q -p ca-bench --bin experiments -- s1 --quick --artifacts "$artifacts" >/dev/null
 test -s "$artifacts/BENCH_s1.json"  || { echo "missing BENCH_s1.json"; exit 1; }
 cargo run --offline -q -p ca-engine --example closed_loop -- 2 >/dev/null
 
-echo "==> [7/11] chaos smoke (crash-fault tolerance + R1 artifact)"
+echo "==> [7/12] chaos smoke (crash-fault tolerance + R1 artifact)"
 cargo test --offline -q -p convex-agreement --test chaos >/dev/null
 cargo run --offline -q -p ca-bench --bin experiments -- r1 --quick --artifacts "$artifacts" >/dev/null
 test -s "$artifacts/BENCH_r1.json"  || { echo "missing BENCH_r1.json"; exit 1; }
 
-echo "==> [8/11] adaptive smoke (conformance suite + A1 fast-path gate)"
+echo "==> [8/12] adaptive smoke (conformance suite + A1 fast-path gate)"
 cargo test --offline -q -p convex-agreement --test chaos fast_path_conformance >/dev/null
 cargo test --offline -q -p convex-agreement --test prop_end_to_end pi_n_adaptive >/dev/null
 cargo run --offline -q -p ca-bench --bin experiments -- a1 --quick --artifacts "$artifacts" >/dev/null
@@ -84,12 +89,12 @@ test -s "$artifacts/BENCH_a1.json"  || { echo "missing BENCH_a1.json"; exit 1; }
 grep -q '"f0_beats_worst_case": true' "$artifacts/BENCH_a1.json" \
     || { echo "BENCH_a1.json: fast path did not beat the worst case at f = 0"; exit 1; }
 
-echo "==> [9/11] deep semantic analysis (baseline-gated, offline)"
+echo "==> [9/12] deep semantic analysis (baseline-gated, offline)"
 cargo run --offline -q -p ca-analyzer -- --deep --deny --baseline analyzer-baseline.json
 cargo run --offline -q -p ca-analyzer -- --deep --deny --baseline analyzer-baseline.json \
     --emit json >/dev/null   # JSON emitter stays parseable for CI
 
-echo "==> [10/11] async smoke (chaos suite + AS1 artifact gate)"
+echo "==> [10/12] async smoke (chaos suite + AS1 artifact gate)"
 cargo test --offline -q -p convex-agreement --test async_chaos >/dev/null
 cargo test --offline -q -p ca-runtime --test async_tcp >/dev/null
 cargo run --offline -q -p ca-bench --bin experiments -- as1 --quick --artifacts "$artifacts" >/dev/null
@@ -97,12 +102,17 @@ test -s "$artifacts/BENCH_as1.json" || { echo "missing BENCH_as1.json"; exit 1; 
 grep -q '"as1_async_wins": true' "$artifacts/BENCH_as1.json" \
     || { echo "BENCH_as1.json: async did not beat the mistuned sync baselines"; exit 1; }
 
-echo "==> [11/11] kernel smoke (P1 blocked-vs-scalar gate, release build)"
+echo "==> [11/12] kernel smoke (P1 blocked-vs-scalar gate, release build)"
 cargo run --offline -q --release -p ca-bench --bin experiments -- p1 --quick --artifacts "$artifacts" >/dev/null
 test -s "$artifacts/BENCH_p1.json" || { echo "missing BENCH_p1.json"; exit 1; }
 grep -q '"differential_equal": false' "$artifacts/BENCH_p1.json" \
     && { echo "BENCH_p1.json: blocked and scalar kernels disagreed"; exit 1; }
 grep -q '"p1_blocked_beats_scalar": true' "$artifacts/BENCH_p1.json" \
     || { echo "BENCH_p1.json: blocked kernels did not beat the scalar oracle 2x"; exit 1; }
+
+echo "==> [12/12] benchmark package (release build + one short workload)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload sim_small --seed 1 --seconds 1 --trace 0 >/dev/null
 
 echo "check.sh: all gates passed"
