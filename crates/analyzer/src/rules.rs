@@ -103,8 +103,17 @@ const TRACED_CRATES: &[&str] = &[
 /// `ca-async` joins the list because its executor queue and per-instance
 /// buffers (RBC echo/ready tallies, pending witness sets) grow with
 /// network input; every such structure must carry an explicit bound or a
-/// `ca-budget` annotation.
-const BOUNDED_QUEUE_CRATES: &[&str] = &["ca-engine", "ca-runtime", "ca-core", "ca-ba", "ca-async"];
+/// `ca-budget` annotation. `ca-net` is held to it since every hand-off
+/// between an executor and the protocol bodies it hosts goes through the
+/// capacity-1 channels of `ca_net::fiber`.
+const BOUNDED_QUEUE_CRATES: &[&str] = &[
+    "ca-engine",
+    "ca-runtime",
+    "ca-core",
+    "ca-ba",
+    "ca-async",
+    "ca-net",
+];
 
 /// The full rule registry, in reporting order.
 #[must_use]

@@ -5,7 +5,7 @@ use ca_net::{EdgeDelays, EdgeRule};
 /// Decides, per message, when (or whether) the network delivers it.
 ///
 /// A thin wrapper over [`ca_net::EdgeDelays`] — the *same* sampler the
-/// synchronous `DelayedSim` uses — so the AS1 benchmark can subject both
+/// synchronous `Sim::with_delays` uses — so the AS1 benchmark can subject both
 /// backends to the identical delay distribution. Delays are virtual time
 /// units; reordering falls out naturally (a later message with a smaller
 /// sampled delay overtakes an earlier one in the executor's priority

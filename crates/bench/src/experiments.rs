@@ -904,7 +904,7 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
 
     use ca_async::{rounds_for_spread, run_on_comm, AsyncApprox, DeliverySchedule, Executor};
     use ca_bits::Nat;
-    use ca_net::{DelayedSim, EdgeDelays, PartyId};
+    use ca_net::{EdgeDelays, PartyId};
 
     use crate::summary::AsyncRow;
 
@@ -934,7 +934,8 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
     // shared distribution and released at Δ-barriers.
     let sync_run = |delta: u64| -> (Vec<Nat>, u64, u64, u64) {
         let run_inputs = inputs.clone();
-        let report = DelayedSim::new(n, delays(), delta)
+        let report = Sim::new(n)
+            .with_delays(delays(), delta)
             .with_max_rounds(4096)
             .run(move |ctx, id: PartyId| {
                 let proto =

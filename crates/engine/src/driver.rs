@@ -1,17 +1,14 @@
 //! The engine driver: one party's multi-tenant session executor.
 //!
-//! Mirrors the `Sim` executor pattern one level up. Each admitted session
-//! runs its protocol body on its own scoped thread against a
-//! [`SessionComm`]; the driver — itself running as an ordinary party
-//! closure against any [`Comm`], so the same code multiplexes over the
-//! deterministic `Sim` and the TCP runtime — repeats a lock-step service
-//! round:
+//! Each admitted session runs its protocol body as a [`ca_net::fiber`];
+//! the driver — itself running as an ordinary party closure against any
+//! [`Comm`], so the same code multiplexes over the deterministic `Sim` and
+//! the TCP runtime — repeats a lock-step service round:
 //!
 //! 1. **Admit** due sessions while the table has capacity (open-loop
 //!    arrivals past capacity are rejected, closed-loop ones wait).
-//! 2. **Collect** exactly one submission per live session over a bounded
-//!    channel, then process them in session-id order (determinism does
-//!    not depend on thread scheduling).
+//! 2. **Collect** exactly one step per live session, in session-id order
+//!    (determinism does not depend on thread scheduling).
 //! 3. **Replay** each session's buffered trace events through the parent
 //!    transport under the `engine/s<id>` scope prefix.
 //! 4. **Batch** all sessions' same-destination sends into session-tagged
@@ -21,18 +18,15 @@
 //!    past the per-sender cap.
 //! 6. **Reap** decided sessions, recording latency and output.
 //!
-//! Teardown is ownership-driven: dropping the session table disconnects
-//! every per-session channel, which unwinds session threads cleanly even
-//! when the transport itself shuts the driver down mid-round (e.g. the
-//! simulator adaptively corrupting this party).
+//! Teardown is ownership-driven: leaving the fiber scope releases every
+//! session still parked, even when the transport itself shuts the driver
+//! down mid-round (e.g. the simulator adaptively corrupting this party).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::Once;
 
 use bytes::Bytes;
 use ca_codec::{Encode as _, Writer};
+use ca_net::fiber::{panic_message, FaultView, Fibers, Step};
 use ca_net::{Comm, Inbox, PartyId};
 use ca_runtime::LENGTH_PREFIX_LEN;
 use ca_trace::Event;
@@ -64,162 +58,6 @@ impl<O> EngineOutput<O> {
             .binary_search_by_key(&sid, |(s, _)| *s)
             .ok()
             .map(|i| &self.decided[i].1)
-    }
-}
-
-/// Payload used to unwind session threads on engine teardown. Mirrors the
-/// simulator's quiet-shutdown pattern: the panic hook stays silent for it.
-struct EngineShutdown;
-
-fn install_quiet_engine_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<EngineShutdown>().is_none() {
-                previous(info);
-            }
-        }));
-    });
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic>".to_owned()
-    }
-}
-
-enum SessionSubmission<O> {
-    /// The session flushed a round: its buffered sends and trace events.
-    Round {
-        sid: SessionId,
-        sends: Vec<(PartyId, Bytes)>,
-        events: Vec<Event>,
-    },
-    /// The session's body returned; sends are its fire-and-forget tail.
-    Done {
-        sid: SessionId,
-        output: O,
-        sends: Vec<(PartyId, Bytes)>,
-        events: Vec<Event>,
-    },
-    /// The session's body panicked (a real bug, not a shutdown).
-    Panicked { sid: SessionId, info: String },
-}
-
-enum SessionDirective {
-    Deliver(Inbox),
-}
-
-/// The per-session `Comm` a session protocol runs against: same `n`/`t`/
-/// `me` as the parent transport, but sends buffer locally and round
-/// boundaries synchronize with the driver instead of the network.
-struct SessionComm<O> {
-    n: usize,
-    t: usize,
-    me: PartyId,
-    sid: SessionId,
-    trace_on: bool,
-    pending: Vec<(PartyId, Bytes)>,
-    events: Vec<Event>,
-    submit: SyncSender<SessionSubmission<O>>,
-    deliver: Receiver<SessionDirective>,
-}
-
-impl<O> Comm for SessionComm<O> {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn t(&self) -> usize {
-        self.t
-    }
-
-    fn me(&self) -> PartyId {
-        self.me
-    }
-
-    fn send_bytes(&mut self, to: PartyId, payload: Bytes) {
-        self.pending.push((to, payload));
-    }
-
-    fn next_round(&mut self) -> Inbox {
-        let sends = std::mem::take(&mut self.pending);
-        let events = std::mem::take(&mut self.events);
-        if self
-            .submit
-            .send(SessionSubmission::Round {
-                sid: self.sid,
-                sends,
-                events,
-            })
-            .is_err()
-        {
-            panic::panic_any(EngineShutdown);
-        }
-        match self.deliver.recv() {
-            Ok(SessionDirective::Deliver(inbox)) => inbox,
-            Err(_) => panic::panic_any(EngineShutdown),
-        }
-    }
-
-    fn push_scope(&mut self, name: &str) {
-        if self.trace_on {
-            self.events.push(Event::ScopeEnter {
-                name: name.to_owned(),
-            });
-        }
-    }
-
-    fn pop_scope(&mut self) {
-        if self.trace_on {
-            self.events.push(Event::ScopeExit {
-                name: String::new(),
-            });
-        }
-    }
-
-    fn trace_enabled(&self) -> bool {
-        self.trace_on
-    }
-
-    fn trace(&mut self, event: Event) {
-        if self.trace_on {
-            self.events.push(event);
-        }
-    }
-}
-
-fn session_thread<O>(
-    mut comm: SessionComm<O>,
-    body: &(dyn Fn(&mut dyn Comm, SessionId) -> O + Sync),
-) {
-    let sid = comm.sid;
-    let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut comm, sid)));
-    match result {
-        Ok(output) => {
-            let sends = std::mem::take(&mut comm.pending);
-            let events = std::mem::take(&mut comm.events);
-            // The driver may already be tearing down; a disconnected
-            // channel is a valid exit, not an error.
-            let _ = comm.submit.send(SessionSubmission::Done {
-                sid,
-                output,
-                sends,
-                events,
-            });
-        }
-        Err(payload) if payload.downcast_ref::<EngineShutdown>().is_some() => {}
-        Err(payload) => {
-            let _ = comm.submit.send(SessionSubmission::Panicked {
-                sid,
-                info: panic_message(payload.as_ref()),
-            });
-        }
     }
 }
 
@@ -294,7 +132,6 @@ fn connection_bits(n: usize, me: PartyId) -> u64 {
 }
 
 struct Slot {
-    deliver: SyncSender<SessionDirective>,
     rel_stack: Vec<String>,
     admit_round: u64,
     rounds: u64,
@@ -304,7 +141,8 @@ struct Slot {
 ///
 /// `body` is the per-session protocol (e.g. `ca_core::pi_n` applied to
 /// the session's input); it runs once per admitted session against a
-/// session-scoped `Comm`. All honest parties must call this with the same
+/// session-scoped `Comm` that shares the transport's `n`/`t`/`me` and
+/// fault view. All honest parties must call this with the same
 /// `plan` and `config` — admission is part of the lock-step state.
 ///
 /// Works over any transport: pass the `ctx` given to a `Sim::run` or
@@ -331,25 +169,21 @@ where
         config.inbox_frames_per_sender > 0,
         "engine needs inbox capacity"
     );
-    install_quiet_engine_hook();
 
     let n = ctx.n();
-    let t = ctx.t();
     let me = ctx.me();
     let mut stats = EngineStats::default();
     stats.wire_bits += connection_bits(n, me);
     let mut decided: Vec<(SessionId, O)> = Vec::new();
     let mut rejected: Vec<SessionId> = Vec::new();
 
-    // Bounded by the session table: at most one in-flight submission per
-    // live session, so `max_sessions` is exactly the depth needed to
-    // never block a session behind the driver.
-    let (submit_tx, submit_rx) =
-        std::sync::mpsc::sync_channel::<SessionSubmission<O>>(config.max_sessions);
-
     ctx.push_scope(ENGINE_SCOPE);
     std::thread::scope(|scope| {
-        let body: &(dyn Fn(&mut dyn Comm, SessionId) -> O + Sync) = &body;
+        let body = &body;
+        let mut sessions = Fibers::new(scope, n, ctx.t(), ctx.trace_enabled());
+        // What the transport knows about faults, resampled after every
+        // transport round and handed to the sessions with their inboxes.
+        let mut faults = FaultView::of(ctx);
         let mut table: BTreeMap<u64, Slot> = BTreeMap::new();
         let mut reaped: BTreeSet<u64> = BTreeSet::new();
         let mut next_spec = 0usize;
@@ -379,25 +213,11 @@ where
                     next_spec += 1;
                     continue;
                 }
-                // Depth 1 suffices: the driver sends at most one directive
-                // before collecting the session's next submission.
-                let (deliver_tx, deliver_rx) = std::sync::mpsc::sync_channel(1);
-                let comm = SessionComm {
-                    n,
-                    t,
-                    me,
-                    sid: spec.id,
-                    trace_on: ctx.trace_enabled(),
-                    pending: Vec::new(),
-                    events: Vec::new(),
-                    submit: submit_tx.clone(),
-                    deliver: deliver_rx,
-                };
-                scope.spawn(move || session_thread(comm, body));
+                let sid = spec.id;
+                sessions.spawn(sid.0, me, faults.clone(), move |sctx| body(sctx, sid));
                 table.insert(
-                    spec.id.0,
+                    sid.0,
                     Slot {
-                        deliver: deliver_tx,
                         rel_stack: Vec::new(),
                         admit_round: engine_round,
                         rounds: 0,
@@ -419,46 +239,28 @@ where
                 }
                 // Open-loop idle gap: next arrival is in the future.
                 let _ = ctx.next_round();
-                stats.peers_gone = stats.peers_gone.max(ctx.silent_parties().len() as u64);
+                faults = FaultView::of(ctx);
+                stats.peers_gone = stats.peers_gone.max(faults.silent().len() as u64);
                 stats.wire_bits += round_sync_bits(n, engine_round);
                 stats.engine_rounds += 1;
                 engine_round += 1;
                 continue;
             }
 
-            // ---- 2. Collect one submission per live session ----
-            let mut expected: BTreeSet<u64> = table.keys().copied().collect();
-            let mut subs: BTreeMap<u64, SessionSubmission<O>> = BTreeMap::new();
-            while !expected.is_empty() {
-                let sub = submit_rx
-                    .recv()
-                    .expect("engine: session threads disconnected mid-round");
-                let sid = match &sub {
-                    SessionSubmission::Round { sid, .. }
-                    | SessionSubmission::Done { sid, .. }
-                    | SessionSubmission::Panicked { sid, .. } => sid.0,
-                };
-                assert!(
-                    expected.remove(&sid),
-                    "engine: duplicate submission from session {sid} in one round"
-                );
-                subs.insert(sid, sub);
-            }
-
-            // ---- 3+4. Process in session-id order; queue outgoing ----
+            // ---- 2–4. One step per live session, in session-id order ----
             // Frames per destination accumulate in session order, so the
             // wire image is independent of session-thread scheduling.
             let mut outgoing: Vec<Vec<SessionFrame>> = vec![Vec::new(); n];
-            for (sid_raw, sub) in subs {
-                match sub {
-                    SessionSubmission::Round { sid, sends, events } => {
+            for (sid_raw, step) in sessions.collect() {
+                let sid = SessionId(sid_raw);
+                match step {
+                    Step::Round { sends, events, .. } => {
                         let slot = table.get_mut(&sid_raw).expect("live session has a slot");
                         slot.rounds += 1;
                         replay_session_trace(ctx, sid, &mut slot.rel_stack, events);
                         queue_sends(&mut outgoing, &mut stats, me, sid, sends);
                     }
-                    SessionSubmission::Done {
-                        sid,
+                    Step::Done {
                         output,
                         sends,
                         events,
@@ -480,8 +282,11 @@ where
                         }
                         decided.push((sid, output));
                     }
-                    SessionSubmission::Panicked { sid, info } => {
-                        panic!("engine session {sid} panicked: {info}");
+                    Step::Panicked(payload) => {
+                        panic!(
+                            "engine session {sid} panicked: {}",
+                            panic_message(payload.as_ref())
+                        );
                     }
                 }
             }
@@ -523,7 +328,8 @@ where
 
             // ---- 5. Advance the shared transport round ----
             let inbox = ctx.next_round();
-            stats.peers_gone = stats.peers_gone.max(ctx.silent_parties().len() as u64);
+            faults = FaultView::of(ctx);
+            stats.peers_gone = stats.peers_gone.max(faults.silent().len() as u64);
             stats.wire_bits += round_sync_bits(n, engine_round);
             stats.engine_rounds += 1;
             engine_round += 1;
@@ -574,16 +380,9 @@ where
 
             // ---- 5. Deliver ----
             for (sid, session_inbox) in routed {
-                let slot = &table[&sid];
-                let _ = slot.deliver.send(SessionDirective::Deliver(session_inbox));
+                sessions.deliver(&sid, session_inbox, faults.clone());
             }
         }
-
-        // Teardown: dropping the table disconnects any remaining session
-        // channel (there are none on the normal path); dropping our
-        // submit_tx clone lets the scope join cleanly.
-        drop(table);
-        drop(submit_tx);
     });
     ctx.pop_scope();
 
@@ -748,6 +547,41 @@ mod tests {
         });
         for out in report.honest_outputs() {
             assert_eq!(out.stats.peers_gone, 1, "{:?}", out.stats);
+        }
+    }
+
+    /// A hosted session sees the transport's fault view, not `Comm`'s
+    /// "no one" defaults: the peer that goes quiet after transport round 2
+    /// is visible to the session body from its own round 2 on — which is
+    /// what lets an adaptive protocol inside the engine skip its fast path.
+    #[test]
+    fn session_sees_the_transports_silent_peers() {
+        let n = 4;
+        let plan = SessionPlan::closed(2);
+        let config = EngineConfig::default();
+        let report = Sim::new(n).run(|ctx, _id| {
+            let mut ctx = SilentAfter {
+                inner: ctx,
+                rounds_seen: 0,
+                silent_from: 2,
+            };
+            run_engine_party(&mut ctx, &plan, &config, |sctx, _sid| {
+                (0..3u64)
+                    .map(|_| {
+                        let _ = sctx.exchange(&1u64);
+                        (sctx.silent_parties(), sctx.fault_estimate().observed())
+                    })
+                    .collect::<Vec<_>>()
+            })
+        });
+        let gone = vec![PartyId(n - 1)];
+        for out in report.honest_outputs() {
+            for (_, seen) in &out.decided {
+                assert_eq!(
+                    seen,
+                    &vec![(Vec::new(), 0), (gone.clone(), 1), (gone.clone(), 1)]
+                );
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! across instances. This crate is that service layer:
 //!
 //! * [`run_engine_party`] — one party's engine: N concurrent sessions,
-//!   each on its own thread against a session-scoped `Comm`, multiplexed
+//!   each a `ca_net::fiber` with a session-scoped `Comm`, multiplexed
 //!   over any transport (`Sim` or `TcpParty`) via session-tagged
 //!   [`Envelope`]s, with round-batched flushing, bounded per-session
 //!   inboxes, admission control, and graceful drain of decided sessions.

@@ -3,7 +3,8 @@
 //! [`EdgeDelays`] is a pure function from `(seed, from, to, seq)` to a
 //! delivery delay (or a drop), built on a splitmix64-style bit mixer — no
 //! RNG state, no ordering sensitivity, byte-reproducible across runs and
-//! platforms. [`DelayedSim`] plugs it into [`Sim`]: a message sent in
+//! platforms. [`Sim::with_delays`](crate::Sim::with_delays) plugs it into
+//! the simulator: a message sent in
 //! round `r` with sampled delay `d` arrives at round `r + ⌊d/Δ⌋`, so a
 //! lock-step protocol experiences late (reordered relative to round
 //! boundaries) and lost messages exactly as a Δ-timeout runtime would on
@@ -11,11 +12,6 @@
 //! sampler for its virtual-time event queue, which is what makes the
 //! sync-vs-async benchmark (AS1) an apples-to-apples comparison: both
 //! backends face the identical delay distribution.
-
-use std::sync::Arc;
-
-use crate::sim::{Corruption, RunReport, Sim};
-use crate::{Comm, PartyId, TraceSink};
 
 /// One targeted delay/drop rule. `None` endpoints are wildcards.
 #[derive(Debug, Clone, Default)]
@@ -37,7 +33,7 @@ impl EdgeRule {
 }
 
 /// Deterministic per-edge delay sampler (time units are abstract; the
-/// consumer decides what one unit means — `DelayedSim` divides by Δ,
+/// consumer decides what one unit means — `Sim::with_delays` divides by Δ,
 /// the async executor uses them as virtual time directly).
 #[derive(Debug, Clone)]
 pub struct EdgeDelays {
@@ -103,71 +99,10 @@ impl EdgeDelays {
     }
 }
 
-/// A [`Sim`] whose message deliveries go through an [`EdgeDelays`]
-/// sampler: sends are held back across round boundaries (arrival round
-/// `sent + ⌊delay/Δ⌋`) or dropped entirely, instead of the barrier's
-/// usual perfect next-round delivery.
-///
-/// This breaks the synchronous model on purpose — protocols that assume
-/// "everything sent in round r is in round r's inbox" will see stale or
-/// missing values. Quorum-waiting protocols (and the async executor's
-/// conformance tests) are the intended tenants. Dropped messages are
-/// still metered as sent: the bits hit the wire; the network ate them.
-pub struct DelayedSim {
-    sim: Sim,
-}
-
-impl DelayedSim {
-    /// `n` parties whose messages are delayed per `delays`, with round
-    /// length `delta` time units (`delta = 0` is treated as 1).
-    pub fn new(n: usize, delays: EdgeDelays, delta: u64) -> Self {
-        Self {
-            sim: Sim::new(n).with_delay_model(delays, delta),
-        }
-    }
-
-    /// See [`Sim::with_t`].
-    #[must_use]
-    pub fn with_t(mut self, t: usize) -> Self {
-        self.sim = self.sim.with_t(t);
-        self
-    }
-
-    /// See [`Sim::corrupt`].
-    #[must_use]
-    pub fn corrupt(mut self, party: PartyId, mode: Corruption) -> Self {
-        self.sim = self.sim.corrupt(party, mode);
-        self
-    }
-
-    /// See [`Sim::with_max_rounds`].
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        self.sim = self.sim.with_max_rounds(max_rounds);
-        self
-    }
-
-    /// See [`Sim::with_trace`].
-    #[must_use]
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.sim = self.sim.with_trace(sink);
-        self
-    }
-
-    /// See [`Sim::run`].
-    pub fn run<O, F>(self, party: F) -> RunReport<O>
-    where
-        O: Send,
-        F: Fn(&mut dyn Comm, PartyId) -> O + Sync,
-    {
-        self.sim.run(party)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CommExt;
+    use crate::{Comm, CommExt, PartyId, Sim};
 
     /// A quorum-waiting averaging protocol: each iteration, re-send
     /// `(iter, value)` every round until `n − t` values with
@@ -209,7 +144,8 @@ mod tests {
     fn delayed_sim_holds_messages_across_rounds() {
         // Delays 10..=19 against a round length of 12: roughly half of all
         // messages land one round late, so the quorum loop must wait.
-        let report = DelayedSim::new(4, EdgeDelays::uniform(5, 10, 9), 12)
+        let report = Sim::new(4)
+            .with_delays(EdgeDelays::uniform(5, 10, 9), 12)
             .with_max_rounds(200)
             .run(|ctx, id| quorum_avg(ctx, id.0 as u64 * 100, 4));
         let outs: Vec<u64> = report.honest_outputs().into_iter().copied().collect();
@@ -226,7 +162,8 @@ mod tests {
     #[test]
     fn delayed_runs_are_deterministic() {
         let run = || {
-            DelayedSim::new(4, EdgeDelays::uniform(9, 8, 8), 10)
+            Sim::new(4)
+                .with_delays(EdgeDelays::uniform(9, 8, 8), 10)
                 .with_max_rounds(200)
                 .run(|ctx, id| quorum_avg(ctx, id.0 as u64 * 7, 3))
         };

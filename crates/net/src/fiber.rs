@@ -1,0 +1,401 @@
+//! The one way to park a blocking protocol body at a round boundary.
+//!
+//! Every protocol in this workspace is blocking code over
+//! [`Comm::next_round`]. An executor that hosts several such bodies — the
+//! simulator its parties, [`crate::run_parallel`] its instances, the
+//! engine driver its sessions — needs each body suspended at the
+//! boundary, its buffered sends taken, and the body resumed with an
+//! [`Inbox`]. A *fiber* is that: one scoped OS thread running the body
+//! against a private [`Comm`] whose `next_round` hands a [`Step`] to the
+//! owner and parks until the owner delivers.
+//!
+//! The owner repeats [`Fibers::collect`] (exactly one step from every live
+//! fiber, in key order, so nothing downstream depends on thread
+//! scheduling) and [`Fibers::deliver`]. What the steps *mean* — metering,
+//! multiplexing, batching, how a panic is reported — is the owner's
+//! policy; this module never branches on who is calling.
+//!
+//! Teardown is ownership-driven. Each fiber has two capacity-1 channels
+//! (at most one step and one delivery are ever in flight per fiber);
+//! [`Fibers::kill`] and dropping the [`Fibers`] close them, and a fiber
+//! that finds its channel closed unwinds with a private payload raised by
+//! [`std::panic::resume_unwind`], which does not run the panic hook — so a
+//! released fiber exits silently and the process-global hook is never
+//! touched.
+
+use std::any::Any;
+use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::Scope;
+
+use bytes::Bytes;
+use ca_trace::{Event, ROOT_SCOPE};
+
+use crate::{Comm, FaultEstimate, Inbox, PartyId};
+
+/// What a fiber handed its owner at one [`Fibers::collect`].
+pub enum Step<O> {
+    /// The body called `next_round` and is parked until
+    /// [`Fibers::deliver`].
+    Round {
+        /// Sends buffered since the previous step.
+        sends: Vec<(PartyId, Bytes)>,
+        /// The body's scope path at the boundary.
+        scope: String,
+        /// Trace events buffered since the previous step (scope
+        /// enters/exits included); empty unless tracing is on.
+        events: Vec<Event>,
+    },
+    /// The body returned; `sends` is its fire-and-forget tail.
+    Done {
+        /// The body's return value.
+        output: O,
+        /// Sends buffered since the previous step.
+        sends: Vec<(PartyId, Bytes)>,
+        /// Trace events buffered since the previous step.
+        events: Vec<Event>,
+    },
+    /// The body panicked; the original payload, for the owner to present.
+    Panicked(Box<dyn Any + Send>),
+}
+
+/// The owner's view of transport faults, handed to a fiber at spawn and
+/// with every delivery so hosted protocols see what the transport
+/// beneath their host knows ([`Comm::silent_parties`],
+/// [`Comm::fault_estimate`]). The default is "no one".
+#[derive(Debug, Clone, Default)]
+pub struct FaultView {
+    silent: Vec<PartyId>,
+    estimate: FaultEstimate,
+}
+
+impl FaultView {
+    /// Snapshot of `ctx`'s current fault view.
+    pub fn of(ctx: &dyn Comm) -> Self {
+        Self {
+            silent: ctx.silent_parties(),
+            estimate: ctx.fault_estimate(),
+        }
+    }
+
+    /// Parties the snapshotted transport had stopped hearing from.
+    pub fn silent(&self) -> &[PartyId] {
+        &self.silent
+    }
+}
+
+/// Renders a scope stack as the `/`-joined path traces and metrics use.
+pub fn scope_path(stack: &[String]) -> String {
+    if stack.is_empty() {
+        ROOT_SCOPE.to_owned()
+    } else {
+        stack.join("/")
+    }
+}
+
+/// The text of a panic payload, for owners that re-raise a
+/// [`Step::Panicked`] under their own message.
+pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "<non-string panic>"
+    }
+}
+
+/// Payload a fiber unwinds with when its owner has let go of it.
+struct Released;
+
+fn release() -> ! {
+    panic::resume_unwind(Box::new(Released))
+}
+
+/// The owner's ends of one fiber's channels.
+struct Parked<O> {
+    steps: Receiver<Step<O>>,
+    inbox: SyncSender<(Inbox, FaultView)>,
+}
+
+/// A set of fibers keyed by `K`, bound to a [`std::thread::scope`].
+///
+/// Create it inside the scope's closure: it cannot outlive the closure,
+/// and dropping it releases every fiber still parked (or still
+/// computing), so the scope's join never waits on a body that nobody will
+/// resume — on the normal path and when the owner itself unwinds.
+pub struct Fibers<'scope, 'env, K, O> {
+    scope: &'scope Scope<'scope, 'env>,
+    n: usize,
+    t: usize,
+    trace_on: bool,
+    live: BTreeMap<K, Parked<O>>,
+}
+
+impl<'scope, 'env, K: Ord + Clone, O: Send + 'scope> Fibers<'scope, 'env, K, O> {
+    /// An empty set whose fibers all see `n` parties, budget `t`, and
+    /// buffer trace events iff `trace_on`.
+    pub fn new(scope: &'scope Scope<'scope, 'env>, n: usize, t: usize, trace_on: bool) -> Self {
+        Self {
+            scope,
+            n,
+            t,
+            trace_on,
+            live: BTreeMap::new(),
+        }
+    }
+
+    /// Starts `body` as fiber `key`, running as party `me` with the
+    /// initial fault view `faults`. It owes one step to the next
+    /// [`Fibers::collect`].
+    pub fn spawn(
+        &mut self,
+        key: K,
+        me: PartyId,
+        faults: FaultView,
+        body: impl FnOnce(&mut dyn Comm) -> O + Send + 'scope,
+    ) {
+        let (steps_tx, steps_rx) = sync_channel(1);
+        let (inbox_tx, inbox_rx) = sync_channel(1);
+        let mut comm = FiberComm {
+            n: self.n,
+            t: self.t,
+            me,
+            trace_on: self.trace_on,
+            pending: Vec::new(),
+            scopes: Vec::new(),
+            events: Vec::new(),
+            faults,
+            steps: steps_tx,
+            inbox: inbox_rx,
+        };
+        self.scope.spawn(move || {
+            let step = match panic::catch_unwind(AssertUnwindSafe(|| body(&mut comm))) {
+                Ok(output) => Step::Done {
+                    output,
+                    sends: std::mem::take(&mut comm.pending),
+                    events: std::mem::take(&mut comm.events),
+                },
+                Err(payload) if payload.is::<Released>() => return,
+                Err(payload) => Step::Panicked(payload),
+            };
+            // The owner may have let go in the meantime; nobody to tell.
+            let _ = comm.steps.send(step);
+        });
+        self.live.insert(
+            key,
+            Parked {
+                steps: steps_rx,
+                inbox: inbox_tx,
+            },
+        );
+    }
+
+    /// Takes exactly one step from every live fiber, in key order.
+    /// Fibers that report [`Step::Round`] stay live, parked until
+    /// [`Fibers::deliver`]; the others are finished and forgotten.
+    pub fn collect(&mut self) -> Vec<(K, Step<O>)> {
+        let mut steps = Vec::with_capacity(self.live.len());
+        // `retain` visits in ascending key order.
+        self.live.retain(|key, fiber| {
+            // ca-lint: allow(panic-path) — in-process channel: a fiber we hold both ends for always sends its step
+            let step = fiber.steps.recv().expect("live fiber owes a step");
+            let parked = matches!(step, Step::Round { .. });
+            steps.push((key.clone(), step));
+            parked
+        });
+        steps
+    }
+
+    /// Resumes parked fiber `key` with its round's `inbox` and the
+    /// owner's current fault view. A key that is not live is ignored.
+    pub fn deliver(&mut self, key: &K, inbox: Inbox, faults: FaultView) {
+        if let Some(fiber) = self.live.get(key) {
+            let _ = fiber.inbox.send((inbox, faults));
+        }
+    }
+
+    /// Lets go of fiber `key`: parked, it unwinds now; mid-computation,
+    /// its late step goes nowhere and it unwinds then. Silent either way.
+    pub fn kill(&mut self, key: &K) {
+        self.live.remove(key);
+    }
+}
+
+/// The `Comm` a fiber's body runs against: sends and trace events buffer
+/// locally; `next_round` trades them for the owner's delivery.
+struct FiberComm<O> {
+    n: usize,
+    t: usize,
+    me: PartyId,
+    trace_on: bool,
+    pending: Vec<(PartyId, Bytes)>,
+    scopes: Vec<String>,
+    events: Vec<Event>,
+    faults: FaultView,
+    steps: SyncSender<Step<O>>,
+    inbox: Receiver<(Inbox, FaultView)>,
+}
+
+impl<O> Comm for FiberComm<O> {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn t(&self) -> usize {
+        self.t
+    }
+
+    fn me(&self) -> PartyId {
+        self.me
+    }
+
+    fn send_bytes(&mut self, to: PartyId, payload: Bytes) {
+        assert!(to.0 < self.n, "send to nonexistent {to}");
+        self.pending.push((to, payload));
+    }
+
+    fn next_round(&mut self) -> Inbox {
+        let step = Step::Round {
+            sends: std::mem::take(&mut self.pending),
+            scope: scope_path(&self.scopes),
+            events: std::mem::take(&mut self.events),
+        };
+        if self.steps.send(step).is_err() {
+            release();
+        }
+        match self.inbox.recv() {
+            Ok((inbox, faults)) => {
+                self.faults = faults;
+                inbox
+            }
+            Err(_) => release(),
+        }
+    }
+
+    fn push_scope(&mut self, name: &str) {
+        self.scopes.push(name.to_owned());
+        if self.trace_on {
+            self.events.push(Event::ScopeEnter {
+                name: name.to_owned(),
+            });
+        }
+    }
+
+    fn pop_scope(&mut self) {
+        if let Some(name) = self.scopes.pop() {
+            if self.trace_on {
+                self.events.push(Event::ScopeExit { name });
+            }
+        }
+    }
+
+    fn silent_parties(&self) -> Vec<PartyId> {
+        self.faults.silent.clone()
+    }
+
+    fn fault_estimate(&self) -> FaultEstimate {
+        self.faults.estimate
+    }
+
+    fn trace_enabled(&self) -> bool {
+        self.trace_on
+    }
+
+    fn trace(&mut self, event: Event) {
+        if self.trace_on {
+            self.events.push(event);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CommExt;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    /// One fiber panics while its siblings are parked: `collect` hands
+    /// back the original payload, and letting go of the set releases the
+    /// siblings so the scope joins.
+    #[test]
+    fn panic_surfaces_original_payload_and_siblings_are_released() {
+        let payload = std::thread::scope(|scope| {
+            let mut fibers = Fibers::new(scope, 3, 0, false);
+            for i in 0..3usize {
+                fibers.spawn(i, PartyId(i), FaultView::default(), move |ctx| {
+                    ctx.exchange(&1u64);
+                    if i == 1 {
+                        std::panic::panic_any(41u32);
+                    }
+                    ctx.exchange(&2u64);
+                });
+            }
+            for (_, step) in fibers.collect() {
+                assert!(matches!(step, Step::Round { .. }));
+            }
+            for i in 0..3 {
+                fibers.deliver(&i, Inbox::with_parties(3), FaultView::default());
+            }
+            let mut steps = fibers.collect();
+            match steps.remove(1) {
+                (1, Step::Panicked(payload)) => payload,
+                _ => panic!("fiber 1 must report its panic"),
+            }
+        });
+        assert_eq!(payload.downcast_ref::<u32>(), Some(&41));
+    }
+
+    /// Killing a fiber that is mid-computation discards its late step and
+    /// unwinds it without ever invoking the panic hook — the default hook
+    /// stays installed and stays quiet.
+    #[test]
+    fn killed_fiber_unwinds_without_the_panic_hook() {
+        static RELEASES_HOOKED: AtomicUsize = AtomicUsize::new(0);
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().is::<Released>() {
+                RELEASES_HOOKED.fetch_add(1, Ordering::SeqCst);
+            } else {
+                previous(info);
+            }
+        }));
+        let go = AtomicBool::new(false);
+        let reached_boundary = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let mut fibers = Fibers::<u8, ()>::new(scope, 1, 0, false);
+            let (go, reached) = (&go, &reached_boundary);
+            fibers.spawn(0, PartyId(0), FaultView::default(), move |ctx| {
+                while !go.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                reached.store(true, Ordering::SeqCst);
+                ctx.next_round();
+                unreachable!("a killed fiber is never resumed");
+            });
+            fibers.kill(&0);
+            go.store(true, Ordering::SeqCst);
+        });
+        assert!(reached_boundary.load(Ordering::SeqCst));
+        assert_eq!(RELEASES_HOOKED.load(Ordering::SeqCst), 0);
+    }
+
+    /// Dropping the set with every fiber parked lets the scope join.
+    #[test]
+    fn dropping_the_set_releases_parked_fibers() {
+        let finished = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let mut fibers = Fibers::new(scope, 4, 1, false);
+            for i in 0..4usize {
+                let finished = &finished;
+                fibers.spawn(i, PartyId(i), FaultView::default(), move |ctx| {
+                    ctx.next_round();
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            assert_eq!(fibers.collect().len(), 4);
+        });
+        assert_eq!(finished.load(Ordering::SeqCst), 0, "nobody was resumed");
+    }
+}

@@ -70,7 +70,7 @@ impl Inbox {
     ///
     /// The first-message convention of [`Inbox::decode_from`] bakes in a
     /// round-barrier assumption: at most one honest message per sender per
-    /// round. Under a delay model ([`crate::DelayedSim`]) a round's inbox
+    /// round. Under a delay model ([`crate::Sim::with_delays`]) a round's inbox
     /// can legitimately stack a late round-`r` message *and* a fresh
     /// round-`r+1` message from the same honest sender — delivery order is
     /// send order, so the freshest state is the last parseable payload.

@@ -10,11 +10,14 @@
 //! * [`Comm`] — the channel abstraction protocol code is written against
 //!   (`send`, `next_round`). The same protocol code runs on the simulator
 //!   here and on the TCP runtime in `ca-runtime`.
-//! * [`Sim`] — the deterministic lock-step executor: one OS thread per
+//! * [`Sim`] — the deterministic lock-step executor: one [`fiber`] per
 //!   honest party, exact per-scope bit/round accounting, and a rushing
 //!   adversary hook that sees the honest messages of round `r` *before*
 //!   choosing the corrupted parties' round-`r` messages (and may adaptively
 //!   corrupt more parties mid-protocol).
+//! * [`fiber`] — the one mechanism that parks a blocking protocol body at
+//!   a round boundary; [`Sim`], [`run_parallel`] and the `ca-engine`
+//!   driver are policies over it.
 //! * [`Adversary`] / [`RoundView`] — the attacker interface; strategy
 //!   implementations live in `ca-adversary`.
 //! * [`Metrics`] — the quantities the paper bounds: `BITSℓ(Π)` (bits sent by
@@ -38,6 +41,7 @@
 mod adversary;
 mod comm;
 mod delay;
+pub mod fiber;
 mod inbox;
 mod metrics;
 mod parallel;
@@ -49,7 +53,7 @@ pub use adversary::{Adversary, RoundActions, RoundView, SendSpec, Silent};
 // trace helpers) without a separate `ca-trace` import.
 pub use ca_trace::{compact_debug, Histogram, TraceSink};
 pub use comm::{Comm, CommExt, FaultEstimate};
-pub use delay::{DelayedSim, EdgeDelays, EdgeRule};
+pub use delay::{EdgeDelays, EdgeRule};
 pub use inbox::Inbox;
 pub use metrics::{Metrics, ScopeMetrics};
 pub use parallel::run_parallel;

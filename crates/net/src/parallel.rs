@@ -18,11 +18,12 @@
 //! `i`-th logical round of every live instance, and tagging by instance
 //! index is enough to demultiplex.
 
-use std::sync::mpsc;
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use ca_codec::{Decode, Encode, Reader, Writer};
 
+use crate::fiber::{FaultView, Fibers, Step};
 use crate::{Comm, Inbox, PartyId};
 
 /// Wire envelope for multiplexed sub-instance messages.
@@ -49,61 +50,10 @@ impl Decode for Tagged {
     }
 }
 
-enum ToParent {
-    Round {
-        sends: Vec<(PartyId, Bytes)>,
-    },
-    Done {
-        sends: Vec<(PartyId, Bytes)>,
-    },
-    /// The instance's body panicked: it will contribute nothing further.
-    /// Without this message the parent would wait forever for a Round
-    /// submission that never comes; the payload itself is re-raised from
-    /// the thread handle and propagated after every instance is joined.
-    Panicked,
-}
-
-/// The per-instance `Comm` handed to sub-protocol closures.
-struct SubComm {
-    n: usize,
-    t: usize,
-    me: PartyId,
-    pending: Vec<(PartyId, Bytes)>,
-    to_parent: mpsc::Sender<(usize, ToParent)>,
-    from_parent: mpsc::Receiver<Inbox>,
-    index: usize,
-}
-
-impl Comm for SubComm {
-    fn n(&self) -> usize {
-        self.n
-    }
-    fn t(&self) -> usize {
-        self.t
-    }
-    fn me(&self) -> PartyId {
-        self.me
-    }
-    fn send_bytes(&mut self, to: PartyId, payload: Bytes) {
-        self.pending.push((to, payload));
-    }
-    fn next_round(&mut self) -> Inbox {
-        let sends = std::mem::take(&mut self.pending);
-        self.to_parent
-            .send((self.index, ToParent::Round { sends }))
-            // ca-lint: allow(panic-path) — in-process executor channel, not a network path
-            .expect("parent alive");
-        // ca-lint: allow(panic-path) — in-process executor channel, see above
-        self.from_parent.recv().expect("parent alive")
-    }
-    fn push_scope(&mut self, _name: &str) {}
-    fn pop_scope(&mut self) {}
-}
-
 /// Runs `k` logical instances of `body` in parallel over one physical
 /// [`Comm`], returning their outputs in instance order.
 ///
-/// Each instance `i` runs `body(sub_ctx, i)` on its own thread with a
+/// Each instance `i` runs `body(sub_ctx, i)` as a [`crate::fiber`] with a
 /// virtual channel; one physical round carries one logical round of every
 /// still-running instance. Instances of a deterministic synchronous
 /// protocol stay aligned across honest parties, exactly like the top-level
@@ -148,89 +98,50 @@ where
     }
 
     std::thread::scope(|scope| {
-        let (to_parent_tx, to_parent_rx) = mpsc::channel::<(usize, ToParent)>();
-        let mut inbox_txs = Vec::with_capacity(k);
-        let mut handles = Vec::with_capacity(k);
+        let mut fibers = Fibers::new(scope, n, t, false);
+        let mut faults = FaultView::of(ctx);
         for index in 0..k {
-            let (inbox_tx, inbox_rx) = mpsc::channel::<Inbox>();
-            inbox_txs.push(inbox_tx);
-            let to_parent = to_parent_tx.clone();
             let body = &body;
-            handles.push(scope.spawn(move || {
-                let mut sub = SubComm {
-                    n,
-                    t,
-                    me,
-                    pending: Vec::new(),
-                    to_parent: to_parent.clone(),
-                    from_parent: inbox_rx,
-                    index,
-                };
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    body(&mut sub, index)
-                })) {
-                    Ok(out) => {
-                        // Sign off, flushing any trailing sends in the same
-                        // message so the parent's cycle accounting stays
-                        // deterministic.
-                        let sends = std::mem::take(&mut sub.pending);
-                        let _ = to_parent.send((index, ToParent::Done { sends }));
-                        out
-                    }
-                    Err(payload) => {
-                        let _ = to_parent.send((index, ToParent::Panicked));
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            }));
+            fibers.spawn(index, me, faults.clone(), move |sub| body(sub, index));
         }
-        drop(to_parent_tx);
+        let mut outputs: BTreeMap<usize, O> = BTreeMap::new();
 
-        let mut live: Vec<bool> = vec![true; k];
-
-        while live.iter().any(|l| *l) {
-            // Collect, from every live instance, either a Round submission
-            // or its termination (a finishing instance sends a final
-            // flush-Round followed by Done; both are consumed here).
-            let mut round_sends: Vec<(u32, Vec<(PartyId, Bytes)>)> = Vec::new();
-            let mut waiting: Vec<bool> = vec![false; k];
-            while (0..k).any(|i| live[i] && !waiting[i]) {
-                // ca-lint: allow(panic-path) — in-process executor channel, not a network path
-                let (index, msg) = to_parent_rx.recv().expect("instances alive");
-                match msg {
-                    ToParent::Round { sends } => {
-                        round_sends.push((index as u32, sends));
-                        waiting[index] = true;
+        loop {
+            // One step from every live instance, in instance order: a
+            // round submission, or the instance's return with its
+            // trailing sends.
+            let mut anyone_waiting = false;
+            for (index, step) in fibers.collect() {
+                let sends = match step {
+                    Step::Round { sends, .. } => {
+                        anyone_waiting = true;
+                        sends
                     }
-                    ToParent::Done { sends } => {
-                        round_sends.push((index as u32, sends));
-                        live[index] = false;
-                        waiting[index] = false;
+                    Step::Done { output, sends, .. } => {
+                        outputs.insert(index, output);
+                        sends
                     }
-                    ToParent::Panicked => {
-                        live[index] = false;
-                        waiting[index] = false;
-                    }
-                }
-            }
-            let anyone_waiting = waiting.iter().any(|w| *w);
-
-            // One physical round carries this cycle's logical round. If no
-            // instance is waiting, trailing sends are merely buffered into
-            // the parent (flushed at its next round boundary).
-            for (instance, sends) in round_sends {
+                    // Re-raise the ORIGINAL payload so callers see the
+                    // real failure; unwinding out of the scope releases
+                    // the surviving instances.
+                    Step::Panicked(payload) => std::panic::resume_unwind(payload),
+                };
                 for (to, payload) in sends {
                     let tagged = Tagged {
-                        instance,
+                        instance: index as u32,
                         payload: payload.to_vec(),
                     };
                     ctx.send_bytes(to, Bytes::from(tagged.encode_to_vec()));
                 }
             }
+            // One physical round carries this cycle's logical round. If no
+            // instance is waiting, trailing sends are merely buffered into
+            // the parent (flushed at its next round boundary).
             if !anyone_waiting {
                 break;
             }
             let physical = ctx.next_round();
+            faults = FaultView::of(ctx);
 
             // Demultiplex into per-instance inboxes.
             let mut inboxes: Vec<Inbox> = (0..k).map(|_| Inbox::with_parties(n)).collect();
@@ -244,36 +155,15 @@ where
                     }
                 }
             }
+            // Only the waiting instances are still live; `deliver` ignores
+            // the rest.
             for (index, inbox) in inboxes.into_iter().enumerate() {
-                if waiting[index] {
-                    waiting[index] = false;
-                    let _ = inbox_txs[index].send(inbox);
-                }
+                fibers.deliver(&index, inbox, faults.clone());
             }
         }
 
-        // Join EVERY instance before surfacing a panic (the TcpCluster
-        // join discipline): stopping at the first failure would drop the
-        // surviving instances' results and could leave them blocked.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        let mut outputs = Vec::with_capacity(k);
-        let mut first_panic = None;
-        for res in joined {
-            match res {
-                Ok(out) => outputs.push(out),
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            // Re-raise the ORIGINAL payload so callers see the real
-            // failure, not a generic "instance panicked".
-            std::panic::resume_unwind(payload);
-        }
-        outputs
+        // Every instance returned (a panic re-raised above).
+        outputs.into_values().collect()
     })
 }
 
@@ -355,8 +245,11 @@ mod tests {
 
     /// Single-party transport that just reflects sends back, so the panic
     /// path can be exercised without the simulator re-wrapping payloads.
+    /// It reports its one party silent once a round has passed — the
+    /// accounting seam `instances_see_the_parents_fault_view` watches.
     struct Loopback {
         pending: Vec<Bytes>,
+        rounds: u64,
     }
 
     impl Comm for Loopback {
@@ -373,6 +266,7 @@ mod tests {
             self.pending.push(payload);
         }
         fn next_round(&mut self) -> Inbox {
+            self.rounds += 1;
             let mut inbox = Inbox::with_parties(1);
             for payload in self.pending.drain(..) {
                 inbox.push(PartyId(0), payload);
@@ -381,6 +275,34 @@ mod tests {
         }
         fn push_scope(&mut self, _name: &str) {}
         fn pop_scope(&mut self) {}
+        fn silent_parties(&self) -> Vec<PartyId> {
+            if self.rounds > 0 {
+                vec![PartyId(0)]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+
+    /// An instance's `Comm` answers fault queries from the parent
+    /// transport's view as of the last physical round, not from `Comm`'s
+    /// "no one" defaults.
+    #[test]
+    fn instances_see_the_parents_fault_view() {
+        let mut ctx = Loopback {
+            pending: Vec::new(),
+            rounds: 0,
+        };
+        let seen = run_parallel(&mut ctx, 2, |sub, _idx| {
+            let before = sub.silent_parties();
+            let _ = sub.exchange(&1u64);
+            (before, sub.silent_parties(), sub.fault_estimate().silent)
+        });
+        for (before, after, estimated) in seen {
+            assert!(before.is_empty());
+            assert_eq!(after, vec![PartyId(0)]);
+            assert_eq!(estimated, 1);
+        }
     }
 
     /// An instance that panics mid-protocol — after a round in which a
@@ -393,6 +315,7 @@ mod tests {
     fn instance_panic_propagates_original_payload() {
         let mut ctx = Loopback {
             pending: Vec::new(),
+            rounds: 0,
         };
         run_parallel(&mut ctx, 2, |sub, idx| {
             if idx == 1 {

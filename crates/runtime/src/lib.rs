@@ -1,4 +1,4 @@
-//! Tokio TCP deployment runtime.
+//! TCP deployment runtime on `std::net`.
 //!
 //! The simulator in `ca-net` realizes the synchronous model as an explicit
 //! lock-step executor; this crate realizes it the way the paper states it
@@ -9,8 +9,8 @@
 //!
 //! Protocol code is *identical* to what the simulator runs — anything
 //! written against [`ca_net::Comm`] works here unchanged; each party's
-//! protocol runs on a dedicated blocking thread while a tokio runtime
-//! drives the sockets.
+//! protocol runs on a dedicated blocking thread while one reader and one
+//! writer thread per peer drive the sockets.
 //!
 //! The runtime also has an **event-driven mode** for asynchronous
 //! protocols ([`ca_async::AsyncProtocol`]): [`run_async_party`] and

@@ -3,19 +3,17 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::net::SocketAddr;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc as std_mpsc;
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use ca_codec::{Decode, Encode};
 use ca_net::{Comm, FaultEstimate, Inbox, PartyId};
-use ca_trace::{Event as TraceEvent, Histogram, NullSink, Record, TraceSink, ROOT_SCOPE};
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
-use tokio::net::{TcpListener, TcpStream};
-use tokio::sync::mpsc as tokio_mpsc;
+use ca_trace::{Event as TraceEvent, Histogram, NullSink, Record, TraceSink};
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::frame::{FrameRef, LENGTH_PREFIX_LEN};
@@ -77,7 +75,7 @@ pub struct EstablishOpts {
     /// the frame is shed and the peer disconnected (it was already
     /// violating the model).
     pub writer_queue_frames: usize,
-    /// Capacity of the inbound event queue shared by all reader tasks.
+    /// Capacity of the inbound event queue shared by all reader threads.
     /// Protocol messages beyond it are shed; liveness events (end-of-round
     /// markers, disconnects) always get through.
     pub event_queue_depth: usize,
@@ -99,7 +97,7 @@ impl Default for EstablishOpts {
 /// deadline is re-checked at least this often.
 const ESTABLISH_POLL: Duration = Duration::from_millis(250);
 
-/// Events flowing from the socket tasks to the protocol thread.
+/// Events flowing from the reader threads to the protocol thread.
 #[derive(Debug)]
 enum Event {
     Msg {
@@ -121,11 +119,11 @@ enum Event {
     },
 }
 
-/// What a writer task puts on the wire.
+/// What a writer thread puts on the wire.
 #[derive(Debug)]
 enum WriterItem {
     /// A protocol message: the payload [`Bytes`] are carried by reference
-    /// to the writer task, which frames them in place — the send path
+    /// to the writer thread, which frames them in place — the send path
     /// never copies the payload into an owned [`Frame`].
     Msg {
         /// Round the message belongs to.
@@ -191,11 +189,11 @@ pub struct TcpParty {
     round: u64,
     pending: Vec<(PartyId, Bytes)>,
     scopes: Vec<String>,
-    /// Sends frames to the per-peer writer tasks (bounded queues).
-    writers: Vec<Option<tokio_mpsc::Sender<WriterItem>>>,
-    /// Inbound events from all reader tasks (bounded; see
+    /// Sends frames to the per-peer writer threads (bounded queues).
+    writers: Vec<Option<mpsc::SyncSender<WriterItem>>>,
+    /// Inbound events from all reader threads (bounded; see
     /// [`EstablishOpts::event_queue_depth`]).
-    events: std_mpsc::Receiver<Event>,
+    events: mpsc::Receiver<Event>,
     /// Messages received for rounds we have not reached yet.
     future_msgs: BTreeMap<u64, Vec<(usize, Bytes)>>,
     /// Time source for the Δ deadline; injectable for tests.
@@ -211,7 +209,7 @@ pub struct TcpParty {
     fault: FaultPlan,
     /// Set once the fault plan's crash round is reached.
     crashed: bool,
-    /// Transport counters shared with the socket tasks.
+    /// Transport counters shared with the socket threads.
     stats: Arc<StatsInner>,
     /// Trace destination ([`NullSink`] unless [`TcpParty::set_trace`]).
     sink: Arc<dyn TraceSink>,
@@ -219,8 +217,6 @@ pub struct TcpParty {
     /// with the injected [`Clock`], so deterministic under a manual
     /// clock).
     round_latency_us: Histogram,
-    /// Keeps the tokio runtime driving the sockets alive.
-    _runtime: tokio::runtime::Runtime,
 }
 
 impl TcpParty {
@@ -278,135 +274,25 @@ impl TcpParty {
         let n = addrs.len();
         let t = ca_net::max_faults(n);
         let stats = Arc::new(StatsInner::default());
-        let runtime = tokio::runtime::Builder::new_multi_thread()
-            .worker_threads(2)
-            .enable_all()
-            .build()?;
-        let (event_tx, event_rx) = std_mpsc::sync_channel::<Event>(opts.event_queue_depth);
+        let (event_tx, event_rx) = mpsc::sync_channel::<Event>(opts.event_queue_depth);
 
-        let streams = runtime.block_on(establish_clique(me, addrs, opts, &*clock, &stats))?;
+        let streams = establish_clique(me, addrs, opts, &*clock, &stats)?;
 
-        let mut writers: Vec<Option<tokio_mpsc::Sender<WriterItem>>> =
-            (0..n).map(|_| None).collect();
+        // Two detached threads per peer; each exits when its socket or its
+        // channel closes, so there is no shutdown protocol on drop.
+        let mut writers: Vec<Option<mpsc::SyncSender<WriterItem>>> = (0..n).map(|_| None).collect();
         for (peer, stream) in streams {
-            let (mut read_half, mut write_half) = stream.into_split();
-            let (tx, mut rx) = tokio_mpsc::channel::<WriterItem>(opts.writer_queue_frames);
+            let read_half = stream.try_clone()?;
+            let (tx, rx) = mpsc::sync_channel::<WriterItem>(opts.writer_queue_frames);
             writers[peer] = Some(tx);
-
-            // Writer task: frame + length-prefix every outgoing message.
-            // When the sender side is dropped (normal exit or injected
-            // crash) the queue drains FIFO, then the write side shuts
-            // down — peers observe EOF only after in-flight frames land.
-            runtime.spawn(async move {
-                while let Some(item) = rx.recv().await {
-                    let result = match item {
-                        WriterItem::Msg { round, payload } => {
-                            // Frame in place: prefix + tag + round varint +
-                            // payload length varint, then the shared payload.
-                            // Small payloads are inlined into one write;
-                            // large ones go out without ever being copied.
-                            let body_len = FrameRef::Msg {
-                                round,
-                                payload: &payload,
-                            }
-                            .encoded_len();
-                            // Header ≤ prefix + tag + two max varints; the
-                            // payload is appended only when small enough to
-                            // inline, so the buffer is hard-capped.
-                            let mut head = ca_codec::Writer::with_capacity(
-                                (LENGTH_PREFIX_LEN + body_len)
-                                    .min(LENGTH_PREFIX_LEN + 21 + INLINE_WRITE_LIMIT),
-                            );
-                            head.put_raw(&(body_len as u32).to_be_bytes());
-                            head.put_u8(1);
-                            head.put_varint(round);
-                            head.put_varint(payload.len() as u64);
-                            if payload.len() <= INLINE_WRITE_LIMIT {
-                                head.put_raw(&payload);
-                                write_half.write_all(head.as_slice()).await
-                            } else {
-                                match write_half.write_all(head.as_slice()).await {
-                                    Ok(()) => write_half.write_all(&payload).await,
-                                    err => err,
-                                }
-                            }
-                        }
-                        WriterItem::Frame(frame) => {
-                            let body = frame.encode_to_vec();
-                            let mut buf = (body.len() as u32).to_be_bytes().to_vec();
-                            buf.extend_from_slice(&body);
-                            write_half.write_all(&buf).await
-                        }
-                        WriterItem::Raw(buf) => write_half.write_all(&buf).await,
-                    };
-                    if result.is_err() {
-                        break;
-                    }
-                }
-                let _ = write_half.shutdown().await;
-            });
-
-            // Reader task: decode frames, forward as events. Protocol
-            // messages are shed if the event queue is full; liveness
-            // events (Eor/Gone) block instead so they are never lost.
+            std::thread::Builder::new()
+                .name(format!("ca-writer-{peer}"))
+                .spawn(move || writer_loop(stream, &rx))?;
             let event_tx = event_tx.clone();
             let stats = Arc::clone(&stats);
-            runtime.spawn(async move {
-                let mut graceful = false;
-                loop {
-                    let mut len_buf = [0u8; 4];
-                    if read_half.read_exact(&mut len_buf).await.is_err() {
-                        break;
-                    }
-                    // Validate the claimed length BEFORE sizing the buffer:
-                    // a byzantine peer announcing a 4 GiB frame is dropped
-                    // without allocating anything.
-                    let Ok(len) = crate::frame::validate_frame_len(u32::from_be_bytes(len_buf))
-                    else {
-                        break;
-                    };
-                    let mut body = vec![0u8; len];
-                    if read_half.read_exact(&mut body).await.is_err() {
-                        break;
-                    }
-                    // The receive buffer becomes the backing store for the
-                    // delivered payload: decode borrows from `body`, and the
-                    // Msg payload is re-anchored into the shared allocation
-                    // with `slice_ref` — no per-frame payload copy.
-                    let body = Bytes::from(body);
-                    match FrameRef::decode_from_slice(&body) {
-                        Ok(FrameRef::Msg { round, payload }) => {
-                            let payload = body.slice_ref(payload);
-                            match event_tx.try_send(Event::Msg {
-                                from: peer,
-                                round,
-                                payload,
-                            }) {
-                                Ok(()) => {}
-                                Err(std_mpsc::TrySendError::Full(_)) => {
-                                    stats.events_shed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(std_mpsc::TrySendError::Disconnected(_)) => break,
-                            }
-                        }
-                        Ok(FrameRef::Eor { round }) => {
-                            if event_tx.send(Event::Eor { from: peer, round }).is_err() {
-                                break;
-                            }
-                        }
-                        Ok(FrameRef::Bye) => {
-                            graceful = true;
-                            break;
-                        }
-                        Err(_) => break,
-                        Ok(FrameRef::Hello { .. }) => continue,
-                    }
-                }
-                let _ = event_tx.send(Event::Gone {
-                    from: peer,
-                    graceful,
-                });
-            });
+            std::thread::Builder::new()
+                .name(format!("ca-reader-{peer}"))
+                .spawn(move || reader_loop(peer, read_half, &event_tx, &stats))?;
         }
 
         Ok(Self {
@@ -433,7 +319,6 @@ impl TcpParty {
             stats,
             sink: Arc::new(NullSink),
             round_latency_us: Histogram::new(),
-            _runtime: runtime,
         })
     }
 
@@ -474,19 +359,11 @@ impl TcpParty {
         self.gone[peer] || self.eor[peer] >= round
     }
 
-    fn scope_path(&self) -> String {
-        if self.scopes.is_empty() {
-            ROOT_SCOPE.to_owned()
-        } else {
-            self.scopes.join("/")
-        }
-    }
-
     fn emit(&self, event: TraceEvent) {
         self.sink.record(&Record {
             party: Some(self.me.index() as u64),
             round: self.round,
-            scope: self.scope_path(),
+            scope: ca_net::fiber::scope_path(&self.scopes),
             event,
         });
     }
@@ -524,7 +401,7 @@ impl TcpParty {
                     .wire_bytes_sent
                     .fetch_add(wire_len, Ordering::Relaxed);
             }
-            Err(tokio_mpsc::error::TrySendError::Full(_)) => {
+            Err(mpsc::TrySendError::Full(_)) => {
                 self.stats.frames_shed.fetch_add(1, Ordering::Relaxed);
                 self.stats
                     .overflow_disconnects
@@ -532,7 +409,7 @@ impl TcpParty {
                 self.writers[to] = None;
                 self.mark_gone(to, "overflow");
             }
-            Err(tokio_mpsc::error::TrySendError::Closed(_)) => {
+            Err(mpsc::TrySendError::Disconnected(_)) => {
                 self.writers[to] = None;
                 self.mark_gone(to, "writer-closed");
             }
@@ -631,8 +508,8 @@ impl TcpParty {
                 }
                 Polled::Housekeeping
             }
-            Err(std_mpsc::RecvTimeoutError::Timeout) => Polled::Quiet,
-            Err(std_mpsc::RecvTimeoutError::Disconnected) => Polled::Closed,
+            Err(mpsc::RecvTimeoutError::Timeout) => Polled::Quiet,
+            Err(mpsc::RecvTimeoutError::Disconnected) => Polled::Closed,
         }
     }
 }
@@ -652,7 +529,7 @@ pub(crate) enum Polled {
     Housekeeping,
     /// Nothing arrived within the timeout.
     Quiet,
-    /// The event channel closed (socket tasks are gone).
+    /// The event channel closed (reader threads are gone).
     Closed,
 }
 
@@ -800,8 +677,8 @@ impl Comm for TcpParty {
                             self.mark_gone(from, "eof");
                         }
                     }
-                    Err(std_mpsc::RecvTimeoutError::Timeout) => break,
-                    Err(std_mpsc::RecvTimeoutError::Disconnected) => break,
+                    Err(mpsc::RecvTimeoutError::Timeout) => break,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 }
             }
         }
@@ -888,6 +765,121 @@ impl Drop for TcpParty {
     }
 }
 
+/// Writer thread: frame + length-prefix every outgoing message. When the
+/// sender side is dropped (normal exit or injected crash) the queue drains
+/// FIFO, then the write side shuts down — peers observe EOF only after
+/// in-flight frames land.
+fn writer_loop(mut stream: TcpStream, rx: &mpsc::Receiver<WriterItem>) {
+    while let Ok(item) = rx.recv() {
+        let result = match item {
+            WriterItem::Msg { round, payload } => {
+                // Frame in place: prefix + tag + round varint + payload
+                // length varint, then the shared payload. Small payloads
+                // are inlined into one write; large ones go out without
+                // ever being copied.
+                let body_len = FrameRef::Msg {
+                    round,
+                    payload: &payload,
+                }
+                .encoded_len();
+                // Header ≤ prefix + tag + two max varints; the payload is
+                // appended only when small enough to inline, so the buffer
+                // is hard-capped.
+                let mut head = ca_codec::Writer::with_capacity(
+                    (LENGTH_PREFIX_LEN + body_len).min(LENGTH_PREFIX_LEN + 21 + INLINE_WRITE_LIMIT),
+                );
+                head.put_raw(&(body_len as u32).to_be_bytes());
+                head.put_u8(1);
+                head.put_varint(round);
+                head.put_varint(payload.len() as u64);
+                if payload.len() <= INLINE_WRITE_LIMIT {
+                    head.put_raw(&payload);
+                    stream.write_all(head.as_slice())
+                } else {
+                    stream
+                        .write_all(head.as_slice())
+                        .and_then(|()| stream.write_all(&payload))
+                }
+            }
+            WriterItem::Frame(frame) => {
+                let body = frame.encode_to_vec();
+                let mut buf = (body.len() as u32).to_be_bytes().to_vec();
+                buf.extend_from_slice(&body);
+                stream.write_all(&buf)
+            }
+            WriterItem::Raw(buf) => stream.write_all(&buf),
+        };
+        if result.is_err() {
+            break;
+        }
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
+/// Reader thread: decode frames, forward as events. Protocol messages are
+/// shed if the event queue is full; liveness events (Eor/Gone) block
+/// instead so they are never lost.
+fn reader_loop(
+    peer: usize,
+    mut stream: TcpStream,
+    event_tx: &mpsc::SyncSender<Event>,
+    stats: &StatsInner,
+) {
+    let mut graceful = false;
+    loop {
+        let mut len_buf = [0u8; 4];
+        if stream.read_exact(&mut len_buf).is_err() {
+            break;
+        }
+        // Validate the claimed length BEFORE sizing the buffer: a
+        // byzantine peer announcing a 4 GiB frame is dropped without
+        // allocating anything.
+        let Ok(len) = crate::frame::validate_frame_len(u32::from_be_bytes(len_buf)) else {
+            break;
+        };
+        let mut body = vec![0u8; len];
+        if stream.read_exact(&mut body).is_err() {
+            break;
+        }
+        // The receive buffer becomes the backing store for the delivered
+        // payload: decode borrows from `body`, and the Msg payload is
+        // re-anchored into the shared allocation with `slice_ref` — no
+        // per-frame payload copy.
+        let body = Bytes::from(body);
+        match FrameRef::decode_from_slice(&body) {
+            Ok(FrameRef::Msg { round, payload }) => {
+                let payload = body.slice_ref(payload);
+                match event_tx.try_send(Event::Msg {
+                    from: peer,
+                    round,
+                    payload,
+                }) {
+                    Ok(()) => {}
+                    Err(mpsc::TrySendError::Full(_)) => {
+                        stats.events_shed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(mpsc::TrySendError::Disconnected(_)) => break,
+                }
+            }
+            Ok(FrameRef::Eor { round }) => {
+                if event_tx.send(Event::Eor { from: peer, round }).is_err() {
+                    break;
+                }
+            }
+            Ok(FrameRef::Bye) => {
+                graceful = true;
+                break;
+            }
+            Err(_) => break,
+            Ok(FrameRef::Hello { .. }) => continue,
+        }
+    }
+    let _ = event_tx.send(Event::Gone {
+        from: peer,
+        graceful,
+    });
+}
+
 /// Establishes one TCP stream per peer: lower-indexed parties accept,
 /// higher-indexed parties dial (so each pair has exactly one stream).
 ///
@@ -895,7 +887,7 @@ impl Drop for TcpParty {
 /// exponential backoff under an overall deadline, and the accept loop
 /// drops (rather than aborts on) connections with malformed, impersonated,
 /// or duplicate handshakes — a port scanner cannot consume a peer's slot.
-async fn establish_clique(
+fn establish_clique(
     me: PartyId,
     addrs: &[SocketAddr],
     opts: &EstablishOpts,
@@ -903,7 +895,7 @@ async fn establish_clique(
     stats: &StatsInner,
 ) -> Result<Vec<(usize, TcpStream)>, RuntimeError> {
     let n = addrs.len();
-    let listener = TcpListener::bind(addrs[me.index()]).await?;
+    let listener = TcpListener::bind(addrs[me.index()])?;
     let deadline = clock.now().saturating_add(opts.deadline);
     // ca-lint: allow(unbounded-alloc) — capacity is the locally configured party count
     let mut streams: Vec<(usize, TcpStream)> = Vec::with_capacity(n.saturating_sub(1));
@@ -911,30 +903,29 @@ async fn establish_clique(
     // Dial everyone below us, retrying with backoff while they come up.
     for (peer, addr) in addrs.iter().enumerate().take(me.index()) {
         let mut backoff = opts.initial_backoff;
-        let stream = loop {
+        let mut stream = loop {
             let Some(remaining) = remaining_budget(deadline, clock) else {
                 return Err(RuntimeError::EstablishTimeout {
                     missing: vec![peer],
                 });
             };
-            match TcpStream::connect_timeout(*addr, remaining.min(ESTABLISH_POLL)).await {
+            match TcpStream::connect_timeout(addr, remaining.min(ESTABLISH_POLL)) {
                 Ok(s) => break s,
                 Err(_) => {
                     stats.dial_retries.fetch_add(1, Ordering::Relaxed);
-                    tokio::time::sleep(backoff.min(ESTABLISH_POLL)).await;
+                    std::thread::sleep(backoff.min(ESTABLISH_POLL));
                     backoff = backoff.saturating_mul(2).min(opts.max_backoff);
                 }
             }
         };
         stream.set_nodelay(true).ok();
-        let mut stream = stream;
         let hello = Frame::Hello {
             from: me.index() as u32,
         }
         .encode_to_vec();
         let mut buf = (hello.len() as u32).to_be_bytes().to_vec();
         buf.extend_from_slice(&hello);
-        stream.write_all(&buf).await?;
+        stream.write_all(&buf)?;
         streams.push((peer, stream));
     }
 
@@ -947,9 +938,9 @@ async fn establish_clique(
             let missing: Vec<usize> = (me.index() + 1..n).filter(|&p| !taken[p]).collect();
             return Err(RuntimeError::EstablishTimeout { missing });
         };
-        let (mut stream, _) = match listener.accept_timeout(remaining.min(ESTABLISH_POLL)).await {
-            Ok(pair) => pair,
-            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => continue,
+        let mut stream = match accept_timeout(&listener, clock, remaining.min(ESTABLISH_POLL)) {
+            Ok(stream) => stream,
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => continue,
             Err(e) => return Err(e.into()),
         };
         stream.set_nodelay(true).ok();
@@ -958,7 +949,7 @@ async fn establish_clique(
         stream
             .set_read_timeout(Some(remaining.min(ESTABLISH_POLL)))
             .ok();
-        match read_hello(&mut stream).await {
+        match read_hello(&mut stream) {
             // The accept side only ever hears from higher-indexed
             // parties (they dial us), so a hello claiming our own index
             // or lower is an impersonation attempt; a repeated index is
@@ -984,17 +975,73 @@ fn remaining_budget(deadline: Duration, clock: &dyn Clock) -> Option<Duration> {
     deadline.checked_sub(clock.now()).filter(|d| !d.is_zero())
 }
 
+/// Accepts one inbound connection, failing with `TimedOut` when nothing
+/// arrives within `timeout` on `clock`: the listener is polled in
+/// nonblocking mode, since `std` has no accept-with-deadline.
+fn accept_timeout(
+    listener: &TcpListener,
+    clock: &dyn Clock,
+    timeout: Duration,
+) -> io::Result<TcpStream> {
+    listener.set_nonblocking(true)?;
+    let deadline = clock.now().saturating_add(timeout);
+    let result = loop {
+        match listener.accept() {
+            Ok((stream, _)) => break Ok(stream),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if clock.now() >= deadline {
+                    break Err(io::Error::new(io::ErrorKind::TimedOut, "accept timed out"));
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => break Err(e),
+        }
+    };
+    // Restore blocking mode on the listener AND the accepted socket
+    // (accepted sockets can inherit O_NONBLOCK on some platforms).
+    listener.set_nonblocking(false)?;
+    let stream = result?;
+    stream.set_nonblocking(false)?;
+    Ok(stream)
+}
+
 /// Reads and decodes one handshake frame; `None` on anything malformed.
-async fn read_hello(stream: &mut TcpStream) -> Option<usize> {
+fn read_hello(stream: &mut TcpStream) -> Option<usize> {
     let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf).await.ok()?;
+    stream.read_exact(&mut len_buf).ok()?;
     // Validate the claimed length BEFORE sizing the buffer, same as the
     // round-frame reader — a stray connection gets no allocation budget.
     let len = crate::frame::validate_hello_len(u32::from_be_bytes(len_buf)).ok()?;
     let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).await.ok()?;
+    stream.read_exact(&mut body).ok()?;
     match Frame::decode_from_slice(&body) {
         Ok(Frame::Hello { from }) => Some(from as usize),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_timeout_expires_then_still_accepts() {
+        let clock = MonotonicClock::default();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let local = listener.local_addr().unwrap();
+        // Nothing is dialing yet: the bounded accept must expire.
+        let err = accept_timeout(&listener, &clock, Duration::from_millis(30)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        // A real connection is still accepted afterwards, in blocking
+        // mode, and the accepted socket reads normally.
+        let dialer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(local).unwrap();
+            s.write_all(b"ok").unwrap();
+        });
+        let mut stream = accept_timeout(&listener, &clock, Duration::from_secs(5)).unwrap();
+        let mut buf = [0u8; 2];
+        stream.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"ok");
+        dialer.join().unwrap();
     }
 }

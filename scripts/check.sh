@@ -43,7 +43,8 @@
 #                      library signature change fails here and not in the
 #                      acceptance driver (exit code only, no timing gate)
 #
-# Everything runs offline: external crates are vendored under shims/.
+# Everything runs offline: the three external crates left (bytes, rand,
+# proptest) are vendored under shims/; threads, channels and sockets are std.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -20,7 +20,7 @@
 //! * [`asynchrony`] — the asynchronous kernel: event-driven protocol state
 //!   machines (reliable broadcast, witness quorums, Δ-free approximate
 //!   agreement) under a deterministic seeded executor.
-//! * [`runtime`] — the tokio TCP deployment runtime (same protocol code,
+//! * [`runtime`] — the TCP runtime on `std::net` (same protocol code,
 //!   real sockets), including an event-driven driver for async protocols.
 //! * [`engine`] — the multi-tenant agreement service: N concurrent CA
 //!   sessions per party multiplexed over one transport, with admission
