@@ -48,9 +48,9 @@ pub const TAINT_SOURCES: &[&str] = &[
 /// validation, and clamping/length operations.
 pub const TAINT_SANITIZERS: &[&str] = &[
     "decode_from_slice",
+    "decode_from_bytes",
     "decode_from",
     "decode_each",
-    "decode_all",
     "validate_frame_len",
     "validate_hello_len",
     "min",
@@ -59,6 +59,7 @@ pub const TAINT_SANITIZERS: &[&str] = &[
     "party_count",
     "senders",
     "get_raw",
+    "get_shared",
     "get_bytes",
     "get_u8",
     "is_empty",

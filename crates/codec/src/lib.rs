@@ -32,6 +32,8 @@ mod error;
 mod reader;
 mod writer;
 
+use bytes::Bytes;
+
 pub use error::CodecError;
 pub use reader::Reader;
 pub use writer::Writer;
@@ -91,15 +93,28 @@ pub trait Decode: Sized {
     /// Returns [`CodecError::TrailingBytes`] if the slice is longer than the
     /// encoding, in addition to the errors of [`Self::decode`].
     fn decode_from_slice(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes);
-        let v = Self::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(CodecError::TrailingBytes {
-                remaining: r.remaining(),
-            });
-        }
-        Ok(v)
+        decode_whole(Reader::new(bytes))
     }
+
+    /// [`Self::decode_from_slice`] over a shared buffer: every [`Bytes`]
+    /// inside the decoded value is a view into `buf`, not a copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::decode_from_slice`].
+    fn decode_from_bytes(buf: &Bytes) -> Result<Self, CodecError> {
+        decode_whole(Reader::shared(buf))
+    }
+}
+
+fn decode_whole<T: Decode>(mut r: Reader<'_>) -> Result<T, CodecError> {
+    let v = T::decode(&mut r)?;
+    if !r.is_empty() {
+        return Err(CodecError::TrailingBytes {
+            remaining: r.remaining(),
+        });
+    }
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -272,6 +287,24 @@ impl Decode for String {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let bytes = r.get_bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::InvalidUtf8)
+    }
+}
+
+/// An opaque payload: length-prefixed like `Vec<u8>`, but decoded as a view
+/// into the input buffer when the reader is [`Reader::shared`].
+impl Encode for Bytes {
+    fn encode(&self, w: &mut Writer) {
+        w.put_bytes(self);
+    }
+    fn encoded_len(&self) -> usize {
+        Writer::varint_len(self.len() as u64) + self.len()
+    }
+}
+
+impl Decode for Bytes {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let len = r.get_len()?;
+        r.get_shared(len)
     }
 }
 

@@ -1,21 +1,46 @@
 //! Cursor over received bytes with bounds-checked accessors.
 
+use bytes::Bytes;
+
 use crate::CodecError;
 
 /// Read cursor used by [`Decode`](crate::Decode) implementations.
 ///
 /// All accessors are bounds-checked and return [`CodecError`] instead of
 /// panicking, since input bytes may come from corrupted parties.
+///
+/// A reader built with [`Reader::shared`] remembers the [`Bytes`] it reads
+/// from, and [`Reader::get_shared`] then hands out sub-slices of that
+/// allocation instead of copies. This is the one place on the wire path
+/// that slices a received buffer: a message type holds its payload as
+/// `Bytes` and has a single `Decode` impl, zero-copy whenever its input
+/// was shared.
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The buffer `bytes` derefs from, when the caller had one to share.
+    shared: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
     /// Creates a reader over `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
+        Self {
+            bytes,
+            pos: 0,
+            shared: None,
+        }
+    }
+
+    /// Creates a reader over a shared buffer: every [`Bytes`] decoded
+    /// through it is a view into `buf`'s allocation.
+    pub fn shared(buf: &'a Bytes) -> Self {
+        Self {
+            bytes: buf,
+            pos: 0,
+            shared: Some(buf),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -72,13 +97,25 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    /// Reads a varint length prefix and then that many bytes.
+    /// Reads exactly `n` raw bytes as a [`Bytes`]: a view into the input
+    /// buffer under [`Reader::shared`], a copy under [`Reader::new`].
     ///
     /// # Errors
     ///
-    /// [`CodecError`] on truncation or if the claimed length exceeds the
-    /// remaining bytes.
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
+    /// [`CodecError::UnexpectedEof`] if fewer than `n` bytes remain.
+    pub fn get_shared(&mut self, n: usize) -> Result<Bytes, CodecError> {
+        let start = self.pos;
+        let raw = self.get_raw(n)?;
+        Ok(match self.shared {
+            Some(buf) => buf.slice(start..self.pos),
+            None => Bytes::from(raw),
+        })
+    }
+
+    /// Reads a varint length (or element count) and checks it against the
+    /// bytes actually present, so a forged prefix fails before anything
+    /// is sized by it.
+    pub(crate) fn get_len(&mut self) -> Result<usize, CodecError> {
         let len = self.get_varint()?;
         let len = usize::try_from(len).map_err(|_| CodecError::VarintRange {
             type_name: "usize",
@@ -90,6 +127,17 @@ impl<'a> Reader<'a> {
                 available: self.remaining(),
             });
         }
+        Ok(len)
+    }
+
+    /// Reads a varint length prefix and then that many bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] on truncation or if the claimed length exceeds the
+    /// remaining bytes.
+    pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.get_len()?;
         self.get_raw(len)
     }
 
@@ -110,17 +158,7 @@ impl<'a> Reader<'a> {
         &mut self,
         mut f: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
     ) -> Result<Vec<T>, CodecError> {
-        let len = self.get_varint()?;
-        let len = usize::try_from(len).map_err(|_| CodecError::VarintRange {
-            type_name: "usize",
-            value: len,
-        })?;
-        if len > self.remaining() {
-            return Err(CodecError::LengthOverrun {
-                claimed: len,
-                available: self.remaining(),
-            });
-        }
+        let len = self.get_len()?;
         if len > crate::MAX_DECODE_CAPACITY {
             return Err(CodecError::CapacityExceeded {
                 requested: len,

@@ -25,15 +25,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
-use ca_codec::{Encode as _, Writer};
+use ca_codec::{Decode as _, Encode as _};
 use ca_net::fiber::{panic_message, FaultView, Fibers, Step};
 use ca_net::{Comm, Inbox, PartyId};
-use ca_runtime::LENGTH_PREFIX_LEN;
+use ca_runtime::Frame;
 use ca_trace::Event;
 
 use crate::{
-    ArrivalMode, EngineConfig, EngineStats, Envelope, EnvelopeRef, SessionFrame, SessionId,
-    SessionPlan,
+    ArrivalMode, EngineConfig, EngineStats, Envelope, SessionFrame, SessionId, SessionPlan,
 };
 
 /// The trace scope every engine-level record lives under; sessions nest
@@ -102,33 +101,28 @@ fn replay_session_trace(
 // ---------------------------------------------------------------------------
 //
 // `Metrics::honest_bits` stays payload-only (the paper's BITSℓ); the
-// engine additionally models what a TCP deployment pays per transport
-// message, per round, and per connection, using the exact
-// `ca_runtime::Frame` layout. This is the denominator of the S1
+// engine additionally prices what a TCP deployment pays per transport
+// message, per round, and per connection, by asking `ca_runtime::Frame`
+// what each frame occupies on the wire. This is the denominator of the S1
 // amortization claim: K multiplexed sessions share round markers,
 // connection setup, and per-message framing that K isolated deployments
 // each pay in full.
 
-/// Wire bits of shipping `payload_len` envelope bytes as one
-/// `Frame::Msg { round, payload }`.
-fn msg_wire_bits(round: u64, payload_len: usize) -> u64 {
-    let body = 1 + Writer::varint_len(round) + Writer::varint_len(payload_len as u64) + payload_len;
-    8 * (LENGTH_PREFIX_LEN + body) as u64
+fn wire_bits(frame: &Frame) -> u64 {
+    8 * frame.wire_len() as u64
 }
 
 /// Wire bits of the `Frame::Eor { round }` markers one round costs: one
 /// per peer.
 fn round_sync_bits(n: usize, round: u64) -> u64 {
-    let body = 1 + Writer::varint_len(round);
-    (n as u64 - 1) * 8 * (LENGTH_PREFIX_LEN + body) as u64
+    (n as u64 - 1) * wire_bits(&Frame::Eor { round })
 }
 
 /// Wire bits of per-connection setup/teardown (`Hello` out to each peer,
 /// `Bye` at drop), paid once per deployment rather than once per session.
 fn connection_bits(n: usize, me: PartyId) -> u64 {
-    let hello_body = 1 + Writer::varint_len(me.index() as u64);
-    let bye_body = 1usize;
-    (n as u64 - 1) * 8 * (2 * LENGTH_PREFIX_LEN + hello_body + bye_body) as u64
+    let from = me.index() as u32;
+    (n as u64 - 1) * (wire_bits(&Frame::Hello { from }) + wire_bits(&Frame::Bye))
 }
 
 struct Slot {
@@ -305,15 +299,18 @@ where
                         Vec::new()
                     };
                     let env = Envelope { frames };
-                    let payload = env.encode_to_vec();
+                    let payload = Bytes::from(env.encode_to_vec());
                     if to != me {
                         stats.envelopes_sent += 1;
                         stats.frames_sent += env.frames.len() as u64;
                         stats.batch_occupancy.record(env.frames.len() as u64);
-                        stats.wire_bits += msg_wire_bits(engine_round, payload.len());
+                        stats.wire_bits += wire_bits(&Frame::Msg {
+                            round: engine_round,
+                            payload: payload.clone(),
+                        });
                     }
                     // ca-budget: raw-send(envelope batcher meters wire_bits per batch above; per-frame CommExt metering would double-count)
-                    ctx.send_bytes(to, Bytes::from(payload));
+                    ctx.send_bytes(to, payload);
                     frames = rest;
                 }
             }
@@ -346,11 +343,9 @@ where
                 // ever sheds byzantine floods.
                 let mut accepted: BTreeMap<u64, usize> = BTreeMap::new();
                 for raw in inbox.raw_from(from) {
-                    // Borrowed decode: frame payloads point into `raw`, and
-                    // each accepted one is re-anchored into the shared
-                    // allocation with `slice_ref` — routing a batch to k
-                    // sessions copies nothing.
-                    let env = match EnvelopeRef::decode_from_slice(raw) {
+                    // Shared decode: every frame payload is a view into
+                    // `raw`, so routing a batch to k sessions copies nothing.
+                    let env = match Envelope::decode_from_bytes(raw) {
                         Ok(env) => env,
                         Err(_) => {
                             stats.malformed_envelopes += 1;
@@ -372,7 +367,7 @@ where
                             stats.shed_frames += 1;
                         } else {
                             *count += 1;
-                            session_inbox.push(from, raw.slice_ref(frame.payload));
+                            session_inbox.push(from, frame.payload);
                         }
                     }
                 }
@@ -416,27 +411,6 @@ fn queue_sends(
 mod tests {
     use super::*;
     use ca_net::{CommExt as _, Sim};
-    use ca_runtime::Frame;
-
-    /// The hand-computed wire model must match the transport's actual
-    /// frame layout bit for bit.
-    #[test]
-    fn wire_model_matches_frame_layout() {
-        for (round, len) in [(0u64, 0usize), (5, 3), (300, 200), (1 << 20, 70_000)] {
-            let frame = Frame::Msg {
-                round,
-                payload: vec![0xCD; len],
-            };
-            assert_eq!(msg_wire_bits(round, len), 8 * frame.wire_len() as u64);
-        }
-        let eor = Frame::Eor { round: 300 };
-        assert_eq!(round_sync_bits(4, 300), 3 * 8 * eor.wire_len() as u64);
-        let hello = Frame::Hello { from: 2 };
-        assert_eq!(
-            connection_bits(4, PartyId(2)),
-            3 * 8 * (hello.wire_len() + Frame::Bye.wire_len()) as u64
-        );
-    }
 
     /// A 3-round all-to-all summing protocol, multiplexed K ways over the
     /// simulator: every session decides the same (correct) value on every

@@ -53,8 +53,8 @@ impl Decode for SessionId {
 ///
 /// The payload is a [`Bytes`] view: on the send side it is the very buffer
 /// the session protocol handed to its `Comm` (queued without copying), and
-/// on the receive side [`EnvelopeRef`] + `Bytes::slice_ref` re-anchor it
-/// into the received allocation, again without copying.
+/// on the receive side a slice of the received envelope (decoded with
+/// `decode_from_bytes`), again without copying.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionFrame {
     /// The session this payload belongs to.
@@ -67,53 +67,19 @@ pub struct SessionFrame {
 impl Encode for SessionFrame {
     fn encode(&self, w: &mut Writer) {
         self.session.encode(w);
-        w.put_bytes(&self.payload);
+        self.payload.encode(w);
     }
     fn encoded_len(&self) -> usize {
-        self.session.encoded_len()
-            + Writer::varint_len(self.payload.len() as u64)
-            + self.payload.len()
+        self.session.encoded_len() + self.payload.encoded_len()
     }
 }
 
 impl Decode for SessionFrame {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        SessionFrameRef::decode(r).map(SessionFrameRef::into_owned)
-    }
-}
-
-/// Borrowed view of a [`SessionFrame`]: the payload points into the decode
-/// input. The engine router decodes envelopes through this view and hands
-/// each session a `Bytes::slice_ref` of the one received buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionFrameRef<'a> {
-    /// The session this payload belongs to.
-    pub session: SessionId,
-    /// The session protocol's encoded message, borrowed from the input.
-    pub payload: &'a [u8],
-}
-
-impl<'a> SessionFrameRef<'a> {
-    /// Decodes one frame, borrowing the payload from the reader's input.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] from the session id or length-prefixed payload.
-    pub fn decode(r: &mut Reader<'a>) -> Result<Self, CodecError> {
-        Ok(SessionFrameRef {
+        Ok(SessionFrame {
             session: SessionId::decode(r)?,
-            payload: r.get_bytes()?,
+            payload: Bytes::decode(r)?,
         })
-    }
-
-    /// Converts the view into an owned [`SessionFrame`] (copies the
-    /// payload).
-    #[must_use]
-    pub fn into_owned(self) -> SessionFrame {
-        SessionFrame {
-            session: self.session,
-            payload: Bytes::from(self.payload),
-        }
     }
 }
 
@@ -140,53 +106,8 @@ impl Encode for Envelope {
 impl Decode for Envelope {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Envelope {
-            frames: EnvelopeRef::decode(r)?
-                .frames
-                .into_iter()
-                .map(SessionFrameRef::into_owned)
-                .collect(),
+            frames: Vec::decode(r)?,
         })
-    }
-}
-
-/// Borrowed view of an [`Envelope`]: every frame payload points into the
-/// decode input, so routing one received buffer to many session inboxes
-/// allocates nothing beyond the frame table itself.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EnvelopeRef<'a> {
-    /// The coalesced frames, borrowing from the input.
-    pub frames: Vec<SessionFrameRef<'a>>,
-}
-
-impl<'a> EnvelopeRef<'a> {
-    /// Decodes an envelope, borrowing every payload from the reader's
-    /// input. [`Reader::decode_each`] applies the same bound checks as
-    /// `Vec::<SessionFrame>::decode`: the claimed frame count is
-    /// validated against the bytes actually present and the codec's
-    /// capacity ceiling before any allocation.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] from the count prefix or a frame.
-    pub fn decode(r: &mut Reader<'a>) -> Result<Self, CodecError> {
-        let frames = r.decode_each(SessionFrameRef::decode)?;
-        Ok(EnvelopeRef { frames })
-    }
-
-    /// Decodes from a complete slice, rejecting trailing bytes.
-    ///
-    /// # Errors
-    ///
-    /// As [`EnvelopeRef::decode`], plus [`CodecError::TrailingBytes`].
-    pub fn decode_from_slice(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes);
-        let env = Self::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(CodecError::TrailingBytes {
-                remaining: r.remaining(),
-            });
-        }
-        Ok(env)
     }
 }
 
@@ -215,38 +136,6 @@ mod tests {
         let bytes = env.encode_to_vec();
         assert_eq!(bytes.len(), env.encoded_len());
         assert_eq!(Envelope::decode_from_slice(&bytes).unwrap(), env);
-    }
-
-    /// The borrowed decode is byte-compatible with the owned one and its
-    /// payloads really do point into the input buffer (the whole point).
-    #[test]
-    fn envelope_ref_borrows_payloads_from_input() {
-        let env = Envelope {
-            frames: vec![
-                SessionFrame {
-                    session: SessionId(2),
-                    payload: Bytes::from(vec![9, 8, 7, 6]),
-                },
-                SessionFrame {
-                    session: SessionId(5),
-                    payload: Bytes::from(vec![0x42; 64]),
-                },
-            ],
-        };
-        let bytes = env.encode_to_vec();
-        let view = EnvelopeRef::decode_from_slice(&bytes).unwrap();
-        assert_eq!(view.frames.len(), 2);
-        let base = bytes.as_ptr() as usize;
-        for (frame, owned) in view.frames.iter().zip(&env.frames) {
-            assert_eq!(frame.session, owned.session);
-            assert_eq!(frame.payload, &owned.payload[..]);
-            let p = frame.payload.as_ptr() as usize;
-            assert!(p >= base && p + frame.payload.len() <= base + bytes.len());
-        }
-        // Trailing bytes rejected on the borrowed path too.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(EnvelopeRef::decode_from_slice(&padded).is_err());
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod stats;
 pub use ca_async::run_on_comm as run_async_session;
 pub use config::{ArrivalMode, EngineConfig, SessionPlan, SessionSpec};
 pub use driver::{run_engine_party, EngineOutput, ENGINE_SCOPE};
-pub use envelope::{Envelope, EnvelopeRef, SessionFrame, SessionFrameRef, SessionId};
+pub use envelope::{Envelope, SessionFrame, SessionId};
 pub use lift::EnvelopeAdversary;
 pub use loadgen::{LoadProfile, LoadReport};
 pub use stats::EngineStats;

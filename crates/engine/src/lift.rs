@@ -57,7 +57,7 @@ impl Adversary for EnvelopeAdversary {
         let mut per_session: BTreeMap<u64, Vec<(PartyId, PartyId, Bytes)>> =
             self.inner.keys().map(|sid| (*sid, Vec::new())).collect();
         for (from, to, payload) in view.honest_sends {
-            let Ok(env) = Envelope::decode_from_slice(payload) else {
+            let Ok(env) = Envelope::decode_from_bytes(payload) else {
                 continue;
             };
             for frame in env.frames {

@@ -102,7 +102,19 @@ impl EdgeDelays {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Comm, CommExt, PartyId, Sim};
+    use crate::{Comm, CommExt, Inbox, PartyId, Sim};
+    use ca_codec::Decode;
+
+    /// The *latest* well-formed message from `sender`. The first-message
+    /// convention of [`Inbox::decode_from`] assumes a round barrier; under
+    /// a delay model a round's inbox can stack a late round-`r` message
+    /// and a fresh round-`r+1` one from the same honest sender, and
+    /// delivery order is send order, so the freshest state is the last
+    /// parseable payload.
+    fn decode_latest_from<T: Decode>(inbox: &Inbox, sender: PartyId) -> Option<T> {
+        let mut msgs = inbox.raw_from(sender).iter().rev();
+        msgs.find_map(|m| T::decode_from_bytes(m).ok())
+    }
 
     /// A quorum-waiting averaging protocol: each iteration, re-send
     /// `(iter, value)` every round until `n − t` values with
@@ -119,7 +131,7 @@ mod tests {
                 let inbox = ctx.exchange(&(iter, value));
                 for p in 0..n {
                     let p = PartyId(p);
-                    if let Some((i, v)) = inbox.decode_latest_from::<(u64, u64)>(p) {
+                    if let Some((i, v)) = decode_latest_from::<(u64, u64)>(&inbox, p) {
                         if latest[p.0].is_none_or(|(old, _)| i > old) {
                             latest[p.0] = Some((i, v));
                         }

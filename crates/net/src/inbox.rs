@@ -55,7 +55,7 @@ impl Inbox {
     /// malformed bytes.
     pub fn decode_from<T: Decode>(&self, sender: PartyId) -> Option<T> {
         let first = self.by_sender[sender.0].first()?;
-        T::decode_from_slice(first).ok()
+        T::decode_from_bytes(first).ok()
     }
 
     /// Decodes the first message of every sender, skipping silent or
@@ -64,35 +64,6 @@ impl Inbox {
         (0..self.by_sender.len())
             .filter_map(|i| self.decode_from::<T>(PartyId(i)).map(|v| (PartyId(i), v)))
             .collect()
-    }
-
-    /// Decodes the *latest* well-formed message from `sender` as `T`.
-    ///
-    /// The first-message convention of [`Inbox::decode_from`] bakes in a
-    /// round-barrier assumption: at most one honest message per sender per
-    /// round. Under a delay model ([`crate::Sim::with_delays`]) a round's inbox
-    /// can legitimately stack a late round-`r` message *and* a fresh
-    /// round-`r+1` message from the same honest sender — delivery order is
-    /// send order, so the freshest state is the last parseable payload.
-    pub fn decode_latest_from<T: Decode>(&self, sender: PartyId) -> Option<T> {
-        self.by_sender[sender.0]
-            .iter()
-            .rev()
-            .find_map(|m| T::decode_from_slice(m).ok())
-    }
-
-    /// Decodes *every* message of every sender that parses as `T`
-    /// (for steps that legitimately accept multiple messages per sender).
-    pub fn decode_all<T: Decode>(&self) -> Vec<(PartyId, T)> {
-        let mut out = Vec::new();
-        for (i, msgs) in self.by_sender.iter().enumerate() {
-            for m in msgs {
-                if let Ok(v) = T::decode_from_slice(m) {
-                    out.push((PartyId(i), v));
-                }
-            }
-        }
-        out
     }
 
     /// Total payload bytes in this inbox.
@@ -129,24 +100,6 @@ mod tests {
     fn decode_each_skips_bad_senders() {
         let decoded = inbox3().decode_each::<u64>();
         assert_eq!(decoded, vec![(PartyId(0), 11)]);
-    }
-
-    #[test]
-    fn decode_latest_takes_last_well_formed() {
-        let inbox = inbox3();
-        assert_eq!(inbox.decode_latest_from::<u64>(PartyId(0)), Some(11));
-        assert_eq!(inbox.decode_latest_from::<u64>(PartyId(1)), None);
-        assert_eq!(inbox.decode_latest_from::<u64>(PartyId(2)), Some(22));
-        let mut stacked = Inbox::with_parties(2);
-        stacked.push(PartyId(1), 5u64.encode_to_vec().into());
-        stacked.push(PartyId(1), 6u64.encode_to_vec().into());
-        assert_eq!(stacked.decode_latest_from::<u64>(PartyId(1)), Some(6));
-    }
-
-    #[test]
-    fn decode_all_sees_later_messages() {
-        let decoded = inbox3().decode_all::<u64>();
-        assert_eq!(decoded, vec![(PartyId(0), 11), (PartyId(2), 22)]);
     }
 
     #[test]

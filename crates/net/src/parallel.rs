@@ -26,10 +26,11 @@ use ca_codec::{Decode, Encode, Reader, Writer};
 use crate::fiber::{FaultView, Fibers, Step};
 use crate::{Comm, Inbox, PartyId};
 
-/// Wire envelope for multiplexed sub-instance messages.
+/// Wire envelope for multiplexed sub-instance messages: the instance
+/// tag, then the payload to the end of the message (no length prefix).
 struct Tagged {
     instance: u32,
-    payload: Vec<u8>,
+    payload: Bytes,
 }
 
 impl Encode for Tagged {
@@ -45,7 +46,7 @@ impl Encode for Tagged {
 impl Decode for Tagged {
     fn decode(r: &mut Reader<'_>) -> Result<Self, ca_codec::CodecError> {
         let instance = u32::decode(r)?;
-        let payload = r.get_raw(r.remaining())?.to_vec();
+        let payload = r.get_shared(r.remaining())?;
         Ok(Tagged { instance, payload })
     }
 }
@@ -127,10 +128,8 @@ where
                     Step::Panicked(payload) => std::panic::resume_unwind(payload),
                 };
                 for (to, payload) in sends {
-                    let tagged = Tagged {
-                        instance: index as u32,
-                        payload: payload.to_vec(),
-                    };
+                    let instance = index as u32;
+                    let tagged = Tagged { instance, payload };
                     ctx.send_bytes(to, Bytes::from(tagged.encode_to_vec()));
                 }
             }
@@ -147,10 +146,10 @@ where
             let mut inboxes: Vec<Inbox> = (0..k).map(|_| Inbox::with_parties(n)).collect();
             for sender in 0..n {
                 for raw in physical.raw_from(PartyId(sender)) {
-                    if let Ok(tagged) = Tagged::decode_from_slice(raw) {
+                    if let Ok(tagged) = Tagged::decode_from_bytes(raw) {
                         let idx = tagged.instance as usize;
                         if idx < k {
-                            inboxes[idx].push(PartyId(sender), Bytes::from(tagged.payload));
+                            inboxes[idx].push(PartyId(sender), tagged.payload);
                         }
                     }
                 }

@@ -281,17 +281,42 @@ impl TcpCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Clock, ManualClock, TcpParty};
+    use crate::{Clock, Frame, ManualClock, TcpParty};
+    use bytes::Bytes;
     use ca_net::CommExt;
+    use std::io::Write as _;
+    use std::net::TcpStream;
+
+    /// A free localhost address for party 0 of a two-party clique whose
+    /// party 1 is a raw socket driven by the test.
+    fn free_addr() -> SocketAddr {
+        let listener = StdTcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.local_addr().unwrap()
+    }
+
+    /// Dials `addr` until it is up.
+    fn dial(addr: SocketAddr) -> TcpStream {
+        loop {
+            match TcpStream::connect(addr) {
+                Ok(stream) => return stream,
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+    }
+
+    /// [`dial`], then handshakes as party `from`.
+    fn dial_as(addr: SocketAddr, from: u32) -> TcpStream {
+        let mut stream = dial(addr);
+        Frame::Hello { from }.write_to(&mut stream).unwrap();
+        stream
+    }
 
     /// A party driven by a [`ManualClock`] that never ticks still completes
     /// rounds: with no live peers to wait on, `next_round` must not consult
     /// the wall clock at all. This pins the clock-injection seam.
     #[test]
     fn manual_clock_party_runs_rounds_without_wall_time() {
-        let l = StdTcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = l.local_addr().unwrap();
-        drop(l);
+        let addr = free_addr();
         let clock = ManualClock::new();
         let mut comm = TcpParty::establish_with_clock(
             PartyId(0),
@@ -396,28 +421,10 @@ mod tests {
     /// and keep completing rounds without it.
     #[test]
     fn oversized_length_prefix_drops_peer_cleanly() {
-        use std::io::Write as _;
-
-        use ca_codec::Encode as _;
-
-        use crate::Frame;
-
-        let listener = StdTcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr0 = listener.local_addr().unwrap();
-        drop(listener);
-
+        let addr0 = free_addr();
         let evil = std::thread::spawn(move || {
             // Party 1 dials party 0 and handshakes honestly…
-            let mut stream = loop {
-                match std::net::TcpStream::connect(addr0) {
-                    Ok(s) => break s,
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                }
-            };
-            let hello = Frame::Hello { from: 1 }.encode_to_vec();
-            let mut buf = (hello.len() as u32).to_be_bytes().to_vec();
-            buf.extend_from_slice(&hello);
-            stream.write_all(&buf).unwrap();
+            let mut stream = dial_as(addr0, 1);
             // …then claims a 4 GiB frame body is coming.
             stream.write_all(&u32::MAX.to_be_bytes()).unwrap();
             // Keep the socket open so only the length check can drop us.
@@ -439,6 +446,55 @@ mod tests {
         assert_eq!(comm.silent_parties(), vec![PartyId(1)]);
         assert_eq!(comm.stats().peers_gone, 1);
         evil.join().unwrap();
+    }
+
+    /// A byzantine peer that tags well-formed frames with far-future rounds
+    /// and never ends a round must not grow the early-message buffer
+    /// without limit: past `event_queue_depth` buffered frames it is shed,
+    /// cut off as a flooder, and the round completes without it.
+    #[test]
+    fn far_future_flood_is_bounded_and_drops_the_flooder() {
+        let addr0 = free_addr();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let flooder = std::thread::spawn(move || {
+            let mut stream = dial_as(addr0, 1);
+            // More than `depth + 1` frames in all, paced so that the
+            // reader's own bounded queue is not what sheds them.
+            for round in 1u64 << 40.. {
+                let frame = Frame::Msg {
+                    round,
+                    payload: Bytes::from(vec![0xEE; 64]),
+                };
+                if frame.write_to(&mut stream).is_err() || done_rx.try_recv().is_ok() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+
+        let opts = EstablishOpts {
+            event_queue_depth: 8,
+            ..EstablishOpts::default()
+        };
+        let mut comm = TcpParty::establish_with(
+            PartyId(0),
+            &[addr0, "127.0.0.1:9".parse().unwrap()],
+            Duration::from_secs(30),
+            &opts,
+            Box::new(crate::MonotonicClock::default()),
+        )
+        .unwrap();
+        // No end-of-round marker ever comes, so only the overflow can end
+        // this round before the 30 s Δ.
+        let inbox = comm.exchange(&7u64);
+        assert_eq!(inbox.decode_from::<u64>(PartyId(0)), Some(7));
+        assert!(inbox.raw_from(PartyId(1)).is_empty());
+        assert_eq!(comm.silent_parties(), vec![PartyId(1)]);
+        assert_eq!(comm.fault_estimate().suspected, 1);
+        assert!(comm.stats().events_shed >= 1);
+        assert_eq!(comm.stats().peers_gone, 1);
+        done_tx.send(()).unwrap();
+        flooder.join().unwrap();
     }
 
     #[test]
@@ -499,29 +555,11 @@ mod tests {
     /// open for the genuine peer.
     #[test]
     fn impersonating_hello_is_rejected_without_consuming_the_slot() {
-        use std::io::Write as _;
-
-        use ca_codec::Encode as _;
-
-        use crate::Frame;
-
-        let listener = StdTcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr0 = listener.local_addr().unwrap();
-        drop(listener);
-
+        let addr0 = free_addr();
         let dial = move |hello_from: u32, delay: Duration| {
             std::thread::spawn(move || {
                 std::thread::sleep(delay);
-                let mut stream = loop {
-                    match std::net::TcpStream::connect(addr0) {
-                        Ok(s) => break s,
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                    }
-                };
-                let hello = Frame::Hello { from: hello_from }.encode_to_vec();
-                let mut buf = (hello.len() as u32).to_be_bytes().to_vec();
-                buf.extend_from_slice(&hello);
-                stream.write_all(&buf).unwrap();
+                let _stream = dial_as(addr0, hello_from);
                 // Hold the socket open long enough for the accept side to
                 // make its decision.
                 std::thread::sleep(Duration::from_millis(400));
@@ -553,23 +591,9 @@ mod tests {
     /// peer accepted afterwards.
     #[test]
     fn stray_connection_does_not_abort_establishment() {
-        use std::io::Write as _;
-
-        use ca_codec::Encode as _;
-
-        use crate::Frame;
-
-        let listener = StdTcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr0 = listener.local_addr().unwrap();
-        drop(listener);
-
+        let addr0 = free_addr();
         let stray = std::thread::spawn(move || {
-            let mut stream = loop {
-                match std::net::TcpStream::connect(addr0) {
-                    Ok(s) => break s,
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            };
+            let mut stream = dial(addr0);
             // A length prefix far beyond any hello, followed by junk.
             stream.write_all(&1_000_000u32.to_be_bytes()).unwrap();
             stream.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
@@ -577,11 +601,7 @@ mod tests {
         });
         let honest = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(100));
-            let mut stream = std::net::TcpStream::connect(addr0).unwrap();
-            let hello = Frame::Hello { from: 1 }.encode_to_vec();
-            let mut buf = (hello.len() as u32).to_be_bytes().to_vec();
-            buf.extend_from_slice(&hello);
-            stream.write_all(&buf).unwrap();
+            let _stream = dial_as(addr0, 1);
             std::thread::sleep(Duration::from_millis(400));
         });
 
@@ -600,30 +620,13 @@ mod tests {
     /// and records both — instead of growing the queue without bound.
     #[test]
     fn writer_queue_overflow_disconnects_slow_peer() {
-        use std::io::Write as _;
-
-        use ca_codec::Encode as _;
-
-        use crate::Frame;
-
-        let listener = StdTcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr0 = listener.local_addr().unwrap();
-        drop(listener);
+        let addr0 = free_addr();
 
         // A peer that handshakes then never reads: its TCP window fills,
         // the writer task blocks, and the tiny queue overflows.
         let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
         let sleeper = std::thread::spawn(move || {
-            let mut stream = loop {
-                match std::net::TcpStream::connect(addr0) {
-                    Ok(s) => break s,
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            };
-            let hello = Frame::Hello { from: 1 }.encode_to_vec();
-            let mut buf = (hello.len() as u32).to_be_bytes().to_vec();
-            buf.extend_from_slice(&hello);
-            stream.write_all(&buf).unwrap();
+            let _stream = dial_as(addr0, 1);
             // Hold the socket open, reading nothing, until the test ends.
             let _ = done_rx.recv();
         });

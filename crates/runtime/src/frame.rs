@@ -1,19 +1,27 @@
 //! Wire frames for the TCP transport.
 //!
+//! This module is the single place that knows what a frame looks like on
+//! the wire: the discriminant bytes and field order ([`Encode`] /
+//! [`Decode`] for [`Frame`]), the [`LENGTH_PREFIX_LEN`]-byte length prefix,
+//! and how both reach a socket ([`Frame::write_to`]). The party's socket
+//! threads and the engine's deployment cost model call in here; neither
+//! restates the layout.
+//!
 //! # Overhead accounting
 //!
-//! This module is the single place where transport framing overhead is
-//! defined. `ca_net::Metrics::honest_bits` — the paper's `BITSℓ(Π)` —
-//! counts **payload bits only** (the encoded protocol message handed to
+//! `ca_net::Metrics::honest_bits` — the paper's `BITSℓ(Π)` — counts
+//! **payload bits only** (the encoded protocol message handed to
 //! `Comm::send_bytes`); it never includes the envelope this module adds.
-//! The real wire cost of any frame is computable via
-//! [`Frame::wire_len`], and the per-message delta between wire and
-//! payload via [`Frame::overhead`]: the frame discriminant, the round
-//! tag, the payload length varint, and the transport's
-//! [`LENGTH_PREFIX_LEN`]-byte length prefix. Keeping the two notions
-//! separate means experiment numbers track the paper's model while the
-//! deployment cost stays auditable from one definition.
+//! The real wire cost of any frame is [`Frame::wire_len`], and the
+//! per-message delta between wire and payload is [`Frame::overhead`]: the
+//! frame discriminant, the round tag, the payload length varint, and the
+//! length prefix. Keeping the two notions separate means experiment
+//! numbers track the paper's model while the deployment cost stays
+//! auditable from one definition.
 
+use std::io::{self, Write};
+
+use bytes::Bytes;
 use ca_codec::{CodecError, Decode, Encode, Reader, Writer};
 
 /// Bytes of big-endian length prefix the TCP transport puts before every
@@ -101,8 +109,9 @@ pub enum Frame {
     Msg {
         /// Round the message was sent in.
         round: u64,
-        /// Opaque protocol payload.
-        payload: Vec<u8>,
+        /// Opaque protocol payload: on receive, a view into the buffer the
+        /// frame body was read into.
+        payload: Bytes,
     },
     /// End-of-round marker: the sender has flushed everything for `round`.
     Eor {
@@ -114,15 +123,18 @@ pub enum Frame {
     Bye,
 }
 
+/// Message payloads at or below this size are copied in behind the header
+/// and shipped as one `write_all`; larger ones go out as two writes
+/// (header, then the shared payload) so the copy disappears exactly where
+/// it costs something.
+const INLINE_WRITE_LIMIT: usize = 4096;
+
 impl Frame {
     /// Protocol payload bytes carried by this frame — the quantity
     /// metered as `honest_bits`. Zero for control frames.
     #[must_use]
     pub fn payload_len(&self) -> usize {
-        match self {
-            Frame::Msg { payload, .. } => payload.len(),
-            Frame::Hello { .. } | Frame::Eor { .. } | Frame::Bye => 0,
-        }
+        self.payload().len()
     }
 
     /// Total bytes this frame occupies on the wire: the length prefix
@@ -139,156 +151,94 @@ impl Frame {
     pub fn overhead(&self) -> usize {
         self.wire_len() - self.payload_len()
     }
+
+    /// Everything [`Encode::encode`] emits except the payload bytes
+    /// themselves, which are always the tail of the body.
+    fn encode_head(&self, w: &mut Writer) {
+        match self {
+            Frame::Hello { from } => {
+                w.put_u8(0);
+                from.encode(w);
+            }
+            Frame::Msg { round, payload } => {
+                w.put_u8(1);
+                round.encode(w);
+                w.put_varint(payload.len() as u64);
+            }
+            Frame::Eor { round } => {
+                w.put_u8(2);
+                round.encode(w);
+            }
+            Frame::Bye => w.put_u8(3),
+        }
+    }
+
+    fn payload(&self) -> &[u8] {
+        match self {
+            Frame::Msg { payload, .. } => payload,
+            Frame::Hello { .. } | Frame::Eor { .. } | Frame::Bye => &[],
+        }
+    }
+
+    /// Writes the length prefix and the frame to `out`, exactly
+    /// [`Frame::wire_len`] bytes: one `write_all` for control frames and
+    /// small messages, header then payload for large ones — a `Msg`
+    /// payload is never copied into an encoded body first.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out.write_all` returns.
+    pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        let payload = self.payload();
+        // Prefix + tag + two maximal varints, plus room to inline.
+        let mut head =
+            Writer::with_capacity(LENGTH_PREFIX_LEN + 21 + payload.len().min(INLINE_WRITE_LIMIT));
+        head.put_raw(&(self.encoded_len() as u32).to_be_bytes());
+        self.encode_head(&mut head);
+        if payload.len() <= INLINE_WRITE_LIMIT {
+            head.put_raw(payload);
+            out.write_all(head.as_slice())
+        } else {
+            out.write_all(head.as_slice())?;
+            out.write_all(payload)
+        }
+    }
 }
 
 impl Encode for Frame {
     fn encode(&self, w: &mut Writer) {
-        self.as_ref_frame().encode(w);
+        self.encode_head(w);
+        w.put_raw(self.payload());
     }
 
     fn encoded_len(&self) -> usize {
-        self.as_ref_frame().encoded_len()
+        1 + match self {
+            Frame::Hello { from } => from.encoded_len(),
+            Frame::Msg { round, payload } => round.encoded_len() + payload.encoded_len(),
+            Frame::Eor { round } => round.encoded_len(),
+            Frame::Bye => 0,
+        }
     }
 }
 
 impl Decode for Frame {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        FrameRef::decode(r).map(FrameRef::into_owned)
-    }
-}
-
-/// A borrowed view of a [`Frame`], decoded zero-copy from a receive
-/// buffer: the `Msg` payload is a slice into the buffer the frame body was
-/// read from, so the reader task can hand it onward (via
-/// `Bytes::slice_ref`) without the decode-then-copy round-trip.
-///
-/// Wire format and validation are identical to [`Frame`];
-/// [`Frame::decode`] delegates here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameRef<'a> {
-    /// Connection handshake: announces the sender's party index.
-    Hello {
-        /// Sender's party index.
-        from: u32,
-    },
-    /// A protocol message belonging to a specific round.
-    Msg {
-        /// Round the message was sent in.
-        round: u64,
-        /// Opaque protocol payload, borrowed from the receive buffer.
-        payload: &'a [u8],
-    },
-    /// End-of-round marker: the sender has flushed everything for `round`.
-    Eor {
-        /// The completed round.
-        round: u64,
-    },
-    /// The sender's protocol terminated; treat as end-of-round for all
-    /// future rounds.
-    Bye,
-}
-
-impl<'a> FrameRef<'a> {
-    /// Decodes a frame body, borrowing the payload from the input.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Frame::decode`].
-    pub fn decode(r: &mut Reader<'a>) -> Result<Self, CodecError> {
         match r.get_u8()? {
-            0 => Ok(FrameRef::Hello {
+            0 => Ok(Frame::Hello {
                 from: u32::decode(r)?,
             }),
-            1 => Ok(FrameRef::Msg {
+            1 => Ok(Frame::Msg {
                 round: u64::decode(r)?,
-                payload: r.get_bytes()?,
+                payload: Bytes::decode(r)?,
             }),
-            2 => Ok(FrameRef::Eor {
+            2 => Ok(Frame::Eor {
                 round: u64::decode(r)?,
             }),
-            3 => Ok(FrameRef::Bye),
+            3 => Ok(Frame::Bye),
             other => Err(CodecError::InvalidDiscriminant {
                 type_name: "Frame",
                 value: u64::from(other),
             }),
-        }
-    }
-
-    /// Decodes a complete frame body, rejecting trailing bytes.
-    ///
-    /// # Errors
-    ///
-    /// As [`FrameRef::decode`], plus [`CodecError::TrailingBytes`].
-    pub fn decode_from_slice(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(bytes);
-        let frame = Self::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(CodecError::TrailingBytes {
-                remaining: r.remaining(),
-            });
-        }
-        Ok(frame)
-    }
-
-    /// Converts the view into an owned [`Frame`] (copies the payload).
-    #[must_use]
-    pub fn into_owned(self) -> Frame {
-        match self {
-            FrameRef::Hello { from } => Frame::Hello { from },
-            FrameRef::Msg { round, payload } => Frame::Msg {
-                round,
-                payload: payload.to_vec(),
-            },
-            FrameRef::Eor { round } => Frame::Eor { round },
-            FrameRef::Bye => Frame::Bye,
-        }
-    }
-}
-
-impl Frame {
-    /// Borrows this frame as a [`FrameRef`].
-    #[must_use]
-    pub fn as_ref_frame(&self) -> FrameRef<'_> {
-        match self {
-            Frame::Hello { from } => FrameRef::Hello { from: *from },
-            Frame::Msg { round, payload } => FrameRef::Msg {
-                round: *round,
-                payload,
-            },
-            Frame::Eor { round } => FrameRef::Eor { round: *round },
-            Frame::Bye => FrameRef::Bye,
-        }
-    }
-}
-
-impl Encode for FrameRef<'_> {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            FrameRef::Hello { from } => {
-                w.put_u8(0);
-                from.encode(w);
-            }
-            FrameRef::Msg { round, payload } => {
-                w.put_u8(1);
-                round.encode(w);
-                w.put_bytes(payload);
-            }
-            FrameRef::Eor { round } => {
-                w.put_u8(2);
-                round.encode(w);
-            }
-            FrameRef::Bye => w.put_u8(3),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            FrameRef::Hello { from } => 1 + from.encoded_len(),
-            FrameRef::Msg { round, payload } => {
-                1 + round.encoded_len() + Writer::varint_len(payload.len() as u64) + payload.len()
-            }
-            FrameRef::Eor { round } => 1 + round.encoded_len(),
-            FrameRef::Bye => 1,
         }
     }
 }
@@ -297,18 +247,28 @@ impl Encode for FrameRef<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn frames_round_trip() {
-        for f in [
+    fn samples() -> [Frame; 5] {
+        [
             Frame::Hello { from: 3 },
             Frame::Msg {
+                round: 300,
+                payload: Bytes::from(vec![0xCD; 200]),
+            },
+            // Past the inline limit: goes out as header, then payload.
+            Frame::Msg {
                 round: 17,
-                payload: vec![1, 2, 3],
+                payload: Bytes::from(vec![0xAB; INLINE_WRITE_LIMIT + 1]),
             },
             Frame::Eor { round: 9 },
             Frame::Bye,
-        ] {
+        ]
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        for f in samples() {
             let bytes = f.encode_to_vec();
+            assert_eq!(f.encoded_len(), bytes.len());
             assert_eq!(Frame::decode_from_slice(&bytes).unwrap(), f);
         }
     }
@@ -317,63 +277,22 @@ mod tests {
     fn junk_rejected() {
         assert!(Frame::decode_from_slice(&[9]).is_err());
         assert!(Frame::decode_from_slice(&[]).is_err());
-        assert!(FrameRef::decode_from_slice(&[9]).is_err());
-        assert!(FrameRef::decode_from_slice(&[]).is_err());
     }
 
+    /// What `write_to` puts on a socket is the length prefix plus the
+    /// encoded body, `wire_len` bytes in all — for inlined and split
+    /// payloads alike — and every body passes the reader's length check.
     #[test]
-    fn frame_ref_borrows_payload_from_input() {
-        let f = Frame::Msg {
-            round: 42,
-            payload: vec![7, 8, 9, 10],
-        };
-        let bytes = f.encode_to_vec();
-        let view = FrameRef::decode_from_slice(&bytes).unwrap();
-        let FrameRef::Msg { round, payload } = view else {
-            panic!("wrong variant");
-        };
-        assert_eq!(round, 42);
-        assert_eq!(payload, &[7, 8, 9, 10]);
-        // Zero-copy: the payload slice points into the encoded buffer.
-        let base = bytes.as_ptr() as usize;
-        let p = payload.as_ptr() as usize;
-        assert!(p >= base && p + payload.len() <= base + bytes.len());
-        assert_eq!(view.into_owned(), f);
-    }
-
-    #[test]
-    fn frame_ref_encode_matches_owned_encode() {
-        for f in [
-            Frame::Hello { from: 3 },
-            Frame::Msg {
-                round: 300,
-                payload: vec![0xCD; 200],
-            },
-            Frame::Eor { round: 9 },
-            Frame::Bye,
-        ] {
-            let owned = f.encode_to_vec();
-            let borrowed = f.as_ref_frame().encode_to_vec();
-            assert_eq!(owned, borrowed);
-            assert_eq!(f.encoded_len(), owned.len());
-            assert_eq!(f.as_ref_frame().encoded_len(), owned.len());
-        }
-    }
-
-    #[test]
-    fn wire_len_matches_what_the_transport_writes() {
-        for f in [
-            Frame::Hello { from: 3 },
-            Frame::Msg {
-                round: 300,
-                payload: vec![0; 200],
-            },
-            Frame::Eor { round: 9 },
-            Frame::Bye,
-        ] {
+    fn write_to_emits_prefix_then_encoding() {
+        for f in samples() {
             let body = f.encode_to_vec();
-            assert_eq!(f.wire_len(), LENGTH_PREFIX_LEN + body.len());
+            let mut wire = Vec::new();
+            f.write_to(&mut wire).unwrap();
+            assert_eq!(wire.len(), f.wire_len());
+            assert_eq!(wire[..LENGTH_PREFIX_LEN], (body.len() as u32).to_be_bytes());
+            assert_eq!(wire[LENGTH_PREFIX_LEN..], body[..]);
             assert_eq!(f.overhead(), f.wire_len() - f.payload_len());
+            assert_eq!(validate_frame_len(body.len() as u32), Ok(body.len()));
         }
     }
 
@@ -393,29 +312,11 @@ mod tests {
         assert!(validate_frame_len(MAX_WIRE_FRAME_LEN as u32 + 1).is_err());
     }
 
-    /// Every well-formed frame the writer can produce passes the length
-    /// validation the reader applies.
-    #[test]
-    fn valid_frames_pass_length_validation() {
-        for f in [
-            Frame::Hello { from: 7 },
-            Frame::Msg {
-                round: 12,
-                payload: vec![0xAB; 4096],
-            },
-            Frame::Eor { round: 3 },
-            Frame::Bye,
-        ] {
-            let body_len = f.encoded_len() as u32;
-            assert_eq!(validate_frame_len(body_len), Ok(body_len as usize));
-        }
-    }
-
     #[test]
     fn msg_overhead_excludes_payload() {
         let f = Frame::Msg {
             round: 1,
-            payload: vec![7; 100],
+            payload: Bytes::from(vec![7; 100]),
         };
         assert_eq!(f.payload_len(), 100);
         // 4-byte prefix + 1-byte tag + 1-byte round varint + 1-byte len

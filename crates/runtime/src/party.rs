@@ -1,6 +1,5 @@
 //! One TCP party: socket plumbing plus the `Comm` implementation.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -11,12 +10,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use ca_codec::{Decode, Encode};
+use ca_codec::Decode;
 use ca_net::{Comm, FaultEstimate, Inbox, PartyId};
 use ca_trace::{Event as TraceEvent, Histogram, NullSink, Record, TraceSink};
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::frame::{FrameRef, LENGTH_PREFIX_LEN};
 use crate::stats::{RuntimeStats, StatsInner};
 use crate::{FaultPlan, Frame};
 
@@ -77,7 +75,9 @@ pub struct EstablishOpts {
     pub writer_queue_frames: usize,
     /// Capacity of the inbound event queue shared by all reader threads.
     /// Protocol messages beyond it are shed; liveness events (end-of-round
-    /// markers, disconnects) always get through.
+    /// markers, disconnects) always get through. The same number caps the
+    /// messages buffered per peer for rounds not yet reached; a peer that
+    /// exceeds it is flooding and is disconnected.
     pub event_queue_depth: usize,
 }
 
@@ -97,65 +97,32 @@ impl Default for EstablishOpts {
 /// deadline is re-checked at least this often.
 const ESTABLISH_POLL: Duration = Duration::from_millis(250);
 
-/// Events flowing from the reader threads to the protocol thread.
+/// What a reader thread reports to the protocol thread: a frame from
+/// peer `from`, or `None` once that peer's stream ended without a `Bye`
+/// (EOF, undecodable or oversized frame — a crash or misbehaviour, counted
+/// in [`RuntimeStats::peers_gone`] and traced as `PeerGone`, which a
+/// deliberate `Bye` at the normal end of a run is not).
 #[derive(Debug)]
-enum Event {
-    Msg {
-        from: usize,
-        round: u64,
-        payload: Bytes,
-    },
-    Eor {
-        from: usize,
-        round: u64,
-    },
-    /// Peer will send nothing more. `graceful` distinguishes a deliberate
-    /// `Bye` (normal end of run — not an outage, not counted in
-    /// [`RuntimeStats::peers_gone`]) from an EOF or undecodable frame
-    /// (crash/misbehaviour — counted and traced as `PeerGone`).
-    Gone {
-        from: usize,
-        graceful: bool,
-    },
+struct Event {
+    from: usize,
+    frame: Option<Frame>,
 }
 
 /// What a writer thread puts on the wire.
 #[derive(Debug)]
 enum WriterItem {
-    /// A protocol message: the payload [`Bytes`] are carried by reference
-    /// to the writer thread, which frames them in place — the send path
-    /// never copies the payload into an owned [`Frame`].
-    Msg {
-        /// Round the message belongs to.
-        round: u64,
-        /// Protocol payload, shared with the caller's buffer.
-        payload: Bytes,
-    },
-    /// A well-formed control frame: encoded and length-prefixed by the
-    /// writer.
+    /// A well-formed frame, written by [`Frame::write_to`]: a `Msg`
+    /// payload stays shared with the caller's buffer all the way to the
+    /// socket.
     Frame(Frame),
     /// Pre-framed raw bytes, used by fault injection to emit garbage
     /// that no honest writer would produce.
     Raw(Vec<u8>),
 }
 
-/// Message payloads at or below this size are copied into the header
-/// buffer and shipped as one `write_all`; larger ones go out as two writes
-/// (header, then the shared payload) so the copy disappears exactly where
-/// it costs something.
-const INLINE_WRITE_LIMIT: usize = 4096;
-
 impl WriterItem {
     fn wire_len(&self) -> u64 {
         match self {
-            WriterItem::Msg { round, payload } => {
-                (LENGTH_PREFIX_LEN
-                    + FrameRef::Msg {
-                        round: *round,
-                        payload,
-                    }
-                    .encoded_len()) as u64
-            }
             WriterItem::Frame(f) => f.wire_len() as u64,
             WriterItem::Raw(buf) => buf.len() as u64,
         }
@@ -172,7 +139,8 @@ impl WriterItem {
 /// # Crash tolerance
 ///
 /// Peers whose stream ends abnormally (EOF without `Bye`, decode
-/// failure) or whose bounded writer queue overflows are marked *gone*:
+/// failure) or who overflow a bounded queue (the writer queue by not
+/// reading, the early-message buffer by flooding) are marked *gone*:
 /// `next_round` never waits on them again and never again delivers from
 /// them — from the protocol's view they are silent-byzantine, which the
 /// model already tolerates for up to `t` parties. A deliberate `Bye`
@@ -194,8 +162,12 @@ pub struct TcpParty {
     /// Inbound events from all reader threads (bounded; see
     /// [`EstablishOpts::event_queue_depth`]).
     events: mpsc::Receiver<Event>,
-    /// Messages received for rounds we have not reached yet.
-    future_msgs: BTreeMap<u64, Vec<(usize, Bytes)>>,
+    /// Per peer, messages tagged with rounds we have not reached yet, in
+    /// arrival order. Each list is capped at `future_cap` frames.
+    future_msgs: Vec<Vec<(u64, Bytes)>>,
+    /// [`EstablishOpts::event_queue_depth`]: a peer that runs further
+    /// ahead than this many frames is flooding, not early.
+    future_cap: usize,
     /// Time source for the Δ deadline; injectable for tests.
     clock: Box<dyn Clock>,
     /// Highest EOR round seen per peer.
@@ -305,7 +277,8 @@ impl TcpParty {
             scopes: Vec::new(),
             writers,
             events: event_rx,
-            future_msgs: BTreeMap::new(),
+            future_msgs: vec![Vec::new(); n],
+            future_cap: opts.event_queue_depth,
             clock,
             eor: vec![0; n],
             gone: {
@@ -383,6 +356,24 @@ impl TcpParty {
                 reason: reason.to_owned(),
             });
         }
+    }
+
+    /// Buffers a message tagged with a round we have not reached. Honest
+    /// peers run at most a few frames ahead; one with `future_cap` frames
+    /// already waiting is flooding, so the frame is shed, the peer cut off
+    /// and its backlog freed — and a peer already given up on gets no
+    /// buffer at all — rather than letting the backlog grow without bound.
+    fn file_early(&mut self, from: usize, round: u64, payload: Bytes) {
+        if self.gone[from] {
+            return;
+        }
+        if self.future_msgs[from].len() < self.future_cap {
+            self.future_msgs[from].push((round, payload));
+            return;
+        }
+        self.stats.events_shed.fetch_add(1, Ordering::Relaxed);
+        self.future_msgs[from] = Vec::new();
+        self.mark_gone(from, "overflow");
     }
 
     /// Hands `item` to `to`'s writer queue. A full queue means the peer
@@ -468,13 +459,8 @@ impl TcpParty {
                 bytes: payload.len() as u64,
             });
         }
-        self.enqueue(
-            to,
-            WriterItem::Msg {
-                round: self.round,
-                payload,
-            },
-        );
+        let round = self.round;
+        self.enqueue(to, WriterItem::Frame(Frame::Msg { round, payload }));
     }
 
     /// Ships one undecodable frame to every peer (the garbage fault on
@@ -487,27 +473,33 @@ impl TcpParty {
         }
     }
 
+    /// Absorbs one inbound event. Liveness bookkeeping — end-of-round
+    /// markers, `Bye`, lost streams — is applied here and nowhere else; a
+    /// protocol message is handed back as `(from, round tag, payload)`.
+    fn absorb(&mut self, Event { from, frame }: Event) -> Option<(usize, u64, Bytes)> {
+        match frame {
+            Some(Frame::Msg { round, payload }) => return Some((from, round, payload)),
+            Some(Frame::Eor { round }) => self.eor[from] = self.eor[from].max(round),
+            // A deliberate Bye: the peer finished its run. Stop waiting on
+            // it, but this is not an outage — no stat bump, no PeerGone
+            // record (which would also race with round timing).
+            Some(Frame::Bye) => self.gone[from] = true,
+            Some(Frame::Hello { .. }) => {}
+            None => self.mark_gone(from, "eof"),
+        }
+        None
+    }
+
     /// Waits up to `timeout` for one inbound observation. Liveness
     /// bookkeeping (end-of-round markers from sync peers, disconnects) is
     /// absorbed internally and reported as [`Polled::Housekeeping`] so
     /// callers simply poll again.
     pub(crate) fn poll_event(&mut self, timeout: Duration) -> Polled {
         match self.events.recv_timeout(timeout) {
-            Ok(Event::Msg { from, payload, .. }) => Polled::Msg { from, payload },
-            Ok(Event::Eor { from, round }) => {
-                self.eor[from] = self.eor[from].max(round);
-                Polled::Housekeeping
-            }
-            Ok(Event::Gone { from, graceful }) => {
-                if graceful {
-                    if from != self.me.index() {
-                        self.gone[from] = true;
-                    }
-                } else {
-                    self.mark_gone(from, "eof");
-                }
-                Polled::Housekeeping
-            }
+            Ok(event) => match self.absorb(event) {
+                Some((from, _, payload)) => Polled::Msg { from, payload },
+                None => Polled::Housekeeping,
+            },
             Err(mpsc::RecvTimeoutError::Timeout) => Polled::Quiet,
             Err(mpsc::RecvTimeoutError::Disconnected) => Polled::Closed,
         }
@@ -620,7 +612,7 @@ impl Comm for TcpParty {
                     bytes: payload.len() as u64,
                 });
             }
-            self.enqueue(to.index(), WriterItem::Msg { round, payload });
+            self.enqueue(to.index(), WriterItem::Frame(Frame::Msg { round, payload }));
         }
         if !stalled {
             for peer in 0..self.n {
@@ -629,10 +621,13 @@ impl Comm for TcpParty {
         }
 
         // Adopt any messages that arrived early for this round.
-        if let Some(early) = self.future_msgs.remove(&round) {
-            for (from, payload) in early {
-                inbox.push(PartyId(from), payload);
-            }
+        for (from, early) in self.future_msgs.iter_mut().enumerate() {
+            early.retain(|(msg_round, payload)| {
+                if *msg_round == round {
+                    inbox.push(PartyId(from), payload.clone());
+                }
+                *msg_round > round
+            });
         }
 
         // Wait for all live peers' markers, at most Δ. A slow-reader
@@ -646,35 +641,14 @@ impl Comm for TcpParty {
                     break;
                 };
                 match self.events.recv_timeout(budget) {
-                    Ok(Event::Msg {
-                        from,
-                        round: msg_round,
-                        payload,
-                    }) => {
-                        if msg_round == round {
-                            inbox.push(PartyId(from), payload);
-                        } else if msg_round > round {
-                            self.future_msgs
-                                .entry(msg_round)
-                                .or_default()
-                                .push((from, payload));
-                        }
-                        // Late messages (msg_round < round) missed their Δ: drop.
-                    }
-                    Ok(Event::Eor { from, round: r }) => {
-                        self.eor[from] = self.eor[from].max(r);
-                    }
-                    Ok(Event::Gone { from, graceful }) => {
-                        if graceful {
-                            // A deliberate Bye: the peer finished its run.
-                            // Stop waiting on it, but this is not an
-                            // outage — no stat bump, no PeerGone record
-                            // (which would also race with round timing).
-                            if from != self.me.index() {
-                                self.gone[from] = true;
+                    Ok(event) => {
+                        if let Some((from, msg_round, payload)) = self.absorb(event) {
+                            if msg_round == round {
+                                inbox.push(PartyId(from), payload);
+                            } else if msg_round > round {
+                                self.file_early(from, msg_round, payload);
                             }
-                        } else {
-                            self.mark_gone(from, "eof");
+                            // Late messages (msg_round < round) missed their Δ: drop.
                         }
                     }
                     Err(mpsc::RecvTimeoutError::Timeout) => break,
@@ -765,48 +739,14 @@ impl Drop for TcpParty {
     }
 }
 
-/// Writer thread: frame + length-prefix every outgoing message. When the
-/// sender side is dropped (normal exit or injected crash) the queue drains
-/// FIFO, then the write side shuts down — peers observe EOF only after
-/// in-flight frames land.
+/// Writer thread: put every queued item on the socket. When the sender
+/// side is dropped (normal exit or injected crash) the queue drains FIFO,
+/// then the write side shuts down — peers observe EOF only after in-flight
+/// frames land.
 fn writer_loop(mut stream: TcpStream, rx: &mpsc::Receiver<WriterItem>) {
     while let Ok(item) = rx.recv() {
         let result = match item {
-            WriterItem::Msg { round, payload } => {
-                // Frame in place: prefix + tag + round varint + payload
-                // length varint, then the shared payload. Small payloads
-                // are inlined into one write; large ones go out without
-                // ever being copied.
-                let body_len = FrameRef::Msg {
-                    round,
-                    payload: &payload,
-                }
-                .encoded_len();
-                // Header ≤ prefix + tag + two max varints; the payload is
-                // appended only when small enough to inline, so the buffer
-                // is hard-capped.
-                let mut head = ca_codec::Writer::with_capacity(
-                    (LENGTH_PREFIX_LEN + body_len).min(LENGTH_PREFIX_LEN + 21 + INLINE_WRITE_LIMIT),
-                );
-                head.put_raw(&(body_len as u32).to_be_bytes());
-                head.put_u8(1);
-                head.put_varint(round);
-                head.put_varint(payload.len() as u64);
-                if payload.len() <= INLINE_WRITE_LIMIT {
-                    head.put_raw(&payload);
-                    stream.write_all(head.as_slice())
-                } else {
-                    stream
-                        .write_all(head.as_slice())
-                        .and_then(|()| stream.write_all(&payload))
-                }
-            }
-            WriterItem::Frame(frame) => {
-                let body = frame.encode_to_vec();
-                let mut buf = (body.len() as u32).to_be_bytes().to_vec();
-                buf.extend_from_slice(&body);
-                stream.write_all(&buf)
-            }
+            WriterItem::Frame(frame) => frame.write_to(&mut stream),
             WriterItem::Raw(buf) => stream.write_all(&buf),
         };
         if result.is_err() {
@@ -817,15 +757,15 @@ fn writer_loop(mut stream: TcpStream, rx: &mpsc::Receiver<WriterItem>) {
 }
 
 /// Reader thread: decode frames, forward as events. Protocol messages are
-/// shed if the event queue is full; liveness events (Eor/Gone) block
-/// instead so they are never lost.
+/// shed if the event queue is full; liveness events (`Eor`, `Bye`, a lost
+/// stream) block instead so they are never lost.
 fn reader_loop(
     peer: usize,
     mut stream: TcpStream,
     event_tx: &mpsc::SyncSender<Event>,
     stats: &StatsInner,
 ) {
-    let mut graceful = false;
+    let event = |frame| Event { from: peer, frame };
     loop {
         let mut len_buf = [0u8; 4];
         if stream.read_exact(&mut len_buf).is_err() {
@@ -841,43 +781,29 @@ fn reader_loop(
         if stream.read_exact(&mut body).is_err() {
             break;
         }
-        // The receive buffer becomes the backing store for the delivered
-        // payload: decode borrows from `body`, and the Msg payload is
-        // re-anchored into the shared allocation with `slice_ref` — no
-        // per-frame payload copy.
-        let body = Bytes::from(body);
-        match FrameRef::decode_from_slice(&body) {
-            Ok(FrameRef::Msg { round, payload }) => {
-                let payload = body.slice_ref(payload);
-                match event_tx.try_send(Event::Msg {
-                    from: peer,
-                    round,
-                    payload,
-                }) {
-                    Ok(()) => {}
-                    Err(mpsc::TrySendError::Full(_)) => {
-                        stats.events_shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(mpsc::TrySendError::Disconnected(_)) => break,
-                }
-            }
-            Ok(FrameRef::Eor { round }) => {
-                if event_tx.send(Event::Eor { from: peer, round }).is_err() {
-                    break;
-                }
-            }
-            Ok(FrameRef::Bye) => {
-                graceful = true;
-                break;
-            }
+        // The receive buffer becomes the backing store of the delivered
+        // payload: `Bytes::from` adopts it and the shared decode slices it.
+        let frame = match Frame::decode_from_bytes(&Bytes::from(body)) {
+            Ok(Frame::Hello { .. }) => continue,
+            Ok(frame) => frame,
             Err(_) => break,
-            Ok(FrameRef::Hello { .. }) => continue,
+        };
+        if matches!(frame, Frame::Msg { .. }) {
+            match event_tx.try_send(event(Some(frame))) {
+                Ok(()) => {}
+                Err(mpsc::TrySendError::Full(_)) => {
+                    stats.events_shed.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(mpsc::TrySendError::Disconnected(_)) => return,
+            }
+        } else {
+            let bye = frame == Frame::Bye;
+            if event_tx.send(event(Some(frame))).is_err() || bye {
+                return;
+            }
         }
     }
-    let _ = event_tx.send(Event::Gone {
-        from: peer,
-        graceful,
-    });
+    let _ = event_tx.send(event(None));
 }
 
 /// Establishes one TCP stream per peer: lower-indexed parties accept,
@@ -921,11 +847,8 @@ fn establish_clique(
         stream.set_nodelay(true).ok();
         let hello = Frame::Hello {
             from: me.index() as u32,
-        }
-        .encode_to_vec();
-        let mut buf = (hello.len() as u32).to_be_bytes().to_vec();
-        buf.extend_from_slice(&hello);
-        stream.write_all(&buf)?;
+        };
+        hello.write_to(&mut stream)?;
         streams.push((peer, stream));
     }
 

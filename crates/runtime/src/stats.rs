@@ -25,8 +25,8 @@ pub struct RuntimeStats {
     /// [`RuntimeStats::overflow_disconnects`]).
     pub frames_shed: u64,
     /// Inbound protocol messages dropped because the bounded event queue
-    /// was full. Liveness events (end-of-round markers, disconnects) are
-    /// never shed.
+    /// or the sender's early-message buffer was full. Liveness events
+    /// (end-of-round markers, disconnects) are never shed.
     pub events_shed: u64,
     /// Peers this party stopped listening to (EOF, decode failure, or
     /// queue overflow). Counted once per peer.

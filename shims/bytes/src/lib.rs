@@ -9,12 +9,15 @@ use std::ops::{Deref, Range, RangeBounds};
 use std::sync::Arc;
 
 /// An immutable, reference-counted byte buffer. Cloning is O(1), and
-/// [`Bytes::slice`] / [`Bytes::slice_ref`] produce views that share the
-/// same allocation — the wire path hands out payload sub-slices of one
-/// received buffer without copying.
+/// [`Bytes::slice`] produces views that share the same allocation — the
+/// wire path hands out payload sub-slices of one received buffer without
+/// copying. `From<Vec<u8>>` adopts the vector's allocation, as the real
+/// crate does (an `Arc<[u8]>` would reallocate and copy it), trimmed to
+/// its length so that an encoder's growth slack is not held for as long as
+/// the payload lives.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    inner: Arc<[u8]>,
+    inner: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -68,29 +71,6 @@ impl Bytes {
         }
     }
 
-    /// Zero-copy subslice located by pointer identity: `sub` must be a
-    /// slice *into this buffer* (e.g. one returned by a borrowed decoder
-    /// over `&self[..]`); the returned `Bytes` covers exactly that span and
-    /// shares the allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sub` does not lie within this buffer.
-    #[must_use]
-    pub fn slice_ref(&self, sub: &[u8]) -> Self {
-        if sub.is_empty() {
-            return Self::new();
-        }
-        let base = self.as_slice().as_ptr() as usize;
-        let ptr = sub.as_ptr() as usize;
-        assert!(
-            ptr >= base && ptr + sub.len() <= base + self.len(),
-            "slice_ref: sub-slice is not within the buffer"
-        );
-        let offset = ptr - base;
-        self.slice(offset..offset + sub.len())
-    }
-
     fn as_slice(&self) -> &[u8] {
         &self.inner[self.start..self.end]
     }
@@ -126,10 +106,11 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
+    fn from(mut v: Vec<u8>) -> Self {
+        v.shrink_to_fit();
         let end = v.len();
         Self {
-            inner: Arc::from(v.into_boxed_slice()),
+            inner: Arc::new(v),
             start: 0,
             end,
         }
@@ -138,11 +119,7 @@ impl From<Vec<u8>> for Bytes {
 
 impl From<&[u8]> for Bytes {
     fn from(v: &[u8]) -> Self {
-        Self {
-            inner: Arc::from(v),
-            start: 0,
-            end: v.len(),
-        }
+        Self::from(v.to_vec())
     }
 }
 
@@ -230,24 +207,18 @@ mod tests {
         let _ = Bytes::from(vec![1u8, 2]).slice(0..3);
     }
 
+    /// `From<Vec<u8>>` adopts the allocation: no hidden copy on the send
+    /// path (`Bytes::from(msg.encode_to_vec())`) or under a received frame.
     #[test]
-    fn slice_ref_locates_borrowed_subslice() {
-        let b = Bytes::from(vec![9u8, 8, 7, 6, 5]);
-        let view: &[u8] = &b[1..4];
-        let s = b.slice_ref(view);
-        assert_eq!(&s[..], &[8, 7, 6]);
-        let base = b.as_ref().as_ptr() as usize;
-        assert_eq!(s.as_ref().as_ptr() as usize, base + 1);
-        // Empty sub-slices are fine regardless of provenance.
-        assert!(b.slice_ref(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "not within the buffer")]
-    fn slice_ref_foreign_slice_panics() {
-        let b = Bytes::from(vec![1u8, 2, 3]);
-        let other = [1u8, 2, 3];
-        let _ = b.slice_ref(&other);
+    fn from_vec_keeps_the_data_pointer() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ref().as_ptr(), ptr);
+        assert_eq!(
+            b.clone().slice(1..).as_ref().as_ptr() as usize,
+            ptr as usize + 1
+        );
     }
 
     #[test]
