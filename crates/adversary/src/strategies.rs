@@ -11,22 +11,17 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug)]
 pub struct Garbage {
     rng: SmallRng,
-    max_len: usize,
 }
+
+/// Garbage payloads are shorter than this many bytes.
+const GARBAGE_MAX_LEN: usize = 64;
 
 impl Garbage {
     /// Creates the strategy with a deterministic seed.
     pub fn new(seed: u64) -> Self {
         Self {
             rng: SmallRng::seed_from_u64(seed),
-            max_len: 64,
         }
-    }
-
-    /// Caps the garbage payload length (default 64 bytes).
-    pub fn with_max_len(mut self, max_len: usize) -> Self {
-        self.max_len = max_len.max(1);
-        self
     }
 }
 
@@ -38,7 +33,7 @@ impl Adversary for Garbage {
                 if self.rng.gen_bool(0.25) {
                     continue; // occasionally stay silent on a channel
                 }
-                let len = self.rng.gen_range(0..self.max_len);
+                let len = self.rng.gen_range(0..GARBAGE_MAX_LEN);
                 let payload: Vec<u8> = (0..len).map(|_| self.rng.gen()).collect();
                 actions.sends.push(SendSpec {
                     from,

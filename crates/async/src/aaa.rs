@@ -136,11 +136,6 @@ impl AsyncApprox {
         }
     }
 
-    /// The async round this party is currently in.
-    pub fn current_round(&self) -> u64 {
-        self.round
-    }
-
     fn wrap_rbc(outgoing: Vec<RbcMsg>, actions: &mut Vec<Action>) {
         for msg in outgoing {
             actions.push(Action::Broadcast {

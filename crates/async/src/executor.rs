@@ -76,13 +76,15 @@ impl<O> ExecReport<O> {
     }
 }
 
+/// Scope name stamped on the run's records.
+const SCOPE: &str = "async";
+
 /// Deterministic executor over `n` instances of one protocol type.
 pub struct Executor<P: AsyncProtocol> {
     parties: Vec<P>,
     schedule: DeliverySchedule,
     crash_plan: BTreeMap<usize, u64>,
     sink: Arc<dyn TraceSink>,
-    scope: String,
     max_events: u64,
 }
 
@@ -99,7 +101,6 @@ impl<P: AsyncProtocol> Executor<P> {
             schedule,
             crash_plan: BTreeMap::new(),
             sink: Arc::new(NullSink),
-            scope: "async".to_owned(),
             max_events: 10_000_000,
         }
     }
@@ -117,13 +118,6 @@ impl<P: AsyncProtocol> Executor<P> {
     #[must_use]
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.sink = sink;
-        self
-    }
-
-    /// Scope name stamped on the run's records (default `"async"`).
-    #[must_use]
-    pub fn with_scope(mut self, scope: &str) -> Self {
-        self.scope = scope.to_owned();
         self
     }
 
@@ -184,13 +178,13 @@ impl<P: AsyncProtocol> Executor<P> {
                     &self.sink,
                     i,
                     0,
-                    &self.scope,
+                    SCOPE,
                     TraceEvent::ScopeEnter {
-                        name: self.scope.clone(),
+                        name: SCOPE.to_owned(),
                     },
                 );
                 if let Some(value) = party.input_repr() {
-                    record(&self.sink, i, 0, &self.scope, TraceEvent::Input { value });
+                    record(&self.sink, i, 0, SCOPE, TraceEvent::Input { value });
                 }
             }
         }
@@ -228,7 +222,7 @@ impl<P: AsyncProtocol> Executor<P> {
                                     &self.sink,
                                     $party,
                                     $now,
-                                    &self.scope,
+                                    SCOPE,
                                     TraceEvent::Note { label, value },
                                 );
                             }
@@ -249,7 +243,7 @@ impl<P: AsyncProtocol> Executor<P> {
                                 &self.sink,
                                 $from,
                                 $now,
-                                &self.scope,
+                                SCOPE,
                                 TraceEvent::Send {
                                     to: $to as u64,
                                     bytes: payload.len() as u64,
@@ -286,7 +280,7 @@ impl<P: AsyncProtocol> Executor<P> {
                                 &self.sink,
                                 $party,
                                 $now,
-                                &self.scope,
+                                SCOPE,
                                 TraceEvent::Decide {
                                     value: output.to_string(),
                                 },
@@ -347,7 +341,7 @@ impl<P: AsyncProtocol> Executor<P> {
                             &self.sink,
                             to,
                             time,
-                            &self.scope,
+                            SCOPE,
                             TraceEvent::Deliver {
                                 from: from as u64,
                                 bytes: payload.len() as u64,
@@ -379,7 +373,7 @@ impl<P: AsyncProtocol> Executor<P> {
                     report.final_time,
                     ROOT_SCOPE,
                     TraceEvent::ScopeExit {
-                        name: self.scope.clone(),
+                        name: SCOPE.to_owned(),
                     },
                 );
             }
@@ -393,7 +387,6 @@ impl<P: AsyncProtocol> std::fmt::Debug for Executor<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("n", &self.parties.len())
-            .field("scope", &self.scope)
             .field("crash_plan", &self.crash_plan)
             .finish_non_exhaustive()
     }

@@ -129,50 +129,6 @@ pub fn ba_plus<V: Value>(ctx: &mut dyn Comm, input: V, ba: BaKind) -> Option<V> 
     })
 }
 
-/// Fault-adaptive `Π_BA+`: one optimistic exchange plus a binary BA that
-/// certifies the shortcut, falling back to the full [`ba_plus`] otherwise.
-///
-/// The optimistic attempt costs one all-to-all exchange of the input and
-/// one binary BA — against `ba_plus`'s two value exchanges plus up to four
-/// `Π_BA` invocations. A party is *happy* when it received `n` well-formed
-/// copies of its own input (unanimity, nobody silent) and the transport's
-/// [`ca_net::FaultEstimate`] is within `fault_budget` observed faults. The
-/// binary BA on the happy bit makes the path choice common:
-///
-/// * bit = 1 ⇒ by BA validity some honest party was happy, so it saw
-///   every honest input equal to its own value `v` — hence *all* honest
-///   inputs are `v` and outputting one's own input is both agreement and
-///   intrusion tolerance;
-/// * bit = 0 ⇒ every honest party runs the full `ba_plus`, whose
-///   guarantees apply unchanged.
-///
-/// Both branches are taken by all honest parties in lock-step, so round
-/// alignment is preserved.
-pub fn ba_plus_adaptive<V: Value>(
-    ctx: &mut dyn Comm,
-    input: V,
-    ba: BaKind,
-    fault_budget: usize,
-) -> Option<V> {
-    ctx.scoped("ba+a", |ctx| {
-        let n = ctx.n();
-        let inbox = ctx.exchange(&input);
-        let received = inbox.decode_each::<V>();
-        let happy = received.len() == n
-            && received.iter().all(|(_, v)| *v == input)
-            && ctx.fault_estimate().within(fault_budget);
-        let out = if ba.run_bit(ctx, happy) {
-            ctx.trace_fast_path(|| ca_net::compact_debug(&Some(input.clone())));
-            Some(input)
-        } else {
-            ctx.trace_fallback("ba-rejected");
-            ba_plus(ctx, input, ba)
-        };
-        ctx.trace_decide(|| ca_net::compact_debug(&out));
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,68 +230,6 @@ mod tests {
             // 5 honest share a value (≥ n − 2t = 3): bounded pre-agreement
             // forces non-⊥; intrusion tolerance forces the honest value.
             assert_eq!(*out, Some(honest_val));
-        }
-    }
-
-    #[test]
-    fn adaptive_unanimous_takes_fast_path() {
-        let h = sha256(b"value");
-        let report = Sim::new(7).run(|ctx, _| ba_plus_adaptive(ctx, h, BaKind::TurpinCoan, 0));
-        for out in report.honest_outputs() {
-            assert_eq!(*out, Some(h));
-        }
-    }
-
-    #[test]
-    fn adaptive_is_cheaper_than_full_when_unanimous() {
-        let h = sha256(b"value");
-        let fast = Sim::new(7).run(|ctx, _| ba_plus_adaptive(ctx, h, BaKind::TurpinCoan, 0));
-        let full = Sim::new(7).run(|ctx, _| ba_plus(ctx, h, BaKind::TurpinCoan));
-        assert!(
-            fast.metrics.rounds < full.metrics.rounds,
-            "adaptive {} rounds vs full {}",
-            fast.metrics.rounds,
-            full.metrics.rounds
-        );
-        assert!(
-            fast.metrics.honest_bits * 2 <= full.metrics.honest_bits,
-            "adaptive {} bits vs full {}",
-            fast.metrics.honest_bits,
-            full.metrics.honest_bits
-        );
-    }
-
-    #[test]
-    fn adaptive_distinct_inputs_fall_back_and_agree() {
-        let hs = hashes(7);
-        let report =
-            Sim::new(7).run(|ctx, id| ba_plus_adaptive(ctx, hs[id.index()], BaKind::TurpinCoan, 0));
-        let outs = report.honest_outputs();
-        assert!(outs.windows(2).all(|w| w[0] == w[1]));
-        if let Some(v) = outs[0] {
-            assert!(hs.contains(v));
-        }
-    }
-
-    #[test]
-    fn adaptive_stays_correct_under_attacks() {
-        let n = 7;
-        let shared = sha256(b"target");
-        for adv in 0..3 {
-            let report = {
-                let s = Sim::new(n)
-                    .corrupt(PartyId(5), Corruption::Scripted)
-                    .corrupt(PartyId(6), Corruption::Scripted);
-                let s = match adv {
-                    0 => s.with_adversary(Garbage::new(21)),
-                    1 => s.with_adversary(Replay::new(22)),
-                    _ => s.with_adversary(Equivocate::new(23)),
-                };
-                s.run(|ctx, _| ba_plus_adaptive(ctx, shared, BaKind::TurpinCoan, 0))
-            };
-            for out in report.honest_outputs() {
-                assert_eq!(*out, Some(shared), "adversary {adv}");
-            }
         }
     }
 

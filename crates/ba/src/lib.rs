@@ -39,7 +39,7 @@ mod phase_king;
 mod turpin_coan;
 mod value;
 
-pub use ba_plus::{ba_plus, ba_plus_adaptive};
+pub use ba_plus::ba_plus;
 pub use ext::lba_plus;
 pub use kind::BaKind;
 pub use phase_king::phase_king;

@@ -12,7 +12,7 @@ use ca_net::Sim;
 
 use std::path::Path;
 
-use crate::summary::BenchSummary;
+use crate::summary::{run_row, BenchSummary, Row, Value};
 use crate::table::{fmt_bits, Table};
 use crate::workload::{apply_lies, clustered_nats};
 use crate::{run_nat_protocol, runner::run_nat_protocol_traced, Protocol};
@@ -275,7 +275,7 @@ pub fn f3_breakdown(quick: bool, artifacts: Option<&Path>) {
             Some(sink) => run_nat_protocol_traced(proto, &inputs, Attack::none(), sink),
             None => run_nat_protocol(proto, &inputs, Attack::none()),
         };
-        summary.push_run(&label, &stats);
+        summary.push(run_row(&label, &stats));
         let mut table = Table::new(
             &format!("F3: per-subprotocol breakdown, n = {n}, {label}"),
             &["scope", "bits", "share", "rounds"],
@@ -311,12 +311,7 @@ pub fn f3_breakdown(quick: bool, artifacts: Option<&Path>) {
         ]);
         table.print();
     }
-    if let Some(dir) = artifacts {
-        match summary.write(dir) {
-            Ok(path) => eprintln!("[f3 artifacts: {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write BENCH_f3.json: {e}"),
-        }
-    }
+    summary.write(artifacts);
 }
 
 /// **T3** — Theorem 1: the extension protocol `Π_ℓBA+` vs running the
@@ -590,36 +585,56 @@ pub fn s1_service_throughput(quick: bool, artifacts: Option<&Path>) {
         if k == 1 {
             single_wire_per_session = wire_per_session;
         }
-        let label = format!("K={k}");
-        summary.push_throughput(&label, profile.attack.name(), &report);
+        let s = &report.stats;
+        let rate = report.sessions_per_sec();
+        // Session throughput, per-session cost, engine-round latency
+        // quantiles, and the batching profile that explains the
+        // amortization.
+        let row = Row::new(&format!("K={k}"))
+            .with("kind", "throughput")
+            .with("attack", profile.attack.name())
+            .with("runs", report.runs)
+            .with("sessions_submitted", report.sessions_submitted)
+            .with("sessions_decided", report.sessions_decided)
+            .with("sessions_rejected", report.sessions_rejected)
+            .with("agreement", report.agreement)
+            .with("validity", report.validity)
+            .with(
+                "sessions_per_sec",
+                rate.map_or(Value::Null, |r| Value::Fixed(r, 1)),
+            )
+            .with("engine_rounds", s.engine_rounds)
+            .with("envelopes_sent", s.envelopes_sent)
+            .with("frames_sent", s.frames_sent)
+            .with("payload_bits", report.payload_bits)
+            .with("wire_bits", s.wire_bits)
+            .with("payload_bits_per_session", report.payload_bits / decided)
+            .with("wire_bits_per_session", wire_per_session)
+            .with("shed_frames", s.shed_frames)
+            .with("stray_frames", s.stray_frames)
+            .with("late_frames", s.late_frames)
+            .with("malformed_envelopes", s.malformed_envelopes)
+            .with("session_latency_rounds", &s.session_latency_rounds)
+            .with("session_rounds", &s.session_rounds)
+            .with("batch_occupancy", &s.batch_occupancy);
         table.row_strings(vec![
             k.to_string(),
-            profile.attack.name().to_string(),
-            report
-                .sessions_per_sec()
-                .map_or_else(|| "-".to_owned(), |r| format!("{r:.0}")),
-            report.stats.engine_rounds.to_string(),
+            row.cell("attack"),
+            rate.map_or_else(|| "-".to_owned(), |r| format!("{r:.0}")),
+            row.cell("engine_rounds"),
             fmt_bits(report.payload_bits / decided),
             fmt_bits(wire_per_session),
             format!(
                 "{:.2}x",
                 wire_per_session as f64 / single_wire_per_session.max(1) as f64
             ),
-            report
-                .stats
-                .batch_occupancy
-                .quantile_permille(500)
-                .to_string(),
+            s.batch_occupancy.quantile_permille(500).to_string(),
             (report.agreement && report.validity).to_string(),
         ]);
+        summary.push(row);
     }
     table.print();
-    if let Some(dir) = artifacts {
-        match summary.write(dir) {
-            Ok(path) => eprintln!("[s1 artifacts: {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write BENCH_s1.json: {e}"),
-        }
-    }
+    summary.write(artifacts);
 }
 
 /// **R1** (runtime resilience, beyond the paper) — crash-fault tolerance
@@ -698,37 +713,43 @@ pub fn r1_crash_resilience(quick: bool, artifacts: Option<&Path>) {
             .fold((u64::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
         let validity = honest.iter().all(|&v| (lo..=hi).contains(&v));
         let rounds_to_decide = report.rounds.iter().copied().max().unwrap_or(0);
-        let frames: u64 = report.stats.iter().map(|s| s.frames_sent).sum();
-        let wire: u64 = report.stats.iter().map(|s| s.wire_bytes_sent).sum();
-        let shed: u64 = report.stats.iter().map(|s| s.frames_shed).sum();
+        // Counters sum across parties; `peers_gone` takes the per-party
+        // peak (the number to compare against the `t < n/3` budget).
+        let sum =
+            |f: fn(&ca_runtime::RuntimeStats) -> u64| -> u64 { report.stats.iter().map(f).sum() };
         let gone = report.stats.iter().map(|s| s.peers_gone).max().unwrap_or(0);
-        let label = format!("{crashed} crashed");
-        summary.push_resilience(
-            &label,
-            crashed,
-            rounds_to_decide,
-            agreement,
-            validity,
-            &report.stats,
+        let row = Row::new(&format!("{crashed} crashed"))
+            .with("kind", "resilience")
+            .with("n", report.stats.len())
+            .with("crashed_parties", crashed)
+            .with("rounds_to_decide", rounds_to_decide)
+            .with("agreement", agreement)
+            .with("validity", validity)
+            .with("frames_sent", sum(|s| s.frames_sent))
+            .with("wire_bytes_sent", sum(|s| s.wire_bytes_sent))
+            .with("frames_shed", sum(|s| s.frames_shed))
+            .with("events_shed", sum(|s| s.events_shed))
+            .with("overflow_disconnects", sum(|s| s.overflow_disconnects))
+            .with("handshake_rejects", sum(|s| s.handshake_rejects))
+            .with("dial_retries", sum(|s| s.dial_retries))
+            .with("peers_gone", gone);
+        table.row_of(
+            &row,
+            &[
+                "crashed_parties",
+                "rounds_to_decide",
+                "agreement",
+                "validity",
+                "frames_sent",
+                "wire_bytes_sent",
+                "frames_shed",
+                "peers_gone",
+            ],
         );
-        table.row_strings(vec![
-            crashed.to_string(),
-            rounds_to_decide.to_string(),
-            agreement.to_string(),
-            validity.to_string(),
-            frames.to_string(),
-            wire.to_string(),
-            shed.to_string(),
-            gone.to_string(),
-        ]);
+        summary.push(row);
     }
     table.print();
-    if let Some(dir) = artifacts {
-        match summary.write(dir) {
-            Ok(path) => eprintln!("[r1 artifacts: {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write BENCH_r1.json: {e}"),
-        }
-    }
+    summary.write(artifacts);
 }
 
 /// **A1** — the fault-adaptive fast path (ROADMAP item 1): sweep the
@@ -747,7 +768,7 @@ pub fn r1_crash_resilience(quick: bool, artifacts: Option<&Path>) {
 /// correct and trace-clean).
 pub fn a1_adaptive_sweep(quick: bool, artifacts: Option<&Path>) {
     use ca_bits::Nat;
-    use ca_core::{check_agreement, check_convex_validity, pi_n_adaptive, FastPathConfig};
+    use ca_core::{check_agreement, check_convex_validity, pi_n_adaptive};
     use ca_net::{Corruption, PartyId};
     use std::sync::Arc;
 
@@ -758,7 +779,7 @@ pub fn a1_adaptive_sweep(quick: bool, artifacts: Option<&Path>) {
 
     let mut summary = BenchSummary::new("a1");
     let worst = run_nat_protocol(Protocol::PiN(BaKind::TurpinCoan), &inputs, Attack::none());
-    summary.push_run("worst-case pi_n, f = 0", &worst);
+    summary.push(run_row("worst-case pi_n, f = 0", &worst));
 
     let mut table = Table::new(
         &format!("A1: fault-adaptive fast path, n = {n}, t = {t}, ℓ = {ell}"),
@@ -788,14 +809,8 @@ pub fn a1_adaptive_sweep(quick: bool, artifacts: Option<&Path>) {
             sim = sim.corrupt(PartyId(p), Corruption::Scripted);
         }
         let run_inputs = inputs.clone();
-        let report = sim.run(move |ctx, id| {
-            pi_n_adaptive(
-                ctx,
-                &run_inputs[id.index()],
-                BaKind::TurpinCoan,
-                FastPathConfig::default(),
-            )
-        });
+        let report =
+            sim.run(move |ctx, id| pi_n_adaptive(ctx, &run_inputs[id.index()], BaKind::TurpinCoan));
         let honest_inputs: Vec<Nat> = report
             .honest_parties()
             .iter()
@@ -841,7 +856,7 @@ pub fn a1_adaptive_sweep(quick: bool, artifacts: Option<&Path>) {
             validity,
             metrics: report.metrics.clone(),
         };
-        summary.push_run(&format!("adaptive, f = {f}"), &stats);
+        summary.push(run_row(&format!("adaptive, f = {f}"), &stats));
         table.row_strings(vec![
             f.to_string(),
             "pi_n_adaptive".to_string(),
@@ -867,12 +882,7 @@ pub fn a1_adaptive_sweep(quick: bool, artifacts: Option<&Path>) {
         fmt_bits(worst.honest_bits),
         worst.rounds
     );
-    if let Some(dir) = artifacts {
-        match summary.write(dir) {
-            Ok(path) => eprintln!("[a1 artifacts: {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write BENCH_a1.json: {e}"),
-        }
-    }
+    summary.write(artifacts);
 }
 
 /// **AS1** — synchrony-model ablation: the *same* asynchronous
@@ -905,8 +915,6 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
     use ca_async::{rounds_for_spread, run_on_comm, AsyncApprox, DeliverySchedule, Executor};
     use ca_bits::Nat;
     use ca_net::{EdgeDelays, PartyId};
-
-    use crate::summary::AsyncRow;
 
     let n: usize = 4;
     let t: usize = 1;
@@ -966,91 +974,94 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
         ],
     );
 
+    // One measured configuration, in the shared abstract time units of
+    // the delay distribution. `delta` is `None` on the async path (no Δ
+    // exists anywhere — that is the point); `wall` is `rounds × Δ` for
+    // sync (each barrier waits out the timeout) and the executor's last
+    // decide virtual time for async; `wasted` counts barriers spent
+    // waiting on quorums that a correctly tuned Δ delivers in one. There
+    // is no `ca_net::Metrics` on the async path — the deterministic
+    // executor meters messages and payload bytes directly.
     let mut all_correct = true;
-    let push = |summary: &mut BenchSummary, table: &mut Table, row: AsyncRow| {
-        table.row_strings(vec![
-            row.label.clone(),
-            row.delta.map_or_else(|| "-".to_owned(), |d| d.to_string()),
-            row.wall.to_string(),
-            row.rounds.to_string(),
-            row.wasted_rounds.to_string(),
-            row.messages.to_string(),
-            row.payload_bytes.to_string(),
-            row.agreement.to_string(),
-            row.validity.to_string(),
-        ]);
-        summary.push_async(&row);
+    let mut push = |label: &str,
+                    mode: &str,
+                    delta: Option<u64>,
+                    (wall, rounds, wasted): (u64, u64, u64),
+                    (messages, payload_bytes): (u64, u64),
+                    outs: &[Nat]| {
+        let (agreement, validity) = check(outs);
+        all_correct &= agreement && validity;
+        let row = Row::new(label)
+            .with("kind", "async")
+            .with("mode", mode)
+            .with("delta", delta.map_or(Value::Null, Value::Int))
+            .with("wall", wall)
+            .with("rounds", rounds)
+            .with("wasted_rounds", wasted)
+            .with("messages", messages)
+            .with("payload_bytes", payload_bytes)
+            .with("agreement", agreement)
+            .with("validity", validity);
+        table.row_of(
+            &row,
+            &[
+                "label",
+                "delta",
+                "wall",
+                "rounds",
+                "wasted_rounds",
+                "messages",
+                "payload_bytes",
+                "agreement",
+                "validity",
+            ],
+        );
+        summary.push(row);
     };
 
     // Δ tuned to the (here known) worst-case delay: the synchrony
     // baseline at its best, and the yardstick for "wasted" rounds.
     let tuned_delta = max_delay + 1;
     let (outs, tuned_rounds, msgs, payload) = sync_run(tuned_delta);
-    let (agreement, validity) = check(&outs);
-    all_correct &= agreement && validity;
     push(
-        &mut summary,
-        &mut table,
-        AsyncRow {
-            label: "sync, tuned delta".to_owned(),
-            mode: "sync-tuned".to_owned(),
-            delta: Some(tuned_delta),
-            wall: tuned_rounds * tuned_delta,
-            rounds: tuned_rounds,
-            wasted_rounds: 0,
-            messages: msgs,
-            payload_bytes: payload,
-            agreement,
-            validity,
-        },
+        "sync, tuned delta",
+        "sync-tuned",
+        Some(tuned_delta),
+        (tuned_rounds * tuned_delta, tuned_rounds, 0),
+        (msgs, payload),
+        &outs,
     );
 
     // Δ under-estimated: messages routinely miss their barrier, so
     // quorums straggle across rounds and barriers are burned waiting.
     let under_delta = base + jitter / 2;
     let (outs, under_rounds, msgs, payload) = sync_run(under_delta);
-    let (agreement, validity) = check(&outs);
-    all_correct &= agreement && validity;
     let under_wasted = under_rounds.saturating_sub(tuned_rounds);
     push(
-        &mut summary,
-        &mut table,
-        AsyncRow {
-            label: "sync, mistuned delta (under)".to_owned(),
-            mode: "sync-mistuned".to_owned(),
-            delta: Some(under_delta),
-            wall: under_rounds * under_delta,
-            rounds: under_rounds,
-            wasted_rounds: under_wasted,
-            messages: msgs,
-            payload_bytes: payload,
-            agreement,
-            validity,
-        },
+        "sync, mistuned delta (under)",
+        "sync-mistuned",
+        Some(under_delta),
+        (under_rounds * under_delta, under_rounds, under_wasted),
+        (msgs, payload),
+        &outs,
     );
 
     // Δ over-estimated: what an unknown network forces — correct, but
     // every barrier pays the padded timeout in full.
     let over_delta = 250;
     let (outs, over_rounds, msgs, payload) = sync_run(over_delta);
-    let (agreement, validity) = check(&outs);
-    all_correct &= agreement && validity;
     let over_wall = over_rounds * over_delta;
     push(
-        &mut summary,
-        &mut table,
-        AsyncRow {
-            label: "sync, mistuned delta (over)".to_owned(),
-            mode: "sync-mistuned".to_owned(),
-            delta: Some(over_delta),
-            wall: over_wall,
-            rounds: over_rounds,
-            wasted_rounds: over_rounds.saturating_sub(tuned_rounds),
-            messages: msgs,
-            payload_bytes: payload,
-            agreement,
-            validity,
-        },
+        "sync, mistuned delta (over)",
+        "sync-mistuned",
+        Some(over_delta),
+        (
+            over_wall,
+            over_rounds,
+            over_rounds.saturating_sub(tuned_rounds),
+        ),
+        (msgs, payload),
+        &outs,
     );
 
     // The event-driven host: same state machine, same delay samples per
@@ -1074,25 +1085,16 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
     }
     let async_decided = report.outputs.iter().all(Option::is_some);
     let outs: Vec<Nat> = report.outputs.iter().flatten().cloned().collect();
-    let (agreement, validity) = check(&outs);
-    all_correct &= agreement && validity && async_decided && violations.is_empty();
     let async_wall = report.last_decide_time().unwrap_or(u64::MAX);
     push(
-        &mut summary,
-        &mut table,
-        AsyncRow {
-            label: "async, event-driven".to_owned(),
-            mode: "async".to_owned(),
-            delta: None,
-            wall: async_wall,
-            rounds,
-            wasted_rounds: 0,
-            messages: report.messages,
-            payload_bytes: report.payload_bytes,
-            agreement,
-            validity,
-        },
+        "async, event-driven",
+        "async",
+        None,
+        (async_wall, rounds, 0),
+        (report.messages, report.payload_bytes),
+        &outs,
     );
+    all_correct &= async_decided && violations.is_empty();
 
     table.print();
 
@@ -1103,21 +1105,16 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
          (async wall {async_wall} vs over-estimated sync {over_wall}; \
          under-estimated sync wasted {under_wasted} rounds, async 0)"
     );
-    if let Some(dir) = artifacts {
-        match summary.write(dir) {
-            Ok(path) => eprintln!("[as1 artifacts: {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write BENCH_as1.json: {e}"),
-        }
-    }
+    summary.write(artifacts);
 }
 
 /// **P1** (hot-path kernels, beyond the paper) — the n = 256 scaling
-/// grid: single-core throughput of the blocked split-table RS kernels and
-/// the batched arena Merkle build against the scalar reference paths
-/// (compiled in via the `scalar-oracle` features), over
-/// n ∈ {16, 64, 128, 256} × ℓ up to 1 MiB. Every cell is also a runtime
-/// differential test: the blocked and scalar kernels must produce
-/// byte-identical codewords/reconstructions and the same Merkle root.
+/// grid: single-core throughput of the blocked split-table RS kernels
+/// against the scalar reference paths (compiled in via `ca-erasure`'s
+/// `scalar-oracle` feature), and of the Merkle build over the cell's
+/// shares, over n ∈ {16, 64, 128, 256} × ℓ up to 1 MiB. Every cell is also
+/// a runtime differential test: the blocked and scalar kernels must
+/// produce byte-identical codewords/reconstructions.
 ///
 /// Decode is measured on the *parity-heavy* share subset — systematic
 /// shares are dropped first, so (almost) every reconstructed column pays
@@ -1130,7 +1127,6 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
 /// full grid — shows ≥ 2× blocked-over-scalar speedup on both encode and
 /// decode).
 pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
-    use crate::summary::KernelRow;
     use ca_codec::Encode;
     use ca_crypto::MerkleTree;
     use ca_erasure::{ReedSolomon, Share};
@@ -1167,13 +1163,12 @@ pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
     let mut table = Table::new(
         "P1: blocked vs scalar kernel throughput, one core (MB/s of payload)",
         &[
-            "n", "l", "enc blk", "enc sca", "enc x", "dec blk", "dec sca", "dec x", "mrk blk",
-            "mrk sca", "mrk x", "equal",
+            "n", "l", "enc blk", "enc sca", "enc x", "dec blk", "dec sca", "dec x", "mrk", "equal",
         ],
     );
 
     let mut all_equal = true;
-    let mut last_cell: Option<KernelRow> = None;
+    let mut last_cell: Option<(String, f64, f64)> = None;
     for &n in ns {
         let k = n - ca_net::max_faults(n);
         // ca-lint: allow(panic-path) — (n, k) are the experiment grid, not wire input
@@ -1195,9 +1190,6 @@ pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
             let rec_scalar = rs.decode_scalar(&subset).expect("k shares reconstruct");
             equal &= rec_blocked == data && rec_scalar == data;
             let leaves: Vec<Vec<u8>> = blocked.iter().map(Encode::encode_to_vec).collect();
-            let tree = MerkleTree::build(&leaves);
-            let tree_ref = MerkleTree::build_reference(&leaves);
-            equal &= tree.root() == tree_ref.root();
             all_equal &= equal;
 
             let enc_blk = mbps(ell, budget_ms, || {
@@ -1217,42 +1209,46 @@ pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
                         .expect("decodes"),
                 );
             });
-            let mrk_blk = mbps(ell, budget_ms, || {
+            let mrk = mbps(ell, budget_ms, || {
                 std::hint::black_box(MerkleTree::build(std::hint::black_box(&leaves)));
             });
-            let mrk_sca = mbps(ell, budget_ms, || {
-                std::hint::black_box(MerkleTree::build_reference(std::hint::black_box(&leaves)));
-            });
 
-            let row = KernelRow {
-                label: format!("n={n}, l={}KiB", ell >> 10),
-                n,
-                k,
-                ell_bytes: ell,
-                encode_blocked_mbps: enc_blk,
-                encode_scalar_mbps: enc_sca,
-                decode_blocked_mbps: dec_blk,
-                decode_scalar_mbps: dec_sca,
-                merkle_batched_mbps: mrk_blk,
-                merkle_reference_mbps: mrk_sca,
-                differential_equal: equal,
+            // MB of payload per second of one core; decode runs on the
+            // parity-heavy subset. `differential_equal`: blocked and scalar
+            // paths produced byte-identical outputs.
+            let speedup = |blocked: f64, scalar: f64| blocked / scalar.max(f64::MIN_POSITIVE);
+            let (enc_x, dec_x) = (speedup(enc_blk, enc_sca), speedup(dec_blk, dec_sca));
+            let kernel = |blocked: f64, scalar: f64, x: f64| {
+                Value::Obj(vec![
+                    ("blocked_mbps", Value::Fixed(blocked, 1)),
+                    ("scalar_mbps", Value::Fixed(scalar, 1)),
+                    ("speedup", Value::Fixed(x, 2)),
+                ])
             };
+            let label = format!("n={n}, l={}KiB", ell >> 10);
+            let row = Row::new(&label)
+                .with("kind", "kernel")
+                .with("n", n)
+                .with("k", k)
+                .with("ell_bytes", ell)
+                .with("encode", kernel(enc_blk, enc_sca, enc_x))
+                .with("decode", kernel(dec_blk, dec_sca, dec_x))
+                .with("merkle", Value::Obj(vec![("mbps", Value::Fixed(mrk, 1))]))
+                .with("differential_equal", equal);
             table.row_strings(vec![
-                n.to_string(),
+                row.cell("n"),
                 format!("{}KiB", ell >> 10),
                 format!("{enc_blk:.0}"),
                 format!("{enc_sca:.0}"),
-                format!("{:.2}x", row.encode_speedup()),
+                format!("{enc_x:.2}x"),
                 format!("{dec_blk:.0}"),
                 format!("{dec_sca:.0}"),
-                format!("{:.2}x", row.decode_speedup()),
-                format!("{mrk_blk:.0}"),
-                format!("{mrk_sca:.0}"),
-                format!("{:.2}x", row.merkle_speedup()),
-                equal.to_string(),
+                format!("{dec_x:.2}x"),
+                format!("{mrk:.0}"),
+                row.cell("differential_equal"),
             ]);
-            summary.push_kernel(&row);
-            last_cell = Some(row);
+            summary.push(row);
+            last_cell = Some((label, enc_x, dec_x));
         }
     }
     table.print();
@@ -1261,29 +1257,14 @@ pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
     // full grid; the quick grid gates on its own largest cell so CI still
     // exercises the comparison).
     // ca-lint: allow(panic-path) — the grid is never empty
-    let cell = last_cell.expect("grid has cells");
-    let beats = all_equal && cell.encode_speedup() >= 2.0 && cell.decode_speedup() >= 2.0;
+    let (label, enc_x, dec_x) = last_cell.expect("grid has cells");
+    let beats = all_equal && enc_x >= 2.0 && dec_x >= 2.0;
     summary.set_flag("p1_blocked_beats_scalar", beats);
     println!(
         "P1 verdict: p1_blocked_beats_scalar = {beats} \
-         ({}: encode {:.2}x, decode {:.2}x, merkle {:.2}x, all cells equal = {all_equal})",
-        cell.label,
-        cell.encode_speedup(),
-        cell.decode_speedup(),
-        cell.merkle_speedup()
+         ({label}: encode {enc_x:.2}x, decode {dec_x:.2}x, all cells equal = {all_equal})"
     );
-    if let Some(dir) = artifacts {
-        match summary.write(dir) {
-            Ok(path) => eprintln!("[p1 artifacts: {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write BENCH_p1.json: {e}"),
-        }
-    }
-}
-
-/// Smoke-level sanity used by `cargo test -p ca-bench`: every experiment
-/// runs in quick mode without panicking.
-pub fn smoke_all() {
-    assert!(run_by_name("all", true));
+    summary.write(artifacts);
 }
 
 #[cfg(test)]
@@ -1377,7 +1358,7 @@ mod tests {
             "\"label\": \"adaptive, f = 0\"",
             "\"label\": \"adaptive, f = 2\"",
             "\"protocol\": \"pi_n_adaptive\"",
-            "\"agreement\": true, \"validity\": true",
+            "\"agreement\": true,\n      \"validity\": true",
         ] {
             assert!(bench.contains(key), "missing {key} in:\n{bench}");
         }
@@ -1404,7 +1385,7 @@ mod tests {
             "\"label\": \"async, event-driven\"",
             "\"delta\": null",
             "\"wasted_rounds\"",
-            "\"agreement\": true, \"validity\": true",
+            "\"agreement\": true,\n      \"validity\": true",
         ] {
             assert!(bench.contains(key), "missing {key} in:\n{bench}");
         }
@@ -1437,6 +1418,7 @@ mod tests {
             "\"blocked_mbps\"",
             "\"scalar_mbps\"",
             "\"speedup\"",
+            "\"mbps\"",
         ] {
             assert!(bench.contains(key), "missing {key} in:\n{bench}");
         }

@@ -28,5 +28,5 @@ pub mod table;
 pub mod workload;
 
 pub use runner::{run_nat_protocol, run_nat_protocol_traced, Protocol, RunStats};
-pub use summary::{AsyncRow, BenchSummary};
+pub use summary::{BenchSummary, Row, Value};
 pub use table::Table;

@@ -7,8 +7,7 @@ use ca_adversary::Attack;
 use ca_ba::BaKind;
 use ca_bits::Nat;
 use ca_core::{
-    broadcast_ca, broadcast_ca_parallel, check_agreement, check_convex_validity, high_cost_ca,
-    pi_n, pi_n_adaptive, FastPathConfig,
+    broadcast_ca, broadcast_ca_parallel, check_agreement, check_convex_validity, high_cost_ca, pi_n,
 };
 use ca_net::{Metrics, Sim, TraceSink};
 
@@ -17,10 +16,6 @@ use ca_net::{Metrics, Sim, TraceSink};
 pub enum Protocol {
     /// The paper's `Π_ℕ`/`Π_ℤ` stack (`O(ℓn + κn²log²n)`).
     PiN(BaKind),
-    /// `Π_ℕ` behind the fault-adaptive fast path (default
-    /// [`FastPathConfig`]): constant rounds at `f = 0`, certified
-    /// fallback to the full stack otherwise.
-    PiNAdaptive(BaKind),
     /// Classical broadcast-based CA (`O(ℓn²)` baseline), instances run
     /// sequentially.
     BroadcastCa,
@@ -37,8 +32,6 @@ impl Protocol {
         match self {
             Protocol::PiN(BaKind::TurpinCoan) => "pi_n",
             Protocol::PiN(BaKind::PhaseKing) => "pi_n[pk]",
-            Protocol::PiNAdaptive(BaKind::TurpinCoan) => "pi_n_adaptive",
-            Protocol::PiNAdaptive(BaKind::PhaseKing) => "pi_n_adaptive[pk]",
             Protocol::BroadcastCa => "broadcast_ca",
             Protocol::BroadcastCaParallel => "broadcast_ca_par",
             Protocol::HighCostCa => "high_cost_ca",
@@ -119,7 +112,6 @@ fn run_nat_protocol_inner(
         let input = inputs_owned[id.index()].clone();
         match protocol {
             Protocol::PiN(ba) => pi_n(ctx, &input, ba),
-            Protocol::PiNAdaptive(ba) => pi_n_adaptive(ctx, &input, ba, FastPathConfig::default()),
             Protocol::BroadcastCa => broadcast_ca(ctx, input, BaKind::TurpinCoan),
             Protocol::BroadcastCaParallel => broadcast_ca_parallel(ctx, input, BaKind::TurpinCoan),
             Protocol::HighCostCa => high_cost_ca(ctx, input, |_| true),

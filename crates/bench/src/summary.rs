@@ -10,16 +10,18 @@
 //! breakdowns and log₂-bucket histogram quantiles straight from
 //! [`ca_net::Metrics`].
 //!
-//! The JSON is hand-rolled (the workspace builds offline with no serde);
-//! numbers are emitted as JSON numbers, ratios with three decimals.
+//! Every experiment states a measurement once, as a [`Row`] — a label plus
+//! ordered `key → `[`Value`] fields — which [`BenchSummary::push`]
+//! serialises and [`crate::Table::row_of`] renders. The JSON is hand-rolled
+//! (the workspace builds offline with no serde); numbers are emitted as
+//! JSON numbers, ratios with three decimals.
 
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ca_net::Histogram;
+use ca_trace::json_escape;
 
 use crate::runner::RunStats;
-use crate::table::json_string;
 
 /// Security parameter used in the claimed bound: SHA-256 digests.
 pub const KAPPA: u64 = 256;
@@ -49,18 +51,237 @@ pub fn claim_rounds(n: usize) -> u64 {
     n * log2_ceil(n)
 }
 
-/// One run's worth of claim-vs-measured data.
-struct RunSummary {
-    label: String,
-    json: String,
+/// One field value of a [`Row`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A count, emitted as a JSON integer.
+    Int(u64),
+    /// A real number printed with a fixed number of decimals.
+    Fixed(f64, usize),
+    /// `true` / `false`.
+    Bool(bool),
+    /// A string (JSON-escaped on output).
+    Str(String),
+    /// JSON `null`; `-` in a table.
+    Null,
+    /// A nested object, rendered on one line.
+    Obj(Vec<(&'static str, Value)>),
+    /// An array, one element per line.
+    List(Vec<Value>),
 }
 
-/// Accumulates runs of one experiment and serializes them as
+impl Value {
+    /// `measured / claim` with three decimals, `null` when the claim is 0.
+    #[must_use]
+    pub fn ratio(measured: u64, claim: u64) -> Self {
+        if claim == 0 {
+            Value::Null
+        } else {
+            Value::Fixed(measured as f64 / claim as f64, 3)
+        }
+    }
+
+    /// Appends the JSON rendering; `indent` is the column a
+    /// [`Value::List`]'s closing bracket sits at.
+    fn write_json(&self, out: &mut String, indent: usize) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Str(s) => {
+                out.push('"');
+                json_escape(s, out);
+                out.push('"');
+            }
+            Value::Obj(fields) => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    out.push_str(if i == 0 { " " } else { ", " });
+                    out.push_str(&format!("\"{key}\": "));
+                    value.write_json(out, indent);
+                }
+                out.push_str(" }");
+            }
+            Value::List(items) if items.is_empty() => out.push_str("[]"),
+            Value::List(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i == 0 { "\n" } else { ",\n" });
+                    out.push_str(&" ".repeat(indent + 2));
+                    item.write_json(out, indent + 2);
+                }
+                out.push_str(&format!("\n{}]", " ".repeat(indent)));
+            }
+            Value::Int(v) => out.push_str(&v.to_string()),
+            Value::Fixed(v, decimals) => out.push_str(&format!("{v:.decimals$}")),
+            Value::Bool(v) => out.push_str(&v.to_string()),
+        }
+    }
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Self {
+        Value::Int(v)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(v: usize) -> Self {
+        Value::Int(v as u64)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Self {
+        Value::Bool(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Str(v.to_owned())
+    }
+}
+
+/// One histogram as an object with count/min/mean/max and the
+/// conservative log₂-bucket quantiles p50/p90/p99.
+impl From<&Histogram> for Value {
+    fn from(h: &Histogram) -> Self {
+        Value::Obj(vec![
+            ("count", h.count().into()),
+            ("min", h.min().into()),
+            ("mean", h.mean().into()),
+            ("max", h.max().into()),
+            ("p50", h.quantile_permille(500).into()),
+            ("p90", h.quantile_permille(900).into()),
+            ("p99", h.quantile_permille(990).into()),
+        ])
+    }
+}
+
+/// One measured configuration: ordered `key → value` fields, the first
+/// being its human-readable `"label"`. The one row type of every
+/// experiment.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    fields: Vec<(&'static str, Value)>,
+}
+
+impl Row {
+    /// A row holding only its `label`.
+    #[must_use]
+    pub fn new(label: &str) -> Self {
+        Self {
+            fields: vec![("label", label.into())],
+        }
+    }
+
+    /// Appends field `key`.
+    #[must_use]
+    pub fn with(mut self, key: &'static str, value: impl Into<Value>) -> Self {
+        self.fields.push((key, value.into()));
+        self
+    }
+
+    /// The table cell for `key`: the value as the JSON prints it, except
+    /// strings unquoted and `null` as `-`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row has no such field — a typo in the experiment.
+    #[must_use]
+    pub fn cell(&self, key: &str) -> String {
+        let field = self.fields.iter().find(|(k, _)| *k == key);
+        // ca-lint: allow(panic-path) — keys are literals in the experiment code
+        let (_, value) = field.unwrap_or_else(|| panic!("row has no field {key:?}"));
+        match value {
+            Value::Str(s) => s.clone(),
+            Value::Null => "-".to_owned(),
+            other => {
+                let mut cell = String::new();
+                other.write_json(&mut cell, 0);
+                cell
+            }
+        }
+    }
+
+    /// Appends the row as a JSON object, one field per line.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("    {");
+        for (i, (key, value)) in self.fields.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str(&format!("      \"{key}\": "));
+            value.write_json(out, 6);
+        }
+        out.push_str("\n    }");
+    }
+}
+
+/// The claim-vs-measured row of one protocol run: the paper's reference
+/// shapes next to the measured bits and rounds, their ratios, and the
+/// per-scope breakdown with message-size histograms.
+#[must_use]
+pub fn run_row(label: &str, stats: &RunStats) -> Row {
+    let cb = claim_bits(stats.n, stats.ell);
+    let cr = claim_rounds(stats.n);
+    let m = &stats.metrics;
+    let scopes = m
+        .per_scope
+        .iter()
+        .map(|(path, scope)| {
+            let mut fields = vec![
+                ("scope", path.as_str().into()),
+                ("honest_bits", scope.honest_bits.into()),
+                ("honest_msgs", scope.honest_msgs.into()),
+                ("rounds", scope.rounds.into()),
+            ];
+            if let Some(h) = m.scope_msg_bytes.get(path) {
+                fields.push(("msg_bytes", h.into()));
+            }
+            Value::Obj(fields)
+        })
+        .collect();
+    Row::new(label)
+        .with("protocol", stats.protocol)
+        .with("n", stats.n)
+        .with("t", stats.t)
+        .with("ell", stats.ell)
+        .with("attack", stats.attack)
+        .with("agreement", stats.agreement)
+        .with("validity", stats.validity)
+        .with(
+            "claim",
+            Value::Obj(vec![
+                ("bits", cb.into()),
+                ("rounds", cr.into()),
+                ("kappa", KAPPA.into()),
+            ]),
+        )
+        .with(
+            "measured",
+            Value::Obj(vec![
+                ("honest_bits", stats.honest_bits.into()),
+                ("honest_msgs", m.honest_msgs.into()),
+                ("rounds", stats.rounds.into()),
+                ("adversary_bits", m.adversary_bits.into()),
+            ]),
+        )
+        .with(
+            "ratio",
+            Value::Obj(vec![
+                ("bits", Value::ratio(stats.honest_bits, cb)),
+                ("rounds", Value::ratio(stats.rounds, cr)),
+            ]),
+        )
+        .with("msg_bytes", &m.msg_bytes)
+        .with("round_bits", &m.round_bits)
+        .with("scopes", Value::List(scopes))
+}
+
+/// Accumulates the rows of one experiment and serializes them as
 /// `BENCH_<exp>.json`.
 pub struct BenchSummary {
     experiment: String,
     flags: Vec<(String, bool)>,
-    runs: Vec<RunSummary>,
+    runs: Vec<Row>,
 }
 
 impl BenchSummary {
@@ -86,298 +307,26 @@ impl BenchSummary {
         }
     }
 
-    /// Appends one measured run under a human-readable `label`.
-    pub fn push_run(&mut self, label: &str, stats: &RunStats) {
-        let cb = claim_bits(stats.n, stats.ell);
-        let cr = claim_rounds(stats.n);
-        let mut json = String::new();
-        json.push_str(&format!(
-            "    {{\n      \"label\": {},\n      \"protocol\": {},\n      \
-             \"n\": {}, \"t\": {}, \"ell\": {}, \"attack\": {},\n",
-            json_string(label),
-            json_string(stats.protocol),
-            stats.n,
-            stats.t,
-            stats.ell,
-            json_string(stats.attack)
-        ));
-        json.push_str(&format!(
-            "      \"agreement\": {}, \"validity\": {},\n",
-            stats.agreement, stats.validity
-        ));
-        json.push_str(&format!(
-            "      \"claim\": {{ \"bits\": {cb}, \"rounds\": {cr}, \"kappa\": {KAPPA} }},\n"
-        ));
-        json.push_str(&format!(
-            "      \"measured\": {{ \"honest_bits\": {}, \"honest_msgs\": {}, \
-             \"rounds\": {}, \"adversary_bits\": {} }},\n",
-            stats.honest_bits,
-            stats.metrics.honest_msgs,
-            stats.rounds,
-            stats.metrics.adversary_bits
-        ));
-        json.push_str(&format!(
-            "      \"ratio\": {{ \"bits\": {}, \"rounds\": {} }},\n",
-            ratio(stats.honest_bits, cb),
-            ratio(stats.rounds, cr)
-        ));
-        json.push_str(&format!(
-            "      \"msg_bytes\": {},\n      \"round_bits\": {},\n",
-            hist_json(&stats.metrics.msg_bytes),
-            hist_json(&stats.metrics.round_bits)
-        ));
-        json.push_str("      \"scopes\": [");
-        let mut first = true;
-        for (path, m) in &stats.metrics.per_scope {
-            json.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            json.push_str(&format!(
-                "        {{ \"scope\": {}, \"honest_bits\": {}, \
-                 \"honest_msgs\": {}, \"rounds\": {}",
-                json_string(path),
-                m.honest_bits,
-                m.honest_msgs,
-                m.rounds
-            ));
-            if let Some(h) = stats.metrics.scope_msg_bytes.get(path) {
-                json.push_str(&format!(", \"msg_bytes\": {}", hist_json(h)));
-            }
-            json.push_str(" }");
-        }
-        json.push_str(if first {
-            "]\n    }"
-        } else {
-            "\n      ]\n    }"
-        });
-        self.runs.push(RunSummary {
-            label: label.to_owned(),
-            json,
-        });
-    }
-
-    /// Appends one service-layer load run (`kind: "throughput"`): session
-    /// throughput, per-session cost, engine-round latency quantiles, and
-    /// the batching profile that explains the amortization.
-    pub fn push_throughput(&mut self, label: &str, attack: &str, report: &ca_engine::LoadReport) {
-        let s = &report.stats;
-        let decided = report.sessions_decided.max(1);
-        let mut json = String::new();
-        json.push_str(&format!(
-            "    {{\n      \"label\": {},\n      \"kind\": \"throughput\",\n      \
-             \"attack\": {},\n",
-            json_string(label),
-            json_string(attack)
-        ));
-        json.push_str(&format!(
-            "      \"runs\": {}, \"sessions_submitted\": {}, \"sessions_decided\": {}, \
-             \"sessions_rejected\": {},\n",
-            report.runs,
-            report.sessions_submitted,
-            report.sessions_decided,
-            report.sessions_rejected
-        ));
-        json.push_str(&format!(
-            "      \"agreement\": {}, \"validity\": {},\n",
-            report.agreement, report.validity
-        ));
-        json.push_str(&format!(
-            "      \"sessions_per_sec\": {},\n",
-            report
-                .sessions_per_sec()
-                .map_or_else(|| "null".to_owned(), |r| format!("{r:.1}"))
-        ));
-        json.push_str(&format!(
-            "      \"engine_rounds\": {}, \"envelopes_sent\": {}, \"frames_sent\": {},\n",
-            s.engine_rounds, s.envelopes_sent, s.frames_sent
-        ));
-        json.push_str(&format!(
-            "      \"payload_bits\": {}, \"wire_bits\": {},\n      \
-             \"payload_bits_per_session\": {}, \"wire_bits_per_session\": {},\n",
-            report.payload_bits,
-            s.wire_bits,
-            report.payload_bits / decided,
-            s.wire_bits / decided
-        ));
-        json.push_str(&format!(
-            "      \"shed_frames\": {}, \"stray_frames\": {}, \"late_frames\": {}, \
-             \"malformed_envelopes\": {},\n",
-            s.shed_frames, s.stray_frames, s.late_frames, s.malformed_envelopes
-        ));
-        json.push_str(&format!(
-            "      \"session_latency_rounds\": {},\n      \"session_rounds\": {},\n      \
-             \"batch_occupancy\": {}\n    }}",
-            hist_json(&s.session_latency_rounds),
-            hist_json(&s.session_rounds),
-            hist_json(&s.batch_occupancy)
-        ));
-        self.runs.push(RunSummary {
-            label: label.to_owned(),
-            json,
-        });
-    }
-
-    /// Appends one crash-fault resilience run (`kind: "resilience"`):
-    /// how many parties were crashed, how many transport rounds the
-    /// survivors needed to decide, whether the decision was correct, and
-    /// the aggregated [`ca_runtime::RuntimeStats`] across parties —
-    /// counters sum, `peers_gone` takes the per-party peak (the number to
-    /// compare against the `t < n/3` budget).
-    pub fn push_resilience(
-        &mut self,
-        label: &str,
-        crashed: usize,
-        rounds_to_decide: u64,
-        agreement: bool,
-        validity: bool,
-        party_stats: &[ca_runtime::RuntimeStats],
-    ) {
-        let sum =
-            |f: fn(&ca_runtime::RuntimeStats) -> u64| -> u64 { party_stats.iter().map(f).sum() };
-        let peers_gone = party_stats.iter().map(|s| s.peers_gone).max().unwrap_or(0);
-        let mut json = String::new();
-        json.push_str(&format!(
-            "    {{\n      \"label\": {},\n      \"kind\": \"resilience\",\n",
-            json_string(label)
-        ));
-        json.push_str(&format!(
-            "      \"n\": {}, \"crashed_parties\": {crashed}, \
-             \"rounds_to_decide\": {rounds_to_decide},\n",
-            party_stats.len()
-        ));
-        json.push_str(&format!(
-            "      \"agreement\": {agreement}, \"validity\": {validity},\n"
-        ));
-        json.push_str(&format!(
-            "      \"frames_sent\": {}, \"wire_bytes_sent\": {},\n",
-            sum(|s| s.frames_sent),
-            sum(|s| s.wire_bytes_sent)
-        ));
-        json.push_str(&format!(
-            "      \"frames_shed\": {}, \"events_shed\": {}, \
-             \"overflow_disconnects\": {},\n",
-            sum(|s| s.frames_shed),
-            sum(|s| s.events_shed),
-            sum(|s| s.overflow_disconnects)
-        ));
-        json.push_str(&format!(
-            "      \"handshake_rejects\": {}, \"dial_retries\": {}, \
-             \"peers_gone\": {peers_gone}\n    }}",
-            sum(|s| s.handshake_rejects),
-            sum(|s| s.dial_retries)
-        ));
-        self.runs.push(RunSummary {
-            label: label.to_owned(),
-            json,
-        });
-    }
-
-    /// Appends one synchrony-model comparison run (`kind: "async"`):
-    /// a sync-with-Δ or asynchronous configuration measured under one
-    /// delay distribution. There is no [`ca_net::Metrics`] on the async
-    /// path — the deterministic executor meters messages and payload
-    /// bytes directly — so the row carries its own fields.
-    pub fn push_async(&mut self, row: &AsyncRow) {
-        let mut json = String::new();
-        json.push_str(&format!(
-            "    {{\n      \"label\": {},\n      \"kind\": \"async\",\n      \"mode\": {},\n",
-            json_string(&row.label),
-            json_string(&row.mode)
-        ));
-        json.push_str(&format!(
-            "      \"delta\": {},\n",
-            row.delta
-                .map_or_else(|| "null".to_owned(), |d| d.to_string())
-        ));
-        json.push_str(&format!(
-            "      \"wall\": {}, \"rounds\": {}, \"wasted_rounds\": {},\n",
-            row.wall, row.rounds, row.wasted_rounds
-        ));
-        json.push_str(&format!(
-            "      \"messages\": {}, \"payload_bytes\": {},\n",
-            row.messages, row.payload_bytes
-        ));
-        json.push_str(&format!(
-            "      \"agreement\": {}, \"validity\": {}\n    }}",
-            row.agreement, row.validity
-        ));
-        self.runs.push(RunSummary {
-            label: row.label.clone(),
-            json,
-        });
-    }
-
-    /// Appends one hot-path kernel measurement (`kind: "kernel"`): one
-    /// (n, ℓ) grid cell of the P1 scaling sweep, blocked vs scalar
-    /// throughput in MB/s on one core, plus the differential-equality
-    /// verdict (blocked and scalar paths produced identical bytes).
-    pub fn push_kernel(&mut self, row: &KernelRow) {
-        let mut json = String::new();
-        json.push_str(&format!(
-            "    {{\n      \"label\": {},\n      \"kind\": \"kernel\",\n",
-            json_string(&row.label)
-        ));
-        json.push_str(&format!(
-            "      \"n\": {}, \"k\": {}, \"ell_bytes\": {},\n",
-            row.n, row.k, row.ell_bytes
-        ));
-        json.push_str(&format!(
-            "      \"encode\": {{ \"blocked_mbps\": {:.1}, \"scalar_mbps\": {:.1}, \
-             \"speedup\": {:.2} }},\n",
-            row.encode_blocked_mbps,
-            row.encode_scalar_mbps,
-            row.encode_speedup()
-        ));
-        json.push_str(&format!(
-            "      \"decode\": {{ \"blocked_mbps\": {:.1}, \"scalar_mbps\": {:.1}, \
-             \"speedup\": {:.2} }},\n",
-            row.decode_blocked_mbps,
-            row.decode_scalar_mbps,
-            row.decode_speedup()
-        ));
-        json.push_str(&format!(
-            "      \"merkle\": {{ \"batched_mbps\": {:.1}, \"reference_mbps\": {:.1}, \
-             \"speedup\": {:.2} }},\n",
-            row.merkle_batched_mbps,
-            row.merkle_reference_mbps,
-            row.merkle_speedup()
-        ));
-        json.push_str(&format!(
-            "      \"differential_equal\": {}\n    }}",
-            row.differential_equal
-        ));
-        self.runs.push(RunSummary {
-            label: row.label.clone(),
-            json,
-        });
-    }
-
-    /// Labels of the runs recorded so far (in insertion order).
-    #[must_use]
-    pub fn labels(&self) -> Vec<&str> {
-        self.runs.iter().map(|r| r.label.as_str()).collect()
+    /// Appends one measured row.
+    pub fn push(&mut self, row: Row) {
+        self.runs.push(row);
     }
 
     /// Renders the whole summary document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"experiment\": {},\n",
-            json_string(&self.experiment)
-        ));
-        json.push_str(&format!(
-            "  \"claim\": {},\n",
-            json_string(
-                "BITS = l*n + kappa*n^2*ceil(log2 n)^2; ROUNDS = n*ceil(log2 n); constant 1"
-            )
-        ));
+        let mut json = format!("{{\n  \"experiment\": \"{}\",\n", self.experiment);
+        json.push_str(
+            "  \"claim\": \"BITS = l*n + kappa*n^2*ceil(log2 n)^2; \
+             ROUNDS = n*ceil(log2 n); constant 1\",\n",
+        );
         for (name, value) in &self.flags {
-            json.push_str(&format!("  {}: {},\n", json_string(name), value));
+            json.push_str(&format!("  \"{name}\": {value},\n"));
         }
         json.push_str("  \"runs\": [");
         for (i, run) in self.runs.iter().enumerate() {
             json.push_str(if i == 0 { "\n" } else { ",\n" });
-            json.push_str(&run.json);
+            run.write_json(&mut json);
         }
         json.push_str(if self.runs.is_empty() {
             "]\n}\n"
@@ -387,124 +336,17 @@ impl BenchSummary {
         json
     }
 
-    /// Writes `dir/BENCH_<exp>.json` (uppercased experiment id), creating
-    /// `dir` if needed; returns the written path.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("BENCH_{}.json", self.experiment));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    /// With `artifacts` set, writes `<dir>/BENCH_<exp>.json` (creating
+    /// `<dir>` if needed) and reports the path, or the failure, on stderr.
+    pub fn write(&self, artifacts: Option<&Path>) {
+        let Some(dir) = artifacts else { return };
+        let exp = &self.experiment;
+        let path = dir.join(format!("BENCH_{exp}.json"));
+        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, self.to_json())) {
+            Ok(()) => eprintln!("[{exp} artifacts: {}]", path.display()),
+            Err(e) => eprintln!("warning: cannot write BENCH_{exp}.json: {e}"),
+        }
     }
-}
-
-/// One measured configuration of the AS1 sync-vs-async comparison, in
-/// the shared abstract time units of the delay distribution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsyncRow {
-    /// Human-readable row label (e.g. `"sync, tuned delta"`).
-    pub label: String,
-    /// `"sync-tuned"`, `"sync-mistuned"`, or `"async"`.
-    pub mode: String,
-    /// The Δ the sync configuration ran with; `None` on the async path
-    /// (no Δ exists anywhere — that is the point).
-    pub delta: Option<u64>,
-    /// Wall clock to the last decision: `rounds × Δ` for sync (each
-    /// barrier waits out the timeout), the executor's last decide
-    /// virtual time for async.
-    pub wall: u64,
-    /// Barriers consumed (sync) or async protocol rounds (async).
-    pub rounds: u64,
-    /// Rounds beyond the minimum the iteration count needs — barriers
-    /// spent waiting on quorums that a correctly tuned Δ delivers in one.
-    pub wasted_rounds: u64,
-    /// Point-to-point protocol messages shipped by honest parties.
-    pub messages: u64,
-    /// Payload bytes across those messages.
-    pub payload_bytes: u64,
-    /// ε-agreement (ε = 1) held across decided parties.
-    pub agreement: bool,
-    /// Decisions stayed inside the input hull.
-    pub validity: bool,
-}
-
-/// One (n, ℓ) cell of the P1 kernel grid: single-core throughput of the
-/// blocked RS + batched-Merkle hot path against the scalar reference
-/// implementations (compiled in via the crates' `scalar-oracle` features).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelRow {
-    /// Human-readable cell label (e.g. `"n=256, l=1MiB"`).
-    pub label: String,
-    /// Codeword count.
-    pub n: usize,
-    /// Data shard count (`n − t`).
-    pub k: usize,
-    /// Input payload size in bytes.
-    pub ell_bytes: usize,
-    /// Blocked split-table encode throughput, MB of payload per second.
-    pub encode_blocked_mbps: f64,
-    /// Scalar log/antilog encode throughput.
-    pub encode_scalar_mbps: f64,
-    /// Blocked decode throughput (parity-heavy share subset — the worst
-    /// case, every output needs the full coefficient row).
-    pub decode_blocked_mbps: f64,
-    /// Scalar decode throughput on the same subset.
-    pub decode_scalar_mbps: f64,
-    /// Batched arena Merkle build throughput over the cell's leaves.
-    pub merkle_batched_mbps: f64,
-    /// Fresh-hasher level-by-level reference build throughput.
-    pub merkle_reference_mbps: f64,
-    /// Blocked and scalar paths produced byte-identical outputs, and the
-    /// batched and reference Merkle builds the same root.
-    pub differential_equal: bool,
-}
-
-impl KernelRow {
-    /// Blocked-over-scalar encode speedup.
-    #[must_use]
-    pub fn encode_speedup(&self) -> f64 {
-        self.encode_blocked_mbps / self.encode_scalar_mbps.max(f64::MIN_POSITIVE)
-    }
-
-    /// Blocked-over-scalar decode speedup.
-    #[must_use]
-    pub fn decode_speedup(&self) -> f64 {
-        self.decode_blocked_mbps / self.decode_scalar_mbps.max(f64::MIN_POSITIVE)
-    }
-
-    /// Batched-over-reference Merkle speedup.
-    #[must_use]
-    pub fn merkle_speedup(&self) -> f64 {
-        self.merkle_batched_mbps / self.merkle_reference_mbps.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// `measured / claim` with three decimals, `"null"` when the claim is 0.
-fn ratio(measured: u64, claim: u64) -> String {
-    if claim == 0 {
-        "null".to_owned()
-    } else {
-        format!("{:.3}", measured as f64 / claim as f64)
-    }
-}
-
-/// One histogram as a JSON object with count/min/mean/max and the
-/// conservative log₂-bucket quantiles p50/p90/p99.
-fn hist_json(h: &Histogram) -> String {
-    format!(
-        "{{ \"count\": {}, \"min\": {}, \"mean\": {}, \"max\": {}, \
-         \"p50\": {}, \"p90\": {}, \"p99\": {} }}",
-        h.count(),
-        h.min(),
-        h.mean(),
-        h.max(),
-        h.quantile_permille(500),
-        h.quantile_permille(900),
-        h.quantile_permille(990)
-    )
 }
 
 #[cfg(test)]
@@ -523,13 +365,65 @@ mod tests {
         assert!(claim_rounds(8) == 24 && claim_rounds(9) == 36);
     }
 
+    /// One row holding every value kind renders, key for key, the
+    /// fragments the per-experiment writers used to format by hand.
+    #[test]
+    fn row_renders_every_value_kind() {
+        let mut h = Histogram::new();
+        for v in [1, 1, 102] {
+            h.record(v);
+        }
+        let row = Row::new("tab\there \"ℓ\"")
+            .with("kind", "async")
+            .with("n", 7usize)
+            .with("delta", Value::Null)
+            .with("agreement", true)
+            .with("sessions_per_sec", Value::Fixed(1234.56, 1))
+            .with(
+                "ratio",
+                Value::Obj(vec![
+                    ("bits", Value::ratio(390_288, 113_008)),
+                    ("rounds", Value::ratio(192, 0)),
+                ]),
+            )
+            .with("msg_bytes", &h)
+            .with(
+                "scopes",
+                Value::List(vec![Value::Obj(vec![("scope", "a/b".into())])]),
+            )
+            .with("none", Value::List(Vec::new()));
+        let mut s = BenchSummary::new("demo");
+        s.push(row.clone());
+        let json = s.to_json();
+        for fragment in [
+            "\"label\": \"tab\\there \\\"ℓ\\\"\"",
+            "\"kind\": \"async\"",
+            "\"n\": 7",
+            "\"delta\": null",
+            "\"agreement\": true",
+            "\"sessions_per_sec\": 1234.6",
+            "\"ratio\": { \"bits\": 3.454, \"rounds\": null }",
+            "\"msg_bytes\": { \"count\": 3, \"min\": 1, \"mean\": 34, \"max\": 102, \
+             \"p50\": 1, \"p90\": 102, \"p99\": 102 }",
+            "\"scopes\": [\n        { \"scope\": \"a/b\" }\n      ]",
+            "\"none\": []",
+        ] {
+            assert!(json.contains(fragment), "missing {fragment} in:\n{json}");
+        }
+        // The same values as table cells.
+        assert_eq!(row.cell("label"), "tab\there \"ℓ\"");
+        assert_eq!(row.cell("kind"), "async");
+        assert_eq!(row.cell("delta"), "-");
+        assert_eq!(row.cell("sessions_per_sec"), "1234.6");
+        assert_eq!(row.cell("agreement"), "true");
+    }
+
     #[test]
     fn summary_json_is_well_formed_and_complete() {
         let inputs = clustered_nats(9, 4, 64, 8);
         let stats = run_nat_protocol(Protocol::PiN(BaKind::TurpinCoan), &inputs, Attack::none());
         let mut s = BenchSummary::new("demo");
-        s.push_run("short", &stats);
-        assert_eq!(s.labels(), vec!["short"]);
+        s.push(run_row("short", &stats));
         let json = s.to_json();
         // Structural sanity without a JSON parser: balanced braces/brackets
         // and the fields downstream tooling keys on.
@@ -541,6 +435,7 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         for key in [
             "\"experiment\": \"demo\"",
+            "\"label\": \"short\"",
             "\"claim\"",
             "\"measured\"",
             "\"ratio\"",
@@ -559,47 +454,12 @@ mod tests {
     #[test]
     fn write_creates_bench_file() {
         let dir = std::env::temp_dir().join(format!("ca-bench-sum-{}", std::process::id()));
-        let inputs = clustered_nats(3, 4, 32, 4);
-        let stats = run_nat_protocol(Protocol::PiN(BaKind::TurpinCoan), &inputs, Attack::none());
         let mut s = BenchSummary::new("f3");
-        s.push_run("x", &stats);
-        let path = s.write(&dir).unwrap();
-        assert!(path.ends_with("BENCH_f3.json"));
-        let text = std::fs::read_to_string(&path).unwrap();
+        s.push(Row::new("x"));
+        s.write(Some(&dir));
+        let text = std::fs::read_to_string(dir.join("BENCH_f3.json")).unwrap();
         assert!(text.contains("\"experiment\": \"f3\""));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resilience_run_aggregates_stats() {
-        let a = ca_runtime::RuntimeStats {
-            frames_sent: 10,
-            wire_bytes_sent: 100,
-            peers_gone: 1,
-            ..Default::default()
-        };
-        let b = ca_runtime::RuntimeStats {
-            frames_sent: 5,
-            dial_retries: 3,
-            peers_gone: 1,
-            ..Default::default()
-        };
-        let mut s = BenchSummary::new("r1");
-        s.push_resilience("t crashed", 1, 6, true, true, &[a, b]);
-        let json = s.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for key in [
-            "\"kind\": \"resilience\"",
-            "\"n\": 2",
-            "\"crashed_parties\": 1",
-            "\"rounds_to_decide\": 6",
-            "\"frames_sent\": 15",
-            "\"wire_bytes_sent\": 100",
-            "\"dial_retries\": 3",
-            "\"peers_gone\": 1",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
     }
 
     #[test]

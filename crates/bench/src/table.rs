@@ -2,6 +2,8 @@
 
 use std::fmt::Display;
 
+use crate::summary::Row;
+
 /// A column-aligned text table with a title, rendered to stdout by
 /// [`Table::print`].
 #[derive(Debug, Default)]
@@ -27,6 +29,11 @@ impl Table {
         self.rows
             .push(cells.iter().map(|c| c.to_string()).collect());
         self
+    }
+
+    /// Appends `row`'s cells for `keys`, one per column.
+    pub fn row_of(&mut self, row: &Row, keys: &[&str]) -> &mut Self {
+        self.row_strings(keys.iter().map(|key| row.cell(key)).collect())
     }
 
     /// Appends one pre-stringified row.
@@ -65,81 +72,10 @@ impl Table {
         out
     }
 
-    /// Prints the table to stdout; additionally, when the environment
-    /// variable `CA_BENCH_JSON_DIR` names a directory, writes the table as
-    /// machine-readable JSON (`{title, header, rows}`) into it.
+    /// Prints the table to stdout.
     pub fn print(&self) {
         print!("{}", self.render());
-        if let Ok(dir) = std::env::var("CA_BENCH_JSON_DIR") {
-            if let Err(e) = self.write_json(std::path::Path::new(&dir)) {
-                eprintln!("warning: could not write JSON table: {e}");
-            }
-        }
     }
-
-    /// Serializes the table as JSON into `dir/<slug-of-title>.json`.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn write_json(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let slug: String = self
-            .title
-            .chars()
-            .take_while(|c| *c != ':')
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        let path = dir.join(format!("{slug}.json"));
-        let mut json = String::from("{\n");
-        json.push_str(&format!("  \"title\": {},\n", json_string(&self.title)));
-        json.push_str("  \"header\": ");
-        json.push_str(&json_string_array(&self.header));
-        json.push_str(",\n  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            json.push_str(if i == 0 { "\n" } else { ",\n" });
-            json.push_str("    ");
-            json.push_str(&json_string_array(row));
-        }
-        json.push_str(if self.rows.is_empty() {
-            "]\n}"
-        } else {
-            "\n  ]\n}"
-        });
-        json.push('\n');
-        std::fs::write(path, json)
-    }
-}
-
-/// Escapes `s` as a JSON string literal (RFC 8259 §7).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders a flat JSON array of strings (single line).
-pub(crate) fn json_string_array(items: &[String]) -> String {
-    let cells: Vec<String> = items.iter().map(|s| json_string(s)).collect();
-    format!("[{}]", cells.join(", "))
 }
 
 /// Formats a bit count with a thousands separator for readability.
@@ -179,17 +115,5 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn arity_checked() {
         Table::new("x", &["a"]).row(&[1, 2]);
-    }
-
-    #[test]
-    fn json_export() {
-        let dir = std::env::temp_dir().join(format!("ca-bench-json-{}", std::process::id()));
-        let mut t = Table::new("T9: json demo", &["k", "v"]);
-        t.row(&[1, 2]);
-        t.write_json(&dir).unwrap();
-        let text = std::fs::read_to_string(dir.join("t9.json")).unwrap();
-        assert!(text.contains("\"title\""));
-        assert!(text.contains("json demo"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -263,11 +263,6 @@ impl BitString {
         self.len - self.leading_zeros()
     }
 
-    /// The minimal-form bitstring (leading zeros stripped).
-    pub fn strip_leading_zeros(&self) -> BitString {
-        self.slice(self.leading_zeros(), self.len)
-    }
-
     /// Numeric comparison of `VAL(self)` vs `VAL(other)`, ignoring
     /// zero-padding. For equal-length strings this equals lexicographic
     /// comparison.

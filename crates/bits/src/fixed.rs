@@ -60,11 +60,6 @@ impl fmt::Display for ParseFixedError {
 impl Error for ParseFixedError {}
 
 impl Fixed {
-    /// Builds from an already-scaled integer mantissa.
-    pub fn from_mantissa(mantissa: Int, scale: u32) -> Self {
-        Self { mantissa, scale }
-    }
-
     /// Parses a decimal string (e.g. `"-10.05"`) at the given scale.
     ///
     /// # Errors

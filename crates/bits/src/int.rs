@@ -106,11 +106,6 @@ impl Int {
         &self.mag
     }
 
-    /// Consumes `self`, returning `(sign, magnitude)`.
-    pub fn into_parts(self) -> (Sign, Nat) {
-        (self.sign, self.mag)
-    }
-
     /// Whether this is zero.
     pub fn is_zero(&self) -> bool {
         self.mag.is_zero()

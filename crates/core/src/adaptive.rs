@@ -8,14 +8,14 @@
 //! BA, so all honest parties take the *same* path:
 //!
 //! 1. **Offer** — everyone sends its input (or a too-long marker when it
-//!    exceeds [`FastPathConfig::max_fast_bits`]). A party that received
+//!    exceeds `MAX_FAST_BITS` = 2¹⁶). A party that received
 //!    `n` well-formed values forms the *candidate*: the median of the
 //!    multiset. With `t < n/3 < n/2` corrupted senders the median of `n`
 //!    values, at least `n − t` of which are honest inputs, always lies in
 //!    the honest input hull — so a certified candidate is a valid output.
 //! 2. **Echo** — everyone sends `(happy, digest)`: `happy` iff it holds a
 //!    candidate *and* its transport's [`ca_net::FaultEstimate`] is within
-//!    [`FastPathConfig::fault_budget`]; `digest` is the candidate's
+//!    `FAULT_BUDGET` = 0; `digest` is the candidate's
 //!    SHA-256. A party *confirms* iff it is happy and received `n` echoes,
 //!    all happy, all carrying its own digest.
 //! 3. **Certify** — one binary BA on the confirm bit. Output 1 means (BA
@@ -42,34 +42,17 @@ use ca_net::{Comm, CommExt};
 
 use crate::pi_n::pi_n_body;
 
-/// Knobs for the optimistic fast path of [`pi_n_adaptive`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastPathConfig {
-    /// Master switch; `false` degenerates to plain [`crate::pi_n`]
-    /// (useful to A/B the two paths through one call site).
-    pub enabled: bool,
-    /// Maximum transport-observed faults tolerated before a party stops
-    /// being happy with the fast path. `0` (the default) is the
-    /// strictest: any observed silence forces the certified fallback.
-    pub fault_budget: usize,
-    /// Inputs longer than this many bits are not offered whole — the
-    /// fast path's `O(ℓn)` offer round must not dwarf the worst-case
-    /// protocol's `O(ℓn)` total on huge values.
-    pub max_fast_bits: usize,
-}
+/// Inputs longer than this many bits are not offered whole — the fast
+/// path's `O(ℓn)` offer round must not dwarf the worst-case protocol's
+/// `O(ℓn)` total on huge values.
+const MAX_FAST_BITS: usize = 1 << 16;
 
-impl Default for FastPathConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            fault_budget: 0,
-            max_fast_bits: 1 << 16,
-        }
-    }
-}
+/// Transport-observed faults a party tolerates and stays happy with the
+/// fast path: none — any observed silence forces the certified fallback.
+const FAULT_BUDGET: usize = 0;
 
 /// An offer: the sender's input, or `None` when it exceeds
-/// [`FastPathConfig::max_fast_bits`] (encoded via `Option`'s codec).
+/// `MAX_FAST_BITS` (encoded via `Option`'s codec).
 type Offer = Option<Nat>;
 
 /// The candidate certified by the fast path: the median of a *complete*
@@ -99,25 +82,21 @@ fn candidate_from(offers: &mut Vec<(ca_net::PartyId, Offer)>, n: usize) -> Optio
 ///
 /// ```
 /// use ca_bits::Nat;
-/// use ca_core::{pi_n_adaptive, BaKind, FastPathConfig};
+/// use ca_core::{pi_n_adaptive, BaKind};
 /// use ca_net::Sim;
 ///
 /// // Fault-free and unanimous: the fast path certifies in O(1) rounds.
-/// let report = Sim::new(4).run(|ctx, _| {
-///     pi_n_adaptive(ctx, &Nat::from_u64(42), BaKind::TurpinCoan, FastPathConfig::default())
-/// });
+/// let report =
+///     Sim::new(4).run(|ctx, _| pi_n_adaptive(ctx, &Nat::from_u64(42), BaKind::TurpinCoan));
 /// assert!(report.honest_outputs().iter().all(|v| **v == Nat::from_u64(42)));
 /// ```
-pub fn pi_n_adaptive(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind, cfg: FastPathConfig) -> Nat {
-    if !cfg.enabled {
-        return crate::pi_n(ctx, v_in, ba);
-    }
+pub fn pi_n_adaptive(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
     ctx.scoped("pi_n_a", |ctx| {
         ctx.trace_input(|| v_in.to_string());
         let n = ctx.n();
 
         // Round 1 (offer): ship the value, or mark it too long.
-        let offer: Offer = (v_in.bit_len() <= cfg.max_fast_bits).then(|| v_in.clone());
+        let offer: Offer = (v_in.bit_len() <= MAX_FAST_BITS).then(|| v_in.clone());
         let inbox = ctx.exchange(&offer);
         let candidate = candidate_from(&mut inbox.decode_each::<Offer>(), n);
 
@@ -126,7 +105,7 @@ pub fn pi_n_adaptive(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind, cfg: FastPathCo
             Some(v) => sha256(&v.encode_to_vec()),
             None => sha256(b""),
         };
-        let happy = candidate.is_some() && ctx.fault_estimate().within(cfg.fault_budget);
+        let happy = candidate.is_some() && ctx.fault_estimate().within(FAULT_BUDGET);
         let inbox = ctx.exchange(&(happy, digest));
         let echoes = inbox.decode_each::<(bool, Hash256)>();
         let confirm =
@@ -186,17 +165,11 @@ mod tests {
         );
     }
 
-    fn traced_run(
-        n: usize,
-        sim: Sim,
-        inputs: Vec<Nat>,
-        cfg: FastPathConfig,
-    ) -> (Vec<Nat>, Vec<ca_trace::Record>) {
-        let _ = n;
+    fn traced_run(sim: Sim, inputs: Vec<Nat>) -> (Vec<Nat>, Vec<ca_trace::Record>) {
         let sink = Arc::new(ca_trace::RingBufferSink::new(4_000_000));
         let report = sim
             .with_trace(Arc::clone(&sink) as Arc<dyn ca_trace::TraceSink>)
-            .run(move |ctx, id| pi_n_adaptive(ctx, &inputs[id.index()], BaKind::TurpinCoan, cfg));
+            .run(move |ctx, id| pi_n_adaptive(ctx, &inputs[id.index()], BaKind::TurpinCoan));
         let outs = report.honest_outputs().into_iter().cloned().collect();
         let records = sink.records();
         assert_eq!(sink.total_seen() as usize, records.len(), "ring wrapped");
@@ -209,7 +182,7 @@ mod tests {
             .iter()
             .map(|&v| Nat::from_u64(v))
             .collect();
-        let (outs, records) = traced_run(4, Sim::new(4), inputs.clone(), FastPathConfig::default());
+        let (outs, records) = traced_run(Sim::new(4), inputs.clone());
         assert_ca(&outs, &inputs);
         // Median of {10, 30, 40, 70} at index 2.
         assert_eq!(outs[0], Nat::from_u64(40));
@@ -225,27 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_config_is_plain_pi_n() {
-        let inputs: Vec<Nat> = [5u64, 900, 42, 77]
-            .iter()
-            .map(|&v| Nat::from_u64(v))
-            .collect();
-        let cfg = FastPathConfig {
-            enabled: false,
-            ..FastPathConfig::default()
-        };
-        let run = inputs.clone();
-        let adaptive = Sim::new(4)
-            .run(move |ctx, id| pi_n_adaptive(ctx, &run[id.index()], BaKind::TurpinCoan, cfg));
-        let run = inputs.clone();
-        let plain =
-            Sim::new(4).run(move |ctx, id| crate::pi_n(ctx, &run[id.index()], BaKind::TurpinCoan));
-        assert_eq!(adaptive.honest_outputs(), plain.honest_outputs());
-        assert_eq!(adaptive.metrics.rounds, plain.metrics.rounds);
-        assert_eq!(adaptive.metrics.honest_bits, plain.metrics.honest_bits);
-    }
-
-    #[test]
     fn silent_party_falls_back_and_stays_correct() {
         let n = 4;
         let inputs: Vec<Nat> = [70u64, 10, 40, 30]
@@ -254,10 +206,8 @@ mod tests {
             .collect();
         let honest: Vec<Nat> = inputs[..3].to_vec();
         let (outs, records) = traced_run(
-            n,
             Sim::new(n).corrupt(PartyId(3), Corruption::Scripted),
             inputs,
-            FastPathConfig::default(),
         );
         assert_ca(&outs, &honest);
         assert_eq!(ca_trace::check(&records), vec![]);
@@ -288,14 +238,7 @@ mod tests {
         let run = inputs.clone();
         let adaptive = Sim::new(n)
             .corrupt(PartyId(3), Corruption::Scripted)
-            .run(move |ctx, id| {
-                pi_n_adaptive(
-                    ctx,
-                    &run[id.index()],
-                    BaKind::TurpinCoan,
-                    FastPathConfig::default(),
-                )
-            });
+            .run(move |ctx, id| pi_n_adaptive(ctx, &run[id.index()], BaKind::TurpinCoan));
         let run = inputs.clone();
         let plain = Sim::new(n)
             .corrupt(PartyId(3), Corruption::Scripted)
@@ -306,13 +249,9 @@ mod tests {
     #[test]
     fn oversized_input_is_not_offered_whole() {
         let n = 4;
-        let big = Nat::pow2(300);
-        let inputs = vec![big.clone(); n];
-        let cfg = FastPathConfig {
-            max_fast_bits: 256,
-            ..FastPathConfig::default()
-        };
-        let (outs, records) = traced_run(n, Sim::new(n), inputs.clone(), cfg);
+        // 2^65536 is one bit past the limit.
+        let inputs = vec![Nat::pow2(MAX_FAST_BITS); n];
+        let (outs, records) = traced_run(Sim::new(n), inputs.clone());
         assert_ca(&outs, &inputs);
         assert_eq!(ca_trace::check(&records), vec![]);
         // Too-long offers are `None`: no candidate, certified fallback.
@@ -326,14 +265,8 @@ mod tests {
         let n = 7;
         let inputs: Vec<Nat> = (0..n as u64).map(|i| Nat::from_u64(1_000 + i)).collect();
         let run = inputs.clone();
-        let fast = Sim::new(n).run(move |ctx, id| {
-            pi_n_adaptive(
-                ctx,
-                &run[id.index()],
-                BaKind::TurpinCoan,
-                FastPathConfig::default(),
-            )
-        });
+        let fast = Sim::new(n)
+            .run(move |ctx, id| pi_n_adaptive(ctx, &run[id.index()], BaKind::TurpinCoan));
         let run = inputs.clone();
         let worst =
             Sim::new(n).run(move |ctx, id| crate::pi_n(ctx, &run[id.index()], BaKind::TurpinCoan));
@@ -371,14 +304,7 @@ mod tests {
             let sim = attack.install(Sim::new(n), n, t);
             let run = inputs.clone();
             let outs: Vec<Nat> = sim
-                .run(move |ctx, id| {
-                    pi_n_adaptive(
-                        ctx,
-                        &run[id.index()],
-                        BaKind::TurpinCoan,
-                        FastPathConfig::default(),
-                    )
-                })
+                .run(move |ctx, id| pi_n_adaptive(ctx, &run[id.index()], BaKind::TurpinCoan))
                 .honest_outputs()
                 .into_iter()
                 .cloned()

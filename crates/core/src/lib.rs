@@ -66,7 +66,7 @@ mod pi_n;
 mod pi_z;
 mod steps;
 
-pub use adaptive::{pi_n_adaptive, FastPathConfig};
+pub use adaptive::pi_n_adaptive;
 pub use approx::approx_agreement;
 pub use baseline::{broadcast_ca, broadcast_ca_parallel};
 pub use convex::{check_agreement, check_convex_validity, convex_hull};

@@ -84,9 +84,8 @@ fn expected_depth(leaf_count: u32) -> usize {
 ///
 /// The tree is stored as a single heap-layout arena (`nodes[1]` is the
 /// root, children of `i` at `2i`/`2i + 1`, leaves at `width .. 2·width`),
-/// so a build is one allocation and the batched hashing below reuses one
-/// [`Sha256`] state across every leaf and every interior level instead of
-/// constructing a fresh hasher per node.
+/// so a build is one allocation, filled through the same `hash_leaf` /
+/// `hash_node` that [`MerkleTree::verify`] recomputes the path with.
 #[derive(Debug, Clone)]
 pub struct MerkleTree {
     /// Heap-layout node arena of size `2 · width`; index 0 is unused.
@@ -108,63 +107,12 @@ impl MerkleTree {
         let leaf_count = leaves.len();
         let width = leaf_count.next_power_of_two();
 
-        let mut nodes = vec![Hash256::default(); 2 * width];
-        let mut hasher = Sha256::new();
-        // Batched leaf hashing: one reused state across all leaves.
+        let mut nodes = vec![empty_leaf(); 2 * width];
         for (i, leaf) in leaves.iter().enumerate() {
-            hasher.update(&[DOMAIN_LEAF]);
-            hasher.update(&(i as u32).to_be_bytes());
-            hasher.update(&(leaf_count as u32).to_be_bytes());
-            hasher.update(leaf.as_ref());
-            nodes[width + i] = hasher.finalize_reset();
+            nodes[width + i] = hash_leaf(i as u32, leaf_count as u32, leaf.as_ref());
         }
-        let pad = empty_leaf();
-        for node in &mut nodes[width + leaf_count..] {
-            *node = pad;
-        }
-        // Interior levels bottom-up, same reused state.
         for i in (1..width).rev() {
-            hasher.update(&[DOMAIN_NODE]);
-            hasher.update(nodes[2 * i].as_bytes());
-            hasher.update(nodes[2 * i + 1].as_bytes());
-            nodes[i] = hasher.finalize_reset();
-        }
-        Self {
-            nodes,
-            width,
-            leaf_count,
-        }
-    }
-
-    /// Level-by-level reference build with a fresh hasher per node,
-    /// retained as the differential oracle for the batched arena build.
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    pub fn build_reference<L: AsRef<[u8]>>(leaves: &[L]) -> Self {
-        assert!(!leaves.is_empty(), "merkle tree needs at least one leaf");
-        assert!(u32::try_from(leaves.len()).is_ok(), "too many leaves");
-        let leaf_count = leaves.len();
-        let width = leaf_count.next_power_of_two();
-
-        let mut level: Vec<Hash256> = Vec::with_capacity(width);
-        for (i, leaf) in leaves.iter().enumerate() {
-            level.push(hash_leaf(i as u32, leaf_count as u32, leaf.as_ref()));
-        }
-        level.resize(width, empty_leaf());
-
-        let mut levels = vec![level];
-        while levels.last().expect("nonempty").len() > 1 {
-            let prev = levels.last().expect("nonempty");
-            let next: Vec<Hash256> = prev
-                .chunks(2)
-                .map(|pair| hash_node(&pair[0], &pair[1]))
-                .collect();
-            levels.push(next);
-        }
-        // Re-pack the levels into the arena layout for comparison.
-        let mut nodes = vec![Hash256::default(); 2 * width];
-        for (depth, level) in levels.iter().enumerate() {
-            let base = width >> depth;
-            nodes[base..base + level.len()].copy_from_slice(level);
+            nodes[i] = hash_node(&nodes[2 * i], &nodes[2 * i + 1]);
         }
         Self {
             nodes,
@@ -410,15 +358,14 @@ mod tests {
         }
     }
 
+    /// Known answer: pins the domain-separation bytes, the index and
+    /// leaf-count commitment and the empty-leaf padding (5 leaves pad to 8).
     #[test]
-    fn batched_build_matches_reference_at_n_256() {
-        let data: Vec<Vec<u8>> = (0..256usize).map(|i| vec![i as u8; (i % 53) + 1]).collect();
-        let batched = MerkleTree::build(&data);
-        let reference = MerkleTree::build_reference(&data);
-        assert_eq!(batched.root(), reference.root());
-        for i in 0..data.len() {
-            assert_eq!(batched.witness(i), reference.witness(i), "leaf {i}");
-        }
+    fn root_known_answer() {
+        assert_eq!(
+            MerkleTree::build(&leaves(5)).root().to_hex(),
+            "4e66e8ad486a12f4355c34eb6041e35492d00b352c94a89b970f7c9126562cb4"
+        );
     }
 
     #[test]
@@ -442,32 +389,29 @@ mod tests {
     }
 
     proptest! {
+        /// Pins `build` directly: over random leaf counts (padding
+        /// included) and lengths, every witness opens its own position and
+        /// nothing else.
         #[test]
-        fn prop_batched_matches_reference(n in 1usize..70, seed in any::<u64>()) {
-            // The arena build with one reused Sha256 state must be
-            // byte-identical to the fresh-hasher level-by-level reference.
-            let data: Vec<Vec<u8>> = (0..n)
-                .map(|i| {
-                    let len = ((seed >> (i % 8)) as usize % 97) + 1;
-                    vec![(i as u8).wrapping_mul(seed as u8); len]
-                })
-                .collect();
-            let batched = MerkleTree::build(&data);
-            let reference = MerkleTree::build_reference(&data);
-            prop_assert_eq!(batched.root(), reference.root());
-            prop_assert_eq!(batched.witnesses(), reference.witnesses());
-        }
-
-        #[test]
-        fn prop_build_verify(n in 1usize..40, tamper in any::<u64>()) {
-            let data: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; (i % 7) + 1]).collect();
+        fn prop_build_verify(
+            data in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..98), 1..71),
+            extra in proptest::collection::vec(any::<u8>(), 1..98),
+            flip in any::<usize>(),
+        ) {
             let tree = MerkleTree::build(&data);
-            let idx = (tamper as usize) % n;
-            let w = tree.witness(idx);
-            prop_assert!(MerkleTree::verify(tree.root(), idx, &data[idx], &w));
-            let mut bad = data[idx].clone();
-            bad[0] ^= 1;
-            prop_assert!(!MerkleTree::verify(tree.root(), idx, &bad, &w));
+            let mut longer = data.clone();
+            longer.push(extra);
+            let longer = MerkleTree::build(&longer);
+            for (i, leaf) in data.iter().enumerate() {
+                let w = tree.witness(i);
+                prop_assert!(MerkleTree::verify(tree.root(), i, leaf, &w));
+                prop_assert!(!MerkleTree::verify(tree.root(), i + 1, leaf, &w));
+                prop_assert!(i == 0 || !MerkleTree::verify(tree.root(), i - 1, leaf, &w));
+                let mut bad = leaf.clone();
+                bad[flip % leaf.len()] ^= 1 << (flip % 8);
+                prop_assert!(!MerkleTree::verify(tree.root(), i, &bad, &w));
+                prop_assert!(!MerkleTree::verify(tree.root(), i, leaf, &longer.witness(i)));
+            }
         }
     }
 }

@@ -94,37 +94,14 @@ impl Sha256 {
         }
     }
 
-    /// Resets the hasher to its initial state.
-    ///
-    /// Batch hashing (e.g. a Merkle build over thousands of leaves) reuses
-    /// one hasher instead of constructing a fresh state per item.
-    pub fn reset(&mut self) {
-        self.state = H0;
-        self.buf_len = 0;
-        self.total_len = 0;
-    }
-
-    /// Finishes the computation, returns the digest, and resets the hasher
-    /// for the next message.
-    pub fn finalize_reset(&mut self) -> Hash256 {
-        let digest = self.finalize_in_place();
-        self.reset();
-        digest
-    }
-
     /// Finishes the computation and returns the digest.
     pub fn finalize(mut self) -> Hash256 {
-        self.finalize_in_place()
-    }
-
-    fn finalize_in_place(&mut self) -> Hash256 {
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeroes, then the 64-bit big-endian bit length.
         self.update_padding_byte();
         while self.buf_len != 56 {
             self.update_zero_byte();
         }
-        self.total_len = 0; // neutralize further length tracking
         let mut block = self.buf;
         block[56..64].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
@@ -248,24 +225,6 @@ mod tests {
         assert_eq!(
             h.finalize().to_hex(),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
-    }
-
-    #[test]
-    fn finalize_reset_matches_fresh_hasher() {
-        let mut h = Sha256::new();
-        for (input, expected) in VECTORS {
-            h.update(input);
-            assert_eq!(&h.finalize_reset().to_hex(), expected);
-        }
-        // Interleave buffered state: a partial block before reset must not
-        // leak into the next message.
-        h.update(b"garbage that never gets finalized");
-        h.reset();
-        h.update(b"abc");
-        assert_eq!(
-            h.finalize_reset().to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
     }
 

@@ -1,10 +1,8 @@
-//! Engine capacity/batching policy and session arrival plans.
-
-use ca_core::FastPathConfig;
+//! Engine capacity and session arrival plans.
 
 use crate::SessionId;
 
-/// Capacity and batching policy of one engine deployment.
+/// Capacity of one engine deployment.
 ///
 /// Every honest party must run the same configuration — admission and
 /// shedding decisions are part of the deterministic lock-step state, which
@@ -16,25 +14,11 @@ pub struct EngineConfig {
     /// sessions. Arrivals beyond it are rejected (open loop) or queued
     /// (closed loop).
     pub max_sessions: usize,
-    /// Per-round cap on frames accepted into one session's inbox from one
-    /// sender. Honest protocols send at most one message per peer per
-    /// round, so anything above the cap is byzantine flooding; excess
-    /// frames are shed (counted, never delivered) without touching other
-    /// sessions.
-    pub inbox_frames_per_sender: usize,
-    /// Maximum frames coalesced into one envelope. A round's traffic to
-    /// one destination splits into `⌈frames / max_batch_frames⌉`
-    /// envelopes, bounding the largest single transport message.
-    pub max_batch_frames: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        Self {
-            max_sessions: 64,
-            inbox_frames_per_sender: 8,
-            max_batch_frames: 1024,
-        }
+        Self { max_sessions: 64 }
     }
 }
 
@@ -58,11 +42,11 @@ pub struct SessionSpec {
     /// Engine round at which this session arrives (ignored in closed
     /// mode). Must be non-decreasing across the plan.
     pub arrival_round: u64,
-    /// Fault-adaptive fast-path mode for this session's protocol run
-    /// (`None` = worst-case only). Part of the shared deterministic
+    /// Whether this session runs behind the fault-adaptive fast path
+    /// (`false` = worst-case only). Part of the shared deterministic
     /// input, like the rest of the plan: every honest party must submit
     /// the same per-session mode or their round schedules diverge.
-    pub fast_path: Option<FastPathConfig>,
+    pub fast_path: bool,
 }
 
 /// The full arrival schedule of one engine run.
@@ -88,7 +72,7 @@ impl SessionPlan {
                 .map(|id| SessionSpec {
                     id: SessionId(id),
                     arrival_round: 0,
-                    fast_path: None,
+                    fast_path: false,
                 })
                 .collect(),
         }
@@ -104,18 +88,17 @@ impl SessionPlan {
                 .map(|(id, arrival_round)| SessionSpec {
                     id: SessionId(id),
                     arrival_round,
-                    fast_path: None,
+                    fast_path: false,
                 })
                 .collect(),
         }
     }
 
-    /// Enables the fault-adaptive fast path with `cfg` on every session
-    /// in the plan.
+    /// Enables the fault-adaptive fast path on every session in the plan.
     #[must_use]
-    pub fn with_fast_path(mut self, cfg: FastPathConfig) -> Self {
+    pub fn with_fast_path(mut self) -> Self {
         for s in &mut self.sessions {
-            s.fast_path = Some(cfg);
+            s.fast_path = true;
         }
         self
     }
@@ -140,13 +123,12 @@ mod tests {
         assert_eq!(plan.mode, ArrivalMode::Open);
         assert_eq!(plan.sessions[1].id, SessionId(9));
         assert_eq!(plan.sessions[1].arrival_round, 2);
-        assert!(plan.sessions.iter().all(|s| s.fast_path.is_none()));
+        assert!(plan.sessions.iter().all(|s| !s.fast_path));
     }
 
     #[test]
     fn with_fast_path_marks_every_session() {
-        let cfg = FastPathConfig::default();
-        let plan = SessionPlan::closed(3).with_fast_path(cfg);
-        assert!(plan.sessions.iter().all(|s| s.fast_path == Some(cfg)));
+        let plan = SessionPlan::closed(3).with_fast_path();
+        assert!(plan.sessions.iter().all(|s| s.fast_path));
     }
 }

@@ -39,6 +39,17 @@ use crate::{
 /// below it as `engine/s<id>/…`.
 pub const ENGINE_SCOPE: &str = "engine";
 
+/// Per-round cap on frames accepted into one session's inbox from one
+/// sender. Honest protocols send at most one message per peer per round,
+/// so anything above the cap is byzantine flooding; excess frames are shed
+/// (counted, never delivered) without touching other sessions.
+const INBOX_FRAMES_PER_SENDER: usize = 8;
+
+/// Maximum frames coalesced into one envelope. A round's traffic to one
+/// destination splits into `⌈frames / MAX_BATCH_FRAMES⌉` envelopes,
+/// bounding the largest single transport message.
+const MAX_BATCH_FRAMES: usize = 1024;
+
 /// What one party's engine run produced.
 #[derive(Debug)]
 pub struct EngineOutput<O> {
@@ -145,7 +156,7 @@ struct Slot {
 /// # Panics
 ///
 /// Panics if a session body panics (with that session's panic message),
-/// or if `config` capacities are zero.
+/// or if `config.max_sessions` is zero.
 // ca-budget: scope(engine) — the round scope is pushed via ENGINE_SCOPE, not a literal
 pub fn run_engine_party<O, F>(
     ctx: &mut dyn Comm,
@@ -158,11 +169,6 @@ where
     F: Fn(&mut dyn Comm, SessionId) -> O + Sync,
 {
     assert!(config.max_sessions > 0, "engine needs table capacity");
-    assert!(config.max_batch_frames > 0, "engine needs batch capacity");
-    assert!(
-        config.inbox_frames_per_sender > 0,
-        "engine needs inbox capacity"
-    );
 
     let n = ctx.n();
     let me = ctx.me();
@@ -293,8 +299,8 @@ where
                 let to = PartyId(to);
                 let mut frames = frames;
                 while !frames.is_empty() {
-                    let rest = if frames.len() > config.max_batch_frames {
-                        frames.split_off(config.max_batch_frames)
+                    let rest = if frames.len() > MAX_BATCH_FRAMES {
+                        frames.split_off(MAX_BATCH_FRAMES)
                     } else {
                         Vec::new()
                     };
@@ -363,7 +369,7 @@ where
                             continue;
                         };
                         let count = accepted.entry(sid).or_insert(0);
-                        if *count >= config.inbox_frames_per_sender {
+                        if *count >= INBOX_FRAMES_PER_SENDER {
                             stats.shed_frames += 1;
                         } else {
                             *count += 1;
@@ -566,10 +572,7 @@ mod tests {
     fn closed_loop_queues_past_capacity() {
         let n = 3;
         let plan = SessionPlan::closed(5);
-        let config = EngineConfig {
-            max_sessions: 2,
-            ..EngineConfig::default()
-        };
+        let config = EngineConfig { max_sessions: 2 };
         let report = Sim::new(n).run(|ctx, _id| {
             run_engine_party(ctx, &plan, &config, |sctx, sid| {
                 // Sessions run different round counts (1..=3).
@@ -595,10 +598,7 @@ mod tests {
     fn open_loop_rejects_past_capacity() {
         let n = 3;
         let plan = SessionPlan::open((0..6).map(|i| (i, 0)));
-        let config = EngineConfig {
-            max_sessions: 4,
-            ..EngineConfig::default()
-        };
+        let config = EngineConfig { max_sessions: 4 };
         let report = Sim::new(n).run(|ctx, _id| {
             run_engine_party(ctx, &plan, &config, |sctx, sid| {
                 sctx.exchange(&sid.0).decode_each::<u64>().len()
@@ -627,12 +627,12 @@ mod tests {
                 crate::SessionSpec {
                     id: SessionId(7),
                     arrival_round: 0,
-                    fast_path: None,
+                    fast_path: false,
                 },
                 crate::SessionSpec {
                     id: SessionId(7),
                     arrival_round: 0,
-                    fast_path: None,
+                    fast_path: false,
                 },
             ],
         };

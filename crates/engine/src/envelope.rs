@@ -1,7 +1,7 @@
 //! The session-tagged wire envelope.
 //!
-//! One engine round produces, per destination, one (or a few — see
-//! `EngineConfig::max_batch_frames`) [`Envelope`]s coalescing the round's
+//! One engine round produces, per destination, one (or, past 1024 frames,
+//! a few) [`Envelope`]s coalescing the round's
 //! messages of *every* live session. The envelope rides the existing
 //! transports unchanged: it is an opaque payload to `Comm::send_bytes`,
 //! and it decodes under the usual `ca-codec` discipline — claimed lengths

@@ -11,7 +11,7 @@
 use ca_adversary::{Attack, LieKind};
 use ca_ba::BaKind;
 use ca_bits::{BitString, Nat};
-use ca_core::{check_agreement, check_convex_validity, pi_n, pi_n_adaptive, FastPathConfig};
+use ca_core::{check_agreement, check_convex_validity, pi_n, pi_n_adaptive};
 use ca_net::{max_faults, Sim};
 use ca_runtime::Clock;
 use rand::rngs::SmallRng;
@@ -42,11 +42,11 @@ pub struct LoadProfile {
     pub ba: BaKind,
     /// Workload seed; per-session input seeds derive from it.
     pub seed: u64,
-    /// Engine capacity/batching policy.
+    /// Engine capacity.
     pub config: EngineConfig,
-    /// Fault-adaptive fast-path mode applied to every session (`None` =
-    /// worst-case protocol only).
-    pub fast_path: Option<FastPathConfig>,
+    /// Whether every session runs behind the fault-adaptive fast path
+    /// (`false` = worst-case protocol only).
+    pub fast_path: bool,
 }
 
 impl LoadProfile {
@@ -65,7 +65,7 @@ impl LoadProfile {
             ba: BaKind::default(),
             seed: 0xCA_10AD,
             config: EngineConfig::default(),
-            fast_path: None,
+            fast_path: false,
         }
     }
 }
@@ -181,9 +181,10 @@ pub fn plan_of(profile: &LoadProfile) -> SessionPlan {
             (0..profile.sessions as u64).map(|i| (i, i * profile.arrival_interval)),
         ),
     };
-    match profile.fast_path {
-        Some(cfg) => plan.with_fast_path(cfg),
-        None => plan,
+    if profile.fast_path {
+        plan.with_fast_path()
+    } else {
+        plan
     }
 }
 
@@ -211,18 +212,20 @@ fn run_load_seeded(profile: &LoadProfile, seed: u64) -> LoadReport {
         })
         .collect();
 
-    let modes: std::collections::BTreeMap<u64, Option<FastPathConfig>> = plan
+    let fast: std::collections::BTreeSet<u64> = plan
         .sessions
         .iter()
-        .map(|s| (s.id.0, s.fast_path))
+        .filter(|s| s.fast_path)
+        .map(|s| s.id.0)
         .collect();
     let sim = profile.attack.install(Sim::new(n), n, t);
     let report = sim.run(|ctx, _id| {
         run_engine_party(ctx, &plan, &profile.config, |sctx, sid| {
             let input = inputs[sid.0 as usize][sctx.me().index()].clone();
-            match modes.get(&sid.0).copied().flatten() {
-                Some(cfg) => pi_n_adaptive(sctx, &input, profile.ba, cfg),
-                None => pi_n(sctx, &input, profile.ba),
+            if fast.contains(&sid.0) {
+                pi_n_adaptive(sctx, &input, profile.ba)
+            } else {
+                pi_n(sctx, &input, profile.ba)
             }
         })
     });
@@ -336,13 +339,13 @@ mod tests {
     fn adaptive_sessions_decide_correctly_and_cheaper() {
         let mut adaptive = LoadProfile::closed(4, 4, 48);
         adaptive.spread_bits = 0; // unanimous inputs: fast path certifies
-        adaptive.fast_path = Some(FastPathConfig::default());
+        adaptive.fast_path = true;
         let fast = run_load(&adaptive);
         assert_eq!(fast.sessions_decided, 4);
         assert!(fast.agreement && fast.validity);
 
         let mut worst = adaptive.clone();
-        worst.fast_path = None;
+        worst.fast_path = false;
         let slow = run_load(&worst);
         assert!(slow.agreement && slow.validity);
         assert!(
@@ -358,7 +361,7 @@ mod tests {
         for kind in [AttackKind::Garbage, AttackKind::Crash] {
             let mut profile = LoadProfile::closed(4, 3, 40);
             profile.attack = Attack::new(kind).with_seed(13);
-            profile.fast_path = Some(FastPathConfig::default());
+            profile.fast_path = true;
             let report = run_load(&profile);
             assert_eq!(report.sessions_decided, 3, "{kind:?}");
             assert!(report.agreement && report.validity, "{kind:?}");

@@ -57,12 +57,6 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Total protocol payload bits across sessions.
-    #[must_use]
-    pub fn payload_bits_total(&self) -> u64 {
-        self.payload_bits.values().sum()
-    }
-
     /// Element-wise accumulation: counters add, histograms merge,
     /// per-session payload maps add. Used both to aggregate one run
     /// across parties and to accumulate repeated runs in closed-loop
@@ -117,6 +111,5 @@ mod tests {
         assert_eq!(a.batch_occupancy.count(), 2);
         assert_eq!(a.payload_bits[&1], 150);
         assert_eq!(a.payload_bits[&2], 7);
-        assert_eq!(a.payload_bits_total(), 157);
     }
 }

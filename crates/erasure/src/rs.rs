@@ -243,11 +243,6 @@ impl ReedSolomon {
         })
     }
 
-    /// Total number of shares `n`.
-    pub fn total_shares(&self) -> usize {
-        self.n
-    }
-
     /// Reconstruction threshold `k`.
     pub fn threshold(&self) -> usize {
         self.k

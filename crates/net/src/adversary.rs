@@ -38,11 +38,6 @@ pub struct RoundView<'a> {
 }
 
 impl RoundView<'_> {
-    /// Honest round-`r` messages addressed to `to`.
-    pub fn sends_to(&self, to: PartyId) -> impl Iterator<Item = &(PartyId, PartyId, Bytes)> {
-        self.honest_sends.iter().filter(move |(_, t2, _)| *t2 == to)
-    }
-
     /// Honest round-`r` messages originating from `from`.
     pub fn sends_from(&self, from: PartyId) -> impl Iterator<Item = &(PartyId, PartyId, Bytes)> {
         self.honest_sends.iter().filter(move |(f, _, _)| *f == from)

@@ -65,14 +65,6 @@ impl Inbox {
             .filter_map(|i| self.decode_from::<T>(PartyId(i)).map(|v| (PartyId(i), v)))
             .collect()
     }
-
-    /// Total payload bytes in this inbox.
-    pub fn total_bytes(&self) -> usize {
-        self.by_sender
-            .iter()
-            .flat_map(|msgs| msgs.iter().map(Bytes::len))
-            .sum()
-    }
 }
 
 #[cfg(test)]

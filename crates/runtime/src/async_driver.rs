@@ -24,10 +24,10 @@
 //!
 //! Quorum-driven protocols never time out, but a deployment still needs
 //! an exit: the driver returns once the protocol decides *and* the link
-//! has been quiet for [`AsyncTcpOpts::linger`] (so late peers still get
-//! this party's echo/ready responses — reliable-broadcast totality needs
-//! deciders to keep participating), or unconditionally after
-//! [`AsyncTcpOpts::deadline`] (a liveness backstop for runs with more
+//! has been quiet for the fixed linger window of 300 ms (so late peers
+//! still get this party's echo/ready responses — reliable-broadcast
+//! totality needs deciders to keep participating), or unconditionally
+//! after the fixed 30 s deadline (a liveness backstop for runs with more
 //! than `t` failures).
 
 use std::collections::{BTreeMap, VecDeque};
@@ -42,54 +42,38 @@ use ca_trace::Event as TraceEvent;
 use crate::party::Polled;
 use crate::TcpParty;
 
-/// Tuning for one [`run_async_party`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsyncTcpOpts {
-    /// Hard wall-clock cap on the whole run (measured on the party's
-    /// injected clock). The driver returns whatever the protocol has
-    /// decided when it expires.
-    pub deadline: Duration,
-    /// How long each event poll blocks. Smaller is more responsive,
-    /// larger burns fewer wakeups; correctness does not depend on it.
-    pub poll: Duration,
-    /// After deciding, keep serving peers until the link has been quiet
-    /// this long. Must comfortably exceed one network round trip.
-    pub linger: Duration,
-    /// Trace scope the run's records live under.
-    pub scope: String,
-    /// Milliseconds one [`Action::SetTimer`] unit stretches to.
-    pub ms_per_timer_unit: u64,
-}
+/// Hard wall-clock cap on the whole run (measured on the party's injected
+/// clock). The driver returns whatever the protocol has decided when it
+/// expires.
+const DEADLINE: Duration = Duration::from_secs(30);
 
-impl Default for AsyncTcpOpts {
-    fn default() -> Self {
-        Self {
-            deadline: Duration::from_secs(30),
-            poll: Duration::from_millis(5),
-            linger: Duration::from_millis(300),
-            scope: "async".to_owned(),
-            ms_per_timer_unit: 1,
-        }
-    }
-}
+/// How long each event poll blocks. Smaller is more responsive, larger
+/// burns fewer wakeups; correctness does not depend on it.
+const POLL: Duration = Duration::from_millis(5);
+
+/// After deciding, keep serving peers until the link has been quiet this
+/// long. Must comfortably exceed one network round trip.
+const LINGER: Duration = Duration::from_millis(300);
+
+/// Trace scope the run's records live under.
+const SCOPE: &str = "async";
+
+/// Milliseconds one [`Action::SetTimer`] unit stretches to.
+const MS_PER_TIMER_UNIT: u64 = 1;
 
 /// Runs `proto` on `party` event-driven until it decides (plus the
 /// linger window) or the deadline expires. Returns the decision, or
 /// `None` if the protocol never decided — or crashed under its fault
 /// plan, which wipes the decision exactly as the deterministic executor
 /// does.
-pub fn run_async_party<P: AsyncProtocol>(
-    party: &mut TcpParty,
-    mut proto: P,
-    opts: &AsyncTcpOpts,
-) -> Option<P::Output>
+pub fn run_async_party<P: AsyncProtocol>(party: &mut TcpParty, mut proto: P) -> Option<P::Output>
 where
     P::Output: Display,
 {
     let me = party.me();
     let start = party.clock_now();
     let plan = party.fault_plan();
-    party.push_scope(&opts.scope);
+    party.push_scope(SCOPE);
     if let Some(repr) = proto.input_repr() {
         party.trace(TraceEvent::Input { value: repr });
     }
@@ -104,18 +88,11 @@ where
     let mut last_activity = start;
 
     let actions = proto.on_start();
-    apply(
-        party,
-        &mut self_queue,
-        &mut timers,
-        &mut timer_seq,
-        opts,
-        actions,
-    );
+    apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
 
     loop {
         let now = party.clock_now();
-        if party.is_crashed() || now.saturating_sub(start) >= opts.deadline {
+        if party.is_crashed() || now.saturating_sub(start) >= DEADLINE {
             break;
         }
 
@@ -126,30 +103,16 @@ where
                 bytes: payload.len() as u64,
             });
             let actions = proto.on_message(me, &payload);
-            apply(
-                party,
-                &mut self_queue,
-                &mut timers,
-                &mut timer_seq,
-                opts,
-                actions,
-            );
+            apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
         } else if timers
             .first_key_value()
             .is_some_and(|((at, _), _)| *at <= now)
         {
             let ((_, _), id) = timers.pop_first().expect("checked non-empty");
             let actions = proto.on_timer(id);
-            apply(
-                party,
-                &mut self_queue,
-                &mut timers,
-                &mut timer_seq,
-                opts,
-                actions,
-            );
+            apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
         } else {
-            match party.poll_event(opts.poll) {
+            match party.poll_event(POLL) {
                 Polled::Msg { from, payload } => {
                     delivered += 1;
                     // The fault plan's "rounds" are delivered-message
@@ -179,19 +142,12 @@ where
                         });
                         // The delivery happened; its responses are lost.
                     } else {
-                        apply(
-                            party,
-                            &mut self_queue,
-                            &mut timers,
-                            &mut timer_seq,
-                            opts,
-                            actions,
-                        );
+                        apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
                     }
                 }
                 Polled::Housekeeping => {}
                 Polled::Quiet => {
-                    if decided && party.clock_now().saturating_sub(last_activity) >= opts.linger {
+                    if decided && party.clock_now().saturating_sub(last_activity) >= LINGER {
                         break;
                     }
                 }
@@ -223,7 +179,6 @@ fn apply(
     self_queue: &mut VecDeque<Bytes>,
     timers: &mut BTreeMap<(Duration, u64), u64>,
     timer_seq: &mut u64,
-    opts: &AsyncTcpOpts,
     actions: Vec<Action>,
 ) {
     let me = party.me().index();
@@ -248,7 +203,7 @@ fn apply(
             Action::SetTimer { id, after } => {
                 let at = party
                     .clock_now()
-                    .saturating_add(Duration::from_millis(after * opts.ms_per_timer_unit));
+                    .saturating_add(Duration::from_millis(after * MS_PER_TIMER_UNIT));
                 timers.insert((at, *timer_seq), id);
                 *timer_seq += 1;
             }
@@ -256,19 +211,5 @@ fn apply(
                 party.trace(TraceEvent::Note { label, value });
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_opts_are_sane() {
-        let opts = AsyncTcpOpts::default();
-        assert!(opts.deadline > opts.linger);
-        assert!(opts.linger > opts.poll);
-        assert_eq!(opts.scope, "async");
-        assert_eq!(opts.ms_per_timer_unit, 1);
     }
 }

@@ -156,24 +156,20 @@ impl TcpCluster {
     /// counts). The configured Δ is irrelevant on this path.
     ///
     /// Returns each party's decision (`None` for parties that crashed
-    /// under their plan or hit [`AsyncTcpOpts::deadline`]), in party
-    /// order.
+    /// under their plan or hit the driver's fixed 30 s deadline), in
+    /// party order.
     ///
     /// # Errors
     ///
     /// [`RuntimeError`] if sockets cannot be set up.
-    pub fn run_async<P, F>(
-        self,
-        opts: &crate::AsyncTcpOpts,
-        make: F,
-    ) -> Result<Vec<Option<P::Output>>, RuntimeError>
+    pub fn run_async<P, F>(self, make: F) -> Result<Vec<Option<P::Output>>, RuntimeError>
     where
         P: AsyncProtocol,
         P::Output: Send,
         P::Output: std::fmt::Display,
         F: Fn(PartyId) -> P + Send + Sync,
     {
-        self.run_parties(|party, id| crate::run_async_party(party, make(id), opts))
+        self.run_parties(|party, id| crate::run_async_party(party, make(id)))
             .map(|report| report.outputs)
     }
 
@@ -318,10 +314,11 @@ mod tests {
     fn manual_clock_party_runs_rounds_without_wall_time() {
         let addr = free_addr();
         let clock = ManualClock::new();
-        let mut comm = TcpParty::establish_with_clock(
+        let mut comm = TcpParty::establish_with(
             PartyId(0),
             &[addr],
             Duration::from_secs(3600),
+            &EstablishOpts::default(),
             Box::new(clock.clone()),
         )
         .unwrap();
@@ -495,6 +492,82 @@ mod tests {
         assert_eq!(comm.stats().peers_gone, 1);
         done_tx.send(()).unwrap();
         flooder.join().unwrap();
+    }
+
+    /// The cut-off is real. After the overflow the flooder's socket is shut
+    /// down — its writes start failing on their own, so its reader thread
+    /// no longer competes for the shared event queue — and a well-formed
+    /// frame it tags with the *next* round is not delivered, even though an
+    /// honest peer keeps that round's wait loop draining events.
+    #[test]
+    fn cut_off_flooder_is_disconnected_and_never_delivered_again() {
+        use ca_codec::Encode as _;
+        let addr0 = free_addr();
+        let (cut_tx, cut_rx) = std::sync::mpsc::channel::<()>();
+        let flooder = std::thread::spawn(move || {
+            let mut stream = dial_as(addr0, 1);
+            let junk = |round| Frame::Msg {
+                round,
+                payload: Bytes::from(vec![0xEE; 64]),
+            };
+            let mut round = 1u64 << 40;
+            while cut_rx.try_recv().is_err() && junk(round).write_to(&mut stream).is_ok() {
+                round += 1;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Cut off by now. Let party 0 drain what is queued, then try
+            // to slip a current-round message in.
+            std::thread::sleep(Duration::from_millis(100));
+            let _ = Frame::Msg {
+                round: 2,
+                payload: Bytes::from(99u64.encode_to_vec()),
+            }
+            .write_to(&mut stream);
+            // Nobody tells this loop to stop: only the shut-down socket can.
+            (0..3000).any(|_| {
+                std::thread::sleep(Duration::from_millis(1));
+                junk(round).write_to(&mut stream).is_err()
+            })
+        });
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let honest = std::thread::spawn(move || {
+            let mut stream = dial_as(addr0, 2);
+            Frame::Eor { round: 1 }.write_to(&mut stream).unwrap();
+            go_rx.recv().unwrap();
+            // Hold round 2 open well past the flooder's late message.
+            std::thread::sleep(Duration::from_millis(300));
+            Frame::Eor { round: 2 }.write_to(&mut stream).unwrap();
+            stream
+        });
+
+        let opts = EstablishOpts {
+            event_queue_depth: 8,
+            ..EstablishOpts::default()
+        };
+        let unused: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let mut comm = TcpParty::establish_with(
+            PartyId(0),
+            &[addr0, unused, unused],
+            Duration::from_secs(30),
+            &opts,
+            Box::new(crate::MonotonicClock::default()),
+        )
+        .unwrap();
+        comm.exchange(&7u64);
+        assert_eq!(comm.silent_parties(), vec![PartyId(1)]);
+        cut_tx.send(()).unwrap();
+        go_tx.send(()).unwrap();
+        let inbox = comm.exchange(&8u64);
+        assert!(
+            inbox.raw_from(PartyId(1)).is_empty(),
+            "a cut-off peer delivered a message"
+        );
+        assert_eq!(comm.stats().peers_gone, 1);
+        assert!(
+            flooder.join().unwrap(),
+            "the flooder's socket was never shut down"
+        );
+        drop(honest.join().unwrap());
     }
 
     #[test]

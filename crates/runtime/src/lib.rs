@@ -17,7 +17,9 @@
 //! [`TcpCluster::run_async`] advance a protocol instance per delivered
 //! message, with no round barriers and no Δ anywhere — the TCP
 //! deployment of the same state machines the deterministic
-//! [`ca_async::Executor`] schedules in tests.
+//! [`ca_async::Executor`] schedules in tests. Its post-decision linger
+//! (300 ms) and its liveness deadline (30 s) are fixed constants of the
+//! driver, not settings.
 //!
 //! Scope: this runtime demonstrates deployment and is used by the
 //! `tcp_cluster` example and the simulator-equivalence tests. It does not
@@ -49,7 +51,7 @@ mod frame;
 mod party;
 mod stats;
 
-pub use async_driver::{run_async_party, AsyncTcpOpts};
+pub use async_driver::run_async_party;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use cluster::{ClusterReport, TcpCluster};
 pub use fault::FaultPlan;

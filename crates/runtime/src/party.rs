@@ -142,8 +142,11 @@ impl WriterItem {
 /// failure) or who overflow a bounded queue (the writer queue by not
 /// reading, the early-message buffer by flooding) are marked *gone*:
 /// `next_round` never waits on them again and never again delivers from
-/// them — from the protocol's view they are silent-byzantine, which the
-/// model already tolerates for up to `t` parties. A deliberate `Bye`
+/// them — their socket is shut down, so their reader thread exits instead
+/// of competing for the shared event queue, and anything of theirs still
+/// in flight is dropped. From the protocol's view they are
+/// silent-byzantine, which the model already tolerates for up to `t`
+/// parties. A deliberate `Bye`
 /// (normal end of run) also stops the waiting but is not an outage: it
 /// bumps no stat and traces no `PeerGone`, so fault-free runs report
 /// zero gone peers however the final round's shutdowns interleave.
@@ -174,6 +177,9 @@ pub struct TcpParty {
     eor: Vec<u64>,
     /// Peers whose stream ended or who were cut off.
     gone: Vec<bool>,
+    /// One handle per peer socket, taken and shut down when the peer is
+    /// marked gone so its reader and writer threads exit.
+    links: Vec<Option<TcpStream>>,
     /// Subset of `gone` cut off for active misbehavior (queue overflow)
     /// rather than mere silence; feeds [`Comm::fault_estimate`].
     suspected: Vec<bool>,
@@ -215,23 +221,9 @@ impl TcpParty {
         )
     }
 
-    /// [`TcpParty::establish`] with an explicit time source, so tests can
-    /// drive the Δ deadline with a [`ManualClock`](crate::ManualClock).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TcpParty::establish`].
-    pub fn establish_with_clock(
-        me: PartyId,
-        addrs: &[SocketAddr],
-        delta: Duration,
-        clock: Box<dyn Clock>,
-    ) -> Result<Self, RuntimeError> {
-        Self::establish_with(me, addrs, delta, &EstablishOpts::default(), clock)
-    }
-
     /// [`TcpParty::establish`] with explicit establishment options and
-    /// time source.
+    /// time source (tests drive the Δ deadline with a
+    /// [`ManualClock`](crate::ManualClock)).
     ///
     /// # Errors
     ///
@@ -253,8 +245,10 @@ impl TcpParty {
         // Two detached threads per peer; each exits when its socket or its
         // channel closes, so there is no shutdown protocol on drop.
         let mut writers: Vec<Option<mpsc::SyncSender<WriterItem>>> = (0..n).map(|_| None).collect();
+        let mut links: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
         for (peer, stream) in streams {
             let read_half = stream.try_clone()?;
+            links[peer] = Some(stream.try_clone()?);
             let (tx, rx) = mpsc::sync_channel::<WriterItem>(opts.writer_queue_frames);
             writers[peer] = Some(tx);
             std::thread::Builder::new()
@@ -286,6 +280,7 @@ impl TcpParty {
                 g[me.index()] = true; // never wait on ourselves
                 g
             },
+            links,
             suspected: vec![false; n],
             fault: FaultPlan::default(),
             crashed: false,
@@ -341,13 +336,16 @@ impl TcpParty {
         });
     }
 
-    /// Marks `peer` silent-byzantine (idempotent), bumping the stat and
-    /// tracing the observation.
+    /// Marks `peer` silent-byzantine (idempotent) and cuts its socket,
+    /// bumping the stat and tracing the observation.
     fn mark_gone(&mut self, peer: usize, reason: &str) {
         if peer == self.me.index() || self.gone[peer] {
             return;
         }
         self.gone[peer] = true;
+        if let Some(link) = self.links[peer].take() {
+            let _ = link.shutdown(Shutdown::Both);
+        }
         self.suspected[peer] = reason == "overflow";
         self.stats.peers_gone.fetch_add(1, Ordering::Relaxed);
         if self.sink.enabled() {
@@ -361,12 +359,10 @@ impl TcpParty {
     /// Buffers a message tagged with a round we have not reached. Honest
     /// peers run at most a few frames ahead; one with `future_cap` frames
     /// already waiting is flooding, so the frame is shed, the peer cut off
-    /// and its backlog freed — and a peer already given up on gets no
-    /// buffer at all — rather than letting the backlog grow without bound.
+    /// and its backlog freed rather than letting the backlog grow without
+    /// bound. (A peer already given up on never gets here: `absorb` drops
+    /// its messages.)
     fn file_early(&mut self, from: usize, round: u64, payload: Bytes) {
-        if self.gone[from] {
-            return;
-        }
         if self.future_msgs[from].len() < self.future_cap {
             self.future_msgs[from].push((round, payload));
             return;
@@ -475,9 +471,12 @@ impl TcpParty {
 
     /// Absorbs one inbound event. Liveness bookkeeping — end-of-round
     /// markers, `Bye`, lost streams — is applied here and nowhere else; a
-    /// protocol message is handed back as `(from, round tag, payload)`.
+    /// protocol message is handed back as `(from, round tag, payload)` —
+    /// unless its sender is already gone: what a cut-off peer still had in
+    /// flight is never delivered.
     fn absorb(&mut self, Event { from, frame }: Event) -> Option<(usize, u64, Bytes)> {
         match frame {
+            Some(Frame::Msg { .. }) if self.gone[from] => {}
             Some(Frame::Msg { round, payload }) => return Some((from, round, payload)),
             Some(Frame::Eor { round }) => self.eor[from] = self.eor[from].max(round),
             // A deliberate Bye: the peer finished its run. Stop waiting on

@@ -5,7 +5,7 @@
 use ca_async::{rounds_for_spread, AsyncApprox};
 use ca_bits::Nat;
 use ca_net::PartyId;
-use ca_runtime::{AsyncTcpOpts, FaultPlan, TcpCluster};
+use ca_runtime::{FaultPlan, TcpCluster};
 
 const N: usize = 4;
 const T: usize = 1;
@@ -46,7 +46,7 @@ fn check_survivors(outs: &[Option<Nat>], survivors: &[usize]) {
 fn async_aaa_decides_over_tcp_without_delta_tuning() {
     let outs = TcpCluster::new(N)
         .with_delta(std::time::Duration::from_nanos(1))
-        .run_async(&AsyncTcpOpts::default(), |id: PartyId| {
+        .run_async(|id: PartyId| {
             AsyncApprox::new(N, T, id, Nat::from_u64(inputs()[id.index()]), rounds())
         })
         .unwrap();
@@ -62,7 +62,7 @@ fn async_aaa_decides_over_tcp_without_delta_tuning() {
 fn async_survivors_decide_past_mid_protocol_crash() {
     let outs = TcpCluster::new(N)
         .with_fault_plan(N - 1, FaultPlan::new().crash_at(15))
-        .run_async(&AsyncTcpOpts::default(), |id: PartyId| {
+        .run_async(|id: PartyId| {
             AsyncApprox::new(N, T, id, Nat::from_u64(inputs()[id.index()]), rounds())
         })
         .unwrap();

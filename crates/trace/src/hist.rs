@@ -146,21 +146,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Non-empty buckets as `(lower_inclusive, upper_inclusive, count)`
-    /// triples, ascending — the rendering-friendly view.
-    #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let lower = if i == 0 { 0 } else { 1u64 << (i - 1) };
-                (lower, Self::bucket_upper(i), c)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -238,14 +223,5 @@ mod tests {
             b.record(v);
         }
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn nonzero_buckets_render() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(5);
-        let buckets = h.nonzero_buckets();
-        assert_eq!(buckets, vec![(0, 0, 1), (4, 7, 1)]);
     }
 }

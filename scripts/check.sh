@@ -12,7 +12,13 @@
 #                      async chaos suites included); the smoke stages below
 #                      gate artifacts, not tests.
 #   5. trace smoke   — a real traced experiment run must produce artifacts
-#                      that pass `ca-trace check`
+#                      that pass `ca-trace check`. The five --quick
+#                      experiments behind stages 5–8 and 10 run here, once;
+#                      F3, A1 and AS1 are exact units only (bits, rounds,
+#                      virtual time), so their fresh BENCH files must equal
+#                      the ones committed at the repo root — a changed
+#                      number without the artifact updated in the same
+#                      commit fails the gate
 #   6. engine smoke  — the multi-tenant service: the S1 throughput
 #                      experiment must emit its BENCH artifact, and the
 #                      closed-loop load generator must sustain real load
@@ -60,24 +66,29 @@ cargo test --workspace --offline -q
 echo "==> [5/12] trace smoke (artifacts + invariants)"
 artifacts="$(mktemp -d)"
 trap 'rm -rf "$artifacts"' EXIT
-cargo run --offline -q -p ca-bench --bin experiments -- f3 --quick --artifacts "$artifacts" >/dev/null
+# Fails unless the fresh exact-unit artifact equals the committed one.
+same_as_committed() {
+    diff -u "$1" "$artifacts/$1" \
+        || { echo "$1: exact metrics differ from the committed artifact"; exit 1; }
+}
+cargo run --offline -q -p ca-bench --bin experiments -- f3 s1 r1 a1 as1 --quick \
+    --artifacts "$artifacts" >/dev/null
 test -s "$artifacts/run.jsonl"      || { echo "missing run.jsonl"; exit 1; }
 test -s "$artifacts/BENCH_f3.json"  || { echo "missing BENCH_f3.json"; exit 1; }
+same_as_committed BENCH_f3.json
 cargo run --offline -q -p ca-trace --bin ca-trace -- check "$artifacts/run.jsonl"
 cargo run --offline -q -p ca-trace --bin ca-trace -- report "$artifacts/run.jsonl" >/dev/null
 
 echo "==> [6/12] engine smoke (S1 artifact + closed-loop load)"
-cargo run --offline -q -p ca-bench --bin experiments -- s1 --quick --artifacts "$artifacts" >/dev/null
 test -s "$artifacts/BENCH_s1.json"  || { echo "missing BENCH_s1.json"; exit 1; }
 cargo run --offline -q -p ca-engine --example closed_loop -- 2 >/dev/null
 
 echo "==> [7/12] chaos smoke (R1 artifact)"
-cargo run --offline -q -p ca-bench --bin experiments -- r1 --quick --artifacts "$artifacts" >/dev/null
 test -s "$artifacts/BENCH_r1.json"  || { echo "missing BENCH_r1.json"; exit 1; }
 
 echo "==> [8/12] adaptive smoke (A1 fast-path gate)"
-cargo run --offline -q -p ca-bench --bin experiments -- a1 --quick --artifacts "$artifacts" >/dev/null
 test -s "$artifacts/BENCH_a1.json"  || { echo "missing BENCH_a1.json"; exit 1; }
+same_as_committed BENCH_a1.json
 grep -q '"f0_beats_worst_case": true' "$artifacts/BENCH_a1.json" \
     || { echo "BENCH_a1.json: fast path did not beat the worst case at f = 0"; exit 1; }
 
@@ -87,8 +98,8 @@ cargo run --offline -q -p ca-analyzer -- --deep --deny --baseline analyzer-basel
     --emit json >/dev/null   # JSON emitter stays parseable for CI
 
 echo "==> [10/12] async smoke (AS1 artifact gate)"
-cargo run --offline -q -p ca-bench --bin experiments -- as1 --quick --artifacts "$artifacts" >/dev/null
 test -s "$artifacts/BENCH_as1.json" || { echo "missing BENCH_as1.json"; exit 1; }
+same_as_committed BENCH_as1.json
 grep -q '"as1_async_wins": true' "$artifacts/BENCH_as1.json" \
     || { echo "BENCH_as1.json: async did not beat the mistuned sync baselines"; exit 1; }
 

@@ -175,8 +175,8 @@ mod fast_path_conformance {
     use convex_agreement::adversary::Attack;
     use convex_agreement::ba::BaKind;
     use convex_agreement::bits::Nat;
-    use convex_agreement::core::{pi_n_adaptive, FastPathConfig};
-    use convex_agreement::net::{max_faults, Sim};
+    use convex_agreement::core::{pi_n, pi_n_adaptive};
+    use convex_agreement::net::{max_faults, Comm, Sim};
     use convex_agreement::trace::{
         check, first_divergence, Event, Record, RingBufferSink, TraceSink,
     };
@@ -184,17 +184,19 @@ mod fast_path_conformance {
     const CN: usize = 7;
     const UNANIMOUS: u64 = 4242;
 
-    /// Runs `pi_n_adaptive` at `n = 7`, `f = t` with unanimous honest
-    /// inputs under `attack`; returns honest outputs plus the full trace.
-    fn traced_adaptive(attack: Attack, cfg: FastPathConfig) -> (Vec<Nat>, Vec<Record>) {
+    /// Runs `proto` (`pi_n_adaptive`, or `pi_n` as the reference) at
+    /// `n = 7`, `f = t` with unanimous honest inputs under `attack`;
+    /// returns honest outputs plus the full trace.
+    fn traced(
+        attack: Attack,
+        proto: fn(&mut dyn Comm, &Nat, BaKind) -> Nat,
+    ) -> (Vec<Nat>, Vec<Record>) {
         let t = max_faults(CN);
         let sink = Arc::new(RingBufferSink::new(8_000_000));
         let report = attack
             .install(Sim::new(CN), CN, t)
             .with_trace(Arc::clone(&sink) as Arc<dyn TraceSink>)
-            .run(move |ctx, _| {
-                pi_n_adaptive(ctx, &Nat::from_u64(UNANIMOUS), BaKind::TurpinCoan, cfg)
-            });
+            .run(move |ctx, _| proto(ctx, &Nat::from_u64(UNANIMOUS), BaKind::TurpinCoan));
         let outs = report.honest_outputs().into_iter().cloned().collect();
         let records = sink.records();
         assert_eq!(sink.total_seen() as usize, records.len(), "ring wrapped");
@@ -215,7 +217,7 @@ mod fast_path_conformance {
             // Honest parties are unanimous, so the honest hull is a single
             // point: whichever path each run takes, the only correct
             // decision is the unanimous input.
-            let (outs, records) = traced_adaptive(attack, FastPathConfig::default());
+            let (outs, records) = traced(attack, pi_n_adaptive);
             assert_eq!(
                 outs,
                 vec![Nat::from_u64(UNANIMOUS); CN - t],
@@ -223,13 +225,9 @@ mod fast_path_conformance {
                 attack.name()
             );
 
-            // Cross-path agreement: a run with the fast path disabled
-            // (pure worst-case protocol) decides the identical value.
-            let disabled = FastPathConfig {
-                enabled: false,
-                ..FastPathConfig::default()
-            };
-            let (slow_outs, _) = traced_adaptive(attack, disabled);
+            // Cross-path agreement: the pure worst-case protocol decides
+            // the identical value.
+            let (slow_outs, _) = traced(attack, pi_n);
             assert_eq!(
                 outs,
                 slow_outs,
@@ -244,7 +242,7 @@ mod fast_path_conformance {
 
             // Byte-determinism: an identical rerun reproduces the trace
             // down to the JSONL byte.
-            let (outs_b, records_b) = traced_adaptive(attack, FastPathConfig::default());
+            let (outs_b, records_b) = traced(attack, pi_n_adaptive);
             assert_eq!(outs, outs_b, "[{}]", attack.name());
             assert!(
                 first_divergence(&records, &records_b).is_none(),

@@ -186,7 +186,6 @@ fn many_seeds_adversarial_sweep() {
 }
 
 #[test]
-#[ignore = "large-scale soak test (~minutes); run with `cargo test -- --ignored`"]
 fn large_scale_soak_n25() {
     // n = 25, t = 8: the largest configuration in the repo's test suite.
     let n = 25;

@@ -235,10 +235,7 @@ proptest! {
 fn admission_rejects_past_capacity_consistently() {
     let n = 4;
     let plan = SessionPlan::open((0..8u64).map(|i| (i, 0)));
-    let config = EngineConfig {
-        max_sessions: 4,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig { max_sessions: 4 };
     let report = Sim::new(n).run(move |ctx, _id| {
         run_engine_party(ctx, &plan, &config, |sctx, sid| {
             let input = Nat::from_u64(50 + sid.0 + sctx.me().index() as u64);
@@ -282,9 +279,9 @@ impl Adversary for Flood {
                 continue;
             }
             // Overfill the per-(session, sender) inbox cap for the live
-            // session (cap is 2 in this test; one envelope of 5 frames).
+            // session (the cap is 8; one envelope of 12 frames).
             let flood = Envelope {
-                frames: (0..5)
+                frames: (0..12)
                     .map(|i| SessionFrame {
                         session: self.live,
                         payload: Bytes::from(vec![0xAB, i]),
@@ -324,10 +321,7 @@ fn flooding_adversary_is_shed_without_corrupting_sessions() {
     let n = 4;
     let t = max_faults(n);
     let plan = SessionPlan::closed(2);
-    let config = EngineConfig {
-        inbox_frames_per_sender: 2,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig::default();
     let report = Sim::new(n)
         .corrupt(PartyId(n - 1), Corruption::Scripted)
         .with_adversary(Flood { live: SessionId(0) })

@@ -8,9 +8,7 @@ use std::sync::Arc;
 use convex_agreement::adversary::{Attack, LieKind};
 use convex_agreement::ba::BaKind;
 use convex_agreement::bits::{Int, Nat};
-use convex_agreement::core::{
-    check_agreement, check_convex_validity, pi_n_adaptive, pi_z, FastPathConfig,
-};
+use convex_agreement::core::{check_agreement, check_convex_validity, pi_n_adaptive, pi_z};
 use convex_agreement::net::{Corruption, PartyId, Sim};
 use convex_agreement::trace::{check, Event, RingBufferSink, TraceSink};
 use proptest::prelude::*;
@@ -87,7 +85,7 @@ proptest! {
         }
         let inputs_run = inputs.clone();
         let report = sim.run(move |ctx, id| {
-            pi_n_adaptive(ctx, &inputs_run[id.index()], BaKind::TurpinCoan, FastPathConfig::default())
+            pi_n_adaptive(ctx, &inputs_run[id.index()], BaKind::TurpinCoan)
         });
 
         let honest_inputs: Vec<Nat> = report
@@ -160,7 +158,7 @@ proptest! {
             .with_trace(Arc::clone(&sink) as Arc<dyn TraceSink>);
         let inputs_run = inputs.clone();
         let report = sim.run(move |ctx, id| {
-            pi_n_adaptive(ctx, &inputs_run[id.index()], BaKind::TurpinCoan, FastPathConfig::default())
+            pi_n_adaptive(ctx, &inputs_run[id.index()], BaKind::TurpinCoan)
         });
 
         let honest_inputs: Vec<Nat> = report
