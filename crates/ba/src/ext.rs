@@ -35,13 +35,10 @@ use ca_codec::{CodecError, Decode, Encode, Reader};
 
 use crate::{ba_plus, BaKind, Value};
 
-/// A distributed codeword: `(index, share, witness)` — the paper's
-/// `(j, sⱼ, wⱼ)` tuples.
-type ShareMsg = (u32, Share, Witness);
-
-/// Borrowed view of a [`ShareMsg`]: the share borrows its exact encoded
-/// span from the receive buffer, so Merkle verification hashes the wire
-/// bytes directly instead of re-encoding the share.
+/// Borrowed view of a distributed codeword `(index, share, witness)` — the
+/// paper's `(j, sⱼ, wⱼ)` tuples. The share borrows its exact encoded span
+/// from the receive buffer, so Merkle verification hashes the wire bytes
+/// directly instead of re-encoding the share.
 struct ShareMsgRef<'a> {
     idx: u32,
     share: ShareRef<'a>,
@@ -68,39 +65,87 @@ impl<'a> ShareMsgRef<'a> {
             witness,
         })
     }
+
+    /// `MT.VERIFY` against the agreed root. The leaf preimage is the
+    /// borrowed span itself, so this re-encodes nothing.
+    fn verifies(&self, z_star: Hash256) -> bool {
+        MerkleTree::verify(
+            z_star,
+            self.idx as usize,
+            self.share.encoded_bytes(),
+            &self.witness,
+        )
+    }
 }
 
-/// Decodes every `(idx, share, witness)` message in `inbox` through the
-/// borrowed [`ShareRef`] view and Merkle-verifies each against the *exact
-/// received encoding* of the share — the leaf preimage is the borrowed
-/// span itself, so verification re-encodes nothing. Malformed messages are
-/// silence; `keep` pre-filters by index before the hash work; the share is
-/// only materialized (symbol bytes parsed) after verification passes.
-fn verified_share_msgs(
-    inbox: &Inbox,
-    z_star: Hash256,
-    mut keep: impl FnMut(usize) -> bool,
-) -> Vec<ShareMsg> {
+/// Every well-formed `(idx, share, witness)` message in `inbox`, in sender
+/// order; malformed messages are silence. Decoding slices the share
+/// without hashing it: callers verify only the candidates they need.
+fn share_msgs(inbox: &Inbox) -> Vec<ShareMsgRef<'_>> {
     let mut out = Vec::new();
     for sender in 0..inbox.party_count() {
         for raw in inbox.raw_from(PartyId(sender)) {
             let Ok(msg) = ShareMsgRef::decode_from_slice(raw) else {
                 continue;
             };
-            if !keep(msg.idx as usize) {
-                continue;
-            }
-            if MerkleTree::verify(
-                z_star,
-                msg.idx as usize,
-                msg.share.encoded_bytes(),
-                &msg.witness,
-            ) {
-                out.push((msg.idx, msg.share.to_share(), msg.witness));
-            }
+            out.push(msg);
         }
     }
     out
+}
+
+/// The first `k` indices, ascending, that hold a codeword verifying
+/// against `z_star`, each with its first verified copy in sender order —
+/// the `k` codewords `RS.DECODE` picks from the full verified set.
+///
+/// Messages are bucketed by index first and hashed only while fewer than
+/// `k` indices have verified. An unverifiable copy never shadows a later
+/// honest one, and verified codewords for an index are identical, so
+/// which copy wins is immaterial.
+fn first_verified(inbox: &Inbox, z_star: Hash256, n: usize, k: usize) -> Vec<(usize, Share)> {
+    let mut buckets: Vec<Vec<ShareMsgRef<'_>>> = (0..n).map(|_| Vec::new()).collect();
+    for msg in share_msgs(inbox) {
+        if let Some(bucket) = buckets.get_mut(msg.idx as usize) {
+            bucket.push(msg);
+        }
+    }
+    let mut collected = Vec::with_capacity(k);
+    for (idx, bucket) in buckets.iter().enumerate() {
+        if collected.len() == k {
+            break;
+        }
+        if let Some(msg) = bucket.iter().find(|msg| msg.verifies(z_star)) {
+            collected.push((idx, msg.share.to_share()));
+        }
+    }
+    collected
+}
+
+/// Step 1: `RS.ENCODE` the payload and `MT.BUILD` over the codewords'
+/// encodings.
+fn encode_and_accumulate(rs: &ReedSolomon, payload: &[u8]) -> (Vec<Share>, MerkleTree) {
+    let shares = rs.encode(payload);
+    let leaves: Vec<Vec<u8>> = shares.iter().map(Encode::encode_to_vec).collect();
+    let tree = MerkleTree::build(&leaves);
+    (shares, tree)
+}
+
+/// The defense-in-depth check: does the reconstruction `decoded`
+/// re-accumulate to `z_star`?
+///
+/// `z` and `payload` are this party's step-1 root and bytes. When `z` is
+/// `z_star` and `decoded` is those same bytes, the answer is yes by
+/// construction — `RS.ENCODE` and `MT.BUILD` are deterministic, so the
+/// rebuild would be step 1's tree again. Every other case re-encodes and
+/// rebuilds.
+fn reaccumulates(
+    rs: &ReedSolomon,
+    decoded: &[u8],
+    z_star: Hash256,
+    z: Hash256,
+    payload: &[u8],
+) -> bool {
+    (z == z_star && decoded == payload) || encode_and_accumulate(rs, decoded).1.root() == z_star
 }
 
 /// Runs `Π_ℓBA+` on `input`, instantiating the assumed `Π_BA` with `ba`.
@@ -119,6 +164,10 @@ pub fn lba_plus<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V
 
 /// `Π_ℓBA+` proper, inside the `lba+` scope (split out so the decide
 /// trace event covers the `⊥` early returns too).
+///
+/// Each received codeword is hashed only when its step needs it: the echo
+/// step stops at the first copy of its own codeword that verifies, the
+/// decode step at the `k`-th verified index.
 fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V> {
     let n = ctx.n();
     let me = ctx.me();
@@ -127,65 +176,283 @@ fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<
 
     // Step 1: erasure-code and accumulate.
     let payload = input.encode_to_vec();
-    let shares = rs.encode(&payload);
-    let leaves: Vec<Vec<u8>> = shares.iter().map(Encode::encode_to_vec).collect();
-    let tree = MerkleTree::build(&leaves);
+    let (shares, tree) = encode_and_accumulate(&rs, &payload);
     let z = tree.root();
 
     // Step 2: agree on an accumulator value.
     let z_star = ba_plus(ctx, z, ba)?;
 
-    // Step 3a: holders of the agreed value disperse codewords.
+    // Step 3a: holders of the agreed value disperse codewords; step 1's
+    // codewords and tree are dropped once sent.
     if z == z_star {
-        for (j, (share, witness)) in shares.iter().zip(tree.witnesses()).enumerate() {
-            ctx.send(PartyId(j), &(j as u32, share.clone(), witness));
+        for (j, share) in shares.iter().enumerate() {
+            ctx.send(PartyId(j), &(j as u32, share, tree.witness(j)));
         }
     }
+    drop((shares, tree));
     let inbox = ctx.next_round();
-    let mine: Option<ShareMsg> = verified_share_msgs(&inbox, z_star, |idx| idx == me.index())
-        .into_iter()
-        .next();
 
-    // Step 3b: echo the verified codeword to everyone.
-    if let Some(msg) = &mine {
-        ctx.send_all(msg);
+    // Step 3b: echo the first copy of our own codeword that verifies, in
+    // sender order.
+    if let Some(msg) = share_msgs(&inbox)
+        .into_iter()
+        .find(|msg| msg.idx as usize == me.index() && msg.verifies(z_star))
+    {
+        ctx.send_all(&(msg.idx, msg.share.to_share(), &msg.witness));
     }
-    let inbox = ctx.next_round();
-    // Dedup only *after* verification: an unverifiable message for index j
-    // must not shadow a later honest one (verified codewords for an index
-    // are identical, so which duplicate wins is immaterial).
-    let mut have = vec![false; n];
-    let mut collected: Vec<(usize, Share)> = Vec::new();
-    for (idx, share, _) in verified_share_msgs(&inbox, z_star, |idx| idx < n) {
-        let idx = idx as usize;
-        if !have[idx] {
-            have[idx] = true;
-            collected.push((idx, share));
-        }
-    }
+    drop(inbox);
+    let collected = first_verified(&ctx.next_round(), z_star, n, rs.threshold());
 
     // Reconstruct; any (n−t)-subset of verified codewords yields the
     // same value because the accumulator binds index → codeword.
-    let payload = rs.decode(&collected).ok()?;
-    let value = V::decode_from_slice(&payload).ok()?;
+    let decoded = rs.decode(&collected).ok()?;
+    let value = V::decode_from_slice(&decoded).ok()?;
     // Defense in depth: the reconstruction must re-accumulate to z*.
-    let reencoded = rs.encode(&payload);
-    let releaves: Vec<Vec<u8>> = reencoded.iter().map(Encode::encode_to_vec).collect();
-    if MerkleTree::build(&releaves).root() != z_star {
+    if !reaccumulates(&rs, &decoded, z_star, z, &payload) {
         return None;
     }
     Some(value)
 }
 
+/// The eager body `lba_plus_body` replaced — every received codeword
+/// verified and materialized, a second `RS.ENCODE` + `MT.BUILD` for the
+/// re-accumulation check — kept as the differential oracle.
+#[cfg(test)]
+mod eager {
+    use super::*;
+
+    type ShareMsg = (u32, Share, Witness);
+
+    fn verified_share_msgs(
+        inbox: &Inbox,
+        z_star: Hash256,
+        mut keep: impl FnMut(usize) -> bool,
+    ) -> Vec<ShareMsg> {
+        let mut out = Vec::new();
+        for msg in share_msgs(inbox) {
+            if keep(msg.idx as usize) && msg.verifies(z_star) {
+                out.push((msg.idx, msg.share.to_share(), msg.witness));
+            }
+        }
+        out
+    }
+
+    pub(super) fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V> {
+        let n = ctx.n();
+        let me = ctx.me();
+        let rs = ReedSolomon::new(n, ctx.quorum()).expect("valid (n, n−t) parameters");
+
+        let payload = input.encode_to_vec();
+        let shares = rs.encode(&payload);
+        let leaves: Vec<Vec<u8>> = shares.iter().map(Encode::encode_to_vec).collect();
+        let tree = MerkleTree::build(&leaves);
+        let z = tree.root();
+
+        let z_star = ba_plus(ctx, z, ba)?;
+
+        if z == z_star {
+            for (j, (share, witness)) in shares.iter().zip(tree.witnesses()).enumerate() {
+                ctx.send(PartyId(j), &(j as u32, share.clone(), witness));
+            }
+        }
+        let inbox = ctx.next_round();
+        let mine: Option<ShareMsg> = verified_share_msgs(&inbox, z_star, |idx| idx == me.index())
+            .into_iter()
+            .next();
+
+        if let Some(msg) = &mine {
+            ctx.send_all(msg);
+        }
+        let inbox = ctx.next_round();
+        let mut have = vec![false; n];
+        let mut collected: Vec<(usize, Share)> = Vec::new();
+        for (idx, share, _) in verified_share_msgs(&inbox, z_star, |idx| idx < n) {
+            let idx = idx as usize;
+            if !have[idx] {
+                have[idx] = true;
+                collected.push((idx, share));
+            }
+        }
+
+        let payload = rs.decode(&collected).ok()?;
+        let value = V::decode_from_slice(&payload).ok()?;
+        let reencoded = rs.encode(&payload);
+        let releaves: Vec<Vec<u8>> = reencoded.iter().map(Encode::encode_to_vec).collect();
+        if MerkleTree::build(&releaves).root() != z_star {
+            return None;
+        }
+        Some(value)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use ca_adversary::{Equivocate, Garbage, Replay};
     use ca_bits::BitString;
-    use ca_net::{Corruption, Sim};
+    use ca_net::{max_faults, Adversary, Corruption, RoundActions, RoundView, SendSpec, Sim};
 
     fn long_input(bits: usize, seed: u8) -> BitString {
         BitString::from_bits((0..bits).map(|i| (i as u8).wrapping_mul(seed).is_multiple_of(3)))
+    }
+
+    fn bytes_input(len: usize, seed: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(seed).wrapping_add(seed))
+            .collect()
+    }
+
+    type Body = fn(&mut dyn Comm, &Vec<u8>, BaKind) -> Option<Vec<u8>>;
+
+    /// Who misbehaves in a differential case: nobody, or parties `0..t`.
+    #[derive(Debug, Clone, Copy)]
+    enum Faults {
+        None,
+        Silent,
+        Garbage,
+        Replay,
+        Equivocate,
+        Tamper,
+        Lying,
+    }
+
+    /// Rushes a well-formed but unverifiable twin of every codeword in
+    /// flight — its last symbol byte changed, its witness kept — from every
+    /// corrupted party to the codeword's recipient, so that bad candidates
+    /// sit ahead of the honest ones in sender order.
+    struct Tamper;
+
+    impl Adversary for Tamper {
+        fn on_round(&mut self, view: &RoundView<'_>) -> RoundActions {
+            let mut actions = RoundActions::default();
+            for (_, to, payload) in view.honest_sends {
+                let Ok((idx, share, witness)) = <(u32, Share, Witness)>::decode_from_slice(payload)
+                else {
+                    continue;
+                };
+                let mut forged = idx.encode_to_vec();
+                let mut share = share.encode_to_vec();
+                // An increment, not a flip: a forged echo of a forgery stays
+                // forged.
+                let last = share.last_mut().unwrap();
+                *last = last.wrapping_add(1);
+                forged.extend(share);
+                forged.extend(witness.encode_to_vec());
+                for &from in view.corrupted {
+                    actions.sends.push(SendSpec {
+                        from,
+                        to: *to,
+                        payload: Bytes::from(forged.clone()),
+                    });
+                }
+            }
+            actions
+        }
+    }
+
+    impl Faults {
+        fn sim(self, n: usize) -> Sim {
+            let mode = match self {
+                Faults::None => return Sim::new(n),
+                Faults::Lying => Corruption::LyingHonest,
+                _ => Corruption::Scripted,
+            };
+            let sim = (0..max_faults(n)).fold(Sim::new(n), |sim, p| sim.corrupt(PartyId(p), mode));
+            match self {
+                Faults::Garbage => sim.with_adversary(Garbage::new(31)),
+                Faults::Replay => sim.with_adversary(Replay::new(32)),
+                Faults::Equivocate => sim.with_adversary(Equivocate::new(33)),
+                Faults::Tamper => sim.with_adversary(Tamper),
+                _ => sim,
+            }
+        }
+    }
+
+    /// Per-party outputs, honest bits and rounds of `body`, inside the
+    /// `lba+` scope like [`lba_plus`].
+    fn run_body(
+        sim: Sim,
+        inputs: &[Vec<u8>],
+        body: Body,
+    ) -> (Vec<Option<Option<Vec<u8>>>>, u64, u64) {
+        let report = sim.run(|ctx, id| {
+            ctx.scoped("lba+", |ctx| {
+                body(ctx, &inputs[id.index()], BaKind::TurpinCoan)
+            })
+        });
+        (
+            report.outputs,
+            report.metrics.honest_bits,
+            report.metrics.rounds,
+        )
+    }
+
+    /// The lazy data plane against the eager oracle: the same output for
+    /// every party and the same bits and rounds, with adversaries placed
+    /// on the lowest ids so their bad candidates come first in sender
+    /// order, and with split inputs so that parties whose root lost take
+    /// the full re-accumulation path.
+    #[test]
+    fn lazy_body_matches_the_eager_oracle() {
+        for n in [4, 7, 10] {
+            let t = max_faults(n);
+            let shared = bytes_input(3000, 7);
+            // Parties 0..holders hold `shared`, the rest values of their own.
+            let split = |holders: usize| -> Vec<Vec<u8>> {
+                (0..n)
+                    .map(|i| {
+                        if i < holders {
+                            shared.clone()
+                        } else {
+                            bytes_input(3000, 11 + i as u8)
+                        }
+                    })
+                    .collect()
+            };
+            let mut cases = vec![
+                (Faults::None, split(n)),
+                (Faults::Silent, split(n)),
+                (Faults::Garbage, split(n)),
+                (Faults::Replay, split(n)),
+                (Faults::Equivocate, split(n)),
+                (Faults::Tamper, split(n)),
+                (Faults::None, split(n - 2 * t - 1)),
+                (Faults::None, split(n - 2 * t)),
+                (Faults::None, split(n - t)),
+            ];
+            // Parties 0..t run the protocol on a value of their own.
+            let mut liars = vec![shared.clone(); n];
+            liars[..t].fill(bytes_input(3000, 9));
+            cases.push((Faults::Lying, liars));
+            for (case, (faults, inputs)) in cases.iter().enumerate() {
+                let lazy = run_body(faults.sim(n), inputs, lba_plus_body);
+                let eager = run_body(faults.sim(n), inputs, eager::lba_plus_body);
+                assert_eq!(lazy, eager, "n = {n}, case {case} ({faults:?})");
+            }
+        }
+    }
+
+    #[test]
+    fn reaccumulation_check_takes_the_shortcut_only_when_it_is_exact() {
+        let rs = ReedSolomon::new(7, 5).unwrap();
+        let a = bytes_input(900, 3);
+        let b = bytes_input(900, 5);
+        let root = |payload: &[u8]| encode_and_accumulate(&rs, payload).1.root();
+        let (za, zb) = (root(&a), root(&b));
+
+        // Shortcut: z = z* and the same bytes; the full path agrees.
+        assert!(reaccumulates(&rs, &a, za, za, &a));
+        assert!(reaccumulates(&rs, &a, za, zb, &b));
+        // Another party's value, validly reconstructed: the full path
+        // accepts it.
+        assert!(reaccumulates(&rs, &b, zb, za, &a));
+        // A tampered reconstruction under our own root: rejected.
+        let mut tampered = a.clone();
+        tampered[417] ^= 0x10;
+        assert!(!reaccumulates(&rs, &tampered, za, za, &a));
+        // Our own bytes but z ≠ z*: byte equality alone is no shortcut.
+        assert!(!reaccumulates(&rs, &a, zb, za, &a));
     }
 
     #[test]

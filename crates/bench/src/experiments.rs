@@ -17,17 +17,13 @@ use crate::table::{fmt_bits, Table};
 use crate::workload::{apply_lies, clustered_nats};
 use crate::{run_nat_protocol, runner::run_nat_protocol_traced, Protocol};
 
-/// Runs one experiment by id (`"t1"`, `"f1"`, …, or `"all"`).
-///
-/// Returns `false` if the id is unknown.
-pub fn run_by_name(name: &str, quick: bool) -> bool {
-    run_by_name_opts(name, quick, None)
-}
-
-/// [`run_by_name`] with an optional artifact directory: experiments that
-/// support machine-readable output (F3, S1, R1) additionally write a
+/// Runs one experiment by id (`"t1"`, `"f1"`, …, or `"all"`), with an
+/// optional artifact directory: experiments that support machine-readable
+/// output (F3, S1, R1, A1, AS1, P1) additionally write a
 /// `BENCH_<exp>.json` claim-vs-measured summary — and, for F3, a
 /// `run.jsonl` event timeline — into `artifacts`.
+///
+/// Returns `false` if the id is unknown.
 pub fn run_by_name_opts(name: &str, quick: bool, artifacts: Option<&Path>) -> bool {
     let started = std::time::Instant::now();
     let ok = run_inner(name, quick, artifacts);
@@ -1271,7 +1267,7 @@ pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
 mod tests {
     #[test]
     fn unknown_experiment_rejected() {
-        assert!(!super::run_by_name("nope", true));
+        assert!(!super::run_by_name_opts("nope", true, None));
     }
 
     /// The acceptance claim behind S1: per-session wire cost at K = 64

@@ -71,6 +71,18 @@ pub trait Encode {
     fn encoded_len(&self) -> usize {
         self.encode_to_vec().len()
     }
+
+    /// Appends `items` in the layout of `Vec<Self>`: a varint count, then
+    /// each element. Byte-sized types override it with one bulk copy.
+    fn encode_seq(items: &[Self], w: &mut Writer)
+    where
+        Self: Sized,
+    {
+        w.put_varint(items.len() as u64);
+        for item in items {
+            item.encode(w);
+        }
+    }
 }
 
 /// Types that can be decoded from bytes produced by [`Encode`].
@@ -104,6 +116,18 @@ pub trait Decode: Sized {
     /// As [`Self::decode_from_slice`].
     fn decode_from_bytes(buf: &Bytes) -> Result<Self, CodecError> {
         decode_whole(Reader::shared(buf))
+    }
+
+    /// Reads a `Vec<Self>` written by [`Encode::encode_seq`], with the
+    /// bound checks of [`Reader::decode_each`]. Byte-sized types override
+    /// it with one bulk copy that accepts and rejects exactly the same
+    /// inputs.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::decode_each`].
+    fn decode_seq(r: &mut Reader<'_>) -> Result<Vec<Self>, CodecError> {
+        r.decode_each(Self::decode)
     }
 }
 
@@ -150,11 +174,18 @@ impl Encode for u8 {
     fn encoded_len(&self) -> usize {
         1
     }
+    fn encode_seq(items: &[Self], w: &mut Writer) {
+        w.put_bytes(items);
+    }
 }
 
 impl Decode for u8 {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         r.get_u8()
+    }
+    fn decode_seq(r: &mut Reader<'_>) -> Result<Vec<Self>, CodecError> {
+        let len = r.get_seq_len()?;
+        Ok(r.get_raw(len)?.to_vec())
     }
 }
 
@@ -253,15 +284,13 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
-/// Length-prefixed sequence. Decoding caps preallocation at the number of
+/// Length-prefixed sequence, through [`Encode::encode_seq`] and
+/// [`Decode::decode_seq`]. Decoding caps preallocation at the number of
 /// bytes actually remaining, so a forged length cannot cause a huge
 /// allocation.
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.len() as u64);
-        for item in self {
-            item.encode(w);
-        }
+        T::encode_seq(self, w);
     }
     fn encoded_len(&self) -> usize {
         Writer::varint_len(self.len() as u64) + self.iter().map(Encode::encoded_len).sum::<usize>()
@@ -270,7 +299,7 @@ impl<T: Encode> Encode for Vec<T> {
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        r.decode_each(T::decode)
+        T::decode_seq(r)
     }
 }
 
@@ -458,6 +487,52 @@ mod tests {
                 limit: MAX_DECODE_CAPACITY,
             }
         );
+    }
+
+    /// `Vec<u8>`'s bulk [`Decode::decode_seq`] against the element-wise
+    /// path it replaced: the same value or the same error, and the same
+    /// bytes consumed.
+    fn assert_u8_seq_agrees(bytes: &[u8]) {
+        let mut bulk = Reader::new(bytes);
+        let mut each = Reader::new(bytes);
+        assert_eq!(
+            Vec::<u8>::decode(&mut bulk),
+            each.decode_each(u8::decode),
+            "input {bytes:02x?}"
+        );
+        assert_eq!(bulk.remaining(), each.remaining(), "input {bytes:02x?}");
+    }
+
+    #[test]
+    fn u8_seq_bulk_path_accepts_exactly_what_the_element_path_accepted() {
+        // A varint that claims 2⁶³ bytes.
+        const HUGE_LEN: [u8; 10] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+        let mut rng = proptest::test_runner::TestRng::for_test("u8_seq_bulk_path");
+        for _ in 0..256 {
+            let len = rng.next_u64() as usize % 300;
+            let body: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            // Random bytes read as a sequence: mostly overruns, some accepts.
+            assert_u8_seq_agrees(&body);
+            let enc = body.encode_to_vec();
+            for cut in 0..=enc.len() {
+                assert_u8_seq_agrees(&enc[..cut]);
+            }
+            for at in 0..=enc.len() {
+                let mut spliced = enc[..at].to_vec();
+                spliced.extend_from_slice(&HUGE_LEN);
+                spliced.extend_from_slice(&enc[at..]);
+                assert_u8_seq_agrees(&spliced);
+            }
+        }
+        // The capacity ceiling, with every claimed byte present: the last
+        // accepted count and the first rejected one.
+        for count in [MAX_DECODE_CAPACITY, MAX_DECODE_CAPACITY + 1] {
+            let mut w = Writer::new();
+            w.put_varint(count as u64);
+            let mut bytes = w.into_vec();
+            bytes.resize(bytes.len() + count, 0xa5);
+            assert_u8_seq_agrees(&bytes);
+        }
     }
 
     #[test]

@@ -158,6 +158,17 @@ impl<'a> Reader<'a> {
         &mut self,
         mut f: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
     ) -> Result<Vec<T>, CodecError> {
+        let len = self.get_seq_len()?;
+        let mut out = Vec::with_capacity(len.min(crate::MAX_DECODE_CAPACITY));
+        for _ in 0..len {
+            out.push(f(self)?);
+        }
+        Ok(out)
+    }
+
+    /// The element count of a sequence, after [`Reader::get_len`]'s check
+    /// and the [`MAX_DECODE_CAPACITY`](crate::MAX_DECODE_CAPACITY) ceiling.
+    pub(crate) fn get_seq_len(&mut self) -> Result<usize, CodecError> {
         let len = self.get_len()?;
         if len > crate::MAX_DECODE_CAPACITY {
             return Err(CodecError::CapacityExceeded {
@@ -165,11 +176,7 @@ impl<'a> Reader<'a> {
                 limit: crate::MAX_DECODE_CAPACITY,
             });
         }
-        let mut out = Vec::with_capacity(len.min(crate::MAX_DECODE_CAPACITY));
-        for _ in 0..len {
-            out.push(f(self)?);
-        }
-        Ok(out)
+        Ok(len)
     }
 
     /// Reads an unsigned LEB128 varint.

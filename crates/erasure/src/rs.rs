@@ -51,11 +51,22 @@ impl Share {
     }
 }
 
+/// Symbols per chunk of [`Share::encode`]'s staging buffer (1 KiB on the
+/// stack).
+const ENCODE_CHUNK: usize = 512;
+
 impl Encode for Share {
+    /// Big-endian symbols, staged a chunk at a time so the writer takes
+    /// one bulk copy per chunk instead of one call per symbol.
     fn encode(&self, w: &mut Writer) {
         w.put_varint(self.symbols.len() as u64);
-        for s in &self.symbols {
-            w.put_raw(&s.0.to_be_bytes());
+        let mut buf = [0u8; 2 * ENCODE_CHUNK];
+        for chunk in self.symbols.chunks(ENCODE_CHUNK) {
+            let staged = &mut buf[..2 * chunk.len()];
+            for (out, s) in staged.chunks_exact_mut(2).zip(chunk) {
+                out.copy_from_slice(&s.0.to_be_bytes());
+            }
+            w.put_raw(staged);
         }
     }
 

@@ -211,6 +211,16 @@ fn primitives_and_containers_obey_the_codec_laws() {
         no_payloads,
     );
     laws("Vec<u8>", |r| blob(r, 200), no_payloads);
+    // At least 4 KiB, the payload sizes the bulk byte path exists for.
+    laws(
+        "long Vec<u8>",
+        |r| {
+            let mut long: Vec<u8> = (0..4096).map(|_| r.next_u64() as u8).collect();
+            long.extend(blob(r, 600));
+            long
+        },
+        no_payloads,
+    );
     laws(
         "Vec<u64>",
         |r| (0..r.next_u64() % 9).map(|_| word(r)).collect::<Vec<u64>>(),

@@ -2,12 +2,12 @@
 //! runtime property across honest parties' outputs (cross-crate, i.e. the
 //! lemmas as *observed* through the public API).
 
-use convex_agreement::adversary::{Attack, AttackKind, LieKind};
+use convex_agreement::adversary::{Attack, AttackKind, Garbage, LieKind};
 use convex_agreement::ba::{ba_plus, lba_plus, BaKind};
 use convex_agreement::bits::{BitString, Nat};
 use convex_agreement::core::{find_prefix, PrefixSearch};
 use convex_agreement::crypto::sha256;
-use convex_agreement::net::{max_faults, Sim};
+use convex_agreement::net::{max_faults, Corruption, PartyId, Sim};
 
 fn to_bits(vals: &[u64], ell: usize) -> Vec<BitString> {
     vals.iter()
@@ -156,5 +156,39 @@ fn theorem1_properties_sweep() {
             Some(v) => assert!(inputs.contains(v)),
             None => assert!(split < n - 2 * t),
         }
+    }
+}
+
+/// Theorem 1's Validity at the decision benchmark's shape (n = 31,
+/// k = 21), with a 64 KiB byte payload, fault-free and with parties 0..t
+/// sending garbage. The bit counts are pinned: the data plane may get
+/// cheaper, never chattier.
+#[test]
+fn theorem1_validity_at_the_benchmark_shape() {
+    let n = 31;
+    let t = max_faults(n);
+    let payload: Vec<u8> = (0..64 << 10)
+        .map(|i: u32| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    let garbage = (0..t).fold(Sim::new(n), |sim, p| {
+        sim.corrupt(PartyId(p), Corruption::Scripted)
+    });
+    for (name, sim, deciders, honest_bits) in [
+        ("honest", Sim::new(n), n, 50_470_800u64),
+        (
+            "garbage",
+            garbage.with_adversary(Garbage::new(27)),
+            n - t,
+            34_186_800,
+        ),
+    ] {
+        let report = sim.run(|ctx, _| lba_plus(ctx, &payload, BaKind::default()));
+        let outs = report.honest_outputs();
+        assert_eq!(outs.len(), deciders, "{name}");
+        assert!(
+            outs.iter().all(|out| out.as_ref() == Some(&payload)),
+            "{name}"
+        );
+        assert_eq!(report.metrics.honest_bits, honest_bits, "{name}");
     }
 }
