@@ -18,7 +18,7 @@
 //! message arrives"; a stall discards the actions one delivery produces;
 //! garbage ships an undecodable frame to every peer at that point.
 //! Crashes and garbage behave exactly as on the sync path (abrupt EOF
-//! after queued frames drain, decode-failure disconnect).
+//! after the frames already sent, decode-failure disconnect).
 //!
 //! # Termination
 //!
