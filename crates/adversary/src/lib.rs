@@ -23,6 +23,11 @@
 //! [`Attack::standard_suite`] is the adversary matrix used by experiment T4
 //! and by the protocol test suites.
 
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_types, reason = "unit tests count distinct values")
+)]
+
 mod attack;
 mod strategies;
 

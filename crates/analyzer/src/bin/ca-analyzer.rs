@@ -1,37 +1,36 @@
 //! CLI for the protocol-soundness analyzer.
 //!
 //! ```text
-//! ca-analyzer [--root <path>] [--rule <name>] [--deny] [--json]
-//!             [--include-shims] [--list-rules]
-//!             [--deep] [--baseline <path>] [--write-baseline <path>]
+//! ca-analyzer [--root <path>] [--baseline <path>] [--write-baseline <path>]
 //!             [--emit human|json]
 //! ```
 //!
-//! `--deep` adds the semantic workspace passes (wire-taint,
-//! comm-budget, concurrency-discipline) on top of the token rules.
+//! Runs the semantic workspace passes (wire-taint, comm-budget,
+//! concurrency-discipline) over the workspace at `--root`.
 //! `--baseline` diffs the send-site budget table against a committed
 //! `analyzer-baseline.json`; `--write-baseline` regenerates it (use
 //! `scripts/update-baseline.sh`). `--emit json` is the stable
-//! machine-readable output for CI diffing (`--json` is its alias).
+//! machine-readable output for CI diffing.
 //!
-//! Exit codes: `0` clean (or warnings without `--deny`), `1` findings
-//! that fail the gate, `2` usage error.
+//! Exit codes: `0` clean, `1` findings, `2` usage error.
+
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool reports on its own streams"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ca_analyzer::{
-    all_rules, analyze_workspace, collect_sources, run_semantic, BudgetTable, Options,
-    SemanticConfig, Severity,
-};
+use ca_analyzer::{collect_sources, run_semantic, BudgetTable, SemanticConfig};
+
+const USAGE: &str = "usage: ca-analyzer [--root <path>] [--baseline <path>] \
+                     [--write-baseline <path>] [--emit human|json]";
 
 struct Cli {
     root: PathBuf,
-    opts: Options,
-    deny: bool,
     json: bool,
-    list_rules: bool,
-    deep: bool,
     baseline: Option<PathBuf>,
     write_baseline: Option<PathBuf>,
 }
@@ -39,95 +38,33 @@ struct Cli {
 fn parse_args() -> Result<Cli, String> {
     let mut cli = Cli {
         root: PathBuf::from("."),
-        opts: Options::default(),
-        deny: false,
         json: false,
-        list_rules: false,
-        deep: false,
         baseline: None,
         write_baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} requires a value"));
         match arg.as_str() {
-            "--root" => {
-                cli.root = PathBuf::from(
-                    args.next()
-                        .ok_or_else(|| "--root requires a path".to_owned())?,
-                );
-            }
-            "--rule" => {
-                let name = args
-                    .next()
-                    .ok_or_else(|| "--rule requires a name".to_owned())?;
-                if ca_analyzer::rule_by_name(&name).is_none() {
-                    return Err(format!("unknown rule `{name}` (try --list-rules)"));
-                }
-                cli.opts.only_rule = Some(name);
-            }
-            "--deny" => cli.deny = true,
-            "--json" => cli.json = true,
+            "--root" => cli.root = PathBuf::from(value()?),
+            "--baseline" => cli.baseline = Some(PathBuf::from(value()?)),
+            "--write-baseline" => cli.write_baseline = Some(PathBuf::from(value()?)),
             "--emit" => {
-                let mode = args
-                    .next()
-                    .ok_or_else(|| "--emit requires `human` or `json`".to_owned())?;
-                match mode.as_str() {
-                    "json" => cli.json = true,
-                    "human" => cli.json = false,
+                cli.json = match value()?.as_str() {
+                    "json" => true,
+                    "human" => false,
                     other => return Err(format!("unknown emit mode `{other}`")),
-                }
+                };
             }
-            "--deep" => cli.deep = true,
-            "--baseline" => {
-                cli.baseline = Some(PathBuf::from(
-                    args.next()
-                        .ok_or_else(|| "--baseline requires a path".to_owned())?,
-                ));
-            }
-            "--write-baseline" => {
-                cli.write_baseline =
-                    Some(PathBuf::from(args.next().ok_or_else(|| {
-                        "--write-baseline requires a path".to_owned()
-                    })?));
-            }
-            "--include-shims" => cli.opts.include_shims = true,
-            "--list-rules" => cli.list_rules = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: ca-analyzer [--root <path>] [--rule <name>] [--deny] [--json] \
-                     [--include-shims] [--list-rules] [--deep] [--baseline <path>] \
-                     [--write-baseline <path>] [--emit human|json]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if (cli.baseline.is_some() || cli.write_baseline.is_some()) && !cli.deep {
-        return Err("--baseline/--write-baseline require --deep".to_owned());
-    }
     Ok(cli)
 }
-
-/// The semantic rules, shown by `--list-rules` alongside the token
-/// rules (they live outside the token-rule registry).
-const SEMANTIC_RULES: &[(&str, &str, &str)] = &[
-    (
-        "wire-taint",
-        "ca-core, ca-ba, ca-net, ca-runtime, ca-engine",
-        "wire input must be decoded/validated before sizing allocations or indexing",
-    ),
-    (
-        "comm-budget",
-        "ca-core, ca-ba, ca-engine",
-        "send sites must use metered helpers, carry a round scope, and match analyzer-baseline.json",
-    ),
-    (
-        "concurrency-discipline",
-        "ca-runtime, ca-engine, ca-trace",
-        "consistent lock order, no double acquisition, no channel ops under a lock",
-    ),
-];
 
 fn main() -> ExitCode {
     let cli = match parse_args() {
@@ -138,65 +75,34 @@ fn main() -> ExitCode {
         }
     };
 
-    if cli.list_rules {
-        for rule in all_rules() {
-            let scope = if rule.scope.is_empty() {
-                "workspace".to_owned()
-            } else {
-                rule.scope.join(", ")
-            };
-            println!(
-                "{:<16} {:<8} [{}]\n    {}",
-                rule.name,
-                rule.severity.to_string(),
-                scope,
-                rule.description
-            );
-        }
-        for (name, scope, desc) in SEMANTIC_RULES {
-            println!("{name:<16} {:<8} [{scope}] (--deep)\n    {desc}", "error");
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let mut diags = match analyze_workspace(&cli.root, &cli.opts) {
-        Ok(diags) => diags,
+    let files = match collect_sources(&cli.root) {
+        Ok(files) => files,
         Err(msg) => {
             eprintln!("ca-analyzer: {msg}");
             return ExitCode::from(2);
         }
     };
-
-    if cli.deep {
-        let files = match collect_sources(&cli.root, &cli.opts) {
-            Ok(files) => files,
-            Err(msg) => {
-                eprintln!("ca-analyzer: {msg}");
-                return ExitCode::from(2);
-            }
-        };
-        let semantic = run_semantic(&files, &SemanticConfig::production());
-        diags.extend(semantic.diags);
-        if let Some(path) = &cli.write_baseline {
-            if let Err(e) = std::fs::write(path, semantic.budget.to_json()) {
-                eprintln!("ca-analyzer: failed to write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            eprintln!(
-                "ca-analyzer: wrote {} send site(s) to {}",
-                semantic.budget.sites.len(),
-                path.display()
-            );
+    let semantic = run_semantic(&files, &SemanticConfig::production());
+    let mut diags = semantic.diags;
+    if let Some(path) = &cli.write_baseline {
+        if let Err(e) = std::fs::write(path, semantic.budget.to_json()) {
+            eprintln!("ca-analyzer: failed to write {}: {e}", path.display());
+            return ExitCode::from(2);
         }
-        if let Some(path) = &cli.baseline {
-            match std::fs::read_to_string(path) {
-                Ok(body) => {
-                    diags.extend(semantic.budget.diff_against(&BudgetTable::from_json(&body)));
-                }
-                Err(e) => {
-                    eprintln!("ca-analyzer: failed to read {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
+        eprintln!(
+            "ca-analyzer: wrote {} send site(s) to {}",
+            semantic.budget.sites.len(),
+            path.display()
+        );
+    }
+    if let Some(path) = &cli.baseline {
+        match std::fs::read_to_string(path) {
+            Ok(body) => {
+                diags.extend(semantic.budget.diff_against(&BudgetTable::from_json(&body)));
+            }
+            Err(e) => {
+                eprintln!("ca-analyzer: failed to read {}: {e}", path.display());
+                return ExitCode::from(2);
             }
         }
         diags.sort_by(|a, b| {
@@ -215,23 +121,11 @@ fn main() -> ExitCode {
         for d in &diags {
             println!("{}", d.render_human());
         }
+        println!("ca-analyzer: {} finding(s)", diags.len());
     }
-
-    let errors = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    let warnings = diags.len() - errors;
-    if !cli.json {
-        println!(
-            "ca-analyzer: {errors} error(s), {warnings} warning(s){}",
-            if cli.deny { " [--deny]" } else { "" }
-        );
-    }
-    let failing = if cli.deny { diags.len() } else { errors };
-    if failing > 0 {
-        ExitCode::FAILURE
-    } else {
+    if diags.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -1,35 +1,13 @@
-//! Diagnostics: severity, rendering (human and JSON), and the
+//! Diagnostics: rendering (human and JSON), and the
 //! `// ca-lint: allow(<rule>)` suppression pragma.
 
-use std::fmt;
-
 use crate::lexer::{Token, TokenKind};
-
-/// How serious a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Suspicious; fails the build only under `--deny`.
-    Warn,
-    /// A protocol-soundness violation; always fails the build.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warn => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
 
 /// One finding at a file:line location.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule that produced the finding (e.g. `panic-path`).
+    /// Rule that produced the finding (e.g. `wire-taint`).
     pub rule: &'static str,
-    /// Severity of the finding.
-    pub severity: Severity,
     /// Workspace-relative path of the offending file.
     pub file: String,
     /// 1-indexed line.
@@ -39,23 +17,22 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// `file:line: severity [rule] message` — the human format.
+    /// `file:line: error [rule] message` — the human format.
     #[must_use]
     pub fn render_human(&self) -> String {
         format!(
-            "{}:{}: {} [{}] {}",
-            self.file, self.line, self.severity, self.rule, self.message
+            "{}:{}: error [{}] {}",
+            self.file, self.line, self.rule, self.message
         )
     }
 
-    /// One JSON object (used by `--json` output).
+    /// One JSON object (used by `--emit json`).
     #[must_use]
     pub fn render_json(&self) -> String {
         format!(
-            "{{\"file\":{},\"line\":{},\"severity\":{},\"rule\":{},\"message\":{}}}",
+            "{{\"file\":{},\"line\":{},\"rule\":{},\"message\":{}}}",
             json_str(&self.file),
             self.line,
-            json_str(&self.severity.to_string()),
             json_str(self.rule),
             json_str(&self.message)
         )
@@ -100,8 +77,6 @@ pub struct Suppressions {
     line_allows: Vec<(String, u32)>,
     /// Rules suppressed for the entire file.
     file_allows: Vec<String>,
-    /// Pragmas that never matched a finding (for `--unused-pragmas`).
-    pub pragma_lines: Vec<(String, u32)>,
 }
 
 impl Suppressions {
@@ -130,7 +105,6 @@ impl Suppressions {
                 if file_wide {
                     out.file_allows.push(rule);
                 } else {
-                    out.pragma_lines.push((rule.clone(), tok.line));
                     out.line_allows.push((rule, target));
                 }
             }
@@ -176,65 +150,64 @@ mod tests {
 
     #[test]
     fn standalone_pragma_suppresses_next_line_only() {
-        let src = "// ca-lint: allow(panic-path) — len checked above\nlet x = v.unwrap();\n";
+        let src =
+            "// ca-lint: allow(wire-taint) — len checked above\nlet x = Vec::with_capacity(len);\n";
         let sup = Suppressions::collect(&lex(src));
-        assert!(!sup.allows("panic-path", 1));
-        assert!(sup.allows("panic-path", 2));
-        assert!(!sup.allows("panic-path", 3));
-        assert!(!sup.allows("nondeterminism", 2));
+        assert!(!sup.allows("wire-taint", 1));
+        assert!(sup.allows("wire-taint", 2));
+        assert!(!sup.allows("wire-taint", 3));
+        assert!(!sup.allows("comm-budget", 2));
     }
 
     #[test]
     fn trailing_pragma_suppresses_its_own_line_only() {
-        let src = "let a = 0;\nlet x = v.unwrap(); // ca-lint: allow(panic-path) — invariant\nlet y = w.unwrap();\n";
+        let src = "let a = 0;\nlet x = v.unwrap(); // ca-lint: allow(wire-taint) — invariant\nlet y = w.unwrap();\n";
         let sup = Suppressions::collect(&lex(src));
-        assert!(sup.allows("panic-path", 2));
-        assert!(!sup.allows("panic-path", 3));
+        assert!(sup.allows("wire-taint", 2));
+        assert!(!sup.allows("wire-taint", 3));
     }
 
     #[test]
     fn pragma_never_leaks_two_lines_down() {
         // Regression: the old semantics accepted L or L+1 for every
         // pragma, letting a trailing pragma leak to the line below it.
-        let src = "let x = v.unwrap(); // ca-lint: allow(panic-path)\nlet y = w.unwrap();\nlet z = u.unwrap();\n";
+        let src = "let x = v.unwrap(); // ca-lint: allow(wire-taint)\nlet y = w.unwrap();\nlet z = u.unwrap();\n";
         let sup = Suppressions::collect(&lex(src));
-        assert!(sup.allows("panic-path", 1));
-        assert!(!sup.allows("panic-path", 2));
-        assert!(!sup.allows("panic-path", 3));
+        assert!(sup.allows("wire-taint", 1));
+        assert!(!sup.allows("wire-taint", 2));
+        assert!(!sup.allows("wire-taint", 3));
     }
 
     #[test]
     fn file_level_pragma() {
-        let src =
-            "//! ca-lint: allow(nondeterminism) — this file is the clock boundary\nfn f() {}\n";
+        let src = "//! ca-lint: allow(comm-budget) — this file is the metering layer\nfn f() {}\n";
         let sup = Suppressions::collect(&lex(src));
-        assert!(sup.allows("nondeterminism", 999));
+        assert!(sup.allows("comm-budget", 999));
     }
 
     #[test]
     fn multi_rule_pragma() {
-        let src = "// ca-lint: allow(panic-path, wire-cast)\nx\n";
+        let src = "// ca-lint: allow(wire-taint, concurrency-discipline)\nx\n";
         let sup = Suppressions::collect(&lex(src));
-        assert!(sup.allows("panic-path", 2));
-        assert!(sup.allows("wire-cast", 2));
+        assert!(sup.allows("wire-taint", 2));
+        assert!(sup.allows("concurrency-discipline", 2));
     }
 
     #[test]
     fn non_pragma_comments_ignored() {
         let sup = Suppressions::collect(&lex("// ordinary comment\n"));
-        assert!(!sup.allows("panic-path", 1));
+        assert!(!sup.allows("wire-taint", 1));
     }
 
     #[test]
     fn json_rendering_escapes() {
         let d = Diagnostic {
-            rule: "panic-path",
-            severity: Severity::Error,
+            rule: "wire-taint",
             file: "a\"b.rs".into(),
             line: 3,
             message: "msg".into(),
         };
         assert!(d.render_json().contains("a\\\"b.rs"));
-        assert!(d.render_human().contains("error [panic-path]"));
+        assert!(d.render_human().contains("error [wire-taint]"));
     }
 }

@@ -1,73 +1,30 @@
-//! The analysis engine: walks the workspace, maps files to crates,
-//! masks `#[cfg(test)]` modules, applies rules, and filters findings
-//! through suppression pragmas.
+//! The workspace walk: loads every Rust source file with its owning
+//! crate, and masks `#[cfg(test)]` modules for the parser.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::diagnostics::{Diagnostic, Suppressions};
-use crate::lexer::{lex, Token, TokenKind};
-use crate::rules::{all_rules, FileContext, Rule};
+use crate::lexer::{Token, TokenKind};
 
-/// Analysis options, mirrored by the CLI flags.
-#[derive(Debug, Default, Clone)]
-pub struct Options {
-    /// Run only the rule with this name (all rules when `None`).
-    pub only_rule: Option<String>,
-    /// Include `shims/` (vendored stand-ins) in the walk. Off by default:
-    /// shims mimic external crates and are not protocol code.
-    pub include_shims: bool,
-}
-
-/// Analyzes every Rust source file under `root` (a workspace checkout).
+/// Loads every Rust source file under `root` (a workspace checkout:
+/// `crates/`, `src/` and `tests/`) as [`SourceFile`]s, in path order.
+///
+/// [`SourceFile`]: crate::symbols::SourceFile
 ///
 /// # Errors
 ///
 /// Returns an error when the workspace layout cannot be read.
-pub fn analyze_workspace(root: &Path, opts: &Options) -> Result<Vec<Diagnostic>, String> {
+pub fn collect_sources(root: &Path) -> Result<Vec<crate::symbols::SourceFile>, String> {
     if !root.is_dir() {
         return Err(format!("root `{}` is not a directory", root.display()));
     }
     let mut files = Vec::new();
-    collect_workspace_files(root, opts, &mut files)?;
-    files.sort();
-
-    let mut diags = Vec::new();
-    for file in &files {
-        let src = fs::read_to_string(file)
-            .map_err(|e| format!("failed to read {}: {e}", file.display()))?;
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let crate_name = crate_name_for(root, &rel);
-        let ctx = FileContext {
-            crate_name: &crate_name,
-            path: &rel,
-            is_test_code: is_test_path(&rel),
-        };
-        diags.extend(analyze_source(&ctx, &src, opts));
+    for dir in ["crates", "src", "tests"] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            walk_rs(&dir, &mut files)?;
+        }
     }
-    Ok(diags)
-}
-
-/// Loads every Rust source file under `root` as [`SourceFile`]s for the
-/// semantic passes, using the same walk (and ordering) as
-/// [`analyze_workspace`].
-///
-/// # Errors
-///
-/// Returns an error when the workspace layout cannot be read.
-pub fn collect_sources(
-    root: &Path,
-    opts: &Options,
-) -> Result<Vec<crate::symbols::SourceFile>, String> {
-    if !root.is_dir() {
-        return Err(format!("root `{}` is not a directory", root.display()));
-    }
-    let mut files = Vec::new();
-    collect_workspace_files(root, opts, &mut files)?;
     files.sort();
     let mut out = Vec::with_capacity(files.len());
     for file in &files {
@@ -88,52 +45,8 @@ pub fn collect_sources(
     Ok(out)
 }
 
-/// Analyzes one source string. Public so fixture tests can drive a rule
-/// against a snippet without touching the filesystem.
-#[must_use]
-pub fn analyze_source(ctx: &FileContext<'_>, src: &str, opts: &Options) -> Vec<Diagnostic> {
-    let tokens = lex(src);
-    let masked = mask_cfg_test(&tokens);
-    let sup = Suppressions::collect(&tokens);
-    let mut out = Vec::new();
-    for rule in applicable_rules(ctx, opts) {
-        let before = out.len();
-        (rule.check)(ctx, &tokens, &masked, &mut out);
-        // Drop findings the file suppresses via pragmas.
-        let mut i = before;
-        while i < out.len() {
-            if sup.allows(out[i].rule, out[i].line) {
-                out.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-    out
-}
-
-fn applicable_rules<'r>(
-    ctx: &FileContext<'_>,
-    opts: &Options,
-) -> impl Iterator<Item = &'r Rule> + use<'r> {
-    let crate_name = ctx.crate_name.to_owned();
-    let is_test = ctx.is_test_code;
-    let only = opts.only_rule.clone();
-    all_rules().iter().filter(move |rule| {
-        if let Some(only) = &only {
-            if rule.name != only {
-                return false;
-            }
-        }
-        if is_test && !rule.check_test_code {
-            return false;
-        }
-        rule.scope.is_empty() || rule.scope.contains(&crate_name.as_str())
-    })
-}
-
-/// Marks tokens inside `#[cfg(test)] mod … { … }` blocks so most rules
-/// skip them (unit tests may unwrap freely).
+/// Marks tokens inside `#[cfg(test)] mod … { … }` blocks, so the
+/// passes can tell unit tests from the code they test.
 #[must_use]
 pub fn mask_cfg_test(tokens: &[Token<'_>]) -> Vec<bool> {
     let mut masked = vec![false; tokens.len()];
@@ -255,23 +168,6 @@ fn parse_package_name(manifest: &str) -> Option<String> {
     None
 }
 
-fn collect_workspace_files(
-    root: &Path,
-    opts: &Options,
-    out: &mut Vec<PathBuf>,
-) -> Result<(), String> {
-    let mut top_dirs = vec![root.join("crates"), root.join("src"), root.join("tests")];
-    if opts.include_shims {
-        top_dirs.push(root.join("shims"));
-    }
-    for dir in top_dirs {
-        if dir.is_dir() {
-            walk_rs(&dir, out)?;
-        }
-    }
-    Ok(())
-}
-
 fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries =
         fs::read_dir(dir).map_err(|e| format!("failed to list {}: {e}", dir.display()))?;
@@ -295,6 +191,7 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
 
     #[test]
     fn cfg_test_mod_is_masked() {
@@ -321,8 +218,8 @@ mod tests {
 
     #[test]
     fn cfg_test_fn_attribute_does_not_mask_rest_of_file() {
-        // `#[cfg(test)]` on a non-mod item: nothing is masked (rules stay
-        // conservative), and analysis continues past it.
+        // `#[cfg(test)]` on a non-mod item: nothing is masked (the passes
+        // stay conservative), and analysis continues past it.
         let src = "#[cfg(test)]\nfn helper() {}\nfn real() { x.unwrap(); }\n";
         let tokens = lex(src);
         let masked = mask_cfg_test(&tokens);

@@ -5,7 +5,7 @@
 //! string-ish literals (`"…"`, `r#"…"#`, `b"…"`, `'c'`), lifetimes vs.
 //! char literals, raw identifiers, and numeric literals. Everything else
 //! is a one-character punctuation token. That is sufficient to make the
-//! analyzer's rules immune to the classic false-positive sources: code
+//! analyzer's passes immune to the classic false-positive sources: code
 //! mentioned inside comments, doc examples, and string literals.
 
 /// Kind of a lexed token.

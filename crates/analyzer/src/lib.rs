@@ -1,32 +1,22 @@
 //! `ca-analyzer`: protocol-soundness static analysis for the
 //! convex-agreement workspace.
 //!
-//! The analyzer enforces invariants that `rustc` and `clippy` cannot see
-//! because they are properties of *this protocol*, not of Rust.
+//! Per-line properties (no `unwrap`/`panic!` on a message path, no
+//! `HashMap` or wall clock in replayed code, no unbounded channel, no
+//! stdout in protocol crates) are clippy lints, configured in the root
+//! `Cargo.toml`, `clippy.toml` and the message crates' `#![deny(...)]`
+//! line. This crate checks what needs the whole workspace: flows across
+//! functions and crates, send sites, and lock order.
 //!
-//! Per-file token rules ([`rules`]):
-//!
-//! - **panic-path** — message-handling crates must never abort on
-//!   byzantine input (no `unwrap`/`expect`/`panic!`, no slice indexing in
-//!   the codec).
-//! - **unbounded-alloc** — allocations sized by decoded wire lengths must
-//!   be clamped, or a single forged frame defeats the paper's
-//!   `O(ℓn + κ·n²·log²n)` communication bound by forcing gigabyte
-//!   allocations.
-//! - **nondeterminism** — protocol and simulator paths must be replayable:
-//!   no `HashMap` iteration, wall clocks, or ambient randomness.
-//! - **wire-cast** — no silent `as` truncation in the codec.
-//! - **unsafe-audit** — a workspace-wide `unsafe` inventory, deny by
-//!   default.
-//!
-//! Semantic workspace passes ([`passes`], `--deep`), built on a
-//! lightweight item parser ([`parser`]), a workspace symbol table with
-//! a call graph ([`symbols`]), and an interprocedural taint engine
-//! ([`dataflow`]):
+//! Semantic workspace passes ([`passes`]), built on a lightweight item
+//! parser ([`parser`]), a workspace symbol table with a call graph
+//! ([`symbols`]), and an interprocedural taint engine ([`dataflow`]):
 //!
 //! - **wire-taint** — attacker-controlled wire input must pass through
 //!   a bounds-checked decode or validation before sizing an allocation
-//!   or indexing a slice, across function and crate boundaries.
+//!   or indexing a slice, across function and crate boundaries, or a
+//!   single forged frame defeats the paper's `O(ℓn + κ·n²·log²n)`
+//!   communication bound by forcing gigabyte allocations.
 //! - **comm-budget** — every transitive send site routes through a
 //!   metered helper, is attributable to an annotated round scope, and
 //!   matches the committed `analyzer-baseline.json` send-site table.
@@ -41,7 +31,7 @@
 //!
 //! The implementation is dependency-free: a hand-rolled lexer
 //! ([`lexer`]) gives token-level (not regex) matching, so code inside
-//! comments, doc examples, and string literals never trips a rule.
+//! comments, doc examples, and string literals never trips a pass.
 
 pub mod dataflow;
 pub mod diagnostics;
@@ -49,11 +39,9 @@ pub mod engine;
 pub mod lexer;
 pub mod parser;
 pub mod passes;
-pub mod rules;
 pub mod symbols;
 
-pub use diagnostics::{Diagnostic, Severity};
-pub use engine::{analyze_source, analyze_workspace, collect_sources, Options};
+pub use diagnostics::Diagnostic;
+pub use engine::collect_sources;
 pub use passes::{run_semantic, BudgetTable, SemanticConfig, SemanticOutput, SendSite};
-pub use rules::{all_rules, rule_by_name, FileContext};
 pub use symbols::{SourceFile, SymbolTable};

@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::diagnostics::{json_str, Diagnostic, Severity};
+use crate::diagnostics::{json_str, Diagnostic};
 use crate::lexer::TokenKind;
 use crate::passes::SemanticConfig;
 use crate::symbols::{call_open_paren, match_close, raw_send_reason, SymbolTable};
@@ -148,7 +148,6 @@ impl BudgetTable {
             if !theirs.contains_key(key) {
                 out.push(Diagnostic {
                     rule: RULE,
-                    severity: Severity::Error,
                     file: site.file.clone(),
                     line: site.line,
                     message: format!(
@@ -164,7 +163,6 @@ impl BudgetTable {
             if !ours.contains_key(key) {
                 out.push(Diagnostic {
                     rule: RULE,
-                    severity: Severity::Error,
                     file: site.file.clone(),
                     line: site.line,
                     message: format!(
@@ -259,7 +257,6 @@ pub fn run(table: &SymbolTable, config: &SemanticConfig) -> (Vec<Diagnostic>, Bu
                 if raw_send_reason(pragmas, line).is_none() {
                     diags.push(Diagnostic {
                         rule: RULE,
-                        severity: Severity::Error,
                         file: f.file.clone(),
                         line,
                         message: format!(
@@ -279,7 +276,6 @@ pub fn run(table: &SymbolTable, config: &SemanticConfig) -> (Vec<Diagnostic>, Bu
             if scope.is_none() {
                 diags.push(Diagnostic {
                     rule: RULE,
-                    severity: Severity::Error,
                     file: f.file.clone(),
                     line,
                     message: format!(

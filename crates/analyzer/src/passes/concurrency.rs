@@ -25,7 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::dataflow::pattern_names;
-use crate::diagnostics::{Diagnostic, Severity};
+use crate::diagnostics::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::passes::SemanticConfig;
 use crate::symbols::{call_open_paren, match_close, FnInfo, SymbolTable, Tok};
@@ -153,7 +153,6 @@ pub fn run(table: &SymbolTable, config: &SemanticConfig) -> Vec<Diagnostic> {
         let r = &pairs[rev[0]];
         diags.push(Diagnostic {
             rule: RULE,
-            severity: Severity::Error,
             file: f.file.clone(),
             line: f.line,
             message: format!(
@@ -169,7 +168,6 @@ pub fn run(table: &SymbolTable, config: &SemanticConfig) -> Vec<Diagnostic> {
         });
         diags.push(Diagnostic {
             rule: RULE,
-            severity: Severity::Error,
             file: r.file.clone(),
             line: r.line,
             message: format!(
@@ -306,7 +304,6 @@ fn walk_fn(
                         if held.lock == lock {
                             diags.push(Diagnostic {
                                 rule: RULE,
-                                severity: Severity::Error,
                                 file: f.file.clone(),
                                 line: t.line,
                                 message: format!(
@@ -354,7 +351,6 @@ fn walk_fn(
                             .join(", ");
                         diags.push(Diagnostic {
                             rule: RULE,
-                            severity: Severity::Error,
                             file: f.file.clone(),
                             line: t.line,
                             message: format!(
@@ -379,7 +375,6 @@ fn walk_fn(
                                 if held.lock == *m {
                                     diags.push(Diagnostic {
                                         rule: RULE,
-                                        severity: Severity::Error,
                                         file: f.file.clone(),
                                         line: t.line,
                                         message: format!(

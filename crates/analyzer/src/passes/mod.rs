@@ -1,6 +1,5 @@
 //! Semantic passes: workspace-level analyses built on the symbol table
-//! and dataflow engine, as opposed to the per-file token rules in
-//! [`crate::rules`].
+//! and dataflow engine.
 //!
 //! | pass | what it enforces |
 //! |---|---|
@@ -31,12 +30,20 @@ pub struct SemanticConfig {
 }
 
 impl SemanticConfig {
-    /// The policy for this workspace: protocol + runtime crates.
+    /// The policy for this workspace: the codec, protocol and runtime
+    /// crates.
     #[must_use]
     pub fn production() -> Self {
         let v = |names: &[&str]| names.iter().map(|s| (*s).to_owned()).collect();
         SemanticConfig {
-            taint_crates: v(&["ca-core", "ca-ba", "ca-net", "ca-runtime", "ca-engine"]),
+            taint_crates: v(&[
+                "ca-codec",
+                "ca-core",
+                "ca-ba",
+                "ca-net",
+                "ca-runtime",
+                "ca-engine",
+            ]),
             budget_crates: v(&["ca-core", "ca-ba", "ca-engine"]),
             lock_crates: v(&["ca-runtime", "ca-engine", "ca-trace"]),
         }

@@ -6,7 +6,7 @@
 //! crate boundaries (e.g. `ca-core` consuming an `Inbox` from `ca-net`).
 
 use crate::dataflow::analyze_taint;
-use crate::diagnostics::{Diagnostic, Severity};
+use crate::diagnostics::Diagnostic;
 use crate::passes::SemanticConfig;
 use crate::symbols::SymbolTable;
 
@@ -23,7 +23,6 @@ pub fn run(table: &SymbolTable, config: &SemanticConfig) -> Vec<Diagnostic> {
         .into_iter()
         .map(|f| Diagnostic {
             rule: RULE,
-            severity: Severity::Error,
             file: f.file,
             line: f.line,
             message: f.message,

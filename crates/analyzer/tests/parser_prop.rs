@@ -66,7 +66,7 @@ const SOUP: &[&str] = &[
     "*/",
     "///",
     "//!",
-    "// ca-lint: allow(panic-path)",
+    "// ca-lint: allow(wire-taint)",
     "// ca-budget: metered",
     "// ca-budget: scope(s)",
     "// ca-budget: raw-send(r)",

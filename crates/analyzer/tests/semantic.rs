@@ -4,14 +4,14 @@
 //! inversion) and one that must stay clean, plus determinism, baseline
 //! drift, suppression, and the self-hosting smoke test.
 //!
-//! Fixtures are in-memory [`SourceFile`]s, mirroring the PR 1 style of
-//! `tests/fixtures.rs`: each one is the smallest program that exhibits
-//! (or deliberately avoids) the property under test.
+//! Fixtures are in-memory [`SourceFile`]s: each one is the smallest
+//! program that exhibits (or deliberately avoids) the property under
+//! test.
 
 use std::path::Path;
 
 use ca_analyzer::{
-    collect_sources, run_semantic, BudgetTable, Options, SemanticConfig, SemanticOutput, SourceFile,
+    collect_sources, run_semantic, BudgetTable, SemanticConfig, SemanticOutput, SourceFile,
 };
 
 fn file(crate_name: &str, path: &str, src: &str) -> SourceFile {
@@ -136,6 +136,24 @@ fn taint_decoded_inbox_is_clean() {
          }\n",
     );
     assert!(out.diags.is_empty(), "{:?}", messages(&out));
+}
+
+#[test]
+fn taint_covers_the_codec_in_production() {
+    let out = run_semantic(
+        &[file(
+            "ca-codec",
+            "crates/codec/src/seq.rs",
+            "fn decode_seq(r: &mut Reader<'_>) -> Result<Vec<u8>, CodecError> {\n\
+             let mut out = Vec::with_capacity(r.get_varint()? as usize);\n\
+             Ok(out)\n\
+             }\n",
+        )],
+        &SemanticConfig::production(),
+    );
+    let msgs = messages(&out);
+    assert_eq!(msgs.len(), 1, "{msgs:?}");
+    assert!(msgs[0].contains("seq.rs:2 [wire-taint]"), "{msgs:?}");
 }
 
 // ── comm-budget ─────────────────────────────────────────────────────
@@ -349,7 +367,7 @@ fn mixed_fixture_reports_all_three_passes() {
 #[test]
 fn analyzer_is_clean_under_its_own_semantic_passes() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let sources = collect_sources(&root, &Options::default()).expect("workspace readable");
+    let sources = collect_sources(&root).expect("workspace readable");
     let own: Vec<SourceFile> = sources
         .into_iter()
         .filter(|s| s.path.starts_with("crates/analyzer/"))

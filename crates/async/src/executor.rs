@@ -79,12 +79,16 @@ impl<O> ExecReport<O> {
 /// Scope name stamped on the run's records.
 const SCOPE: &str = "async";
 
+/// Runaway-protocol safety valve: dispatched events per run.
+const MAX_EVENTS: u64 = 10_000_000;
+
 /// Deterministic executor over `n` instances of one protocol type.
 pub struct Executor<P: AsyncProtocol> {
     parties: Vec<P>,
     schedule: DeliverySchedule,
     crash_plan: BTreeMap<usize, u64>,
     sink: Arc<dyn TraceSink>,
+    /// [`MAX_EVENTS`]; only a unit test lowers it.
     max_events: u64,
 }
 
@@ -101,7 +105,7 @@ impl<P: AsyncProtocol> Executor<P> {
             schedule,
             crash_plan: BTreeMap::new(),
             sink: Arc::new(NullSink),
-            max_events: 10_000_000,
+            max_events: MAX_EVENTS,
         }
     }
 
@@ -118,14 +122,6 @@ impl<P: AsyncProtocol> Executor<P> {
     #[must_use]
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.sink = sink;
-        self
-    }
-
-    /// Overrides the runaway-protocol safety valve (default 10 000 000
-    /// dispatched events).
-    #[must_use]
-    pub fn with_max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
         self
     }
 
@@ -552,8 +548,8 @@ mod tests {
                 None
             }
         }
-        Executor::new(vec![PingPong, PingPong], DeliverySchedule::uniform(0, 1, 0))
-            .with_max_events(1000)
-            .run();
+        let mut exec = Executor::new(vec![PingPong, PingPong], DeliverySchedule::uniform(0, 1, 0));
+        exec.max_events = 1000;
+        exec.run();
     }
 }

@@ -171,7 +171,10 @@ pub fn lba_plus<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V
 fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V> {
     let n = ctx.n();
     let me = ctx.me();
-    // ca-lint: allow(panic-path) — (n, n−t) are local config, not wire input
+    #[expect(
+        clippy::expect_used,
+        reason = "(n, n−t) are local config, not wire input"
+    )]
     let rs = ReedSolomon::new(n, ctx.quorum()).expect("valid (n, n−t) parameters");
 
     // Step 1: erasure-code and accumulate.

@@ -32,6 +32,13 @@
 //! }
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 mod ba_plus;
 mod ext;
 mod kind;

@@ -7,6 +7,11 @@
 //! `run.jsonl` event timeline (inspect with `ca-trace report/check/diff`)
 //! and a `BENCH_<exp>.json` claim-vs-measured summary.
 
+#![allow(
+    clippy::print_stderr,
+    reason = "a command-line tool reports on its own streams"
+)]
+
 use std::path::PathBuf;
 
 fn main() {

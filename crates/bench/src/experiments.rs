@@ -866,7 +866,6 @@ pub fn a1_adaptive_sweep(quick: bool, artifacts: Option<&Path>) {
     }
     table.print();
 
-    // ca-lint: allow(panic-path) — f0 is set by the f = 0 iteration above
     let (f0_bits, f0_rounds) = f0.expect("sweep includes f = 0");
     let f0_beats = all_correct && f0_rounds < worst.rounds && f0_bits * 2 <= worst.honest_bits;
     summary.set_flag("f0_beats_worst_case", f0_beats);
@@ -1167,7 +1166,6 @@ pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
     let mut last_cell: Option<(String, f64, f64)> = None;
     for &n in ns {
         let k = n - ca_net::max_faults(n);
-        // ca-lint: allow(panic-path) — (n, k) are the experiment grid, not wire input
         let rs = ReedSolomon::new(n, k).expect("valid grid parameters");
         for &ell in ells {
             let data: Vec<u8> = (0..ell as u32)
@@ -1180,9 +1178,7 @@ pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
             let mut equal = blocked == scalar;
             // Parity-heavy subset: take the k highest-indexed shares.
             let subset: Vec<(usize, Share)> = (n - k..n).map(|i| (i, blocked[i].clone())).collect();
-            // ca-lint: allow(panic-path) — subset has exactly k verified shares
             let rec_blocked = rs.decode(&subset).expect("k shares reconstruct");
-            // ca-lint: allow(panic-path) — same subset through the oracle
             let rec_scalar = rs.decode_scalar(&subset).expect("k shares reconstruct");
             equal &= rec_blocked == data && rec_scalar == data;
             let leaves: Vec<Vec<u8>> = blocked.iter().map(Encode::encode_to_vec).collect();
@@ -1195,12 +1191,10 @@ pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
                 std::hint::black_box(rs.encode_scalar(std::hint::black_box(&data)));
             });
             let dec_blk = mbps(ell, budget_ms, || {
-                // ca-lint: allow(panic-path) — verified above
                 std::hint::black_box(rs.decode(std::hint::black_box(&subset)).expect("decodes"));
             });
             let dec_sca = mbps(ell, budget_ms, || {
                 std::hint::black_box(
-                    // ca-lint: allow(panic-path) — verified above
                     rs.decode_scalar(std::hint::black_box(&subset))
                         .expect("decodes"),
                 );
@@ -1252,7 +1246,6 @@ pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
     // The gate reads the grid's largest cell (n = 256, ℓ = 1 MiB on the
     // full grid; the quick grid gates on its own largest cell so CI still
     // exercises the comparison).
-    // ca-lint: allow(panic-path) — the grid is never empty
     let (label, enc_x, dec_x) = last_cell.expect("grid has cells");
     let beats = all_equal && enc_x >= 2.0 && dec_x >= 2.0;
     summary.set_flag("p1_blocked_beats_scalar", beats);

@@ -21,6 +21,13 @@
 //! binary (`cargo run -p ca-bench --release --bin experiments --
 //! <id>|all [--quick]`).
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_methods,
+    reason = "the experiment harness reports to the terminal and times itself"
+)]
+
 pub mod experiments;
 pub mod runner;
 pub mod summary;

@@ -190,7 +190,6 @@ impl Row {
     #[must_use]
     pub fn cell(&self, key: &str) -> String {
         let field = self.fields.iter().find(|(k, _)| *k == key);
-        // ca-lint: allow(panic-path) — keys are literals in the experiment code
         let (_, value) = field.unwrap_or_else(|| panic!("row has no field {key:?}"));
         match value {
             Value::Str(s) => s.clone(),

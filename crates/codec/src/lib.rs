@@ -28,6 +28,22 @@
 //! # }
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::cast_possible_truncation,
+        reason = "unit tests draw lengths and bytes from a u64 rng"
+    )
+)]
+
 mod error;
 mod reader;
 mod writer;

@@ -15,7 +15,6 @@ impl Writer {
     /// Creates a writer with `cap` bytes preallocated.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            // ca-lint: allow(unbounded-alloc) — encoder capacity is locally computed, not wire input
             buf: Vec::with_capacity(cap),
         }
     }
@@ -39,7 +38,7 @@ impl Writer {
     /// Appends an unsigned LEB128 varint (1–10 bytes).
     pub fn put_varint(&mut self, mut v: u64) {
         loop {
-            let byte = (v & 0x7f) as u8; // ca-lint: allow(wire-cast) — masked to 7 bits
+            let byte = (v & 0x7f) as u8;
             v >>= 7;
             if v == 0 {
                 self.buf.push(byte);
@@ -54,7 +53,6 @@ impl Writer {
         if v == 0 {
             1
         } else {
-            // ca-lint: allow(wire-cast) — u32 → usize is widening on all supported targets
             (64 - v.leading_zeros() as usize).div_ceil(7)
         }
     }

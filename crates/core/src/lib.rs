@@ -54,6 +54,20 @@
 //! assert!(*outputs[0] <= Int::from_i64(-1003));               //   validity
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unreachable,
+        reason = "unit tests check arms that cannot be reached"
+    )
+)]
+
 mod adaptive;
 mod approx;
 mod baseline;

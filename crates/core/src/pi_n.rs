@@ -88,7 +88,7 @@ pub(crate) fn pi_n_body(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
                 if v.bit_len() > ell {
                     v = Nat::all_ones(ell);
                 }
-                // ca-lint: allow(panic-path) — v was clamped to ℓ bits two lines up
+                #[expect(clippy::expect_used, reason = "v was clamped to ℓ bits two lines up")]
                 let bits = v.to_bits_len(ell).expect("clamped to ℓ bits");
                 return fixed_length_ca(ctx, ell, &bits, ba).val();
             }
@@ -99,7 +99,7 @@ pub(crate) fn pi_n_body(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
         if v.bit_len() > ell {
             v = Nat::all_ones(ell);
         }
-        // ca-lint: allow(panic-path) — v was clamped to ℓ bits two lines up
+        #[expect(clippy::expect_used, reason = "v was clamped to ℓ bits two lines up")]
         let bits = v.to_bits_len(ell).expect("clamped");
         fixed_length_ca(ctx, ell, &bits, ba).val()
     } else {
@@ -117,7 +117,10 @@ pub(crate) fn pi_n_body(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
         } else {
             v_in.clone()
         };
-        // ca-lint: allow(panic-path) — v was clamped to ℓ_EST bits two lines up
+        #[expect(
+            clippy::expect_used,
+            reason = "v was clamped to ℓ_EST bits two lines up"
+        )]
         let bits: BitString = v.to_bits_len(ell_est).expect("clamped to ℓ_EST bits");
         fixed_length_ca_blocks(ctx, ell_est, &bits, ba).val()
     }

@@ -25,6 +25,11 @@
 //! assert_eq!(sha256(b"abc").to_hex().len(), 64);
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_types, reason = "unit tests count distinct values")
+)]
+
 mod digest;
 mod merkle;
 mod sha2;

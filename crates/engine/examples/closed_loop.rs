@@ -5,6 +5,8 @@
 //! cargo run -p ca-engine --example closed_loop -- 2
 //! ```
 
+#![allow(clippy::print_stdout, reason = "an example prints what it shows")]
+
 use std::time::Duration;
 
 use ca_engine::loadgen::{run_closed_loop_for, LoadProfile};

@@ -30,6 +30,11 @@
 //! # }
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_types, reason = "unit tests count distinct values")
+)]
+
 pub mod gf;
 
 mod rs;

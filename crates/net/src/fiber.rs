@@ -199,7 +199,10 @@ impl<'scope, 'env, K: Ord + Clone, O: Send + 'scope> Fibers<'scope, 'env, K, O> 
         let mut steps = Vec::with_capacity(self.live.len());
         // `retain` visits in ascending key order.
         self.live.retain(|key, fiber| {
-            // ca-lint: allow(panic-path) — in-process channel: a fiber we hold both ends for always sends its step
+            #[expect(
+                clippy::expect_used,
+                reason = "in-process channel: a fiber we hold both ends for always sends its step"
+            )]
             let step = fiber.steps.recv().expect("live fiber owes a step");
             let parked = matches!(step, Step::Round { .. });
             steps.push((key.clone(), step));

@@ -38,6 +38,20 @@
 //! assert_eq!(report.metrics.rounds, 1);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unreachable,
+        reason = "unit tests check arms that cannot be reached"
+    )
+)]
+
 mod adversary;
 mod comm;
 mod delay;

@@ -291,10 +291,13 @@ impl Sim {
                             }
                             (sends, events)
                         }
+                        #[expect(
+                            clippy::panic,
+                            reason = "the simulator surfaces a party's panic to the driving test"
+                        )]
                         Step::Panicked(payload) => {
                             let info = panic_message(payload.as_ref());
-                            // ca-lint: allow(panic-path) — the simulator deliberately surfaces
-                            panic!("party P{from} panicked: {info}"); // a party's panic to the driving test
+                            panic!("party P{from} panicked: {info}");
                         }
                     };
                     sends.push((from, s));

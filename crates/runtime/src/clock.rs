@@ -1,7 +1,3 @@
-//! ca-lint: allow(nondeterminism) — this module is the one sanctioned
-//! clock-injection boundary: `MonotonicClock` wraps `Instant` here so no
-//! other runtime code has to touch the wall clock directly.
-//!
 //! Injectable time source for the TCP transport.
 //!
 //! The round loop in [`TcpParty`](crate::TcpParty) needs a notion of "Δ has
@@ -28,6 +24,10 @@ pub struct MonotonicClock {
 }
 
 impl Default for MonotonicClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one clock-injection boundary: no other runtime code reads the wall clock"
+    )]
     fn default() -> Self {
         Self {
             origin: Instant::now(),

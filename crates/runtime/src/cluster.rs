@@ -186,11 +186,9 @@ impl TcpCluster {
         F: Fn(&mut TcpParty, PartyId) -> O + Send + Sync,
     {
         // Reserve n free localhost ports.
-        // ca-lint: allow(unbounded-alloc) — capacity is the locally configured party count
         let mut addrs: Vec<SocketAddr> = Vec::with_capacity(self.n);
         {
             // Hold the listeners until all ports are chosen, then drop.
-            // ca-lint: allow(unbounded-alloc) — capacity is the locally configured party count
             let mut holders = Vec::with_capacity(self.n);
             for _ in 0..self.n {
                 let l = StdTcpListener::bind(("127.0.0.1", 0))?;
@@ -207,7 +205,6 @@ impl TcpCluster {
         let opts = &self.opts;
         let clock_factory = self.clock_factory.clone();
         std::thread::scope(|scope| {
-            // ca-lint: allow(unbounded-alloc) — capacity is the locally configured party count
             let mut handles = Vec::with_capacity(self.n);
             for i in 0..self.n {
                 let addrs = addrs.clone();

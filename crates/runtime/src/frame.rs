@@ -191,7 +191,7 @@ impl Frame {
     ///
     /// Whatever `out.write_all` returns.
     pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
-        // ca-lint: allow(unbounded-alloc) — prefix + tag + two maximal varints
+        // Prefix + tag + two maximal varints.
         let mut head = Writer::with_capacity(LENGTH_PREFIX_LEN + 21);
         self.put_head(&mut head);
         out.write_all(head.as_slice())?;

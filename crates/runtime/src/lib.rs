@@ -45,6 +45,14 @@
 //! assert_eq!(outputs, vec![4, 4, 4, 4]);
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "socket tests time real sockets and collect from threads"
+    )
+)]
+
 mod async_driver;
 mod clock;
 mod cluster;

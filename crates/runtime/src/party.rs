@@ -972,7 +972,6 @@ fn reader_loop(
     event_tx: &mpsc::SyncSender<Event>,
     stats: &StatsInner,
 ) {
-    // ca-lint: allow(unbounded-alloc) — a fixed local buffer size
     let mut stream = BufReader::with_capacity(SOCKET_BUFFER, stream);
     let event = |frame| Event { from: peer, frame };
     loop {
@@ -1032,7 +1031,6 @@ fn establish_clique(
     let n = addrs.len();
     let listener = TcpListener::bind(addrs[me.index()])?;
     let deadline = clock.now().saturating_add(opts.deadline);
-    // ca-lint: allow(unbounded-alloc) — capacity is the locally configured party count
     let mut streams: Vec<(usize, TcpStream)> = Vec::with_capacity(n.saturating_sub(1));
 
     // Dial everyone below us, retrying with backoff while they come up.

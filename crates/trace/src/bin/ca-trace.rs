@@ -9,6 +9,12 @@
 //! Exit codes: 0 = ok / identical / clean; 1 = divergence or violations
 //! found; 2 = usage or I/O error.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool reports on its own streams"
+)]
+
 use std::path::Path;
 use std::process::ExitCode;
 

@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release --example blockchain_oracle`
 
+#![allow(clippy::print_stdout, reason = "an example prints what it shows")]
+
 use convex_agreement::adversary::{Attack, AttackKind, LieKind};
 use convex_agreement::bits::{Int, Nat};
 use convex_agreement::core::{check_agreement, check_convex_validity, CaProtocol};

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --example sensor_network`
 
+#![allow(clippy::print_stdout, reason = "an example prints what it shows")]
+
 use convex_agreement::ba::{turpin_coan, BaKind};
 use convex_agreement::bits::Int;
 use convex_agreement::core::{check_convex_validity, pi_z};

@@ -4,6 +4,12 @@
 //!
 //! Run with: `cargo run --release --example tcp_cluster`
 
+#![allow(
+    clippy::print_stdout,
+    clippy::disallowed_methods,
+    reason = "an example prints what it shows, with its wall time"
+)]
+
 use std::time::{Duration, Instant};
 
 use convex_agreement::ba::BaKind;

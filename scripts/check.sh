@@ -2,10 +2,17 @@
 # Workspace quality gate, in escalating strictness:
 #
 #   1. rustfmt       — formatting drift
-#   2. clippy        — generic Rust lints, warnings denied
-#   3. ca-analyzer   — protocol-soundness rules (panic-path, unbounded-alloc,
-#                      nondeterminism, wire-cast, trace-discipline,
-#                      bounded-channels, unsafe-audit), --deny mode
+#   2. clippy        — Rust lints plus the protocol-soundness ones, warnings
+#                      denied: no panic/unwrap/indexing/truncating cast on
+#                      a message path, no HashMap or wall clock in replayed
+#                      code, no unbounded channel, no stdout/stderr in
+#                      protocol crates, no unsafe (root Cargo.toml
+#                      [workspace.lints], clippy.toml, and the message
+#                      crates' `#![deny(...)]` line; DESIGN.md §6)
+#   3. lint canary   — scripts/lint-canary.sh: a crate outside the workspace
+#                      with one violation per lint, checked under that same
+#                      configuration, must report exactly the expected lints,
+#                      so a lint dropped from the configuration fails here
 #   4. cargo test    — unit + property + integration tests, whole workspace.
 #                      Every test binary runs here and only here (the
 #                      NullSink guard, TCP chaos, fast-path conformance and
@@ -61,8 +68,8 @@ cargo fmt --all -- --check
 echo "==> [2/12] cargo clippy (warnings denied)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> [3/12] ca-analyzer --deny"
-cargo run --offline -q -p ca-analyzer -- --deny
+echo "==> [3/12] lint canary"
+scripts/lint-canary.sh
 
 echo "==> [4/12] cargo test (workspace)"
 cargo test --workspace --offline -q
@@ -97,8 +104,8 @@ grep -q '"f0_beats_worst_case": true' "$artifacts/BENCH_a1.json" \
     || { echo "BENCH_a1.json: fast path did not beat the worst case at f = 0"; exit 1; }
 
 echo "==> [9/12] deep semantic analysis (baseline-gated, offline)"
-cargo run --offline -q -p ca-analyzer -- --deep --deny --baseline analyzer-baseline.json
-cargo run --offline -q -p ca-analyzer -- --deep --deny --baseline analyzer-baseline.json \
+cargo run --offline -q -p ca-analyzer -- --baseline analyzer-baseline.json
+cargo run --offline -q -p ca-analyzer -- --baseline analyzer-baseline.json \
     --emit json >/dev/null   # JSON emitter stays parseable for CI
 
 echo "==> [10/12] async smoke (AS1 artifact gate)"

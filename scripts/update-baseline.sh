@@ -11,6 +11,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo run --offline -q -p ca-analyzer -- --deep --write-baseline analyzer-baseline.json
+cargo run --offline -q -p ca-analyzer -- --write-baseline analyzer-baseline.json
 git --no-pager diff --stat -- analyzer-baseline.json || true
 echo "update-baseline.sh: wrote analyzer-baseline.json (review the diff before committing)"

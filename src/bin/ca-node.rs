@@ -16,6 +16,12 @@
 //!   --scale <d>       interpret input as fixed-point with d decimals
 //!   --delta-ms <ms>   synchrony bound Δ (default 500)
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool reports on its own streams"
+)]
+
 use std::net::SocketAddr;
 use std::process::exit;
 use std::time::Duration;
