@@ -98,10 +98,23 @@ fn share_msgs(inbox: &Inbox) -> Vec<ShareMsgRef<'_>> {
 /// against `z_star`, each with its first verified copy in sender order —
 /// the `k` codewords `RS.DECODE` picks from the full verified set.
 ///
-/// Messages are bucketed by index first and hashed only while fewer than
-/// `k` indices have verified. An unverifiable copy never shadows a later
-/// honest one, and verified codewords for an index are identical, so
-/// which copy wins is immaterial.
+/// Messages are bucketed by index and verified in passes through
+/// [`MerkleTree::verify_each`]: each pass hashes the next copy of each of
+/// the `k − collected` lowest undecided indices, and an index is decided
+/// once a copy verifies or its copies run out. This hashes exactly the
+/// copies a scan of the indices in order, stopping at `k`, would hash:
+/// - every index in a pass has fewer than `k` verified indices below it,
+///   since those are the `collected` ones plus at most `k − collected − 1`
+///   batch-mates, so the scan would reach it too;
+/// - the passes stop when every index is decided or `k` have verified,
+///   and `collected` reaches `k` only in a pass whose every index
+///   verified, so no index the scan would still try is left undecided
+///   below a verified one.
+///
+/// With all parties honest the first pass is the first `k` indices'
+/// first copies, `k` hashes in all. An unverifiable copy never shadows a
+/// later honest one, and verified codewords for an index are identical,
+/// so which copy wins is immaterial.
 fn first_verified(inbox: &Inbox, z_star: Hash256, n: usize, k: usize) -> Vec<(usize, Share)> {
     let mut buckets: Vec<Vec<ShareMsgRef<'_>>> = (0..n).map(|_| Vec::new()).collect();
     for msg in share_msgs(inbox) {
@@ -109,16 +122,39 @@ fn first_verified(inbox: &Inbox, z_star: Hash256, n: usize, k: usize) -> Vec<(us
             bucket.push(msg);
         }
     }
-    let mut collected = Vec::with_capacity(k);
-    for (idx, bucket) in buckets.iter().enumerate() {
-        if collected.len() == k {
+    // Per index: the copy up next (or the one that verified), and
+    // whether one did.
+    let mut next = vec![0; n];
+    let mut verified = vec![false; n];
+    let mut collected = 0;
+    loop {
+        let batch: Vec<usize> = (0..n)
+            .filter(|&idx| !verified[idx] && next[idx] < buckets[idx].len())
+            .take(k - collected)
+            .collect();
+        if batch.is_empty() {
             break;
         }
-        if let Some(msg) = bucket.iter().find(|msg| msg.verifies(z_star)) {
-            collected.push((idx, msg.share.to_share()));
+        let items: Vec<_> = batch
+            .iter()
+            .map(|&idx| {
+                let msg = &buckets[idx][next[idx]];
+                (idx, msg.share.encoded_bytes(), &msg.witness)
+            })
+            .collect();
+        for (&idx, ok) in batch.iter().zip(MerkleTree::verify_each(z_star, &items)) {
+            if ok {
+                verified[idx] = true;
+                collected += 1;
+            } else {
+                next[idx] += 1;
+            }
         }
     }
-    collected
+    (0..n)
+        .filter(|&idx| verified[idx])
+        .map(|idx| (idx, buckets[idx][next[idx]].share.to_share()))
+        .collect()
 }
 
 /// Step 1: `RS.ENCODE` the payload and `MT.BUILD` over the codewords'
@@ -308,7 +344,8 @@ mod tests {
 
     type Body = fn(&mut dyn Comm, &Vec<u8>, BaKind) -> Option<Vec<u8>>;
 
-    /// Who misbehaves in a differential case: nobody, or parties `0..t`.
+    /// Who misbehaves in a differential case: nobody, or parties `0..t`
+    /// (`t..2t` for `TamperMid`).
     #[derive(Debug, Clone, Copy)]
     enum Faults {
         None,
@@ -317,6 +354,11 @@ mod tests {
         Replay,
         Equivocate,
         Tamper,
+        /// `Tamper` from the middle ids: an index below them gets its
+        /// honest copy first, one above them a forgery first, so one
+        /// verify batch holds both and must fall back to later copies
+        /// for some of its indices only.
+        TamperMid,
         Lying,
     }
 
@@ -361,12 +403,14 @@ mod tests {
                 Faults::Lying => Corruption::LyingHonest,
                 _ => Corruption::Scripted,
             };
-            let sim = (0..max_faults(n)).fold(Sim::new(n), |sim, p| sim.corrupt(PartyId(p), mode));
+            let t = max_faults(n);
+            let first = if let Faults::TamperMid = self { t } else { 0 };
+            let sim = (first..first + t).fold(Sim::new(n), |sim, p| sim.corrupt(PartyId(p), mode));
             match self {
                 Faults::Garbage => sim.with_adversary(Garbage::new(31)),
                 Faults::Replay => sim.with_adversary(Replay::new(32)),
                 Faults::Equivocate => sim.with_adversary(Equivocate::new(33)),
-                Faults::Tamper => sim.with_adversary(Tamper),
+                Faults::Tamper | Faults::TamperMid => sim.with_adversary(Tamper),
                 _ => sim,
             }
         }
@@ -394,8 +438,10 @@ mod tests {
     /// The lazy data plane against the eager oracle: the same output for
     /// every party and the same bits and rounds, with adversaries placed
     /// on the lowest ids so their bad candidates come first in sender
-    /// order, and with split inputs so that parties whose root lost take
-    /// the full re-accumulation path.
+    /// order (on the middle ids for `TamperMid`, so a verify batch must
+    /// fall back to later copies for some of its indices), and with split
+    /// inputs so that parties whose root lost take the full
+    /// re-accumulation path.
     #[test]
     fn lazy_body_matches_the_eager_oracle() {
         for n in [4, 7, 10] {
@@ -420,6 +466,7 @@ mod tests {
                 (Faults::Replay, split(n)),
                 (Faults::Equivocate, split(n)),
                 (Faults::Tamper, split(n)),
+                (Faults::TamperMid, split(n)),
                 (Faults::None, split(n - 2 * t - 1)),
                 (Faults::None, split(n - 2 * t)),
                 (Faults::None, split(n - t)),

@@ -31,18 +31,23 @@ impl Hash256 {
         s
     }
 
-    /// Parses 64 hex characters.
+    /// Parses 64 hex characters (`[0-9a-fA-F]`, no sign).
     pub fn from_hex(hex: &str) -> Option<Self> {
         if hex.len() != 64 {
             return None;
         }
         let mut out = [0u8; 32];
-        for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-            let s = std::str::from_utf8(chunk).ok()?;
-            out[i] = u8::from_str_radix(s, 16).ok()?;
+        for (byte, pair) in out.iter_mut().zip(hex.as_bytes().chunks_exact(2)) {
+            *byte = (hex_digit(pair[0])? << 4) | hex_digit(pair[1])?;
         }
         Some(Self(out))
     }
+}
+
+/// The value of one hex digit; `u8::from_str_radix` would also take a
+/// leading `+`.
+fn hex_digit(c: u8) -> Option<u8> {
+    char::from(c).to_digit(16).map(|d| d as u8)
 }
 
 impl fmt::Display for Hash256 {
@@ -89,6 +94,13 @@ mod tests {
         assert_eq!(Hash256::from_hex(&h.to_hex()), Some(h));
         assert_eq!(Hash256::from_hex("zz"), None);
         assert_eq!(Hash256::from_hex(&"0".repeat(63)), None);
+        assert_eq!(Hash256::from_hex(&"+f".repeat(32)), None);
+        assert_eq!(Hash256::from_hex(&"-f".repeat(32)), None);
+        let mixed = "0123456789abcdefABCDEF".repeat(3);
+        assert_eq!(
+            Hash256::from_hex(&mixed[..64]).map(|h| h.to_hex()),
+            Some(mixed[..64].to_lowercase())
+        );
     }
 
     #[test]

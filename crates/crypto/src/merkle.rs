@@ -10,6 +10,7 @@
 
 use ca_codec::{CodecError, Decode, Encode, Reader, Writer};
 
+use crate::sha2::{sha256_lanes, LANES};
 use crate::{sha256, Hash256, Sha256};
 
 const DOMAIN_LEAF: u8 = 0x00;
@@ -108,9 +109,12 @@ impl MerkleTree {
         let width = leaf_count.next_power_of_two();
 
         let mut nodes = vec![empty_leaf(); 2 * width];
-        for (i, leaf) in leaves.iter().enumerate() {
-            nodes[width + i] = hash_leaf(i as u32, leaf_count as u32, leaf.as_ref());
-        }
+        let leaves: Vec<Leaf<'_>> = leaves
+            .iter()
+            .enumerate()
+            .map(|(i, leaf)| (i as u32, leaf_count as u32, leaf.as_ref()))
+            .collect();
+        nodes[width..width + leaf_count].copy_from_slice(&hash_leaves(&leaves));
         for i in (1..width).rev() {
             nodes[i] = hash_node(&nodes[2 * i], &nodes[2 * i + 1]);
         }
@@ -161,32 +165,125 @@ impl MerkleTree {
     /// Returns `false` (never panics) on any inconsistency, including
     /// adversarial witnesses with wrong shapes.
     pub fn verify<L: AsRef<[u8]>>(root: Hash256, index: usize, leaf: L, witness: &Witness) -> bool {
-        let leaf_count = witness.leaf_count as usize;
-        if leaf_count == 0 || index >= leaf_count {
-            return false;
-        }
-        if witness.path.len() != expected_depth(witness.leaf_count) {
-            return false;
-        }
-        let mut acc = hash_leaf(index as u32, witness.leaf_count, leaf.as_ref());
-        let mut pos = index;
-        for sibling in &witness.path {
-            acc = if pos & 1 == 0 {
-                hash_node(&acc, sibling)
-            } else {
-                hash_node(sibling, &acc)
-            };
-            pos >>= 1;
-        }
-        acc == root
+        fits(index, witness)
+            && climb(
+                hash_leaf(index as u32, witness.leaf_count, leaf.as_ref()),
+                index,
+                witness,
+            ) == root
     }
+
+    /// [`MerkleTree::verify`] of every `(index, leaf, witness)` against
+    /// one root, in order: the same verdict per item, with the leaf hashes
+    /// of equal-length leaves computed several at a time.
+    pub fn verify_each<L: AsRef<[u8]>>(root: Hash256, items: &[(usize, L, &Witness)]) -> Vec<bool> {
+        let fit: Vec<bool> = items
+            .iter()
+            .map(|(index, _, witness)| fits(*index, witness))
+            .collect();
+        let leaves: Vec<Leaf<'_>> = items
+            .iter()
+            .zip(&fit)
+            .filter(|(_, fit)| **fit)
+            .map(|((index, leaf, witness), _)| (*index as u32, witness.leaf_count, leaf.as_ref()))
+            .collect();
+        let mut hashes = hash_leaves(&leaves).into_iter();
+        items
+            .iter()
+            .zip(fit)
+            .map(|((index, _, witness), fit)| {
+                fit && hashes
+                    .next()
+                    .is_some_and(|leaf| climb(leaf, *index, witness) == root)
+            })
+            .collect()
+    }
+}
+
+/// Whether a witness has the shape of a tree with a leaf at `index`.
+fn fits(index: usize, witness: &Witness) -> bool {
+    index < witness.leaf_count as usize && witness.path.len() == expected_depth(witness.leaf_count)
+}
+
+/// The root that the leaf hash `leaf` at `index` and its sibling path
+/// recompute to.
+fn climb(leaf: Hash256, index: usize, witness: &Witness) -> Hash256 {
+    let mut acc = leaf;
+    let mut pos = index;
+    for sibling in &witness.path {
+        acc = if pos & 1 == 0 {
+            hash_node(&acc, sibling)
+        } else {
+            hash_node(sibling, &acc)
+        };
+        pos >>= 1;
+    }
+    acc
+}
+
+/// A leaf to hash: its index, the tree's leaf count and its bytes.
+type Leaf<'a> = (u32, u32, &'a [u8]);
+
+/// Leaves shorter than this are hashed one at a time, for memory: the
+/// lane path's frames are ~2 KiB deeper, and without this cutoff
+/// `engine_mux`, whose ~450 session threads each hash small trees, read
+/// 0.6–2.1 MiB more peak RSS (3 of 3 pairs). `lba_bulk`'s leaves are
+/// ~50 KB.
+const MIN_LANE_LEN: usize = 1024;
+
+/// `hash_leaf` of every leaf, in order. Leaves of one length, at least
+/// [`MIN_LANE_LEN`] long, go through [`sha256_lanes`] up to [`LANES`] at
+/// a time, wherever they sit in the list; any other leaf goes through
+/// [`Sha256`].
+fn hash_leaves(leaves: &[Leaf<'_>]) -> Vec<Hash256> {
+    let mut out = vec![Hash256::default(); leaves.len()];
+    let mut order: Vec<usize> = (0..leaves.len()).collect();
+    order.sort_unstable_by_key(|&i| (leaves[i].2.len(), i));
+    for run in order.chunk_by(|&i, &j| leaves[i].2.len() == leaves[j].2.len()) {
+        for group in run.chunks(LANES) {
+            if group.len() > 1 && leaves[group[0]].2.len() >= MIN_LANE_LEN {
+                hash_lanes(leaves, group, &mut out);
+            } else {
+                for &i in group {
+                    let (index, leaf_count, data) = leaves[i];
+                    out[i] = hash_leaf(index, leaf_count, data);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `hash_leaf` of the equal-length leaves `group` (at most [`LANES`]) in
+/// one [`sha256_lanes`] pass, into `out`.
+// Out of line, so that the one-at-a-time path does not carry its frame.
+#[inline(never)]
+fn hash_lanes(leaves: &[Leaf<'_>], group: &[usize], out: &mut [Hash256]) {
+    let heads: Vec<[u8; 9]> = group
+        .iter()
+        .map(|&i| leaf_head(leaves[i].0, leaves[i].1))
+        .collect();
+    let msgs: Vec<(&[u8], &[u8])> = group
+        .iter()
+        .zip(&heads)
+        .map(|(&i, head)| (&head[..], leaves[i].2))
+        .collect();
+    for (&i, hash) in group.iter().zip(sha256_lanes(&msgs)) {
+        out[i] = hash;
+    }
+}
+
+/// The domain byte, index and leaf count that precede a leaf's bytes.
+fn leaf_head(index: u32, leaf_count: u32) -> [u8; 9] {
+    let mut head = [DOMAIN_LEAF; 9];
+    head[1..5].copy_from_slice(&index.to_be_bytes());
+    head[5..].copy_from_slice(&leaf_count.to_be_bytes());
+    head
 }
 
 fn hash_leaf(index: u32, leaf_count: u32, data: &[u8]) -> Hash256 {
     let mut h = Sha256::new();
-    h.update(&[DOMAIN_LEAF]);
-    h.update(&index.to_be_bytes());
-    h.update(&leaf_count.to_be_bytes());
+    h.update(&leaf_head(index, leaf_count));
     h.update(data);
     h.finalize()
 }
@@ -368,6 +465,76 @@ mod tests {
         );
     }
 
+    /// Known answer at the benchmark's shape: 31 leaves of 4 KiB, so the
+    /// leaves go through three full 8-lane passes and one of 7. Computed
+    /// independently with Python's `hashlib`:
+    /// `H = lambda b: hashlib.sha256(b).digest()`; leaf `i` is
+    /// `bytes((7*i + 13*j) % 256 for j in range(4096))`, hashed as
+    /// `H(b'\x00' + i.to_bytes(4, 'big') + (31).to_bytes(4, 'big') + leaf)`;
+    /// `H(b'\x02')` pads to 32 leaves and `H(b'\x01' + left + right)`
+    /// joins.
+    #[test]
+    fn root_known_answer_at_benchmark_shape() {
+        let leaves: Vec<Vec<u8>> = (0..31usize)
+            .map(|i| (0..4096usize).map(|j| (7 * i + 13 * j) as u8).collect())
+            .collect();
+        assert_eq!(
+            MerkleTree::build(&leaves).root().to_hex(),
+            "6b774d390212647cb344137c327b39a81d3184f86192448db3f60f366d0e07ea"
+        );
+    }
+
+    /// `verify_each` gives `verify`'s verdict for every item of one call
+    /// that mixes good items with a wrong leaf, a wrong index, a witness
+    /// of another tree (another root and leaf count), wrong path lengths
+    /// and leaves of several lengths.
+    #[test]
+    fn verify_each_matches_verify_per_item() {
+        let data: Vec<Vec<u8>> = (0..11u8).map(|i| vec![i; MIN_LANE_LEN + 200]).collect();
+        let tree = MerkleTree::build(&data);
+        let other = MerkleTree::build(&leaves(6));
+        let w = tree.witnesses();
+        let mut forged = data[4].clone();
+        forged[150] ^= 1;
+        let mut long = w[6].clone();
+        long.path.push(Hash256::default());
+        let mut short = w[7].clone();
+        short.path.pop();
+        let other_w = other.witness(2);
+        // Each item with its verdict under `tree`'s root.
+        let cases: Vec<(usize, Vec<u8>, &Witness, bool)> = vec![
+            (0, data[0].clone(), &w[0], true),
+            (1, data[1].clone(), &w[1], true),
+            (4, forged, &w[4], false),
+            (2, data[3].clone(), &w[3], false),
+            (3, data[3].clone(), &w[2], false),
+            (2, leaves(6)[2].clone(), &other_w, false),
+            (6, data[6].clone(), &long, false),
+            (7, data[7].clone(), &short, false),
+            (11, data[10].clone(), &w[10], false),
+            (5, b"short leaf".to_vec(), &w[5], false),
+            (8, data[8].clone(), &w[8], true),
+            (9, data[9][..MIN_LANE_LEN].to_vec(), &w[9], false),
+            (10, data[10].clone(), &w[10], true),
+            (5, data[5].clone(), &w[5], true),
+        ];
+        let (items, expect): (Vec<_>, Vec<bool>) = cases
+            .into_iter()
+            .map(|(i, leaf, w, ok)| ((i, leaf, w), ok))
+            .unzip();
+        for root in [tree.root(), other.root(), Hash256::default()] {
+            let each = MerkleTree::verify_each(root, &items);
+            let single: Vec<bool> = items
+                .iter()
+                .map(|(i, leaf, w)| MerkleTree::verify(root, *i, leaf, w))
+                .collect();
+            assert_eq!(each, single);
+        }
+        assert_eq!(MerkleTree::verify_each(tree.root(), &items), expect);
+        assert!(MerkleTree::verify_each(other.root(), &items)[5]);
+        assert!(MerkleTree::verify_each::<&[u8]>(tree.root(), &[]).is_empty());
+    }
+
     #[test]
     fn witness_codec_round_trip() {
         let tree = MerkleTree::build(&leaves(9));
@@ -389,6 +556,40 @@ mod tests {
     }
 
     proptest! {
+        /// `verify_each` over random mixes of good and bad copies, of
+        /// several lengths, is `verify` item by item.
+        #[test]
+        fn prop_verify_each_is_verify(
+            data in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), MIN_LANE_LEN - 1..MIN_LANE_LEN + 2),
+                1..40,
+            ),
+            picks in proptest::collection::vec(any::<usize>(), 0..40),
+        ) {
+            let tree = MerkleTree::build(&data);
+            let witnesses = tree.witnesses();
+            let items: Vec<(usize, Vec<u8>, &Witness)> = picks
+                .iter()
+                .map(|&pick| {
+                    let i = pick / 4 % data.len();
+                    let mut leaf = data[i].clone();
+                    let at = pick % leaf.len();
+                    let index = match pick % 4 {
+                        0 => i,
+                        1 => { leaf[at] ^= 1; i }
+                        2 => i + 1,
+                        _ => { leaf.truncate(at); i }
+                    };
+                    (index, leaf, &witnesses[i])
+                })
+                .collect();
+            let single: Vec<bool> = items
+                .iter()
+                .map(|(i, leaf, w)| MerkleTree::verify(tree.root(), *i, leaf, w))
+                .collect();
+            prop_assert_eq!(MerkleTree::verify_each(tree.root(), &items), single);
+        }
+
         /// Pins `build` directly: over random leaf counts (padding
         /// included) and lengths, every witness opens its own position and
         /// nothing else.

@@ -1,9 +1,10 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
 //! This instantiates the paper's collision-resistant hash `Hκ` with κ = 256.
-//! The implementation is a straightforward, allocation-free translation of
-//! the standard; it is validated against the NIST short/long message vectors
-//! in the tests below.
+//! [`Sha256`] is a straightforward, allocation-free translation of the
+//! standard, validated against the NIST short/long message vectors in the
+//! tests below. `sha256_lanes` hashes up to eight equal-length messages at
+//! once for the Merkle leaves; `Sha256` is its oracle.
 
 use crate::Hash256;
 
@@ -96,39 +97,12 @@ impl Sha256 {
 
     /// Finishes the computation and returns the digest.
     pub fn finalize(mut self) -> Hash256 {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeroes, then the 64-bit big-endian bit length.
-        self.update_padding_byte();
-        while self.buf_len != 56 {
-            self.update_zero_byte();
+        let mut tail = [0u8; 128];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        for block in pad(&mut tail, self.buf_len, self.total_len) {
+            self.compress(block);
         }
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Hash256::from_bytes(out)
-    }
-
-    fn update_padding_byte(&mut self) {
-        self.push_pad_byte(0x80);
-    }
-
-    fn update_zero_byte(&mut self) {
-        self.push_pad_byte(0x00);
-    }
-
-    fn push_pad_byte(&mut self, b: u8) {
-        self.buf[self.buf_len] = b;
-        self.buf_len += 1;
-        if self.buf_len == 64 {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
+        digest(self.state)
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -178,6 +152,178 @@ impl Sha256 {
     }
 }
 
+/// The one padding rule: the last `len < 64` message bytes sit at the
+/// start of `tail`; appends `0x80`, zeroes and the 64-bit big-endian bit
+/// length of the whole `total_len`-byte message, and returns the one or
+/// two final blocks.
+fn pad(tail: &mut [u8; 128], len: usize, total_len: u64) -> &[[u8; 64]] {
+    let end = padded_len(len);
+    tail[len] = 0x80;
+    tail[len + 1..end - 8].fill(0);
+    tail[end - 8..end].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    tail[..end].as_chunks().0
+}
+
+/// Bytes `len` message bytes occupy once padded: room for `0x80` and the
+/// 8-byte length, rounded up to whole blocks.
+fn padded_len(len: usize) -> usize {
+    (len + 9).next_multiple_of(64)
+}
+
+fn digest(state: [u32; 8]) -> Hash256 {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Hash256::from_bytes(out)
+}
+
+/// Messages one pass of [`sha256_lanes`] hashes: two SSE2 registers per
+/// word.
+pub(crate) const LANES: usize = 8;
+
+/// One state or block word of every lane.
+type Lanes = [u32; LANES];
+
+/// SHA-256 of `head ‖ body` for each of up to [`LANES`] messages of one
+/// length, in input order.
+///
+/// Whole blocks inside `body` are read in place; a block that straddles
+/// `head` and `body`, and the padded tail, are copied to the stack first.
+/// The streaming [`Sha256`] is this kernel's oracle.
+///
+/// # Panics
+///
+/// Panics if there are more than [`LANES`] messages or their lengths
+/// differ.
+pub(crate) fn sha256_lanes(msgs: &[(&[u8], &[u8])]) -> Vec<Hash256> {
+    let total = msgs
+        .first()
+        .map_or(0, |(head, body)| head.len() + body.len());
+    assert!(msgs.len() <= LANES, "at most {LANES} lanes");
+    assert!(
+        msgs.iter()
+            .all(|(head, body)| head.len() + body.len() == total),
+        "lanes of unequal length"
+    );
+    let mut state = H0.map(|word| [word; LANES]);
+    let mut block = [[0u32; LANES]; 16];
+    let mut buf = [0u8; 128];
+    let whole = total / 64;
+    for j in 0..whole {
+        for (lane, &(head, body)) in msgs.iter().enumerate() {
+            match (64 * j).checked_sub(head.len()) {
+                Some(at) => load(&mut block, lane, &body[at..at + 64]),
+                None => {
+                    copy_span(head, body, 64 * j, &mut buf[..64]);
+                    load(&mut block, lane, &buf[..64]);
+                }
+            }
+        }
+        compress_lanes(&mut state, &block);
+    }
+    let rest = total % 64;
+    for t in 0..padded_len(rest) / 64 {
+        for (lane, &(head, body)) in msgs.iter().enumerate() {
+            copy_span(head, body, 64 * whole, &mut buf[..rest]);
+            load(&mut block, lane, &pad(&mut buf, rest, total as u64)[t]);
+        }
+        compress_lanes(&mut state, &block);
+    }
+    (0..msgs.len())
+        .map(|lane| digest(state.map(|word| word[lane])))
+        .collect()
+}
+
+/// Copies bytes `start..start + out.len()` of `head ‖ body` into `out`.
+fn copy_span(head: &[u8], body: &[u8], start: usize, out: &mut [u8]) {
+    let (from_head, from_body) = out.split_at_mut(head.len().saturating_sub(start).min(out.len()));
+    from_head.copy_from_slice(&head[start.min(head.len())..][..from_head.len()]);
+    let at = start.saturating_sub(head.len());
+    from_body.copy_from_slice(&body[at..at + from_body.len()]);
+}
+
+/// Reads the 64 bytes of `bytes` into lane `lane` of `block`.
+fn load(block: &mut [Lanes; 16], lane: usize, bytes: &[u8]) {
+    for (word, bytes) in block.iter_mut().zip(bytes.chunks_exact(4)) {
+        word[lane] = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+}
+
+/// One compression of every lane: lane `l` of `block` is its block, lane
+/// `l` of `state` its chaining value.
+///
+/// The body is one lane's compression with all 64 rounds unrolled, so
+/// the loop over lanes is the innermost loop and the compiler widens it,
+/// four lanes to an SSE2 register. Written round by round on whole lane
+/// arrays instead, the rotations came out as scalar code or lane
+/// shuffles; so did this loop when it read `state` through a copy
+/// (`state.map`). `Ch` is `((f ^ g) & e) ^ g`, `Maj` reuses each round's
+/// `a ^ b` as the next round's `b ^ c`, and the schedule is a rolling 16
+/// words, which keeps the frame small.
+#[expect(
+    unused_assignments,
+    reason = "the last round's `a ^ b` has no next round"
+)]
+fn compress_lanes(state: &mut [Lanes; 8], block: &[Lanes; 16]) {
+    for lane in 0..LANES {
+        let mut w: [u32; 16] = std::array::from_fn(|i| block[i][lane]);
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h]: [u32; 8] =
+            std::array::from_fn(|i| state[i][lane]);
+        let mut bc = b ^ c;
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+                let i: usize = $i;
+                if i >= 16 {
+                    let (x, y) = (w[(i + 1) % 16], w[(i + 14) % 16]);
+                    let s0 = (x >> 7 ^ x << 25) ^ (x >> 18 ^ x << 14) ^ (x >> 3);
+                    let s1 = (y >> 17 ^ y << 15) ^ (y >> 19 ^ y << 13) ^ (y >> 10);
+                    w[i % 16] = w[i % 16]
+                        .wrapping_add(s0)
+                        .wrapping_add(w[(i + 9) % 16])
+                        .wrapping_add(s1);
+                }
+                let s1 = ($e >> 6 ^ $e << 26) ^ ($e >> 11 ^ $e << 21) ^ ($e >> 25 ^ $e << 7);
+                let ch = (($f ^ $g) & $e) ^ $g;
+                let t1 = $h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[i].wrapping_add(w[i % 16]));
+                let s0 = ($a >> 2 ^ $a << 30) ^ ($a >> 13 ^ $a << 19) ^ ($a >> 22 ^ $a << 10);
+                let ab = $a ^ $b;
+                let maj = $b ^ (ab & bc);
+                bc = ab;
+                $d = $d.wrapping_add(t1);
+                $h = t1.wrapping_add(s0).wrapping_add(maj);
+            };
+        }
+        // Eight rounds rename the working variables back into place.
+        macro_rules! eight_rounds {
+            ($i:expr) => {
+                round!(a, b, c, d, e, f, g, h, $i);
+                round!(h, a, b, c, d, e, f, g, $i + 1);
+                round!(g, h, a, b, c, d, e, f, $i + 2);
+                round!(f, g, h, a, b, c, d, e, $i + 3);
+                round!(e, f, g, h, a, b, c, d, $i + 4);
+                round!(d, e, f, g, h, a, b, c, $i + 5);
+                round!(c, d, e, f, g, h, a, b, $i + 6);
+                round!(b, c, d, e, f, g, h, a, $i + 7);
+            };
+        }
+        eight_rounds!(0);
+        eight_rounds!(8);
+        eight_rounds!(16);
+        eight_rounds!(24);
+        eight_rounds!(32);
+        eight_rounds!(40);
+        eight_rounds!(48);
+        eight_rounds!(56);
+        for (word, x) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            word[lane] = word[lane].wrapping_add(x);
+        }
+    }
+}
+
 /// One-shot SHA-256 of `data` — the paper's `Hκ(data)`.
 pub fn sha256(data: &[u8]) -> Hash256 {
     let mut h = Sha256::new();
@@ -188,6 +334,7 @@ pub fn sha256(data: &[u8]) -> Hash256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // NIST FIPS 180-4 / CAVP test vectors.
     const VECTORS: &[(&[u8], &str)] = &[
@@ -249,6 +396,41 @@ mod tests {
             let h = sha256(&data);
             assert_eq!(h, sha256(&data));
             assert!(seen.insert(h), "collision at length {len} (impossible)");
+        }
+    }
+
+    /// Total lengths where the padding changes shape: the last one-block
+    /// tail, the first two-block one, and the block edges around them.
+    const EDGES: [usize; 6] = [55, 56, 63, 64, 119, 120];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lane kernel against the streaming oracle: every lane of a
+        /// pass is `sha256(head ‖ body)`, for 1..=8 lanes, any length up
+        /// to 300 (half the cases on a padding edge, ±1) and each lane's
+        /// own split between `head` and `body`, so blocks straddle the
+        /// two at every offset.
+        #[test]
+        fn lanes_match_streaming(
+            lanes in 1..LANES + 1,
+            free in 0..301usize,
+            edge in 0..2 * EDGES.len(),
+            nudge in 0..3usize,
+            splits in proptest::collection::vec(0..301usize, LANES),
+            bytes in proptest::collection::vec(any::<u8>(), LANES * 301),
+        ) {
+            let len = match EDGES.get(edge) {
+                Some(edge) => edge + nudge - 1,
+                None => free,
+            };
+            let msgs: Vec<(&[u8], &[u8])> = (0..lanes)
+                .map(|lane| bytes[lane * 301..][..len].split_at(splits[lane] % (len + 1)))
+                .collect();
+            let digests = sha256_lanes(&msgs);
+            for (lane, (head, body)) in msgs.iter().enumerate() {
+                prop_assert_eq!(digests[lane], sha256(&[*head, *body].concat()), "lane {}", lane);
+            }
         }
     }
 }

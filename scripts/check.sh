@@ -49,8 +49,10 @@
 #                      and ≥ 2× faster on the grid's largest cell
 #  12. benchmark      — `benchmark/` is a workspace of its own that stages 2
 #                      and 4 never compile: build it in release against
-#                      this tree and run `sim_small`, `lba_bulk_crash`
-#                      (RS reconstruction with t silent parties) and
+#                      this tree and run `sim_small`, `lba_bulk` (all
+#                      honest: the verify batch covers indices 0..k and
+#                      the decode is systematic), `lba_bulk_crash` (RS
+#                      reconstruction with t silent parties) and
 #                      `tcp_small` (seven parties over loopback TCP) for
 #                      one second each, so that a library signature change
 #                      or a wrong decision on either transport fails here
@@ -122,11 +124,11 @@ grep -q '"differential_equal": false' "$artifacts/BENCH_p1.json" \
 grep -q '"p1_blocked_beats_scalar": true' "$artifacts/BENCH_p1.json" \
     || { echo "BENCH_p1.json: blocked kernels did not beat the scalar oracle 2x"; exit 1; }
 
-echo "==> [12/12] benchmark package (release build + three short workloads)"
+echo "==> [12/12] benchmark package (release build + four short workloads)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # One-run mode exits 0 even when a decision is wrong; its last line says
 # whether every decision was correct.
-for workload in sim_small lba_bulk_crash tcp_small; do
+for workload in sim_small lba_bulk lba_bulk_crash tcp_small; do
     result="$(cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
     grep -q '"correct":true' <<<"$result" \
