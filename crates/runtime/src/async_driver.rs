@@ -9,16 +9,19 @@
 //! [`ca_async::Executor`], but over real sockets. A protocol written
 //! against [`AsyncProtocol`] therefore runs unchanged on both hosts.
 //!
+//! Inbound events go through the party's liveness core, as on the sync
+//! path; in event-driven mode it delivers every message whatever its
+//! round tag.
+//!
 //! # Fault plans
 //!
 //! A [`FaultPlan`](crate::FaultPlan) installed on the party applies to
 //! this path too, reinterpreted for a world without rounds: the plan's
-//! round numbers are matched against the count of protocol messages this
+//! crash round is matched against the count of protocol messages this
 //! party has delivered. "Crash at round 20" means "crash when the 20th
-//! message arrives"; a stall discards the actions one delivery produces;
-//! garbage ships an undecodable frame to every peer at that point.
-//! Crashes and garbage behave exactly as on the sync path (abrupt EOF
-//! after the frames already sent, decode-failure disconnect).
+//! message arrives" — that message is never seen by the protocol. The
+//! crash itself behaves exactly as on the sync path (abrupt EOF after the
+//! frames already sent).
 //!
 //! # Termination
 //!
@@ -32,6 +35,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Display;
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -39,7 +43,6 @@ use ca_async::{Action, AsyncProtocol};
 use ca_net::{Comm as _, PartyId};
 use ca_trace::Event as TraceEvent;
 
-use crate::party::Polled;
 use crate::TcpParty;
 
 /// Hard wall-clock cap on the whole run (measured on the party's injected
@@ -72,7 +75,7 @@ where
 {
     let me = party.me();
     let start = party.clock_now();
-    let plan = party.fault_plan();
+    party.core.set_async();
     party.push_scope(SCOPE);
     if let Some(repr) = proto.input_repr() {
         party.trace(TraceEvent::Input { value: repr });
@@ -83,7 +86,6 @@ where
     let mut self_queue: VecDeque<Bytes> = VecDeque::new();
     let mut timers: BTreeMap<(Duration, u64), u64> = BTreeMap::new();
     let mut timer_seq: u64 = 0;
-    let mut delivered: u64 = 0;
     let mut decided = false;
     let mut last_activity = start;
 
@@ -92,7 +94,7 @@ where
 
     loop {
         let now = party.clock_now();
-        if party.is_crashed() || now.saturating_sub(start) >= DEADLINE {
+        if party.core.crashed() || now.saturating_sub(start) >= DEADLINE {
             break;
         }
 
@@ -112,49 +114,28 @@ where
             let actions = proto.on_timer(id);
             apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
         } else {
-            match party.poll_event(POLL) {
-                Polled::Msg { from, payload } => {
-                    delivered += 1;
-                    // The fault plan's "rounds" are delivered-message
-                    // counts here (async has no rounds to key on).
-                    if plan.is_crash_round(delivered) {
-                        party.trace(TraceEvent::FaultInjected {
-                            strategy: "crash:async".to_owned(),
-                        });
-                        party.crash_now();
-                        break;
-                    }
-                    if plan.emits_garbage_in(delivered) {
-                        party.trace(TraceEvent::FaultInjected {
-                            strategy: "garbage".to_owned(),
-                        });
-                        party.send_garbage_now();
-                    }
-                    party.trace(TraceEvent::Deliver {
-                        from: from as u64,
-                        bytes: payload.len() as u64,
-                    });
-                    last_activity = party.clock_now();
-                    let actions = proto.on_message(PartyId(from), &payload);
-                    if plan.stalls_in(delivered) {
-                        party.trace(TraceEvent::FaultInjected {
-                            strategy: "stall".to_owned(),
-                        });
-                        // The delivery happened; its responses are lost.
-                    } else {
-                        apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
-                    }
-                }
-                Polled::Housekeeping => {}
-                Polled::Quiet => {
+            match party.pump(POLL) {
+                Ok(()) => {}
+                Err(RecvTimeoutError::Timeout) => {
                     if decided && party.clock_now().saturating_sub(last_activity) >= LINGER {
                         break;
                     }
                 }
-                Polled::Closed => break,
+                Err(RecvTimeoutError::Disconnected) => break,
             }
         }
 
+        // What the core decided: a delivery, and any cut-off that a failed
+        // send caused.
+        while let Some((from, payload)) = party.next_delivery() {
+            party.trace(TraceEvent::Deliver {
+                from: from as u64,
+                bytes: payload.len() as u64,
+            });
+            last_activity = party.clock_now();
+            let actions = proto.on_message(PartyId(from), &payload);
+            apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
+        }
         if !decided {
             if let Some(out) = proto.output() {
                 decided = true;
@@ -166,7 +147,7 @@ where
     }
 
     party.pop_scope();
-    if party.is_crashed() {
+    if party.core.crashed() {
         // A crash wipes the decision, mirroring `ca_async::Executor`.
         return None;
     }

@@ -11,7 +11,6 @@ use ca_async::AsyncProtocol;
 use ca_net::{Comm, PartyId};
 use ca_trace::JsonlSink;
 
-use crate::party::EstablishOpts;
 use crate::stats::RuntimeStats;
 use crate::{Clock, FaultPlan, MonotonicClock, RuntimeError, TcpParty};
 
@@ -29,7 +28,6 @@ pub struct TcpCluster {
     n: usize,
     delta: Duration,
     trace_dir: Option<PathBuf>,
-    opts: EstablishOpts,
     fault_plans: BTreeMap<usize, FaultPlan>,
     clock_factory: Option<ClockFactory>,
 }
@@ -40,7 +38,6 @@ impl fmt::Debug for TcpCluster {
             .field("n", &self.n)
             .field("delta", &self.delta)
             .field("trace_dir", &self.trace_dir)
-            .field("opts", &self.opts)
             .field("fault_plans", &self.fault_plans)
             .field("clock_factory", &self.clock_factory.is_some())
             .finish()
@@ -73,7 +70,6 @@ impl TcpCluster {
             n,
             delta: Duration::from_millis(500),
             trace_dir: None,
-            opts: EstablishOpts::default(),
             fault_plans: BTreeMap::new(),
             clock_factory: None,
         }
@@ -85,14 +81,7 @@ impl TcpCluster {
         self
     }
 
-    /// Overrides establishment deadlines, backoff, and the inbound queue
-    /// bound.
-    pub fn with_establish_opts(mut self, opts: EstablishOpts) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Scripts transport faults for `party` (see [`FaultPlan`]). The
+    /// Scripts a crash for `party` (see [`FaultPlan`]). The
     /// other parties run fault-free.
     pub fn with_fault_plan(mut self, party: usize, plan: FaultPlan) -> Self {
         assert!(party < self.n, "fault plan for nonexistent party {party}");
@@ -202,7 +191,6 @@ impl TcpCluster {
         }
 
         let delta = self.delta;
-        let opts = &self.opts;
         let clock_factory = self.clock_factory.clone();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.n);
@@ -218,8 +206,7 @@ impl TcpCluster {
                             Some(factory) => factory(i),
                             None => Box::new(MonotonicClock::default()),
                         };
-                        let mut comm =
-                            TcpParty::establish_with(PartyId(i), &addrs, delta, opts, clock)?;
+                        let mut comm = TcpParty::establish_with(PartyId(i), &addrs, delta, clock)?;
                         if let Some(plan) = plan {
                             comm.set_fault_plan(plan);
                         }
@@ -309,11 +296,10 @@ mod tests {
 
     /// Party 0 of an `n`-party clique at `addr0` (see [`free_addr`]) whose
     /// other parties are raw sockets that dial it.
-    fn party0(addr0: SocketAddr, n: usize, delta: Duration, opts: &EstablishOpts) -> TcpParty {
+    fn party0(addr0: SocketAddr, n: usize, delta: Duration) -> TcpParty {
         let mut addrs = vec!["127.0.0.1:9".parse().unwrap(); n];
         addrs[0] = addr0;
-        let clock = Box::new(MonotonicClock::default());
-        TcpParty::establish_with(PartyId(0), &addrs, delta, opts, clock).unwrap()
+        TcpParty::establish(PartyId(0), &addrs, delta).unwrap()
     }
 
     /// A party driven by a [`ManualClock`] that never ticks still completes
@@ -327,7 +313,6 @@ mod tests {
             PartyId(0),
             &[addr],
             Duration::from_secs(3600),
-            &EstablishOpts::default(),
             Box::new(clock.clone()),
         )
         .unwrap();
@@ -443,8 +428,9 @@ mod tests {
 
     /// End-to-end version of the frame-length hardening: a raw byzantine
     /// peer completes the handshake, then announces a ~4 GiB frame. The
-    /// honest party must drop the peer cleanly (no allocation, no panic)
-    /// and keep completing rounds without it.
+    /// honest party must drop the peer cleanly (no allocation, no panic),
+    /// count it as misbehaving rather than silent, and keep completing
+    /// rounds without it.
     #[test]
     fn oversized_length_prefix_drops_peer_cleanly() {
         let addr0 = free_addr();
@@ -457,7 +443,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(500));
         });
 
-        let mut comm = party0(addr0, 2, Duration::from_secs(30), &EstablishOpts::default());
+        let mut comm = party0(addr0, 2, Duration::from_secs(30));
         let inbox = comm.exchange(&7u64);
         // The oversized claim marked the peer gone; nothing was delivered
         // from it and the round still completed promptly (well before the
@@ -465,40 +451,39 @@ mod tests {
         assert!(inbox.raw_from(PartyId(1)).is_empty());
         assert_eq!(inbox.decode_from::<u64>(PartyId(0)), Some(7));
         assert_eq!(comm.silent_parties(), vec![PartyId(1)]);
+        assert_eq!(comm.fault_estimate().suspected, 1);
         assert_eq!(comm.stats().peers_gone, 1);
         evil.join().unwrap();
     }
 
-    /// A byzantine peer that tags well-formed frames with far-future rounds
-    /// and never ends a round must not grow the early-message buffer
-    /// without limit: past `event_queue_depth` buffered frames it is shed,
-    /// cut off as a flooder, and the round completes without it.
+    /// Cutting a peer off is real at the socket level. A raw peer floods
+    /// party 0 with well-formed frames tagged with far-future rounds and
+    /// never ends a round; past the early-message cap it is shed, cut off
+    /// as suspected, and the round completes without it. Its socket is
+    /// shut down, so its writes start failing on their own, and its reader
+    /// thread no longer competes for the shared event queue. (What the
+    /// core buffers, sheds and never delivers again is tested in
+    /// `liveness`.)
     #[test]
-    fn far_future_flood_is_bounded_and_drops_the_flooder() {
+    fn cut_off_flooder_s_socket_is_shut_down() {
         let addr0 = free_addr();
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
         let flooder = std::thread::spawn(move || {
             let mut stream = dial_as(addr0, 1);
-            // More than `depth + 1` frames in all, paced so that the
-            // reader's own bounded queue is not what sheds them.
-            for round in 1u64 << 40.. {
-                let frame = Frame::Msg {
+            // Nobody tells this loop to stop: only the shut-down socket can.
+            let mut frames = Vec::new();
+            for round in (1u64 << 40)..(1u64 << 40) + 64 {
+                Frame::Msg {
                     round,
                     payload: Bytes::from(vec![0xEE; 64]),
-                };
-                if frame.write_to(&mut stream).is_err() || done_rx.try_recv().is_ok() {
-                    break;
                 }
-                std::thread::sleep(Duration::from_millis(1));
+                .write_to(&mut frames)
+                .unwrap();
             }
+            (0..10_000).any(|_| stream.write_all(&frames).is_err())
         });
 
-        let opts = EstablishOpts {
-            event_queue_depth: 8,
-            ..EstablishOpts::default()
-        };
-        let mut comm = party0(addr0, 2, Duration::from_secs(30), &opts);
-        // No end-of-round marker ever comes, so only the overflow can end
+        let mut comm = party0(addr0, 2, Duration::from_secs(30));
+        // No end-of-round marker ever comes, so only the cut-off can end
         // this round before the 30 s Δ.
         let inbox = comm.exchange(&7u64);
         assert_eq!(inbox.decode_from::<u64>(PartyId(0)), Some(7));
@@ -507,76 +492,10 @@ mod tests {
         assert_eq!(comm.fault_estimate().suspected, 1);
         assert!(comm.stats().events_shed >= 1);
         assert_eq!(comm.stats().peers_gone, 1);
-        done_tx.send(()).unwrap();
-        flooder.join().unwrap();
-    }
-
-    /// The cut-off is real. After the overflow the flooder's socket is shut
-    /// down — its writes start failing on their own, so its reader thread
-    /// no longer competes for the shared event queue — and a well-formed
-    /// frame it tags with the *next* round is not delivered, even though an
-    /// honest peer keeps that round's wait loop draining events.
-    #[test]
-    fn cut_off_flooder_is_disconnected_and_never_delivered_again() {
-        use ca_codec::Encode as _;
-        let addr0 = free_addr();
-        let (cut_tx, cut_rx) = std::sync::mpsc::channel::<()>();
-        let flooder = std::thread::spawn(move || {
-            let mut stream = dial_as(addr0, 1);
-            let junk = |round| Frame::Msg {
-                round,
-                payload: Bytes::from(vec![0xEE; 64]),
-            };
-            let mut round = 1u64 << 40;
-            while cut_rx.try_recv().is_err() && junk(round).write_to(&mut stream).is_ok() {
-                round += 1;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            // Cut off by now. Let party 0 drain what is queued, then try
-            // to slip a current-round message in.
-            std::thread::sleep(Duration::from_millis(100));
-            let _ = Frame::Msg {
-                round: 2,
-                payload: Bytes::from(99u64.encode_to_vec()),
-            }
-            .write_to(&mut stream);
-            // Nobody tells this loop to stop: only the shut-down socket can.
-            (0..3000).any(|_| {
-                std::thread::sleep(Duration::from_millis(1));
-                junk(round).write_to(&mut stream).is_err()
-            })
-        });
-        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-        let honest = std::thread::spawn(move || {
-            let mut stream = dial_as(addr0, 2);
-            Frame::Eor { round: 1 }.write_to(&mut stream).unwrap();
-            go_rx.recv().unwrap();
-            // Hold round 2 open well past the flooder's late message.
-            std::thread::sleep(Duration::from_millis(300));
-            Frame::Eor { round: 2 }.write_to(&mut stream).unwrap();
-            stream
-        });
-
-        let opts = EstablishOpts {
-            event_queue_depth: 8,
-            ..EstablishOpts::default()
-        };
-        let mut comm = party0(addr0, 3, Duration::from_secs(30), &opts);
-        comm.exchange(&7u64);
-        assert_eq!(comm.silent_parties(), vec![PartyId(1)]);
-        cut_tx.send(()).unwrap();
-        go_tx.send(()).unwrap();
-        let inbox = comm.exchange(&8u64);
-        assert!(
-            inbox.raw_from(PartyId(1)).is_empty(),
-            "a cut-off peer delivered a message"
-        );
-        assert_eq!(comm.stats().peers_gone, 1);
         assert!(
             flooder.join().unwrap(),
             "the flooder's socket was never shut down"
         );
-        drop(honest.join().unwrap());
     }
 
     /// Establishment against a peer that never comes up must return
@@ -592,24 +511,34 @@ mod tests {
         drop(l0);
         drop(l1);
 
-        let opts = EstablishOpts {
-            deadline: Duration::from_millis(300),
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(20),
-            ..EstablishOpts::default()
+        // The deadline is measured on the party's clock, which only this
+        // test moves: a second per tick, until establishment gives up.
+        let clock = ManualClock::new();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let ticker = {
+            let clock = clock.clone();
+            std::thread::spawn(move || {
+                while done_rx.try_recv().is_err() {
+                    clock.advance(Duration::from_secs(1));
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            })
         };
         // Party 1 dials party 0, which never listens.
-        match TcpParty::establish_with(
+        let result = TcpParty::establish_with(
             PartyId(1),
             &[addr0, addr1],
             Duration::from_millis(100),
-            &opts,
-            Box::new(crate::MonotonicClock::default()),
-        ) {
+            Box::new(clock.clone()),
+        );
+        done_tx.send(()).unwrap();
+        ticker.join().unwrap();
+        match result {
             Err(RuntimeError::EstablishTimeout { missing }) => assert_eq!(missing, vec![0]),
             Err(other) => panic!("expected EstablishTimeout, got {other}"),
             Ok(_) => panic!("establishment against a dead peer succeeded"),
         }
+        assert!(clock.now() >= Duration::from_secs(10), "{:?}", clock.now());
     }
 
     /// The accept side must reject a hello claiming an index at or below
@@ -632,7 +561,7 @@ mod tests {
         let evil = dial(0, Duration::ZERO);
         let honest = dial(1, Duration::from_millis(100));
 
-        let mut comm = party0(addr0, 2, Duration::from_secs(30), &EstablishOpts::default());
+        let mut comm = party0(addr0, 2, Duration::from_secs(30));
         assert_eq!(comm.stats().handshake_rejects, 1);
         // The honest peer's slot was preserved: a round completes with
         // its end-of-round marker... which it never sends (raw socket),
@@ -662,7 +591,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(400));
         });
 
-        let comm = party0(addr0, 2, Duration::from_secs(30), &EstablishOpts::default());
+        let comm = party0(addr0, 2, Duration::from_secs(30));
         assert_eq!(comm.stats().handshake_rejects, 1);
         stray.join().unwrap();
         honest.join().unwrap();
@@ -687,7 +616,7 @@ mod tests {
         let addr0 = free_addr();
         let dialer = std::thread::spawn(move || dial_as(addr0, 1));
         let delta = Duration::from_millis(50);
-        let mut comm = party0(addr0, 2, delta, &EstablishOpts::default());
+        let mut comm = party0(addr0, 2, delta);
         // The peer handshakes, then reads nothing while its socket stays
         // open: once the socket buffers are full of party 0's 256 KiB
         // rounds, a batch misses its Δ deadline.
@@ -745,7 +674,7 @@ mod tests {
             }
             markers
         });
-        let mut comm = party0(addr0, 3, delta, &EstablishOpts::default());
+        let mut comm = party0(addr0, 3, delta);
         let bulk = Bytes::from(vec![0u8; 1 << 20]);
         let mut starts = Vec::new();
         for round in 0..ROUNDS {
@@ -810,7 +739,7 @@ mod tests {
                 std::io::Read::read_to_end(&mut stream, &mut wire).unwrap();
                 wire
             });
-            let mut comm = party0(addr0, 2, Duration::from_secs(30), &EstablishOpts::default());
+            let mut comm = party0(addr0, 2, Duration::from_secs(30));
             comm.set_fault_plan(plan);
             comm.send_bytes(PartyId(1), small.clone());
             comm.send_bytes(PartyId(1), large.clone());
@@ -862,7 +791,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
-        let mut comm = party0(addr0, 2, Duration::from_secs(5), &EstablishOpts::default());
+        let mut comm = party0(addr0, 2, Duration::from_secs(5));
         for round in 1..=ROUNDS {
             let Frame::Msg { payload, .. } = msg(round) else {
                 unreachable!()

@@ -58,6 +58,7 @@ mod clock;
 mod cluster;
 mod fault;
 mod frame;
+mod liveness;
 mod party;
 mod stats;
 
@@ -69,5 +70,5 @@ pub use frame::{
     validate_frame_len, validate_hello_len, Frame, FrameTooLarge, LENGTH_PREFIX_LEN,
     MAX_HELLO_FRAME_LEN, MAX_WIRE_FRAME_LEN,
 };
-pub use party::{EstablishOpts, RuntimeError, TcpParty};
+pub use party::{RuntimeError, TcpParty};
 pub use stats::RuntimeStats;

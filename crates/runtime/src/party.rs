@@ -13,9 +13,10 @@ use std::time::Duration;
 use bytes::Bytes;
 use ca_codec::{Decode, Writer};
 use ca_net::{Comm, FaultEstimate, Inbox, PartyId};
-use ca_trace::{Event as TraceEvent, Histogram, NullSink, Record, TraceSink};
+use ca_trace::{Event as TraceEvent, NullSink, Record, TraceSink};
 
 use crate::clock::{Clock, MonotonicClock};
+use crate::liveness::{Effect, Liveness, Reason, WriteFailure};
 use crate::stats::{RuntimeStats, StatsInner};
 use crate::{FaultPlan, Frame};
 
@@ -24,8 +25,8 @@ use crate::{FaultPlan, Frame};
 pub enum RuntimeError {
     /// Socket-level failure during setup.
     Io(std::io::Error),
-    /// The clique could not be completed within
-    /// [`EstablishOpts::deadline`].
+    /// The clique could not be completed within the 10 s establishment
+    /// deadline, measured on the party's [`Clock`].
     EstablishTimeout {
         /// Peers still unconnected when the deadline fired.
         missing: Vec<usize>,
@@ -54,43 +55,24 @@ impl From<std::io::Error> for RuntimeError {
     }
 }
 
-/// Knobs for clique establishment and the inbound queue bound.
-///
-/// The defaults suit localhost clusters and tests; deployments across
-/// real networks should raise [`EstablishOpts::deadline`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EstablishOpts {
-    /// Overall budget for establishing the full clique, measured on the
-    /// injected [`Clock`]. Under a [`ManualClock`](crate::ManualClock)
-    /// that never advances, establishment never times out.
-    pub deadline: Duration,
-    /// First dial-retry backoff; doubles per retry up to
-    /// [`EstablishOpts::max_backoff`].
-    pub initial_backoff: Duration,
-    /// Ceiling on the dial-retry backoff.
-    pub max_backoff: Duration,
-    /// Capacity of the inbound event queue shared by all reader threads.
-    /// Protocol messages beyond it are shed; liveness events (end-of-round
-    /// markers, disconnects) always get through. The same number caps the
-    /// messages buffered per peer for rounds not yet reached; a peer that
-    /// exceeds it is flooding and is disconnected.
-    pub event_queue_depth: usize,
-}
+/// Budget for establishing the whole clique, measured on the injected
+/// [`Clock`]. Under a [`ManualClock`](crate::ManualClock) that never
+/// advances, establishment never times out.
+const ESTABLISH_DEADLINE: Duration = Duration::from_secs(10);
 
-impl Default for EstablishOpts {
-    fn default() -> Self {
-        Self {
-            deadline: Duration::from_secs(10),
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(320),
-            event_queue_depth: 4096,
-        }
-    }
-}
+/// First dial-retry backoff; it doubles per retry up to
+/// [`ESTABLISH_POLL`].
+const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Cap on any single blocking socket wait during establishment, so the
-/// deadline is re-checked at least this often.
+/// Cap on any single blocking socket wait or dial backoff during
+/// establishment, so the deadline is re-checked at least this often.
 const ESTABLISH_POLL: Duration = Duration::from_millis(250);
+
+/// Capacity of the inbound event queue shared by all reader threads.
+/// Protocol messages beyond it are shed; liveness events (end-of-round
+/// markers, lost streams) always get through. The same number caps the
+/// messages buffered per peer for rounds not yet reached.
+const EVENT_QUEUE: usize = 4096;
 
 /// Size of each peer's receive buffer, and the payload size from which a
 /// send goes out of its own `Bytes` instead of being copied in with the
@@ -105,10 +87,6 @@ const WRITE_POLL: Duration = Duration::from_millis(1);
 /// Capacity of each spill thread's queue, in batches (one per round on
 /// the sync path, one per message on the async path).
 const SPILL_QUEUE: usize = 1024;
-
-/// The garbage fault's frame: a one-byte body holding an invalid frame
-/// tag passes the length check, fails decode, gets the sender dropped.
-const GARBAGE: [u8; 5] = [0, 0, 0, 1, 0xFF];
 
 /// One send phase's wire image for one peer, minus what is already
 /// written: the frame headers and small payloads copied together, each
@@ -140,13 +118,6 @@ impl Outbound {
         Self {
             chunks,
             frames: frames.len() as u64,
-        }
-    }
-
-    fn garbage() -> Self {
-        Self {
-            chunks: VecDeque::from([Bytes::from_static(&GARBAGE)]),
-            frames: 1,
         }
     }
 
@@ -232,24 +203,14 @@ impl Spill {
     }
 }
 
-/// How a write to a peer failed.
-enum WriteFailure {
-    /// The peer took too little for too long: its spill queue is full,
-    /// or a batch missed its `Δ` deadline. `shed` frames are lost here.
-    Stalled { shed: u64 },
-    /// The link is closed.
-    Closed,
-}
-
 /// What a reader thread reports to the protocol thread: a frame from
-/// peer `from`, or `None` once that peer's stream ended without a `Bye`
-/// (EOF, undecodable or oversized frame — a crash or misbehaviour, counted
-/// in [`RuntimeStats::peers_gone`] and traced as `PeerGone`, which a
-/// deliberate `Bye` at the normal end of a run is not).
+/// peer `from`, or how that peer's stream was lost without a `Bye`
+/// ([`Reason::Eof`], or [`Reason::Malformed`] for an oversized or
+/// undecodable frame).
 #[derive(Debug)]
 struct Event {
     from: usize,
-    frame: Option<Frame>,
+    frame: Result<Frame, Reason>,
 }
 
 /// A fully connected TCP party implementing [`Comm`].
@@ -264,69 +225,50 @@ struct Event {
 ///
 /// # Crash tolerance
 ///
-/// Peers whose stream ends abnormally (EOF without `Bye`, decode
-/// failure), who stop reading (a batch to them is not out within `Δ`, or
-/// their spill queue fills) or who flood the early-message buffer are
-/// marked *gone*:
-/// `next_round` never waits on them again and never again delivers from
-/// them — their socket is shut down, so their reader thread exits instead
-/// of competing for the shared event queue, and anything of theirs still
-/// in flight is dropped. From the protocol's view they are
+/// The party owns the sockets and threads; when a peer is gone, what is
+/// shed and when a round ends is decided by its liveness core
+/// (`crate::liveness`). Peers whose stream ends abnormally (EOF without
+/// `Bye`, a malformed frame), who stop reading (a batch to them is not
+/// out within `Δ`, or their spill queue fills) or who flood the
+/// early-message buffer are marked *gone*: `next_round` never waits on
+/// them again and never again delivers from them — their socket is shut
+/// down, so their reader thread exits instead of competing for the
+/// shared event queue. From the protocol's view they are
 /// silent-byzantine, which the model already tolerates for up to `t`
-/// parties. A deliberate `Bye`
-/// (normal end of run) also stops the waiting but is not an outage: it
-/// bumps no stat and traces no `PeerGone`, so fault-free runs report
-/// zero gone peers however the final round's shutdowns interleave.
-/// [`TcpParty::set_fault_plan`] scripts this party's own misbehavior for
-/// tests; [`TcpParty::stats`] exposes what the transport absorbed.
+/// parties. A deliberate `Bye` (normal end of run) also stops the waiting
+/// but is not an outage: it bumps no stat and traces no `PeerGone`, so
+/// fault-free runs report zero gone peers however the final round's
+/// shutdowns interleave. [`TcpParty::set_fault_plan`] scripts this
+/// party's own crash for tests; [`TcpParty::stats`] exposes what the
+/// transport absorbed.
 pub struct TcpParty {
     n: usize,
     t: usize,
     me: PartyId,
     delta: Duration,
-    round: u64,
     pending: Vec<(PartyId, Bytes)>,
     scopes: Vec<String>,
-    /// Per peer, its socket's write side; taken when the peer is marked
-    /// gone or this party crashes.
+    /// Per peer, its socket's write side; taken when the peer is cut off
+    /// or this party crashes.
     links: Vec<Option<Link>>,
-    /// Inbound events from all reader threads (bounded; see
-    /// [`EstablishOpts::event_queue_depth`]).
+    /// Inbound events from all reader threads (bounded by
+    /// [`EVENT_QUEUE`]).
     events: mpsc::Receiver<Event>,
-    /// Per peer, messages tagged with rounds we have not reached yet, in
-    /// arrival order. Each list is capped at `future_cap` frames.
-    future_msgs: Vec<Vec<(u64, Bytes)>>,
-    /// [`EstablishOpts::event_queue_depth`]: a peer that runs further
-    /// ahead than this many frames is flooding, not early.
-    future_cap: usize,
     /// Time source for the Δ deadline; injectable for tests.
     clock: Box<dyn Clock>,
-    /// Highest EOR round seen per peer.
-    eor: Vec<u64>,
-    /// Peers whose stream ended or who were cut off.
-    gone: Vec<bool>,
-    /// Subset of `gone` cut off for misbehavior (a write timeout, a flood)
-    /// rather than mere silence; feeds [`Comm::fault_estimate`].
-    suspected: Vec<bool>,
-    /// Scripted misbehavior for this party (empty by default).
-    fault: FaultPlan,
-    /// Set once the fault plan's crash round is reached.
-    crashed: bool,
+    /// The liveness policy, which both drivers feed.
+    pub(crate) core: Liveness,
     /// Transport counters shared with the socket threads.
     stats: Arc<StatsInner>,
     /// Trace destination ([`NullSink`] unless [`TcpParty::set_trace`]).
     sink: Arc<dyn TraceSink>,
-    /// Observed `next_round` barrier latency in microseconds (measured
-    /// with the injected [`Clock`], so deterministic under a manual
-    /// clock).
-    round_latency_us: Histogram,
 }
 
 impl TcpParty {
     /// Binds `addrs[me]`, connects to all peers, and returns a ready
     /// transport. Every party must call this with the same address list;
-    /// the function blocks until the clique is established or the
-    /// default [`EstablishOpts::deadline`] expires.
+    /// the function blocks until the clique is established or its 10 s
+    /// deadline expires.
     ///
     /// # Errors
     ///
@@ -337,17 +279,11 @@ impl TcpParty {
         addrs: &[SocketAddr],
         delta: Duration,
     ) -> Result<Self, RuntimeError> {
-        Self::establish_with(
-            me,
-            addrs,
-            delta,
-            &EstablishOpts::default(),
-            Box::new(MonotonicClock::default()),
-        )
+        Self::establish_with(me, addrs, delta, Box::new(MonotonicClock::default()))
     }
 
-    /// [`TcpParty::establish`] with explicit establishment options and
-    /// time source (tests drive the Δ deadline with a
+    /// [`TcpParty::establish`] with an explicit time source for the
+    /// establishment deadline and Δ (tests drive both with a
     /// [`ManualClock`](crate::ManualClock)).
     ///
     /// # Errors
@@ -357,15 +293,14 @@ impl TcpParty {
         me: PartyId,
         addrs: &[SocketAddr],
         delta: Duration,
-        opts: &EstablishOpts,
         clock: Box<dyn Clock>,
     ) -> Result<Self, RuntimeError> {
         let n = addrs.len();
         let t = ca_net::max_faults(n);
         let stats = Arc::new(StatsInner::default());
-        let (event_tx, event_rx) = mpsc::sync_channel::<Event>(opts.event_queue_depth);
+        let (event_tx, event_rx) = mpsc::sync_channel::<Event>(EVENT_QUEUE);
 
-        let streams = establish_clique(me, addrs, opts, &*clock, &stats)?;
+        let streams = establish_clique(me, addrs, &*clock, &stats)?;
 
         // One detached reader thread per peer; it exits when its socket or
         // the event channel closes.
@@ -389,26 +324,14 @@ impl TcpParty {
             t,
             me,
             delta,
-            round: 0,
             pending: Vec::new(),
             scopes: Vec::new(),
             links,
             events: event_rx,
-            future_msgs: vec![Vec::new(); n],
-            future_cap: opts.event_queue_depth,
             clock,
-            eor: vec![0; n],
-            gone: {
-                let mut g = vec![false; n];
-                g[me.index()] = true; // never wait on ourselves
-                g
-            },
-            suspected: vec![false; n],
-            fault: FaultPlan::default(),
-            crashed: false,
+            core: Liveness::new(n, me.index(), EVENT_QUEUE),
             stats,
             sink: Arc::new(NullSink),
-            round_latency_us: Histogram::new(),
         })
     }
 
@@ -420,10 +343,10 @@ impl TcpParty {
         self.sink = sink;
     }
 
-    /// Installs a scripted fault schedule for this party (tests and
-    /// chaos experiments). Takes effect from the next round.
+    /// Installs a scripted crash for this party (tests and chaos
+    /// experiments). Takes effect from the next round.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = plan;
+        self.core.set_plan(plan);
     }
 
     /// Snapshot of this party's transport counters.
@@ -436,62 +359,73 @@ impl TcpParty {
     /// `next_round` call).
     #[must_use]
     pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Barrier latency observed by this party's `next_round` calls, in
-    /// microseconds.
-    pub fn round_latency_us(&self) -> &Histogram {
-        &self.round_latency_us
-    }
-
-    fn peer_done(&self, peer: usize, round: u64) -> bool {
-        self.gone[peer] || self.eor[peer] >= round
+        self.core.round()
     }
 
     fn emit(&self, event: TraceEvent) {
         self.sink.record(&Record {
             party: Some(self.me.index() as u64),
-            round: self.round,
+            round: self.core.round(),
             scope: ca_net::fiber::scope_path(&self.scopes),
             event,
         });
     }
 
-    /// Marks `peer` silent-byzantine (idempotent) and cuts its socket,
-    /// bumping the stat and tracing the observation.
-    fn mark_gone(&mut self, peer: usize, reason: &str) {
-        if peer == self.me.index() || self.gone[peer] {
-            return;
+    /// Waits up to `timeout` for one inbound event and feeds it to the
+    /// core.
+    pub(crate) fn pump(&mut self, timeout: Duration) -> Result<(), mpsc::RecvTimeoutError> {
+        let Event { from, frame } = self.events.recv_timeout(timeout)?;
+        match frame {
+            Ok(frame) => self.core.on_frame(from, frame),
+            Err(cause) => self.core.on_lost(from, cause),
         }
-        self.gone[peer] = true;
-        if let Some(link) = self.links[peer].take() {
-            link.close();
-        }
-        self.suspected[peer] = reason == "overflow";
-        self.stats.peers_gone.fetch_add(1, Ordering::Relaxed);
-        if self.sink.enabled() {
-            self.emit(TraceEvent::PeerGone {
-                peer: peer as u64,
-                reason: reason.to_owned(),
-            });
-        }
+        Ok(())
     }
 
-    /// Buffers a message tagged with a round we have not reached. Honest
-    /// peers run at most a few frames ahead; one with `future_cap` frames
-    /// already waiting is flooding, so the frame is shed, the peer cut off
-    /// and its backlog freed rather than letting the backlog grow without
-    /// bound. (A peer already given up on never gets here: `absorb` drops
-    /// its messages.)
-    fn file_early(&mut self, from: usize, round: u64, payload: Bytes) {
-        if self.future_msgs[from].len() < self.future_cap {
-            self.future_msgs[from].push((round, payload));
-            return;
+    /// Applies the core's effects up to the next delivery, and returns it.
+    pub(crate) fn next_delivery(&mut self) -> Option<(usize, Bytes)> {
+        while let Some(effect) = self.core.poll_effect() {
+            match effect {
+                Effect::Deliver { from, payload } => return Some((from, payload)),
+                Effect::Write { to, frames } => self.send_batch(to, Outbound::new(&frames)),
+                Effect::Disconnect { peer, reason } => {
+                    if let Some(link) = self.links[peer].take() {
+                        link.close();
+                    }
+                    if reason == Reason::Stalled {
+                        self.stats
+                            .overflow_disconnects
+                            .fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.stats.peers_gone.fetch_add(1, Ordering::Relaxed);
+                    if self.sink.enabled() {
+                        self.emit(TraceEvent::PeerGone {
+                            peer: peer as u64,
+                            reason: reason.as_str().to_owned(),
+                        });
+                    }
+                }
+                Effect::Shed { frames, outbound } => {
+                    let counter = if outbound {
+                        &self.stats.frames_shed
+                    } else {
+                        &self.stats.events_shed
+                    };
+                    counter.fetch_add(frames, Ordering::Relaxed);
+                }
+                // No `Bye`: this models a process kill, not a graceful exit.
+                Effect::Crash { strategy } => {
+                    if self.sink.enabled() {
+                        self.emit(TraceEvent::FaultInjected {
+                            strategy: strategy.to_owned(),
+                        });
+                    }
+                    self.pending.clear();
+                    self.close_links();
+                }
+            }
         }
-        self.stats.events_shed.fetch_add(1, Ordering::Relaxed);
-        self.future_msgs[from] = Vec::new();
-        self.mark_gone(from, "overflow");
+        None
     }
 
     /// Sends `batch` to `to`, counted as sent; skipped if `to` has no link.
@@ -505,8 +439,17 @@ impl TcpParty {
         self.stats
             .wire_bytes_sent
             .fetch_add(batch.wire_len(), Ordering::Relaxed);
+        self.write_or_report(to, batch);
+    }
+
+    /// [`TcpParty::write_out`]; a failure closes the link and goes to the
+    /// core.
+    fn write_or_report(&mut self, to: usize, batch: Outbound) {
         if let Err(failure) = self.write_out(to, batch) {
-            self.write_failed(to, failure);
+            if let Some(link) = self.links[to].take() {
+                link.close();
+            }
+            self.core.on_write_failed(to, failure);
         }
     }
 
@@ -558,30 +501,6 @@ impl TcpParty {
         }
     }
 
-    /// A write to `to` failed. A peer that stalled is off the synchronous
-    /// schedule, so the batch is shed and the peer cut off and suspected
-    /// rather than letting its backlog grow; a closed link just means the
-    /// peer is gone.
-    fn write_failed(&mut self, to: usize, failure: WriteFailure) {
-        if self.gone[to] {
-            // The peer said `Bye` and may have closed its end: no outage.
-            if let Some(link) = self.links[to].take() {
-                link.close();
-            }
-            return;
-        }
-        match failure {
-            WriteFailure::Stalled { shed } => {
-                self.stats.frames_shed.fetch_add(shed, Ordering::Relaxed);
-                self.stats
-                    .overflow_disconnects
-                    .fetch_add(1, Ordering::Relaxed);
-                self.mark_gone(to, "overflow");
-            }
-            WriteFailure::Closed => self.mark_gone(to, "writer-closed"),
-        }
-    }
-
     /// Drops every link after its last write. A spill thread shuts the
     /// write side down once it has written what it holds; a link without
     /// one has nothing pending, so it is shut down here. Peers read the
@@ -594,34 +513,15 @@ impl TcpParty {
         }
     }
 
-    /// Executes the crash fault now: close every link and go silent. No
-    /// `Bye` is sent — this models a process kill, not a graceful exit.
-    pub(crate) fn crash_now(&mut self) {
-        self.crashed = true;
-        self.pending.clear();
-        self.close_links();
-    }
-
     // -- Event-driven (async) access, used by `crate::async_driver` ------
     //
     // The round-based `Comm` surface above buffers sends until the next
     // barrier; the asynchronous driver instead ships frames immediately
-    // and polls inbound events one at a time, with no Δ anywhere.
+    // and feeds inbound events to the core one at a time, with no Δ.
 
     /// Reads the injected clock (the async driver's only time source).
     pub(crate) fn clock_now(&self) -> Duration {
         self.clock.now()
-    }
-
-    /// A copy of the scripted fault plan (the async driver applies it
-    /// itself, keyed by delivered-message count instead of rounds).
-    pub(crate) fn fault_plan(&self) -> FaultPlan {
-        self.fault.clone()
-    }
-
-    /// Whether the crash fault has been executed.
-    pub(crate) fn is_crashed(&self) -> bool {
-        self.crashed
     }
 
     /// Ships `payload` to `to` as a `Frame::Msg` in a batch of its own (no
@@ -629,80 +529,15 @@ impl TcpParty {
     /// carries the current counter only for wire compatibility), tracing
     /// the send.
     pub(crate) fn send_now(&mut self, to: usize, payload: Bytes) {
-        if self.crashed {
-            return;
-        }
         if self.sink.enabled() {
             self.emit(TraceEvent::Send {
                 to: to as u64,
                 bytes: payload.len() as u64,
             });
         }
-        let round = self.round;
+        let round = self.core.round();
         self.send_batch(to, Outbound::new(&[Frame::Msg { round, payload }]));
     }
-
-    /// Ships [`GARBAGE`] to every peer at once (the garbage fault;
-    /// honest receivers drop the connection on decode failure).
-    pub(crate) fn send_garbage_now(&mut self) {
-        for peer in 0..self.n {
-            self.send_batch(peer, Outbound::garbage());
-        }
-    }
-
-    /// Absorbs one inbound event. Liveness bookkeeping — end-of-round
-    /// markers, `Bye`, lost streams — is applied here and nowhere else; a
-    /// protocol message is handed back as `(from, round tag, payload)` —
-    /// unless its sender is already gone: what a cut-off peer still had in
-    /// flight is never delivered.
-    fn absorb(&mut self, Event { from, frame }: Event) -> Option<(usize, u64, Bytes)> {
-        match frame {
-            Some(Frame::Msg { .. }) if self.gone[from] => {}
-            Some(Frame::Msg { round, payload }) => return Some((from, round, payload)),
-            Some(Frame::Eor { round }) => self.eor[from] = self.eor[from].max(round),
-            // A deliberate Bye: the peer finished its run. Stop waiting on
-            // it, but this is not an outage — no stat bump, no PeerGone
-            // record (which would also race with round timing).
-            Some(Frame::Bye) => self.gone[from] = true,
-            Some(Frame::Hello { .. }) => {}
-            None => self.mark_gone(from, "eof"),
-        }
-        None
-    }
-
-    /// Waits up to `timeout` for one inbound observation. Liveness
-    /// bookkeeping (end-of-round markers from sync peers, disconnects) is
-    /// absorbed internally and reported as [`Polled::Housekeeping`] so
-    /// callers simply poll again.
-    pub(crate) fn poll_event(&mut self, timeout: Duration) -> Polled {
-        match self.events.recv_timeout(timeout) {
-            Ok(event) => match self.absorb(event) {
-                Some((from, _, payload)) => Polled::Msg { from, payload },
-                None => Polled::Housekeeping,
-            },
-            Err(mpsc::RecvTimeoutError::Timeout) => Polled::Quiet,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Polled::Closed,
-        }
-    }
-}
-
-/// One observation from [`TcpParty::poll_event`].
-#[derive(Debug)]
-pub(crate) enum Polled {
-    /// A protocol message arrived (its round tag, if any, is ignored —
-    /// async protocols sequence themselves by message content).
-    Msg {
-        /// Sender index.
-        from: usize,
-        /// Opaque protocol bytes.
-        payload: Bytes,
-    },
-    /// Bookkeeping was absorbed; poll again.
-    Housekeeping,
-    /// Nothing arrived within the timeout.
-    Quiet,
-    /// The event channel closed (reader threads are gone).
-    Closed,
 }
 
 impl Comm for TcpParty {
@@ -724,119 +559,41 @@ impl Comm for TcpParty {
     }
 
     fn next_round(&mut self) -> Inbox {
-        self.round += 1;
-        let round = self.round;
-        if self.crashed {
-            // A crashed party neither sends nor observes anything; calls
-            // keep returning empty so driver loops above stay simple.
-            self.pending.clear();
-            return Inbox::with_parties(self.n);
-        }
-        if self.fault.is_crash_round(round) {
-            if self.sink.enabled() {
-                self.emit(TraceEvent::RoundStart);
-                self.emit(TraceEvent::FaultInjected {
-                    strategy: "crash".to_owned(),
-                });
-                self.emit(TraceEvent::RoundEnd);
-            }
-            self.crash_now();
-            return Inbox::with_parties(self.n);
-        }
-        let tracing = self.sink.enabled();
+        // A crashed party neither sends nor observes anything; calls keep
+        // returning empty so driver loops above stay simple.
+        let tracing = self.sink.enabled() && !self.core.crashed();
+        self.core.begin_round();
         if tracing {
             self.emit(TraceEvent::RoundStart);
         }
-        let stalled = self.fault.stalls_in(round);
-        let slow = self.fault.skips_drain_in(round);
-        if tracing && stalled {
-            self.emit(TraceEvent::FaultInjected {
-                strategy: "stall".to_owned(),
-            });
-        }
-        if tracing && slow {
-            self.emit(TraceEvent::FaultInjected {
-                strategy: "slow-reader".to_owned(),
-            });
-        }
-        if self.fault.emits_garbage_in(round) {
-            if tracing {
-                self.emit(TraceEvent::FaultInjected {
-                    strategy: "garbage".to_owned(),
-                });
-            }
-            self.send_garbage_now();
-        }
-        let wait_start = self.clock.now();
-        let mut inbox = Inbox::with_parties(self.n);
-
-        // Sort sends into one batch per peer (self-delivery is local).
-        let mut batches: Vec<Vec<Frame>> = (0..self.n).map(|_| Vec::new()).collect();
-        for (to, payload) in std::mem::take(&mut self.pending) {
-            if to == self.me {
-                inbox.push(self.me, payload);
-                continue;
-            }
-            if stalled {
-                // A stalled party's messages missed their synchronous
-                // window; sending them late would only get them dropped.
-                continue;
-            }
-            if tracing {
+        let sends = std::mem::take(&mut self.pending);
+        if tracing && !self.core.crashed() {
+            for (to, payload) in sends.iter().filter(|(to, _)| *to != self.me) {
                 self.emit(TraceEvent::Send {
                     to: to.index() as u64,
                     bytes: payload.len() as u64,
                 });
             }
-            batches[to.index()].push(Frame::Msg { round, payload });
         }
-        // One write per peer: its messages, then its marker.
-        if !stalled {
-            for (peer, mut frames) in batches.into_iter().enumerate() {
-                frames.push(Frame::Eor { round });
-                self.send_batch(peer, Outbound::new(&frames));
+        self.core
+            .send_round(sends.into_iter().map(|(to, payload)| (to.index(), payload)));
+
+        // Deliver, write, and wait for every live peer's marker, at most Δ.
+        let mut inbox = Inbox::with_parties(self.n);
+        let deadline = self.clock.now().saturating_add(self.delta);
+        loop {
+            while let Some((from, payload)) = self.next_delivery() {
+                inbox.push(PartyId(from), payload);
+            }
+            if self.core.round_done() {
+                break;
+            }
+            let budget = deadline.checked_sub(self.clock.now());
+            match budget.filter(|d| !d.is_zero()) {
+                Some(budget) if self.pump(budget).is_ok() => {}
+                _ => self.core.on_timeout(),
             }
         }
-
-        // Adopt any messages that arrived early for this round.
-        for (from, early) in self.future_msgs.iter_mut().enumerate() {
-            early.retain(|(msg_round, payload)| {
-                if *msg_round == round {
-                    inbox.push(PartyId(from), payload.clone());
-                }
-                *msg_round > round
-            });
-        }
-
-        // Wait for all live peers' markers, at most Δ. A slow-reader
-        // fault skips the drain; this round's messages are consumed next
-        // round and discarded as stale.
-        if !slow {
-            let deadline = self.clock.now().saturating_add(self.delta);
-            while (0..self.n).any(|p| !self.peer_done(p, round)) {
-                let now = self.clock.now();
-                let Some(budget) = deadline.checked_sub(now).filter(|d| !d.is_zero()) else {
-                    break;
-                };
-                match self.events.recv_timeout(budget) {
-                    Ok(event) => {
-                        if let Some((from, msg_round, payload)) = self.absorb(event) {
-                            if msg_round == round {
-                                inbox.push(PartyId(from), payload);
-                            } else if msg_round > round {
-                                self.file_early(from, msg_round, payload);
-                            }
-                            // Late messages (msg_round < round) missed their Δ: drop.
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => break,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-        let waited = self.clock.now().saturating_sub(wait_start);
-        self.round_latency_us
-            .record(u64::try_from(waited.as_micros()).unwrap_or(u64::MAX));
         if tracing {
             for from in 0..self.n {
                 let sizes: Vec<u64> = inbox
@@ -875,25 +632,11 @@ impl Comm for TcpParty {
     }
 
     fn silent_parties(&self) -> Vec<PartyId> {
-        (0..self.n)
-            .filter(|&p| p != self.me.index() && self.gone[p])
-            .map(PartyId)
-            .collect()
+        self.core.silent().map(PartyId).collect()
     }
 
     fn fault_estimate(&self) -> FaultEstimate {
-        let mut est = FaultEstimate::default();
-        for p in 0..self.n {
-            if p == self.me.index() || !self.gone[p] {
-                continue;
-            }
-            if self.suspected[p] {
-                est.suspected += 1;
-            } else {
-                est.silent += 1;
-            }
-        }
-        est
+        self.core.fault_estimate()
     }
 
     fn trace_enabled(&self) -> bool {
@@ -914,10 +657,9 @@ impl Drop for TcpParty {
         // EOF. Drop blocks at most one `WRITE_POLL` per peer; a spill
         // thread finishes in the background.
         for peer in 0..self.n {
-            if let Err(failure) = self.write_out(peer, Outbound::new(&[Frame::Bye])) {
-                self.write_failed(peer, failure);
-            }
+            self.write_or_report(peer, Outbound::new(&[Frame::Bye]));
         }
+        while self.next_delivery().is_some() {}
         self.close_links();
         self.sink.flush();
     }
@@ -961,9 +703,10 @@ fn spill_loop(
     stalled
 }
 
-/// Reader thread: decode frames, forward as events. Protocol messages are
-/// shed if the event queue is full; liveness events (`Eor`, `Bye`, a lost
-/// stream) block instead so they are never lost. Reads go through one
+/// Reader thread: decode frames, forward as events, and report how the
+/// stream was lost. Protocol messages are shed if the event queue is
+/// full; every other event blocks instead so that no end-of-round marker,
+/// `Bye` or lost stream is lost. Reads go through one
 /// [`SOCKET_BUFFER`], so a round's frames from the peer cost about one
 /// `read`.
 fn reader_loop(
@@ -974,30 +717,28 @@ fn reader_loop(
 ) {
     let mut stream = BufReader::with_capacity(SOCKET_BUFFER, stream);
     let event = |frame| Event { from: peer, frame };
-    loop {
+    let lost = loop {
         let mut len_buf = [0u8; 4];
         if stream.read_exact(&mut len_buf).is_err() {
-            break;
+            break Reason::Eof;
         }
         // Validate the claimed length BEFORE sizing the buffer: a
         // byzantine peer announcing a 4 GiB frame is dropped without
         // allocating anything.
         let Ok(len) = crate::frame::validate_frame_len(u32::from_be_bytes(len_buf)) else {
-            break;
+            break Reason::Malformed;
         };
         let mut body = vec![0u8; len];
         if stream.read_exact(&mut body).is_err() {
-            break;
+            break Reason::Eof;
         }
         // The receive buffer becomes the backing store of the delivered
         // payload: `Bytes::from` adopts it and the shared decode slices it.
-        let frame = match Frame::decode_from_bytes(&Bytes::from(body)) {
-            Ok(Frame::Hello { .. }) => continue,
-            Ok(frame) => frame,
-            Err(_) => break,
+        let Ok(frame) = Frame::decode_from_bytes(&Bytes::from(body)) else {
+            break Reason::Malformed;
         };
         if matches!(frame, Frame::Msg { .. }) {
-            match event_tx.try_send(event(Some(frame))) {
+            match event_tx.try_send(event(Ok(frame))) {
                 Ok(()) => {}
                 Err(mpsc::TrySendError::Full(_)) => {
                     stats.events_shed.fetch_add(1, Ordering::Relaxed);
@@ -1006,12 +747,12 @@ fn reader_loop(
             }
         } else {
             let bye = frame == Frame::Bye;
-            if event_tx.send(event(Some(frame))).is_err() || bye {
+            if event_tx.send(event(Ok(frame))).is_err() || bye {
                 return;
             }
         }
-    }
-    let _ = event_tx.send(event(None));
+    };
+    let _ = event_tx.send(event(Err(lost)));
 }
 
 /// Establishes one TCP stream per peer: lower-indexed parties accept,
@@ -1024,18 +765,17 @@ fn reader_loop(
 fn establish_clique(
     me: PartyId,
     addrs: &[SocketAddr],
-    opts: &EstablishOpts,
     clock: &dyn Clock,
     stats: &StatsInner,
 ) -> Result<Vec<(usize, TcpStream)>, RuntimeError> {
     let n = addrs.len();
     let listener = TcpListener::bind(addrs[me.index()])?;
-    let deadline = clock.now().saturating_add(opts.deadline);
+    let deadline = clock.now().saturating_add(ESTABLISH_DEADLINE);
     let mut streams: Vec<(usize, TcpStream)> = Vec::with_capacity(n.saturating_sub(1));
 
     // Dial everyone below us, retrying with backoff while they come up.
     for (peer, addr) in addrs.iter().enumerate().take(me.index()) {
-        let mut backoff = opts.initial_backoff;
+        let mut backoff = INITIAL_BACKOFF;
         let mut stream = loop {
             let Some(remaining) = remaining_budget(deadline, clock) else {
                 return Err(RuntimeError::EstablishTimeout {
@@ -1046,8 +786,8 @@ fn establish_clique(
                 Ok(s) => break s,
                 Err(_) => {
                     stats.dial_retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(backoff.min(ESTABLISH_POLL));
-                    backoff = backoff.saturating_mul(2).min(opts.max_backoff);
+                    std::thread::sleep(backoff);
+                    backoff = backoff.saturating_mul(2).min(ESTABLISH_POLL);
                 }
             }
         };

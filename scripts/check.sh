@@ -30,7 +30,11 @@
 #                      experiment must emit its BENCH artifact, and the
 #                      closed-loop load generator must sustain real load
 #   7. chaos smoke   — crash-fault tolerance of the TCP runtime: the R1
-#                      resilience experiment must emit its BENCH artifact
+#                      resilience experiment runs a crash over real sockets,
+#                      and its BENCH artifact must show every run agreeing
+#                      inside the input hull, the fault-free run losing no
+#                      peer and shedding nothing, and the crashed run
+#                      losing exactly its one crashed peer
 #   8. adaptive smoke — the fault-adaptive fast path: the A1 sweep must
 #                      emit its BENCH artifact with the fast path beating
 #                      the worst-case protocol at f = 0
@@ -96,8 +100,20 @@ echo "==> [6/12] engine smoke (S1 artifact + closed-loop load)"
 test -s "$artifacts/BENCH_s1.json"  || { echo "missing BENCH_s1.json"; exit 1; }
 cargo run --offline -q -p ca-engine --example closed_loop -- 2 >/dev/null
 
-echo "==> [7/12] chaos smoke (R1 artifact)"
+echo "==> [7/12] chaos smoke (R1 artifact content)"
 test -s "$artifacts/BENCH_r1.json"  || { echo "missing BENCH_r1.json"; exit 1; }
+# One "key": value per line; each run's fields follow its crashed_parties.
+awk -F': *' '
+    /"crashed_parties"/ { crashed = $2 + 0; rows++ }
+    /"(agreement|validity)": false/ { print "BENCH_r1.json: " crashed " crashed:" $0; bad = 1 }
+    /"frames_shed"/ { shed[crashed] = $2 + 0 }
+    /"peers_gone"/ { gone[crashed] = $2 + 0 }
+    END {
+        if (rows != 2 || !(0 in gone) || !(1 in gone)) { print "BENCH_r1.json: expected a 0- and a 1-crashed run"; bad = 1 }
+        if (gone[0] != 0 || shed[0] != 0) { print "BENCH_r1.json: the fault-free run lost " gone[0] " peers and shed " shed[0] " frames"; bad = 1 }
+        if (gone[1] != 1) { print "BENCH_r1.json: the crashed run lost " gone[1] " peers, not 1"; bad = 1 }
+        exit bad
+    }' "$artifacts/BENCH_r1.json"
 
 echo "==> [8/12] adaptive smoke (A1 fast-path gate)"
 test -s "$artifacts/BENCH_a1.json"  || { echo "missing BENCH_a1.json"; exit 1; }
