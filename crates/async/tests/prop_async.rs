@@ -13,23 +13,16 @@ use ca_async::{
 };
 use ca_bits::Nat;
 use ca_codec::{Decode, Encode};
-use ca_net::{EdgeRule, PartyId};
+use ca_net::{splitmix64, EdgeRule, PartyId};
 use proptest::prelude::*;
 
 const N: usize = 4;
 const T: usize = 1;
 
-/// splitmix64, for deterministic in-test shuffles.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+/// Fisher–Yates driven by `splitmix64`: a deterministic in-test shuffle.
 fn shuffle<T2>(items: &mut [T2], seed: u64) {
     for i in (1..items.len()).rev() {
-        let j = (mix(seed ^ i as u64) % (i as u64 + 1)) as usize;
+        let j = (splitmix64(seed ^ i as u64) % (i as u64 + 1)) as usize;
         items.swap(i, j);
     }
 }

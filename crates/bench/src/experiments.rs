@@ -540,10 +540,9 @@ pub fn e1_approx_vs_exact(quick: bool) {
 /// `K` CA sessions through one `ca-engine` deployment vs `K` isolated
 /// runs. The per-instance `BITSℓ` payload is identical by construction
 /// (the equivalence tests pin it); what amortizes is everything *around*
-/// the payload — per-round `Eor` markers, per-connection `Hello`/`Bye`,
-/// and per-message `Frame::Msg` framing shared by batched envelopes — so
-/// per-session **wire** bits fall strictly below the `K = 1` cost as `K`
-/// grows.
+/// the payload — the one `Frame::Round` per peer per round that batched
+/// envelopes share, and per-connection `Hello`/`Bye` — so per-session
+/// **wire** bits fall strictly below the `K = 1` cost as `K` grows.
 pub fn s1_service_throughput(quick: bool, artifacts: Option<&Path>) {
     use ca_engine::loadgen::{run_load_timed, LoadProfile};
     use ca_runtime::MonotonicClock;
@@ -724,7 +723,6 @@ pub fn r1_crash_resilience(quick: bool, artifacts: Option<&Path>) {
             .with("frames_sent", sum(|s| s.frames_sent))
             .with("wire_bytes_sent", sum(|s| s.wire_bytes_sent))
             .with("frames_shed", sum(|s| s.frames_shed))
-            .with("events_shed", sum(|s| s.events_shed))
             .with("overflow_disconnects", sum(|s| s.overflow_disconnects))
             .with("handshake_rejects", sum(|s| s.handshake_rejects))
             .with("dial_retries", sum(|s| s.dial_retries))

@@ -45,11 +45,6 @@ pub const ENGINE_SCOPE: &str = "engine";
 /// (counted, never delivered) without touching other sessions.
 const INBOX_FRAMES_PER_SENDER: usize = 8;
 
-/// Maximum frames coalesced into one envelope. A round's traffic to one
-/// destination splits into `⌈frames / MAX_BATCH_FRAMES⌉` envelopes,
-/// bounding the largest single transport message.
-const MAX_BATCH_FRAMES: usize = 1024;
-
 /// What one party's engine run produced.
 #[derive(Debug)]
 pub struct EngineOutput<O> {
@@ -112,21 +107,22 @@ fn replay_session_trace(
 // ---------------------------------------------------------------------------
 //
 // `Metrics::honest_bits` stays payload-only (the paper's BITSℓ); the
-// engine additionally prices what a TCP deployment pays per transport
-// message, per round, and per connection, by asking `ca_runtime::Frame`
-// what each frame occupies on the wire. This is the denominator of the S1
-// amortization claim: K multiplexed sessions share round markers,
-// connection setup, and per-message framing that K isolated deployments
-// each pay in full.
+// engine additionally prices what a TCP deployment pays per round and per
+// connection, by asking `ca_runtime::Frame` what each frame occupies on
+// the wire. This is the denominator of the S1 amortization claim: K
+// multiplexed sessions share the per-round frames and connection setup
+// that K isolated deployments each pay in full.
 
 fn wire_bits(frame: &Frame) -> u64 {
     8 * frame.wire_len() as u64
 }
 
-/// Wire bits of the `Frame::Eor { round }` markers one round costs: one
-/// per peer.
-fn round_sync_bits(n: usize, round: u64) -> u64 {
-    (n as u64 - 1) * wire_bits(&Frame::Eor { round })
+/// Wire bits of one transport round: to each peer, a `Frame::Round` with
+/// the envelopes sent to it, which is also its end-of-round marker.
+fn round_bits(round: u64, me: PartyId, mut batches: Vec<Vec<Bytes>>) -> u64 {
+    batches.swap_remove(me.index()); // a party sends itself no frame
+    let frames = batches.into_iter().map(|msgs| Frame::Round { round, msgs });
+    frames.map(|frame| wire_bits(&frame)).sum()
 }
 
 /// Wire bits of per-connection setup/teardown (`Hello` out to each peer,
@@ -241,7 +237,7 @@ where
                 let _ = ctx.next_round();
                 faults = FaultView::of(ctx);
                 stats.peers_gone = stats.peers_gone.max(faults.silent().len() as u64);
-                stats.wire_bits += round_sync_bits(n, engine_round);
+                stats.wire_bits += round_bits(engine_round, me, vec![Vec::new(); n]);
                 stats.engine_rounds += 1;
                 engine_round += 1;
                 continue;
@@ -291,49 +287,39 @@ where
                 }
             }
 
-            // ---- 4. Batch & flush envelopes ----
+            // ---- 4. Batch & flush: one envelope per destination ----
+            let mut batches: Vec<Vec<Bytes>> = vec![Vec::new(); n];
             for (to, frames) in outgoing.into_iter().enumerate() {
                 if frames.is_empty() {
                     continue;
                 }
                 let to = PartyId(to);
-                let mut frames = frames;
-                while !frames.is_empty() {
-                    let rest = if frames.len() > MAX_BATCH_FRAMES {
-                        frames.split_off(MAX_BATCH_FRAMES)
-                    } else {
-                        Vec::new()
-                    };
-                    let env = Envelope { frames };
-                    let payload = Bytes::from(env.encode_to_vec());
-                    if to != me {
-                        stats.envelopes_sent += 1;
-                        stats.frames_sent += env.frames.len() as u64;
-                        stats.batch_occupancy.record(env.frames.len() as u64);
-                        stats.wire_bits += wire_bits(&Frame::Msg {
-                            round: engine_round,
-                            payload: payload.clone(),
-                        });
-                    }
-                    // ca-budget: raw-send(envelope batcher meters wire_bits per batch above; per-frame CommExt metering would double-count)
-                    ctx.send_bytes(to, payload);
-                    frames = rest;
+                let env = Envelope { frames };
+                let payload = Bytes::from(env.encode_to_vec());
+                if to != me {
+                    stats.envelopes_sent += 1;
+                    stats.frames_sent += env.frames.len() as u64;
+                    stats.batch_occupancy.record(env.frames.len() as u64);
+                    batches[to.index()].push(payload.clone());
                 }
+                // ca-budget: raw-send(envelope batcher meters wire_bits per transport round from the batches collected above; per-frame CommExt metering would double-count)
+                ctx.send_bytes(to, payload);
             }
 
             if table.is_empty() && next_spec >= plan.sessions.len() {
                 // Graceful shutdown: the last sessions decided this round.
                 // Their fire-and-forget tail is buffered in the transport
                 // exactly like a single protocol's final sends — nobody is
-                // left waiting on a further round boundary.
+                // left waiting on a further round boundary, and no round
+                // frame carries it, so it costs no `round_bits`.
                 break;
             }
 
             // ---- 5. Advance the shared transport round ----
             let inbox = ctx.next_round();
+            stats.wire_bits += round_bits(engine_round, me, batches);
             faults = FaultView::of(ctx);
             stats.peers_gone = stats.peers_gone.max(faults.silent().len() as u64);
-            stats.wire_bits += round_sync_bits(n, engine_round);
             stats.engine_rounds += 1;
             engine_round += 1;
 

@@ -35,8 +35,9 @@ pub struct EngineStats {
     /// Per-session protocol payload bits sent to peers (the per-instance
     /// `BITSℓ` share of this party).
     pub payload_bits: BTreeMap<u64, u64>,
-    /// Modeled TCP wire bits this party sent: `Frame::Msg` framing around
-    /// every envelope, per-round `Frame::Eor` markers, and the per-run
+    /// Modeled TCP wire bits this party sent: one `Frame::Round` per peer
+    /// per transport round, carrying that round's envelopes to the peer
+    /// and doubling as its end-of-round marker, plus the per-run
     /// `Hello`/`Bye` connection setup — everything a real deployment pays.
     pub wire_bits: u64,
     /// Frames dropped by per-sender inbox backpressure.

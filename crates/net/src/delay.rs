@@ -43,9 +43,12 @@ pub struct EdgeDelays {
     rules: Vec<EdgeRule>,
 }
 
-/// splitmix64 finalizer: a high-quality 64-bit bit mixer. Pure and
-/// stateless — determinism comes for free.
-fn mix(mut z: u64) -> u64 {
+/// The SplitMix64 step: adds the golden-ratio increment to `z`, then
+/// applies the finalizer, a high-quality 64-bit bit mixer. Pure and
+/// stateless, so determinism comes for free; the workspace's one seeded
+/// hash outside the `rand` shim.
+#[must_use]
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -78,9 +81,11 @@ impl EdgeDelays {
         if from == to {
             return Some(0);
         }
-        let h = mix(self.seed
-            ^ mix(((from as u64) << 32) | to as u64)
-            ^ mix(seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        let h = splitmix64(
+            self.seed
+                ^ splitmix64(((from as u64) << 32) | to as u64)
+                ^ splitmix64(seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        );
         let mut delay = self.base;
         if self.jitter > 0 {
             delay += h % (self.jitter + 1);

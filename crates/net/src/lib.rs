@@ -67,7 +67,7 @@ pub use adversary::{Adversary, RoundActions, RoundView, SendSpec, Silent};
 // trace helpers) without a separate `ca-trace` import.
 pub use ca_trace::{compact_debug, Histogram, TraceSink};
 pub use comm::{Comm, CommExt, FaultEstimate};
-pub use delay::{EdgeDelays, EdgeRule};
+pub use delay::{splitmix64, EdgeDelays, EdgeRule};
 pub use inbox::Inbox;
 pub use metrics::{Metrics, ScopeMetrics};
 pub use parallel::run_parallel;

@@ -2,16 +2,16 @@
 //! [`TcpParty`] with no round barriers and no Δ.
 //!
 //! The synchronous surface of [`TcpParty`] batches sends until
-//! `next_round` and then waits on end-of-round markers under a Δ
+//! `next_round` and then waits on each peer's round frame under a Δ
 //! timeout. The async driver inverts that: every [`Action::Send`] ships
-//! immediately, and the protocol advances on each delivered message —
+//! immediately, as a round frame of one message tagged with the party's
+//! send count, and the protocol advances on each delivered message —
 //! progress is quorum-driven, exactly as in the deterministic
 //! [`ca_async::Executor`], but over real sockets. A protocol written
 //! against [`AsyncProtocol`] therefore runs unchanged on both hosts.
 //!
 //! Inbound events go through the party's liveness core, as on the sync
-//! path; in event-driven mode it delivers every message whatever its
-//! round tag.
+//! path; in event-driven mode it delivers every batch whatever its tag.
 //!
 //! # Fault plans
 //!
@@ -74,7 +74,7 @@ where
     P::Output: Display,
 {
     let me = party.me();
-    let start = party.clock_now();
+    let start = party.clock.now();
     party.core.set_async();
     party.push_scope(SCOPE);
     if let Some(repr) = proto.input_repr() {
@@ -93,7 +93,7 @@ where
     apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
 
     loop {
-        let now = party.clock_now();
+        let now = party.clock.now();
         if party.core.crashed() || now.saturating_sub(start) >= DEADLINE {
             break;
         }
@@ -117,7 +117,7 @@ where
             match party.pump(POLL) {
                 Ok(()) => {}
                 Err(RecvTimeoutError::Timeout) => {
-                    if decided && party.clock_now().saturating_sub(last_activity) >= LINGER {
+                    if decided && party.clock.now().saturating_sub(last_activity) >= LINGER {
                         break;
                     }
                 }
@@ -132,7 +132,7 @@ where
                 from: from as u64,
                 bytes: payload.len() as u64,
             });
-            last_activity = party.clock_now();
+            last_activity = party.clock.now();
             let actions = proto.on_message(PartyId(from), &payload);
             apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
         }
@@ -162,28 +162,18 @@ fn apply(
     timer_seq: &mut u64,
     actions: Vec<Action>,
 ) {
-    let me = party.me().index();
     for action in actions {
         match action {
-            Action::Send { to, payload } => {
-                if to.index() == me {
-                    self_queue.push_back(payload);
-                } else {
-                    party.send_now(to.index(), payload);
-                }
-            }
+            Action::Send { to, payload } => send(party, self_queue, to.index(), payload),
             Action::Broadcast { payload } => {
                 for to in 0..party.n() {
-                    if to == me {
-                        self_queue.push_back(payload.clone());
-                    } else {
-                        party.send_now(to, payload.clone());
-                    }
+                    send(party, self_queue, to, payload.clone());
                 }
             }
             Action::SetTimer { id, after } => {
                 let at = party
-                    .clock_now()
+                    .clock
+                    .now()
                     .saturating_add(Duration::from_millis(after * MS_PER_TIMER_UNIT));
                 timers.insert((at, *timer_seq), id);
                 *timer_seq += 1;
@@ -193,4 +183,17 @@ fn apply(
             }
         }
     }
+}
+
+/// Queues `payload` for this party itself, or traces it and has the core
+/// ship it to `to` at once; panics over the wire limit (see `Frame::round`).
+fn send(party: &mut TcpParty, self_queue: &mut VecDeque<Bytes>, to: usize, payload: Bytes) {
+    if to == party.me().index() {
+        return self_queue.push_back(payload);
+    }
+    party.trace(TraceEvent::Send {
+        to: to as u64,
+        bytes: payload.len() as u64,
+    });
+    party.core.send_now(to, payload);
 }

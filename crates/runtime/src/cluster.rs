@@ -457,9 +457,10 @@ mod tests {
     }
 
     /// Cutting a peer off is real at the socket level. A raw peer floods
-    /// party 0 with well-formed frames tagged with far-future rounds and
-    /// never ends a round; past the early-message cap it is shed, cut off
-    /// as suspected, and the round completes without it. Its socket is
+    /// party 0 with well-formed round frames tagged with rising
+    /// far-future rounds, while a quiet raw peer keeps party 0's round
+    /// open, so party 0 reads the flood until `Δ`. Past the early-batch
+    /// cap the flooder is shed and cut off as suspected. Its socket is
     /// shut down, so its writes start failing on their own, and its reader
     /// thread no longer competes for the shared event queue. (What the
     /// core buffers, sheds and never delivers again is tested in
@@ -470,27 +471,27 @@ mod tests {
         let flooder = std::thread::spawn(move || {
             let mut stream = dial_as(addr0, 1);
             // Nobody tells this loop to stop: only the shut-down socket can.
-            let mut frames = Vec::new();
-            for round in (1u64 << 40)..(1u64 << 40) + 64 {
-                Frame::Msg {
-                    round,
-                    payload: Bytes::from(vec![0xEE; 64]),
+            let mut round = 1u64 << 40;
+            (0..10_000).any(|_| {
+                let mut frames = Vec::new();
+                for _ in 0..64 {
+                    round += 1;
+                    let msgs = vec![Bytes::from(vec![0xEE; 64])];
+                    Frame::Round { round, msgs }.write_to(&mut frames).unwrap();
                 }
-                .write_to(&mut frames)
-                .unwrap();
-            }
-            (0..10_000).any(|_| stream.write_all(&frames).is_err())
+                stream.write_all(&frames).is_err()
+            })
         });
+        let quiet = std::thread::spawn(move || dial_as(addr0, 2));
 
-        let mut comm = party0(addr0, 2, Duration::from_secs(30));
-        // No end-of-round marker ever comes, so only the cut-off can end
-        // this round before the 30 s Δ.
+        let mut comm = party0(addr0, 3, Duration::from_secs(2));
+        let _quiet = quiet.join().unwrap();
         let inbox = comm.exchange(&7u64);
         assert_eq!(inbox.decode_from::<u64>(PartyId(0)), Some(7));
         assert!(inbox.raw_from(PartyId(1)).is_empty());
         assert_eq!(comm.silent_parties(), vec![PartyId(1)]);
         assert_eq!(comm.fault_estimate().suspected, 1);
-        assert!(comm.stats().events_shed >= 1);
+        assert!(comm.stats().frames_shed >= 1);
         assert_eq!(comm.stats().peers_gone, 1);
         assert!(
             flooder.join().unwrap(),
@@ -645,18 +646,21 @@ mod tests {
     }
 
     /// One peer that stops reading must not delay what an honest peer
-    /// receives. Raw P1 never reads; raw P2 does. Both send a marker for
-    /// every round up front, so party 0's rounds need not wait, and party
-    /// 0 sends P1 1 MiB per round, far more than the socket buffers hold.
-    /// In every round, also the one in which P1's buffers fill, P2 reads
-    /// party 0's end-of-round marker within Δ of the round's start. Once
+    /// receives. Raw P1 never reads; raw P2 does. Both send a round frame
+    /// that ends every round up front, so party 0's rounds need not wait,
+    /// and party 0 sends P1 1 MiB per round, far more than the socket
+    /// buffers hold. In every round, also the one in which P1's buffers
+    /// fill, P2 reads party 0's round frame within Δ of the round's start. Once
     /// P1's write has timed out, P1 alone is cut off.
     #[test]
     fn a_peer_that_stops_reading_does_not_delay_the_others() {
         const ROUNDS: usize = 32;
         let addr0 = free_addr();
         let delta = Duration::from_secs(1);
-        let all_rounds = || Frame::Eor { round: 1 << 40 };
+        let all_rounds = || Frame::Round {
+            round: 1 << 40,
+            msgs: Vec::new(),
+        };
         let stuck = std::thread::spawn(move || {
             let mut stream = dial_as(addr0, 1);
             all_rounds().write_to(&mut stream).unwrap();
@@ -668,7 +672,7 @@ mod tests {
             let mut stream = std::io::BufReader::new(stream);
             let mut markers = Vec::new();
             while let Some(frame) = read_frame(&mut stream) {
-                if let Frame::Eor { round } = frame {
+                if let Frame::Round { round, .. } = frame {
                     markers.push((round, std::time::Instant::now()));
                 }
             }
@@ -708,20 +712,18 @@ mod tests {
         drop(stuck.join().unwrap());
     }
 
-    /// What a peer reads is exactly the frames `Frame::write_to` emits, in
-    /// send order, the end-of-round marker last; a dropped party then
-    /// says `Bye` and closes, a crashed one just closes.
+    /// What a peer reads is exactly what `Frame::write_to` emits: one
+    /// round frame with the round's sends in send order; a dropped party
+    /// then says `Bye` and closes, a crashed one just closes.
     #[test]
     fn wire_image_is_the_frames_in_order_then_bye_or_bare_eof() {
         // The second payload is larger than the send buffer: it bypasses it.
         let (small, large) = (Bytes::from(vec![0xA5; 100]), Bytes::from(vec![0x5A; 65537]));
         let mut round_one = Vec::new();
-        for payload in [small.clone(), large.clone()] {
-            Frame::Msg { round: 1, payload }
-                .write_to(&mut round_one)
-                .unwrap();
-        }
-        Frame::Eor { round: 1 }.write_to(&mut round_one).unwrap();
+        let msgs = vec![small.clone(), large.clone()];
+        Frame::Round { round: 1, msgs }
+            .write_to(&mut round_one)
+            .unwrap();
         let mut with_bye = round_one.clone();
         Frame::Bye.write_to(&mut with_bye).unwrap();
 
@@ -734,7 +736,10 @@ mod tests {
             let peer = std::thread::spawn(move || {
                 let mut stream = dial_as(addr0, 1);
                 // End party 0's round 1 without waiting out Δ.
-                Frame::Eor { round: 1 }.write_to(&mut stream).unwrap();
+                let msgs = Vec::new();
+                Frame::Round { round: 1, msgs }
+                    .write_to(&mut stream)
+                    .unwrap();
                 let mut wire = Vec::new();
                 std::io::Read::read_to_end(&mut stream, &mut wire).unwrap();
                 wire
@@ -761,25 +766,32 @@ mod tests {
         use ca_codec::Encode as _;
         const ROUNDS: u64 = 40;
         let bulk = Bytes::from(vec![0x5A; 8 << 20]);
-        let msg = |round: u64| Frame::Msg {
-            round,
-            payload: if round == 1 {
+        let payload = |round: u64| {
+            if round == 1 {
                 bulk.clone()
             } else {
                 Bytes::from(round.encode_to_vec())
-            },
+            }
         };
         let mut expected = Vec::new();
         for round in 1..=ROUNDS {
-            msg(round).write_to(&mut expected).unwrap();
-            Frame::Eor { round }.write_to(&mut expected).unwrap();
+            let msgs = vec![payload(round)];
+            Frame::Round { round, msgs }
+                .write_to(&mut expected)
+                .unwrap();
         }
         Frame::Bye.write_to(&mut expected).unwrap();
 
         let addr0 = free_addr();
         let peer = std::thread::spawn(move || {
             let mut stream = dial_as(addr0, 1);
-            Frame::Eor { round: 1 << 40 }.write_to(&mut stream).unwrap();
+            let msgs = Vec::new();
+            Frame::Round {
+                round: 1 << 40,
+                msgs,
+            }
+            .write_to(&mut stream)
+            .unwrap();
             std::thread::sleep(Duration::from_millis(50));
             let (mut wire, mut buf) = (Vec::new(), vec![0u8; 64 << 10]);
             loop {
@@ -793,10 +805,7 @@ mod tests {
         });
         let mut comm = party0(addr0, 2, Duration::from_secs(5));
         for round in 1..=ROUNDS {
-            let Frame::Msg { payload, .. } = msg(round) else {
-                unreachable!()
-            };
-            comm.send_bytes(PartyId(1), payload);
+            comm.send_bytes(PartyId(1), payload(round));
             let _ = comm.next_round();
             std::thread::sleep(Duration::from_millis(5));
         }

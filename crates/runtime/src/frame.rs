@@ -3,22 +3,24 @@
 //! This module is the single place that knows what a frame looks like on
 //! the wire: the discriminant bytes and field order ([`Encode`] /
 //! [`Decode`] for [`Frame`]), the [`LENGTH_PREFIX_LEN`]-byte length prefix,
-//! and how both reach a socket ([`Frame::write_to`], or `Frame::put_head`
-//! followed by the payload, which is how a party stages a batch). The
-//! party's socket code and the engine's deployment cost model call in
+//! and how both reach a socket ([`Frame::write_to`], or `Frame::put_wire`,
+//! which lets the caller send large payloads out of their own buffers).
+//! The party's socket code and the engine's deployment cost model call in
 //! here; neither restates the layout.
+//!
+//! Everything a party sends one peer in one round is one
+//! [`Frame::Round`], and that frame is also the peer's end-of-round marker.
 //!
 //! # Overhead accounting
 //!
 //! `ca_net::Metrics::honest_bits` — the paper's `BITSℓ(Π)` — counts
-//! **payload bits only** (the encoded protocol message handed to
+//! **payload bits only** (the encoded protocol messages handed to
 //! `Comm::send_bytes`); it never includes the envelope this module adds.
-//! The real wire cost of any frame is [`Frame::wire_len`], and the
-//! per-message delta between wire and payload is [`Frame::overhead`]: the
-//! frame discriminant, the round tag, the payload length varint, and the
-//! length prefix. Keeping the two notions separate means experiment
-//! numbers track the paper's model while the deployment cost stays
-//! auditable from one definition.
+//! The real wire cost of any frame is [`Frame::wire_len`]: the length
+//! prefix, the discriminant, the round tag, the message count and each
+//! message's length varint, around the payloads. Keeping the two notions
+//! separate means experiment numbers track the paper's model while the
+//! deployment cost stays auditable from one definition.
 
 use std::io::{self, Write};
 
@@ -29,12 +31,21 @@ use ca_codec::{CodecError, Decode, Encode, Reader, Writer};
 /// encoded frame.
 pub const LENGTH_PREFIX_LEN: usize = 4;
 
-/// Hard ceiling on one frame *body* read off the wire: the codec's decode
-/// capacity plus the largest possible framing (tag byte + two maximal
-/// varints). A length prefix above this could never decode into a valid
-/// [`Frame`] anyway, so the transport rejects it before allocating a
-/// receive buffer.
+/// Hard ceiling on one frame *body*: the codec's decode capacity plus 21
+/// bytes of framing. The transport rejects a longer length prefix before
+/// allocating a receive buffer. It also bounds a [`Frame::Round`]'s
+/// decoded size (see `held`), which a sender checks before building one
+/// and the decoder before keeping one, so this bounds what one party
+/// sends one peer in one round.
 pub const MAX_WIRE_FRAME_LEN: usize = ca_codec::MAX_DECODE_CAPACITY + 21;
+
+/// Bytes a round's messages hold once decoded: each payload plus its
+/// handle, which for an empty message far outweighs its one wire byte.
+pub(crate) fn held(msgs: &[Bytes]) -> usize {
+    msgs.iter()
+        .map(|msg| msg.len() + std::mem::size_of::<Bytes>())
+        .sum()
+}
 
 /// Ceiling on a handshake (`Hello`) frame *body*, enforced by the accept
 /// side before any allocation. A well-formed hello is a tag byte plus a
@@ -106,18 +117,16 @@ pub enum Frame {
         /// Sender's party index.
         from: u32,
     },
-    /// A protocol message belonging to a specific round.
-    Msg {
-        /// Round the message was sent in.
+    /// Everything the sender sends this peer in one round, and the
+    /// sender's end-of-round marker for it.
+    Round {
+        /// The round's tag: the sender's round on the synchronous path, a
+        /// per-party send counter on the event-driven one. Along each link
+        /// it strictly increases.
         round: u64,
-        /// Opaque protocol payload: on receive, a view into the buffer the
-        /// frame body was read into.
-        payload: Bytes,
-    },
-    /// End-of-round marker: the sender has flushed everything for `round`.
-    Eor {
-        /// The completed round.
-        round: u64,
+        /// Opaque protocol payloads, in send order: on receive, views into
+        /// the buffer the frame body was read into.
+        msgs: Vec<Bytes>,
     },
     /// The sender's protocol terminated; treat as end-of-round for all
     /// future rounds.
@@ -125,11 +134,23 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Protocol payload bytes carried by this frame — the quantity
-    /// metered as `honest_bits`. Zero for control frames.
-    #[must_use]
-    pub fn payload_len(&self) -> usize {
-        self.payload().len()
+    /// The round frame carrying `msgs`.
+    ///
+    /// # Panics
+    ///
+    /// If the receiver would reject it as malformed: a decoded size (see
+    /// `held`) over [`MAX_WIRE_FRAME_LEN`] bytes. That bounds the body
+    /// too, since a message's handle outweighs its length varint plus the
+    /// frame's header. The limit is on what one party sends one peer in
+    /// one round; going over it is API misuse.
+    pub(crate) fn round(round: u64, msgs: Vec<Bytes>) -> Self {
+        let size = held(&msgs);
+        assert!(
+            size <= MAX_WIRE_FRAME_LEN,
+            "a round's frame to one peer ({size} bytes decoded) is over the \
+             {MAX_WIRE_FRAME_LEN}-byte wire limit"
+        );
+        Frame::Round { round, msgs }
     }
 
     /// Total bytes this frame occupies on the wire: the length prefix
@@ -139,77 +160,55 @@ impl Frame {
         LENGTH_PREFIX_LEN + self.encoded_len()
     }
 
-    /// Framing bytes beyond the protocol payload:
-    /// `wire_len() − payload_len()`. For control frames this is the whole
-    /// frame.
-    #[must_use]
-    pub fn overhead(&self) -> usize {
-        self.wire_len() - self.payload_len()
+    /// Appends the frame's wire image to `w`: the length prefix, then the
+    /// body, whose payloads go through `payload`, which copies each into
+    /// `w` or sends it from its own buffer after what `w` holds so far.
+    pub(crate) fn put_wire(&self, w: &mut Writer, payload: impl FnMut(&mut Writer, &Bytes)) {
+        w.put_raw(&(self.encoded_len() as u32).to_be_bytes());
+        self.put_body(w, payload);
     }
 
-    /// Everything [`Encode::encode`] emits except the payload bytes
-    /// themselves, which are always the tail of the body.
-    fn encode_head(&self, w: &mut Writer) {
+    fn put_body(&self, w: &mut Writer, mut payload: impl FnMut(&mut Writer, &Bytes)) {
         match self {
             Frame::Hello { from } => {
                 w.put_u8(0);
                 from.encode(w);
             }
-            Frame::Msg { round, payload } => {
+            Frame::Round { round, msgs } => {
                 w.put_u8(1);
                 round.encode(w);
-                w.put_varint(payload.len() as u64);
+                w.put_varint(msgs.len() as u64);
+                for msg in msgs {
+                    w.put_varint(msg.len() as u64);
+                    payload(w, msg);
+                }
             }
-            Frame::Eor { round } => {
-                w.put_u8(2);
-                round.encode(w);
-            }
-            Frame::Bye => w.put_u8(3),
+            Frame::Bye => w.put_u8(2),
         }
     }
 
-    pub(crate) fn payload(&self) -> &[u8] {
-        match self {
-            Frame::Msg { payload, .. } => payload,
-            Frame::Hello { .. } | Frame::Eor { .. } | Frame::Bye => &[],
-        }
-    }
-
-    /// Appends the length prefix and the frame's header to `w`: all of
-    /// the wire image but a `Msg` payload, which is its tail.
-    pub(crate) fn put_head(&self, w: &mut Writer) {
-        w.put_raw(&(self.encoded_len() as u32).to_be_bytes());
-        self.encode_head(w);
-    }
-
-    /// Writes the length prefix and the frame to `out`, exactly
-    /// [`Frame::wire_len`] bytes: the header, then a `Msg` payload
-    /// straight from its buffer — never copied into an encoded body
-    /// first.
+    /// Writes the length prefix and the frame to `out`: exactly
+    /// [`Frame::wire_len`] bytes.
     ///
     /// # Errors
     ///
     /// Whatever `out.write_all` returns.
     pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
-        // Prefix + tag + two maximal varints.
-        let mut head = Writer::with_capacity(LENGTH_PREFIX_LEN + 21);
-        self.put_head(&mut head);
-        out.write_all(head.as_slice())?;
-        out.write_all(self.payload())
+        let mut w = Writer::with_capacity(self.wire_len());
+        self.put_wire(&mut w, |w, msg| w.put_raw(msg));
+        out.write_all(w.as_slice())
     }
 }
 
 impl Encode for Frame {
     fn encode(&self, w: &mut Writer) {
-        self.encode_head(w);
-        w.put_raw(self.payload());
+        self.put_body(w, |w, msg| w.put_raw(msg));
     }
 
     fn encoded_len(&self) -> usize {
         1 + match self {
             Frame::Hello { from } => from.encoded_len(),
-            Frame::Msg { round, payload } => round.encoded_len() + payload.encoded_len(),
-            Frame::Eor { round } => round.encoded_len(),
+            Frame::Round { round, msgs } => round.encoded_len() + msgs.encoded_len(),
             Frame::Bye => 0,
         }
     }
@@ -221,14 +220,12 @@ impl Decode for Frame {
             0 => Ok(Frame::Hello {
                 from: u32::decode(r)?,
             }),
-            1 => Ok(Frame::Msg {
-                round: u64::decode(r)?,
-                payload: Bytes::decode(r)?,
-            }),
-            2 => Ok(Frame::Eor {
-                round: u64::decode(r)?,
-            }),
-            3 => Ok(Frame::Bye),
+            1 => {
+                let round = u64::decode(r)?;
+                let msgs = decode_msgs(r)?;
+                Ok(Frame::Round { round, msgs })
+            }
+            2 => Ok(Frame::Bye),
             other => Err(CodecError::InvalidDiscriminant {
                 type_name: "Frame",
                 value: u64::from(other),
@@ -237,18 +234,45 @@ impl Decode for Frame {
     }
 }
 
+/// A round's messages, refused once their decoded size (see `held`) passes
+/// [`MAX_WIRE_FRAME_LEN`]. The count sizes nothing beyond the bytes present
+/// or that bound, so empty messages cannot decode to many times their bytes.
+fn decode_msgs(r: &mut Reader<'_>) -> Result<Vec<Bytes>, CodecError> {
+    let count = r.get_varint()?;
+    let most = MAX_WIRE_FRAME_LEN / std::mem::size_of::<Bytes>();
+    let claimed = usize::try_from(count).unwrap_or(usize::MAX);
+    let (mut msgs, mut size) = (Vec::with_capacity(claimed.min(r.remaining()).min(most)), 0);
+    for _ in 0..count {
+        let len = usize::try_from(r.get_varint()?).unwrap_or(usize::MAX);
+        let msg = r.get_shared(len)?;
+        size += msg.len() + std::mem::size_of::<Bytes>();
+        if size > MAX_WIRE_FRAME_LEN {
+            return Err(CodecError::Invalid("round frame over the wire limit"));
+        }
+        msgs.push(msg);
+    }
+    Ok(msgs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn samples() -> [Frame; 4] {
+    fn samples() -> [Frame; 5] {
         [
             Frame::Hello { from: 3 },
-            Frame::Msg {
+            Frame::Round {
                 round: 300,
-                payload: Bytes::from(vec![0xCD; 200]),
+                msgs: vec![Bytes::from(vec![0xCD; 200]), Bytes::new()],
             },
-            Frame::Eor { round: 9 },
+            Frame::Round {
+                round: 9,
+                msgs: Vec::new(),
+            },
+            Frame::Round {
+                round: 1,
+                msgs: vec![Bytes::from(vec![7; 70_000])],
+            },
             Frame::Bye,
         ]
     }
@@ -280,7 +304,6 @@ mod tests {
             assert_eq!(wire.len(), f.wire_len());
             assert_eq!(wire[..LENGTH_PREFIX_LEN], (body.len() as u32).to_be_bytes());
             assert_eq!(wire[LENGTH_PREFIX_LEN..], body[..]);
-            assert_eq!(f.overhead(), f.wire_len() - f.payload_len());
             assert_eq!(validate_frame_len(body.len() as u32), Ok(body.len()));
         }
     }
@@ -301,15 +324,84 @@ mod tests {
         assert!(validate_frame_len(MAX_WIRE_FRAME_LEN as u32 + 1).is_err());
     }
 
+    /// A round frame's overhead beyond its payloads: the 4-byte prefix,
+    /// the tag, the round and count varints, then a length varint per
+    /// message.
     #[test]
     fn msg_overhead_excludes_payload() {
-        let f = Frame::Msg {
+        let payloads = |k: usize| vec![Bytes::from(vec![7; 100]); k];
+        for k in 0..4 {
+            let f = Frame::round(1, payloads(k));
+            assert_eq!(f.wire_len(), 7 + k * 101);
+        }
+    }
+
+    const HANDLE: usize = std::mem::size_of::<Bytes>();
+
+    /// The body of a round frame tagged 1 holding `count` empty messages.
+    fn empty_msgs_body(count: usize) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u8(1);
+        w.put_varint(1);
+        w.put_varint(count as u64);
+        let mut body = w.into_vec();
+        body.resize(body.len() + count, 0);
+        body
+    }
+
+    /// The sender's check and the decoder's accept the same frames: one
+    /// payload, or many empty messages, whose decoded size is exactly the
+    /// wire limit round-trips, within the body limit; one byte or one
+    /// message more is refused by both.
+    #[test]
+    fn round_limit_is_the_wire_limit() {
+        let fits = MAX_WIRE_FRAME_LEN - HANDLE;
+        let f = Frame::round(1, vec![Bytes::from(vec![0; fits])]);
+        assert!(f.encoded_len() <= MAX_WIRE_FRAME_LEN);
+        assert_eq!(Frame::decode_from_slice(&f.encode_to_vec()), Ok(f));
+        let over = Frame::Round {
             round: 1,
-            payload: Bytes::from(vec![7; 100]),
+            msgs: vec![Bytes::from(vec![0; fits + 1])],
         };
-        assert_eq!(f.payload_len(), 100);
-        // 4-byte prefix + 1-byte tag + 1-byte round varint + 1-byte len
-        // varint = 7 bytes of framing.
-        assert_eq!(f.overhead(), 7);
+        assert_eq!(
+            Frame::decode_from_slice(&over.encode_to_vec()),
+            Err(CodecError::Invalid("round frame over the wire limit"))
+        );
+
+        let most = MAX_WIRE_FRAME_LEN / HANDLE;
+        let f = Frame::round(1, vec![Bytes::new(); most]);
+        assert_eq!(f.encode_to_vec(), empty_msgs_body(most));
+        assert_eq!(Frame::decode_from_slice(&empty_msgs_body(most)), Ok(f));
+    }
+
+    #[test]
+    #[should_panic(expected = "-byte wire limit")]
+    fn round_over_the_wire_limit_panics() {
+        let fits = MAX_WIRE_FRAME_LEN - HANDLE;
+        let _ = Frame::round(1, vec![Bytes::from(vec![0; fits + 1])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "-byte wire limit")]
+    fn round_of_too_many_messages_panics() {
+        let _ = Frame::round(1, vec![Bytes::new(); MAX_WIRE_FRAME_LEN / HANDLE + 1]);
+    }
+
+    /// An empty message is one wire byte but a whole handle decoded: a
+    /// body of them is refused once its handles pass the wire limit, from
+    /// one message over it up to a full `MAX_WIRE_FRAME_LEN` body (which
+    /// would otherwise decode to `HANDLE` times its length).
+    #[test]
+    fn empty_message_floods_are_refused() {
+        let most = MAX_WIRE_FRAME_LEN / HANDLE;
+        let full = MAX_WIRE_FRAME_LEN - 6; // tag, round, 4-byte count varint
+        for count in [most + 1, full] {
+            let body = empty_msgs_body(count);
+            assert!(body.len() <= MAX_WIRE_FRAME_LEN);
+            assert_eq!(
+                Frame::decode_from_slice(&body),
+                Err(CodecError::Invalid("round frame over the wire limit"))
+            );
+        }
     }
 }

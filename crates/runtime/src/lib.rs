@@ -3,9 +3,10 @@
 //! The simulator in `ca-net` realizes the synchronous model as an explicit
 //! lock-step executor; this crate realizes it the way the paper states it
 //! (§2): real point-to-point channels where "all messages get delivered
-//! within `Δ` time, and `Δ` is publicly known". Rounds are synchronized
-//! with end-of-round markers plus a `Δ` timeout, so crashed peers delay a
-//! round by at most `Δ` and can never stall the protocol.
+//! within `Δ` time, and `Δ` is publicly known". A round is one frame
+//! per peer, which is also the sender's end-of-round marker, plus a `Δ`
+//! timeout, so crashed peers delay a round by at most `Δ` and can never
+//! stall the protocol.
 //!
 //! Protocol code is *identical* to what the simulator runs — anything
 //! written against [`ca_net::Comm`] works here unchanged; each party's

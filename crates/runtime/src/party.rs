@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,7 +16,7 @@ use ca_net::{Comm, FaultEstimate, Inbox, PartyId};
 use ca_trace::{Event as TraceEvent, NullSink, Record, TraceSink};
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::liveness::{Effect, Liveness, Reason, WriteFailure};
+use crate::liveness::{Effect, Liveness, Reason};
 use crate::stats::{RuntimeStats, StatsInner};
 use crate::{FaultPlan, Frame};
 
@@ -68,11 +68,15 @@ const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 /// establishment, so the deadline is re-checked at least this often.
 const ESTABLISH_POLL: Duration = Duration::from_millis(250);
 
-/// Capacity of the inbound event queue shared by all reader threads.
-/// Protocol messages beyond it are shed; liveness events (end-of-round
-/// markers, lost streams) always get through. The same number caps the
-/// messages buffered per peer for rounds not yet reached.
+/// Capacity of the inbound event queue shared by all reader threads. A
+/// reader whose event does not fit waits, which back-pressures its peer's
+/// socket; nothing inbound is shed here. The same number caps the batches
+/// buffered per peer for rounds not yet reached.
 const EVENT_QUEUE: usize = 4096;
+
+/// Cap on the bytes buffered per peer for rounds not yet reached: about
+/// four frames of the largest size.
+const EARLY_BYTES: usize = 64 << 20;
 
 /// Size of each peer's receive buffer, and the payload size from which a
 /// send goes out of its own `Bytes` instead of being copied in with the
@@ -88,37 +92,30 @@ const WRITE_POLL: Duration = Duration::from_millis(1);
 /// the sync path, one per message on the async path).
 const SPILL_QUEUE: usize = 1024;
 
-/// One send phase's wire image for one peer, minus what is already
-/// written: the frame headers and small payloads copied together, each
-/// large payload as its own shared `Bytes`.
+/// One frame's wire image, minus what is already written: the framing
+/// and small payloads copied together, each large payload as its own
+/// shared `Bytes`.
 #[derive(Debug)]
 struct Outbound {
     chunks: VecDeque<Bytes>,
-    /// Frames in the batch: what is shed if it never goes out.
-    frames: u64,
 }
 
 impl Outbound {
-    fn new(frames: &[Frame]) -> Self {
+    fn new(frame: &Frame) -> Self {
         let mut chunks = VecDeque::new();
         let mut small = Writer::new();
-        for frame in frames {
-            frame.put_head(&mut small);
-            match frame {
-                Frame::Msg { payload, .. } if payload.len() >= SOCKET_BUFFER => {
-                    chunks.push_back(Bytes::from(std::mem::take(&mut small).into_vec()));
-                    chunks.push_back(payload.clone());
-                }
-                _ => small.put_raw(frame.payload()),
+        frame.put_wire(&mut small, |small, payload| {
+            if payload.len() >= SOCKET_BUFFER {
+                chunks.push_back(Bytes::from(std::mem::take(small).into_vec()));
+                chunks.push_back(payload.clone());
+            } else {
+                small.put_raw(payload);
             }
-        }
+        });
         if !small.is_empty() {
             chunks.push_back(Bytes::from(small.into_vec()));
         }
-        Self {
-            chunks,
-            frames: frames.len() as u64,
-        }
+        Self { chunks }
     }
 
     fn wire_len(&self) -> u64 {
@@ -157,12 +154,15 @@ struct Link {
     /// The peer's spill thread, started the first time a write to the
     /// peer came back short.
     spill: Option<Spill>,
+    /// Set when the peer is cut off: its reader forwards nothing more.
+    cut: Arc<AtomicBool>,
 }
 
 impl Link {
-    /// Shuts the socket down both ways, so the peer's reader and spill
-    /// threads exit.
+    /// Shuts the socket down both ways and stops the peer's reader, so
+    /// its reader and spill threads exit.
     fn close(&self) {
+        self.cut.store(true, Ordering::Relaxed);
         let _ = self.socket.shutdown(Shutdown::Both);
     }
 }
@@ -186,15 +186,15 @@ impl Spill {
         socket: &TcpStream,
         delta: Duration,
         stats: &Arc<StatsInner>,
-    ) -> Result<Self, WriteFailure> {
-        let socket = socket.try_clone().map_err(|_| WriteFailure::Closed)?;
+    ) -> Result<Self, Reason> {
+        let socket = socket.try_clone().map_err(|_| Reason::Closed)?;
         let (tx, rx) = mpsc::sync_channel::<Outbound>(SPILL_QUEUE);
         let unwritten = Arc::new(AtomicUsize::new(0));
         let (left, stats) = (Arc::clone(&unwritten), Arc::clone(stats));
         let thread = std::thread::Builder::new()
             .name(format!("ca-spill-{peer}"))
             .spawn(move || spill_loop(&socket, &rx, &left, delta, &stats))
-            .map_err(|_| WriteFailure::Closed)?;
+            .map_err(|_| Reason::Closed)?;
         Ok(Self {
             tx,
             unwritten,
@@ -216,31 +216,25 @@ struct Event {
 /// A fully connected TCP party implementing [`Comm`].
 ///
 /// Create one per process with [`TcpParty::establish`], then hand it to
-/// protocol code. Round semantics: `next_round` writes each peer, in one
-/// write, the sends tagged with the current round plus an end-of-round
-/// marker, then waits until every live peer's marker arrives or `Δ`
-/// elapses. A write blocks at most [`WRITE_POLL`]: what a full socket
-/// does not take goes to that peer's spill thread, so a peer that stops
-/// reading delays no other peer.
+/// protocol code. `next_round` writes each peer one frame holding the
+/// round's sends to it, which is also its end-of-round marker, then waits
+/// until every live peer's frame for the round arrives or `Δ` elapses. A
+/// write blocks at most [`WRITE_POLL`]: what a full socket does not take
+/// goes to that peer's spill thread, so a peer that stops reading delays
+/// no other peer.
 ///
 /// # Crash tolerance
 ///
-/// The party owns the sockets and threads; when a peer is gone, what is
-/// shed and when a round ends is decided by its liveness core
-/// (`crate::liveness`). Peers whose stream ends abnormally (EOF without
-/// `Bye`, a malformed frame), who stop reading (a batch to them is not
-/// out within `Δ`, or their spill queue fills) or who flood the
-/// early-message buffer are marked *gone*: `next_round` never waits on
-/// them again and never again delivers from them — their socket is shut
-/// down, so their reader thread exits instead of competing for the
-/// shared event queue. From the protocol's view they are
-/// silent-byzantine, which the model already tolerates for up to `t`
-/// parties. A deliberate `Bye` (normal end of run) also stops the waiting
-/// but is not an outage: it bumps no stat and traces no `PeerGone`, so
-/// fault-free runs report zero gone peers however the final round's
-/// shutdowns interleave. [`TcpParty::set_fault_plan`] scripts this
-/// party's own crash for tests; [`TcpParty::stats`] exposes what the
-/// transport absorbed.
+/// The party owns the sockets and threads; who is gone, what is shed and
+/// when a round ends is decided by its liveness core (`crate::liveness`).
+/// A peer whose stream ends without `Bye` or carries a malformed frame,
+/// that stops reading, or that floods the early-batch buffer is *gone*:
+/// never waited on or delivered from again, and its socket is shut down.
+/// To the protocol it is silent-byzantine, which the model tolerates for
+/// up to `t` parties. A `Bye` also stops the waiting but is no outage, so
+/// fault-free runs report zero gone peers. [`TcpParty::set_fault_plan`]
+/// scripts this party's own crash for tests; [`TcpParty::stats`] exposes
+/// what the transport absorbed.
 pub struct TcpParty {
     n: usize,
     t: usize,
@@ -254,8 +248,9 @@ pub struct TcpParty {
     /// Inbound events from all reader threads (bounded by
     /// [`EVENT_QUEUE`]).
     events: mpsc::Receiver<Event>,
-    /// Time source for the Δ deadline; injectable for tests.
-    clock: Box<dyn Clock>,
+    /// Time source for the Δ deadline, and the async driver's only one;
+    /// injectable for tests.
+    pub(crate) clock: Box<dyn Clock>,
     /// The liveness policy, which both drivers feed.
     pub(crate) core: Liveness,
     /// Transport counters shared with the socket threads.
@@ -308,15 +303,16 @@ impl TcpParty {
         for (peer, socket) in streams {
             let read_half = socket.try_clone()?;
             socket.set_write_timeout(Some(WRITE_POLL))?;
+            let cut = Arc::new(AtomicBool::new(false));
+            let (event_tx, reader_cut) = (event_tx.clone(), Arc::clone(&cut));
             links[peer] = Some(Link {
                 socket,
                 spill: None,
+                cut,
             });
-            let event_tx = event_tx.clone();
-            let stats = Arc::clone(&stats);
             std::thread::Builder::new()
                 .name(format!("ca-reader-{peer}"))
-                .spawn(move || reader_loop(peer, read_half, &event_tx, &stats))?;
+                .spawn(move || reader_loop(peer, read_half, &reader_cut, &event_tx))?;
         }
 
         Ok(Self {
@@ -329,7 +325,7 @@ impl TcpParty {
             links,
             events: event_rx,
             clock,
-            core: Liveness::new(n, me.index(), EVENT_QUEUE),
+            core: Liveness::new(n, me.index(), EVENT_QUEUE, EARLY_BYTES),
             stats,
             sink: Arc::new(NullSink),
         })
@@ -387,7 +383,7 @@ impl TcpParty {
         while let Some(effect) = self.core.poll_effect() {
             match effect {
                 Effect::Deliver { from, payload } => return Some((from, payload)),
-                Effect::Write { to, frames } => self.send_batch(to, Outbound::new(&frames)),
+                Effect::Write { to, frame } => self.send_batch(to, Outbound::new(&frame)),
                 Effect::Disconnect { peer, reason } => {
                     if let Some(link) = self.links[peer].take() {
                         link.close();
@@ -405,13 +401,8 @@ impl TcpParty {
                         });
                     }
                 }
-                Effect::Shed { frames, outbound } => {
-                    let counter = if outbound {
-                        &self.stats.frames_shed
-                    } else {
-                        &self.stats.events_shed
-                    };
-                    counter.fetch_add(frames, Ordering::Relaxed);
+                Effect::Shed => {
+                    self.stats.frames_shed.fetch_add(1, Ordering::Relaxed);
                 }
                 // No `Bye`: this models a process kill, not a graceful exit.
                 Effect::Crash { strategy } => {
@@ -433,9 +424,7 @@ impl TcpParty {
         if self.links[to].is_none() {
             return;
         }
-        self.stats
-            .frames_sent
-            .fetch_add(batch.frames, Ordering::Relaxed);
+        self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
         self.stats
             .wire_bytes_sent
             .fetch_add(batch.wire_len(), Ordering::Relaxed);
@@ -458,7 +447,7 @@ impl TcpParty {
     /// [`WRITE_POLL`] to the peer's spill thread, started on first use. So
     /// this blocks at most one `WRITE_POLL`, and a peer that stops reading
     /// delays no other peer.
-    fn write_out(&mut self, to: usize, mut batch: Outbound) -> Result<(), WriteFailure> {
+    fn write_out(&mut self, to: usize, mut batch: Outbound) -> Result<(), Reason> {
         let Some(link) = self.links[to].as_mut() else {
             return Ok(());
         };
@@ -466,11 +455,7 @@ impl TcpParty {
             .spill
             .as_ref()
             .is_some_and(|spill| spill.unwritten.load(Ordering::Acquire) > 0);
-        if !queued
-            && batch
-                .write_some(&link.socket)
-                .map_err(|_| WriteFailure::Closed)?
-        {
+        if !queued && batch.write_some(&link.socket).map_err(|_| Reason::Closed)? {
             return Ok(());
         }
         let spill = match link.spill.take() {
@@ -480,10 +465,9 @@ impl TcpParty {
                 .insert(Spill::start(to, &link.socket, self.delta, &self.stats)?),
         };
         spill.unwritten.fetch_add(1, Ordering::Relaxed);
-        let shed = batch.frames;
         match spill.tx.try_send(batch) {
             Ok(()) => Ok(()),
-            Err(mpsc::TrySendError::Full(_)) => Err(WriteFailure::Stalled { shed }),
+            Err(mpsc::TrySendError::Full(_)) => Err(Reason::Stalled),
             // The spill thread dropped its queue on the way out; joined,
             // it says why.
             Err(mpsc::TrySendError::Disconnected(_)) => {
@@ -493,9 +477,9 @@ impl TcpParty {
                         .is_some_and(|spill| spill.thread.join().unwrap_or(false))
                 });
                 Err(if stalled {
-                    WriteFailure::Stalled { shed }
+                    Reason::Stalled
                 } else {
-                    WriteFailure::Closed
+                    Reason::Closed
                 })
             }
         }
@@ -511,32 +495,6 @@ impl TcpParty {
                 let _ = link.socket.shutdown(Shutdown::Write);
             }
         }
-    }
-
-    // -- Event-driven (async) access, used by `crate::async_driver` ------
-    //
-    // The round-based `Comm` surface above buffers sends until the next
-    // barrier; the asynchronous driver instead ships frames immediately
-    // and feeds inbound events to the core one at a time, with no Δ.
-
-    /// Reads the injected clock (the async driver's only time source).
-    pub(crate) fn clock_now(&self) -> Duration {
-        self.clock.now()
-    }
-
-    /// Ships `payload` to `to` as a `Frame::Msg` in a batch of its own (no
-    /// barrier; the round tag is meaningless to an async receiver and
-    /// carries the current counter only for wire compatibility), tracing
-    /// the send.
-    pub(crate) fn send_now(&mut self, to: usize, payload: Bytes) {
-        if self.sink.enabled() {
-            self.emit(TraceEvent::Send {
-                to: to as u64,
-                bytes: payload.len() as u64,
-            });
-        }
-        let round = self.core.round();
-        self.send_batch(to, Outbound::new(&[Frame::Msg { round, payload }]));
     }
 }
 
@@ -596,15 +554,10 @@ impl Comm for TcpParty {
         }
         if tracing {
             for from in 0..self.n {
-                let sizes: Vec<u64> = inbox
-                    .raw_from(PartyId(from))
-                    .iter()
-                    .map(|raw| raw.len() as u64)
-                    .collect();
-                for bytes in sizes {
+                for raw in inbox.raw_from(PartyId(from)) {
                     self.emit(TraceEvent::Deliver {
                         from: from as u64,
-                        bytes,
+                        bytes: raw.len() as u64,
                     });
                 }
             }
@@ -657,7 +610,7 @@ impl Drop for TcpParty {
         // EOF. Drop blocks at most one `WRITE_POLL` per peer; a spill
         // thread finishes in the background.
         for peer in 0..self.n {
-            self.write_or_report(peer, Outbound::new(&[Frame::Bye]));
+            self.write_or_report(peer, Outbound::new(&Frame::Bye));
         }
         while self.next_delivery().is_some() {}
         self.close_links();
@@ -690,7 +643,7 @@ fn spill_loop(
                 Ok(false) if clock.now() < deadline => {}
                 Ok(false) => {
                     stalled = true;
-                    let shed = batch.frames + rx.try_iter().map(|b| b.frames).sum::<u64>();
+                    let shed = 1 + rx.try_iter().count() as u64;
                     stats.frames_shed.fetch_add(shed, Ordering::Relaxed);
                     break 'batches;
                 }
@@ -704,16 +657,19 @@ fn spill_loop(
 }
 
 /// Reader thread: decode frames, forward as events, and report how the
-/// stream was lost. Protocol messages are shed if the event queue is
-/// full; every other event blocks instead so that no end-of-round marker,
-/// `Bye` or lost stream is lost. Reads go through one
-/// [`SOCKET_BUFFER`], so a round's frames from the peer cost about one
-/// `read`.
+/// stream was lost. It never sheds: while the event queue is full it
+/// waits, and the peer's socket backs up. That cannot deadlock, since the
+/// protocol thread, the queue's one consumer, blocks on no write for
+/// longer than [`WRITE_POLL`], and dropping the queue releases the
+/// reader. Once the peer is `cut` off, the reader returns at its next
+/// frame, so the socket closes with what is unread (a reset) instead of
+/// draining a flood nobody reads. Reads go through one [`SOCKET_BUFFER`],
+/// so a round's frame from the peer costs about one `read`.
 fn reader_loop(
     peer: usize,
     stream: TcpStream,
+    cut: &AtomicBool,
     event_tx: &mpsc::SyncSender<Event>,
-    stats: &StatsInner,
 ) {
     let mut stream = BufReader::with_capacity(SOCKET_BUFFER, stream);
     let event = |frame| Event { from: peer, frame };
@@ -733,23 +689,13 @@ fn reader_loop(
             break Reason::Eof;
         }
         // The receive buffer becomes the backing store of the delivered
-        // payload: `Bytes::from` adopts it and the shared decode slices it.
+        // payloads: `Bytes::from` adopts it and the shared decode slices it.
         let Ok(frame) = Frame::decode_from_bytes(&Bytes::from(body)) else {
             break Reason::Malformed;
         };
-        if matches!(frame, Frame::Msg { .. }) {
-            match event_tx.try_send(event(Ok(frame))) {
-                Ok(()) => {}
-                Err(mpsc::TrySendError::Full(_)) => {
-                    stats.events_shed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => return,
-            }
-        } else {
-            let bye = frame == Frame::Bye;
-            if event_tx.send(event(Ok(frame))).is_err() || bye {
-                return;
-            }
+        let bye = frame == Frame::Bye;
+        if cut.load(Ordering::Relaxed) || event_tx.send(event(Ok(frame))).is_err() || bye {
+            return;
         }
     };
     let _ = event_tx.send(event(Err(lost)));
@@ -894,39 +840,32 @@ fn read_hello(stream: &mut TcpStream) -> Option<usize> {
 mod tests {
     use super::*;
 
-    /// A batch's chunks are exactly its frames' wire image, none of them
-    /// empty, and a large payload is its own chunk, still the caller's
+    /// A frame's chunks are exactly its wire image, none of them empty,
+    /// and a large payload is its own chunk, still the caller's
     /// allocation.
     #[test]
     fn outbound_chunks_are_the_wire_image() {
         let small = Bytes::from(vec![0xA5; 100]);
         let large = Bytes::from(vec![0x5A; SOCKET_BUFFER]);
-        let msg = |payload: &Bytes| Frame::Msg {
+        let round = |msgs: &[&Bytes]| Frame::Round {
             round: 3,
-            payload: payload.clone(),
+            msgs: msgs.iter().map(|&msg| msg.clone()).collect(),
         };
-        for frames in [
-            vec![msg(&large)],
-            vec![
-                msg(&small),
-                msg(&large),
-                msg(&small),
-                Frame::Eor { round: 3 },
-            ],
-            vec![Frame::Bye],
+        for frame in [
+            round(&[&large]),
+            round(&[&small, &large, &small]),
+            round(&[]),
+            Frame::Bye,
         ] {
-            let batch = Outbound::new(&frames);
+            let batch = Outbound::new(&frame);
             let mut wire = Vec::new();
-            for frame in &frames {
-                frame.write_to(&mut wire).unwrap();
-            }
+            frame.write_to(&mut wire).unwrap();
             let chunks: Vec<u8> = batch.chunks.iter().flat_map(|c| c.to_vec()).collect();
             assert_eq!(chunks, wire);
-            assert_eq!(batch.wire_len(), wire.len() as u64);
-            assert_eq!(batch.frames, frames.len() as u64);
+            assert_eq!(batch.wire_len(), frame.wire_len() as u64);
             assert!(batch.chunks.iter().all(|c| !c.is_empty()));
             let shares = |c: &Bytes| c.as_ptr() == large.as_ptr() && c.len() == large.len();
-            let large_sent = frames.iter().any(|f| f.payload_len() == large.len());
+            let large_sent = matches!(&frame, Frame::Round { msgs, .. } if msgs.contains(&large));
             assert_eq!(batch.chunks.iter().any(shares), large_sent);
         }
     }

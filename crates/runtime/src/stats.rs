@@ -15,20 +15,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// are cumulative since establishment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Frames sent to peers (control frames included), counted when
-    /// their write starts.
+    /// Frames sent to peers (one per peer per round, plus the control
+    /// frames), counted when their write starts.
     pub frames_sent: u64,
     /// Total wire bytes of those frames (length prefix + encoded body).
     pub wire_bytes_sent: u64,
-    /// Outbound frames lost to a peer that stopped reading: those of the
-    /// batch that missed its `Δ` write deadline, the batches queued behind
-    /// it, and any batch its full spill queue refused. Each such peer is
-    /// also disconnected (see [`RuntimeStats::overflow_disconnects`]).
+    /// Frames dropped. Outbound, to a peer that stopped reading: the one
+    /// that missed its `Δ` write deadline, those queued behind it, and any
+    /// its full spill queue refused; each such peer is also disconnected
+    /// (see [`RuntimeStats::overflow_disconnects`]). Inbound, the round
+    /// batch that overfilled a flooding peer's early buffer, which cuts
+    /// that peer off.
     pub frames_shed: u64,
-    /// Inbound protocol messages dropped because the bounded event queue
-    /// or the sender's early-message buffer was full. Liveness events
-    /// (end-of-round markers, disconnects) are never shed.
-    pub events_shed: u64,
     /// Peers this party stopped listening to (EOF, decode failure, a
     /// write timeout or a flood). Counted once per peer.
     pub peers_gone: u64,
@@ -52,7 +50,6 @@ pub(crate) struct StatsInner {
     pub frames_sent: AtomicU64,
     pub wire_bytes_sent: AtomicU64,
     pub frames_shed: AtomicU64,
-    pub events_shed: AtomicU64,
     pub peers_gone: AtomicU64,
     pub overflow_disconnects: AtomicU64,
     pub handshake_rejects: AtomicU64,
@@ -67,7 +64,6 @@ impl StatsInner {
             frames_sent: self.frames_sent.load(Ordering::Relaxed),
             wire_bytes_sent: self.wire_bytes_sent.load(Ordering::Relaxed),
             frames_shed: self.frames_shed.load(Ordering::Relaxed),
-            events_shed: self.events_shed.load(Ordering::Relaxed),
             peers_gone: self.peers_gone.load(Ordering::Relaxed),
             overflow_disconnects: self.overflow_disconnects.load(Ordering::Relaxed),
             handshake_rejects: self.handshake_rejects.load(Ordering::Relaxed),

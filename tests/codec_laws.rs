@@ -133,18 +133,32 @@ fn payload(rng: &mut TestRng) -> Bytes {
     Bytes::from(blob(rng, 200))
 }
 
+/// Every frame shape: a round frame with no message, one, many, or one of
+/// at least 64 KiB. The last is rare, since the laws cost time in its
+/// length; under the seed `laws("Frame", …)` uses, one of its cases has
+/// it.
 fn frame(rng: &mut TestRng) -> Frame {
-    match rng.next_u64() % 4 {
-        0 => Frame::Hello {
-            from: word(rng) as u32,
-        },
-        1 => Frame::Msg {
-            round: word(rng),
-            payload: payload(rng),
-        },
-        2 => Frame::Eor { round: word(rng) },
-        _ => Frame::Bye,
-    }
+    let round = word(rng);
+    let msgs = match rng.next_u64() % 6 {
+        0 => {
+            return Frame::Hello {
+                from: word(rng) as u32,
+            }
+        }
+        1 => return Frame::Bye,
+        2 => Vec::new(),
+        3 => vec![payload(rng)],
+        4 if rng.next_u64().is_multiple_of(16) => vec![large(rng)],
+        _ => (0..2 + rng.next_u64() % 6).map(|_| payload(rng)).collect(),
+    };
+    Frame::Round { round, msgs }
+}
+
+/// A payload of 64 KiB or a little more.
+fn large(rng: &mut TestRng) -> Bytes {
+    let mut bytes = blob(rng, 100);
+    bytes.resize(bytes.len() + (64 << 10), 0x5A);
+    Bytes::from(bytes)
 }
 
 fn session_frame(rng: &mut TestRng) -> SessionFrame {
@@ -246,7 +260,7 @@ fn primitives_and_containers_obey_the_codec_laws() {
 #[test]
 fn transport_frames_and_envelopes_obey_the_codec_laws() {
     laws("Frame", frame, |f| match f {
-        Frame::Msg { payload, .. } => vec![payload],
+        Frame::Round { msgs, .. } => msgs.iter().collect(),
         _ => Vec::new(),
     });
     laws("SessionId", |r| SessionId(word(r)), no_payloads);
@@ -278,4 +292,21 @@ fn protocol_values_obey_the_codec_laws() {
         |r| (word(r) as u32, share(r), witness(r)),
         no_payloads,
     );
+}
+
+/// A round frame whose message count claims more messages than its body
+/// holds (one more, a larger count, 2⁶³) is refused when its bytes run
+/// out; the decoder sizes nothing by the count beyond the bytes present.
+#[test]
+fn hostile_round_counts_are_rejected() {
+    use convex_agreement::codec::CodecError;
+    // Tag 1, round 5, the count, then two empty messages.
+    for count in [&[3u8][..], &[0x80, 0x01], &HUGE_LEN] {
+        let body = [&[1u8, 5][..], count, &[0, 0]].concat();
+        let err = Frame::decode_from_slice(&body).unwrap_err();
+        assert!(
+            matches!(err, CodecError::UnexpectedEof { available: 0, .. }),
+            "{count:02x?}: {err:?}"
+        );
+    }
 }
