@@ -10,20 +10,23 @@ pub struct Diagnostic {
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
-    /// 1-indexed line.
+    /// 1-indexed line, or 0 for a finding with no line (a baselined send
+    /// site that vanished).
     pub line: u32,
     /// Human-readable explanation.
     pub message: String,
 }
 
 impl Diagnostic {
-    /// `file:line: error [rule] message` — the human format.
+    /// `file:line: error [rule] message` — the human format (`file:`
+    /// alone when there is no line).
     #[must_use]
     pub fn render_human(&self) -> String {
-        format!(
-            "{}:{}: error [{}] {}",
-            self.file, self.line, self.rule, self.message
-        )
+        let at = match self.line {
+            0 => self.file.clone(),
+            line => format!("{}:{line}", self.file),
+        };
+        format!("{at}: error [{}] {}", self.rule, self.message)
     }
 
     /// One JSON object (used by `--emit json`).

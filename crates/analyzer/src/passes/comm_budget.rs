@@ -57,7 +57,9 @@ pub struct SendSite {
     /// Site order within the function (stable under unrelated edits,
     /// unlike a line number).
     pub ordinal: u32,
-    /// 1-indexed line — informational only, excluded from the diff key.
+    /// 1-indexed line in the current scan — informational only: excluded
+    /// from the diff key and not persisted, so it is 0 for a site read
+    /// from a baseline.
     pub line: u32,
 }
 
@@ -83,21 +85,22 @@ pub struct BudgetTable {
 }
 
 impl BudgetTable {
-    /// Deterministic JSON rendering (one site per line, sorted).
+    /// Deterministic JSON rendering (one site per line, sorted), of the
+    /// diff key's fields only: moving a site to another line leaves it
+    /// unchanged.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"version\": 1,\n  \"sites\": [\n");
         for (i, s) in self.sites.iter().enumerate() {
             let sep = if i + 1 == self.sites.len() { "" } else { "," };
             out.push_str(&format!(
-                "    {{\"crate\":{},\"file\":{},\"function\":{},\"helper\":{},\"scope\":{},\"ordinal\":{},\"line\":{}}}{sep}\n",
+                "    {{\"crate\":{},\"file\":{},\"function\":{},\"helper\":{},\"scope\":{},\"ordinal\":{}}}{sep}\n",
                 json_str(&s.crate_name),
                 json_str(&s.file),
                 json_str(&s.function),
                 json_str(&s.helper),
                 json_str(&s.scope),
                 s.ordinal,
-                s.line,
             ));
         }
         out.push_str("  ]\n}\n");
@@ -129,7 +132,7 @@ impl BudgetTable {
                 helper,
                 scope,
                 ordinal: field_u32(obj, "ordinal").unwrap_or(0),
-                line: field_u32(obj, "line").unwrap_or(0),
+                line: 0,
             });
         }
         sites.sort();
@@ -506,8 +509,20 @@ mod tests {
             "fn pi(ctx: &mut C) { ctx.scoped(\"pi_n\", |c| { c.send_all(a); c.send(to, b); }) }",
         );
         let parsed = BudgetTable::from_json(&budget.to_json());
-        assert_eq!(parsed.sites, budget.sites);
+        let keys = |t: &BudgetTable| t.sites.iter().map(SendSite::key).collect::<Vec<_>>();
+        assert_eq!(keys(&parsed), keys(&budget));
         assert!(budget.diff_against(&parsed).is_empty());
+    }
+
+    /// A send site moved down a line writes the same baseline, byte for
+    /// byte: the line is not part of it.
+    #[test]
+    fn moving_a_site_down_a_line_leaves_the_baseline_unchanged() {
+        let src = "fn pi(ctx: &mut C) {\n    ctx.scoped(\"a\", |c| { c.send_all(m); })\n}";
+        let (_, before) = run_src(src);
+        let (_, after) = run_src(&src.replacen('\n', "\n\n", 1));
+        assert_eq!(after.sites[0].line, before.sites[0].line + 1);
+        assert_eq!(after.to_json(), before.to_json());
     }
 
     #[test]
@@ -522,6 +537,14 @@ mod tests {
         let removed = old.diff_against(&new);
         assert_eq!(removed.len(), 1);
         assert!(removed[0].message.contains("vanished"));
+        // Read back from a baseline, a site has no line; the finding
+        // names its file and function instead.
+        let gone = old.diff_against(&BudgetTable::from_json(&new.to_json()));
+        assert_eq!(gone[0].line, 0);
+        assert!(gone[0]
+            .render_human()
+            .starts_with(&format!("{}: error", gone[0].file)));
+        assert!(gone[0].message.contains(&new.sites[1].function));
     }
 
     #[test]

@@ -226,7 +226,8 @@ fn budget_json_round_trips_and_is_stable() {
     );
     let json = out.budget.to_json();
     let parsed = BudgetTable::from_json(&json);
-    assert_eq!(parsed.sites, out.budget.sites);
+    let keys = |t: &BudgetTable| t.sites.iter().map(|s| s.key()).collect::<Vec<_>>();
+    assert_eq!(keys(&parsed), keys(&out.budget));
     assert_eq!(
         parsed.to_json(),
         json,

@@ -591,7 +591,6 @@ pub fn s1_service_throughput(quick: bool, artifacts: Option<&Path>) {
             .with("runs", report.runs)
             .with("sessions_submitted", report.sessions_submitted)
             .with("sessions_decided", report.sessions_decided)
-            .with("sessions_rejected", report.sessions_rejected)
             .with("agreement", report.agreement)
             .with("validity", report.validity)
             .with(

@@ -5,8 +5,8 @@
 //! [`Comm`], so the same code multiplexes over the deterministic `Sim` and
 //! the TCP runtime — repeats a lock-step service round:
 //!
-//! 1. **Admit** due sessions while the table has capacity (open-loop
-//!    arrivals past capacity are rejected, closed-loop ones wait).
+//! 1. **Admit** the plan's next sessions, in id order, while the table
+//!    has capacity; the rest wait for a slot to free.
 //! 2. **Collect** exactly one step per live session, in session-id order
 //!    (determinism does not depend on thread scheduling).
 //! 3. **Replay** each session's buffered trace events through the parent
@@ -22,7 +22,7 @@
 //! session still parked, even when the transport itself shuts the driver
 //! down mid-round (e.g. the simulator adaptively corrupting this party).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use ca_codec::{Decode as _, Encode as _};
@@ -31,9 +31,7 @@ use ca_net::{Comm, Inbox, PartyId};
 use ca_runtime::Frame;
 use ca_trace::Event;
 
-use crate::{
-    ArrivalMode, EngineConfig, EngineStats, Envelope, SessionFrame, SessionId, SessionPlan,
-};
+use crate::{EngineConfig, EngineStats, Envelope, SessionFrame, SessionId, SessionPlan};
 
 /// The trace scope every engine-level record lives under; sessions nest
 /// below it as `engine/s<id>/…`.
@@ -50,8 +48,6 @@ const INBOX_FRAMES_PER_SENDER: usize = 8;
 pub struct EngineOutput<O> {
     /// Decided sessions with their protocol outputs, in session-id order.
     pub decided: Vec<(SessionId, O)>,
-    /// Arrivals rejected by admission control, in arrival order.
-    pub rejected: Vec<SessionId>,
     /// Aggregate service measurements.
     pub stats: EngineStats,
 }
@@ -171,7 +167,6 @@ where
     let mut stats = EngineStats::default();
     stats.wire_bits += connection_bits(n, me);
     let mut decided: Vec<(SessionId, O)> = Vec::new();
-    let mut rejected: Vec<SessionId> = Vec::new();
 
     ctx.push_scope(ENGINE_SCOPE);
     std::thread::scope(|scope| {
@@ -181,35 +176,15 @@ where
         // transport round and handed to the sessions with their inboxes.
         let mut faults = FaultView::of(ctx);
         let mut table: BTreeMap<u64, Slot> = BTreeMap::new();
-        let mut reaped: BTreeSet<u64> = BTreeSet::new();
-        let mut next_spec = 0usize;
+        // Sessions `0..next` have been admitted; those no longer in the
+        // table were reaped.
+        let mut next: u64 = 0;
         let mut engine_round: u64 = 0;
 
         loop {
             // ---- 1. Admission ----
-            while next_spec < plan.sessions.len() {
-                let spec = &plan.sessions[next_spec];
-                if plan.mode == ArrivalMode::Open && spec.arrival_round > engine_round {
-                    break;
-                }
-                let duplicate = table.contains_key(&spec.id.0) || reaped.contains(&spec.id.0);
-                if table.len() >= config.max_sessions || duplicate {
-                    if plan.mode == ArrivalMode::Closed && !duplicate {
-                        break; // closed loop: wait for a slot to free up
-                    }
-                    // Open loop (or duplicate id): shed the arrival.
-                    rejected.push(spec.id);
-                    stats.sessions_rejected += 1;
-                    if ctx.trace_enabled() {
-                        ctx.trace(Event::Note {
-                            label: "engine_reject".to_owned(),
-                            value: spec.id.to_string(),
-                        });
-                    }
-                    next_spec += 1;
-                    continue;
-                }
-                let sid = spec.id;
+            while next < plan.sessions && table.len() < config.max_sessions {
+                let sid = SessionId(next);
                 sessions.spawn(sid.0, me, faults.clone(), move |sctx| body(sctx, sid));
                 table.insert(
                     sid.0,
@@ -219,28 +194,16 @@ where
                         rounds: 0,
                     },
                 );
-                stats.sessions_admitted += 1;
                 if ctx.trace_enabled() {
                     ctx.trace(Event::Note {
                         label: "engine_admit".to_owned(),
-                        value: spec.id.to_string(),
+                        value: sid.to_string(),
                     });
                 }
-                next_spec += 1;
+                next += 1;
             }
-
             if table.is_empty() {
-                if next_spec >= plan.sessions.len() {
-                    break; // drained: every session decided or rejected
-                }
-                // Open-loop idle gap: next arrival is in the future.
-                let _ = ctx.next_round();
-                faults = FaultView::of(ctx);
-                stats.peers_gone = stats.peers_gone.max(faults.silent().len() as u64);
-                stats.wire_bits += round_bits(engine_round, me, vec![Vec::new(); n]);
-                stats.engine_rounds += 1;
-                engine_round += 1;
-                continue;
+                break; // drained: every session decided
             }
 
             // ---- 2–4. One step per live session, in session-id order ----
@@ -249,42 +212,45 @@ where
             let mut outgoing: Vec<Vec<SessionFrame>> = vec![Vec::new(); n];
             for (sid_raw, step) in sessions.collect() {
                 let sid = SessionId(sid_raw);
-                match step {
+                let slot = table.get_mut(&sid_raw).expect("live session has a slot");
+                let (sends, events, output) = match step {
                     Step::Round { sends, events, .. } => {
-                        let slot = table.get_mut(&sid_raw).expect("live session has a slot");
                         slot.rounds += 1;
-                        replay_session_trace(ctx, sid, &mut slot.rel_stack, events);
-                        queue_sends(&mut outgoing, &mut stats, me, sid, sends);
+                        (sends, events, None)
                     }
                     Step::Done {
                         output,
                         sends,
                         events,
-                    } => {
-                        let mut slot = table.remove(&sid_raw).expect("live session has a slot");
-                        replay_session_trace(ctx, sid, &mut slot.rel_stack, events);
-                        queue_sends(&mut outgoing, &mut stats, me, sid, sends);
-                        stats.sessions_decided += 1;
-                        stats.session_rounds.record(slot.rounds);
-                        stats
-                            .session_latency_rounds
-                            .record(engine_round - slot.admit_round + 1);
-                        reaped.insert(sid_raw);
-                        if ctx.trace_enabled() {
-                            ctx.trace(Event::Note {
-                                label: "engine_reap".to_owned(),
-                                value: sid.to_string(),
-                            });
-                        }
-                        decided.push((sid, output));
-                    }
+                    } => (sends, events, Some(output)),
                     Step::Panicked(payload) => {
                         panic!(
                             "engine session {sid} panicked: {}",
                             panic_message(payload.as_ref())
                         );
                     }
+                };
+                replay_session_trace(ctx, sid, &mut slot.rel_stack, events);
+                for (to, payload) in sends {
+                    let frame = SessionFrame {
+                        session: sid,
+                        payload,
+                    };
+                    outgoing[to.index()].push(frame);
                 }
+                let Some(output) = output else { continue };
+                stats.sessions_decided += 1;
+                stats.session_rounds.record(slot.rounds);
+                let latency = engine_round - slot.admit_round + 1;
+                stats.session_latency_rounds.record(latency);
+                table.remove(&sid_raw);
+                if ctx.trace_enabled() {
+                    ctx.trace(Event::Note {
+                        label: "engine_reap".to_owned(),
+                        value: sid.to_string(),
+                    });
+                }
+                decided.push((sid, output));
             }
 
             // ---- 4. Batch & flush: one envelope per destination ----
@@ -306,7 +272,7 @@ where
                 ctx.send_bytes(to, payload);
             }
 
-            if table.is_empty() && next_spec >= plan.sessions.len() {
+            if table.is_empty() && next == plan.sessions {
                 // Graceful shutdown: the last sessions decided this round.
                 // Their fire-and-forget tail is buffered in the transport
                 // exactly like a single protocol's final sends — nobody is
@@ -347,7 +313,7 @@ where
                     for frame in env.frames {
                         let sid = frame.session.0;
                         let Some(session_inbox) = routed.get_mut(&sid) else {
-                            if reaped.contains(&sid) {
+                            if sid < next {
                                 stats.late_frames += 1;
                             } else {
                                 stats.stray_frames += 1;
@@ -374,29 +340,7 @@ where
     ctx.pop_scope();
 
     decided.sort_by_key(|(sid, _)| *sid);
-    EngineOutput {
-        decided,
-        rejected,
-        stats,
-    }
-}
-
-fn queue_sends(
-    outgoing: &mut [Vec<SessionFrame>],
-    stats: &mut EngineStats,
-    me: PartyId,
-    sid: SessionId,
-    sends: Vec<(PartyId, Bytes)>,
-) {
-    for (to, payload) in sends {
-        if to != me {
-            *stats.payload_bits.entry(sid.0).or_insert(0) += 8 * payload.len() as u64;
-        }
-        outgoing[to.index()].push(SessionFrame {
-            session: sid,
-            payload,
-        });
-    }
+    EngineOutput { decided, stats }
 }
 
 #[cfg(test)]
@@ -431,8 +375,6 @@ mod tests {
         assert_eq!(outputs.len(), n);
         for out in &outputs {
             assert_eq!(out.decided.len(), k);
-            assert!(out.rejected.is_empty());
-            assert_eq!(out.stats.sessions_admitted, k as u64);
             assert_eq!(out.stats.sessions_decided, k as u64);
             // All sessions ran the same 3 protocol rounds concurrently.
             assert_eq!(out.stats.engine_rounds, 3);
@@ -551,9 +493,9 @@ mod tests {
         }
     }
 
-    /// Closed-loop arrivals beyond capacity queue instead of rejecting:
-    /// with capacity 2 and 5 sessions of differing lengths, everything
-    /// still decides and no arrival is shed.
+    /// Sessions beyond capacity queue until a slot frees: with capacity 2
+    /// and 5 sessions of differing lengths, sessions 0..5 each decide
+    /// once, in more engine rounds than the longest session takes.
     #[test]
     fn closed_loop_queues_past_capacity() {
         let n = 3;
@@ -572,65 +514,9 @@ mod tests {
             })
         });
         for out in report.honest_outputs() {
-            assert_eq!(out.decided.len(), 5);
-            assert!(out.rejected.is_empty());
-            assert_eq!(out.stats.sessions_rejected, 0);
-        }
-    }
-
-    /// Open-loop arrivals past capacity are rejected deterministically,
-    /// and live sessions are untouched by the shedding.
-    #[test]
-    fn open_loop_rejects_past_capacity() {
-        let n = 3;
-        let plan = SessionPlan::open((0..6).map(|i| (i, 0)));
-        let config = EngineConfig { max_sessions: 4 };
-        let report = Sim::new(n).run(|ctx, _id| {
-            run_engine_party(ctx, &plan, &config, |sctx, sid| {
-                sctx.exchange(&sid.0).decode_each::<u64>().len()
-            })
-        });
-        for out in report.honest_outputs() {
-            assert_eq!(out.decided.len(), 4);
-            assert_eq!(
-                out.rejected,
-                vec![SessionId(4), SessionId(5)],
-                "exactly the arrivals past capacity are shed, in order"
-            );
-            assert_eq!(out.stats.sessions_rejected, 2);
-            assert!(out.decided.iter().all(|(_, len)| *len == n));
-        }
-    }
-
-    /// A duplicate session id (the first still live) is rejected rather
-    /// than corrupting the live session's routing.
-    #[test]
-    fn duplicate_session_id_rejected() {
-        let n = 3;
-        let plan = SessionPlan {
-            mode: ArrivalMode::Closed,
-            sessions: vec![
-                crate::SessionSpec {
-                    id: SessionId(7),
-                    arrival_round: 0,
-                    fast_path: false,
-                },
-                crate::SessionSpec {
-                    id: SessionId(7),
-                    arrival_round: 0,
-                    fast_path: false,
-                },
-            ],
-        };
-        let config = EngineConfig::default();
-        let report = Sim::new(n).run(|ctx, _id| {
-            run_engine_party(ctx, &plan, &config, |sctx, _sid| {
-                sctx.exchange(&1u64).decode_each::<u64>().len()
-            })
-        });
-        for out in report.honest_outputs() {
-            assert_eq!(out.decided.len(), 1);
-            assert_eq!(out.rejected, vec![SessionId(7)]);
+            let ids: Vec<u64> = out.decided.iter().map(|(sid, _)| sid.0).collect();
+            assert_eq!(ids, [0, 1, 2, 3, 4]);
+            assert!(out.stats.engine_rounds > 3, "{:?}", out.stats);
         }
     }
 

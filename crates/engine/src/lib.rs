@@ -9,17 +9,18 @@
 //!   each a `ca_net::fiber` with a session-scoped `Comm`, multiplexed
 //!   over any transport (`Sim` or `TcpParty`) via session-tagged
 //!   [`Envelope`]s, with round-batched flushing, bounded per-session
-//!   inboxes, admission control, and graceful drain of decided sessions.
+//!   inboxes, a capacity bound on live sessions, and graceful drain of
+//!   decided sessions.
 //! * [`EnvelopeAdversary`] — lifts single-instance `ca-adversary`
 //!   strategies to the envelope layer, so multiplexed-vs-isolated
 //!   equivalence is testable under every attack.
-//! * [`loadgen`] — open-/closed-loop workload driving with per-session
+//! * [`loadgen`] — closed-loop workload driving with per-session
 //!   correctness checking and clock-injected timing.
 //!
-//! Session lifecycle: *submitted* (in the [`SessionPlan`]) → *running*
-//! (admitted into the bounded table) → *decided* (body returned) →
-//! *reaped* (slot freed, output recorded); open-loop arrivals that find
-//! the table full are *rejected*. Traces nest every session's records
+//! Session lifecycle: *queued* (ids `0..k` of the [`SessionPlan`]) →
+//! *running* (admitted, in id order, once the bounded table has a free
+//! slot) → *decided* (body returned) → *reaped* (slot freed, output
+//! recorded). Traces nest every session's records
 //! under `engine/s<id>/…`, so per-session timelines are recoverable from
 //! one multiplexed run.
 
@@ -37,7 +38,7 @@ mod stats;
 /// beside synchronous sessions in the same plan. Returns `None` if the
 /// round budget runs out before the instance decides.
 pub use ca_async::run_on_comm as run_async_session;
-pub use config::{ArrivalMode, EngineConfig, SessionPlan, SessionSpec};
+pub use config::{EngineConfig, SessionPlan};
 pub use driver::{run_engine_party, EngineOutput, ENGINE_SCOPE};
 pub use envelope::{Envelope, SessionFrame, SessionId};
 pub use lift::EnvelopeAdversary;

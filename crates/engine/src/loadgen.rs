@@ -1,4 +1,4 @@
-//! Load generation: open-/closed-loop session workloads for the engine.
+//! Load generation: closed-loop session workloads for the engine.
 //!
 //! Drives a full multi-tenant deployment over the deterministic
 //! simulator: clustered `ℓ`-bit inputs per session (the paper's sensor
@@ -11,16 +11,17 @@
 use ca_adversary::{Attack, LieKind};
 use ca_ba::BaKind;
 use ca_bits::{BitString, Nat};
-use ca_core::{check_agreement, check_convex_validity, pi_n, pi_n_adaptive};
-use ca_net::{max_faults, Sim};
+use ca_core::{check_agreement, check_convex_validity, pi_n};
+use ca_net::{max_faults, Comm, Sim};
 use ca_runtime::Clock;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{run_engine_party, ArrivalMode, EngineConfig, EngineStats, SessionPlan};
+use crate::{run_engine_party, EngineConfig, EngineStats, SessionPlan};
 
-/// One load scenario: how many sessions of what shape arrive how, against
-/// which fault mix.
+/// One load scenario: how many `pi_n` sessions of what shape, under which
+/// capacity, against which fault mix. Every session is queued up front
+/// and admitted as the table has room.
 #[derive(Debug, Clone)]
 pub struct LoadProfile {
     /// Parties per deployment.
@@ -31,10 +32,6 @@ pub struct LoadProfile {
     pub ell: usize,
     /// Low bits re-randomized per party (honest disagreement spread).
     pub spread_bits: usize,
-    /// Open- or closed-loop arrival.
-    pub mode: ArrivalMode,
-    /// Rounds between arrivals in open-loop mode (0 = all at once).
-    pub arrival_interval: u64,
     /// The fault mix: input lies per session and/or message-level attack
     /// on the envelope layer.
     pub attack: Attack,
@@ -44,9 +41,6 @@ pub struct LoadProfile {
     pub seed: u64,
     /// Engine capacity.
     pub config: EngineConfig,
-    /// Whether every session runs behind the fault-adaptive fast path
-    /// (`false` = worst-case protocol only).
-    pub fast_path: bool,
 }
 
 impl LoadProfile {
@@ -59,13 +53,10 @@ impl LoadProfile {
             sessions,
             ell,
             spread_bits: ell / 4,
-            mode: ArrivalMode::Closed,
-            arrival_interval: 0,
             attack: Attack::none(),
             ba: BaKind::default(),
             seed: 0xCA_10AD,
             config: EngineConfig::default(),
-            fast_path: false,
         }
     }
 }
@@ -79,8 +70,6 @@ pub struct LoadReport {
     pub sessions_submitted: u64,
     /// Sessions decided (per deployment, not per party).
     pub sessions_decided: u64,
-    /// Sessions rejected by admission control.
-    pub sessions_rejected: u64,
     /// Every decided session agreed across honest parties.
     pub agreement: bool,
     /// Every decision lay in its session's honest-input hull.
@@ -111,7 +100,6 @@ impl LoadReport {
         self.runs += other.runs;
         self.sessions_submitted += other.sessions_submitted;
         self.sessions_decided += other.sessions_decided;
-        self.sessions_rejected += other.sessions_rejected;
         self.agreement = (first || self.agreement) && other.agreement;
         self.validity = (first || self.validity) && other.validity;
         self.payload_bits += other.payload_bits;
@@ -166,30 +154,26 @@ pub fn session_inputs(
     inputs
 }
 
-/// The arrival plan a profile describes.
+/// The session plan a profile describes.
 #[must_use]
 pub fn plan_of(profile: &LoadProfile) -> SessionPlan {
-    let plan = match profile.mode {
-        ArrivalMode::Closed => SessionPlan::closed(profile.sessions),
-        ArrivalMode::Open => SessionPlan::open(
-            (0..profile.sessions as u64).map(|i| (i, i * profile.arrival_interval)),
-        ),
-    };
-    if profile.fast_path {
-        plan.with_fast_path()
-    } else {
-        plan
-    }
+    SessionPlan::closed(profile.sessions)
 }
 
 /// Runs one engine deployment for the profile (untimed) and checks every
 /// decided session for agreement and convex validity.
 #[must_use]
 pub fn run_load(profile: &LoadProfile) -> LoadReport {
-    run_load_seeded(profile, profile.seed)
+    run_load_seeded(profile, profile.seed, pi_n)
 }
 
-fn run_load_seeded(profile: &LoadProfile, seed: u64) -> LoadReport {
+/// [`run_load`] under `seed`, every session running `protocol`: `pi_n`,
+/// or in tests `pi_n_adaptive`.
+fn run_load_seeded(
+    profile: &LoadProfile,
+    seed: u64,
+    protocol: fn(&mut dyn Comm, &Nat, BaKind) -> Nat,
+) -> LoadReport {
     let n = profile.n;
     let t = max_faults(n);
     let plan = plan_of(profile);
@@ -206,21 +190,11 @@ fn run_load_seeded(profile: &LoadProfile, seed: u64) -> LoadReport {
         })
         .collect();
 
-    let fast: std::collections::BTreeSet<u64> = plan
-        .sessions
-        .iter()
-        .filter(|s| s.fast_path)
-        .map(|s| s.id.0)
-        .collect();
     let sim = profile.attack.install(Sim::new(n), n, t);
     let report = sim.run(|ctx, _id| {
         run_engine_party(ctx, &plan, &profile.config, |sctx, sid| {
-            let input = inputs[sid.0 as usize][sctx.me().index()].clone();
-            if fast.contains(&sid.0) {
-                pi_n_adaptive(sctx, &input, profile.ba)
-            } else {
-                pi_n(sctx, &input, profile.ba)
-            }
+            let input = &inputs[sid.0 as usize][sctx.me().index()];
+            protocol(sctx, input, profile.ba)
         })
     });
 
@@ -254,7 +228,6 @@ fn run_load_seeded(profile: &LoadProfile, seed: u64) -> LoadReport {
         runs: 1,
         sessions_submitted: profile.sessions as u64,
         sessions_decided: first.decided.len() as u64,
-        sessions_rejected: first.rejected.len() as u64,
         agreement,
         validity,
         payload_bits: report.metrics.honest_bits,
@@ -286,7 +259,7 @@ pub fn run_closed_loop_for(
     let mut run = 0u64;
     loop {
         let run_start = clock.now();
-        let mut one = run_load_seeded(profile, derive_seed(profile.seed, 0x1000 + run));
+        let mut one = run_load_seeded(profile, derive_seed(profile.seed, 0x1000 + run), pi_n);
         one.elapsed_us = (clock.now() - run_start).as_micros() as u64;
         total.absorb(&one);
         run += 1;
@@ -300,6 +273,7 @@ pub fn run_closed_loop_for(
 mod tests {
     use super::*;
     use ca_adversary::AttackKind;
+    use ca_core::pi_n_adaptive;
     use ca_runtime::ManualClock;
 
     #[test]
@@ -307,7 +281,6 @@ mod tests {
         let profile = LoadProfile::closed(4, 6, 48);
         let report = run_load(&profile);
         assert_eq!(report.sessions_decided, 6);
-        assert_eq!(report.sessions_rejected, 0);
         assert!(report.agreement && report.validity);
         assert!(report.payload_bits > 0);
         assert!(report.stats.wire_bits > 0);
@@ -329,18 +302,17 @@ mod tests {
         }
     }
 
+    /// Adaptive sessions, hosted like any body (`run_engine_party` over
+    /// `Sim` with `pi_n_adaptive`), decide correctly and cheaper.
     #[test]
     fn adaptive_sessions_decide_correctly_and_cheaper() {
-        let mut adaptive = LoadProfile::closed(4, 4, 48);
-        adaptive.spread_bits = 0; // unanimous inputs: fast path certifies
-        adaptive.fast_path = true;
-        let fast = run_load(&adaptive);
+        let mut profile = LoadProfile::closed(4, 4, 48);
+        profile.spread_bits = 0; // unanimous inputs: fast path certifies
+        let fast = run_load_seeded(&profile, profile.seed, pi_n_adaptive);
         assert_eq!(fast.sessions_decided, 4);
         assert!(fast.agreement && fast.validity);
 
-        let mut worst = adaptive.clone();
-        worst.fast_path = false;
-        let slow = run_load(&worst);
+        let slow = run_load(&profile);
         assert!(slow.agreement && slow.validity);
         assert!(
             fast.payload_bits * 2 <= slow.payload_bits,
@@ -350,28 +322,17 @@ mod tests {
         );
     }
 
+    /// Message-level faults reach hosted adaptive sessions through the
+    /// transport's fault view, and they still decide correctly.
     #[test]
     fn adaptive_faulted_load_stays_correct() {
         for kind in [AttackKind::Garbage, AttackKind::Crash] {
             let mut profile = LoadProfile::closed(4, 3, 40);
             profile.attack = Attack::new(kind).with_seed(13);
-            profile.fast_path = true;
-            let report = run_load(&profile);
+            let report = run_load_seeded(&profile, profile.seed, pi_n_adaptive);
             assert_eq!(report.sessions_decided, 3, "{kind:?}");
             assert!(report.agreement && report.validity, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn open_loop_staggers_and_sheds() {
-        let mut profile = LoadProfile::closed(4, 6, 32);
-        profile.mode = ArrivalMode::Open;
-        profile.arrival_interval = 0;
-        profile.config.max_sessions = 4;
-        let report = run_load(&profile);
-        assert_eq!(report.sessions_decided, 4);
-        assert_eq!(report.sessions_rejected, 2);
-        assert!(report.agreement && report.validity);
     }
 
     /// The closed-loop driver is governed by the injected clock alone:

@@ -1,23 +1,17 @@
 //! Aggregate service-level measurements of one engine run.
 
-use std::collections::BTreeMap;
-
 use ca_trace::Histogram;
 
 /// Counters and histograms one party's engine accumulates over a run.
 ///
-/// Payload accounting follows the paper's convention (`BITSℓ` counts
-/// protocol payload only, self-sends free); `wire_bits` additionally
-/// models the full TCP deployment cost from `ca_runtime::Frame` framing —
-/// the quantity the S1 experiment amortizes across sessions.
+/// Protocol payload (the paper's `BITSℓ`) is metered by the transport;
+/// `wire_bits` models the full TCP deployment cost from
+/// `ca_runtime::Frame` framing — the quantity the S1 experiment amortizes
+/// across sessions.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Transport rounds the engine consumed.
     pub engine_rounds: u64,
-    /// Sessions admitted into the table.
-    pub sessions_admitted: u64,
-    /// Open-loop arrivals rejected because the table was full.
-    pub sessions_rejected: u64,
     /// Sessions that ran to decision and were reaped.
     pub sessions_decided: u64,
     /// Envelopes flushed to peers (self-delivery excluded).
@@ -29,12 +23,8 @@ pub struct EngineStats {
     /// Protocol rounds per decided session.
     pub session_rounds: Histogram,
     /// Admission-to-decision latency per decided session, in engine
-    /// rounds (includes closed-loop queueing only after admission; use
-    /// arrival-round plans to measure queueing too).
+    /// rounds (time spent waiting for a slot is not counted).
     pub session_latency_rounds: Histogram,
-    /// Per-session protocol payload bits sent to peers (the per-instance
-    /// `BITSℓ` share of this party).
-    pub payload_bits: BTreeMap<u64, u64>,
     /// Modeled TCP wire bits this party sent: one `Frame::Round` per peer
     /// per transport round, carrying that round's envelopes to the peer
     /// and doubling as its end-of-round marker, plus the per-run
@@ -58,14 +48,11 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Element-wise accumulation: counters add, histograms merge,
-    /// per-session payload maps add. Used both to aggregate one run
+    /// Element-wise accumulation: counters add, histograms merge. Used both to aggregate one run
     /// across parties and to accumulate repeated runs in closed-loop
     /// load generation (`engine_rounds` then counts party-rounds).
     pub fn absorb(&mut self, other: &EngineStats) {
         self.engine_rounds += other.engine_rounds;
-        self.sessions_admitted += other.sessions_admitted;
-        self.sessions_rejected += other.sessions_rejected;
         self.sessions_decided += other.sessions_decided;
         self.envelopes_sent += other.envelopes_sent;
         self.frames_sent += other.frames_sent;
@@ -73,9 +60,6 @@ impl EngineStats {
         self.session_rounds.merge(&other.session_rounds);
         self.session_latency_rounds
             .merge(&other.session_latency_rounds);
-        for (sid, bits) in &other.payload_bits {
-            *self.payload_bits.entry(*sid).or_insert(0) += bits;
-        }
         self.wire_bits += other.wire_bits;
         self.shed_frames += other.shed_frames;
         self.stray_frames += other.stray_frames;
@@ -96,21 +80,16 @@ mod tests {
             ..EngineStats::default()
         };
         a.batch_occupancy.record(4);
-        a.payload_bits.insert(1, 100);
         let mut b = EngineStats {
             wire_bits: 5,
             ..EngineStats::default()
         };
         b.batch_occupancy.record(8);
-        b.payload_bits.insert(1, 50);
-        b.payload_bits.insert(2, 7);
         a.peers_gone = 2;
         b.peers_gone = 1;
         a.absorb(&b);
         assert_eq!(a.wire_bits, 15);
         assert_eq!(a.peers_gone, 2, "peers_gone is a peak, not a sum");
         assert_eq!(a.batch_occupancy.count(), 2);
-        assert_eq!(a.payload_bits[&1], 150);
-        assert_eq!(a.payload_bits[&2], 7);
     }
 }

@@ -317,7 +317,10 @@ impl<O> Comm for FiberComm<O> {
 mod tests {
     use super::*;
     use crate::CommExt;
+    use ca_codec::Encode as _;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
 
     /// One fiber panics while its siblings are parked: `collect` hands
     /// back the original payload, and letting go of the set releases the
@@ -400,5 +403,107 @@ mod tests {
             assert_eq!(fibers.collect().len(), 4);
         });
         assert_eq!(finished.load(Ordering::SeqCst), 0, "nobody was resumed");
+    }
+
+    const STRESS_FIBERS: usize = 6;
+
+    /// One stress run: six fibers of two to four rounds, each yielding or
+    /// sleeping up to 200 µs (drawn) before every round and sending one
+    /// message a round. Checks every `collect` for ascending keys and the
+    /// expected sends, and every output against what was delivered. Per
+    /// the seed, a drawn fiber is killed, or the whole set dropped, right
+    /// after a drawn round's delivery, while the fibers compute.
+    fn stress_run(seed: u64) {
+        let draw =
+            |stream: u64| crate::splitmix64(seed ^ stream.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+        let rounds = |key: usize| 2 + key as u64 % 3;
+        let value = |key: usize, round: u64| 100 * key as u64 + round;
+        let dest = |key: usize, round: u64| PartyId((key + round as usize) % STRESS_FIBERS);
+        let jitter = |key: usize, round: u64| {
+            let d = draw(((key as u64) << 32) | round);
+            if d.is_multiple_of(2) {
+                (0..d % 8).for_each(|_| std::thread::yield_now());
+            } else {
+                std::thread::sleep(Duration::from_micros(d % 201));
+            }
+        };
+        let plan = draw(u64::MAX);
+        let (mode, cut_round, victim) = (plan % 3, (plan >> 8) % 3, (plan >> 16) as usize % 6);
+
+        std::thread::scope(|scope| {
+            let mut fibers = Fibers::new(scope, STRESS_FIBERS, 1, false);
+            for key in 0..STRESS_FIBERS {
+                fibers.spawn(key, PartyId(key), FaultView::default(), move |ctx| {
+                    let mut got = Vec::new();
+                    for round in 0..rounds(key) {
+                        jitter(key, round);
+                        ctx.send(dest(key, round), &value(key, round));
+                        got.push(ctx.next_round().decode_each::<u64>());
+                    }
+                    ctx.send(PartyId(key), &value(key, 99));
+                    got
+                });
+            }
+            let sent = |to: PartyId, v: u64| vec![(to, Bytes::from(v.encode_to_vec()))];
+            let mut delivered: Vec<Vec<Vec<(PartyId, u64)>>> = vec![Vec::new(); STRESS_FIBERS];
+            for round in 0.. {
+                let steps = fibers.collect();
+                if steps.is_empty() {
+                    break;
+                }
+                let keys: Vec<usize> = steps.iter().map(|(key, _)| *key).collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "{seed}: {keys:?}");
+                let mut inboxes = BTreeMap::new();
+                let mut routed = Vec::new();
+                for (key, step) in steps {
+                    match step {
+                        Step::Round { sends, .. } => {
+                            let expected = sent(dest(key, round), value(key, round));
+                            assert_eq!(sends, expected, "{seed}: s{key} r{round}");
+                            routed.extend(sends.into_iter().map(|(to, b)| (key, to, b)));
+                            inboxes.insert(key, Inbox::with_parties(STRESS_FIBERS));
+                        }
+                        Step::Done { output, sends, .. } => {
+                            assert_eq!(round, rounds(key), "{seed}: s{key}");
+                            assert_eq!(sends, sent(PartyId(key), value(key, 99)));
+                            assert_eq!(output, delivered[key], "{seed}: s{key}");
+                        }
+                        Step::Panicked(_) => panic!("{seed}: s{key} panicked"),
+                    }
+                }
+                for (from, to, payload) in routed {
+                    if let Some(inbox) = inboxes.get_mut(&to.index()) {
+                        inbox.push(PartyId(from), payload);
+                    }
+                }
+                for (key, inbox) in inboxes {
+                    delivered[key].push(inbox.decode_each::<u64>());
+                    fibers.deliver(&key, inbox, FaultView::default());
+                }
+                if round == cut_round && mode == 1 {
+                    fibers.kill(&victim);
+                } else if round == cut_round && mode == 2 {
+                    return; // drops the set while its fibers compute
+                }
+            }
+        });
+    }
+
+    /// Seeded fiber stress over 40 seeds (see [`stress_run`]); a run that
+    /// does not join within 30 s has hung.
+    #[test]
+    fn seeded_jitter_keeps_steps_in_order_and_teardown_joins() {
+        for seed in 0..40u64 {
+            let (done_tx, done_rx) = sync_channel(1);
+            let run = std::thread::spawn(move || {
+                stress_run(seed);
+                let _ = done_tx.send(());
+            });
+            match done_rx.recv_timeout(Duration::from_secs(30)) {
+                Ok(()) => run.join().unwrap(),
+                Err(RecvTimeoutError::Timeout) => panic!("seed {seed} hung"),
+                Err(RecvTimeoutError::Disconnected) => panic!("seed {seed} failed"),
+            }
+        }
     }
 }

@@ -5,9 +5,8 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -74,8 +73,9 @@ const ESTABLISH_POLL: Duration = Duration::from_millis(250);
 /// buffered per peer for rounds not yet reached.
 const EVENT_QUEUE: usize = 4096;
 
-/// Cap on the bytes buffered per peer for rounds not yet reached: about
-/// four frames of the largest size.
+/// Cap, per peer, on the bytes buffered for rounds not yet reached, and
+/// on the bytes of its frames waiting in the event queue (see [`Inflow`]):
+/// about four frames of the largest size.
 const EARLY_BYTES: usize = 64 << 20;
 
 /// Size of each peer's receive buffer, and the payload size from which a
@@ -154,17 +154,80 @@ struct Link {
     /// The peer's spill thread, started the first time a write to the
     /// peer came back short.
     spill: Option<Spill>,
-    /// Set when the peer is cut off: its reader forwards nothing more.
-    cut: Arc<AtomicBool>,
+    /// What the peer's reader has queued; shared with it.
+    inflow: Arc<Inflow>,
 }
 
 impl Link {
     /// Shuts the socket down both ways and stops the peer's reader, so
     /// its reader and spill threads exit.
     fn close(&self) {
-        self.cut.store(true, Ordering::Relaxed);
+        self.inflow.stop();
         let _ = self.socket.shutdown(Shutdown::Both);
     }
+}
+
+/// One peer's frames in the event queue, counted in the bytes they hold
+/// ([`queued_size`]) until the protocol thread takes them.
+/// Before queueing a frame that would take the count past
+/// [`EARLY_BYTES`], the peer's reader waits, unless none of its frames is
+/// queued; so one peer holds at most `EARLY_BYTES` plus one frame there.
+#[derive(Debug, Default)]
+struct Inflow {
+    state: Mutex<Queued>,
+    /// Signalled when bytes are taken or the reader is stopped.
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Queued {
+    bytes: usize,
+    /// The reader is to stop: its peer was cut off, or the party is gone.
+    stopped: bool,
+}
+
+impl Inflow {
+    /// Every update is one assignment, so a poisoned guard still holds
+    /// a valid count.
+    fn lock(&self) -> MutexGuard<'_, Queued> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Counts `size` more queued bytes once they fit, or returns `false`
+    /// if the reader is to stop.
+    fn reserve(&self, size: usize) -> bool {
+        let mut queued = self.lock();
+        while !queued.stopped && queued.bytes > 0 && queued.bytes + size > EARLY_BYTES {
+            queued = self
+                .changed
+                .wait(queued)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        queued.bytes += size;
+        !queued.stopped
+    }
+
+    /// The protocol thread took `size` of the queued bytes.
+    fn release(&self, size: usize) {
+        self.lock().bytes -= size;
+        self.changed.notify_one();
+    }
+
+    /// Tells the reader to stop at its next frame, or now if it waits.
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.changed.notify_one();
+    }
+}
+
+/// Bytes a frame holds while queued: its wire image plus one handle per
+/// message.
+fn queued_size(frame: &Frame) -> usize {
+    let handles = match frame {
+        Frame::Round { msgs, .. } => msgs.len(),
+        Frame::Hello { .. } | Frame::Bye => 0,
+    };
+    frame.wire_len() + handles * std::mem::size_of::<Bytes>()
 }
 
 /// A thread that finishes writing what a peer's socket did not take at
@@ -246,8 +309,10 @@ pub struct TcpParty {
     /// or this party crashes.
     links: Vec<Option<Link>>,
     /// Inbound events from all reader threads (bounded by
-    /// [`EVENT_QUEUE`]).
+    /// [`EVENT_QUEUE`], and per peer by its [`Inflow`]).
     events: mpsc::Receiver<Event>,
+    /// Per peer, what its reader has queued.
+    inflows: Vec<Arc<Inflow>>,
     /// Time source for the Δ deadline, and the async driver's only one;
     /// injectable for tests.
     pub(crate) clock: Box<dyn Clock>,
@@ -300,19 +365,20 @@ impl TcpParty {
         // One detached reader thread per peer; it exits when its socket or
         // the event channel closes.
         let mut links: Vec<Option<Link>> = (0..n).map(|_| None).collect();
+        let inflows: Vec<Arc<Inflow>> = (0..n).map(|_| Arc::default()).collect();
         for (peer, socket) in streams {
             let read_half = socket.try_clone()?;
             socket.set_write_timeout(Some(WRITE_POLL))?;
-            let cut = Arc::new(AtomicBool::new(false));
-            let (event_tx, reader_cut) = (event_tx.clone(), Arc::clone(&cut));
+            let inflow = Arc::clone(&inflows[peer]);
+            let (event_tx, reader_inflow) = (event_tx.clone(), Arc::clone(&inflow));
             links[peer] = Some(Link {
                 socket,
                 spill: None,
-                cut,
+                inflow,
             });
             std::thread::Builder::new()
                 .name(format!("ca-reader-{peer}"))
-                .spawn(move || reader_loop(peer, read_half, &reader_cut, &event_tx))?;
+                .spawn(move || reader_loop(peer, read_half, &reader_inflow, &event_tx))?;
         }
 
         Ok(Self {
@@ -324,6 +390,7 @@ impl TcpParty {
             scopes: Vec::new(),
             links,
             events: event_rx,
+            inflows,
             clock,
             core: Liveness::new(n, me.index(), EVENT_QUEUE, EARLY_BYTES),
             stats,
@@ -372,7 +439,10 @@ impl TcpParty {
     pub(crate) fn pump(&mut self, timeout: Duration) -> Result<(), mpsc::RecvTimeoutError> {
         let Event { from, frame } = self.events.recv_timeout(timeout)?;
         match frame {
-            Ok(frame) => self.core.on_frame(from, frame),
+            Ok(frame) => {
+                self.inflows[from].release(queued_size(&frame));
+                self.core.on_frame(from, frame);
+            }
             Err(cause) => self.core.on_lost(from, cause),
         }
         Ok(())
@@ -614,6 +684,9 @@ impl Drop for TcpParty {
         }
         while self.next_delivery().is_some() {}
         self.close_links();
+        for inflow in &self.inflows {
+            inflow.stop();
+        }
         self.sink.flush();
     }
 }
@@ -657,18 +730,20 @@ fn spill_loop(
 }
 
 /// Reader thread: decode frames, forward as events, and report how the
-/// stream was lost. It never sheds: while the event queue is full it
-/// waits, and the peer's socket backs up. That cannot deadlock, since the
-/// protocol thread, the queue's one consumer, blocks on no write for
-/// longer than [`WRITE_POLL`], and dropping the queue releases the
-/// reader. Once the peer is `cut` off, the reader returns at its next
-/// frame, so the socket closes with what is unread (a reset) instead of
-/// draining a flood nobody reads. Reads go through one [`SOCKET_BUFFER`],
-/// so a round's frame from the peer costs about one `read`.
+/// stream was lost. It never sheds: while the event queue is full, or
+/// its peer's [`Inflow`] has no room for the next frame, it waits, and
+/// the peer's socket backs up. That cannot deadlock, since the protocol
+/// thread, the queue's one consumer, blocks on no write for longer than
+/// [`WRITE_POLL`], and dropping the queue releases the reader. Once the
+/// peer is cut off, the reader returns at its next frame, or at once if
+/// it waits for room, so the socket closes with what is unread (a reset)
+/// instead of draining a flood nobody reads. Reads go through one
+/// [`SOCKET_BUFFER`], so a round's frame from the peer costs about one
+/// `read`.
 fn reader_loop(
     peer: usize,
     stream: TcpStream,
-    cut: &AtomicBool,
+    inflow: &Inflow,
     event_tx: &mpsc::SyncSender<Event>,
 ) {
     let mut stream = BufReader::with_capacity(SOCKET_BUFFER, stream);
@@ -694,7 +769,7 @@ fn reader_loop(
             break Reason::Malformed;
         };
         let bye = frame == Frame::Bye;
-        if cut.load(Ordering::Relaxed) || event_tx.send(event(Ok(frame))).is_err() || bye {
+        if !inflow.reserve(queued_size(&frame)) || event_tx.send(event(Ok(frame))).is_err() || bye {
             return;
         }
     };
@@ -868,6 +943,59 @@ mod tests {
             let large_sent = matches!(&frame, Frame::Round { msgs, .. } if msgs.contains(&large));
             assert_eq!(batch.chunks.iter().any(shares), large_sent);
         }
+    }
+
+    /// A peer flooding max-size frames at a party that takes none of them
+    /// gets at most [`EARLY_BYTES`] plus one frame into the event queue:
+    /// its reader then waits for room. Once the party is gone, the waiting
+    /// reader exits, and with it the flooder's connection.
+    #[test]
+    fn a_flooder_s_queued_bytes_are_capped() {
+        use crate::frame::{LENGTH_PREFIX_LEN, MAX_WIRE_FRAME_LEN};
+        let addr0 = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let flooder = std::thread::spawn(move || {
+            let mut stream = loop {
+                match TcpStream::connect(addr0) {
+                    Ok(stream) => break stream,
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                }
+            };
+            Frame::Hello { from: 1 }.write_to(&mut stream).unwrap();
+            let payload = Bytes::from(vec![0xEE; MAX_WIRE_FRAME_LEN - 64]);
+            (1..=12).all(|round| {
+                let msgs = vec![payload.clone()];
+                Frame::Round { round, msgs }.write_to(&mut stream).is_ok()
+            })
+        });
+        let addrs = [addr0, "127.0.0.1:9".parse().unwrap()];
+        let party = TcpParty::establish(PartyId(0), &addrs, Duration::from_secs(30)).unwrap();
+        let inflow = Arc::clone(&party.inflows[1]);
+        let clock = MonotonicClock::default();
+        let wait = |secs: u64, done: &dyn Fn() -> bool| {
+            let deadline = clock.now() + Duration::from_secs(secs);
+            while !done() && clock.now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        };
+        // Nothing takes a frame, so the count only grows: until the reader
+        // has filled its share, then while the flood could still add to it.
+        let frame = LENGTH_PREFIX_LEN + MAX_WIRE_FRAME_LEN + std::mem::size_of::<Bytes>();
+        let queued = || inflow.lock().bytes;
+        wait(10, &|| queued() + frame > EARLY_BYTES);
+        wait(1, &|| flooder.is_finished());
+        assert!(
+            queued() + frame > EARLY_BYTES,
+            "the reader filled its share"
+        );
+        assert!(queued() <= EARLY_BYTES + frame, "{} bytes queued", queued());
+
+        drop(party);
+        wait(10, &|| Arc::strong_count(&inflow) == 1);
+        assert_eq!(Arc::strong_count(&inflow), 1, "the waiting reader exited");
+        assert!(!flooder.join().unwrap(), "the flood stopped at the cap");
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! run through [`EnvelopeAdversary`], which presents each session with
 //! exactly its isolated rushing view.
 //!
+//! The same holds when the session table is smaller than the plan and
+//! sessions queue for a slot: each session's trace then equals its
+//! isolated one shifted by the round it was admitted in.
+//!
 //! Also covers the service-layer failure modes that have no isolated
-//! counterpart: admission control past capacity and a flooding adversary
-//! exercising the per-sender inbox cap, stray-session routing, and
-//! malformed-envelope handling.
+//! counterpart: a flooding adversary exercising the per-sender inbox cap,
+//! stray-session routing, and malformed-envelope handling.
 
 use std::sync::Arc;
 
@@ -85,7 +88,11 @@ fn isolated_run(n: usize, t: usize, attack: Attack, inputs: Vec<Nat>) -> Isolate
 struct MultiplexedRun {
     outputs: Vec<Option<EngineOutput<Nat>>>,
     corrupted: Vec<PartyId>,
-    /// `sigs[party][sid]`, scopes rebased to the session root.
+    /// `admitted[party][sid]`: the engine round of the session's
+    /// `engine_admit` note.
+    admitted: Vec<Vec<u64>>,
+    /// `sigs[party][sid]`, scopes rebased to the session root and rounds
+    /// to its admission round.
     sigs: Vec<Vec<Vec<Sig>>>,
 }
 
@@ -93,6 +100,7 @@ fn multiplexed_run(
     n: usize,
     t: usize,
     k: usize,
+    config: EngineConfig,
     attack: Attack,
     seed: u64,
     all_inputs: Vec<Vec<Nat>>,
@@ -119,7 +127,6 @@ fn multiplexed_run(
     let sim = sim.with_trace(Arc::clone(&sink) as Arc<dyn TraceSink>);
 
     let plan = SessionPlan::closed(k);
-    let config = EngineConfig::default();
     let report = sim.run(move |ctx, _id| {
         run_engine_party(ctx, &plan, &config, |sctx, sid| {
             let input = all_inputs[sid.0 as usize][sctx.me().index()].clone();
@@ -128,15 +135,30 @@ fn multiplexed_run(
     });
     let records = sink.records();
     assert_eq!(sink.total_seen() as usize, records.len(), "ring wrapped");
+    let admit_round = |p: usize, sid: u64| {
+        let note = Event::Note {
+            label: "engine_admit".to_owned(),
+            value: SessionId(sid).to_string(),
+        };
+        records
+            .iter()
+            .find(|r| r.party == Some(p as u64) && r.event == note)
+            .map_or(0, |r| r.round)
+    };
+    let admitted: Vec<Vec<u64>> = (0..n)
+        .map(|p| (0..k as u64).map(|sid| admit_round(p, sid)).collect())
+        .collect();
     let sigs = (0..n)
         .map(|p| {
             (0..k as u64)
                 .map(|sid| {
+                    let start = admitted[p][sid as usize];
                     records
                         .iter()
                         .filter(|r| r.party == Some(p as u64) && keep(&r.event))
                         .filter_map(|r| {
-                            rebase(&r.scope, sid).map(|s| (r.round, s, r.event.clone()))
+                            let scope = rebase(&r.scope, sid)?;
+                            Some((r.round - start, scope, r.event.clone()))
                         })
                         .collect()
                 })
@@ -146,14 +168,23 @@ fn multiplexed_run(
     MultiplexedRun {
         outputs: report.outputs,
         corrupted: report.corrupted,
+        admitted,
         sigs,
     }
 }
 
 /// The core property: session-by-session, the multiplexed deployment and
 /// the isolated runs decide the same values, corrupt the same parties,
-/// and emit the same protocol trace.
-fn assert_equivalent(n: usize, k: usize, ell: usize, spread: usize, attack: Attack, seed: u64) {
+/// and emit the same protocol trace (counted from the session's
+/// admission, which every party makes in the same engine round).
+fn assert_equivalent(
+    n: usize,
+    k: usize,
+    config: EngineConfig,
+    (ell, spread): (usize, usize),
+    attack: Attack,
+    seed: u64,
+) {
     let t = max_faults(n);
     let all_inputs: Vec<Vec<Nat>> = (0..k as u64)
         .map(|sid| {
@@ -162,7 +193,20 @@ fn assert_equivalent(n: usize, k: usize, ell: usize, spread: usize, attack: Atta
         })
         .collect();
 
-    let multi = multiplexed_run(n, t, k, attack, seed, all_inputs.clone());
+    let queued = k > config.max_sessions;
+    let multi = multiplexed_run(n, t, k, config, attack, seed, all_inputs.clone());
+    let honest: Vec<usize> = (0..n)
+        .filter(|p| !multi.corrupted.contains(&PartyId(*p)))
+        .collect();
+    for p in &honest {
+        assert_eq!(
+            multi.admitted[*p],
+            multi.admitted[honest[0]],
+            "[{}] party {p} admits in other rounds",
+            attack.name()
+        );
+        assert_eq!(multi.admitted[*p][k - 1] > 0, queued, "capacity binds");
+    }
     for (sid, inputs) in all_inputs.iter().enumerate() {
         let iso = isolated_run(
             n,
@@ -209,7 +253,7 @@ fn assert_equivalent(n: usize, k: usize, ell: usize, spread: usize, attack: Atta
 #[test]
 fn multiplexed_equals_isolated_under_every_attack() {
     for attack in Attack::standard_suite(0xE9) {
-        assert_equivalent(4, 3, 40, 6, attack, 0xC0FF_EE11);
+        assert_equivalent(4, 3, EngineConfig::default(), (40, 6), attack, 0xC0FF_EE11);
     }
 }
 
@@ -225,37 +269,23 @@ proptest! {
         attack_idx in 0usize..11,
     ) {
         let attack = Attack::standard_suite(seed)[attack_idx];
-        assert_equivalent(4, k, ell, 4, attack, seed);
+        assert_equivalent(4, k, EngineConfig::default(), (ell, 4), attack, seed);
     }
 }
 
-/// Admission control: arrivals past `max_sessions` are rejected by every
-/// party identically, and the live sessions decide unperturbed.
+/// Capacity binds: five sessions through a table of two queue for slots,
+/// and each still equals its isolated run, shifted by its admission
+/// round. Only the plans without a message-level strategy qualify (no
+/// attack, a crash from the start, input lies): a strategy is indexed by
+/// round, so a queued session would meet it shifted.
 #[test]
-fn admission_rejects_past_capacity_consistently() {
-    let n = 4;
-    let plan = SessionPlan::open((0..8u64).map(|i| (i, 0)));
-    let config = EngineConfig { max_sessions: 4 };
-    let report = Sim::new(n).run(move |ctx, _id| {
-        run_engine_party(ctx, &plan, &config, |sctx, sid| {
-            let input = Nat::from_u64(50 + sid.0 + sctx.me().index() as u64);
-            pi_n(sctx, &input, BaKind::TurpinCoan)
-        })
-    });
-    let outs = report.honest_outputs();
-    for out in &outs {
-        let rejected: Vec<u64> = out.rejected.iter().map(|s| s.0).collect();
-        assert_eq!(rejected, vec![4, 5, 6, 7], "rejects must be the overflow");
-        let decided: Vec<u64> = out.decided.iter().map(|(s, _)| s.0).collect();
-        assert_eq!(decided, vec![0, 1, 2, 3], "live sessions must decide");
-    }
-    for sid in 0..4u64 {
-        let first = outs[0].output_of(SessionId(sid)).unwrap();
-        assert!(
-            outs.iter()
-                .all(|o| o.output_of(SessionId(sid)) == Some(first)),
-            "parties disagree on s{sid}"
-        );
+fn queued_sessions_equal_isolated_ones() {
+    let config = EngineConfig { max_sessions: 2 };
+    let plans = Attack::standard_suite(0xE9)
+        .into_iter()
+        .filter(|a| a.strategy().is_none());
+    for attack in plans {
+        assert_equivalent(4, 5, config.clone(), (40, 6), attack, 0x0B5E_55ED);
     }
 }
 
