@@ -199,25 +199,6 @@ impl SymbolTable {
         self.calls = calls;
         self.callers = callers;
     }
-
-    /// Forward reachability over the call graph from `roots`.
-    #[must_use]
-    pub fn reachable_from(&self, roots: &[usize]) -> Vec<bool> {
-        let mut seen = vec![false; self.fns.len()];
-        let mut stack: Vec<usize> = roots.iter().copied().filter(|&r| r < seen.len()).collect();
-        for &r in &stack {
-            seen[r] = true;
-        }
-        while let Some(f) = stack.pop() {
-            for &c in &self.calls[f] {
-                if !seen[c] {
-                    seen[c] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        seen
-    }
 }
 
 /// Bare names of everything `body` may call: `name(…)`, `name::<T>(…)`,
@@ -414,10 +395,12 @@ mod tests {
             "a.rs",
             "fn root() { mid() }\nfn mid() { leaf() }\nfn leaf() {}\nfn island() {}\n",
         )]));
-        let root = table.fns_named("root")[0];
-        let seen = table.reachable_from(&[root]);
-        assert!(seen[table.fns_named("leaf")[0]]);
-        assert!(!seen[table.fns_named("island")[0]]);
+        // The passes walk these edges: root → mid → leaf, nothing → island.
+        let id = |name: &str| table.fns_named(name)[0];
+        assert_eq!(table.calls[id("root")], vec![id("mid")]);
+        assert_eq!(table.calls[id("mid")], vec![id("leaf")]);
+        assert_eq!(table.callers[id("leaf")], vec![id("mid")]);
+        assert!(table.callers[id("island")].is_empty());
     }
 
     #[test]

@@ -232,13 +232,12 @@ impl AsyncProtocol for AsyncApprox {
         };
         match msg {
             AaaMsg::Rbc(rbc_msg) => {
-                let tag = match &rbc_msg {
-                    RbcMsg::Init { tag, .. }
-                    | RbcMsg::Echo { tag, .. }
-                    | RbcMsg::Ready { tag, .. } => *tag,
-                };
+                let (RbcMsg::Init { tag, .. }
+                | RbcMsg::Echo { tag, .. }
+                | RbcMsg::Ready { tag, .. }) = &rbc_msg;
                 // Slots beyond the fixed round count can never matter;
-                // dropping them bounds state against byzantine flooding.
+                // dropping them (as `Rbc` drops origins that are no party)
+                // bounds state against byzantine flooding.
                 if tag.seq >= self.rounds {
                     return actions;
                 }

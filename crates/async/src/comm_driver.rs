@@ -3,12 +3,12 @@
 //! The adapter lets the same state machine run under the lock-step
 //! simulator (and therefore inside `ca-engine` sessions, next to
 //! synchronous protocols): each `next_round` inbox becomes a batch of
-//! `on_message` events, actions turn into `send_bytes` calls, and
-//! [`Action::SetTimer`] fires at the next round boundary (a round *is*
-//! the substrate's time unit). A quorum-driven protocol doesn't care —
-//! it only sees messages arriving in some order — which is precisely the
-//! point: round barriers are one legal asynchronous schedule.
+//! `on_message` events and actions turn into `send_bytes` calls. A
+//! quorum-driven protocol doesn't care — it only sees messages arriving
+//! in some order — which is precisely the point: round barriers are one
+//! legal asynchronous schedule.
 
+use bytes::Bytes;
 use ca_net::{Comm, PartyId};
 use ca_trace::Event as TraceEvent;
 
@@ -34,19 +34,16 @@ where
         }
     }
     let me = ctx.me();
-    // Timers set in round r fire when round r + ⌈after⌉ begins (minimum
-    // one barrier — "later than now" has round granularity here).
-    let mut timers: Vec<(u64, u64)> = Vec::new();
-    let mut self_inbox: Vec<bytes::Bytes> = Vec::new();
+    let mut self_inbox: Vec<Bytes> = Vec::new();
     let actions = proto.on_start();
-    apply(ctx, me, 0, actions, &mut timers, &mut self_inbox);
+    apply(ctx, me, actions, &mut self_inbox);
 
     let mut round: u64 = 0;
     while proto.output().is_none() && round < max_rounds {
         // Self-deliveries are local: hand them over before the barrier.
         for payload in std::mem::take(&mut self_inbox) {
             let actions = proto.on_message(me, &payload);
-            apply(ctx, me, round, actions, &mut timers, &mut self_inbox);
+            apply(ctx, me, actions, &mut self_inbox);
             if proto.output().is_some() {
                 break;
             }
@@ -62,17 +59,8 @@ where
             }
             for payload in inbox.raw_from(from).to_vec() {
                 let actions = proto.on_message(from, &payload);
-                apply(ctx, me, round, actions, &mut timers, &mut self_inbox);
+                apply(ctx, me, actions, &mut self_inbox);
             }
-        }
-        let due: Vec<u64> = {
-            let (fire, keep): (Vec<_>, Vec<_>) = timers.iter().partition(|(at, _)| *at <= round);
-            timers = keep;
-            fire.into_iter().map(|(_, id)| id).collect()
-        };
-        for id in due {
-            let actions = proto.on_timer(id);
-            apply(ctx, me, round, actions, &mut timers, &mut self_inbox);
         }
     }
 
@@ -87,14 +75,7 @@ where
     output
 }
 
-fn apply(
-    ctx: &mut dyn Comm,
-    me: PartyId,
-    round: u64,
-    actions: Vec<Action>,
-    timers: &mut Vec<(u64, u64)>,
-    self_inbox: &mut Vec<bytes::Bytes>,
-) {
+fn apply(ctx: &mut dyn Comm, me: PartyId, actions: Vec<Action>, self_inbox: &mut Vec<Bytes>) {
     for action in actions {
         match action {
             Action::Send { to, payload } => {
@@ -115,9 +96,6 @@ fn apply(
                         ctx.send_bytes(to, payload.clone());
                     }
                 }
-            }
-            Action::SetTimer { id, after } => {
-                timers.push((round + after.max(1), id));
             }
             Action::Note { label, value } => {
                 ctx.trace(TraceEvent::Note { label, value });
@@ -160,30 +138,22 @@ mod tests {
     }
 
     #[test]
-    fn timer_fires_after_a_barrier() {
-        use crate::protocol::AsyncProtocol;
-        struct TimerProto {
-            out: Option<u64>,
-        }
-        impl AsyncProtocol for TimerProto {
+    fn round_budget_runs_out_without_a_decision() {
+        struct Never;
+        impl AsyncProtocol for Never {
             type Output = u64;
             fn on_start(&mut self) -> Vec<Action> {
-                vec![Action::SetTimer { id: 5, after: 1 }]
-            }
-            fn on_message(&mut self, _f: PartyId, _p: &bytes::Bytes) -> Vec<Action> {
                 Vec::new()
             }
-            fn on_timer(&mut self, id: u64) -> Vec<Action> {
-                self.out = Some(id);
+            fn on_message(&mut self, _from: PartyId, _payload: &Bytes) -> Vec<Action> {
                 Vec::new()
             }
             fn output(&self) -> Option<u64> {
-                self.out
+                None
             }
         }
-        let report = Sim::new(3).run(|ctx, _id| run_on_comm(ctx, TimerProto { out: None }, 10));
-        for out in report.honest_outputs() {
-            assert_eq!(*out, Some(5));
-        }
+        let report = Sim::new(3).run(|ctx, _id| run_on_comm(ctx, Never, 5));
+        assert!(report.honest_outputs().into_iter().all(Option::is_none));
+        assert_eq!(report.metrics.rounds, 5);
     }
 }

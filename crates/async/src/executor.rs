@@ -1,7 +1,7 @@
 //! The deterministic single-threaded event executor.
 //!
 //! All `n` protocol instances run in one thread, advanced by a virtual-
-//! time priority queue of delivery/timer/crash events. Event order is a
+//! time priority queue of delivery and crash events. Event order is a
 //! pure function of `(protocol logic, DeliverySchedule seed, crash plan)`
 //! — there are no threads, no wall clocks, and no iteration over
 //! unordered containers — so two runs with the same configuration produce
@@ -24,7 +24,7 @@ use ca_net::PartyId;
 use ca_trace::{Event as TraceEvent, NullSink, Record, TraceSink, ROOT_SCOPE};
 
 use crate::protocol::{Action, AsyncProtocol};
-use crate::schedule::DeliverySchedule;
+use crate::DeliverySchedule;
 
 /// What the event queue can dispatch.
 #[derive(Debug)]
@@ -33,10 +33,6 @@ enum EventKind {
         from: usize,
         to: usize,
         payload: Bytes,
-    },
-    Timer {
-        party: usize,
-        id: u64,
     },
     Crash {
         party: usize,
@@ -56,10 +52,6 @@ pub struct ExecReport<O> {
     pub messages: u64,
     /// Payload bytes across those messages.
     pub payload_bytes: u64,
-    /// Messages the schedule dropped on the wire.
-    pub dropped: u64,
-    /// Delivery events actually dispatched.
-    pub delivered_events: u64,
     /// Virtual time of the last dispatched event.
     pub final_time: u64,
 }
@@ -143,8 +135,6 @@ impl<P: AsyncProtocol> Executor<P> {
             crashed: Vec::new(),
             messages: 0,
             payload_bytes: 0,
-            dropped: 0,
-            delivered_events: 0,
             final_time: 0,
         };
         let mut crashed = vec![false; n];
@@ -205,13 +195,6 @@ impl<P: AsyncProtocol> Executor<P> {
                                 enqueue_send!($party, $now, to, payload.clone());
                             }
                         }
-                        Action::SetTimer { id, after } => {
-                            queue.insert(
-                                ($now + after, next_seq),
-                                EventKind::Timer { party: $party, id },
-                            );
-                            next_seq += 1;
-                        }
                         Action::Note { label, value } => {
                             if tracing {
                                 record(
@@ -247,19 +230,17 @@ impl<P: AsyncProtocol> Executor<P> {
                             );
                         }
                     }
-                    match self.schedule.delay($from, $to, msg_seq) {
-                        Some(delay) => {
-                            queue.insert(
-                                ($now + delay, next_seq),
-                                EventKind::Deliver {
-                                    from: $from,
-                                    to: $to,
-                                    payload,
-                                },
-                            );
-                            next_seq += 1;
-                        }
-                        None => report.dropped += 1,
+                    // `None`: the schedule dropped the message on the wire.
+                    if let Some(delay) = self.schedule.sample($from, $to, msg_seq) {
+                        queue.insert(
+                            ($now + delay, next_seq),
+                            EventKind::Deliver {
+                                from: $from,
+                                to: $to,
+                                payload,
+                            },
+                        );
+                        next_seq += 1;
                     }
                     msg_seq += 1;
                 }
@@ -331,7 +312,6 @@ impl<P: AsyncProtocol> Executor<P> {
                     if crashed[to] {
                         continue;
                     }
-                    report.delivered_events += 1;
                     if tracing {
                         record(
                             &self.sink,
@@ -349,14 +329,6 @@ impl<P: AsyncProtocol> Executor<P> {
                         apply_actions!(to, time, actions);
                         check_decided!(to, time);
                     }
-                }
-                EventKind::Timer { party, id } => {
-                    if crashed[party] {
-                        continue;
-                    }
-                    let actions = self.parties[party].on_timer(id);
-                    apply_actions!(party, time, actions);
-                    check_decided!(party, time);
                 }
             }
         }
@@ -491,41 +463,6 @@ mod tests {
         assert!(!a.is_empty());
         assert_eq!(ca_trace::first_divergence(&a, &b), None);
         assert_eq!(ca_trace::check(&a), vec![]);
-    }
-
-    #[test]
-    fn timers_fire_at_virtual_time() {
-        struct TimerOnly {
-            fired_at: Option<u64>,
-            out: Option<u64>,
-        }
-        impl AsyncProtocol for TimerOnly {
-            type Output = u64;
-            fn on_start(&mut self) -> Vec<Action> {
-                vec![Action::SetTimer { id: 42, after: 17 }]
-            }
-            fn on_message(&mut self, _from: PartyId, _payload: &Bytes) -> Vec<Action> {
-                Vec::new()
-            }
-            fn on_timer(&mut self, id: u64) -> Vec<Action> {
-                self.fired_at = Some(id);
-                self.out = Some(id);
-                Vec::new()
-            }
-            fn output(&self) -> Option<u64> {
-                self.out
-            }
-        }
-        let report = Executor::new(
-            vec![TimerOnly {
-                fired_at: None,
-                out: None,
-            }],
-            DeliverySchedule::uniform(0, 1, 0),
-        )
-        .run();
-        assert_eq!(report.outputs[0], Some(42));
-        assert_eq!(report.decide_time[0], Some(17));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! asynchronous counterpart, following "Asynchronous Approximate
 //! Agreement with Quadratic Communication" (Erbes–Wattenhofer; see
 //! PAPERS.md): protocols are explicit state machines ([`AsyncProtocol`])
-//! advanced by *delivery events*, progress is gated on message-arrival
-//! **quorums** (`n − t` out of `n`), and no Δ appears anywhere.
+//! — message in, actions out — progress is gated on message-arrival
+//! **quorums** (`n − t` out of `n`), and no timer or Δ appears anywhere.
 //!
 //! Building blocks:
 //!
@@ -19,12 +19,14 @@
 //!   delivered sets overlapping.
 //! * [`AsyncApprox`] — asynchronous approximate agreement over [`ca_bits::Nat`]:
 //!   per-round RBC dispersal, witness gather, trimmed-midpoint update.
-//! * [`Executor`] + [`DeliverySchedule`] — a deterministic single-threaded
-//!   scheduler over a seeded priority event queue (per-edge delay /
-//!   reorder / drop), producing byte-identical traces across reruns.
+//! * [`Executor`] — a deterministic single-threaded scheduler over a
+//!   seeded priority event queue, producing byte-identical traces across
+//!   reruns. Its [`DeliverySchedule`] is [`ca_net::EdgeDelays`], the same
+//!   per-edge delay / reorder / drop sampler `Sim::with_delays` uses.
 //! * [`run_on_comm`] — hosts any [`AsyncProtocol`] on a round-based
 //!   [`ca_net::Comm`] substrate (the simulator, and thereby `ca-engine`
-//!   sessions). `ca-runtime` adds the event-driven TCP driver.
+//!   sessions, beside synchronous ones). `ca-runtime` adds the
+//!   event-driven TCP driver, `run_async_party`.
 
 mod aaa;
 mod comm_driver;
@@ -32,7 +34,6 @@ mod executor;
 mod protocol;
 mod quorum;
 mod rbc;
-mod schedule;
 
 pub use aaa::{rounds_for_spread, AaaMsg, AsyncApprox};
 pub use comm_driver::run_on_comm;
@@ -40,4 +41,7 @@ pub use executor::{ExecReport, Executor};
 pub use protocol::{Action, AsyncProtocol};
 pub use quorum::{QuorumTracker, WitnessGather, WitnessStep};
 pub use rbc::{Rbc, RbcMsg, RbcOutcome, RbcTag};
-pub use schedule::DeliverySchedule;
+
+/// When (or whether) the executor delivers each message: delay of message
+/// `seq` on edge `from → to` in virtual time, `None` for a drop.
+pub type DeliverySchedule = ca_net::EdgeDelays;

@@ -4,9 +4,9 @@
 //! Where the synchronous stack writes protocol code as straight-line
 //! round loops against [`ca_net::Comm`], the asynchronous model inverts
 //! control: a protocol instance is a state machine that *reacts* to each
-//! message (or timer) as it arrives and answers with a batch of
-//! [`Action`]s. No call ever blocks, no Δ appears anywhere — progress is
-//! driven purely by which quorums of messages have landed.
+//! message as it arrives and answers with a batch of [`Action`]s. No call
+//! ever blocks, and there is no timer and no Δ — progress is driven purely
+//! by which quorums of messages have landed.
 
 use bytes::Bytes;
 use ca_net::PartyId;
@@ -27,15 +27,6 @@ pub enum Action {
     Broadcast {
         /// Opaque wire bytes.
         payload: Bytes,
-    },
-    /// Ask for an `on_timer(id)` callback `after` time units from now.
-    /// Quorum-driven protocols don't need timers for safety or liveness;
-    /// the hook exists for optimistic fast paths and diagnostics.
-    SetTimer {
-        /// Echoed back in the callback.
-        id: u64,
-        /// Virtual-time delay (host-defined units).
-        after: u64,
     },
     /// Record a labelled note into the trace timeline.
     Note {
@@ -65,11 +56,6 @@ pub trait AsyncProtocol {
     /// be ignored (byzantine senders can emit arbitrary bytes).
     fn on_message(&mut self, from: PartyId, payload: &Bytes) -> Vec<Action>;
 
-    /// A timer set via [`Action::SetTimer`] has fired.
-    fn on_timer(&mut self, _id: u64) -> Vec<Action> {
-        Vec::new()
-    }
-
     /// `Some` once the instance has irrevocably decided. Hosts poll this
     /// after every event batch; further events may still arrive (and must
     /// be tolerated) but cannot change the output.
@@ -93,9 +79,6 @@ impl<P: AsyncProtocol + ?Sized> AsyncProtocol for Box<P> {
     }
     fn on_message(&mut self, from: PartyId, payload: &Bytes) -> Vec<Action> {
         (**self).on_message(from, payload)
-    }
-    fn on_timer(&mut self, id: u64) -> Vec<Action> {
-        (**self).on_timer(id)
     }
     fn output(&self) -> Option<Self::Output> {
         (**self).output()
@@ -135,7 +118,6 @@ mod tests {
     #[test]
     fn default_hooks_are_inert() {
         let mut p = FirstByte { out: None };
-        assert_eq!(p.on_timer(3), Vec::new());
         assert_eq!(p.input_repr(), None);
         assert_eq!(p.output(), None);
         p.on_message(PartyId(1), &Bytes::from_static(b"\x07"));

@@ -204,7 +204,12 @@ impl Rbc {
     /// Processes one RBC message from `from` (already decoded).
     pub fn on_message(&mut self, from: PartyId, msg: RbcMsg) -> RbcOutcome {
         let mut out = RbcOutcome::default();
-        if from.0 >= self.n {
+        // A slot whose origin is no party can never deliver (honest parties
+        // echo only its origin's Init, and ≤ t Readys reach no threshold):
+        // ignoring it keeps a byzantine sender from growing the slot table.
+        let (RbcMsg::Init { tag, .. } | RbcMsg::Echo { tag, .. } | RbcMsg::Ready { tag, .. }) =
+            &msg;
+        if from.0 >= self.n || tag.origin.0 >= self.n {
             return out;
         }
         match msg {
@@ -254,13 +259,6 @@ impl Rbc {
         }
         out
     }
-
-    /// Whether the given slot has been delivered locally.
-    pub fn is_delivered(&self, tag: RbcTag) -> bool {
-        self.slots
-            .get(&(tag.origin.0, tag.seq))
-            .is_some_and(|s| s.delivered)
-    }
 }
 
 #[cfg(test)]
@@ -304,7 +302,6 @@ mod tests {
         let delivered = settle(&mut machines, vec![(PartyId(0), init)]);
         for (i, d) in delivered.iter().enumerate() {
             assert_eq!(d, &vec![(tag, b"hello".to_vec())], "party {i}");
-            assert!(machines[i].is_delivered(tag));
         }
     }
 
@@ -376,6 +373,26 @@ mod tests {
             );
             assert!(out.outgoing.is_empty());
         }
+    }
+
+    #[test]
+    fn votes_for_origins_beyond_n_open_no_slot() {
+        let mut rbc = Rbc::new(N, T);
+        for origin in N..N + 1000 {
+            let tag = RbcTag {
+                origin: PartyId(origin),
+                seq: 0,
+            };
+            let payload = b"junk".to_vec();
+            let echo = RbcMsg::Echo {
+                tag,
+                payload: payload.clone(),
+            };
+            assert_eq!(rbc.on_message(PartyId(1), echo), RbcOutcome::default());
+            let ready = RbcMsg::Ready { tag, payload };
+            assert_eq!(rbc.on_message(PartyId(1), ready), RbcOutcome::default());
+        }
+        assert!(rbc.slots.is_empty(), "{} slots opened", rbc.slots.len());
     }
 
     #[test]

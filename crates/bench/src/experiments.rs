@@ -904,7 +904,7 @@ pub fn a1_adaptive_sweep(quick: bool, artifacts: Option<&Path>) {
 pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
     use std::sync::Arc;
 
-    use ca_async::{rounds_for_spread, run_on_comm, AsyncApprox, DeliverySchedule, Executor};
+    use ca_async::{rounds_for_spread, run_on_comm, AsyncApprox, Executor};
     use ca_bits::Nat;
     use ca_net::{EdgeDelays, PartyId};
 
@@ -1062,7 +1062,7 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
     let parties: Vec<AsyncApprox> = (0..n)
         .map(|i| AsyncApprox::new(n, t, PartyId(i), Nat::from_u64(inputs[i]), rounds))
         .collect();
-    let report = Executor::new(parties, DeliverySchedule::new(delays()))
+    let report = Executor::new(parties, delays())
         .with_trace(Arc::clone(&sink) as Arc<dyn ca_trace::TraceSink>)
         .run();
     let records = sink.records();

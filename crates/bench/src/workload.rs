@@ -10,16 +10,6 @@ pub fn random_bits(rng: &mut SmallRng, len: usize) -> BitString {
     BitString::from_bits((0..len).map(|_| rng.gen::<bool>()))
 }
 
-/// A random `ell`-bit natural (top bit set, so `bit_len() == ell`).
-pub fn random_nat(rng: &mut SmallRng, ell: usize) -> Nat {
-    if ell == 0 {
-        return Nat::zero();
-    }
-    let mut bits = random_bits(rng, ell);
-    bits.set(0, true);
-    bits.val()
-}
-
 /// Clustered honest inputs: a shared random `ell`-bit base whose lowest
 /// `spread_bits` bits are re-randomized per party — the "sensor jitter"
 /// regime the paper motivates (honest values agree on a long prefix).
@@ -60,15 +50,6 @@ pub fn apply_lies(inputs: &mut [Nat], attack: &Attack, n: usize, t: usize, ell: 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn random_nat_has_exact_length() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        for ell in [1usize, 5, 64, 300] {
-            assert_eq!(random_nat(&mut rng, ell).bit_len(), ell);
-        }
-        assert!(random_nat(&mut rng, 0).is_zero());
-    }
 
     #[test]
     fn clustered_inputs_share_prefix() {

@@ -281,26 +281,6 @@ impl BitString {
         }
     }
 
-    /// Splits into exactly `num_blocks` blocks of equal length
-    /// (paper §4, `BLOCKS(v)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.len()` is not a multiple of `num_blocks`.
-    pub fn split_blocks(&self, num_blocks: usize) -> Vec<BitString> {
-        assert!(num_blocks > 0, "num_blocks must be positive");
-        assert_eq!(
-            self.len % num_blocks,
-            0,
-            "length {} not divisible into {num_blocks} blocks",
-            self.len
-        );
-        let block_len = self.len / num_blocks;
-        (0..num_blocks)
-            .map(|i| self.slice(i * block_len, (i + 1) * block_len))
-            .collect()
-    }
-
     /// The `i`-th block (0-indexed) of width `block_len`
     /// (paper §4, `BLOCKᵢ(v)` is 1-indexed).
     ///
@@ -543,17 +523,16 @@ mod tests {
     #[test]
     fn blocks_split_evenly() {
         let s = bs("110100101110");
-        let blocks = s.split_blocks(4);
-        assert_eq!(blocks.len(), 4);
-        assert_eq!(blocks[0].to_string(), "110");
-        assert_eq!(blocks[3].to_string(), "110");
+        assert_eq!(s.block(0, 3).to_string(), "110");
         assert_eq!(s.block(1, 3).to_string(), "100");
+        assert_eq!(s.block(3, 3).to_string(), "110");
     }
 
     #[test]
-    #[should_panic(expected = "not divisible")]
+    #[should_panic(expected = "out of range")]
     fn blocks_reject_uneven_split() {
-        bs("11010").split_blocks(2);
+        // Five bits hold one whole block of width 3, not two.
+        bs("11010").block(1, 3);
     }
 
     #[test]

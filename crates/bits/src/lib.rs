@@ -3,14 +3,14 @@
 //! The paper (§2, "Binary representations") manipulates values `v ∈ ℕ`
 //! through their bit representations: `BITSℓ(v)` (the `ℓ`-bit, MSB-first
 //! representation), `VAL(bits)` (the inverse), `MINℓ`/`MAXℓ` (the
-//! lowest/highest `ℓ`-bit value with a given prefix), and — in §4 — block
-//! decompositions `BLOCKS(v)`.
+//! lowest/highest `ℓ`-bit value with a given prefix), and — in §4 — the
+//! blocks `BLOCKᵢ(v)`.
 //!
 //! This crate provides those operations:
 //!
 //! * [`BitString`] — a packed, arbitrary-length, MSB-first bitstring. This is
 //!   the type protocol messages actually carry; prefix logic, padding
-//!   (`MINℓ`/`MAXℓ`), and block splitting live here.
+//!   (`MINℓ`/`MAXℓ`), and block windows (`block`, `slice`) live here.
 //! * [`Nat`] — an arbitrary-precision natural number (`VAL` of a bitstring),
 //!   with enough arithmetic for the protocols, the experiment harness, and
 //!   human-readable decimal I/O in the examples.

@@ -97,38 +97,28 @@ pub use ca_ba::BaKind;
 use ca_bits::{Int, Nat};
 use ca_net::Comm;
 
-/// Facade bundling the protocol with its `Π_BA` instantiation.
+/// Facade running the protocol with the default `Π_BA`
+/// ([`BaKind::TurpinCoan`]); ablations call [`pi_n`] / [`pi_z`] with a
+/// [`BaKind`] directly.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CaProtocol {
-    ba: BaKind,
-}
+pub struct CaProtocol;
 
 impl CaProtocol {
-    /// The protocol with the default `Π_BA` ([`BaKind::TurpinCoan`]).
+    /// The protocol facade.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Selects the `Π_BA` instantiation (ablation knob).
-    pub fn with_ba(ba: BaKind) -> Self {
-        Self { ba }
-    }
-
-    /// The configured `Π_BA` instantiation.
-    pub fn ba(&self) -> BaKind {
-        self.ba
+        Self
     }
 
     /// Runs `Π_ℤ` (§6) on a signed integer input.
     pub fn run_int(&self, ctx: &mut dyn Comm, input: &Int) -> Int {
-        pi_z(ctx, input, self.ba)
+        pi_z(ctx, input, BaKind::TurpinCoan)
     }
 
     /// Runs `Π_ℕ` (§5) on a natural input.
     pub fn run_nat(&self, ctx: &mut dyn Comm, input: &Nat) -> Nat {
-        pi_n(ctx, input, self.ba)
+        pi_n(ctx, input, BaKind::TurpinCoan)
     }
 
     /// Runs `Π_ℤ` on a fixed-point decimal (the paper's §1 remark that the
@@ -137,7 +127,7 @@ impl CaProtocol {
     /// publicly known scale; convex validity over `Fixed` follows because
     /// scaling is monotone.
     pub fn run_fixed(&self, ctx: &mut dyn Comm, input: &ca_bits::Fixed) -> ca_bits::Fixed {
-        let mantissa = pi_z(ctx, input.mantissa(), self.ba);
+        let mantissa = pi_z(ctx, input.mantissa(), BaKind::TurpinCoan);
         input.with_mantissa(mantissa)
     }
 }

@@ -17,6 +17,11 @@
 //! * [`loadgen`] — closed-loop workload driving with per-session
 //!   correctness checking and clock-injected timing.
 //!
+//! A session body is any closure over its session-scoped `Comm`, so an
+//! asynchronous protocol runs as one through `ca_async::run_on_comm`
+//! (round barriers are one legal asynchronous schedule), beside
+//! synchronous sessions in the same plan.
+//!
 //! Session lifecycle: *queued* (ids `0..k` of the [`SessionPlan`]) →
 //! *running* (admitted, in id order, once the bounded table has a free
 //! slot) → *decided* (body returned) → *reaped* (slot freed, output
@@ -31,13 +36,6 @@ mod lift;
 pub mod loadgen;
 mod stats;
 
-/// Hosts an asynchronous protocol instance ([`ca_async::AsyncProtocol`])
-/// as an engine session body: the session-scoped round-based `Comm` is
-/// one legal asynchronous schedule, so the same state machine that runs
-/// under `ca_async::Executor` or the event-driven TCP driver runs here —
-/// beside synchronous sessions in the same plan. Returns `None` if the
-/// round budget runs out before the instance decides.
-pub use ca_async::run_on_comm as run_async_session;
 pub use config::{EngineConfig, SessionPlan};
 pub use driver::{run_engine_party, EngineOutput, ENGINE_SCOPE};
 pub use envelope::{Envelope, SessionFrame, SessionId};

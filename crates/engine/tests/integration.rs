@@ -6,11 +6,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ca_adversary::{Attack, AttackKind};
-use ca_async::AsyncApprox;
+use ca_async::{run_on_comm, AsyncApprox};
 use ca_ba::BaKind;
 use ca_bits::Nat;
 use ca_core::{check_agreement, pi_n};
-use ca_engine::{run_async_session, run_engine_party, EngineConfig, SessionId, SessionPlan};
+use ca_engine::{run_engine_party, EngineConfig, SessionId, SessionPlan};
 use ca_net::{Comm, Sim};
 use ca_runtime::TcpCluster;
 use ca_trace::{check, first_divergence, Record, RingBufferSink, TraceSink};
@@ -115,7 +115,7 @@ fn multiplexed_trace_checks_clean_and_scopes_nest() {
 /// One engine plan hosting synchronous and asynchronous sessions side by
 /// side: even session ids run the exact protocol `pi_n`, odd ids run the
 /// asynchronous approximate-agreement state machine through
-/// [`run_async_session`]. Sync sessions must agree exactly; async ones
+/// [`run_on_comm`]. Sync sessions must agree exactly; async ones
 /// must be ε-close (ε = 1) inside their input hull — on every party.
 #[test]
 fn engine_hosts_async_sessions_beside_sync_ones() {
@@ -135,7 +135,7 @@ fn engine_hosts_async_sessions_beside_sync_ones() {
                     // rounds more than halve the spread to ≤ 1; 64
                     // barriers is a generous budget for 4 RBC+witness
                     // exchanges.
-                    run_async_session(sctx, AsyncApprox::new(sn, st, sme, input, 4), 64)
+                    run_on_comm(sctx, AsyncApprox::new(sn, st, sme, input, 4), 64)
                         .expect("async session decides within the round budget")
                 }
             });

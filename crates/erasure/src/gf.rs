@@ -185,43 +185,6 @@ impl MulTable {
     }
 }
 
-/// Evaluates the polynomial `coeffs[0] + coeffs[1]·x + …` at `x` (Horner).
-pub fn poly_eval(coeffs: &[Gf], x: Gf) -> Gf {
-    let mut acc = Gf::ZERO;
-    for &c in coeffs.iter().rev() {
-        acc = acc.mul(x).add(c);
-    }
-    acc
-}
-
-/// Lagrange interpolation: given distinct points `(xᵢ, yᵢ)`, evaluates the
-/// unique polynomial of degree `< points.len()` through them at `x`.
-///
-/// # Panics
-///
-/// Panics if two `xᵢ` coincide.
-pub fn lagrange_eval(points: &[(Gf, Gf)], x: Gf) -> Gf {
-    let mut acc = Gf::ZERO;
-    for (i, &(xi, yi)) in points.iter().enumerate() {
-        // Early exit: interpolating exactly at a sample point.
-        if xi == x {
-            return yi;
-        }
-        let mut num = Gf::ONE;
-        let mut den = Gf::ONE;
-        for (j, &(xj, _)) in points.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            assert!(xi != xj, "duplicate x-coordinate in interpolation");
-            num = num.mul(x.add(xj)); // (x − xj) = (x + xj) in char 2
-            den = den.mul(xi.add(xj));
-        }
-        acc = acc.add(yi.mul(num.div(den)));
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,24 +261,6 @@ mod tests {
             .collect();
         t.mul_acc(&mut acc, &xs);
         assert_eq!(acc, expect);
-    }
-
-    #[test]
-    fn poly_eval_constant_and_linear() {
-        assert_eq!(poly_eval(&[Gf(7)], Gf(99)), Gf(7));
-        // p(x) = 3 + 2x at x=1 → 3 ^ 2 = 1.
-        assert_eq!(poly_eval(&[Gf(3), Gf(2)], Gf::ONE), Gf(1));
-    }
-
-    #[test]
-    fn lagrange_recovers_polynomial() {
-        let coeffs = [Gf(5), Gf(17), Gf(300), Gf(9)];
-        let points: Vec<(Gf, Gf)> = (1..=4)
-            .map(|i| (Gf::alpha(i), poly_eval(&coeffs, Gf::alpha(i))))
-            .collect();
-        for x in [Gf::ZERO, Gf(1), Gf(12345), Gf::alpha(2)] {
-            assert_eq!(lagrange_eval(&points, x), poly_eval(&coeffs, x));
-        }
     }
 
     proptest! {

@@ -221,6 +221,32 @@ mod tests {
     }
 
     #[test]
+    fn self_delivery_is_immediate() {
+        // Even with a large base delay and jitter, a party's own messages
+        // arrive at once.
+        let d = EdgeDelays::uniform(3, 50, 50);
+        assert_eq!(d.sample(2, 2, 0), Some(0));
+    }
+
+    #[test]
+    fn jitter_reorders_later_sends() {
+        let d = EdgeDelays::uniform(11, 5, 10);
+        let mut reordered = false;
+        let mut prev = 0;
+        for seq in 0..64 {
+            let delay = d.sample(0, 1, seq).unwrap();
+            assert_eq!(d.sample(0, 1, seq), Some(delay), "stateless sampling");
+            // Message seq sent at time seq arrives at seq + delay; a later
+            // send arriving before an earlier one is a reorder.
+            if seq > 0 && seq + delay < prev {
+                reordered = true;
+            }
+            prev = seq + delay;
+        }
+        assert!(reordered, "jitter of 10 over send gaps of 1 must reorder");
+    }
+
+    #[test]
     fn rules_target_edges_and_drop() {
         let d = EdgeDelays::uniform(1, 4, 0).with_rule(EdgeRule {
             from: Some(0),

@@ -1,5 +1,5 @@
 //! Event-driven TCP driver: runs an [`AsyncProtocol`] over a
-//! [`TcpParty`] with no round barriers and no Δ.
+//! [`TcpParty`] with no round barriers, no timers and no Δ.
 //!
 //! The synchronous surface of [`TcpParty`] batches sends until
 //! `next_round` and then waits on each peer's round frame under a Δ
@@ -33,7 +33,7 @@
 //! after the fixed 30 s deadline (a liveness backstop for runs with more
 //! than `t` failures).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Display;
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
@@ -61,9 +61,6 @@ const LINGER: Duration = Duration::from_millis(300);
 /// Trace scope the run's records live under.
 const SCOPE: &str = "async";
 
-/// Milliseconds one [`Action::SetTimer`] unit stretches to.
-const MS_PER_TIMER_UNIT: u64 = 1;
-
 /// Runs `proto` on `party` event-driven until it decides (plus the
 /// linger window) or the deadline expires. Returns the decision, or
 /// `None` if the protocol never decided — or crashed under its fault
@@ -81,38 +78,27 @@ where
         party.trace(TraceEvent::Input { value: repr });
     }
 
-    // Self-deliveries stay local (Broadcast includes `me`); timers are
-    // keyed by absolute fire time with a tiebreak sequence.
+    // Self-deliveries stay local (Broadcast includes `me`).
     let mut self_queue: VecDeque<Bytes> = VecDeque::new();
-    let mut timers: BTreeMap<(Duration, u64), u64> = BTreeMap::new();
-    let mut timer_seq: u64 = 0;
     let mut decided = false;
     let mut last_activity = start;
 
     let actions = proto.on_start();
-    apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
+    apply(party, &mut self_queue, actions);
 
     loop {
-        let now = party.clock.now();
-        if party.core.crashed() || now.saturating_sub(start) >= DEADLINE {
+        if party.core.crashed() || party.clock.now().saturating_sub(start) >= DEADLINE {
             break;
         }
 
-        // Local work first: self-deliveries, then due timers.
+        // Local work first: self-deliveries, then the network.
         if let Some(payload) = self_queue.pop_front() {
             party.trace(TraceEvent::Deliver {
                 from: me.index() as u64,
                 bytes: payload.len() as u64,
             });
             let actions = proto.on_message(me, &payload);
-            apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
-        } else if timers
-            .first_key_value()
-            .is_some_and(|((at, _), _)| *at <= now)
-        {
-            let ((_, _), id) = timers.pop_first().expect("checked non-empty");
-            let actions = proto.on_timer(id);
-            apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
+            apply(party, &mut self_queue, actions);
         } else {
             match party.pump(POLL) {
                 Ok(()) => {}
@@ -134,7 +120,7 @@ where
             });
             last_activity = party.clock.now();
             let actions = proto.on_message(PartyId(from), &payload);
-            apply(party, &mut self_queue, &mut timers, &mut timer_seq, actions);
+            apply(party, &mut self_queue, actions);
         }
         if !decided {
             if let Some(out) = proto.output() {
@@ -155,13 +141,7 @@ where
 }
 
 /// Executes one batch of protocol actions against the transport.
-fn apply(
-    party: &mut TcpParty,
-    self_queue: &mut VecDeque<Bytes>,
-    timers: &mut BTreeMap<(Duration, u64), u64>,
-    timer_seq: &mut u64,
-    actions: Vec<Action>,
-) {
+fn apply(party: &mut TcpParty, self_queue: &mut VecDeque<Bytes>, actions: Vec<Action>) {
     for action in actions {
         match action {
             Action::Send { to, payload } => send(party, self_queue, to.index(), payload),
@@ -169,14 +149,6 @@ fn apply(
                 for to in 0..party.n() {
                     send(party, self_queue, to, payload.clone());
                 }
-            }
-            Action::SetTimer { id, after } => {
-                let at = party
-                    .clock
-                    .now()
-                    .saturating_add(Duration::from_millis(after * MS_PER_TIMER_UNIT));
-                timers.insert((at, *timer_seq), id);
-                *timer_seq += 1;
             }
             Action::Note { label, value } => {
                 party.trace(TraceEvent::Note { label, value });

@@ -27,7 +27,9 @@
 #                      number without the artifact updated in the same
 #                      commit fails the gate
 #   6. engine smoke  — the multi-tenant service: the S1 throughput
-#                      experiment must emit its BENCH artifact, and the
+#                      experiment's fresh BENCH artifact must equal the one
+#                      committed at the repo root on every line but its
+#                      wall-clock "sessions_per_sec" ones, and the
 #                      closed-loop load generator must sustain real load
 #   7. chaos smoke   — crash-fault tolerance of the TCP runtime: the R1
 #                      resilience experiment runs a crash over real sockets,
@@ -101,6 +103,10 @@ cargo run --offline -q -p ca-trace --bin ca-trace -- report "$artifacts/run.json
 
 echo "==> [6/12] engine smoke (S1 artifact + closed-loop load)"
 test -s "$artifacts/BENCH_s1.json"  || { echo "missing BENCH_s1.json"; exit 1; }
+# S1's exact part: every line but the wall-clock sessions/s.
+diff -u <(grep -v '"sessions_per_sec"' BENCH_s1.json) \
+    <(grep -v '"sessions_per_sec"' "$artifacts/BENCH_s1.json") \
+    || { echo "BENCH_s1.json: exact metrics differ from the committed artifact"; exit 1; }
 cargo run --offline -q -p ca-engine --example closed_loop -- 2 >/dev/null
 
 echo "==> [7/12] chaos smoke (R1 artifact content)"
