@@ -42,8 +42,8 @@ impl Diagnostic {
     }
 }
 
-/// Escapes `s` as a JSON string literal (shared with the budget table).
-pub(crate) fn json_str(s: &str) -> String {
+/// Escapes `s` as a JSON string literal.
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -159,7 +159,7 @@ mod tests {
         assert!(!sup.allows("wire-taint", 1));
         assert!(sup.allows("wire-taint", 2));
         assert!(!sup.allows("wire-taint", 3));
-        assert!(!sup.allows("comm-budget", 2));
+        assert!(!sup.allows("concurrency-discipline", 2));
     }
 
     #[test]
@@ -183,9 +183,10 @@ mod tests {
 
     #[test]
     fn file_level_pragma() {
-        let src = "//! ca-lint: allow(comm-budget) — this file is the metering layer\nfn f() {}\n";
+        let src =
+            "//! ca-lint: allow(concurrency-discipline) — this file owns one lock\nfn f() {}\n";
         let sup = Suppressions::collect(&lex(src));
-        assert!(sup.allows("comm-budget", 999));
+        assert!(sup.allows("concurrency-discipline", 999));
     }
 
     #[test]

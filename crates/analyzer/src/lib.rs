@@ -6,9 +6,12 @@
 //! stdout in protocol crates) are clippy lints, configured in the root
 //! `Cargo.toml`, `clippy.toml` and the message crates' `#![deny(...)]`
 //! line. This crate checks what needs the whole workspace: flows across
-//! functions and crates, send sites, and lock order.
+//! functions and crates, and lock order. Communication cost is not
+//! checked here: every send is metered by its transport, and the exact
+//! per-scope bits of every experiment that runs are committed as
+//! `BENCH_*.json` artifacts and diffed by `scripts/check.sh`.
 //!
-//! Semantic workspace passes ([`passes`]), built on a lightweight item
+//! Two semantic workspace passes ([`passes`]), built on a lightweight item
 //! parser ([`parser`]), a workspace symbol table with a call graph
 //! ([`symbols`]), and an interprocedural taint engine ([`dataflow`]):
 //!
@@ -17,9 +20,6 @@
 //!   or indexing a slice, across function and crate boundaries, or a
 //!   single forged frame defeats the paper's `O(ℓn + κ·n²·log²n)`
 //!   communication bound by forcing gigabyte allocations.
-//! - **comm-budget** — every transitive send site routes through a
-//!   metered helper, is attributable to an annotated round scope, and
-//!   matches the committed `analyzer-baseline.json` send-site table.
 //! - **concurrency-discipline** — consistent lock ordering, no double
 //!   acquisition, no channel operations while holding a lock.
 //!
@@ -43,5 +43,5 @@ pub mod symbols;
 
 pub use diagnostics::Diagnostic;
 pub use engine::collect_sources;
-pub use passes::{run_semantic, BudgetTable, SemanticConfig, SemanticOutput, SendSite};
+pub use passes::{run_semantic, SemanticConfig};
 pub use symbols::{SourceFile, SymbolTable};

@@ -1,5 +1,5 @@
 //! A lightweight Rust *item* parser over the token stream: just enough
-//! structure (fn / impl / struct) for workspace-level semantic analysis.
+//! structure (fn / impl) for workspace-level semantic analysis.
 //!
 //! This is deliberately not a grammar-complete parser. It recovers the
 //! item skeleton — function names, owning `impl` types, parameter names,
@@ -30,77 +30,34 @@ pub struct FnDecl {
     pub body: (usize, usize),
     /// Whether the item sits inside a `#[cfg(test)]` module.
     pub in_cfg_test: bool,
-    /// `ca-budget:` annotations from the comment block directly above
-    /// the item (e.g. `metered`, `scope(engine)`).
-    pub annotations: Vec<String>,
 }
-
-/// A parsed `struct` item (name inventory only).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructDecl {
-    /// Struct name.
-    pub name: String,
-    /// 1-indexed line of the `struct` keyword.
-    pub line: u32,
-}
-
-/// All items recovered from one file.
-#[derive(Debug, Clone, Default)]
-pub struct Items {
-    /// Functions (including methods and nested fns), in source order.
-    pub fns: Vec<FnDecl>,
-    /// Structs, in source order.
-    pub structs: Vec<StructDecl>,
-}
-
-/// Keywords that can precede `fn`/`struct` as qualifiers, plus tokens
-/// that legitimately appear in an attribute/visibility run above an item.
-const ITEM_QUALIFIERS: &[&str] = &[
-    "pub", "crate", "in", "super", "async", "unsafe", "const", "extern", "default",
-];
 
 /// Parses `tokens` (with the `#[cfg(test)]` mask from
-/// [`crate::engine::mask_cfg_test`]) into items.
+/// [`crate::engine::mask_cfg_test`]) into its functions (including
+/// methods and nested fns), in source order.
 #[must_use]
-pub fn parse_items(tokens: &[Token<'_>], masked: &[bool]) -> Items {
-    let mut items = Items::default();
+pub fn parse_fns(tokens: &[Token<'_>], masked: &[bool]) -> Vec<FnDecl> {
+    let mut fns = Vec::new();
     // Impl block spans: (body_start, body_end, self_ty).
     let impls = collect_impl_spans(tokens);
 
     let mut i = 0usize;
     while i < tokens.len() {
         let tok = &tokens[i];
-        if tok.kind != TokenKind::Ident {
+        if tok.kind != TokenKind::Ident || tok.text != "fn" {
             i += 1;
             continue;
         }
-        match tok.text {
-            "fn" => {
-                if let Some((decl, next)) = parse_fn(tokens, masked, &impls, i) {
-                    items.fns.push(decl);
-                    // Continue *inside* the signature so nested fns are
-                    // found too; bodies overlap their parent on purpose.
-                    i = next;
-                } else {
-                    i += 1;
-                }
-            }
-            "struct" => {
-                if let Some(name_tok) = next_code_idx(tokens, i)
-                    .map(|j| &tokens[j])
-                    .filter(|t| t.kind == TokenKind::Ident)
-                {
-                    items.structs.push(StructDecl {
-                        name: name_tok.text.to_owned(),
-                        line: tok.line,
-                    });
-                }
-                i += 1;
-            }
-            _ => i += 1,
+        if let Some((decl, next)) = parse_fn(tokens, masked, &impls, i) {
+            fns.push(decl);
+            // Continue *inside* the signature so nested fns are found
+            // too; bodies overlap their parent on purpose.
+            i = next;
+        } else {
+            i += 1;
         }
     }
-    items
+    fns
 }
 
 /// Index of the next non-comment token after `i`.
@@ -169,7 +126,6 @@ fn parse_fn(
             params,
             body,
             in_cfg_test: masked.get(i).copied().unwrap_or(false),
-            annotations: collect_annotations(tokens, i),
         },
         params_end + 1,
     ))
@@ -249,67 +205,6 @@ fn collect_params(tokens: &[Token<'_>], open: usize, close: usize) -> Vec<String
         prev = Some(t);
     }
     params
-}
-
-/// Collects `ca-budget:` annotations from the contiguous run of
-/// comments, attributes, and qualifiers directly above token `i`
-/// (the `fn` keyword).
-fn collect_annotations(tokens: &[Token<'_>], i: usize) -> Vec<String> {
-    let mut anns = Vec::new();
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let t = &tokens[j];
-        if t.is_comment() {
-            if let Some(ann) = parse_budget_annotation(t.text) {
-                anns.push(ann);
-            }
-            continue;
-        }
-        if t.kind == TokenKind::Ident && ITEM_QUALIFIERS.contains(&t.text) {
-            continue;
-        }
-        // Walk backwards over a `#[ … ]` attribute.
-        if t.text == "]" {
-            let mut depth = 1i64;
-            let mut k = j;
-            while k > 0 && depth > 0 {
-                k -= 1;
-                match tokens[k].text {
-                    "]" => depth += 1,
-                    "[" => depth -= 1,
-                    _ => {}
-                }
-            }
-            if k > 0 && tokens[k - 1].text == "#" {
-                j = k - 1;
-                continue;
-            }
-            break;
-        }
-        // `pub(crate)` / `extern "C"` leftovers.
-        if matches!(t.text, "(" | ")") || t.kind == TokenKind::Literal {
-            continue;
-        }
-        break;
-    }
-    anns.reverse();
-    anns
-}
-
-/// Extracts the annotation body from a `// ca-budget: <body>` comment.
-fn parse_budget_annotation(comment: &str) -> Option<String> {
-    let idx = comment.find("ca-budget:")?;
-    let rest = comment[idx + "ca-budget:".len()..].trim();
-    // Cut an explanatory suffix after the annotation proper: the body
-    // runs to the first `—` or ` -- ` separator, if any.
-    let body = rest.split('—').next().unwrap_or(rest);
-    let body = body.split(" -- ").next().unwrap_or(body).trim();
-    if body.is_empty() {
-        None
-    } else {
-        Some(body.to_owned())
-    }
 }
 
 /// Finds every `impl … { … }` block: `(body_start, body_end, self_ty)`
@@ -410,17 +305,17 @@ mod tests {
     use crate::engine::mask_cfg_test;
     use crate::lexer::lex;
 
-    fn parse(src: &str) -> Items {
+    fn parse(src: &str) -> Vec<FnDecl> {
         let tokens = lex(src);
         let masked = mask_cfg_test(&tokens);
-        parse_items(&tokens, &masked)
+        parse_fns(&tokens, &masked)
     }
 
     #[test]
     fn free_fn_with_params() {
-        let items = parse("pub fn run(ctx: &mut dyn Comm, v_in: &Nat) -> Nat { body() }\n");
-        assert_eq!(items.fns.len(), 1);
-        let f = &items.fns[0];
+        let fns = parse("pub fn run(ctx: &mut dyn Comm, v_in: &Nat) -> Nat { body() }\n");
+        assert_eq!(fns.len(), 1);
+        let f = &fns[0];
         assert_eq!(f.name, "run");
         assert_eq!(f.params, vec!["ctx", "v_in"]);
         assert!(f.self_ty.is_none());
@@ -429,66 +324,50 @@ mod tests {
 
     #[test]
     fn impl_methods_get_self_ty() {
-        let items = parse(
+        let fns = parse(
             "struct Foo;\nimpl Foo { fn a(&self) {} }\nimpl Comm for Foo { fn b(&mut self, x: u64) {} }\n",
         );
-        assert_eq!(items.structs.len(), 1);
-        assert_eq!(items.fns.len(), 2);
-        assert_eq!(items.fns[0].self_ty.as_deref(), Some("Foo"));
-        assert_eq!(items.fns[1].self_ty.as_deref(), Some("Foo"));
-        assert_eq!(items.fns[1].params, vec!["x"]);
+        assert_eq!(fns.len(), 2);
+        assert_eq!(fns[0].self_ty.as_deref(), Some("Foo"));
+        assert_eq!(fns[1].self_ty.as_deref(), Some("Foo"));
+        assert_eq!(fns[1].params, vec!["x"]);
     }
 
     #[test]
     fn generic_impl_and_references() {
-        let items = parse(
+        let fns = parse(
             "impl<'a, T: Clone> Comm for SilentAfter<'a, T> { fn n(&self) -> usize { 0 } }\n",
         );
-        assert_eq!(items.fns[0].self_ty.as_deref(), Some("SilentAfter"));
+        assert_eq!(fns[0].self_ty.as_deref(), Some("SilentAfter"));
     }
 
     #[test]
     fn bodyless_trait_fn_skipped_body() {
-        let items = parse("trait T { fn sig(&self); fn with_body(&self) { x() } }\n");
-        assert_eq!(items.fns.len(), 2);
-        assert_eq!(items.fns[0].body, (0, 0));
-        assert!(items.fns[1].body.1 > items.fns[1].body.0);
+        let fns = parse("trait T { fn sig(&self); fn with_body(&self) { x() } }\n");
+        assert_eq!(fns.len(), 2);
+        assert_eq!(fns[0].body, (0, 0));
+        assert!(fns[1].body.1 > fns[1].body.0);
     }
 
     #[test]
     fn nested_fn_found() {
-        let items = parse("fn outer() { fn inner(q: u8) {} inner(1); }\n");
-        let names: Vec<&str> = items.fns.iter().map(|f| f.name.as_str()).collect();
+        let fns = parse("fn outer() { fn inner(q: u8) {} inner(1); }\n");
+        let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["outer", "inner"]);
     }
 
     #[test]
     fn cfg_test_mark() {
-        let items = parse("fn real() {}\n#[cfg(test)]\nmod t { fn helper() {} }\n");
-        assert!(!items.fns[0].in_cfg_test);
-        assert!(items.fns[1].in_cfg_test);
-    }
-
-    #[test]
-    fn budget_annotations_above_fn() {
-        let items = parse(
-            "// ca-budget: scope(engine) — batching layer\n#[allow(dead_code)]\npub fn run_engine() {}\n",
-        );
-        assert_eq!(items.fns[0].annotations, vec!["scope(engine)"]);
-    }
-
-    #[test]
-    fn annotation_does_not_leak_across_items() {
-        let items = parse("// ca-budget: metered\nfn a() {}\nfn b() {}\n");
-        assert_eq!(items.fns[0].annotations, vec!["metered"]);
-        assert!(items.fns[1].annotations.is_empty());
+        let fns = parse("fn real() {}\n#[cfg(test)]\nmod t { fn helper() {} }\n");
+        assert!(!fns[0].in_cfg_test);
+        assert!(fns[1].in_cfg_test);
     }
 
     #[test]
     fn fn_pointer_type_not_an_item() {
-        let items = parse("type Cb = fn(usize) -> bool;\nfn real() {}\n");
-        assert_eq!(items.fns.len(), 1);
-        assert_eq!(items.fns[0].name, "real");
+        let fns = parse("type Cb = fn(usize) -> bool;\nfn real() {}\n");
+        assert_eq!(fns.len(), 1);
+        assert_eq!(fns[0].name, "real");
     }
 
     #[test]
@@ -508,9 +387,9 @@ mod tests {
 
     #[test]
     fn generic_fn_signature() {
-        let items =
+        let fns =
             parse("fn lba_plus<V: Value>(ctx: &mut dyn Comm, input: &V) -> Option<V> { x }\n");
-        assert_eq!(items.fns[0].name, "lba_plus");
-        assert_eq!(items.fns[0].params, vec!["ctx", "input"]);
+        assert_eq!(fns[0].name, "lba_plus");
+        assert_eq!(fns[0].params, vec!["ctx", "input"]);
     }
 }

@@ -38,7 +38,7 @@ const ACQUIRERS: &[&str] = &["lock", "read", "write"];
 
 /// Channel operations that must not run under a lock. `send` is only
 /// counted with exactly one argument (two-argument `send` is the Comm
-/// wire helper, audited by `comm-budget`).
+/// wire helper, which takes no lock).
 const CHANNEL_OPS: &[&str] = &[
     "send",
     "try_send",
@@ -482,7 +482,6 @@ mod tests {
             &table,
             &SemanticConfig {
                 taint_crates: vec![],
-                budget_crates: vec![],
                 lock_crates: vec!["ca-runtime".into()],
             },
         )

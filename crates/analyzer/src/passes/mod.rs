@@ -4,17 +4,13 @@
 //! | pass | what it enforces |
 //! |---|---|
 //! | `wire-taint` | attacker-controlled wire input must be decoded or validated before sizing allocations or indexing |
-//! | `comm-budget` | every transitive send site routes through a metered helper, is reachable from an annotated round scope, and matches the committed baseline |
 //! | `concurrency-discipline` | consistent lock ordering, no double acquisition, no channel ops while holding a lock |
 
-pub mod comm_budget;
 pub mod concurrency;
 pub mod wire_taint;
 
 use crate::diagnostics::Diagnostic;
 use crate::symbols::{SourceFile, SymbolTable};
-
-pub use comm_budget::{BudgetTable, SendSite};
 
 /// Which crates each semantic pass applies to. The production policy is
 /// [`SemanticConfig::production`]; fixtures and the self-hosting test
@@ -23,8 +19,6 @@ pub use comm_budget::{BudgetTable, SendSite};
 pub struct SemanticConfig {
     /// Crates whose code must respect the wire-taint discipline.
     pub taint_crates: Vec<String>,
-    /// Crates whose send sites are budget-audited.
-    pub budget_crates: Vec<String>,
     /// Crates whose lock usage is checked.
     pub lock_crates: Vec<String>,
 }
@@ -44,7 +38,6 @@ impl SemanticConfig {
                 "ca-runtime",
                 "ca-engine",
             ]),
-            budget_crates: v(&["ca-core", "ca-ba", "ca-engine"]),
             lock_crates: v(&["ca-runtime", "ca-engine", "ca-trace"]),
         }
     }
@@ -56,30 +49,18 @@ impl SemanticConfig {
         let v: Vec<String> = crates.iter().map(|s| (*s).to_owned()).collect();
         SemanticConfig {
             taint_crates: v.clone(),
-            budget_crates: v.clone(),
             lock_crates: v,
         }
     }
 }
 
-/// Result of a deep run: diagnostics plus the send-site budget table
-/// (diffed against the committed baseline by the CLI).
-#[derive(Debug)]
-pub struct SemanticOutput {
-    /// Findings from all three passes, suppression-filtered and sorted.
-    pub diags: Vec<Diagnostic>,
-    /// The static send-site table.
-    pub budget: BudgetTable,
-}
-
-/// Runs all semantic passes over `files`.
+/// Runs both semantic passes over `files`: the findings,
+/// suppression-filtered and sorted.
 #[must_use]
-pub fn run_semantic(files: &[SourceFile], config: &SemanticConfig) -> SemanticOutput {
+pub fn run_semantic(files: &[SourceFile], config: &SemanticConfig) -> Vec<Diagnostic> {
     let table = SymbolTable::build(files);
     let mut diags = Vec::new();
     diags.extend(wire_taint::run(&table, config));
-    let (budget_diags, budget) = comm_budget::run(&table, config);
-    diags.extend(budget_diags);
     diags.extend(concurrency::run(&table, config));
     diags.retain(|d| {
         !table
@@ -90,5 +71,5 @@ pub fn run_semantic(files: &[SourceFile], config: &SemanticConfig) -> SemanticOu
     diags.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
-    SemanticOutput { diags, budget }
+    diags
 }

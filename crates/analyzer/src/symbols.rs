@@ -5,16 +5,15 @@
 //! walk it repeatedly without holding borrows on file contents, and a
 //! name-resolved call graph connects the functions. Resolution is
 //! intentionally *over-approximate* (a method call resolves to every
-//! workspace method with that name): reachability-style checks stay
-//! sound in the direction that matters — "unreachable from any round
-//! scope" is only reported when no resolution could reach the site.
+//! workspace method with that name), so an interprocedural summary
+//! never misses a callee the code could reach.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diagnostics::Suppressions;
 use crate::engine::{is_test_path, mask_cfg_test};
 use crate::lexer::{lex, TokenKind};
-use crate::parser::{parse_items, StructDecl};
+use crate::parser::parse_fns;
 
 /// One source file handed to the semantic analyzer.
 #[derive(Debug, Clone)]
@@ -57,13 +56,6 @@ pub struct FnInfo {
     pub body: Vec<Tok>,
     /// Test code: `#[cfg(test)]` module or tests/benches/examples path.
     pub is_test: bool,
-    /// Declared a metered send helper (`// ca-budget: metered`).
-    pub metered: bool,
-    /// Declared a round-scope root (`// ca-budget: scope(name)`).
-    pub scope_ann: Option<String>,
-    /// String literals passed to `.scoped(` / `.push_scope(` in this
-    /// body, with the body-token index of the literal.
-    pub scope_literals: Vec<(usize, String)>,
 }
 
 /// The workspace-wide symbol table plus call graph.
@@ -71,17 +63,10 @@ pub struct FnInfo {
 pub struct SymbolTable {
     /// Every function, in (file, source order).
     pub fns: Vec<FnInfo>,
-    /// Struct inventory (per file).
-    pub structs: Vec<(String, StructDecl)>,
     /// `calls[f]` = indices of functions `f` may call (sorted, deduped).
     pub calls: Vec<Vec<usize>>,
-    /// Reverse edges of [`SymbolTable::calls`].
-    pub callers: Vec<Vec<usize>>,
     /// Suppression pragmas per file path.
     pub suppressions: BTreeMap<String, Suppressions>,
-    /// `// ca-budget: raw-send(reason)` line pragmas per file path:
-    /// (pragma line, standalone, reason).
-    pub raw_send_pragmas: BTreeMap<String, Vec<(u32, bool, String)>>,
     by_bare: BTreeMap<String, Vec<usize>>,
 }
 
@@ -106,16 +91,8 @@ impl SymbolTable {
             table
                 .suppressions
                 .insert(file.path.clone(), Suppressions::collect(&tokens));
-            let raws = collect_raw_send_pragmas(&tokens);
-            if !raws.is_empty() {
-                table.raw_send_pragmas.insert(file.path.clone(), raws);
-            }
-            let items = parse_items(&tokens, &masked);
-            for s in items.structs {
-                table.structs.push((file.path.clone(), s));
-            }
             let file_is_test = is_test_path(&file.path);
-            for f in items.fns {
+            for f in parse_fns(&tokens, &masked) {
                 let body: Vec<Tok> = tokens[f.body.0..f.body.1.min(tokens.len())]
                     .iter()
                     .filter(|t| !t.is_comment())
@@ -125,17 +102,10 @@ impl SymbolTable {
                         line: t.line,
                     })
                     .collect();
-                let scope_literals = find_scope_literals(&body);
                 let qualified = match &f.self_ty {
                     Some(ty) => format!("{}::{}::{}", file.crate_name, ty, f.name),
                     None => format!("{}::{}", file.crate_name, f.name),
                 };
-                let metered = f.annotations.iter().any(|a| a == "metered");
-                let scope_ann = f.annotations.iter().find_map(|a| {
-                    a.strip_prefix("scope(")
-                        .and_then(|r| r.strip_suffix(')'))
-                        .map(str::to_owned)
-                });
                 table.fns.push(FnInfo {
                     crate_name: file.crate_name.clone(),
                     file: file.path.clone(),
@@ -145,9 +115,6 @@ impl SymbolTable {
                     params: f.params,
                     body,
                     is_test: file_is_test || f.in_cfg_test,
-                    metered,
-                    scope_ann,
-                    scope_literals,
                 });
             }
         }
@@ -190,14 +157,7 @@ impl SymbolTable {
             }
             calls[idx] = out.into_iter().collect();
         }
-        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); self.fns.len()];
-        for (caller, callees) in calls.iter().enumerate() {
-            for &callee in callees {
-                callers[callee].push(caller);
-            }
-        }
         self.calls = calls;
-        self.callers = callers;
     }
 }
 
@@ -271,69 +231,6 @@ pub fn match_close(body: &[Tok], open: usize) -> usize {
     body.len().saturating_sub(1)
 }
 
-/// `.scoped("name"` / `.push_scope("name"` literals, with positions.
-fn find_scope_literals(body: &[Tok]) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (i, t) in body.iter().enumerate() {
-        if t.kind != TokenKind::Ident || (t.text != "scoped" && t.text != "push_scope") {
-            continue;
-        }
-        let Some(open) = call_open_paren(body, i) else {
-            continue;
-        };
-        if let Some(lit) = body.get(open + 1).filter(|l| l.kind == TokenKind::Literal) {
-            let name = lit.text.trim_matches('"');
-            if !name.is_empty() {
-                out.push((open + 1, name.to_owned()));
-            }
-        }
-    }
-    out
-}
-
-/// `// ca-budget: raw-send(reason)` pragmas: `(line, standalone, reason)`.
-/// Standalone pragmas cover the next line; trailing pragmas their own.
-fn collect_raw_send_pragmas(tokens: &[crate::lexer::Token<'_>]) -> Vec<(u32, bool, String)> {
-    let mut out = Vec::new();
-    let mut last_code_line = 0u32;
-    for t in tokens {
-        if !t.is_comment() {
-            last_code_line = t.line;
-            continue;
-        }
-        let Some(idx) = t.text.find("ca-budget:") else {
-            continue;
-        };
-        let rest = t.text[idx + "ca-budget:".len()..].trim_start();
-        let Some(inner) = rest.strip_prefix("raw-send(") else {
-            continue;
-        };
-        let Some(close) = inner.find(')') else {
-            continue;
-        };
-        let reason = inner[..close].trim().to_owned();
-        if !reason.is_empty() {
-            out.push((t.line, last_code_line != t.line, reason));
-        }
-    }
-    out
-}
-
-/// Whether a raw-send pragma in `pragmas` covers `line`.
-#[must_use]
-pub fn raw_send_reason(pragmas: &[(u32, bool, String)], line: u32) -> Option<&str> {
-    pragmas
-        .iter()
-        .find(|(l, standalone, _)| {
-            if *standalone {
-                l.saturating_add(1) == line
-            } else {
-                *l == line
-            }
-        })
-        .map(|(_, _, r)| r.as_str())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,17 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_literals_found() {
-        let table = SymbolTable::build(&files(&[(
-            "ca-core",
-            "p.rs",
-            "fn pi(ctx: &mut dyn Comm) { ctx.scoped(\"pi_n\", |ctx| { go(ctx) }) }\n",
-        )]));
-        assert_eq!(table.fns[0].scope_literals.len(), 1);
-        assert_eq!(table.fns[0].scope_literals[0].1, "pi_n");
-    }
-
-    #[test]
     fn reachability() {
         let table = SymbolTable::build(&files(&[(
             "ca-a",
@@ -399,18 +285,8 @@ mod tests {
         let id = |name: &str| table.fns_named(name)[0];
         assert_eq!(table.calls[id("root")], vec![id("mid")]);
         assert_eq!(table.calls[id("mid")], vec![id("leaf")]);
-        assert_eq!(table.callers[id("leaf")], vec![id("mid")]);
-        assert!(table.callers[id("island")].is_empty());
-    }
-
-    #[test]
-    fn raw_send_pragma_lines() {
-        let toks = lex("// ca-budget: raw-send(batching)\nx.send_bytes(a, b);\ny.send_bytes(a, b); // ca-budget: raw-send(tail)\n");
-        let pragmas = collect_raw_send_pragmas(&toks);
-        assert_eq!(raw_send_reason(&pragmas, 2), Some("batching"));
-        assert_eq!(raw_send_reason(&pragmas, 3), Some("tail"));
-        assert_eq!(raw_send_reason(&pragmas, 1), None);
-        assert_eq!(raw_send_reason(&pragmas, 4), None);
+        assert!(table.calls[id("leaf")].is_empty());
+        assert!(table.calls.iter().all(|c| !c.contains(&id("island"))));
     }
 
     #[test]
@@ -422,16 +298,5 @@ mod tests {
         )]));
         let top = table.fns_named("top")[0];
         assert_eq!(table.calls[top].len(), 1);
-    }
-
-    #[test]
-    fn annotations_surface() {
-        let table = SymbolTable::build(&files(&[(
-            "ca-net",
-            "comm.rs",
-            "// ca-budget: metered\nfn send_all() {}\n// ca-budget: scope(engine)\nfn run_engine() {}\n",
-        )]));
-        assert!(table.fns[0].metered);
-        assert_eq!(table.fns[1].scope_ann.as_deref(), Some("engine"));
     }
 }

@@ -1,7 +1,7 @@
 //! Robustness properties for the semantic front end: the lexer, item
 //! parser, symbol builder, and passes must never panic on arbitrary
 //! input, and must be deterministic — the same bytes always produce the
-//! same symbol table, diagnostics, and budget table. The analyzer runs
+//! same symbol table and diagnostics. The analyzer runs
 //! on every commit over code that is mid-edit more often than not, so
 //! "malformed input" is its common case, not its edge case.
 
@@ -67,9 +67,6 @@ const SOUP: &[&str] = &[
     "///",
     "//!",
     "// ca-lint: allow(wire-taint)",
-    "// ca-budget: metered",
-    "// ca-budget: scope(s)",
-    "// ca-budget: raw-send(r)",
     "ctx",
     "send",
     "send_all",
@@ -98,12 +95,10 @@ fn semantic_fingerprint(src: &str) -> String {
         path: "fuzz.rs".to_owned(),
         src: src.to_owned(),
     }];
-    let out = run_semantic(&files, &SemanticConfig::uniform(&["ca-fuzz"]));
     let mut fp = String::new();
-    for d in &out.diags {
+    for d in run_semantic(&files, &SemanticConfig::uniform(&["ca-fuzz"])) {
         fp.push_str(&format!("{}:{} {} {}\n", d.file, d.line, d.rule, d.message));
     }
-    fp.push_str(&out.budget.to_json());
     fp
 }
 
@@ -117,8 +112,8 @@ fn table_fingerprint(src: &str) -> String {
     let mut fp = String::new();
     for (i, f) in table.fns.iter().enumerate() {
         fp.push_str(&format!(
-            "{} @{} params={:?} test={} metered={} calls={:?}\n",
-            f.qualified, f.line, f.params, f.is_test, f.metered, table.calls[i]
+            "{} @{} params={:?} test={} calls={:?}\n",
+            f.qualified, f.line, f.params, f.is_test, table.calls[i]
         ));
     }
     fp

@@ -1,8 +1,8 @@
 //! Fixture tests for the semantic workspace passes: for each pass, at
 //! least one fixture that MUST fail the gate (the deny-by-default
-//! direction — an unmetered send, a tainted allocation, a lock
-//! inversion) and one that must stay clean, plus determinism, baseline
-//! drift, suppression, and the self-hosting smoke test.
+//! direction — a tainted allocation, a lock inversion) and one that
+//! must stay clean, plus determinism, suppression, and the self-hosting
+//! smoke test.
 //!
 //! Fixtures are in-memory [`SourceFile`]s: each one is the smallest
 //! program that exhibits (or deliberately avoids) the property under
@@ -10,9 +10,7 @@
 
 use std::path::Path;
 
-use ca_analyzer::{
-    collect_sources, run_semantic, BudgetTable, SemanticConfig, SemanticOutput, SourceFile,
-};
+use ca_analyzer::{collect_sources, run_semantic, Diagnostic, SemanticConfig, SourceFile};
 
 fn file(crate_name: &str, path: &str, src: &str) -> SourceFile {
     SourceFile {
@@ -24,7 +22,7 @@ fn file(crate_name: &str, path: &str, src: &str) -> SourceFile {
 
 /// Runs one fixture file under a config that points every pass at its
 /// crate.
-fn run_one(crate_name: &str, src: &str) -> SemanticOutput {
+fn run_one(crate_name: &str, src: &str) -> Vec<Diagnostic> {
     run_semantic(
         &[file(crate_name, "fixture.rs", src)],
         &SemanticConfig::uniform(&[crate_name]),
@@ -33,20 +31,18 @@ fn run_one(crate_name: &str, src: &str) -> SemanticOutput {
 
 /// Runs a fixture with only the named pass crates enabled, so fixtures
 /// for one pass can't trip another.
-fn run_pass(pass: &str, src: &str) -> SemanticOutput {
+fn run_pass(pass: &str, src: &str) -> Vec<Diagnostic> {
     let mut config = SemanticConfig::uniform(&[]);
     match pass {
         "taint" => config.taint_crates = vec!["ca-fix".to_owned()],
-        "budget" => config.budget_crates = vec!["ca-fix".to_owned()],
         "locks" => config.lock_crates = vec!["ca-fix".to_owned()],
         other => panic!("unknown pass {other}"),
     }
     run_semantic(&[file("ca-fix", "fixture.rs", src)], &config)
 }
 
-fn messages(out: &SemanticOutput) -> Vec<String> {
-    out.diags
-        .iter()
+fn messages(out: &[Diagnostic]) -> Vec<String> {
+    out.iter()
         .map(|d| format!("{}:{} [{}] {}", d.file, d.line, d.rule, d.message))
         .collect()
 }
@@ -76,7 +72,7 @@ fn taint_validated_length_is_clean() {
          Vec::with_capacity(len)\n\
          }\n",
     );
-    assert!(out.diags.is_empty(), "{:?}", messages(&out));
+    assert!(out.is_empty(), "{:?}", messages(&out));
 }
 
 #[test]
@@ -123,6 +119,34 @@ fn taint_vec_repeat_macro_is_an_error() {
     assert!(msgs[0].contains("wire-taint"), "{msgs:?}");
 }
 
+/// A mutation only this pass catches (EXPERIMENTS.md M1): `read_hello`
+/// sizing its buffer from the claimed length without
+/// `validate_hello_len`. Every `ca-runtime` test passes under it.
+#[test]
+fn taint_unvalidated_hello_length_is_an_error() {
+    let read_hello = |claimed: &str| {
+        run_pass(
+            "taint",
+            &format!(
+                "fn read_hello(stream: &mut TcpStream) -> Option<usize> {{\n\
+                 let mut len_buf = [0u8; 4];\n\
+                 stream.read_exact(&mut len_buf).ok()?;\n\
+                 let len = {claimed};\n\
+                 let mut body = vec![0u8; len];\n\
+                 stream.read_exact(&mut body).ok()?;\n\
+                 Some(body.len())\n\
+                 }}\n"
+            ),
+        )
+    };
+    let raw = read_hello("u32::from_be_bytes(len_buf) as usize");
+    let msgs = messages(&raw);
+    assert_eq!(msgs.len(), 1, "{msgs:?}");
+    assert!(msgs[0].contains("fixture.rs:5 [wire-taint]"), "{msgs:?}");
+    let checked = read_hello("validate_hello_len(u32::from_be_bytes(len_buf)).ok()?");
+    assert!(checked.is_empty(), "{:?}", messages(&checked));
+}
+
 #[test]
 fn taint_decoded_inbox_is_clean() {
     let out = run_pass(
@@ -135,7 +159,7 @@ fn taint_decoded_inbox_is_clean() {
          out\n\
          }\n",
     );
-    assert!(out.diags.is_empty(), "{:?}", messages(&out));
+    assert!(out.is_empty(), "{:?}", messages(&out));
 }
 
 #[test]
@@ -154,86 +178,6 @@ fn taint_covers_the_codec_in_production() {
     let msgs = messages(&out);
     assert_eq!(msgs.len(), 1, "{msgs:?}");
     assert!(msgs[0].contains("seq.rs:2 [wire-taint]"), "{msgs:?}");
-}
-
-// ── comm-budget ─────────────────────────────────────────────────────
-
-#[test]
-fn budget_unmetered_raw_send_fails_the_gate() {
-    let out = run_pass(
-        "budget",
-        "fn pi(ctx: &mut dyn Comm) {\n\
-         ctx.scoped(\"pi_n\", |c| { c.send_bytes(to, payload); })\n\
-         }\n",
-    );
-    let msgs = messages(&out);
-    assert_eq!(msgs.len(), 1, "{msgs:?}");
-    assert!(msgs[0].contains("comm-budget"), "{msgs:?}");
-    assert!(msgs[0].contains("raw `send_bytes`"), "{msgs:?}");
-}
-
-#[test]
-fn budget_metered_scoped_send_is_clean_and_tabled() {
-    let out = run_pass(
-        "budget",
-        "fn pi(ctx: &mut dyn Comm) {\n\
-         ctx.scoped(\"pi_n\", |c| { c.send_all(&msg); })\n\
-         }\n",
-    );
-    assert!(out.diags.is_empty(), "{:?}", messages(&out));
-    assert_eq!(out.budget.sites.len(), 1);
-    assert_eq!(out.budget.sites[0].scope, "pi_n");
-    assert_eq!(out.budget.sites[0].helper, "send_all");
-}
-
-#[test]
-fn budget_unscoped_send_fails_the_gate() {
-    let out = run_pass(
-        "budget",
-        "fn lone(ctx: &mut dyn Comm) { ctx.send_all(&m); }\n",
-    );
-    let msgs = messages(&out);
-    assert_eq!(msgs.len(), 1, "{msgs:?}");
-    assert!(
-        msgs[0].contains("not reachable from any annotated round scope"),
-        "{msgs:?}"
-    );
-}
-
-#[test]
-fn budget_baseline_drift_is_detected_both_ways() {
-    let before = run_pass(
-        "budget",
-        "fn pi(ctx: &mut dyn Comm) { ctx.scoped(\"s\", |c| { c.send_all(&m); }) }\n",
-    );
-    let after = run_pass(
-        "budget",
-        "fn pi(ctx: &mut dyn Comm) { ctx.scoped(\"s\", |c| { c.send_all(&m); c.exchange(&m); }) }\n",
-    );
-    let drift = after.budget.diff_against(&before.budget);
-    assert_eq!(drift.len(), 1, "{drift:?}");
-    assert!(drift[0].message.contains("not in analyzer-baseline.json"));
-    let reverse = before.budget.diff_against(&after.budget);
-    assert_eq!(reverse.len(), 1, "{reverse:?}");
-    assert!(reverse[0].message.contains("vanished"));
-}
-
-#[test]
-fn budget_json_round_trips_and_is_stable() {
-    let out = run_pass(
-        "budget",
-        "fn pi(ctx: &mut dyn Comm) { ctx.scoped(\"s\", |c| { c.send(to, &m); c.send_all(&m); }) }\n",
-    );
-    let json = out.budget.to_json();
-    let parsed = BudgetTable::from_json(&json);
-    let keys = |t: &BudgetTable| t.sites.iter().map(|s| s.key()).collect::<Vec<_>>();
-    assert_eq!(keys(&parsed), keys(&out.budget));
-    assert_eq!(
-        parsed.to_json(),
-        json,
-        "emit → parse → emit must be a fixed point"
-    );
-    assert!(out.budget.diff_against(&parsed).is_empty());
 }
 
 // ── concurrency-discipline ──────────────────────────────────────────
@@ -265,7 +209,7 @@ fn locks_consistent_order_is_clean() {
          fn b(&self) { let g1 = self.inbox.lock(); let g2 = self.stats.lock(); }\n\
          }\n",
     );
-    assert!(out.diags.is_empty(), "{:?}", messages(&out));
+    assert!(out.is_empty(), "{:?}", messages(&out));
 }
 
 #[test]
@@ -281,19 +225,41 @@ fn locks_channel_send_under_lock_fails_the_gate() {
     assert!(msgs[0].contains("concurrency-discipline"), "{msgs:?}");
 }
 
+/// A mutation only this pass catches deterministically (EXPERIMENTS.md
+/// M1): the TCP reader sending its event while it holds its peer's
+/// `Inflow` lock. Under it the `ca-runtime` tests pass or, now and then,
+/// hang.
+#[test]
+fn locks_reader_event_sent_under_inflow_lock_fails_the_gate() {
+    let out = run_pass(
+        "locks",
+        "fn reader_loop(inflow: &Inflow, event_tx: &SyncSender<Event>, ev: Event) {\n\
+         let held = inflow.lock();\n\
+         let sent = event_tx.send(ev).is_ok();\n\
+         drop(held);\n\
+         }\n",
+    );
+    let msgs = messages(&out);
+    assert_eq!(msgs.len(), 1, "{msgs:?}");
+    assert!(
+        msgs[0].contains("fixture.rs:3 [concurrency-discipline]"),
+        "{msgs:?}"
+    );
+}
+
 #[test]
 fn locks_double_acquisition_flagged_and_drop_releases() {
     let double = run_pass(
         "locks",
         "impl S { fn d(&self) { let a = self.m.lock(); let b = self.m.lock(); } }\n",
     );
-    assert_eq!(double.diags.len(), 1, "{:?}", messages(&double));
+    assert_eq!(double.len(), 1, "{:?}", messages(&double));
 
     let released = run_pass(
         "locks",
         "impl S { fn d(&self) { let a = self.m.lock(); drop(a); let b = self.m.lock(); } }\n",
     );
-    assert!(released.diags.is_empty(), "{:?}", messages(&released));
+    assert!(released.is_empty(), "{:?}", messages(&released));
 }
 
 // ── cross-cutting ───────────────────────────────────────────────────
@@ -308,7 +274,7 @@ fn standalone_pragma_suppresses_a_semantic_finding() {
          Vec::with_capacity(len)\n\
          }\n",
     );
-    assert!(out.diags.is_empty(), "{:?}", messages(&out));
+    assert!(out.is_empty(), "{:?}", messages(&out));
 }
 
 #[test]
@@ -317,8 +283,10 @@ fn semantic_run_is_deterministic_across_invocations() {
         file(
             "ca-core",
             "a.rs",
-            "fn pi(ctx: &mut dyn Comm) { ctx.scoped(\"pi_n\", |c| { c.send_all(&m); body(c); }) }\n\
-             fn body(ctx: &mut dyn Comm) { ctx.send(to, &m); ctx.send_bytes(to, raw); }\n",
+            "fn pick(ctx: &mut dyn Comm, data: &[u8]) -> u8 {\n\
+             let i = ctx.next_round().raw_from(0) as usize;\n\
+             data[i]\n\
+             }\n",
         ),
         file(
             "ca-core",
@@ -336,25 +304,22 @@ fn semantic_run_is_deterministic_across_invocations() {
     let config = SemanticConfig::uniform(&["ca-core"]);
     let first = run_semantic(&files, &config);
     let second = run_semantic(&files, &config);
-    assert!(!first.diags.is_empty(), "fixture should produce findings");
+    assert!(!first.is_empty(), "fixture should produce findings");
     assert_eq!(messages(&first), messages(&second));
-    assert_eq!(first.budget.to_json(), second.budget.to_json());
 }
 
 #[test]
-fn mixed_fixture_reports_all_three_passes() {
+fn mixed_fixture_reports_both_passes() {
     let out = run_one(
         "ca-core",
-        "fn pi(ctx: &mut dyn Comm) { ctx.send_bytes(to, raw); }\n\
-         fn alloc(buf: [u8; 4]) -> Vec<u8> { vec![0u8; u32::from_be_bytes(buf) as usize] }\n\
+        "fn alloc(buf: [u8; 4]) -> Vec<u8> { vec![0u8; u32::from_be_bytes(buf) as usize] }\n\
          impl S {\n\
          fn a(&self) { let g1 = self.x.lock(); let g2 = self.y.lock(); }\n\
          fn b(&self) { let g2 = self.y.lock(); let g1 = self.x.lock(); }\n\
          }\n",
     );
-    let rules: std::collections::BTreeSet<&str> = out.diags.iter().map(|d| d.rule).collect();
+    let rules: std::collections::BTreeSet<&str> = out.iter().map(|d| d.rule).collect();
     assert!(rules.contains("wire-taint"), "{:?}", messages(&out));
-    assert!(rules.contains("comm-budget"), "{:?}", messages(&out));
     assert!(
         rules.contains("concurrency-discipline"),
         "{:?}",
@@ -363,8 +328,8 @@ fn mixed_fixture_reports_all_three_passes() {
 }
 
 /// Self-hosting: the analyzer's own code must pass its own semantic
-/// passes with zero findings — it allocates from trusted file sizes,
-/// sends nothing, and holds no locks.
+/// passes with zero findings — it allocates from trusted file sizes
+/// and holds no locks.
 #[test]
 fn analyzer_is_clean_under_its_own_semantic_passes() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -379,7 +344,7 @@ fn analyzer_is_clean_under_its_own_semantic_passes() {
     );
     let out = run_semantic(&own, &SemanticConfig::uniform(&["ca-analyzer"]));
     assert!(
-        out.diags.is_empty(),
+        out.is_empty(),
         "analyzer flags its own code: {:?}",
         messages(&out)
     );

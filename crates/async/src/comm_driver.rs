@@ -82,7 +82,6 @@ fn apply(ctx: &mut dyn Comm, me: PartyId, actions: Vec<Action>, self_inbox: &mut
                 if to == me {
                     self_inbox.push(payload);
                 } else {
-                    // ca-budget: metered — substrate executor meters per-scope
                     ctx.send_bytes(to, payload);
                 }
             }
@@ -92,7 +91,6 @@ fn apply(ctx: &mut dyn Comm, me: PartyId, actions: Vec<Action>, self_inbox: &mut
                     if to == me {
                         self_inbox.push(payload.clone());
                     } else {
-                        // ca-budget: metered — substrate executor meters per-scope
                         ctx.send_bytes(to, payload.clone());
                     }
                 }

@@ -30,8 +30,10 @@ impl BaKind {
         }
     }
 
-    /// Runs *binary* BA (both instantiations reduce to phase-king on bits;
-    /// going through Turpin–Coan for one bit would just add rounds).
+    /// Runs *binary* BA: the one entry through which every binary
+    /// agreement in the workspace runs, Turpin–Coan's own included (both
+    /// instantiations reduce to phase-king on bits; going through
+    /// Turpin–Coan for one bit would just add rounds).
     pub fn run_bit(self, ctx: &mut dyn Comm, input: bool) -> bool {
         phase_king(ctx, input)
     }

@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 
 use ca_net::{Comm, CommExt};
 
-use crate::{phase_king, Value};
+use crate::{BaKind, Value};
 
 /// Runs multi-valued BA on `input` via the binary-BA reduction.
 ///
@@ -81,8 +81,9 @@ pub fn turpin_coan<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
         }
         let confirmed = cand_counts.values().any(|c| *c >= quorum);
 
-        // Binary agreement on whether a confirmed candidate exists.
-        let bit = phase_king(ctx, confirmed);
+        // Binary agreement on whether a confirmed candidate exists,
+        // through the one binary-BA entry every protocol shares.
+        let bit = BaKind::TurpinCoan.run_bit(ctx, confirmed);
         let out = if !bit {
             V::default()
         } else {
@@ -111,6 +112,7 @@ pub fn turpin_coan<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase_king;
     use ca_adversary::{Equivocate, Garbage, Replay};
     use ca_bits::BitString;
     use ca_net::{Corruption, PartyId, Sim};

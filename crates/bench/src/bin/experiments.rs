@@ -2,8 +2,8 @@
 //! [t1|f1|f2|t2|f3|t3|t4|f4|f5|e1|s1|r1|a1|as1|p1|all] [--quick]
 //! [--artifacts <dir>]`
 //!
-//! `--artifacts <dir>` makes artifact-aware experiments (currently F3, S1,
-//! R1, A1, AS1, and P1) write machine-readable outputs into `<dir>`: a
+//! `--artifacts <dir>` makes artifact-aware experiments (currently T1, F3,
+//! E1, S1, R1, A1, AS1, and P1) write machine-readable outputs into `<dir>`: a
 //! `run.jsonl` event timeline (inspect with `ca-trace report/check/diff`)
 //! and a `BENCH_<exp>.json` claim-vs-measured summary.
 

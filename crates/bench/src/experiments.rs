@@ -19,7 +19,7 @@ use crate::{run_nat_protocol, runner::run_nat_protocol_traced, Protocol};
 
 /// Runs one experiment by id (`"t1"`, `"f1"`, …, or `"all"`), with an
 /// optional artifact directory: experiments that support machine-readable
-/// output (F3, S1, R1, A1, AS1, P1) additionally write a
+/// output (T1, F3, E1, S1, R1, A1, AS1, P1) additionally write a
 /// `BENCH_<exp>.json` claim-vs-measured summary — and, for F3, a
 /// `run.jsonl` event timeline — into `artifacts`.
 ///
@@ -35,7 +35,7 @@ pub fn run_by_name_opts(name: &str, quick: bool, artifacts: Option<&Path>) -> bo
 
 fn run_inner(name: &str, quick: bool, artifacts: Option<&Path>) -> bool {
     match name {
-        "t1" => t1_protocol_comparison(quick),
+        "t1" => t1_protocol_comparison(quick, artifacts),
         "f1" => f1_scaling_ell(quick),
         "f2" => f2_scaling_n(quick),
         "t2" => t2_rounds(quick),
@@ -44,7 +44,7 @@ fn run_inner(name: &str, quick: bool, artifacts: Option<&Path>) -> bool {
         "t4" => t4_adversarial(quick),
         "f4" => f4_ba_ablation(quick),
         "f5" => f5_findprefix(quick),
-        "e1" => e1_approx_vs_exact(quick),
+        "e1" => e1_approx_vs_exact(quick, artifacts),
         "s1" => s1_service_throughput(quick, artifacts),
         "r1" => r1_crash_resilience(quick, artifacts),
         "a1" => a1_adaptive_sweep(quick, artifacts),
@@ -66,9 +66,13 @@ fn run_inner(name: &str, quick: bool, artifacts: Option<&Path>) -> bool {
 /// **T1** — Corollary 2: `Π_ℕ` vs the `O(ℓn²)` and `O(ℓn³)` baselines at a
 /// fixed large `ℓ`. Expected shape: ours wins, by a factor growing ≈
 /// linearly (vs broadcast) resp. ≈ quadratically (vs high-cost) in `n`.
-pub fn t1_protocol_comparison(quick: bool) {
+///
+/// One `Π_ℤ` run on mixed-sign inputs follows the line-up. With
+/// `artifacts` set, every run lands in `<dir>/BENCH_t1.json`.
+pub fn t1_protocol_comparison(quick: bool, artifacts: Option<&Path>) {
     let ns: &[usize] = if quick { &[4, 7] } else { &[4, 7, 10, 13] };
     let ell = 1 << 14;
+    let mut summary = BenchSummary::new("t1");
     let mut table = Table::new(
         "T1: communication at ℓ = 2^14 (honest bits; paper Cor. 2 vs §1 baselines)",
         &[
@@ -83,6 +87,7 @@ pub fn t1_protocol_comparison(quick: bool) {
             if matches!(proto, Protocol::PiN(_)) {
                 ours_bits = stats.honest_bits;
             }
+            summary.push(run_row(&format!("n = {n}, {}", stats.protocol), &stats));
             let ratio = stats.honest_bits as f64 / ours_bits.max(1) as f64;
             table.row_strings(vec![
                 n.to_string(),
@@ -96,6 +101,53 @@ pub fn t1_protocol_comparison(quick: bool) {
         }
     }
     table.print();
+
+    let z = t1_pi_z_mixed_signs(ell);
+    println!(
+        "T1 (pi_z, n = {}, mixed signs): {} bits, {} rounds, agree {}, convex {}",
+        z.n,
+        fmt_bits(z.honest_bits),
+        z.rounds,
+        z.agreement,
+        z.validity
+    );
+    summary.push(run_row(&format!("n = {}, pi_z, mixed signs", z.n), &z));
+    summary.write(artifacts);
+}
+
+/// One honest `Π_ℤ` run at `n = 7`: the T1 magnitudes, negative at five
+/// parties and non-negative at two. The sign BA settles on negative (an
+/// `n − t` quorum holds it), and the two others enter `Π_ℕ` with
+/// magnitude 0, so the whole `Π_ℕ` stack runs on the magnitudes.
+fn t1_pi_z_mixed_signs(ell: usize) -> crate::runner::RunStats {
+    use ca_bits::{Int, Sign};
+    use ca_core::{check_agreement, check_convex_validity, pi_z};
+
+    let n = 7;
+    let inputs: Vec<Int> = clustered_nats(0x71 ^ n as u64, n, ell, ell / 2)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mag)| {
+            let sign = if i < 5 { Sign::Neg } else { Sign::NonNeg };
+            Int::from_parts(sign, mag)
+        })
+        .collect();
+    let run_inputs = inputs.clone();
+    let report =
+        Sim::new(n).run(move |ctx, id| pi_z(ctx, &run_inputs[id.index()], BaKind::TurpinCoan));
+    let outs: Vec<Int> = report.honest_outputs().into_iter().cloned().collect();
+    crate::runner::RunStats {
+        protocol: "pi_z",
+        n,
+        t: ca_net::max_faults(n),
+        ell,
+        attack: Attack::none().name(),
+        honest_bits: report.metrics.honest_bits,
+        rounds: report.metrics.rounds,
+        agreement: check_agreement(&outs),
+        validity: check_convex_validity(&outs, &inputs),
+        metrics: report.metrics,
+    }
 }
 
 /// **F1** — §1/§8: `Π_ℕ` is communication-optimal for
@@ -207,7 +259,6 @@ pub fn t2_rounds(quick: bool) {
             "rounds/(n·log2 n)",
             "high_cost_ca",
             "broadcast_ca(seq)",
-            "broadcast_ca(par)",
         ],
     );
     for &n in ns {
@@ -215,7 +266,6 @@ pub fn t2_rounds(quick: bool) {
         let ours = run_nat_protocol(Protocol::PiN(BaKind::TurpinCoan), &inputs, Attack::none());
         let hc = run_nat_protocol(Protocol::HighCostCa, &inputs, Attack::none());
         let bc = run_nat_protocol(Protocol::BroadcastCa, &inputs, Attack::none());
-        let bcp = run_nat_protocol(Protocol::BroadcastCaParallel, &inputs, Attack::none());
         let norm = ours.rounds as f64 / (n as f64 * (n as f64).log2());
         table.row_strings(vec![
             n.to_string(),
@@ -223,7 +273,6 @@ pub fn t2_rounds(quick: bool) {
             format!("{norm:.1}"),
             hc.rounds.to_string(),
             bc.rounds.to_string(),
-            bcp.rounds.to_string(),
         ]);
     }
     table.print();
@@ -502,20 +551,47 @@ pub fn f5_findprefix(quick: bool) {
 /// it strengthens: Approximate Agreement [16]. AA pays `O(ℓ'n²)` per
 /// halving round for ε-agreement on bounded integers; CA pays once for
 /// exact agreement on unbounded integers.
-pub fn e1_approx_vs_exact(quick: bool) {
-    use ca_core::approx_agreement;
+///
+/// With `artifacts` set, both runs of every `n` land in
+/// `<dir>/BENCH_e1.json`; the approximate row's `agreement` means
+/// ε-agreement.
+pub fn e1_approx_vs_exact(quick: bool, artifacts: Option<&Path>) {
+    use ca_core::{approx_agreement, check_convex_validity};
     let ns: &[usize] = if quick { &[7] } else { &[4, 7, 10, 13] };
+    let (range, epsilon) = ((0, 1 << 20), 1);
+    let mut summary = BenchSummary::new("e1");
     let mut table = Table::new(
         "E1: Approximate Agreement [16] vs exact CA (inputs in [0, 2^20), ε = 1)",
         &["n", "aa bits", "aa rounds", "pi_n bits", "pi_n rounds"],
     );
     for &n in ns {
         let inputs: Vec<i64> = (0..n as i64).map(|i| 500_000 + i * 1_000).collect();
-        let aa = {
-            let inputs = inputs.clone();
-            Sim::new(n)
-                .run(move |ctx, id| approx_agreement(ctx, inputs[id.index()], (0, 1 << 20), 1))
+        let run_inputs = inputs.clone();
+        let aa = Sim::new(n)
+            .run(move |ctx, id| approx_agreement(ctx, run_inputs[id.index()], range, epsilon));
+        let outs: Vec<i64> = aa.honest_outputs().into_iter().copied().collect();
+        let spread = match (outs.iter().min(), outs.iter().max()) {
+            (Some(lo), Some(hi)) => hi.abs_diff(*lo),
+            _ => 0,
         };
+        let aa_stats = crate::runner::RunStats {
+            protocol: "approx_agreement",
+            n,
+            t: ca_net::max_faults(n),
+            ell: 20,
+            attack: Attack::none().name(),
+            honest_bits: aa.metrics.honest_bits,
+            rounds: aa.metrics.rounds,
+            // Approximate agreement: outputs within ε of each other.
+            agreement: spread <= epsilon,
+            validity: check_convex_validity(&outs, &inputs),
+            metrics: aa.metrics,
+        };
+        summary.push(
+            run_row(&format!("n = {n}, approx_agreement"), &aa_stats)
+                .with("epsilon", epsilon)
+                .with("output_spread", spread),
+        );
         let ca_inputs: Vec<_> = inputs
             .iter()
             .map(|&v| ca_bits::Nat::from_u64(v as u64))
@@ -525,15 +601,17 @@ pub fn e1_approx_vs_exact(quick: bool) {
             &ca_inputs,
             Attack::none(),
         );
+        summary.push(run_row(&format!("n = {n}, pi_n"), &ca));
         table.row_strings(vec![
             n.to_string(),
-            fmt_bits(aa.metrics.honest_bits),
-            aa.metrics.rounds.to_string(),
+            fmt_bits(aa_stats.honest_bits),
+            aa_stats.rounds.to_string(),
             fmt_bits(ca.honest_bits),
             ca.rounds.to_string(),
         ]);
     }
     table.print();
+    summary.write(artifacts);
 }
 
 /// **S1** (service layer, beyond the paper) — multiplexing amortization:

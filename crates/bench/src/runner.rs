@@ -6,9 +6,7 @@ use std::sync::Arc;
 use ca_adversary::Attack;
 use ca_ba::BaKind;
 use ca_bits::Nat;
-use ca_core::{
-    broadcast_ca, broadcast_ca_parallel, check_agreement, check_convex_validity, high_cost_ca, pi_n,
-};
+use ca_core::{broadcast_ca, check_agreement, check_convex_validity, high_cost_ca, pi_n};
 use ca_net::{Metrics, Sim, TraceSink};
 
 /// Which CA protocol a run exercises.
@@ -19,9 +17,6 @@ pub enum Protocol {
     /// Classical broadcast-based CA (`O(ℓn²)` baseline), instances run
     /// sequentially.
     BroadcastCa,
-    /// Same baseline with all `n` broadcast instances composed in parallel
-    /// (identical bits up to tags; `O(max)` rounds).
-    BroadcastCaParallel,
     /// Stolz–Wattenhofer-style king CA (`O(ℓn³)` baseline).
     HighCostCa,
 }
@@ -33,7 +28,6 @@ impl Protocol {
             Protocol::PiN(BaKind::TurpinCoan) => "pi_n",
             Protocol::PiN(BaKind::PhaseKing) => "pi_n[pk]",
             Protocol::BroadcastCa => "broadcast_ca",
-            Protocol::BroadcastCaParallel => "broadcast_ca_par",
             Protocol::HighCostCa => "high_cost_ca",
         }
     }
@@ -113,7 +107,6 @@ fn run_nat_protocol_inner(
         match protocol {
             Protocol::PiN(ba) => pi_n(ctx, &input, ba),
             Protocol::BroadcastCa => broadcast_ca(ctx, input, BaKind::TurpinCoan),
-            Protocol::BroadcastCaParallel => broadcast_ca_parallel(ctx, input, BaKind::TurpinCoan),
             Protocol::HighCostCa => high_cost_ca(ctx, input, |_| true),
         }
     });

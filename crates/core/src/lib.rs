@@ -82,7 +82,7 @@ mod steps;
 
 pub use adaptive::pi_n_adaptive;
 pub use approx::approx_agreement;
-pub use baseline::{broadcast_ca, broadcast_ca_parallel};
+pub use baseline::broadcast_ca;
 pub use convex::{check_agreement, check_convex_validity, convex_hull};
 pub use find_prefix::{find_prefix, find_prefix_blocks, PrefixSearch};
 pub use fixed_length::fixed_length_ca;

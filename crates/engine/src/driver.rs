@@ -149,7 +149,6 @@ struct Slot {
 ///
 /// Panics if a session body panics (with that session's panic message),
 /// or if `config.max_sessions` is zero.
-// ca-budget: scope(engine) — the round scope is pushed via ENGINE_SCOPE, not a literal
 pub fn run_engine_party<O, F>(
     ctx: &mut dyn Comm,
     plan: &SessionPlan,
@@ -268,7 +267,9 @@ where
                     stats.batch_occupancy.record(env.frames.len() as u64);
                     batches[to.index()].push(payload.clone());
                 }
-                // ca-budget: raw-send(envelope batcher meters wire_bits per transport round from the batches collected above; per-frame CommExt metering would double-count)
+                // A raw send: the batches collected above meter `wire_bits`
+                // once per transport round; per-frame `CommExt` metering
+                // would count them twice.
                 ctx.send_bytes(to, payload);
             }
 

@@ -120,14 +120,12 @@ pub trait Comm {
 /// (including `&mut dyn Comm`).
 pub trait CommExt: Comm {
     /// Encodes and sends `msg` to `to`.
-    // ca-budget: metered — bytes land in Metrics via the transport's send_bytes
     fn send<T: Encode + ?Sized>(&mut self, to: PartyId, msg: &T) {
         self.send_bytes(to, Bytes::from(msg.encode_to_vec()));
     }
 
     /// Encodes and sends `msg` to every party (including self — the paper's
     /// "send to all parties").
-    // ca-budget: metered — bytes land in Metrics via the transport's send_bytes
     fn send_all<T: Encode + ?Sized>(&mut self, msg: &T) {
         let payload = Bytes::from(msg.encode_to_vec());
         for p in 0..self.n() {
@@ -137,7 +135,6 @@ pub trait CommExt: Comm {
 
     /// `send_all(msg)` followed by `next_round()`: the ubiquitous all-to-all
     /// exchange step.
-    // ca-budget: metered — delegates to send_all
     fn exchange<T: Encode + ?Sized>(&mut self, msg: &T) -> Inbox {
         self.send_all(msg);
         self.next_round()

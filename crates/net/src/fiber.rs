@@ -2,12 +2,11 @@
 //!
 //! Every protocol in this workspace is blocking code over
 //! [`Comm::next_round`]. An executor that hosts several such bodies — the
-//! simulator its parties, [`crate::run_parallel`] its instances, the
-//! engine driver its sessions — needs each body suspended at the
-//! boundary, its buffered sends taken, and the body resumed with an
-//! [`Inbox`]. A *fiber* is that: one scoped OS thread running the body
-//! against a private [`Comm`] whose `next_round` hands a [`Step`] to the
-//! owner and parks until the owner delivers.
+//! simulator its parties, the engine driver its sessions — needs each
+//! body suspended at the boundary, its buffered sends taken, and the body
+//! resumed with an [`Inbox`]. A *fiber* is that: one scoped OS thread
+//! running the body against a private [`Comm`] whose `next_round` hands a
+//! [`Step`] to the owner and parks until the owner delivers.
 //!
 //! The owner repeats [`Fibers::collect`] (exactly one step from every live
 //! fiber, in key order, so nothing downstream depends on thread

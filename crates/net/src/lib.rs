@@ -16,8 +16,8 @@
 //!   choosing the corrupted parties' round-`r` messages (and may adaptively
 //!   corrupt more parties mid-protocol).
 //! * [`fiber`] — the one mechanism that parks a blocking protocol body at
-//!   a round boundary; [`Sim`], [`run_parallel`] and the `ca-engine`
-//!   driver are policies over it.
+//!   a round boundary; [`Sim`] and the `ca-engine` driver are policies
+//!   over it.
 //! * [`Adversary`] / [`RoundView`] — the attacker interface; strategy
 //!   implementations live in `ca-adversary`.
 //! * [`Metrics`] — the quantities the paper bounds: `BITSℓ(Π)` (bits sent by
@@ -58,7 +58,6 @@ mod delay;
 pub mod fiber;
 mod inbox;
 mod metrics;
-mod parallel;
 mod sim;
 
 pub use adversary::{Adversary, RoundActions, RoundView, SendSpec, Silent};
@@ -70,7 +69,6 @@ pub use comm::{Comm, CommExt, FaultEstimate};
 pub use delay::{splitmix64, EdgeDelays, EdgeRule};
 pub use inbox::Inbox;
 pub use metrics::{Metrics, ScopeMetrics};
-pub use parallel::run_parallel;
 pub use sim::{Corruption, RunReport, Sim};
 
 use std::fmt;

@@ -19,13 +19,17 @@
 #                      async chaos suites included); the smoke stages below
 #                      gate artifacts, not tests.
 #   5. trace smoke   — a real traced experiment run must produce artifacts
-#                      that pass `ca-trace check`. The five --quick
+#                      that pass `ca-trace check`. The seven --quick
 #                      experiments behind stages 5–8 and 10 run here, once;
-#                      F3, A1 and AS1 are exact units only (bits, rounds,
-#                      virtual time), so their fresh BENCH files must equal
-#                      the ones committed at the repo root — a changed
-#                      number without the artifact updated in the same
-#                      commit fails the gate
+#                      T1, F3, E1, A1 and AS1 are exact units only (bits,
+#                      rounds, virtual time), so their fresh BENCH files
+#                      must equal the ones committed at the repo root — a
+#                      changed number without the artifact updated in the
+#                      same commit fails the gate. These per-scope bits are
+#                      the communication-cost gate: a new, moved or dropped
+#                      send in any protocol an experiment runs (pi_n, pi_z,
+#                      pi_n_adaptive, broadcast_ca, high_cost_ca,
+#                      approx_agreement, the engine) changes one of them
 #   6. engine smoke  — the multi-tenant service: the S1 throughput
 #                      experiment's fresh BENCH artifact must equal the one
 #                      committed at the repo root on every line but its
@@ -40,11 +44,10 @@
 #   8. adaptive smoke — the fault-adaptive fast path: the A1 sweep must
 #                      emit its BENCH artifact with the fast path beating
 #                      the worst-case protocol at f = 0
-#   9. deep analysis  — the semantic workspace passes (wire-taint,
-#                      comm-budget, concurrency-discipline) over the whole
-#                      workspace, diffed against analyzer-baseline.json;
-#                      any new/unmetered send site, tainted allocation, or
-#                      lock inversion fails the gate
+#   9. deep analysis  — the two semantic workspace passes (wire-taint,
+#                      concurrency-discipline) over the whole workspace;
+#                      any tainted allocation, lock inversion or channel
+#                      operation under a lock fails the gate
 #  10. async smoke    — the event-driven backend: the AS1 experiment must
 #                      emit its BENCH artifact with the async path beating
 #                      the Δ-mistuned sync baselines
@@ -93,11 +96,13 @@ same_as_committed() {
     diff -u "$1" "$artifacts/$1" \
         || { echo "$1: exact metrics differ from the committed artifact"; exit 1; }
 }
-cargo run --offline -q -p ca-bench --bin experiments -- f3 s1 r1 a1 as1 --quick \
+cargo run --offline -q -p ca-bench --bin experiments -- t1 e1 f3 s1 r1 a1 as1 --quick \
     --artifacts "$artifacts" >/dev/null
 test -s "$artifacts/run.jsonl"      || { echo "missing run.jsonl"; exit 1; }
-test -s "$artifacts/BENCH_f3.json"  || { echo "missing BENCH_f3.json"; exit 1; }
-same_as_committed BENCH_f3.json
+for exact in BENCH_t1.json BENCH_f3.json BENCH_e1.json; do
+    test -s "$artifacts/$exact" || { echo "missing $exact"; exit 1; }
+    same_as_committed "$exact"
+done
 cargo run --offline -q -p ca-trace --bin ca-trace -- check "$artifacts/run.jsonl"
 cargo run --offline -q -p ca-trace --bin ca-trace -- report "$artifacts/run.jsonl" >/dev/null
 
@@ -130,10 +135,9 @@ same_as_committed BENCH_a1.json
 grep -q '"f0_beats_worst_case": true' "$artifacts/BENCH_a1.json" \
     || { echo "BENCH_a1.json: fast path did not beat the worst case at f = 0"; exit 1; }
 
-echo "==> [9/12] deep semantic analysis (baseline-gated, offline)"
-cargo run --offline -q -p ca-analyzer -- --baseline analyzer-baseline.json
-cargo run --offline -q -p ca-analyzer -- --baseline analyzer-baseline.json \
-    --emit json >/dev/null   # JSON emitter stays parseable for CI
+echo "==> [9/12] deep semantic analysis (offline)"
+cargo run --offline -q -p ca-analyzer
+cargo run --offline -q -p ca-analyzer -- --emit json >/dev/null   # JSON emitter stays parseable for CI
 
 echo "==> [10/12] async smoke (AS1 artifact gate)"
 test -s "$artifacts/BENCH_as1.json" || { echo "missing BENCH_as1.json"; exit 1; }
