@@ -38,7 +38,7 @@ impl SemanticConfig {
                 "ca-runtime",
                 "ca-engine",
             ]),
-            lock_crates: v(&["ca-runtime", "ca-engine", "ca-trace"]),
+            lock_crates: v(&["ca-net", "ca-runtime", "ca-engine", "ca-trace"]),
         }
     }
 

@@ -172,6 +172,42 @@ mod tests {
         assert_eq!(outs, vec![5; 7]);
     }
 
+    /// Forwards to the transport, but sends one more message to all as
+    /// `pk`'s scope closes: the stray send of EXPERIMENTS.md M1.
+    struct SendAtPkExit<'a>(&'a mut dyn Comm);
+    impl Comm for SendAtPkExit<'_> {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn t(&self) -> usize {
+            self.0.t()
+        }
+        fn me(&self) -> PartyId {
+            self.0.me()
+        }
+        fn send_bytes(&mut self, to: PartyId, payload: bytes::Bytes) {
+            self.0.send_bytes(to, payload);
+        }
+        fn next_round(&mut self) -> ca_net::Inbox {
+            self.0.next_round()
+        }
+        fn push_scope(&mut self, name: &str) {
+            self.0.push_scope(name);
+        }
+        fn pop_scope(&mut self) {
+            self.0.send_all(&0u64);
+            self.0.pop_scope();
+        }
+    }
+
+    /// A send still pending when `pk` returns would be read as the
+    /// caller's next-round message; the scope exit rejects it instead.
+    #[test]
+    #[should_panic(expected = "4 send(s) still pending at the exit of scope pk")]
+    fn a_send_pending_at_pk_exit_panics_naming_the_scope() {
+        Sim::new(4).run(|ctx, _| phase_king(&mut SendAtPkExit(ctx), 1u64));
+    }
+
     /// A king-targeted attack: equivocate exactly during king rounds.
     struct KingSplitter;
     impl Adversary for KingSplitter {

@@ -275,10 +275,9 @@ where
 
             if table.is_empty() && next == plan.sessions {
                 // Graceful shutdown: the last sessions decided this round.
-                // Their fire-and-forget tail is buffered in the transport
-                // exactly like a single protocol's final sends — nobody is
-                // left waiting on a further round boundary, and no round
-                // frame carries it, so it costs no `round_bits`.
+                // A fire-and-forget tail of theirs would still be pending
+                // when the engine scope closes, which `Comm` rejects; the
+                // session bodies hosted today (`pi_n`) leave none.
                 break;
             }
 

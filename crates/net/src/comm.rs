@@ -51,6 +51,13 @@ impl FaultEstimate {
 /// returns everything delivered this round. All honest parties of a
 /// deterministic synchronous protocol call `next_round` the same number of
 /// times, which is what keeps instances aligned without message tags.
+///
+/// A scope ([`Comm::push_scope`] to [`Comm::pop_scope`]) must end with no
+/// send pending: a send made after a nested protocol's last round would
+/// otherwise be delivered in the caller's next round, where nothing tells
+/// it apart from the caller's own messages. The transports' `pop_scope`
+/// panics, naming the scope path and the count, when sends are pending.
+/// Only the top level may leave a fire-and-forget tail.
 pub trait Comm {
     /// Number of parties `n`.
     fn n(&self) -> usize;

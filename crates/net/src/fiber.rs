@@ -14,18 +14,27 @@
 //! multiplexing, batching, how a panic is reported — is the owner's
 //! policy; this module never branches on who is calling.
 //!
-//! Teardown is ownership-driven. Each fiber has two capacity-1 channels
-//! (at most one step and one delivery are ever in flight per fiber);
-//! [`Fibers::kill`] and dropping the [`Fibers`] close them, and a fiber
-//! that finds its channel closed unwinds with a private payload raised by
-//! [`std::panic::resume_unwind`], which does not run the panic hook — so a
-//! released fiber exits silently and the process-global hook is never
+//! Each fiber has a *slot* (a mutex over its pending step, its pending
+//! delivery and a `released` flag, plus the condvar the fiber parks on);
+//! the set shares a *hub* (a mutex over `(arrived, need)`, plus the condvar
+//! the owner parks on). A fiber leaves its step and counts itself in under
+//! the lock order slot, then hub. `collect` sets `need` to the live count
+//! and sleeps once per round, not once per fiber. One notify suffices: each
+//! live fiber owes one arrival per round, so exactly one arrival makes
+//! `arrived == need`, and the owner reads the count under the hub lock
+//! before it sleeps, so that notify cannot be missed.
+//!
+//! Teardown is ownership-driven. [`Fibers::kill`] and dropping the
+//! [`Fibers`] release the slot (`kill` uncounts a step nobody took), and a
+//! released fiber is never counted again: it unwinds with a private payload
+//! raised by [`std::panic::resume_unwind`], which does not run the panic
+//! hook — so it exits silently and the process-global hook is never
 //! touched.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::Scope;
 
 use bytes::Bytes;
@@ -112,10 +121,86 @@ fn release() -> ! {
     panic::resume_unwind(Box::new(Released))
 }
 
-/// The owner's ends of one fiber's channels.
-struct Parked<O> {
-    steps: Receiver<Step<O>>,
-    inbox: SyncSender<(Inbox, FaultView)>,
+/// One fiber's hand-off point (see the module doc). Every update under
+/// its lock and the hub's is one assignment, so a poisoned guard still
+/// holds a valid value.
+struct Slot<O> {
+    state: Mutex<SlotState<O>>,
+    delivered: Condvar,
+    hub: Arc<Hub>,
+}
+
+struct SlotState<O> {
+    step: Option<Step<O>>,
+    delivery: Option<(Inbox, FaultView)>,
+    released: bool,
+}
+
+/// The set's `(arrived, need)` count; `collect` sleeps until they meet.
+#[derive(Default)]
+struct Hub {
+    count: Mutex<(usize, usize)>,
+    all_in: Condvar,
+}
+
+impl Hub {
+    fn lock(&self) -> MutexGuard<'_, (usize, usize)> {
+        self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sleeps until `need` fibers have arrived.
+    fn wait_for(&self, need: usize) {
+        let mut count = self.lock();
+        count.1 = need;
+        let _all_in = self
+            .all_in
+            .wait_while(count, |(arrived, need)| arrived < need);
+    }
+}
+
+impl<O> Slot<O> {
+    /// Leaves `step` for the owner and counts it in. Returns the slot
+    /// still locked, or `None` (dropping `step`) once released.
+    fn arrive(&self, step: Step<O>) -> Option<MutexGuard<'_, SlotState<O>>> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if state.released {
+            return None;
+        }
+        state.step = Some(step);
+        let mut count = self.hub.lock();
+        count.0 += 1;
+        let last = count.0 == count.1;
+        drop(count);
+        if last {
+            self.hub.all_in.notify_one();
+        }
+        Some(state)
+    }
+
+    /// Takes the step this fiber left, if any.
+    fn take_step(&self) -> Option<Step<O>> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.step.take()
+    }
+
+    /// Hands the fiber its round's delivery and wakes it.
+    fn deliver(&self, delivery: (Inbox, FaultView)) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.delivery = Some(delivery);
+        drop(state);
+        self.delivered.notify_one();
+    }
+
+    /// Lets go of this fiber, uncounting a step it left but nobody took.
+    fn release(&self) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.released = true;
+        if state.step.take().is_some() {
+            self.hub.lock().0 -= 1;
+        }
+        drop(state);
+        self.delivered.notify_one();
+    }
 }
 
 /// A set of fibers keyed by `K`, bound to a [`std::thread::scope`].
@@ -129,7 +214,8 @@ pub struct Fibers<'scope, 'env, K, O> {
     n: usize,
     t: usize,
     trace_on: bool,
-    live: BTreeMap<K, Parked<O>>,
+    hub: Arc<Hub>,
+    live: BTreeMap<K, Arc<Slot<O>>>,
 }
 
 impl<'scope, 'env, K: Ord + Clone, O: Send + 'scope> Fibers<'scope, 'env, K, O> {
@@ -141,6 +227,7 @@ impl<'scope, 'env, K: Ord + Clone, O: Send + 'scope> Fibers<'scope, 'env, K, O> 
             n,
             t,
             trace_on,
+            hub: Arc::default(),
             live: BTreeMap::new(),
         }
     }
@@ -155,8 +242,15 @@ impl<'scope, 'env, K: Ord + Clone, O: Send + 'scope> Fibers<'scope, 'env, K, O> 
         faults: FaultView,
         body: impl FnOnce(&mut dyn Comm) -> O + Send + 'scope,
     ) {
-        let (steps_tx, steps_rx) = sync_channel(1);
-        let (inbox_tx, inbox_rx) = sync_channel(1);
+        let slot = Arc::new(Slot {
+            state: Mutex::new(SlotState {
+                step: None,
+                delivery: None,
+                released: false,
+            }),
+            delivered: Condvar::new(),
+            hub: Arc::clone(&self.hub),
+        });
         let mut comm = FiberComm {
             n: self.n,
             t: self.t,
@@ -166,8 +260,7 @@ impl<'scope, 'env, K: Ord + Clone, O: Send + 'scope> Fibers<'scope, 'env, K, O> 
             scopes: Vec::new(),
             events: Vec::new(),
             faults,
-            steps: steps_tx,
-            inbox: inbox_rx,
+            slot: Arc::clone(&slot),
         };
         self.scope.spawn(move || {
             let step = match panic::catch_unwind(AssertUnwindSafe(|| body(&mut comm))) {
@@ -180,48 +273,56 @@ impl<'scope, 'env, K: Ord + Clone, O: Send + 'scope> Fibers<'scope, 'env, K, O> 
                 Err(payload) => Step::Panicked(payload),
             };
             // The owner may have let go in the meantime; nobody to tell.
-            let _ = comm.steps.send(step);
+            let _ = comm.slot.arrive(step);
         });
-        self.live.insert(
-            key,
-            Parked {
-                steps: steps_rx,
-                inbox: inbox_tx,
-            },
-        );
+        self.live.insert(key, slot);
     }
 
-    /// Takes exactly one step from every live fiber, in key order.
-    /// Fibers that report [`Step::Round`] stay live, parked until
-    /// [`Fibers::deliver`]; the others are finished and forgotten.
+    /// Takes exactly one step from every live fiber, in key order, after
+    /// one sleep until all of them have arrived. Fibers that report
+    /// [`Step::Round`] stay live, parked until [`Fibers::deliver`]; the
+    /// others are finished and forgotten.
     pub fn collect(&mut self) -> Vec<(K, Step<O>)> {
-        let mut steps = Vec::with_capacity(self.live.len());
+        let need = self.live.len();
+        self.hub.wait_for(need);
+        let mut steps = Vec::with_capacity(need);
         // `retain` visits in ascending key order.
-        self.live.retain(|key, fiber| {
+        self.live.retain(|key, slot| {
             #[expect(
                 clippy::expect_used,
-                reason = "in-process channel: a fiber we hold both ends for always sends its step"
+                reason = "the hub counted every live fiber in, and only collect takes a step"
             )]
-            let step = fiber.steps.recv().expect("live fiber owes a step");
+            let step = slot.take_step().expect("an arrived fiber left its step");
             let parked = matches!(step, Step::Round { .. });
             steps.push((key.clone(), step));
             parked
         });
+        // None of them arrives again before its delivery.
+        *self.hub.lock() = (0, 0);
         steps
     }
 
     /// Resumes parked fiber `key` with its round's `inbox` and the
     /// owner's current fault view. A key that is not live is ignored.
     pub fn deliver(&mut self, key: &K, inbox: Inbox, faults: FaultView) {
-        if let Some(fiber) = self.live.get(key) {
-            let _ = fiber.inbox.send((inbox, faults));
+        if let Some(slot) = self.live.get(key) {
+            slot.deliver((inbox, faults));
         }
     }
 
     /// Lets go of fiber `key`: parked, it unwinds now; mid-computation,
-    /// its late step goes nowhere and it unwinds then. Silent either way.
+    /// it unwinds at its next step, which is never counted. Silent either
+    /// way.
     pub fn kill(&mut self, key: &K) {
-        self.live.remove(key);
+        if let Some(slot) = self.live.remove(key) {
+            slot.release();
+        }
+    }
+}
+
+impl<K, O> Drop for Fibers<'_, '_, K, O> {
+    fn drop(&mut self) {
+        self.live.values().for_each(|slot| slot.release());
     }
 }
 
@@ -236,8 +337,7 @@ struct FiberComm<O> {
     scopes: Vec<String>,
     events: Vec<Event>,
     faults: FaultView,
-    steps: SyncSender<Step<O>>,
-    inbox: Receiver<(Inbox, FaultView)>,
+    slot: Arc<Slot<O>>,
 }
 
 impl<O> Comm for FiberComm<O> {
@@ -264,16 +364,18 @@ impl<O> Comm for FiberComm<O> {
             scope: scope_path(&self.scopes),
             events: std::mem::take(&mut self.events),
         };
-        if self.steps.send(step).is_err() {
-            release();
-        }
-        match self.inbox.recv() {
-            Ok((inbox, faults)) => {
-                self.faults = faults;
-                inbox
-            }
-            Err(_) => release(),
-        }
+        let delivery = self.slot.arrive(step).and_then(|state| {
+            let mut state = (self.slot.delivered)
+                .wait_while(state, |state| state.delivery.is_none() && !state.released)
+                .unwrap_or_else(PoisonError::into_inner);
+            // A delivery made before the release is still this round's.
+            state.delivery.take()
+        });
+        let Some((inbox, faults)) = delivery else {
+            release()
+        };
+        self.faults = faults;
+        inbox
     }
 
     fn push_scope(&mut self, name: &str) {
@@ -286,6 +388,12 @@ impl<O> Comm for FiberComm<O> {
     }
 
     fn pop_scope(&mut self) {
+        assert!(
+            self.pending.is_empty(),
+            "{} send(s) still pending at the exit of scope {}",
+            self.pending.len(),
+            scope_path(&self.scopes)
+        );
         if let Some(name) = self.scopes.pop() {
             if self.trace_on {
                 self.events.push(Event::ScopeExit { name });
@@ -318,7 +426,7 @@ mod tests {
     use crate::CommExt;
     use ca_codec::Encode as _;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::mpsc::RecvTimeoutError;
+    use std::sync::mpsc::{sync_channel, RecvTimeoutError};
     use std::time::Duration;
 
     /// One fiber panics while its siblings are parked: `collect` hands
@@ -504,5 +612,173 @@ mod tests {
                 Err(RecvTimeoutError::Disconnected) => panic!("seed {seed} failed"),
             }
         }
+    }
+
+    /// Runs `test` on its own thread and fails it if it has not finished
+    /// within 30 s, as the seeded stress does, so a miscounted hub fails
+    /// instead of hanging.
+    fn within_30s(test: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = sync_channel(1);
+        let run = std::thread::spawn(move || {
+            test();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(30)) {
+            Err(RecvTimeoutError::Timeout) => panic!("hung"),
+            _ => {
+                if let Err(payload) = run.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        }
+    }
+
+    /// Blocks until `gate` is open.
+    fn wait_for(gate: &AtomicBool) {
+        while !gate.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Opens `gate` from a thread of `scope` once `fibers`' owner is in
+    /// `collect` waiting for `need` arrivals, so a fiber held at `gate`
+    /// arrives only after `collect` has begun.
+    fn open_in_collect<'s, K, O>(
+        scope: &'s Scope<'s, '_>,
+        fibers: &Fibers<'_, '_, K, O>,
+        need: usize,
+        gate: &'s AtomicBool,
+    ) {
+        let hub = Arc::clone(&fibers.hub);
+        scope.spawn(move || {
+            while hub.lock().1 != need {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            gate.store(true, Ordering::SeqCst);
+        });
+    }
+
+    fn arrived<K, O>(fibers: &Fibers<'_, '_, K, O>) -> usize {
+        fibers.hub.lock().0
+    }
+
+    /// Fiber 0 arrives and is killed before `collect`; fiber 1 is still
+    /// computing. `collect` must wait for fiber 1 rather than count
+    /// fiber 0's discarded step as its arrival.
+    #[test]
+    fn a_killed_arrival_does_not_end_collect_early() {
+        within_30s(|| {
+            let go = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                let mut fibers = Fibers::<usize, ()>::new(scope, 2, 0, false);
+                let go = &go;
+                fibers.spawn(0, PartyId(0), FaultView::default(), |ctx| {
+                    ctx.next_round();
+                });
+                fibers.spawn(1, PartyId(1), FaultView::default(), move |ctx| {
+                    wait_for(go);
+                    ctx.next_round();
+                });
+                while arrived(&fibers) < 1 {
+                    std::thread::yield_now();
+                }
+                fibers.kill(&0);
+                assert_eq!(arrived(&fibers), 0, "the killed step is uncounted");
+                open_in_collect(scope, &fibers, 1, go);
+                let steps = fibers.collect();
+                assert!(go.load(Ordering::SeqCst), "collect returned early");
+                let keys: Vec<usize> = steps.iter().map(|(key, _)| *key).collect();
+                assert_eq!(keys, [1]);
+            });
+        });
+    }
+
+    /// Fiber 0 is killed mid-computation and reaches `next_round` after
+    /// the next `collect`: it unwinds without being counted, so the
+    /// round after still waits for its live sibling.
+    #[test]
+    fn a_fiber_killed_mid_computation_is_never_counted() {
+        within_30s(|| {
+            let (late, unwound, go) = (
+                AtomicBool::new(false),
+                AtomicBool::new(false),
+                AtomicBool::new(false),
+            );
+            std::thread::scope(|scope| {
+                let mut fibers = Fibers::<usize, ()>::new(scope, 2, 0, false);
+                let (late, unwound, go) = (&late, &unwound, &go);
+                fibers.spawn(0, PartyId(0), FaultView::default(), move |ctx| {
+                    struct Flag<'a>(&'a AtomicBool);
+                    impl Drop for Flag<'_> {
+                        fn drop(&mut self) {
+                            self.0.store(true, Ordering::SeqCst);
+                        }
+                    }
+                    let _unwound = Flag(unwound);
+                    wait_for(late);
+                    ctx.next_round();
+                });
+                fibers.spawn(1, PartyId(1), FaultView::default(), move |ctx| {
+                    ctx.next_round();
+                    wait_for(go);
+                    ctx.next_round();
+                });
+                fibers.kill(&0);
+                let keys: Vec<usize> = fibers.collect().into_iter().map(|(k, _)| k).collect();
+                assert_eq!(keys, [1]);
+                fibers.deliver(&1, Inbox::with_parties(2), FaultView::default());
+                late.store(true, Ordering::SeqCst);
+                wait_for(unwound);
+                assert_eq!(arrived(&fibers), 0, "a released fiber arrived");
+                open_in_collect(scope, &fibers, 1, go);
+                let steps = fibers.collect();
+                assert!(go.load(Ordering::SeqCst), "collect returned early");
+                assert!(matches!(steps.as_slice(), [(1, Step::Round { .. })]));
+            });
+        });
+    }
+
+    /// A fiber spawned between two collects owes the second exactly one
+    /// step: `collect` waits for it, takes it beside its sibling's, and
+    /// the count starts the next round from zero.
+    #[test]
+    fn spawn_between_collects_owes_exactly_one_step() {
+        within_30s(|| {
+            let go = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                let mut fibers = Fibers::<usize, usize>::new(scope, 2, 0, false);
+                let go = &go;
+                fibers.spawn(0, PartyId(0), FaultView::default(), |ctx| {
+                    ctx.next_round();
+                    ctx.next_round();
+                    0
+                });
+                assert_eq!(fibers.collect().len(), 1);
+                fibers.deliver(&0, Inbox::with_parties(2), FaultView::default());
+                fibers.spawn(1, PartyId(1), FaultView::default(), move |ctx| {
+                    wait_for(go);
+                    ctx.next_round();
+                    1
+                });
+                open_in_collect(scope, &fibers, 2, go);
+                let steps = fibers.collect();
+                assert!(go.load(Ordering::SeqCst), "collect returned early");
+                assert!(matches!(
+                    steps.as_slice(),
+                    [(0, Step::Round { .. }), (1, Step::Round { .. })]
+                ));
+                assert_eq!(arrived(&fibers), 0);
+                for key in 0..2 {
+                    fibers.deliver(&key, Inbox::with_parties(2), FaultView::default());
+                }
+                let outputs: Vec<_> = (fibers.collect().into_iter())
+                    .map(|(key, step)| match step {
+                        Step::Done { output, .. } => (key, output),
+                        _ => panic!("fiber {key} must be done"),
+                    })
+                    .collect();
+                assert_eq!(outputs, [(0, 0), (1, 1)]);
+            });
+        });
     }
 }

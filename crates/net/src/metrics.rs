@@ -72,13 +72,13 @@ impl Metrics {
         self.honest_msgs += 1;
         self.bits_this_round += bits;
         self.msg_bytes.record(bytes as u64);
-        let entry = self.per_scope.entry(scope.to_owned()).or_default();
-        entry.honest_bits += bits;
-        entry.honest_msgs += 1;
-        self.scope_msg_bytes
-            .entry(scope.to_owned())
-            .or_default()
-            .record(bytes as u64);
+        update(&mut self.per_scope, scope, |entry| {
+            entry.honest_bits += bits;
+            entry.honest_msgs += 1;
+        });
+        update(&mut self.scope_msg_bytes, scope, |sizes| {
+            sizes.record(bytes as u64)
+        });
     }
 
     /// Records a corrupted-party send.
@@ -89,7 +89,7 @@ impl Metrics {
     /// Records one completed round attributed to `scope`.
     pub fn record_round(&mut self, scope: &str) {
         self.rounds += 1;
-        self.per_scope.entry(scope.to_owned()).or_default().rounds += 1;
+        update(&mut self.per_scope, scope, |entry| entry.rounds += 1);
         self.round_bits.record(self.bits_this_round);
         self.bits_this_round = 0;
     }
@@ -124,6 +124,16 @@ impl Metrics {
                 .merge(h);
         }
         self.bits_this_round += other.bits_this_round;
+    }
+}
+
+/// Applies `f` to `map[key]`, inserting a default first. The lookup comes
+/// before the insert because this runs once per honest message: a scope's
+/// key is allocated only the first time that map sees it.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(value) => f(value),
+        None => f(map.entry(key.to_owned()).or_default()),
     }
 }
 
@@ -176,6 +186,23 @@ mod tests {
         assert_eq!(m.round_bits.min(), 8);
         assert_eq!(m.scope_msg_bytes["a"].count(), 2);
         assert_eq!(m.scope_msg_bytes["b"].sum(), 1);
+    }
+
+    /// `record_round` can open a `per_scope` key that `scope_msg_bytes`
+    /// lacks; a later send must still open the histogram.
+    #[test]
+    fn a_round_only_scope_gets_its_histogram_at_its_first_send() {
+        let mut m = Metrics::default();
+        m.record_round("r");
+        assert!(!m.scope_msg_bytes.contains_key("r"));
+        m.record_honest_send("r", 3);
+        let expected = ScopeMetrics {
+            honest_bits: 24,
+            honest_msgs: 1,
+            rounds: 1,
+        };
+        assert_eq!(m.per_scope["r"], expected);
+        assert_eq!(m.scope_msg_bytes["r"].count(), 1);
     }
 
     #[test]

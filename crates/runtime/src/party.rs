@@ -646,6 +646,12 @@ impl Comm for TcpParty {
     }
 
     fn pop_scope(&mut self) {
+        assert!(
+            self.pending.is_empty(),
+            "{} send(s) still pending at the exit of scope {}",
+            self.pending.len(),
+            ca_net::fiber::scope_path(&self.scopes)
+        );
         let popped = self.scopes.pop();
         if self.sink.enabled() {
             if let Some(name) = popped {

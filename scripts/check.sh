@@ -13,7 +13,8 @@
 #                      with one violation per lint, checked under that same
 #                      configuration, must report exactly the expected lints,
 #                      so a lint dropped from the configuration fails here
-#   4. cargo test    — unit + property + integration tests, whole workspace.
+#   4. cargo test    — unit + property + integration tests, whole workspace,
+#                      under a 30-minute bound so a hang fails the stage.
 #                      Every test binary runs here and only here (the
 #                      NullSink guard, TCP chaos, fast-path conformance and
 #                      async chaos suites included); the smoke stages below
@@ -86,7 +87,15 @@ echo "==> [3/12] lint canary"
 scripts/lint-canary.sh
 
 echo "==> [4/12] cargo test (workspace)"
-cargo test --workspace --offline -q
+# A deadlock shows up as a run that never ends, so the run is bounded at
+# 30 minutes, several times its duration on a 2-vCPU box (≈ 3.5 min after
+# an incremental build). `timeout` exits 124 when the bound expires.
+status=0
+timeout 1800 cargo test --workspace --offline -q || status=$?
+if [ "$status" -eq 124 ]; then
+    echo "stage 4 (cargo test) timed out after 1800 s: a test hangs"
+fi
+[ "$status" -eq 0 ] || exit "$status"
 
 echo "==> [5/12] trace smoke (artifacts + invariants)"
 artifacts="$(mktemp -d)"
