@@ -62,6 +62,7 @@ pub const TAINT_SANITIZERS: &[&str] = &[
     "get_shared",
     "get_bytes",
     "get_u8",
+    "get_seq_len",
     "is_empty",
     "remaining",
 ];

@@ -180,6 +180,42 @@ fn taint_covers_the_codec_in_production() {
     assert!(msgs[0].contains("seq.rs:2 [wire-taint]"), "{msgs:?}");
 }
 
+/// `get_seq_len` fails above `MAX_DECODE_CAPACITY`, so its count may size
+/// an allocation although its body reads a varint; a bare `get_varint`
+/// may not.
+#[test]
+fn taint_seq_len_is_a_sanitizer_and_varint_is_not() {
+    let decode_seq = |read: &str| {
+        run_semantic(
+            &[file(
+                "ca-codec",
+                "crates/codec/src/seq.rs",
+                &format!(
+                    "impl Reader<'_> {{\n\
+                     fn get_seq_len(&mut self) -> Result<usize, CodecError> {{\n\
+                     let len = self.get_varint()? as usize;\n\
+                     if len > MAX_DECODE_CAPACITY {{\n\
+                     return Err(CodecError::CapacityExceeded {{ requested: len, limit: MAX_DECODE_CAPACITY }});\n\
+                     }}\n\
+                     Ok(len)\n\
+                     }}\n\
+                     }}\n\
+                     fn decode_seq(r: &mut Reader<'_>) -> Result<Vec<u8>, CodecError> {{\n\
+                     let len = {read};\n\
+                     Ok(Vec::with_capacity(len))\n\
+                     }}\n"
+                ),
+            )],
+            &SemanticConfig::production(),
+        )
+    };
+    let out = decode_seq("r.get_seq_len()?");
+    assert!(out.is_empty(), "{:?}", messages(&out));
+    let msgs = messages(&decode_seq("r.get_varint()? as usize"));
+    assert_eq!(msgs.len(), 1, "{msgs:?}");
+    assert!(msgs[0].contains("seq.rs:12 [wire-taint]"), "{msgs:?}");
+}
+
 // ── concurrency-discipline ──────────────────────────────────────────
 
 #[test]

@@ -17,6 +17,10 @@
 //! identical — so all honest parties reconstruct the same value, which is
 //! the input of an honest party (Lemma 6).
 //!
+//! So a party whose own root is `z*` already holds every codeword an
+//! honest peer can send it: it compares instead of hashing, and skips
+//! `RS.DECODE` when all it collects are its own (DESIGN.md §13).
+//!
 //! ## Adaptive corner (documented deviation)
 //!
 //! Like the protocols of [41] this distribution step assumes the holder of
@@ -96,13 +100,15 @@ fn share_msgs(inbox: &Inbox) -> Vec<ShareMsgRef<'_>> {
 
 /// The first `k` indices, ascending, that hold a codeword verifying
 /// against `z_star`, each with its first verified copy in sender order —
-/// the `k` codewords `RS.DECODE` picks from the full verified set.
+/// the `k` codewords `RS.DECODE` picks from the full verified set — and
+/// whether `recognises` accepted it.
 ///
-/// Messages are bucketed by index and verified in passes through
-/// [`MerkleTree::verify_each`]: each pass hashes the next copy of each of
-/// the `k − collected` lowest undecided indices, and an index is decided
-/// once a copy verifies or its copies run out. This hashes exactly the
-/// copies a scan of the indices in order, stopping at `k`, would hash:
+/// Messages are bucketed by index and verified in passes: each pass takes
+/// the next copy of each of the `k − collected` lowest undecided indices,
+/// accepts those `recognises` accepts, hashes the rest through
+/// [`MerkleTree::verify_each`], and an index is decided once a copy
+/// verifies or its copies run out. This hashes a subset of the copies a
+/// scan of the indices in order, stopping at `k`, would hash:
 /// - every index in a pass has fewer than `k` verified indices below it,
 ///   since those are the `collected` ones plus at most `k − collected − 1`
 ///   batch-mates, so the scan would reach it too;
@@ -112,10 +118,16 @@ fn share_msgs(inbox: &Inbox) -> Vec<ShareMsgRef<'_>> {
 ///   below a verified one.
 ///
 /// With all parties honest the first pass is the first `k` indices'
-/// first copies, `k` hashes in all. An unverifiable copy never shadows a
-/// later honest one, and verified codewords for an index are identical,
-/// so which copy wins is immaterial.
-fn first_verified(inbox: &Inbox, z_star: Hash256, n: usize, k: usize) -> Vec<(usize, Share)> {
+/// first copies. An unverifiable copy never shadows a later honest one,
+/// and verified codewords for an index are identical, so which copy wins
+/// is immaterial.
+fn first_verified<'a>(
+    inbox: &'a Inbox,
+    z_star: Hash256,
+    n: usize,
+    k: usize,
+    recognises: impl Fn(&ShareMsgRef<'_>) -> bool,
+) -> Vec<(usize, ShareRef<'a>, bool)> {
     let mut buckets: Vec<Vec<ShareMsgRef<'_>>> = (0..n).map(|_| Vec::new()).collect();
     for msg in share_msgs(inbox) {
         if let Some(bucket) = buckets.get_mut(msg.idx as usize) {
@@ -123,28 +135,36 @@ fn first_verified(inbox: &Inbox, z_star: Hash256, n: usize, k: usize) -> Vec<(us
         }
     }
     // Per index: the copy up next (or the one that verified), and
-    // whether one did.
+    // whether one did, by recognition or by hashing.
     let mut next = vec![0; n];
-    let mut verified = vec![false; n];
+    let mut verified: Vec<Option<bool>> = vec![None; n];
     let mut collected = 0;
     loop {
         let batch: Vec<usize> = (0..n)
-            .filter(|&idx| !verified[idx] && next[idx] < buckets[idx].len())
+            .filter(|&idx| verified[idx].is_none() && next[idx] < buckets[idx].len())
             .take(k - collected)
             .collect();
         if batch.is_empty() {
             break;
         }
+        let known: Vec<bool> = batch
+            .iter()
+            .map(|&idx| recognises(&buckets[idx][next[idx]]))
+            .collect();
         let items: Vec<_> = batch
             .iter()
-            .map(|&idx| {
+            .zip(&known)
+            .filter(|(_, &known)| !known)
+            .map(|(&idx, _)| {
                 let msg = &buckets[idx][next[idx]];
                 (idx, msg.share.encoded_bytes(), &msg.witness)
             })
             .collect();
-        for (&idx, ok) in batch.iter().zip(MerkleTree::verify_each(z_star, &items)) {
-            if ok {
-                verified[idx] = true;
+        // One verdict per copy not recognised, in batch order.
+        let mut verdicts = MerkleTree::verify_each(z_star, &items).into_iter();
+        for (&idx, &known) in batch.iter().zip(&known) {
+            if known || verdicts.next() == Some(true) {
+                verified[idx] = Some(known);
                 collected += 1;
             } else {
                 next[idx] += 1;
@@ -152,18 +172,17 @@ fn first_verified(inbox: &Inbox, z_star: Hash256, n: usize, k: usize) -> Vec<(us
         }
     }
     (0..n)
-        .filter(|&idx| verified[idx])
-        .map(|idx| (idx, buckets[idx][next[idx]].share.to_share()))
+        .filter_map(|idx| verified[idx].map(|own| (idx, buckets[idx][next[idx]].share, own)))
         .collect()
 }
 
 /// Step 1: `RS.ENCODE` the payload and `MT.BUILD` over the codewords'
-/// encodings.
-fn encode_and_accumulate(rs: &ReedSolomon, payload: &[u8]) -> (Vec<Share>, MerkleTree) {
+/// encodings, the tree's leaves.
+fn encode_and_accumulate(rs: &ReedSolomon, payload: &[u8]) -> (Vec<Vec<u8>>, MerkleTree) {
     let shares = rs.encode(payload);
-    let leaves: Vec<Vec<u8>> = shares.iter().map(Encode::encode_to_vec).collect();
+    let leaves: Vec<Vec<u8>> = shares.into_iter().map(|s| s.encode_to_vec()).collect();
     let tree = MerkleTree::build(&leaves);
-    (shares, tree)
+    (leaves, tree)
 }
 
 /// The defense-in-depth check: does the reconstruction `decoded`
@@ -203,7 +222,8 @@ pub fn lba_plus<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V
 ///
 /// Each received codeword is hashed only when its step needs it: the echo
 /// step stops at the first copy of its own codeword that verifies, the
-/// decode step at the `k`-th verified index.
+/// decode step at the `k`-th verified index. A holder of `z*` hashes no
+/// copy of its own codeword, nor decodes `k` of them (module doc).
 fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V> {
     let n = ctx.n();
     let me = ctx.me();
@@ -212,35 +232,60 @@ fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<
         reason = "(n, n−t) are local config, not wire input"
     )]
     let rs = ReedSolomon::new(n, ctx.quorum()).expect("valid (n, n−t) parameters");
+    let k = rs.threshold();
 
     // Step 1: erasure-code and accumulate.
     let payload = input.encode_to_vec();
-    let (shares, tree) = encode_and_accumulate(&rs, &payload);
+    let (mut leaves, tree) = encode_and_accumulate(&rs, &payload);
     let z = tree.root();
 
     // Step 2: agree on an accumulator value.
     let z_star = ba_plus(ctx, z, ba)?;
 
-    // Step 3a: holders of the agreed value disperse codewords; step 1's
-    // codewords and tree are dropped once sent.
-    if z == z_star {
-        for (j, share) in shares.iter().enumerate() {
-            ctx.send(PartyId(j), &(j as u32, share, tree.witness(j)));
+    // Step 3a: holders of the agreed value disperse codewords and keep
+    // the tree and the parity leaves to recognise their own below.
+    let own = (z == z_star).then(|| {
+        for (j, leaf) in leaves.iter().enumerate() {
+            // The encoding of `(j, share, w)`: its fields' encodings in a row.
+            let (j32, w) = ((j as u32).encode_to_vec(), tree.witness(j).encode_to_vec());
+            ctx.send_bytes(PartyId(j), [&j32[..], leaf, &w].concat().into());
         }
-    }
-    drop((shares, tree));
+        (leaves.split_off(k), tree)
+    });
+    drop(leaves);
+    // A copy of our own codeword and witness (idx < n) passes MT.VERIFY.
+    let recognises = |msg: &ShareMsgRef<'_>| {
+        let (idx, bytes) = (msg.idx as usize, msg.share.encoded_bytes());
+        own.as_ref().is_some_and(|(parity, tree)| {
+            msg.witness == tree.witness(idx)
+                && match idx.checked_sub(k) {
+                    None => rs.is_systematic_share(&payload, idx, bytes),
+                    Some(p) => parity[p] == bytes,
+                }
+        })
+    };
     let inbox = ctx.next_round();
 
     // Step 3b: echo the first copy of our own codeword that verifies, in
     // sender order.
     if let Some(msg) = share_msgs(&inbox)
         .into_iter()
-        .find(|msg| msg.idx as usize == me.index() && msg.verifies(z_star))
+        .find(|msg| msg.idx as usize == me.index() && (recognises(msg) || msg.verifies(z_star)))
     {
         ctx.send_all(&(msg.idx, msg.share.to_share(), &msg.witness));
     }
     drop(inbox);
-    let collected = first_verified(&ctx.next_round(), z_star, n, rs.threshold());
+    let inbox = ctx.next_round();
+    let collected = first_verified(&inbox, z_star, n, k, recognises);
+    drop(own);
+    if collected.len() == k && collected.iter().all(|&(_, _, own)| own) {
+        return V::decode_from_slice(&payload).ok();
+    }
+    let collected: Vec<(usize, Share)> = collected
+        .iter()
+        .map(|(idx, share, _)| (*idx, share.to_share()))
+        .collect();
+    drop(inbox);
 
     // Reconstruct; any (n−t)-subset of verified codewords yields the
     // same value because the accumulator binds index → codeword.
@@ -360,13 +405,20 @@ mod tests {
         /// for some of its indices only.
         TamperMid,
         Lying,
+        /// `Tamper` on the witness: a rushed copy carries the right
+        /// codeword bytes, so only its witness tells it from the holder's
+        /// own.
+        WrongWitness,
     }
 
     /// Rushes a well-formed but unverifiable twin of every codeword in
-    /// flight — its last symbol byte changed, its witness kept — from every
-    /// corrupted party to the codeword's recipient, so that bad candidates
-    /// sit ahead of the honest ones in sender order.
-    struct Tamper;
+    /// flight — its last symbol byte changed and its witness kept, or with
+    /// `witness` its share kept and the last byte of its witness changed —
+    /// from every corrupted party to the codeword's recipient, so that bad
+    /// candidates sit ahead of the honest ones in sender order.
+    struct Tamper {
+        witness: bool,
+    }
 
     impl Adversary for Tamper {
         fn on_round(&mut self, view: &RoundView<'_>) -> RoundActions {
@@ -378,12 +430,18 @@ mod tests {
                 };
                 let mut forged = idx.encode_to_vec();
                 let mut share = share.encode_to_vec();
+                let mut witness = witness.encode_to_vec();
                 // An increment, not a flip: a forged echo of a forgery stays
                 // forged.
-                let last = share.last_mut().unwrap();
+                let last = if self.witness {
+                    witness.last_mut()
+                } else {
+                    share.last_mut()
+                };
+                let last = last.unwrap();
                 *last = last.wrapping_add(1);
                 forged.extend(share);
-                forged.extend(witness.encode_to_vec());
+                forged.extend(witness);
                 for &from in view.corrupted {
                     actions.sends.push(SendSpec {
                         from,
@@ -410,7 +468,8 @@ mod tests {
                 Faults::Garbage => sim.with_adversary(Garbage::new(31)),
                 Faults::Replay => sim.with_adversary(Replay::new(32)),
                 Faults::Equivocate => sim.with_adversary(Equivocate::new(33)),
-                Faults::Tamper | Faults::TamperMid => sim.with_adversary(Tamper),
+                Faults::Tamper | Faults::TamperMid => sim.with_adversary(Tamper { witness: false }),
+                Faults::WrongWitness => sim.with_adversary(Tamper { witness: true }),
                 _ => sim,
             }
         }
@@ -475,6 +534,17 @@ mod tests {
             let mut liars = vec![shared.clone(); n];
             liars[..t].fill(bytes_input(3000, 9));
             cases.push((Faults::Lying, liars));
+            // With non-holders among the honest: a holder that echoed a
+            // tampered codeword or witness would starve them.
+            cases.push((Faults::WrongWitness, split(n)));
+            cases.push((Faults::WrongWitness, split(n - t)));
+            // Honest non-holders on ids t..2t, so that the holders' own
+            // codewords include parity ones.
+            let mut high = split(n);
+            for (i, input) in high.iter_mut().enumerate().take(2 * t).skip(t) {
+                *input = bytes_input(3000, 11 + i as u8);
+            }
+            cases.push((Faults::Tamper, high));
             for (case, (faults, inputs)) in cases.iter().enumerate() {
                 let lazy = run_body(faults.sim(n), inputs, lba_plus_body);
                 let eager = run_body(faults.sim(n), inputs, eager::lba_plus_body);

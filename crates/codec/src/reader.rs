@@ -159,7 +159,7 @@ impl<'a> Reader<'a> {
         mut f: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
     ) -> Result<Vec<T>, CodecError> {
         let len = self.get_seq_len()?;
-        let mut out = Vec::with_capacity(len.min(crate::MAX_DECODE_CAPACITY));
+        let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(f(self)?);
         }

@@ -12,6 +12,7 @@
 //! differential-testing oracle and the baseline the P1 benchmark measures
 //! against.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -270,19 +271,51 @@ impl ReedSolomon {
         payload
     }
 
-    /// Strips the length framing from a reconstructed payload, rejecting
-    /// nonzero padding.
-    fn unframe(payload: &[u8]) -> Result<Vec<u8>, RsError> {
-        let mut r = Reader::new(payload);
+    /// Strips the length framing from a reconstructed payload in place,
+    /// rejecting nonzero padding.
+    fn unframe(mut payload: Vec<u8>) -> Result<Vec<u8>, RsError> {
+        let mut r = Reader::new(&payload);
         let len = r.get_varint().map_err(|_| RsError::BadPayload)?;
         let len = usize::try_from(len).map_err(|_| RsError::BadPayload)?;
-        let data = r.get_raw(len).map_err(|_| RsError::BadPayload)?.to_vec();
+        r.get_raw(len).map_err(|_| RsError::BadPayload)?;
         // Remaining bytes must be zero padding.
-        let consumed = payload.len() - r.remaining();
-        if payload[consumed..].iter().any(|&b| b != 0) {
+        if r.rest().iter().any(|&b| b != 0) {
             return Err(RsError::BadPayload);
         }
-        Ok(data)
+        payload.truncate(payload.len() - r.remaining());
+        payload.drain(..payload.len() - len);
+        Ok(payload)
+    }
+
+    /// Whether `encoded` is exactly `encode(data)[idx].encode_to_vec()` for
+    /// a systematic `idx < k`, compared in place against the framed
+    /// payload `varint(len) ‖ data ‖ zero padding` without building it:
+    /// share `idx` holds symbol `idx` of every stripe.
+    pub fn is_systematic_share(&self, data: &[u8], idx: usize, encoded: &[u8]) -> bool {
+        let (head, sb) = (data.len().encode_to_vec(), 2 * self.k);
+        let stripes = (head.len() + data.len()).div_ceil(sb);
+        // `stripes ≥ 1`, so a missing count prefix fails the length check.
+        let count = stripes.encode_to_vec();
+        let syms = encoded.strip_prefix(&count[..]).unwrap_or_default();
+        if idx >= self.k || syms.len() != 2 * stripes {
+            return false;
+        }
+        let framed = |at: usize| match at.checked_sub(head.len()) {
+            None => head[at],
+            Some(at) => data.get(at).copied().unwrap_or(0),
+        };
+        // Stripes `lo..hi` lie wholly inside `data` and compare as slices;
+        // the few that hold the head or the padding go byte by byte.
+        let lo = head.len().div_ceil(sb);
+        let hi = ((head.len() + data.len()) / sb).max(lo);
+        (0..lo).chain(hi..stripes).all(|s| {
+            let at = s * sb + 2 * idx;
+            syms[2 * s..2 * s + 2] == [framed(at), framed(at + 1)]
+        }) && (lo == hi
+            || data[lo * sb - head.len()..hi * sb - head.len()]
+                .chunks_exact(sb)
+                .zip(syms[2 * lo..].chunks_exact(2))
+                .all(|(stripe, sym)| stripe[2 * idx..2 * idx + 2] == *sym))
     }
 
     /// Selects the first `k` distinct in-range shares and validates their
@@ -337,46 +370,35 @@ impl ReedSolomon {
     /// `RS.ENCODE(v)`: splits `data` into `n` shares, any `k` of which
     /// reconstruct it.
     ///
-    /// Blocked kernel: the payload is transposed once into `k` symbol
-    /// columns, then every parity row is accumulated column-by-column over
-    /// [`STRIPE_BLOCK`]-sized slices through [`MulTable`]s.
+    /// Blocked kernel: the payload is transposed once into the `k`
+    /// systematic shares, its symbol columns, then every parity row is
+    /// accumulated column-by-column over [`STRIPE_BLOCK`]-sized slices
+    /// through [`MulTable`]s.
     pub fn encode(&self, data: &[u8]) -> Vec<Share> {
         let payload = self.frame_payload(data);
         let stripe_bytes = 2 * self.k;
         let stripes = payload.len() / stripe_bytes;
 
-        // Transpose to symbol-major columns: cols[j · stripes + s] is data
-        // symbol j of stripe s, so each coefficient sweep below reads and
-        // writes contiguous memory.
-        let mut cols = vec![Gf::ZERO; self.k * stripes];
+        // Transpose straight into the systematic shares 0..k, which *are*
+        // the symbol-major data columns, so each coefficient sweep below
+        // reads and writes contiguous memory.
+        let symbols = vec![Gf::ZERO; stripes];
+        let mut shares = vec![Share { symbols }; self.k];
         for (s, stripe) in payload.chunks_exact(stripe_bytes).enumerate() {
-            for (j, sym) in stripe.chunks_exact(2).enumerate() {
-                cols[j * stripes + s] = Gf(u16::from_be_bytes([sym[0], sym[1]]));
+            for (share, sym) in shares.iter_mut().zip(stripe.chunks_exact(2)) {
+                share.symbols[s] = Gf(u16::from_be_bytes([sym[0], sym[1]]));
             }
         }
-
-        let mut shares: Vec<Share> = Vec::with_capacity(self.n);
-        // Systematic part: shares 0..k *are* the data columns.
-        for col in cols.chunks_exact(stripes) {
-            shares.push(Share {
-                symbols: col.to_vec(),
-            });
-        }
-        // Parity part: evaluate p at α_k … α_{n−1}, one block of stripes at
-        // a time so the accumulator stays cache-resident across the k-column
-        // sweep.
-        for coeffs in &self.parity_matrix {
-            let mut acc = vec![Gf::ZERO; stripes];
-            let mut start = 0;
-            while start < stripes {
-                let end = stripes.min(start + STRIPE_BLOCK);
-                for (coeff, col) in coeffs.iter().zip(cols.chunks_exact(stripes)) {
-                    accumulate(&mut acc[start..end], *coeff, &col[start..end]);
-                }
-                start = end;
-            }
-            shares.push(Share { symbols: acc });
-        }
+        drop(payload);
+        // Parity part: evaluate p at α_k … α_{n−1}.
+        let cols: Vec<&[Gf]> = shares.iter().map(|s| s.symbols.as_slice()).collect();
+        let parity: Vec<Share> = self
+            .parity_matrix
+            .iter()
+            .map(|coeffs| combine(coeffs, &cols, stripes))
+            .map(|symbols| Share { symbols })
+            .collect();
+        shares.extend(parity);
         shares
     }
 
@@ -386,7 +408,7 @@ impl ReedSolomon {
     /// Blocked kernel: share symbol vectors are already columns, so no
     /// input transpose is needed; each missing data position is accumulated
     /// block-by-block through [`MulTable`]s, and present (systematic)
-    /// positions are copied directly.
+    /// positions are read from their shares in place.
     ///
     /// # Errors
     ///
@@ -395,39 +417,26 @@ impl ReedSolomon {
     pub fn decode(&self, shares: &[(usize, Share)]) -> Result<Vec<u8>, RsError> {
         let picked = self.pick(shares)?;
         let stripes = picked[0].1.symbols.len();
-        let coeff_rows = self.coeff_rows(&picked);
+        let picked_cols: Vec<&[Gf]> = picked.iter().map(|(_, s)| s.symbols.as_slice()).collect();
+        let out_cols: Vec<Cow<'_, [Gf]>> = self
+            .coeff_rows(&picked)
+            .iter()
+            .map(|row| match row {
+                CoeffRow::Direct(pos) => Cow::Borrowed(picked_cols[*pos]),
+                CoeffRow::Combine(coeffs) => Cow::Owned(combine(coeffs, &picked_cols, stripes)),
+            })
+            .collect();
 
-        let mut out_cols: Vec<Vec<Gf>> = Vec::with_capacity(self.k);
-        for row in &coeff_rows {
-            match row {
-                CoeffRow::Direct(pos) => out_cols.push(picked[*pos].1.symbols.clone()),
-                CoeffRow::Combine(coeffs) => {
-                    let mut acc = vec![Gf::ZERO; stripes];
-                    let mut start = 0;
-                    while start < stripes {
-                        let end = stripes.min(start + STRIPE_BLOCK);
-                        for (coeff, (_, share)) in coeffs.iter().zip(&picked) {
-                            accumulate(&mut acc[start..end], *coeff, &share.symbols[start..end]);
-                        }
-                        start = end;
-                    }
-                    out_cols.push(acc);
-                }
-            }
-        }
-
-        // Transpose back to stripe-major bytes and strip the framing.
+        // Transpose back to stripe-major bytes in one pass over the output
+        // and strip the framing.
         let stripe_bytes = 2 * self.k;
         let mut payload = vec![0u8; stripes * stripe_bytes];
-        for (j, col) in out_cols.iter().enumerate() {
-            for (s, sym) in col.iter().enumerate() {
-                let be = sym.0.to_be_bytes();
-                let off = s * stripe_bytes + 2 * j;
-                payload[off] = be[0];
-                payload[off + 1] = be[1];
+        for (s, stripe) in payload.chunks_exact_mut(stripe_bytes).enumerate() {
+            for (out, col) in stripe.chunks_exact_mut(2).zip(&out_cols) {
+                out.copy_from_slice(&col[s].0.to_be_bytes());
             }
         }
-        Self::unframe(&payload)
+        Self::unframe(payload)
     }
 
     /// Stripe-at-a-time scalar `RS.ENCODE`, retained as the
@@ -501,25 +510,31 @@ impl ReedSolomon {
                 payload[s * stripe_bytes + 2 * j + 1] = be[1];
             }
         }
-        Self::unframe(&payload)
+        Self::unframe(payload)
     }
 }
 
-/// `acc[i] ^= coeff · col[i]` with the zero/one fast paths: zero
-/// coefficients are skipped outright and unit coefficients take a plain
-/// XOR (no table build, no lookups).
-#[inline]
-fn accumulate(acc: &mut [Gf], coeff: Gf, col: &[Gf]) {
-    if coeff == Gf::ZERO {
-        return;
-    }
-    if coeff == Gf::ONE {
-        for (a, &x) in acc.iter_mut().zip(col) {
-            *a = a.add(x);
+/// `Σ coeffs[j] · cols[j]` over `stripes` symbols, one [`STRIPE_BLOCK`] of
+/// stripes at a time so the accumulator stays cache-resident across the
+/// column sweep. Each coefficient's [`MulTable`] is built once per call;
+/// zero coefficients are skipped and unit ones take a plain XOR.
+fn combine(coeffs: &[Gf], cols: &[&[Gf]], stripes: usize) -> Vec<Gf> {
+    let tables: Vec<MulTable> = coeffs.iter().map(|&c| MulTable::new(c)).collect();
+    let mut acc = vec![Gf::ZERO; stripes];
+    for (b, block) in acc.chunks_mut(STRIPE_BLOCK).enumerate() {
+        let range = b * STRIPE_BLOCK..b * STRIPE_BLOCK + block.len();
+        for ((&coeff, table), col) in coeffs.iter().zip(&tables).zip(cols) {
+            match coeff {
+                Gf::ZERO => {}
+                Gf::ONE => block
+                    .iter_mut()
+                    .zip(&col[range.clone()])
+                    .for_each(|(a, &x)| *a = a.add(x)),
+                _ => table.mul_acc(block, &col[range.clone()]),
+            }
         }
-        return;
     }
-    MulTable::new(coeff).mul_acc(acc, col);
+    acc
 }
 
 enum CoeffRow {
@@ -812,6 +827,36 @@ mod tests {
             let subset: Vec<_> = shares.iter().cloned().enumerate().skip(2).collect();
             let decoded = rs.decode(&subset).unwrap();
             prop_assert_eq!(rs.encode(&decoded), shares);
+        }
+
+        #[test]
+        fn prop_is_systematic_share_is_byte_equality(
+            data in proptest::collection::vec(any::<u8>(), 0..400),
+            n in 4usize..20,
+            bump in 1u8..,
+        ) {
+            // True exactly for the systematic encodings; false for a parity
+            // index, for any single changed byte (length head, symbols or
+            // zero-padding tail) and for a truncated or extended span.
+            let k = n - (n - 1) / 3;
+            let rs = ReedSolomon::new(n, k).unwrap();
+            let encoded: Vec<Vec<u8>> = rs.encode(&data).iter().map(Encode::encode_to_vec).collect();
+            for (idx, share) in encoded.iter().enumerate() {
+                prop_assert_eq!(rs.is_systematic_share(&data, idx, share), idx < k, "idx {}", idx);
+                prop_assert!(!rs.is_systematic_share(&data, idx + k, share));
+                if idx >= k {
+                    continue;
+                }
+                for at in 0..share.len() {
+                    let mut changed = share.clone();
+                    changed[at] = changed[at].wrapping_add(bump);
+                    prop_assert!(!rs.is_systematic_share(&data, idx, &changed), "idx {} byte {}", idx, at);
+                }
+                prop_assert!(!rs.is_systematic_share(&data, idx, &share[..share.len() - 1]));
+                let mut extended = share.clone();
+                extended.push(0);
+                prop_assert!(!rs.is_systematic_share(&data, idx, &extended));
+            }
         }
 
         #[test]

@@ -601,30 +601,24 @@ mod tests {
     #[test]
     fn seeded_jitter_keeps_steps_in_order_and_teardown_joins() {
         for seed in 0..40u64 {
-            let (done_tx, done_rx) = sync_channel(1);
-            let run = std::thread::spawn(move || {
-                stress_run(seed);
-                let _ = done_tx.send(());
-            });
-            match done_rx.recv_timeout(Duration::from_secs(30)) {
-                Ok(()) => run.join().unwrap(),
-                Err(RecvTimeoutError::Timeout) => panic!("seed {seed} hung"),
-                Err(RecvTimeoutError::Disconnected) => panic!("seed {seed} failed"),
-            }
+            within_30s(&format!("seed {seed}"), move || stress_run(seed));
         }
     }
 
-    /// Runs `test` on its own thread and fails it if it has not finished
-    /// within 30 s, as the seeded stress does, so a miscounted hub fails
-    /// instead of hanging.
-    fn within_30s(test: impl FnOnce() + Send + 'static) {
+    /// Runs `test` on a thread named `label` and fails it if it has not
+    /// finished within 30 s, so a miscounted hub fails instead of hanging;
+    /// a failure names `label`.
+    fn within_30s(label: &str, test: impl FnOnce() + Send + 'static) {
         let (done_tx, done_rx) = sync_channel(1);
-        let run = std::thread::spawn(move || {
-            test();
-            let _ = done_tx.send(());
-        });
+        let run = std::thread::Builder::new()
+            .name(label.to_owned())
+            .spawn(move || {
+                test();
+                let _ = done_tx.send(());
+            })
+            .unwrap();
         match done_rx.recv_timeout(Duration::from_secs(30)) {
-            Err(RecvTimeoutError::Timeout) => panic!("hung"),
+            Err(RecvTimeoutError::Timeout) => panic!("{label} hung"),
             _ => {
                 if let Err(payload) = run.join() {
                     std::panic::resume_unwind(payload);
@@ -667,7 +661,7 @@ mod tests {
     /// fiber 0's discarded step as its arrival.
     #[test]
     fn a_killed_arrival_does_not_end_collect_early() {
-        within_30s(|| {
+        within_30s("a_killed_arrival_does_not_end_collect_early", || {
             let go = AtomicBool::new(false);
             std::thread::scope(|scope| {
                 let mut fibers = Fibers::<usize, ()>::new(scope, 2, 0, false);
@@ -698,7 +692,7 @@ mod tests {
     /// round after still waits for its live sibling.
     #[test]
     fn a_fiber_killed_mid_computation_is_never_counted() {
-        within_30s(|| {
+        within_30s("a_fiber_killed_mid_computation_is_never_counted", || {
             let (late, unwound, go) = (
                 AtomicBool::new(false),
                 AtomicBool::new(false),
@@ -743,7 +737,7 @@ mod tests {
     /// the count starts the next round from zero.
     #[test]
     fn spawn_between_collects_owes_exactly_one_step() {
-        within_30s(|| {
+        within_30s("spawn_between_collects_owes_exactly_one_step", || {
             let go = AtomicBool::new(false);
             std::thread::scope(|scope| {
                 let mut fibers = Fibers::<usize, usize>::new(scope, 2, 0, false);
