@@ -615,19 +615,31 @@ fn scan_to_semi(body: &[Tok], from: usize, hi: usize) -> usize {
 }
 
 /// Trailing expression of the brace-stripped body range `[lo, hi)`:
-/// everything after the last `;` or top-level block end.
+/// everything after the last `;` or top-level block statement. A block
+/// statement (`if … { … }`, `for … { … }`, a bare `{ … }`) needs no `;`:
+/// its closing brace ends it unless an `else` continues it.
 fn trailing_expr(body: &[Tok], lo: usize, hi: usize) -> Option<(usize, usize)> {
+    let hi = hi.min(body.len());
     let mut depth = 0i64;
     let mut start = lo;
-    let mut j = lo;
-    while j < hi.min(body.len()) {
+    for j in lo..hi {
         match body[j].text.as_str() {
             "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth -= 1,
+            ")" | "]" => depth -= 1,
+            "}" => {
+                depth -= 1;
+                let block_statement = matches!(
+                    body[start].text.as_str(),
+                    "if" | "match" | "for" | "while" | "loop" | "unsafe" | "{"
+                );
+                let continued = body.get(j + 1).is_some_and(|t| t.text == "else");
+                if depth == 0 && block_statement && !continued {
+                    start = j + 1;
+                }
+            }
             ";" if depth == 0 => start = j + 1,
             _ => {}
         }
-        j += 1;
     }
     (start < hi && depth == 0).then_some((start, hi))
 }
@@ -710,6 +722,19 @@ mod tests {
     fn interprocedural_returned_taint() {
         let f = run("fn top() { let n = read_len(); let v = Vec::with_capacity(n); }\nfn read_len() -> usize { let x = u32::from_be_bytes(b); x }");
         assert_eq!(f.len(), 1, "{f:?}");
+    }
+
+    /// A block statement ends the statement before the tail; an `else`
+    /// keeps an `if` chain one control-flow tail, which stays uncredited.
+    #[test]
+    fn tail_after_a_block_statement_is_credited_and_an_else_chain_is_not() {
+        let top = "fn top() { let n = read_len(); let v = Vec::with_capacity(n); }\n";
+        let after_if =
+            "fn read_len() -> usize { let x = u32::from_be_bytes(b); if x > 9 { log(); } x }";
+        assert_eq!(run(&format!("{top}{after_if}")).len(), 1);
+        let chain =
+            "fn read_len() -> usize { let x = u32::from_be_bytes(b); if x > 9 { 9 } else { x } }";
+        assert_eq!(run(&format!("{top}{chain}")).len(), 0);
     }
 
     #[test]

@@ -216,6 +216,36 @@ fn taint_seq_len_is_a_sanitizer_and_varint_is_not() {
     assert!(msgs[0].contains("seq.rs:12 [wire-taint]"), "{msgs:?}");
 }
 
+/// A trailing `Ok(len)` after an `if` block statement returns the wire
+/// count: a length reader that is not a sanitizer passes its taint on,
+/// although no early `return` mentions `len`.
+#[test]
+fn taint_returns_through_a_trailing_expression_after_an_if_block() {
+    let out = run_semantic(
+        &[file(
+            "ca-codec",
+            "crates/codec/src/capped.rs",
+            "impl Reader<'_> {\n\
+             fn get_capped_len(&mut self) -> Result<usize, CodecError> {\n\
+             let len = self.get_varint()? as usize;\n\
+             if len > MAX_DECODE_CAPACITY {\n\
+             return Err(CodecError::Capacity);\n\
+             }\n\
+             Ok(len)\n\
+             }\n\
+             }\n\
+             fn decode_seq(r: &mut Reader<'_>) -> Result<Vec<u8>, CodecError> {\n\
+             let len = r.get_capped_len()?;\n\
+             Ok(Vec::with_capacity(len))\n\
+             }\n",
+        )],
+        &SemanticConfig::production(),
+    );
+    let msgs = messages(&out);
+    assert_eq!(msgs.len(), 1, "{msgs:?}");
+    assert!(msgs[0].contains("capped.rs:12 [wire-taint]"), "{msgs:?}");
+}
+
 // ── concurrency-discipline ──────────────────────────────────────────
 
 #[test]

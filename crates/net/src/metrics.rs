@@ -41,6 +41,13 @@ impl ScopeMetrics {
 /// paper's `BITSℓ(Π)` is a statement about the protocol, not about any
 /// particular wire format. The TCP runtime's actual wire overhead is
 /// documented and computable via `ca-runtime`'s `Frame::wire_len`.
+///
+/// # Cost
+///
+/// The simulator meters a round with one [`Metrics::record_honest_sends`]
+/// per honest sender: one lookup into each scope map per sender and round,
+/// whatever the sender's message count. Both histograms still record every
+/// message's size.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Total bits sent by honest parties: the paper's `BITSℓ(Π)`.
@@ -65,19 +72,37 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Records an honest send of `bytes` payload bytes under `scope`.
+    /// Records an honest send of `bytes` payload bytes under `scope`: the
+    /// one-message case of [`Metrics::record_honest_sends`].
     pub fn record_honest_send(&mut self, scope: &str, bytes: usize) {
-        let bits = 8 * bytes as u64;
-        self.honest_bits += bits;
-        self.honest_msgs += 1;
-        self.bits_this_round += bits;
-        self.msg_bytes.record(bytes as u64);
-        update(&mut self.per_scope, scope, |entry| {
-            entry.honest_bits += bits;
-            entry.honest_msgs += 1;
+        self.record_honest_sends(scope, [bytes]);
+    }
+
+    /// Records one honest sender's round under `scope`: one send of each
+    /// of `sizes` payload bytes, in order. Each scope map is looked up
+    /// once per call, not once per message; an empty batch records
+    /// nothing and opens no scope.
+    pub fn record_honest_sends(&mut self, scope: &str, sizes: impl IntoIterator<Item = usize>) {
+        let mut sizes = sizes.into_iter().peekable();
+        if sizes.peek().is_none() {
+            return;
+        }
+        let (mut bits, mut msgs) = (0, 0);
+        let msg_bytes = &mut self.msg_bytes;
+        update(&mut self.scope_msg_bytes, scope, |scope_sizes| {
+            for bytes in sizes {
+                msg_bytes.record(bytes as u64);
+                scope_sizes.record(bytes as u64);
+                bits += 8 * bytes as u64;
+                msgs += 1;
+            }
         });
-        update(&mut self.scope_msg_bytes, scope, |sizes| {
-            sizes.record(bytes as u64)
+        self.honest_bits += bits;
+        self.honest_msgs += msgs;
+        self.bits_this_round += bits;
+        update(&mut self.per_scope, scope, |counters| {
+            counters.honest_bits += bits;
+            counters.honest_msgs += msgs;
         });
     }
 
@@ -128,8 +153,8 @@ impl Metrics {
 }
 
 /// Applies `f` to `map[key]`, inserting a default first. The lookup comes
-/// before the insert because this runs once per honest message: a scope's
-/// key is allocated only the first time that map sees it.
+/// before the insert because this runs once per honest sender and round: a
+/// scope's key is allocated only the first time that map sees it.
 fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
     match map.get_mut(key) {
         Some(value) => f(value),
@@ -203,6 +228,41 @@ mod tests {
         };
         assert_eq!(m.per_scope["r"], expected);
         assert_eq!(m.scope_msg_bytes["r"].count(), 1);
+    }
+
+    /// A batch is the fold of its one-message records, field for field:
+    /// on a fresh scope, an empty batch, a scope `record_round` opened
+    /// first, and a scope seen before, with rounds closed in between.
+    #[test]
+    fn a_batch_equals_its_one_message_fold() {
+        let batches: [(&str, &[usize]); 6] = [
+            ("a", &[3, 0, 70_000]),
+            ("e", &[]),
+            ("r", &[5, 5]),
+            ("a", &[1]),
+            ("r", &[]),
+            ("a/b", &[9, 200, 9, 1 << 20]),
+        ];
+        let (mut batched, mut folded) = (Metrics::default(), Metrics::default());
+        for m in [&mut batched, &mut folded] {
+            m.record_round("r");
+        }
+        for (i, (scope, sizes)) in batches.into_iter().enumerate() {
+            batched.record_honest_sends(scope, sizes.iter().copied());
+            for &bytes in sizes {
+                folded.record_honest_send(scope, bytes);
+            }
+            assert_eq!(batched, folded, "after batch {i}");
+            if i % 2 == 0 {
+                batched.record_round(scope);
+                folded.record_round(scope);
+            }
+        }
+        assert!(!batched.per_scope.contains_key("e"));
+        assert!(!batched.scope_msg_bytes.contains_key("e"));
+        assert_eq!(batched.per_scope["r"].rounds, 3);
+        assert_eq!(batched.per_scope["r"].honest_msgs, 2);
+        assert_eq!(batched.honest_msgs, 10);
     }
 
     #[test]

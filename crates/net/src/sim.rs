@@ -234,6 +234,17 @@ impl Sim {
             // events arrive unstamped and are stamped against it.
             let mut stacks: Vec<Vec<String>> = vec![Vec::new(); n];
             let mut round: u64 = 0;
+            // Per-round buffers, drained every round and reused. The
+            // honest senders' messages as `(from, to, payload)` in
+            // sender-then-send order are the adversary's view; the lying
+            // senders' follow the same order in a buffer of their own.
+            let mut honest_sends: Vec<(PartyId, PartyId, Bytes)> = Vec::new();
+            let mut lying_sends: Vec<(PartyId, PartyId, Bytes)> = Vec::new();
+            // `(sender, message count, lying)` per step, in party-id order.
+            let mut batches: Vec<(usize, usize, bool)> = Vec::new();
+            let mut waiting: Vec<usize> = Vec::new();
+            // The scope path each waiting party submitted; `None` otherwise.
+            let mut scopes: Vec<Option<String>> = vec![None; n];
 
             // Statically corrupted parties are faulted before round 0.
             if tracing {
@@ -267,9 +278,7 @@ impl Sim {
                 // --- Collect one step from every live fiber. ---
                 // Steps come in party-id order, so the party-buffered
                 // events flush in an order no scheduler can change.
-                let mut waiting: Vec<usize> = Vec::new();
-                let mut sends: Vec<(usize, Vec<(PartyId, Bytes)>)> = Vec::new();
-                let mut scopes: Vec<(usize, String)> = Vec::new();
+                waiting.clear();
                 for (from, step) in fibers.collect() {
                     let (s, events) = match step {
                         Step::Round {
@@ -278,7 +287,7 @@ impl Sim {
                             events,
                         } => {
                             waiting.push(from);
-                            scopes.push((from, scope));
+                            scopes[from] = Some(scope);
                             (sends, events)
                         }
                         Step::Done {
@@ -289,6 +298,7 @@ impl Sim {
                             if !corrupted.contains(&PartyId(from)) {
                                 report.outputs[from] = Some(output);
                             }
+                            scopes[from] = None;
                             (sends, events)
                         }
                         #[expect(
@@ -300,7 +310,19 @@ impl Sim {
                             panic!("party P{from} panicked: {info}");
                         }
                     };
-                    sends.push((from, s));
+                    // Only lying parties are corrupted and still stepping:
+                    // an adaptively corrupted fiber was killed.
+                    let lying = self.corruption[from] == Corruption::LyingHonest;
+                    batches.push((from, s.len(), lying));
+                    let flat = if lying {
+                        &mut lying_sends
+                    } else {
+                        &mut honest_sends
+                    };
+                    flat.extend(
+                        s.into_iter()
+                            .map(|(to, payload)| (PartyId(from), to, payload)),
+                    );
                     for event in events {
                         match &event {
                             TraceEvent::ScopeEnter { name } => stacks[from].push(name.clone()),
@@ -319,14 +341,6 @@ impl Sim {
                 }
 
                 // --- Rushing adversary phase. ---
-                let honest_sends: Vec<(PartyId, PartyId, Bytes)> = sends
-                    .iter()
-                    .filter(|(from, _)| !corrupted.contains(&PartyId(*from)))
-                    .flat_map(|(from, msgs)| {
-                        msgs.iter()
-                            .map(|(to, payload)| (PartyId(*from), *to, payload.clone()))
-                    })
-                    .collect();
                 let corrupted_list: Vec<PartyId> = corrupted.iter().copied().collect();
                 let view = RoundView {
                     n,
@@ -373,70 +387,71 @@ impl Sim {
                         inboxes[to.0].push(from, payload);
                     }
                 }
-                for (from, msgs) in &sends {
-                    let from_id = PartyId(*from);
-                    let is_corrupt = corrupted.contains(&from_id);
-                    if is_corrupt && self.corruption[*from] != Corruption::LyingHonest {
+                // One pass over the batches in sender order, moving each
+                // message out of the buffer it was collected into.
+                let (mut honest, mut lying) = (honest_sends.drain(..), lying_sends.drain(..));
+                for (from, count, is_lying) in batches.drain(..) {
+                    let from_id = PartyId(from);
+                    let source = if is_lying { &mut lying } else { &mut honest };
+                    if !is_lying && corrupted.contains(&from_id) {
                         // Adaptively corrupted this round: its honest sends are
                         // suppressed (the adversary replaces them). Lying
                         // parties' sends still flow — they *are* the attack.
+                        source.by_ref().take(count).for_each(drop);
                         continue;
                     }
-                    let scope = scopes
-                        .iter()
-                        .find(|(p, _)| p == from)
-                        .map(|(_, s)| s.as_str())
-                        .unwrap_or(ROOT_SCOPE);
-                    for (to, payload) in msgs {
-                        if *to != from_id {
-                            // Self-delivery is free on a real network.
-                            if is_corrupt {
-                                report.metrics.record_adversary_send(payload.len());
-                            } else {
-                                report.metrics.record_honest_send(scope, payload.len());
-                            }
-                            if tracing {
-                                sink.record(&Record {
-                                    party: Some(*from as u64),
-                                    round,
-                                    scope: if is_corrupt {
-                                        ca_trace::ADVERSARY_SCOPE.to_owned()
-                                    } else {
-                                        scope.to_owned()
-                                    },
-                                    event: TraceEvent::Send {
-                                        to: to.0 as u64,
-                                        bytes: payload.len() as u64,
-                                    },
-                                });
+                    // Self-delivery is free on a real network.
+                    let batch = &source.as_slice()[..count];
+                    let others = || batch.iter().filter(|(_, to, _)| *to != from_id);
+                    let scope = if is_lying {
+                        others().for_each(|(_, _, payload)| {
+                            report.metrics.record_adversary_send(payload.len());
+                        });
+                        ca_trace::ADVERSARY_SCOPE
+                    } else {
+                        let scope = scopes[from].as_deref().unwrap_or(ROOT_SCOPE);
+                        let sizes = others().map(|(_, _, payload)| payload.len());
+                        report.metrics.record_honest_sends(scope, sizes);
+                        scope
+                    };
+                    if tracing {
+                        for (_, to, payload) in others() {
+                            sink.record(&Record {
+                                party: Some(from as u64),
+                                round,
+                                scope: scope.to_owned(),
+                                event: TraceEvent::Send {
+                                    to: to.0 as u64,
+                                    bytes: payload.len() as u64,
+                                },
+                            });
+                        }
+                    }
+                    for (_, to, payload) in source.by_ref().take(count) {
+                        let mut arrival = round;
+                        if let Some(model) = self.delay_model.as_mut() {
+                            if to != from_id {
+                                let seq = model.seq;
+                                model.seq += 1;
+                                match model.delays.sample(from, to.0, seq) {
+                                    // Dropped on the wire; the send was
+                                    // already metered and traced above.
+                                    None => continue,
+                                    Some(d) => arrival = round + d / model.delta,
+                                }
                             }
                         }
-                        if to.0 < n {
-                            let mut arrival = round;
+                        if arrival > round {
                             if let Some(model) = self.delay_model.as_mut() {
-                                if *to != from_id {
-                                    let seq = model.seq;
-                                    model.seq += 1;
-                                    match model.delays.sample(*from, to.0, seq) {
-                                        // Dropped on the wire; the send was
-                                        // already metered and traced above.
-                                        None => continue,
-                                        Some(d) => arrival = round + d / model.delta,
-                                    }
-                                }
+                                model
+                                    .held
+                                    .entry(arrival)
+                                    .or_default()
+                                    .push((from_id, to, payload));
                             }
-                            if arrival > round {
-                                if let Some(model) = self.delay_model.as_mut() {
-                                    model.held.entry(arrival).or_default().push((
-                                        from_id,
-                                        *to,
-                                        payload.clone(),
-                                    ));
-                                }
-                            } else {
-                                inboxes[to.0].push(from_id, payload.clone());
-                                deliveries.push((to.0, *from, payload.len() as u64));
-                            }
+                        } else {
+                            deliveries.push((to.0, from, payload.len() as u64));
+                            inboxes[to.0].push(from_id, payload);
                         }
                     }
                 }
@@ -474,10 +489,9 @@ impl Sim {
                 let round_scope = waiting
                     .iter()
                     .find(|p| !corrupted.contains(&PartyId(**p)))
-                    .and_then(|p| scopes.iter().find(|(q, _)| q == p))
-                    .map(|(_, s)| s.clone())
-                    .unwrap_or_else(|| ROOT_SCOPE.to_owned());
-                report.metrics.record_round(&round_scope);
+                    .and_then(|p| scopes[*p].as_deref())
+                    .unwrap_or(ROOT_SCOPE);
+                report.metrics.record_round(round_scope);
 
                 // Deliveries reach only the parties still at the barrier;
                 // stamp each with the receiver's submitted scope.
@@ -488,10 +502,7 @@ impl Sim {
                         if !waiting.contains(&to) {
                             continue;
                         }
-                        let scope = scopes
-                            .iter()
-                            .find(|(p, _)| *p == to)
-                            .map_or(ROOT_SCOPE, |(_, s)| s.as_str());
+                        let scope = scopes[to].as_deref().unwrap_or(ROOT_SCOPE);
                         sink.record(&Record {
                             party: Some(to as u64),
                             round,
@@ -505,7 +516,7 @@ impl Sim {
                     sink.record(&Record {
                         party: None,
                         round,
-                        scope: round_scope.clone(),
+                        scope: round_scope.to_owned(),
                         event: TraceEvent::RoundEnd,
                     });
                 }
@@ -657,6 +668,125 @@ mod tests {
         for out in report.honest_outputs() {
             assert_eq!(*out, (4, 3)); // P0 heard in round 0, suppressed in round 1
         }
+    }
+
+    /// n = 7 (t = 2: room for both corruptions), P3 lying, P2 adaptively
+    /// corrupted at round 1; every party sends `[from, round, to, k]` to all
+    /// (itself included) each of three rounds, and P0 sends P1 a second
+    /// message (`k = 1`). Checks the adversary's view, what is delivered,
+    /// and the metering.
+    #[test]
+    fn the_adversary_sees_exactly_the_honest_sends_in_sender_then_send_order() {
+        const N: usize = 7;
+        type Sent = Vec<(PartyId, PartyId, Bytes)>;
+        let sends_of = |from: usize, round: u8| -> Sent {
+            let mut sends = Vec::new();
+            for to in 0..N {
+                sends.push((from, to, 0));
+                if (from, to) == (0, 1) {
+                    sends.push((from, to, 1));
+                }
+            }
+            let msg = |(f, to, k): (usize, usize, u8)| {
+                let payload = Bytes::from(vec![f as u8, round, to as u8, k]);
+                (PartyId(f), PartyId(to), payload)
+            };
+            sends.into_iter().map(msg).collect()
+        };
+        let views = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&views);
+        let recorder = move |view: &RoundView<'_>| {
+            let mut seen = seen.lock().unwrap();
+            seen.push((view.corrupted.to_vec(), view.honest_sends.to_vec()));
+            let mut actions = RoundActions::default();
+            if view.round == 1 {
+                actions.corrupt.push(PartyId(2));
+            }
+            actions
+        };
+        let report = Sim::new(N)
+            .corrupt(PartyId(3), Corruption::LyingHonest)
+            .with_adversary(recorder)
+            .run(|ctx, id| {
+                ctx.scoped("x", |ctx| {
+                    (0..3u8)
+                        .map(|round| {
+                            for (_, to, payload) in sends_of(id.0, round) {
+                                ctx.send_bytes(to, payload);
+                            }
+                            let inbox = ctx.next_round();
+                            (0..N)
+                                .map(|s| inbox.raw_from(PartyId(s)).to_vec())
+                                .collect()
+                        })
+                        .collect::<Vec<Vec<Vec<Bytes>>>>()
+                })
+            });
+
+        // The view: senders honest when the adversary looks, in order. The
+        // fourth is the final collect, where every body has returned.
+        let views = views.lock().unwrap();
+        let honest_at_view: [&[usize]; 4] = [
+            &[0, 1, 2, 4, 5, 6],
+            &[0, 1, 2, 4, 5, 6],
+            &[0, 1, 4, 5, 6],
+            &[],
+        ];
+        assert_eq!(views.len(), 4);
+        for (round, (corrupted, honest_sends)) in views.iter().enumerate() {
+            let expected_corrupted = if round >= 2 {
+                vec![PartyId(2), PartyId(3)]
+            } else {
+                vec![PartyId(3)]
+            };
+            assert_eq!(corrupted, &expected_corrupted, "round {round}");
+            let expected: Sent = (honest_at_view[round].iter())
+                .flat_map(|&from| sends_of(from, round as u8))
+                .collect();
+            assert_eq!(honest_sends, &expected, "round {round}");
+        }
+
+        // Delivery: P2's round-1 sends are suppressed, P3's flow.
+        assert_eq!(report.corrupted, vec![PartyId(2), PartyId(3)]);
+        for me in 0..N {
+            let Some(heard) = report.outputs[me].as_ref() else {
+                assert!(me == 2 || me == 3, "P{me} has no output");
+                continue;
+            };
+            for (round, by_sender) in heard.iter().enumerate() {
+                for (from, got) in by_sender.iter().enumerate() {
+                    let expected: Vec<Bytes> = if from == 2 && round > 0 {
+                        Vec::new()
+                    } else {
+                        (sends_of(from, round as u8).into_iter())
+                            .filter(|(_, to, _)| to.0 == me)
+                            .map(|(_, _, payload)| payload)
+                            .collect()
+                    };
+                    assert_eq!(got, &expected, "P{me} from P{from} round {round}");
+                }
+            }
+        }
+
+        // Metering by hand: round 0 has 6 honest senders, rounds 1 and 2
+        // have 5, each with 6 non-self messages, plus P0's second one to
+        // P1 every round; P3's 6 non-self messages a round are the
+        // adversary's, and P2's suppressed round-1 sends are nobody's.
+        // 4 bytes each.
+        let honest_msgs = (6 * 6 + 1) + 2 * (5 * 6 + 1);
+        assert_eq!(report.metrics.honest_msgs, honest_msgs);
+        assert_eq!(report.metrics.honest_bits, 32 * honest_msgs);
+        assert_eq!(report.metrics.adversary_bits, 32 * 3 * 6);
+        assert_eq!(report.metrics.rounds, 3);
+        let scope = crate::ScopeMetrics {
+            honest_bits: 32 * honest_msgs,
+            honest_msgs,
+            rounds: 3,
+        };
+        assert_eq!(report.metrics.per_scope["x"], scope);
+        assert_eq!(report.metrics.per_scope.len(), 1);
+        assert_eq!(report.metrics.msg_bytes.count(), honest_msgs);
+        assert_eq!(report.metrics.scope_msg_bytes["x"].sum(), 4 * honest_msgs);
     }
 
     #[test]

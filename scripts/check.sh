@@ -62,10 +62,13 @@
 #                      this tree and run every BENCHMARK.json workload for
 #                      one second each: `sim_small`, `sim_bulk` (Pi_Z at
 #                      256 KiB inputs, the `ca-bits` value path),
-#                      `lba_bulk` (all honest: the verify batch covers
-#                      indices 0..k and the decode is systematic),
-#                      `lba_bulk_crash` (RS reconstruction with t silent
-#                      parties), `tcp_small` (seven parties over loopback
+#                      `lba_bulk` (all honest, one input: every party
+#                      holds the agreed root and recognises its own
+#                      codewords, so nothing is hashed or decoded),
+#                      `lba_bulk_crash` (t silent parties: the first t
+#                      data shares never arrive and recognised parity
+#                      codewords stand in, so it does not decode
+#                      either), `tcp_small` (seven parties over loopback
 #                      TCP) and `engine_mux` (the multi-tenant engine and
 #                      its wire model), so that a library signature change
 #                      or a wrong decision on either transport fails here
