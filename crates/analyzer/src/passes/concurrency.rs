@@ -6,10 +6,14 @@
 //! 1. **Lock-order inversion** — if one code path acquires `a` then
 //!    `b` while another acquires `b` then `a` (directly or through a
 //!    call), the pair is flagged at both sites. Lock identity is the
-//!    dotted receiver path (minus `self.`) qualified by crate, which is
-//!    exactly as precise as a token-level analysis can be and has no
-//!    false negatives for the `self.field.lock()` style the runtime
-//!    uses.
+//!    field a lock lives in, qualified by crate and by the type that
+//!    holds it: `self.state.lock()` in `impl Slot` and `slot.state.lock()`
+//!    are both `Slot.state`, a receiver root or field being taken to be of
+//!    the crate type its snake-case name spells. A zero-argument
+//!    `lock`/`read`/`write` method of a crate type that takes a lock is a
+//!    *wrapper*, and a call to it (`self.lock()` inside the type,
+//!    `self.hub.lock()` outside) takes the lock the wrapper takes.
+//!    Other receivers keep their dotted path (minus `self.`).
 //! 2. **Double acquisition** — re-acquiring a lock already held by the
 //!    same path self-deadlocks with `std::sync` primitives (including
 //!    the `m.lock().x + m.lock().y` temporary-lifetime trap).
@@ -48,9 +52,10 @@ const CHANNEL_OPS: &[&str] = &[
     "blocking_recv",
 ];
 
-/// Lock identity: (crate, dotted receiver path). Dynamic receivers
-/// (indexing, call results) get an empty path and are excluded from
-/// order/double checks but still count as "a lock is held".
+/// Lock identity: (crate, `Type.field` or dotted receiver path). Dynamic
+/// receivers (indexing, call results, a bare `self` that is no wrapper)
+/// get an empty path and are excluded from order/double checks but still
+/// count as "a lock is held".
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct LockId {
     crate_name: String,
@@ -90,6 +95,7 @@ struct PairSite {
 #[must_use]
 pub fn run(table: &SymbolTable, config: &SemanticConfig) -> Vec<Diagnostic> {
     let in_scope = |f: &FnInfo| !f.is_test && config.lock_crates.contains(&f.crate_name);
+    let locks = Locks::new(table, &in_scope);
     // Transitive lock sets: which locks each fn may acquire, directly
     // or through calls (fixpoint over the call graph).
     let direct: Vec<BTreeSet<LockId>> = table
@@ -97,7 +103,7 @@ pub fn run(table: &SymbolTable, config: &SemanticConfig) -> Vec<Diagnostic> {
         .iter()
         .map(|f| {
             if in_scope(f) {
-                direct_locks(f)
+                locks.direct(f)
             } else {
                 BTreeSet::new()
             }
@@ -128,7 +134,7 @@ pub fn run(table: &SymbolTable, config: &SemanticConfig) -> Vec<Diagnostic> {
     let mut pairs: Vec<PairSite> = Vec::new();
     for (idx, f) in table.fns.iter().enumerate() {
         if in_scope(f) {
-            walk_fn(table, idx, &trans, &mut pairs, &mut diags);
+            walk_fn(table, &locks, idx, &trans, &mut pairs, &mut diags);
         }
     }
 
@@ -185,50 +191,133 @@ pub fn run(table: &SymbolTable, config: &SemanticConfig) -> Vec<Diagnostic> {
     diags
 }
 
-/// Locks a function acquires directly (for the transitive sets).
-fn direct_locks(f: &FnInfo) -> BTreeSet<LockId> {
-    let mut out = BTreeSet::new();
-    for i in 0..f.body.len() {
-        if let Some(lock) = acquisition_at(f, i) {
-            if lock.named() {
-                out.insert(lock);
+/// The crate types lock identities are resolved against, and their
+/// lock wrappers.
+struct Locks {
+    /// (crate, type) for every type a crate implements methods on.
+    types: BTreeSet<(String, String)>,
+    /// (crate, type, method) → the lock that wrapper method takes, e.g.
+    /// `Hub::lock` → `Hub.count`.
+    wrappers: BTreeMap<(String, String, String), LockId>,
+}
+
+impl Locks {
+    fn new(table: &SymbolTable, in_scope: &dyn Fn(&FnInfo) -> bool) -> Self {
+        let mut locks = Locks {
+            types: table
+                .fns
+                .iter()
+                .filter_map(|f| Some((f.crate_name.clone(), self_type(f)?.to_owned())))
+                .collect(),
+            wrappers: BTreeMap::new(),
+        };
+        for f in table.fns.iter().filter(|f| in_scope(f)) {
+            let Some(ty) = self_type(f) else { continue };
+            if !ACQUIRERS.contains(&f.name.as_str()) || f.params.len() > 1 {
+                continue;
+            }
+            // Its own lock, resolved without wrappers: a wrapper calls
+            // the primitive it wraps.
+            let taken = (0..f.body.len())
+                .filter_map(|i| locks.primitive_at(f, i))
+                .find(LockId::named);
+            if let Some(lock) = taken {
+                let key = (f.crate_name.clone(), ty.to_owned(), f.name.clone());
+                locks.wrappers.insert(key, lock);
             }
         }
+        locks
     }
-    out
+
+    /// Locks a function acquires directly (for the transitive sets).
+    fn direct(&self, f: &FnInfo) -> BTreeSet<LockId> {
+        (0..f.body.len())
+            .filter_map(|i| self.acquisition_at(f, i))
+            .filter(LockId::named)
+            .collect()
+    }
+
+    /// The crate type that a receiver segment named `seg` is taken to
+    /// have: `self` is the impl's type, `hub` is `Hub` if the crate has
+    /// one.
+    fn type_of(&self, f: &FnInfo, seg: &str) -> Option<String> {
+        if seg == "self" {
+            return self_type(f).map(str::to_owned);
+        }
+        let camel: String = seg
+            .split('_')
+            .filter_map(|part| {
+                let mut chars = part.chars();
+                let first = chars.next()?;
+                Some(first.to_uppercase().chain(chars).collect::<String>())
+            })
+            .collect();
+        let key = (f.crate_name.clone(), camel);
+        self.types.contains(&key).then_some(key.1)
+    }
+
+    /// If body token `i` is a lock acquisition (`.lock()` / `.read()` /
+    /// `.write()` with no arguments), returns the lock identity: a
+    /// wrapper's lock when the receiver's type has such a wrapper.
+    fn acquisition_at(&self, f: &FnInfo, i: usize) -> Option<LockId> {
+        let lock = self.primitive_at(f, i)?;
+        let wrapper = receiver_segments(&f.body, i - 1)
+            .and_then(|segs| self.type_of(f, segs.last()?))
+            .and_then(|ty| {
+                let key = (f.crate_name.clone(), ty, f.body[i].text.clone());
+                self.wrappers.get(&key).cloned()
+            });
+        Some(wrapper.unwrap_or(lock))
+    }
+
+    /// [`Locks::acquisition_at`] taking the call for a primitive: the
+    /// lock is the last receiver field, qualified by the type of the
+    /// segment before it when that is known.
+    fn primitive_at(&self, f: &FnInfo, i: usize) -> Option<LockId> {
+        let t = &f.body[i];
+        if t.kind != TokenKind::Ident || !ACQUIRERS.contains(&t.text.as_str()) {
+            return None;
+        }
+        // Must be a method call: preceded by `.`.
+        if i == 0 || f.body[i - 1].text != "." {
+            return None;
+        }
+        let open = call_open_paren(&f.body, i)?;
+        if match_close(&f.body, open) != open + 1 {
+            return None; // has arguments: io read/write, not a lock
+        }
+        let segs = receiver_segments(&f.body, i - 1).unwrap_or_default();
+        let owner = match segs.as_slice() {
+            [.., owner, field] => self.type_of(f, owner).map(|ty| format!("{ty}.{field}")),
+            _ => None,
+        };
+        let path = owner.unwrap_or_else(|| {
+            let from_self = usize::from(segs.first() == Some(&"self"));
+            segs[from_self..].join(".")
+        });
+        Some(LockId {
+            crate_name: f.crate_name.clone(),
+            path,
+        })
+    }
 }
 
-/// If body token `i` is a lock acquisition (`.lock()` / `.read()` /
-/// `.write()` with no arguments), returns the lock identity.
-fn acquisition_at(f: &FnInfo, i: usize) -> Option<LockId> {
-    let t = &f.body[i];
-    if t.kind != TokenKind::Ident || !ACQUIRERS.contains(&t.text.as_str()) {
-        return None;
-    }
-    // Must be a method call: preceded by `.`.
-    if i == 0 || f.body[i - 1].text != "." {
-        return None;
-    }
-    let open = call_open_paren(&f.body, i)?;
-    if match_close(&f.body, open) != open + 1 {
-        return None; // has arguments: io read/write, not a lock
-    }
-    Some(LockId {
-        crate_name: f.crate_name.clone(),
-        path: receiver_path(&f.body, i - 1),
-    })
+/// The type of the impl `f` is a method of.
+fn self_type(f: &FnInfo) -> Option<&str> {
+    let local = f
+        .qualified
+        .strip_prefix(&f.crate_name)?
+        .strip_prefix("::")?;
+    Some(local.split_once("::")?.0)
 }
 
-/// Dotted receiver path ending at the `.` before the method name,
-/// e.g. `self.peers.inner.lock()` → `peers.inner`. Empty when the
+/// Dotted receiver path ending at the `.` before the method name, e.g.
+/// `self.peers.inner.lock()` → `[self, peers, inner]`. `None` when the
 /// receiver is not a plain path (indexing, call result).
-fn receiver_path(body: &[Tok], dot: usize) -> String {
+fn receiver_segments(body: &[Tok], dot: usize) -> Option<Vec<&str>> {
     let mut parts: Vec<&str> = Vec::new();
     let mut j = dot; // points at `.`
-    loop {
-        if j == 0 {
-            break;
-        }
+    while j > 0 {
         let prev = &body[j - 1];
         if prev.kind == TokenKind::Ident {
             parts.push(&prev.text);
@@ -237,15 +326,12 @@ fn receiver_path(body: &[Tok], dot: usize) -> String {
                 continue;
             }
         } else if matches!(prev.text.as_str(), ")" | "]") {
-            return String::new(); // dynamic receiver
+            return None; // dynamic receiver
         }
         break;
     }
     parts.reverse();
-    if parts.first() == Some(&"self") {
-        parts.remove(0);
-    }
-    parts.join(".")
+    Some(parts)
 }
 
 /// Walks one function, tracking held guards; records ordered pairs,
@@ -253,6 +339,7 @@ fn receiver_path(body: &[Tok], dot: usize) -> String {
 /// acquisitions via the transitive sets.
 fn walk_fn(
     table: &SymbolTable,
+    locks: &Locks,
     idx: usize,
     trans: &[BTreeSet<LockId>],
     pairs: &mut Vec<PairSite>,
@@ -295,7 +382,7 @@ fn walk_fn(
                     }
                 }
             }
-            if let Some(lock) = acquisition_at(f, i) {
+            if let Some(lock) = locks.acquisition_at(f, i) {
                 if lock.named() {
                     for held in &guards {
                         if !held.lock.named() {

@@ -291,10 +291,10 @@ fn locks_channel_send_under_lock_fails_the_gate() {
     assert!(msgs[0].contains("concurrency-discipline"), "{msgs:?}");
 }
 
-/// A mutation only this pass catches deterministically (EXPERIMENTS.md
-/// M1): the TCP reader sending its event while it holds its peer's
-/// `Inflow` lock. Under it the `ca-runtime` tests pass or, now and then,
-/// hang.
+/// A mutation only this pass caught deterministically (EXPERIMENTS.md
+/// M1): the TCP reader thread, since deleted, sending its event while it
+/// held its peer's `Inflow` lock. Under it the `ca-runtime` tests passed
+/// or, now and then, hung.
 #[test]
 fn locks_reader_event_sent_under_inflow_lock_fails_the_gate() {
     let out = run_pass(
@@ -311,6 +311,28 @@ fn locks_reader_event_sent_under_inflow_lock_fails_the_gate() {
         msgs[0].contains("fixture.rs:3 [concurrency-discipline]"),
         "{msgs:?}"
     );
+}
+
+/// The fiber hand-off's lock order is slot, then hub: `Slot::arrive`
+/// takes the hub through its wrapper `Hub::lock` while it holds the slot.
+/// A hub method that takes its own lock as `self.lock()` and then the
+/// slot inverts that order: one inversion, reported at its two sites.
+#[test]
+fn locks_inversion_through_a_self_lock_wrapper_fails_the_gate() {
+    let out = run_pass(
+        "locks",
+        "impl Slot {\n\
+         fn arrive(&self) { let state = self.state.lock(); let count = self.hub.lock(); }\n\
+         }\n\
+         impl Hub {\n\
+         fn lock(&self) -> MutexGuard<'_, Count> { self.count.lock().unwrap() }\n\
+         fn drain(&self, slot: &Slot) { let count = self.lock(); let state = slot.state.lock(); }\n\
+         }\n",
+    );
+    let msgs = messages(&out);
+    assert_eq!(msgs.len(), 2, "{msgs:?}");
+    assert!(msgs[0].starts_with("fixture.rs:2 [concurrency-discipline] lock-order inversion: `ca-fix::Slot.state` is acquired before `ca-fix::Hub.count`"), "{msgs:?}");
+    assert!(msgs[1].starts_with("fixture.rs:6 [concurrency-discipline] lock-order inversion: `ca-fix::Hub.count` is acquired before `ca-fix::Slot.state`"), "{msgs:?}");
 }
 
 #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use ca_trace::{Event as TraceEvent, NullSink, Record, TraceSink, ROOT_SCOPE};
 
-use crate::adversary::{Adversary, RoundView, Silent};
+use crate::adversary::{Adversary, RoundActions, RoundView, Silent};
 use crate::delay::EdgeDelays;
 use crate::fiber::{panic_message, scope_path, FaultView, Fibers, Step};
 use crate::{Comm, Inbox, Metrics, PartyId};
@@ -340,16 +340,20 @@ impl Sim {
                     }
                 }
 
-                // --- Rushing adversary phase. ---
-                let corrupted_list: Vec<PartyId> = corrupted.iter().copied().collect();
-                let view = RoundView {
-                    n,
-                    t,
-                    round,
-                    corrupted: &corrupted_list,
-                    honest_sends: &honest_sends,
+                // --- Rushing adversary phase: only while a fiber waits on
+                // the round, so nothing is done to a party that decided. ---
+                let actions = if waiting.is_empty() {
+                    RoundActions::default()
+                } else {
+                    let corrupted_list: Vec<PartyId> = corrupted.iter().copied().collect();
+                    self.adversary.on_round(&RoundView {
+                        n,
+                        t,
+                        round,
+                        corrupted: &corrupted_list,
+                        honest_sends: &honest_sends,
+                    })
                 };
-                let actions = self.adversary.on_round(&view);
 
                 // Adaptive corruptions take effect this round.
                 for p in actions.corrupt {
@@ -545,7 +549,7 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{RoundActions, SendSpec};
+    use crate::adversary::SendSpec;
     use crate::CommExt;
     use ca_codec::Encode;
 
@@ -670,6 +674,37 @@ mod tests {
         }
     }
 
+    /// Once every party has returned, the adversary is not consulted
+    /// again: a corruption it would ask for after the last round cannot
+    /// erase an output, and a send it would make there is not metered.
+    #[test]
+    fn a_decided_party_cannot_be_corrupted_after_the_last_round() {
+        let rounds = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&rounds);
+        let late_corruptor = move |view: &RoundView<'_>| {
+            seen.lock().unwrap().push(view.round);
+            let mut actions = RoundActions::default();
+            if view.round >= 2 {
+                actions.corrupt.push(PartyId(0));
+                actions.sends.push(SendSpec {
+                    from: PartyId(0),
+                    to: PartyId(1),
+                    payload: Bytes::from_static(b"late"),
+                });
+            }
+            actions
+        };
+        let report = Sim::new(4).with_adversary(late_corruptor).run(|ctx, id| {
+            ctx.exchange(&1u64);
+            ctx.exchange(&2u64);
+            id.0
+        });
+        assert_eq!(*rounds.lock().unwrap(), [0, 1]);
+        assert_eq!(report.outputs, [Some(0), Some(1), Some(2), Some(3)]);
+        assert!(report.corrupted.is_empty());
+        assert_eq!(report.metrics.adversary_bits, 0);
+    }
+
     /// n = 7 (t = 2: room for both corruptions), P3 lying, P2 adaptively
     /// corrupted at round 1; every party sends `[from, round, to, k]` to all
     /// (itself included) each of three rounds, and P0 sends P1 a second
@@ -724,15 +759,11 @@ mod tests {
             });
 
         // The view: senders honest when the adversary looks, in order. The
-        // fourth is the final collect, where every body has returned.
+        // final collect, where every body has returned, is not shown.
         let views = views.lock().unwrap();
-        let honest_at_view: [&[usize]; 4] = [
-            &[0, 1, 2, 4, 5, 6],
-            &[0, 1, 2, 4, 5, 6],
-            &[0, 1, 4, 5, 6],
-            &[],
-        ];
-        assert_eq!(views.len(), 4);
+        let honest_at_view: [&[usize]; 3] =
+            [&[0, 1, 2, 4, 5, 6], &[0, 1, 2, 4, 5, 6], &[0, 1, 4, 5, 6]];
+        assert_eq!(views.len(), 3);
         for (round, (corrupted, honest_sends)) in views.iter().enumerate() {
             let expected_corrupted = if round >= 2 {
                 vec![PartyId(2), PartyId(3)]

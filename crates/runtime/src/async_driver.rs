@@ -10,8 +10,9 @@
 //! [`ca_async::Executor`], but over real sockets. A protocol written
 //! against [`AsyncProtocol`] therefore runs unchanged on both hosts.
 //!
-//! Inbound events go through the party's liveness core, as on the sync
-//! path; in event-driven mode it delivers every batch whatever its tag.
+//! Inbound frames come in through the party's one inbound path,
+//! `TcpParty::pump`, and its liveness core, as on the sync path; in
+//! event-driven mode the core delivers every batch whatever its tag.
 //!
 //! # Fault plans
 //!
@@ -35,7 +36,6 @@
 
 use std::collections::VecDeque;
 use std::fmt::Display;
-use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -49,10 +49,6 @@ use crate::TcpParty;
 /// clock). The driver returns whatever the protocol has decided when it
 /// expires.
 const DEADLINE: Duration = Duration::from_secs(30);
-
-/// How long each event poll blocks. Smaller is more responsive, larger
-/// burns fewer wakeups; correctness does not depend on it.
-const POLL: Duration = Duration::from_millis(5);
 
 /// After deciding, keep serving peers until the link has been quiet this
 /// long. Must comfortably exceed one network round trip.
@@ -100,14 +96,15 @@ where
             let actions = proto.on_message(me, &payload);
             apply(party, &mut self_queue, actions);
         } else {
-            match party.pump(POLL) {
-                Ok(()) => {}
-                Err(RecvTimeoutError::Timeout) => {
-                    if decided && party.clock.now().saturating_sub(last_activity) >= LINGER {
-                        break;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
+            // The network, until the driver has something to check: the
+            // end of the linger window once decided, else the deadline.
+            let until = if decided {
+                last_activity.saturating_add(LINGER)
+            } else {
+                start.saturating_add(DEADLINE)
+            };
+            if !party.pump(until.saturating_sub(party.clock.now())) {
+                break;
             }
         }
 

@@ -330,9 +330,9 @@ mod tests {
 
     /// Every party hears every other, first in a round in which all of
     /// them write 4 MiB to every peer at once — whatever a socket does not
-    /// take goes to a spill thread — and then in five small rounds. The
-    /// reader threads drain every socket regardless, so the bulk round
-    /// neither deadlocks nor cuts anyone off.
+    /// take goes to a spill thread — and then in five small rounds. Every
+    /// party reads its sockets while it waits on the round, so the bulk
+    /// round neither deadlocks nor cuts anyone off.
     #[test]
     fn all_to_all_over_tcp() {
         let bulk = |from: usize, to: usize| Bytes::from(vec![(from * 4 + to) as u8; 4 << 20]);
@@ -497,6 +497,135 @@ mod tests {
             flooder.join().unwrap(),
             "the flooder's socket was never shut down"
         );
+    }
+
+    /// A peer that writes half a round frame and then stalls past `Δ`
+    /// delays the round by at most one sweep slice: the round ends on `Δ`
+    /// without the frame, and the half holds no more than the length its
+    /// prefix announced. When the rest arrives the frame is assembled
+    /// and, now late, dropped; the next round's frame is delivered on
+    /// time.
+    #[test]
+    fn a_half_written_frame_ends_its_round_on_delta_and_is_assembled_later() {
+        use std::time::Instant;
+        // Scheduling slack for a loaded machine.
+        const SLACK: Duration = Duration::from_millis(50);
+        let addr0 = free_addr();
+        let delta = Duration::from_millis(200);
+        let mut wire = Vec::new();
+        let msgs = vec![Bytes::from(vec![0x11; 1000])];
+        Frame::Round { round: 1, msgs }.write_to(&mut wire).unwrap();
+        let half = wire.len() / 2;
+        let (rest_tx, rest_rx) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let mut stream = dial_as(addr0, 1);
+            stream.write_all(&wire[..half]).unwrap();
+            rest_rx.recv().unwrap();
+            stream.write_all(&wire[half..]).unwrap();
+            let msgs = vec![Bytes::from_static(b"on time")];
+            Frame::Round { round: 2, msgs }
+                .write_to(&mut stream)
+                .unwrap();
+            stream
+        });
+        let mut comm = party0(addr0, 2, delta);
+        let started = Instant::now();
+        let inbox = comm.next_round();
+        let took = started.elapsed();
+        assert!(inbox.raw_from(PartyId(1)).is_empty());
+        assert!(
+            took >= delta && took < delta + crate::party::SLICE + SLACK,
+            "round 1 took {took:?}"
+        );
+        let body = wire_len_of_half_frame(half);
+        assert_eq!(comm.partial_frame(1), Some(body));
+
+        rest_tx.send(()).unwrap();
+        let started = Instant::now();
+        let inbox = comm.next_round();
+        assert!(started.elapsed() < delta, "round 2 waited out Δ");
+        assert_eq!(inbox.raw_from(PartyId(1)), [Bytes::from_static(b"on time")]);
+        assert_eq!(comm.partial_frame(1), None);
+        let stats = comm.stats();
+        assert_eq!((stats.peers_gone, stats.frames_shed), (0, 0), "{stats:?}");
+        drop(comm);
+        drop(peer.join().unwrap());
+    }
+
+    /// The body length and the bytes of it in, once the first `half`
+    /// bytes of a round frame with one 1000-byte message have arrived.
+    fn wire_len_of_half_frame(half: usize) -> (usize, usize) {
+        let msgs = vec![Bytes::from(vec![0x11; 1000])];
+        let len = Frame::Round { round: 1, msgs }.wire_len() - crate::LENGTH_PREFIX_LEN;
+        (len, half - crate::LENGTH_PREFIX_LEN)
+    }
+
+    /// Under `run_async_party` the sweep does not block behind a silent
+    /// peer: P1 is connected and says nothing, and every message P2 sends
+    /// is still delivered within a few sweep slices. P2's first message
+    /// finds the party waiting on P1, which would hold it until the
+    /// driver's 30 s deadline if the wait were not cut into slices.
+    #[test]
+    fn a_silent_peer_does_not_delay_async_delivery() {
+        use std::sync::Mutex;
+        use std::time::Instant;
+        const MESSAGES: usize = 9;
+        struct Count(Arc<Mutex<Vec<Instant>>>);
+        impl AsyncProtocol for Count {
+            type Output = usize;
+            fn on_start(&mut self) -> Vec<ca_async::Action> {
+                Vec::new()
+            }
+            fn on_message(&mut self, _: PartyId, _: &Bytes) -> Vec<ca_async::Action> {
+                self.0.lock().unwrap().push(Instant::now());
+                Vec::new()
+            }
+            fn output(&self) -> Option<usize> {
+                let got = self.0.lock().unwrap().len();
+                (got == MESSAGES).then_some(got)
+            }
+        }
+        let addr0 = free_addr();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let silent = std::thread::spawn(move || {
+            let _stream = dial_as(addr0, 1);
+            done_rx.recv().unwrap();
+        });
+        let sender = std::thread::spawn(move || {
+            let mut stream = dial_as(addr0, 2);
+            std::thread::sleep(Duration::from_millis(50));
+            (1..=MESSAGES as u64)
+                .map(|round| {
+                    std::thread::sleep(Duration::from_millis(20));
+                    let msgs = vec![Bytes::from(vec![round as u8])];
+                    let sent = Instant::now();
+                    Frame::Round { round, msgs }.write_to(&mut stream).unwrap();
+                    sent
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut comm = party0(addr0, 3, Duration::from_secs(5));
+        let delivered = Arc::new(Mutex::new(Vec::new()));
+        let out = crate::run_async_party(&mut comm, Count(Arc::clone(&delivered)));
+        assert_eq!(out, Some(MESSAGES));
+        let sent = sender.join().unwrap();
+        let mut late: Vec<Duration> = (delivered.lock().unwrap().iter())
+            .zip(&sent)
+            .map(|(at, sent)| at.duration_since(*sent))
+            .collect();
+        assert!(
+            late[0] < Duration::from_millis(50),
+            "the first message came {:?} after its send",
+            late[0]
+        );
+        late.sort_unstable();
+        let median = late[MESSAGES / 2];
+        assert!(
+            median < 5 * crate::party::SLICE,
+            "median delivery {median:?} after the send: {late:?}"
+        );
+        done_tx.send(()).unwrap();
+        silent.join().unwrap();
     }
 
     /// Establishment against a peer that never comes up must return

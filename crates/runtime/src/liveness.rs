@@ -227,12 +227,14 @@ impl Liveness {
     /// Whether the round is over: every peer still waited on has sent
     /// its batch for it, or `Δ` expired.
     pub(crate) fn round_done(&self) -> bool {
-        self.expired
-            || self.crashed
-            || self
-                .peers
-                .iter()
-                .all(|peer| peer.state != State::Live || peer.last >= self.round)
+        self.expired || self.crashed || self.awaited().next().is_none()
+    }
+
+    /// Live peers whose batch for the current round has not arrived.
+    pub(crate) fn awaited(&self) -> impl Iterator<Item = usize> + '_ {
+        let round = self.round;
+        (0..self.peers.len())
+            .filter(move |&p| self.peers[p].state == State::Live && self.peers[p].last < round)
     }
 
     /// `Δ` has expired: the round ends, and what still comes for it is
@@ -371,6 +373,14 @@ impl Liveness {
     fn crash(&mut self, strategy: &'static str) {
         self.crashed = true;
         self.effects.push_back(Effect::Crash { strategy });
+    }
+}
+
+#[cfg(test)]
+impl Liveness {
+    /// What `peer`'s early batches hold.
+    pub(crate) fn early_bytes(&self, peer: usize) -> usize {
+        self.peers[peer].early_bytes
     }
 }
 

@@ -3,10 +3,10 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -15,6 +15,7 @@ use ca_net::{Comm, FaultEstimate, Inbox, PartyId};
 use ca_trace::{Event as TraceEvent, NullSink, Record, TraceSink};
 
 use crate::clock::{Clock, MonotonicClock};
+use crate::frame::{validate_frame_len, LENGTH_PREFIX_LEN};
 use crate::liveness::{Effect, Liveness, Reason};
 use crate::stats::{RuntimeStats, StatsInner};
 use crate::{FaultPlan, Frame};
@@ -67,25 +68,25 @@ const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 /// establishment, so the deadline is re-checked at least this often.
 const ESTABLISH_POLL: Duration = Duration::from_millis(250);
 
-/// Capacity of the inbound event queue shared by all reader threads. A
-/// reader whose event does not fit waits, which back-pressures its peer's
-/// socket; nothing inbound is shed here. The same number caps the batches
-/// buffered per peer for rounds not yet reached.
-const EVENT_QUEUE: usize = 4096;
+/// Cap, per peer, on the batches buffered for rounds not reached yet.
+const EARLY_BATCHES: usize = 4096;
 
-/// Cap, per peer, on the bytes buffered for rounds not yet reached, and
-/// on the bytes of its frames waiting in the event queue (see [`Inflow`]):
+/// Cap, per peer, on the bytes buffered for rounds not reached yet:
 /// about four frames of the largest size.
 const EARLY_BYTES: usize = 64 << 20;
 
-/// Size of each peer's receive buffer, and the payload size from which a
+/// Size of each peer's read buffer, and the payload size from which a
 /// send goes out of its own `Bytes` instead of being copied in with the
 /// frame headers around it.
 const SOCKET_BUFFER: usize = 64 * 1024;
 
-/// Write timeout on every socket: the longest the protocol thread blocks
-/// on one peer's full socket before the rest of the batch goes to that
-/// peer's spill thread.
+/// The longest the protocol thread blocks on one peer's socket before it
+/// sweeps every peer again.
+pub(crate) const SLICE: Duration = Duration::from_millis(1);
+
+/// How long a spill thread waits before it retries a write its socket did
+/// not take, and the write timeout that bounds its write while the
+/// protocol thread has the socket in blocking mode for a [`SLICE`].
 const WRITE_POLL: Duration = Duration::from_millis(1);
 
 /// Capacity of each spill thread's queue, in batches (one per round on
@@ -123,8 +124,7 @@ impl Outbound {
     }
 
     /// Writes until the batch is out (`Ok(true)`) or a write comes back
-    /// short, which on a blocking socket means its write timeout fired:
-    /// the peer's buffers are full (`Ok(false)`).
+    /// short or would block: the peer's buffers are full (`Ok(false)`).
     fn write_some(&mut self, mut socket: &TcpStream) -> io::Result<bool> {
         while let Some(chunk) = self.chunks.front_mut() {
             match socket.write(chunk) {
@@ -147,87 +147,77 @@ impl Outbound {
     }
 }
 
+/// One peer's inbound byte stream, cut into frames across as many
+/// nonblocking reads as they take.
+struct Assembler {
+    /// Bytes read past the last whole frame, `buf[..filled]`: at most a
+    /// partial length prefix once `next_body` returns `None`.
+    buf: Box<[u8]>,
+    filled: usize,
+    /// The body being filled, at the length its prefix announced, and how
+    /// many of its bytes are in.
+    body: Option<(Vec<u8>, usize)>,
+}
+
+impl Assembler {
+    /// Reads once from `socket`: straight into the body when nothing is
+    /// buffered ahead of it and a buffer's worth or more of it is missing,
+    /// else into the buffer. `Ok(0)` is the end of the stream.
+    fn read_from(&mut self, mut socket: &TcpStream) -> io::Result<usize> {
+        match &mut self.body {
+            Some((body, got)) if self.filled == 0 && body.len() - *got >= self.buf.len() => {
+                let k = socket.read(&mut body[*got..])?;
+                *got += k;
+                Ok(k)
+            }
+            _ => {
+                let k = socket.read(&mut self.buf[self.filled..])?;
+                self.filled += k;
+                Ok(k)
+            }
+        }
+    }
+
+    /// The next whole frame body read so far. The length prefix is
+    /// validated before the body is allocated, so a peer announcing 4 GiB
+    /// is cut off without costing anything.
+    fn next_body(&mut self) -> Result<Option<Bytes>, Reason> {
+        let mut used = 0;
+        if self.body.is_none() && self.filled >= LENGTH_PREFIX_LEN {
+            let mut prefix = [0u8; LENGTH_PREFIX_LEN];
+            prefix.copy_from_slice(&self.buf[..LENGTH_PREFIX_LEN]);
+            let len =
+                validate_frame_len(u32::from_be_bytes(prefix)).map_err(|_| Reason::Malformed)?;
+            (used, self.body) = (LENGTH_PREFIX_LEN, Some((vec![0; len], 0)));
+        }
+        let Some((body, got)) = &mut self.body else {
+            return Ok(None);
+        };
+        let k = (self.filled - used).min(body.len() - *got);
+        body[*got..*got + k].copy_from_slice(&self.buf[used..used + k]);
+        *got += k;
+        self.buf.copy_within(used + k..self.filled, 0);
+        self.filled -= used + k;
+        if *got < body.len() {
+            return Ok(None);
+        }
+        // The body becomes the backing store of the delivered payloads:
+        // `Bytes::from` adopts it and the shared decode slices it.
+        Ok(self.body.take().map(|(body, _)| Bytes::from(body)))
+    }
+}
+
 /// The protocol thread's end of one peer's connection.
 struct Link {
-    /// The socket, under the [`WRITE_POLL`] write timeout.
+    /// The socket: nonblocking, but for the [`SLICE`]s the protocol
+    /// thread waits on it; under the [`WRITE_POLL`] write timeout.
     socket: TcpStream,
     /// The peer's spill thread, started the first time a write to the
     /// peer came back short.
     spill: Option<Spill>,
-    /// What the peer's reader has queued; shared with it.
-    inflow: Arc<Inflow>,
-}
-
-impl Link {
-    /// Shuts the socket down both ways and stops the peer's reader, so
-    /// its reader and spill threads exit.
-    fn close(&self) {
-        self.inflow.stop();
-        let _ = self.socket.shutdown(Shutdown::Both);
-    }
-}
-
-/// One peer's frames in the event queue, counted in the bytes they hold
-/// ([`queued_size`]) until the protocol thread takes them.
-/// Before queueing a frame that would take the count past
-/// [`EARLY_BYTES`], the peer's reader waits, unless none of its frames is
-/// queued; so one peer holds at most `EARLY_BYTES` plus one frame there.
-#[derive(Debug, Default)]
-struct Inflow {
-    state: Mutex<Queued>,
-    /// Signalled when bytes are taken or the reader is stopped.
-    changed: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct Queued {
-    bytes: usize,
-    /// The reader is to stop: its peer was cut off, or the party is gone.
-    stopped: bool,
-}
-
-impl Inflow {
-    /// Every update is one assignment, so a poisoned guard still holds
-    /// a valid count.
-    fn lock(&self) -> MutexGuard<'_, Queued> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Counts `size` more queued bytes once they fit, or returns `false`
-    /// if the reader is to stop.
-    fn reserve(&self, size: usize) -> bool {
-        let mut queued = self.lock();
-        while !queued.stopped && queued.bytes > 0 && queued.bytes + size > EARLY_BYTES {
-            queued = self
-                .changed
-                .wait(queued)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        queued.bytes += size;
-        !queued.stopped
-    }
-
-    /// The protocol thread took `size` of the queued bytes.
-    fn release(&self, size: usize) {
-        self.lock().bytes -= size;
-        self.changed.notify_one();
-    }
-
-    /// Tells the reader to stop at its next frame, or now if it waits.
-    fn stop(&self) {
-        self.lock().stopped = true;
-        self.changed.notify_one();
-    }
-}
-
-/// Bytes a frame holds while queued: its wire image plus one handle per
-/// message.
-fn queued_size(frame: &Frame) -> usize {
-    let handles = match frame {
-        Frame::Round { msgs, .. } => msgs.len(),
-        Frame::Hello { .. } | Frame::Bye => 0,
-    };
-    frame.wire_len() + handles * std::mem::size_of::<Bytes>()
+    /// What has been read of the peer's stream; `None` once the peer
+    /// said `Bye` or its stream was lost.
+    inbound: Option<Assembler>,
 }
 
 /// A thread that finishes writing what a peer's socket did not take at
@@ -266,25 +256,15 @@ impl Spill {
     }
 }
 
-/// What a reader thread reports to the protocol thread: a frame from
-/// peer `from`, or how that peer's stream was lost without a `Bye`
-/// ([`Reason::Eof`], or [`Reason::Malformed`] for an oversized or
-/// undecodable frame).
-#[derive(Debug)]
-struct Event {
-    from: usize,
-    frame: Result<Frame, Reason>,
-}
-
 /// A fully connected TCP party implementing [`Comm`].
 ///
 /// Create one per process with [`TcpParty::establish`], then hand it to
 /// protocol code. `next_round` writes each peer one frame holding the
-/// round's sends to it, which is also its end-of-round marker, then waits
-/// until every live peer's frame for the round arrives or `Δ` elapses. A
-/// write blocks at most [`WRITE_POLL`]: what a full socket does not take
-/// goes to that peer's spill thread, so a peer that stops reading delays
-/// no other peer.
+/// round's sends to it, which is also its end-of-round marker, then reads
+/// its peers' sockets itself until every live peer's frame for the round
+/// arrives or `Δ` elapses. A write never blocks: what a full socket does
+/// not take goes to that peer's spill thread, so a peer that stops
+/// reading delays no other peer.
 ///
 /// # Crash tolerance
 ///
@@ -305,20 +285,17 @@ pub struct TcpParty {
     delta: Duration,
     pending: Vec<(PartyId, Bytes)>,
     scopes: Vec<String>,
-    /// Per peer, its socket's write side; taken when the peer is cut off
-    /// or this party crashes.
+    /// Per peer, its connection; taken when the peer is cut off or this
+    /// party crashes.
     links: Vec<Option<Link>>,
-    /// Inbound events from all reader threads (bounded by
-    /// [`EVENT_QUEUE`], and per peer by its [`Inflow`]).
-    events: mpsc::Receiver<Event>,
-    /// Per peer, what its reader has queued.
-    inflows: Vec<Arc<Inflow>>,
+    /// The peer bytes last arrived from.
+    recent: usize,
     /// Time source for the Δ deadline, and the async driver's only one;
     /// injectable for tests.
     pub(crate) clock: Box<dyn Clock>,
     /// The liveness policy, which both drivers feed.
     pub(crate) core: Liveness,
-    /// Transport counters shared with the socket threads.
+    /// Transport counters shared with the spill threads.
     stats: Arc<StatsInner>,
     /// Trace destination ([`NullSink`] unless [`TcpParty::set_trace`]).
     sink: Arc<dyn TraceSink>,
@@ -358,29 +335,20 @@ impl TcpParty {
         let n = addrs.len();
         let t = ca_net::max_faults(n);
         let stats = Arc::new(StatsInner::default());
-        let (event_tx, event_rx) = mpsc::sync_channel::<Event>(EVENT_QUEUE);
-
-        let streams = establish_clique(me, addrs, &*clock, &stats)?;
-
-        // One detached reader thread per peer; it exits when its socket or
-        // the event channel closes.
         let mut links: Vec<Option<Link>> = (0..n).map(|_| None).collect();
-        let inflows: Vec<Arc<Inflow>> = (0..n).map(|_| Arc::default()).collect();
-        for (peer, socket) in streams {
-            let read_half = socket.try_clone()?;
+        for (peer, socket) in establish_clique(me, addrs, &*clock, &stats)? {
+            socket.set_nonblocking(true)?;
             socket.set_write_timeout(Some(WRITE_POLL))?;
-            let inflow = Arc::clone(&inflows[peer]);
-            let (event_tx, reader_inflow) = (event_tx.clone(), Arc::clone(&inflow));
             links[peer] = Some(Link {
                 socket,
                 spill: None,
-                inflow,
+                inbound: Some(Assembler {
+                    buf: vec![0; SOCKET_BUFFER].into_boxed_slice(),
+                    filled: 0,
+                    body: None,
+                }),
             });
-            std::thread::Builder::new()
-                .name(format!("ca-reader-{peer}"))
-                .spawn(move || reader_loop(peer, read_half, &reader_inflow, &event_tx))?;
         }
-
         Ok(Self {
             n,
             t,
@@ -389,10 +357,9 @@ impl TcpParty {
             pending: Vec::new(),
             scopes: Vec::new(),
             links,
-            events: event_rx,
-            inflows,
+            recent: 0,
             clock,
-            core: Liveness::new(n, me.index(), EVENT_QUEUE, EARLY_BYTES),
+            core: Liveness::new(n, me.index(), EARLY_BATCHES, EARLY_BYTES),
             stats,
             sink: Arc::new(NullSink),
         })
@@ -434,18 +401,103 @@ impl TcpParty {
         });
     }
 
-    /// Waits up to `timeout` for one inbound event and feeds it to the
-    /// core.
-    pub(crate) fn pump(&mut self, timeout: Duration) -> Result<(), mpsc::RecvTimeoutError> {
-        let Event { from, frame } = self.events.recv_timeout(timeout)?;
-        match frame {
-            Ok(frame) => {
-                self.inflows[from].release(queued_size(&frame));
-                self.core.on_frame(from, frame);
+    /// Feeds the core each whole frame the peers sent: one nonblocking read
+    /// from every peer still read from, and while nothing arrives and
+    /// `budget` lasts, a wait of at most [`SLICE`] on one of them (the first
+    /// the round waits for, else the last heard from, else any), then again.
+    /// Returns whether bytes arrived or a stream ended; `false` at once when
+    /// no peer is read from any more.
+    pub(crate) fn pump(&mut self, budget: Duration) -> bool {
+        let deadline = self.clock.now().saturating_add(budget);
+        loop {
+            let (mut any, mut arrived) = (None, false);
+            for peer in 0..self.n {
+                if self.readable(peer) {
+                    any.get_or_insert(peer);
+                    arrived |= self.read(peer, None);
+                }
             }
-            Err(cause) => self.core.on_lost(from, cause),
+            if arrived {
+                return true;
+            }
+            let Some(any) = any else {
+                return false;
+            };
+            let Some(left) = remaining_budget(deadline, &*self.clock) else {
+                return false;
+            };
+            let peer = (self.core.awaited())
+                .chain([self.recent])
+                .find(|&p| self.readable(p))
+                .unwrap_or(any);
+            if self.read(peer, Some(left.min(SLICE))) {
+                return true;
+            }
         }
-        Ok(())
+    }
+
+    fn readable(&self, peer: usize) -> bool {
+        self.links[peer]
+            .as_ref()
+            .is_some_and(|link| link.inbound.is_some())
+    }
+
+    /// One read from `peer`, waiting up to `wait`; the frames it completes
+    /// go to the core. Returns whether bytes arrived or the stream ended.
+    fn read(&mut self, peer: usize, wait: Option<Duration>) -> bool {
+        let Some(Link {
+            socket,
+            inbound: Some(inbound),
+            ..
+        }) = &mut self.links[peer]
+        else {
+            return false;
+        };
+        let read = match wait {
+            None => inbound.read_from(socket),
+            Some(wait) => socket
+                .set_read_timeout(Some(wait))
+                .and_then(|()| socket.set_nonblocking(false))
+                .and_then(|()| {
+                    let read = inbound.read_from(socket);
+                    socket.set_nonblocking(true)?;
+                    read
+                }),
+        };
+        let lost = match read {
+            Ok(0) => Some(Reason::Eof),
+            Ok(_) => {
+                self.recent = peer;
+                loop {
+                    let frame = match inbound.next_body() {
+                        Ok(Some(body)) => Frame::decode_from_bytes(&body),
+                        Ok(None) => return true,
+                        Err(cause) => break Some(cause),
+                    };
+                    let Ok(frame) = frame else {
+                        break Some(Reason::Malformed);
+                    };
+                    let bye = frame == Frame::Bye;
+                    self.core.on_frame(peer, frame);
+                    if bye {
+                        break None;
+                    }
+                }
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return false;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => return false,
+            Err(_) => Some(Reason::Eof),
+        };
+        // Nothing more is read after a `Bye` or a lost stream.
+        if let Some(link) = &mut self.links[peer] {
+            link.inbound = None;
+        }
+        if let Some(cause) = lost {
+            self.core.on_lost(peer, cause);
+        }
+        true
     }
 
     /// Applies the core's effects up to the next delivery, and returns it.
@@ -455,9 +507,7 @@ impl TcpParty {
                 Effect::Deliver { from, payload } => return Some((from, payload)),
                 Effect::Write { to, frame } => self.send_batch(to, Outbound::new(&frame)),
                 Effect::Disconnect { peer, reason } => {
-                    if let Some(link) = self.links[peer].take() {
-                        link.close();
-                    }
+                    self.close(peer);
                     if reason == Reason::Stalled {
                         self.stats
                             .overflow_disconnects
@@ -505,18 +555,23 @@ impl TcpParty {
     /// core.
     fn write_or_report(&mut self, to: usize, batch: Outbound) {
         if let Err(failure) = self.write_out(to, batch) {
-            if let Some(link) = self.links[to].take() {
-                link.close();
-            }
+            self.close(to);
             self.core.on_write_failed(to, failure);
         }
     }
 
+    /// Shuts `peer`'s socket down both ways and drops the link, so that
+    /// the peer's spill thread exits and nothing more of it is read.
+    fn close(&mut self, peer: usize) {
+        if let Some(link) = self.links[peer].take() {
+            let _ = link.socket.shutdown(Shutdown::Both);
+        }
+    }
+
     /// Writes `batch` to `to` from this thread if nothing is queued for
-    /// the peer, and hands what its socket does not take within
-    /// [`WRITE_POLL`] to the peer's spill thread, started on first use. So
-    /// this blocks at most one `WRITE_POLL`, and a peer that stops reading
-    /// delays no other peer.
+    /// the peer, and hands what its socket does not take at once to the
+    /// peer's spill thread, started on first use. So this never blocks,
+    /// and a peer that stops reading delays no other peer.
     fn write_out(&mut self, to: usize, mut batch: Outbound) -> Result<(), Reason> {
         let Some(link) = self.links[to].as_mut() else {
             return Ok(());
@@ -542,7 +597,7 @@ impl TcpParty {
             // it says why.
             Err(mpsc::TrySendError::Disconnected(_)) => {
                 let stalled = self.links[to].take().is_some_and(|link| {
-                    link.close();
+                    let _ = link.socket.shutdown(Shutdown::Both);
                     link.spill
                         .is_some_and(|spill| spill.thread.join().unwrap_or(false))
                 });
@@ -616,9 +671,8 @@ impl Comm for TcpParty {
             if self.core.round_done() {
                 break;
             }
-            let budget = deadline.checked_sub(self.clock.now());
-            match budget.filter(|d| !d.is_zero()) {
-                Some(budget) if self.pump(budget).is_ok() => {}
+            match remaining_budget(deadline, &*self.clock) {
+                Some(budget) if self.pump(budget) => {}
                 _ => self.core.on_timeout(),
             }
         }
@@ -683,22 +737,23 @@ impl Drop for TcpParty {
     fn drop(&mut self) {
         // A crashed party has no links left. The rest say `Bye` behind
         // everything already sent and close: peers read the `Bye`, then
-        // EOF. Drop blocks at most one `WRITE_POLL` per peer; a spill
-        // thread finishes in the background.
+        // EOF; a spill thread finishes in the background. A last sweep
+        // takes the peers' own `Bye`s, so fewer sockets close unread.
         for peer in 0..self.n {
             self.write_or_report(peer, Outbound::new(&Frame::Bye));
         }
+        for peer in 0..self.n {
+            self.read(peer, None);
+        }
         while self.next_delivery().is_some() {}
         self.close_links();
-        for inflow in &self.inflows {
-            inflow.stop();
-        }
         self.sink.flush();
     }
 }
 
 /// Spill thread: writes each batch it is handed, behind the ones before
-/// it. A batch must be out within `Δ` of this thread starting on it,
+/// it, waiting [`WRITE_POLL`] whenever the socket takes no more. A batch
+/// must be out within `Δ` of this thread starting on it,
 /// measured in real time like an OS socket timer; a peer that takes it
 /// more slowly is off the synchronous schedule, so that batch and those
 /// still queued are shed and the thread returns `true`. When the queue's
@@ -719,7 +774,7 @@ fn spill_loop(
         loop {
             match batch.write_some(socket) {
                 Ok(true) => break,
-                Ok(false) if clock.now() < deadline => {}
+                Ok(false) if clock.now() < deadline => std::thread::sleep(WRITE_POLL),
                 Ok(false) => {
                     stalled = true;
                     let shed = 1 + rx.try_iter().count() as u64;
@@ -733,53 +788,6 @@ fn spill_loop(
     }
     let _ = socket.shutdown(Shutdown::Write);
     stalled
-}
-
-/// Reader thread: decode frames, forward as events, and report how the
-/// stream was lost. It never sheds: while the event queue is full, or
-/// its peer's [`Inflow`] has no room for the next frame, it waits, and
-/// the peer's socket backs up. That cannot deadlock, since the protocol
-/// thread, the queue's one consumer, blocks on no write for longer than
-/// [`WRITE_POLL`], and dropping the queue releases the reader. Once the
-/// peer is cut off, the reader returns at its next frame, or at once if
-/// it waits for room, so the socket closes with what is unread (a reset)
-/// instead of draining a flood nobody reads. Reads go through one
-/// [`SOCKET_BUFFER`], so a round's frame from the peer costs about one
-/// `read`.
-fn reader_loop(
-    peer: usize,
-    stream: TcpStream,
-    inflow: &Inflow,
-    event_tx: &mpsc::SyncSender<Event>,
-) {
-    let mut stream = BufReader::with_capacity(SOCKET_BUFFER, stream);
-    let event = |frame| Event { from: peer, frame };
-    let lost = loop {
-        let mut len_buf = [0u8; 4];
-        if stream.read_exact(&mut len_buf).is_err() {
-            break Reason::Eof;
-        }
-        // Validate the claimed length BEFORE sizing the buffer: a
-        // byzantine peer announcing a 4 GiB frame is dropped without
-        // allocating anything.
-        let Ok(len) = crate::frame::validate_frame_len(u32::from_be_bytes(len_buf)) else {
-            break Reason::Malformed;
-        };
-        let mut body = vec![0u8; len];
-        if stream.read_exact(&mut body).is_err() {
-            break Reason::Eof;
-        }
-        // The receive buffer becomes the backing store of the delivered
-        // payloads: `Bytes::from` adopts it and the shared decode slices it.
-        let Ok(frame) = Frame::decode_from_bytes(&Bytes::from(body)) else {
-            break Reason::Malformed;
-        };
-        let bye = frame == Frame::Bye;
-        if !inflow.reserve(queued_size(&frame)) || event_tx.send(event(Ok(frame))).is_err() || bye {
-            return;
-        }
-    };
-    let _ = event_tx.send(event(Err(lost)));
 }
 
 /// Establishes one TCP stream per peer: lower-indexed parties accept,
@@ -826,7 +834,9 @@ fn establish_clique(
         streams.push((peer, stream));
     }
 
-    // Accept everyone above us, dropping strays until the deadline.
+    // Accept everyone above us, dropping strays until the deadline. `std`
+    // has no accept with a deadline, so the listener is polled.
+    listener.set_nonblocking(true)?;
     let expected = n - me.index() - 1;
     let mut taken = vec![false; n];
     let mut accepted = 0usize;
@@ -835,14 +845,20 @@ fn establish_clique(
             let missing: Vec<usize> = (me.index() + 1..n).filter(|&p| !taken[p]).collect();
             return Err(RuntimeError::EstablishTimeout { missing });
         };
-        let mut stream = match accept_timeout(&listener, clock, remaining.min(ESTABLISH_POLL)) {
-            Ok(stream) => stream,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => continue,
+        let mut stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(2));
+                continue;
+            }
             Err(e) => return Err(e.into()),
         };
         stream.set_nodelay(true).ok();
         // A connection that never completes its handshake must not block
-        // the accept loop: bound the hello read, then reject on timeout.
+        // the accept loop: the hello is read blocking (an accepted socket
+        // can inherit the listener's nonblocking mode) under a timeout,
+        // and rejected when it expires.
+        stream.set_nonblocking(false)?;
         stream
             .set_read_timeout(Some(remaining.min(ESTABLISH_POLL)))
             .ok();
@@ -852,7 +868,6 @@ fn establish_clique(
             // or lower is an impersonation attempt; a repeated index is
             // a duplicate. Both are dropped, never trusted.
             Some(from) if from > me.index() && from < n && !taken[from] => {
-                stream.set_read_timeout(None).ok();
                 taken[from] = true;
                 streams.push((from, stream));
                 accepted += 1;
@@ -872,36 +887,6 @@ fn remaining_budget(deadline: Duration, clock: &dyn Clock) -> Option<Duration> {
     deadline.checked_sub(clock.now()).filter(|d| !d.is_zero())
 }
 
-/// Accepts one inbound connection, failing with `TimedOut` when nothing
-/// arrives within `timeout` on `clock`: the listener is polled in
-/// nonblocking mode, since `std` has no accept-with-deadline.
-fn accept_timeout(
-    listener: &TcpListener,
-    clock: &dyn Clock,
-    timeout: Duration,
-) -> io::Result<TcpStream> {
-    listener.set_nonblocking(true)?;
-    let deadline = clock.now().saturating_add(timeout);
-    let result = loop {
-        match listener.accept() {
-            Ok((stream, _)) => break Ok(stream),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if clock.now() >= deadline {
-                    break Err(io::Error::new(io::ErrorKind::TimedOut, "accept timed out"));
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    // Restore blocking mode on the listener AND the accepted socket
-    // (accepted sockets can inherit O_NONBLOCK on some platforms).
-    listener.set_nonblocking(false)?;
-    let stream = result?;
-    stream.set_nonblocking(false)?;
-    Ok(stream)
-}
-
 /// Reads and decodes one handshake frame; `None` on anything malformed.
 fn read_hello(stream: &mut TcpStream) -> Option<usize> {
     let mut len_buf = [0u8; 4];
@@ -914,6 +899,17 @@ fn read_hello(stream: &mut TcpStream) -> Option<usize> {
     match Frame::decode_from_slice(&body) {
         Ok(Frame::Hello { from }) => Some(from as usize),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+impl TcpParty {
+    /// The length and the bytes in of the frame body being assembled
+    /// from `peer`, if any.
+    pub(crate) fn partial_frame(&self, peer: usize) -> Option<(usize, usize)> {
+        let inbound = self.links[peer].as_ref()?.inbound.as_ref()?;
+        let (body, got) = inbound.body.as_ref()?;
+        Some((body.capacity(), *got))
     }
 }
 
@@ -951,13 +947,13 @@ mod tests {
         }
     }
 
-    /// A peer flooding max-size frames at a party that takes none of them
-    /// gets at most [`EARLY_BYTES`] plus one frame into the event queue:
-    /// its reader then waits for room. Once the party is gone, the waiting
-    /// reader exits, and with it the flooder's connection.
+    /// A peer flooding max-size frames tagged with rounds not reached
+    /// yet makes the party hold at most [`EARLY_BYTES`] plus one frame:
+    /// its early buffer fills, the frame that would overfill it is shed,
+    /// and the peer is cut off, which ends its connection and the flood.
     #[test]
-    fn a_flooder_s_queued_bytes_are_capped() {
-        use crate::frame::{LENGTH_PREFIX_LEN, MAX_WIRE_FRAME_LEN};
+    fn a_flooder_s_held_bytes_are_capped() {
+        use crate::frame::MAX_WIRE_FRAME_LEN;
         let addr0 = TcpListener::bind("127.0.0.1:0")
             .unwrap()
             .local_addr()
@@ -977,51 +973,29 @@ mod tests {
             })
         });
         let addrs = [addr0, "127.0.0.1:9".parse().unwrap()];
-        let party = TcpParty::establish(PartyId(0), &addrs, Duration::from_secs(30)).unwrap();
-        let inflow = Arc::clone(&party.inflows[1]);
+        let mut party = TcpParty::establish(PartyId(0), &addrs, Duration::from_secs(30)).unwrap();
+        // The party stays in round 0, so every frame is early. Each read
+        // completes at most one frame, so looking after every pump sees
+        // the most the party held.
         let clock = MonotonicClock::default();
-        let wait = |secs: u64, done: &dyn Fn() -> bool| {
-            let deadline = clock.now() + Duration::from_secs(secs);
-            while !done() && clock.now() < deadline {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        };
-        // Nothing takes a frame, so the count only grows: until the reader
-        // has filled its share, then while the flood could still add to it.
-        let frame = LENGTH_PREFIX_LEN + MAX_WIRE_FRAME_LEN + std::mem::size_of::<Bytes>();
-        let queued = || inflow.lock().bytes;
-        wait(10, &|| queued() + frame > EARLY_BYTES);
-        wait(1, &|| flooder.is_finished());
+        let mut peak = 0;
+        while party.links[1].is_some() && clock.now() < Duration::from_secs(20) {
+            party.pump(Duration::from_millis(10));
+            while party.next_delivery().is_some() {}
+            let partial = party.partial_frame(1).map_or(0, |(len, _)| len);
+            peak = peak.max(party.core.early_bytes(1) + partial);
+        }
         assert!(
-            queued() + frame > EARLY_BYTES,
-            "the reader filled its share"
+            peak + MAX_WIRE_FRAME_LEN > EARLY_BYTES,
+            "the early buffer filled: {peak}"
         );
-        assert!(queued() <= EARLY_BYTES + frame, "{} bytes queued", queued());
-
-        drop(party);
-        wait(10, &|| Arc::strong_count(&inflow) == 1);
-        assert_eq!(Arc::strong_count(&inflow), 1, "the waiting reader exited");
+        assert!(
+            peak <= EARLY_BYTES + MAX_WIRE_FRAME_LEN,
+            "{peak} bytes held"
+        );
+        assert_eq!(party.silent_parties(), [PartyId(1)]);
+        let stats = party.stats();
+        assert_eq!((stats.frames_shed, stats.peers_gone), (1, 1), "{stats:?}");
         assert!(!flooder.join().unwrap(), "the flood stopped at the cap");
-    }
-
-    #[test]
-    fn accept_timeout_expires_then_still_accepts() {
-        let clock = MonotonicClock::default();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let local = listener.local_addr().unwrap();
-        // Nothing is dialing yet: the bounded accept must expire.
-        let err = accept_timeout(&listener, &clock, Duration::from_millis(30)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        // A real connection is still accepted afterwards, in blocking
-        // mode, and the accepted socket reads normally.
-        let dialer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(local).unwrap();
-            s.write_all(b"ok").unwrap();
-        });
-        let mut stream = accept_timeout(&listener, &clock, Duration::from_secs(5)).unwrap();
-        let mut buf = [0u8; 2];
-        stream.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"ok");
-        dialer.join().unwrap();
     }
 }

@@ -43,7 +43,7 @@ pub struct RuntimeStats {
 }
 
 /// Shared mutable counters behind [`RuntimeStats`]: one instance per
-/// party, updated from the protocol thread, the reader tasks, and
+/// party, updated from the protocol thread, the spill threads, and
 /// establishment.
 #[derive(Debug, Default)]
 pub(crate) struct StatsInner {

@@ -73,7 +73,11 @@
 #                      its wire model), so that a library signature change
 #                      or a wrong decision on either transport fails here
 #                      and not in a later benchmark run (result line must
-#                      say `"correct":true`; no timing gate)
+#                      say `"correct":true`; no timing gate). One more,
+#                      traced `tcp_small` run must report
+#                      `runtime.frames_shed` and `runtime.peers_gone` 0:
+#                      a fault-free loopback cluster whose inbound path
+#                      sheds a frame or loses a peer fails here
 #
 # Everything runs offline: the three external crates left (bytes, rand,
 # proptest) are vendored under shims/; threads, channels and sockets are std.
@@ -165,7 +169,7 @@ grep -q '"differential_equal": false' "$artifacts/BENCH_p1.json" \
 grep -q '"p1_blocked_beats_scalar": true' "$artifacts/BENCH_p1.json" \
     || { echo "BENCH_p1.json: blocked kernels did not beat the scalar oracle 2x"; exit 1; }
 
-echo "==> [12/12] benchmark package (release build + six short workloads)"
+echo "==> [12/12] benchmark package (release build + six short workloads + traced tcp_small)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # One-run mode exits 0 even when a decision is wrong; its last line says
 # whether every decision was correct.
@@ -174,6 +178,14 @@ for workload in sim_small sim_bulk lba_bulk lba_bulk_crash tcp_small engine_mux;
         --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
     grep -q '"correct":true' <<<"$result" \
         || { echo "benchmark $workload: a decision was wrong: $result"; exit 1; }
+done
+result="$(cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload tcp_small --seed 1 --seconds 1 --trace 1 --skip-probes | tail -n 1)"
+grep -q '"correct":true' <<<"$result" \
+    || { echo "benchmark tcp_small (traced): a decision was wrong: $result"; exit 1; }
+for counter in frames_shed peers_gone; do
+    grep -q "\"runtime.$counter\":{\"unit\":\"count\",\"value\":0}" <<<"$result" \
+        || { echo "benchmark tcp_small (traced): runtime.$counter is not 0: $result"; exit 1; }
 done
 
 echo "check.sh: all gates passed"
