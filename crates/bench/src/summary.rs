@@ -279,6 +279,7 @@ pub fn run_row(label: &str, stats: &RunStats) -> Row {
 /// `BENCH_<exp>.json`.
 pub struct BenchSummary {
     experiment: String,
+    claim: String,
     flags: Vec<(String, bool)>,
     runs: Vec<Row>,
 }
@@ -289,9 +290,17 @@ impl BenchSummary {
     pub fn new(experiment: &str) -> Self {
         Self {
             experiment: experiment.to_owned(),
+            claim: "BITS = l*n + kappa*n^2*ceil(log2 n)^2; ROUNDS = n*ceil(log2 n); constant 1"
+                .to_owned(),
             flags: Vec::new(),
             runs: Vec::new(),
         }
+    }
+
+    /// Replaces the claim line, which defaults to Corollary 2's bits and
+    /// rounds shape, for an experiment that tests something else.
+    pub fn set_claim(&mut self, claim: &str) {
+        claim.clone_into(&mut self.claim);
     }
 
     /// Sets a top-level boolean verdict field (e.g.
@@ -315,10 +324,7 @@ impl BenchSummary {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut json = format!("{{\n  \"experiment\": \"{}\",\n", self.experiment);
-        json.push_str(
-            "  \"claim\": \"BITS = l*n + kappa*n^2*ceil(log2 n)^2; \
-             ROUNDS = n*ceil(log2 n); constant 1\",\n",
-        );
+        json.push_str(&format!("  \"claim\": \"{}\",\n", self.claim));
         for (name, value) in &self.flags {
             json.push_str(&format!("  \"{name}\": {value},\n"));
         }

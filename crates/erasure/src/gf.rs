@@ -126,49 +126,52 @@ impl Gf {
     }
 }
 
-/// Split multiplication tables for one fixed `GF(2^16)` coefficient.
+/// Products per [`MulTable`] entry: four 16-bit lanes of a `u64`.
+pub(crate) const LANES: usize = 4;
+
+/// Split multiplication tables for [`LANES`] fixed coefficients at once.
 ///
 /// Multiplication by a constant is linear over `GF(2)`, so the product
 /// decomposes over the low and high bytes of the variable operand:
-/// `c · x = c · (x & 0xff) ⊕ c · (x & 0xff00)`. Tabulating both halves gives
-/// `mul(x) = lo[x & 0xff] ^ hi[x >> 8]` — two L1 loads and an XOR per
-/// symbol, with no branches and no dependence on the 384 KiB log/antilog
-/// pair that the generic [`Gf::mul`] path streams through.
-///
-/// The table itself is built in the log domain (one index add plus one
-/// antilog lookup per entry, 510 entries), so a build amortizes after a few
-/// hundred symbols; the blocked RS kernels sweep thousands of stripes per
-/// build. Both tables together occupy 1 KiB and stay L1-resident for the
-/// whole sweep.
+/// `c · x = c · (x & 0xff) ⊕ c · (x & 0xff00)`. With lane `r` of every
+/// entry holding coefficient `r`'s product, `lo[x & 0xff] ^ hi[x >> 8]` is
+/// four products for two L1 loads and an XOR, with no branches and no trip
+/// through the 384 KiB log/antilog pair of [`Gf::mul`]. Linearity also
+/// builds the table: an entry is the entry without its lowest set bit XOR
+/// that bit's product, so a build is 64 [`Gf::mul`] and 510 XORs, which
+/// the RS kernel amortizes over at least 256 stripes. The pair takes 4 KiB.
 #[derive(Debug, Clone)]
-pub struct MulTable {
-    lo: [u16; 256],
-    hi: [u16; 256],
+pub(crate) struct MulTable {
+    lo: [u64; 256],
+    hi: [u64; 256],
 }
 
 impl MulTable {
-    /// Builds the split tables for multiplication by `c`.
-    pub fn new(c: Gf) -> Self {
-        let mut lo = [0u16; 256];
-        let mut hi = [0u16; 256];
-        if c.0 != 0 {
-            let t = tables();
-            let log_c = t.log[c.0 as usize] as usize;
-            for x in 1..256usize {
-                lo[x] = t.exp[log_c + t.log[x] as usize];
-                hi[x] = t.exp[log_c + t.log[x << 8] as usize];
+    /// Builds the split tables for multiplication by `coeffs[r]` in lane
+    /// `r`.
+    pub(crate) fn new(coeffs: [Gf; LANES]) -> Self {
+        let mut basis = [0u64; 16];
+        for (r, c) in coeffs.into_iter().enumerate() {
+            for (j, b) in basis.iter_mut().enumerate() {
+                *b |= u64::from(c.mul(Gf(1 << j)).0) << (16 * r);
             }
+        }
+        let (mut lo, mut hi) = ([0u64; 256], [0u64; 256]);
+        for x in 1..256usize {
+            let (rest, bit) = (x & (x - 1), x.trailing_zeros() as usize);
+            lo[x] = lo[rest] ^ basis[bit];
+            hi[x] = hi[rest] ^ basis[8 + bit];
         }
         Self { lo, hi }
     }
 
-    /// `c · x` through the split tables.
+    /// The [`LANES`] products `coeffs[r] · x`, lane `r` in bits `16r..16r + 16`.
     #[inline]
-    pub fn mul(&self, x: Gf) -> Gf {
-        Gf(self.lo[(x.0 & 0xff) as usize] ^ self.hi[(x.0 >> 8) as usize])
+    pub(crate) fn mul(&self, x: Gf) -> u64 {
+        self.lo[(x.0 & 0xff) as usize] ^ self.hi[(x.0 >> 8) as usize]
     }
 
-    /// Fused multiply-accumulate over a block: `acc[i] ^= c · xs[i]`.
+    /// Fused multiply-accumulate over a block: `acc[i] ^= mul(xs[i])`.
     ///
     /// This is the RS inner loop; the slice form lets the compiler unroll
     /// and keep both tables hot across the whole block.
@@ -177,10 +180,10 @@ impl MulTable {
     ///
     /// Panics if the slices differ in length.
     #[inline]
-    pub fn mul_acc(&self, acc: &mut [Gf], xs: &[Gf]) {
+    pub(crate) fn mul_acc(&self, acc: &mut [u64], xs: &[Gf]) {
         assert_eq!(acc.len(), xs.len(), "mul_acc length mismatch");
         for (a, &x) in acc.iter_mut().zip(xs) {
-            a.0 ^= self.lo[(x.0 & 0xff) as usize] ^ self.hi[(x.0 >> 8) as usize];
+            *a ^= self.mul(x);
         }
     }
 }
@@ -232,32 +235,46 @@ mod tests {
         assert_ne!(Gf::alpha(ORDER - 1), Gf::alpha(ORDER));
     }
 
+    /// Lane `r` of a table entry is `coeffs[r] · x`, whatever the other
+    /// lanes hold.
+    fn assert_lanes(t: &MulTable, coeffs: [Gf; LANES], x: Gf) {
+        for (r, c) in coeffs.into_iter().enumerate() {
+            let lane = Gf((t.mul(x) >> (16 * r)) as u16);
+            assert_eq!(lane, c.mul(x), "lane {r}, c={:#06x} x={:#06x}", c.0, x.0);
+        }
+    }
+
     #[test]
-    fn mul_table_matches_generic_mul_exhaustive_coeffs() {
-        // Spot-check a spread of coefficients against Gf::mul over a
-        // structured operand set; the proptest below covers random pairs.
+    fn mul_table_lanes_match_generic_mul() {
+        // A spread of coefficients, rotated through every lane, against
+        // Gf::mul over a structured operand set; the proptest below covers
+        // random pairs.
         let operands: Vec<u16> = (0..=255u16)
             .map(|b| b << 8 | b ^ 0x5a)
             .chain([0, 1, 2, 0x00ff, 0xff00, 0xffff, 0x1234])
             .collect();
-        for c in [0u16, 1, 2, 3, 0x00ff, 0x0100, 0x8000, 0xffff, 0x1100] {
-            let t = MulTable::new(Gf(c));
+        let spread = [0u16, 1, 2, 3, 0x00ff, 0x0100, 0x8000, 0xffff, 0x1100];
+        for i in 0..spread.len() {
+            let coeffs = std::array::from_fn(|r| Gf(spread[(i + r) % spread.len()]));
+            let t = MulTable::new(coeffs);
             for &x in &operands {
-                assert_eq!(t.mul(Gf(x)), Gf(c).mul(Gf(x)), "c={c:#06x} x={x:#06x}");
+                assert_lanes(&t, coeffs, Gf(x));
             }
         }
     }
 
     #[test]
-    fn mul_acc_accumulates_xor() {
-        let c = Gf(0x1234);
-        let t = MulTable::new(c);
+    fn mul_acc_accumulates_xor_per_lane() {
+        let coeffs = [Gf(0x1234), Gf(1), Gf(0), Gf(0xfedc)];
+        let t = MulTable::new(coeffs);
         let xs: Vec<Gf> = (0..100u16).map(|i| Gf(i.wrapping_mul(2557))).collect();
-        let mut acc: Vec<Gf> = (0..100u16).map(Gf).collect();
-        let expect: Vec<Gf> = acc
+        let mut acc: Vec<u64> = (0..100u64).map(|i| i * 0x0001_0003_0005_0007).collect();
+        let expect: Vec<u64> = acc
             .iter()
             .zip(&xs)
-            .map(|(&a, &x)| a.add(c.mul(x)))
+            .map(|(&a, &x)| {
+                (0..LANES).fold(a, |a, r| a ^ u64::from(coeffs[r].mul(x).0) << (16 * r))
+            })
             .collect();
         t.mul_acc(&mut acc, &xs);
         assert_eq!(acc, expect);
@@ -287,9 +304,12 @@ mod tests {
         }
 
         #[test]
-        fn prop_mul_table_matches_generic_mul(c in any::<u16>(), x in any::<u16>()) {
-            let t = MulTable::new(Gf(c));
-            prop_assert_eq!(t.mul(Gf(x)), Gf(c).mul(Gf(x)));
+        fn prop_mul_table_lanes_match_generic_mul(
+            c in proptest::collection::vec(any::<u16>(), LANES..LANES + 1),
+            x in any::<u16>(),
+        ) {
+            let coeffs = std::array::from_fn(|r| Gf(c[r]));
+            assert_lanes(&MulTable::new(coeffs), coeffs, Gf(x));
         }
     }
 }

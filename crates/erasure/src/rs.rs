@@ -2,28 +2,31 @@
 //!
 //! # Hot-path structure
 //!
-//! Encode and decode run *symbol-major over blocks of stripes*: the payload
-//! is transposed once into per-position columns, and every `coefficient ×
-//! column` product goes through a [`MulTable`] — two L1 lookups and an XOR
-//! per symbol — instead of the generic log/antilog round-trip. Zero
-//! coefficients are skipped and unit coefficients (systematic positions)
-//! take a plain XOR path. The original stripe-at-a-time scalar kernels are
-//! retained behind `#[cfg(any(test, feature = "scalar-oracle"))]` as the
-//! differential-testing oracle and the baseline the P1 benchmark measures
-//! against.
+//! Encode and decode run *symbol-major over blocks of stripes*: encode
+//! transposes `varint(len) ‖ data ‖ zero padding` straight from the
+//! caller's bytes into per-position columns, and shares already are
+//! columns. One kernel, `combine`, then computes all output rows of a call
+//! (parity rows, or reconstructed data positions), four rows per `u64`:
+//! each column's [`MulTable`] entry holds four rows' products, so two L1
+//! lookups and an XOR yield four products instead of one log/antilog
+//! round-trip each. Calls under 256 stripes use [`Gf::mul`] and build no
+//! table. Coefficients are barycentric Lagrange rows, `O(k)` each after one
+//! `O(k²)` weight pass. The stripe-at-a-time scalar kernels are retained
+//! behind `#[cfg(any(test, feature = "scalar-oracle"))]` as the one
+//! differential-testing oracle and the baseline P1 measures against.
 
-use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::error::Error;
 use std::fmt;
 
 use ca_codec::{CodecError, Decode, Encode, Reader, Writer};
 
-use crate::gf::{Gf, MulTable, ORDER};
+use crate::gf::{Gf, MulTable, LANES, ORDER};
 
-/// Stripes per cache block: 8192 symbols = 16 KiB per column block, so one
-/// accumulator block plus one input column block stay L1/L2-resident across
-/// the whole coefficient sweep of a row.
-const STRIPE_BLOCK: usize = 8192;
+/// Stripes per cache block of `combine`: 2048 packed accumulators (16 KiB)
+/// plus one 4 KiB input column block stay L1-resident across a row
+/// group's whole column sweep.
+const STRIPE_BLOCK: usize = 2048;
 
 /// One of the `n` codewords produced by [`ReedSolomon::encode`]
 /// (the paper's `sᵢ`).
@@ -245,8 +248,9 @@ impl ReedSolomon {
             return Err(RsError::InvalidParameters { n, k });
         }
         let data_points: Vec<Gf> = (0..k).map(Gf::alpha).collect();
+        let weights = weights(&data_points);
         let parity_matrix = (k..n)
-            .map(|row| lagrange_row(&data_points, Gf::alpha(row)))
+            .map(|row| lagrange_row(&data_points, &weights, Gf::alpha(row)))
             .collect();
         Ok(Self {
             n,
@@ -261,6 +265,7 @@ impl ReedSolomon {
     }
 
     /// Frames `data` with its length and pads to a whole number of stripes.
+    #[cfg(any(test, feature = "scalar-oracle"))]
     fn frame_payload(&self, data: &[u8]) -> Vec<u8> {
         let mut payload = Writer::with_capacity(data.len() + 9);
         payload.put_varint(data.len() as u64);
@@ -292,30 +297,39 @@ impl ReedSolomon {
     /// payload `varint(len) ‖ data ‖ zero padding` without building it:
     /// share `idx` holds symbol `idx` of every stripe.
     pub fn is_systematic_share(&self, data: &[u8], idx: usize, encoded: &[u8]) -> bool {
-        let (head, sb) = (data.len().encode_to_vec(), 2 * self.k);
-        let stripes = (head.len() + data.len()).div_ceil(sb);
+        let head = data.len().encode_to_vec();
+        let stripes = (head.len() + data.len()).div_ceil(2 * self.k);
         // `stripes ≥ 1`, so a missing count prefix fails the length check.
         let count = stripes.encode_to_vec();
         let syms = encoded.strip_prefix(&count[..]).unwrap_or_default();
-        if idx >= self.k || syms.len() != 2 * stripes {
-            return false;
-        }
-        let framed = |at: usize| match at.checked_sub(head.len()) {
+        let mut pairs = syms.as_chunks::<2>().0.iter();
+        let same = |x: Gf| pairs.next().is_some_and(|&b| x.0 == u16::from_be_bytes(b));
+        idx < self.k && syms.len() == 2 * stripes && self.column(&head, data, idx).all(same)
+    }
+
+    /// Symbol `j` of every stripe of the framed payload `head ‖ data ‖ zero
+    /// padding`, with `head = varint(data.len())`, which is share `j` for
+    /// `j < k`, read in place rather than framed into a copy: stripes
+    /// wholly inside `data` from its slice, the few that hold the head or
+    /// the padding byte by byte.
+    fn column<'a>(
+        &self,
+        head: &'a [u8],
+        data: &'a [u8],
+        j: usize,
+    ) -> impl Iterator<Item = Gf> + 'a {
+        let (h, sb, sym) = (head.len(), 2 * self.k, |b| Gf(u16::from_be_bytes(b)));
+        let byte = move |at: usize| match at.checked_sub(h) {
             None => head[at],
             Some(at) => data.get(at).copied().unwrap_or(0),
         };
-        // Stripes `lo..hi` lie wholly inside `data` and compare as slices;
-        // the few that hold the head or the padding go byte by byte.
-        let lo = head.len().div_ceil(sb);
-        let hi = ((head.len() + data.len()) / sb).max(lo);
-        (0..lo).chain(hi..stripes).all(|s| {
-            let at = s * sb + 2 * idx;
-            syms[2 * s..2 * s + 2] == [framed(at), framed(at + 1)]
-        }) && (lo == hi
-            || data[lo * sb - head.len()..hi * sb - head.len()]
-                .chunks_exact(sb)
-                .zip(syms[2 * lo..].chunks_exact(2))
-                .all(|(stripe, sym)| stripe[2 * idx..2 * idx + 2] == *sym))
+        let edge = move |s: usize| sym([byte(s * sb + 2 * j), byte(s * sb + 2 * j + 1)]);
+        let (lo, end) = (h.div_ceil(sb), (h + data.len()).div_ceil(sb));
+        let hi = ((h + data.len()) / sb).max(lo);
+        let inner = data.get(lo * sb - h..hi * sb - h).unwrap_or_default();
+        let inner = inner.as_chunks::<2>().0.chunks_exact(self.k);
+        let inner = inner.map(move |st| sym(st[j]));
+        (0..lo).map(edge).chain(inner).chain((hi..end).map(edge))
     }
 
     /// Selects the first `k` distinct in-range shares and validates their
@@ -356,12 +370,14 @@ impl ReedSolomon {
     /// a Lagrange combination.
     fn coeff_rows(&self, picked: &[(usize, &Share)]) -> Vec<CoeffRow> {
         let xs: Vec<Gf> = picked.iter().map(|(i, _)| Gf::alpha(*i)).collect();
+        let ws = OnceCell::new();
         (0..self.k)
             .map(|j| {
                 if let Some(pos) = picked.iter().position(|(i, _)| *i == j) {
                     CoeffRow::Direct(pos)
                 } else {
-                    CoeffRow::Combine(lagrange_row(&xs, Gf::alpha(j)))
+                    let ws = ws.get_or_init(|| weights(&xs));
+                    CoeffRow::Combine(lagrange_row(&xs, ws, Gf::alpha(j)))
                 }
             })
             .collect()
@@ -370,45 +386,30 @@ impl ReedSolomon {
     /// `RS.ENCODE(v)`: splits `data` into `n` shares, any `k` of which
     /// reconstruct it.
     ///
-    /// Blocked kernel: the payload is transposed once into the `k`
-    /// systematic shares, its symbol columns, then every parity row is
-    /// accumulated column-by-column over [`STRIPE_BLOCK`]-sized slices
-    /// through [`MulTable`]s.
+    /// Blocked kernel: the framed payload is transposed straight from
+    /// `data` into the `k` systematic shares, its symbol columns, then one
+    /// `combine` call computes every parity row from them.
     pub fn encode(&self, data: &[u8]) -> Vec<Share> {
-        let payload = self.frame_payload(data);
-        let stripe_bytes = 2 * self.k;
-        let stripes = payload.len() / stripe_bytes;
-
-        // Transpose straight into the systematic shares 0..k, which *are*
-        // the symbol-major data columns, so each coefficient sweep below
-        // reads and writes contiguous memory.
-        let symbols = vec![Gf::ZERO; stripes];
-        let mut shares = vec![Share { symbols }; self.k];
-        for (s, stripe) in payload.chunks_exact(stripe_bytes).enumerate() {
-            for (share, sym) in shares.iter_mut().zip(stripe.chunks_exact(2)) {
-                share.symbols[s] = Gf(u16::from_be_bytes([sym[0], sym[1]]));
-            }
-        }
-        drop(payload);
-        // Parity part: evaluate p at α_k … α_{n−1}.
-        let cols: Vec<&[Gf]> = shares.iter().map(|s| s.symbols.as_slice()).collect();
-        let parity: Vec<Share> = self
-            .parity_matrix
-            .iter()
-            .map(|coeffs| combine(coeffs, &cols, stripes))
-            .map(|symbols| Share { symbols })
+        let head = data.len().encode_to_vec();
+        let stripes = (head.len() + data.len()).div_ceil(2 * self.k);
+        // Shares 0..k *are* the symbol-major data columns, so the kernel
+        // below reads contiguous memory.
+        let cols: Vec<Vec<Gf>> = (0..self.k)
+            .map(|j| self.column(&head, data, j).collect())
             .collect();
-        shares.extend(parity);
-        shares
+        // Parity part: evaluate p at α_k … α_{n−1}.
+        let parity = combine(&self.parity_matrix, &cols, stripes);
+        let shares = cols.into_iter().chain(parity);
+        shares.map(|symbols| Share { symbols }).collect()
     }
 
     /// `RS.DECODE`: reconstructs the original data from at least `k` shares
     /// given as `(index, share)` pairs (duplicates allowed, first wins).
     ///
     /// Blocked kernel: share symbol vectors are already columns, so no
-    /// input transpose is needed; each missing data position is accumulated
-    /// block-by-block through [`MulTable`]s, and present (systematic)
-    /// positions are read from their shares in place.
+    /// input transpose is needed; one `combine` call reconstructs every
+    /// missing data position, and present (systematic) positions are read
+    /// from their shares in place.
     ///
     /// # Errors
     ///
@@ -418,12 +419,18 @@ impl ReedSolomon {
         let picked = self.pick(shares)?;
         let stripes = picked[0].1.symbols.len();
         let picked_cols: Vec<&[Gf]> = picked.iter().map(|(_, s)| s.symbols.as_slice()).collect();
-        let out_cols: Vec<Cow<'_, [Gf]>> = self
-            .coeff_rows(&picked)
+        let rows = self.coeff_rows(&picked);
+        let missing = rows.iter().filter_map(|row| match row {
+            CoeffRow::Direct(_) => None,
+            CoeffRow::Combine(coeffs) => Some(coeffs),
+        });
+        let combined = combine(&missing.collect::<Vec<_>>(), &picked_cols, stripes);
+        let mut combined = combined.iter();
+        let out_cols: Vec<&[Gf]> = rows
             .iter()
             .map(|row| match row {
-                CoeffRow::Direct(pos) => Cow::Borrowed(picked_cols[*pos]),
-                CoeffRow::Combine(coeffs) => Cow::Owned(combine(coeffs, &picked_cols, stripes)),
+                CoeffRow::Direct(pos) => picked_cols[*pos],
+                CoeffRow::Combine(_) => combined.next().expect("one column per Combine row"),
             })
             .collect();
 
@@ -514,27 +521,44 @@ impl ReedSolomon {
     }
 }
 
-/// `Σ coeffs[j] · cols[j]` over `stripes` symbols, one [`STRIPE_BLOCK`] of
-/// stripes at a time so the accumulator stays cache-resident across the
-/// column sweep. Each coefficient's [`MulTable`] is built once per call;
-/// zero coefficients are skipped and unit ones take a plain XOR.
-fn combine(coeffs: &[Gf], cols: &[&[Gf]], stripes: usize) -> Vec<Gf> {
-    let tables: Vec<MulTable> = coeffs.iter().map(|&c| MulTable::new(c)).collect();
-    let mut acc = vec![Gf::ZERO; stripes];
-    for (b, block) in acc.chunks_mut(STRIPE_BLOCK).enumerate() {
-        let range = b * STRIPE_BLOCK..b * STRIPE_BLOCK + block.len();
-        for ((&coeff, table), col) in coeffs.iter().zip(&tables).zip(cols) {
-            match coeff {
-                Gf::ZERO => {}
-                Gf::ONE => block
-                    .iter_mut()
-                    .zip(&col[range.clone()])
-                    .for_each(|(a, &x)| *a = a.add(x)),
-                _ => table.mul_acc(block, &col[range.clone()]),
+/// `out[r] = Σ_j rows[r][j] · cols[j]` over `stripes` symbols, for every
+/// row at once: the RS kernel. Each group of [`LANES`] rows builds one
+/// [`MulTable`] per column, accumulates one [`STRIPE_BLOCK`] of stripes at
+/// a time in packed `u64`s, then splits the lanes into its rows. Under 256
+/// stripes a table costs more than it saves, and [`Gf::mul`] is used.
+fn combine<R: AsRef<[Gf]>, C: AsRef<[Gf]>>(rows: &[R], cols: &[C], stripes: usize) -> Vec<Vec<Gf>> {
+    let mut out = vec![vec![Gf::ZERO; stripes]; rows.len()];
+    if stripes < 256 {
+        for (row, out) in rows.iter().zip(&mut out) {
+            for (&c, col) in row.as_ref().iter().zip(cols) {
+                for (o, &x) in out.iter_mut().zip(col.as_ref()) {
+                    *o = o.add(c.mul(x));
+                }
+            }
+        }
+        return out;
+    }
+    let (mut acc, mut tables) = (vec![0u64; stripes.min(STRIPE_BLOCK)], Vec::new());
+    for (group, outs) in rows.chunks(LANES).zip(out.chunks_mut(LANES)) {
+        let lanes =
+            |j: usize| std::array::from_fn(|r| group.get(r).map_or(Gf::ZERO, |g| g.as_ref()[j]));
+        tables.clear();
+        tables.extend((0..cols.len()).map(|j| MulTable::new(lanes(j))));
+        for start in (0..stripes).step_by(STRIPE_BLOCK) {
+            let block = start..stripes.min(start + STRIPE_BLOCK);
+            let acc = &mut acc[..block.len()];
+            acc.fill(0);
+            for (table, col) in tables.iter().zip(cols) {
+                table.mul_acc(acc, &col.as_ref()[block.clone()]);
+            }
+            for (r, out) in outs.iter_mut().enumerate() {
+                for (o, &a) in out[block.clone()].iter_mut().zip(acc.iter()) {
+                    *o = Gf((a >> (16 * r)) as u16);
+                }
             }
         }
     }
-    acc
+    out
 }
 
 enum CoeffRow {
@@ -544,21 +568,23 @@ enum CoeffRow {
     Combine(Vec<Gf>),
 }
 
-/// Lagrange basis evaluations: `out[i] = Lᵢ(x)` over the nodes `xs`.
-fn lagrange_row(xs: &[Gf], x: Gf) -> Vec<Gf> {
-    (0..xs.len())
-        .map(|i| {
-            let mut num = Gf::ONE;
-            let mut den = Gf::ONE;
-            for (j, &xj) in xs.iter().enumerate() {
-                if i != j {
-                    num = num.mul(x.add(xj));
-                    den = den.mul(xs[i].add(xj));
-                }
-            }
-            num.div(den)
-        })
-        .collect()
+/// Barycentric weights `wᵢ = 1 / Π_{j≠i}(xᵢ + xⱼ)` of the distinct nodes
+/// `xs`: the `O(k²)` part of every Lagrange row over them, paid once.
+fn weights(xs: &[Gf]) -> Vec<Gf> {
+    let den = |xi: Gf| {
+        xs.iter()
+            .filter(|&&xj| xj != xi)
+            .fold(Gf::ONE, |d, &xj| d.mul(xi.add(xj)))
+    };
+    xs.iter().map(|&xi| den(xi).inv()).collect()
+}
+
+/// Lagrange basis evaluations `out[i] = Lᵢ(x) = wᵢ · Π_j(x + xⱼ) / (x + xᵢ)`
+/// over the nodes `xs` with weights `ws`, at a point `x` that is no node.
+fn lagrange_row(xs: &[Gf], ws: &[Gf], x: Gf) -> Vec<Gf> {
+    let all = xs.iter().fold(Gf::ONE, |p, &xj| p.mul(x.add(xj)));
+    let row = xs.iter().zip(ws);
+    row.map(|(&xi, &wi)| wi.mul(all).div(x.add(xi))).collect()
 }
 
 #[cfg(test)]
@@ -795,6 +821,100 @@ mod tests {
                 "stripes = {stripes}"
             );
             assert_eq!(rs.decode(&subset).unwrap(), data, "stripes = {stripes}");
+        }
+    }
+
+    #[test]
+    fn wide_kernel_matches_scalar() {
+        // The kernel's table path (≥ 256 stripes) against the scalar
+        // oracle: every remainder of the row count mod LANES in encode
+        // (n − k) and in decode (the reconstructed positions), at stripe
+        // counts around the table threshold and the block boundary.
+        for (n, k) in [
+            (6, 5),
+            (7, 5),
+            (8, 5),
+            (9, 5),
+            (10, 5),
+            (11, 5),
+            (12, 5),
+            (13, 5),
+        ] {
+            let rs = ReedSolomon::new(n, k).unwrap();
+            for stripes in [255, 256, 257, STRIPE_BLOCK - 1, STRIPE_BLOCK + 1] {
+                // A 2- or 3-byte length head plus the data fills the last
+                // stripe but for one to three bytes of padding.
+                let data: Vec<u8> = (0..stripes * 2 * k - 4)
+                    .map(|i| (i as u32).wrapping_mul(2_654_435_761).to_be_bytes()[0])
+                    .collect();
+                let blocked = rs.encode(&data);
+                assert_eq!(blocked[0].len(), stripes);
+                assert_eq!(
+                    blocked,
+                    rs.encode_scalar(&data),
+                    "n={n} k={k} stripes={stripes}"
+                );
+                // Systematic-heavy: one data share lost; parity-heavy: the
+                // k highest-indexed shares, losing min(n − k, k) data shares.
+                for first in [1, n - k] {
+                    let subset: Vec<_> = (first..first + k)
+                        .map(|i| (i, blocked[i].clone()))
+                        .collect();
+                    let decoded = rs.decode(&subset).unwrap();
+                    assert_eq!(decoded, rs.decode_scalar(&subset).unwrap());
+                    assert_eq!(decoded, data, "n={n} k={k} stripes={stripes} first={first}");
+                }
+            }
+        }
+    }
+
+    /// The direct `O(k²)`-per-row Lagrange construction that the
+    /// barycentric rows replaced.
+    fn lagrange_row_direct(xs: &[Gf], x: Gf) -> Vec<Gf> {
+        (0..xs.len())
+            .map(|i| {
+                let mut num = Gf::ONE;
+                let mut den = Gf::ONE;
+                for (j, &xj) in xs.iter().enumerate() {
+                    if i != j {
+                        num = num.mul(x.add(xj));
+                        den = den.mul(xs[i].add(xj));
+                    }
+                }
+                num.div(den)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn barycentric_rows_equal_the_direct_construction() {
+        // Exact field arithmetic: the coefficients are identical, for the
+        // parity rows over the data points and for the decode rows over a
+        // scattered pick of shares.
+        for n in 1..=40 {
+            for k in 1..=n {
+                let rs = ReedSolomon::new(n, k).unwrap();
+                let xs: Vec<Gf> = (0..k).map(Gf::alpha).collect();
+                for (row, coeffs) in (k..n).zip(&rs.parity_matrix) {
+                    assert_eq!(
+                        *coeffs,
+                        lagrange_row_direct(&xs, Gf::alpha(row)),
+                        "n={n} k={k}"
+                    );
+                }
+                let mut picked = seeded_subset(n, k, (n * 64 + k) as u64);
+                picked.sort_unstable();
+                let xs: Vec<Gf> = picked.iter().map(|&i| Gf::alpha(i)).collect();
+                let ws = weights(&xs);
+                for j in (0..n).filter(|j| !picked.contains(j)) {
+                    let x = Gf::alpha(j);
+                    assert_eq!(
+                        lagrange_row(&xs, &ws, x),
+                        lagrange_row_direct(&xs, x),
+                        "n={n} k={k} j={j}"
+                    );
+                }
+            }
         }
     }
 

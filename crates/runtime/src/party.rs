@@ -160,18 +160,27 @@ struct Assembler {
 }
 
 impl Assembler {
-    /// Reads once from `socket`: straight into the body when nothing is
-    /// buffered ahead of it and a buffer's worth or more of it is missing,
-    /// else into the buffer. `Ok(0)` is the end of the stream.
-    fn read_from(&mut self, mut socket: &TcpStream) -> io::Result<usize> {
+    fn new() -> Self {
+        Self {
+            buf: vec![0; SOCKET_BUFFER].into_boxed_slice(),
+            filled: 0,
+            body: None,
+        }
+    }
+
+    /// Reads once from `stream` (a peer's socket): straight into the body
+    /// when nothing is buffered ahead of it and a buffer's worth or more of
+    /// it is missing, else into the buffer. `Ok(0)` is the end of the
+    /// stream.
+    fn read_from(&mut self, stream: &mut impl Read) -> io::Result<usize> {
         match &mut self.body {
             Some((body, got)) if self.filled == 0 && body.len() - *got >= self.buf.len() => {
-                let k = socket.read(&mut body[*got..])?;
+                let k = stream.read(&mut body[*got..])?;
                 *got += k;
                 Ok(k)
             }
             _ => {
-                let k = socket.read(&mut self.buf[self.filled..])?;
+                let k = stream.read(&mut self.buf[self.filled..])?;
                 self.filled += k;
                 Ok(k)
             }
@@ -342,11 +351,7 @@ impl TcpParty {
             links[peer] = Some(Link {
                 socket,
                 spill: None,
-                inbound: Some(Assembler {
-                    buf: vec![0; SOCKET_BUFFER].into_boxed_slice(),
-                    filled: 0,
-                    body: None,
-                }),
+                inbound: Some(Assembler::new()),
             });
         }
         Ok(Self {
@@ -945,6 +950,72 @@ mod tests {
             let large_sent = matches!(&frame, Frame::Round { msgs, .. } if msgs.contains(&large));
             assert_eq!(batch.chunks.iter().any(shares), large_sent);
         }
+    }
+
+    /// Feeds `chunks` to `assembler` in order, each through as many reads
+    /// as it takes, and returns the frame bodies they complete.
+    fn assemble(assembler: &mut Assembler, chunks: &[&[u8]]) -> Result<Vec<Vec<u8>>, Reason> {
+        let mut bodies = Vec::new();
+        for mut chunk in chunks.iter().copied() {
+            while !chunk.is_empty() {
+                assembler.read_from(&mut chunk).unwrap();
+                while let Some(body) = assembler.next_body()? {
+                    bodies.push(body.to_vec());
+                }
+            }
+        }
+        Ok(bodies)
+    }
+
+    /// Without a socket: a round frame, alone or followed by another, is
+    /// assembled whole wherever the stream is cut; a length prefix over
+    /// the wire limit is malformed before a body is allocated; a truncated
+    /// body waits, held at exactly its announced length.
+    #[test]
+    fn the_assembler_cuts_frames_wherever_the_stream_splits() {
+        use crate::frame::MAX_WIRE_FRAME_LEN;
+        use ca_codec::Encode;
+        let msgs = vec![
+            Bytes::from(vec![0xA5; 300]),
+            Bytes::new(),
+            Bytes::from_static(b"abc"),
+        ];
+        let frames = [
+            Frame::Round { round: 7, msgs },
+            Frame::Round {
+                round: 8,
+                msgs: vec![Bytes::from_static(b"next")],
+            },
+        ];
+        for frames in [&frames[..1], &frames[..]] {
+            let mut wire = Vec::new();
+            frames.iter().for_each(|f| f.write_to(&mut wire).unwrap());
+            let bodies: Vec<Vec<u8>> = frames.iter().map(Encode::encode_to_vec).collect();
+            for cut in 1..wire.len() {
+                let (head, tail) = wire.split_at(cut);
+                let got = assemble(&mut Assembler::new(), &[head, tail]);
+                assert_eq!(got, Ok(bodies.clone()), "cut at {cut}");
+            }
+        }
+
+        for len in [MAX_WIRE_FRAME_LEN as u32 + 1, u32::MAX] {
+            let mut assembler = Assembler::new();
+            let got = assemble(&mut assembler, &[&len.to_be_bytes(), b"body"]);
+            assert_eq!(got, Err(Reason::Malformed), "length {len}");
+            assert!(assembler.body.is_none(), "a {len}-byte body was allocated");
+        }
+
+        let mut wire = Vec::new();
+        frames[0].write_to(&mut wire).unwrap();
+        let announced = wire.len() - LENGTH_PREFIX_LEN;
+        let mut assembler = Assembler::new();
+        let got = assemble(&mut assembler, &[&wire[..wire.len() - 1]]);
+        assert_eq!(got, Ok(vec![]));
+        let (body, got) = assembler.body.as_ref().expect("the body is being filled");
+        assert_eq!(
+            (body.len(), body.capacity(), *got),
+            (announced, announced, announced - 1)
+        );
     }
 
     /// A peer flooding max-size frames tagged with rounds not reached
