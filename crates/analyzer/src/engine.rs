@@ -1,52 +1,10 @@
-//! The workspace walk: loads every Rust source file with its owning
-//! crate, and masks `#[cfg(test)]` modules for the parser.
-
-use std::fs;
-use std::path::{Path, PathBuf};
+//! Source classification: masks `#[cfg(test)]` modules for the parser,
+//! tells test paths from the rest, and reads a manifest's package name.
 
 use crate::lexer::{Token, TokenKind};
 
-/// Loads every Rust source file under `root` (a workspace checkout:
-/// `crates/`, `src/` and `tests/`) as [`SourceFile`]s, in path order.
-///
-/// [`SourceFile`]: crate::symbols::SourceFile
-///
-/// # Errors
-///
-/// Returns an error when the workspace layout cannot be read.
-pub fn collect_sources(root: &Path) -> Result<Vec<crate::symbols::SourceFile>, String> {
-    if !root.is_dir() {
-        return Err(format!("root `{}` is not a directory", root.display()));
-    }
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "tests"] {
-        let dir = root.join(dir);
-        if dir.is_dir() {
-            walk_rs(&dir, &mut files)?;
-        }
-    }
-    files.sort();
-    let mut out = Vec::with_capacity(files.len());
-    for file in &files {
-        let src = fs::read_to_string(file)
-            .map_err(|e| format!("failed to read {}: {e}", file.display()))?;
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let crate_name = crate_name_for(root, &rel);
-        out.push(crate::symbols::SourceFile {
-            crate_name,
-            path: rel,
-            src,
-        });
-    }
-    Ok(out)
-}
-
 /// Marks tokens inside `#[cfg(test)] mod … { … }` blocks, so the
-/// passes can tell unit tests from the code they test.
+/// parser can tell unit tests from the code they test.
 #[must_use]
 pub fn mask_cfg_test(tokens: &[Token<'_>]) -> Vec<bool> {
     let mut masked = vec![false; tokens.len()];
@@ -131,26 +89,8 @@ pub fn is_test_path(rel: &str) -> bool {
         .any(|seg| seg == "tests" || seg == "benches" || seg == "examples")
 }
 
-/// Maps a workspace-relative file to its owning package name by reading
-/// the nearest `Cargo.toml` on the path. Falls back to the directory name.
-fn crate_name_for(root: &Path, rel: &str) -> String {
-    let mut dir = PathBuf::from(rel);
-    dir.pop();
-    loop {
-        let manifest = root.join(&dir).join("Cargo.toml");
-        if let Ok(body) = fs::read_to_string(&manifest) {
-            if let Some(name) = parse_package_name(&body) {
-                return name;
-            }
-        }
-        if !dir.pop() {
-            return "unknown".to_owned();
-        }
-    }
-}
-
 /// Extracts `name = "…"` from the `[package]` section of a manifest.
-fn parse_package_name(manifest: &str) -> Option<String> {
+pub fn parse_package_name(manifest: &str) -> Option<String> {
     let mut in_package = false;
     for line in manifest.lines() {
         let line = line.trim();
@@ -166,26 +106,6 @@ fn parse_package_name(manifest: &str) -> Option<String> {
         }
     }
     None
-}
-
-fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let entries =
-        fs::read_dir(dir).map_err(|e| format!("failed to list {}: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("walk error under {}: {e}", dir.display()))?;
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
-                continue;
-            }
-            walk_rs(&path, out)?;
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -218,8 +138,8 @@ mod tests {
 
     #[test]
     fn cfg_test_fn_attribute_does_not_mask_rest_of_file() {
-        // `#[cfg(test)]` on a non-mod item: nothing is masked (the passes
-        // stay conservative), and analysis continues past it.
+        // `#[cfg(test)]` on a non-mod item: nothing is masked, and the
+        // scan continues past it.
         let src = "#[cfg(test)]\nfn helper() {}\nfn real() { x.unwrap(); }\n";
         let tokens = lex(src);
         let masked = mask_cfg_test(&tokens);

@@ -1,11 +1,12 @@
-//! Robustness properties for the semantic front end: the lexer, item
-//! parser, symbol builder, and passes must never panic on arbitrary
+//! Robustness properties for the front end: the lexer, the
+//! `#[cfg(test)]` mask and the item parser must never panic on arbitrary
 //! input, and must be deterministic — the same bytes always produce the
-//! same symbol table and diagnostics. The analyzer runs
-//! on every commit over code that is mid-edit more often than not, so
-//! "malformed input" is its common case, not its edge case.
+//! same functions. Code is mid-edit more often than not, so "malformed
+//! input" is the common case, not the edge case.
 
-use ca_analyzer::{run_semantic, SemanticConfig, SourceFile, SymbolTable};
+use ca_analyzer::engine::mask_cfg_test;
+use ca_analyzer::lexer::lex;
+use ca_analyzer::parser::{parse_fns, FnDecl};
 use proptest::prelude::*;
 
 /// Tokens that stress the parser's bracket matching, annotation
@@ -89,49 +90,24 @@ const SOUP: &[&str] = &[
     "u32",
 ];
 
-fn semantic_fingerprint(src: &str) -> String {
-    let files = [SourceFile {
-        crate_name: "ca-fuzz".to_owned(),
-        path: "fuzz.rs".to_owned(),
-        src: src.to_owned(),
-    }];
-    let mut fp = String::new();
-    for d in run_semantic(&files, &SemanticConfig::uniform(&["ca-fuzz"])) {
-        fp.push_str(&format!("{}:{} {} {}\n", d.file, d.line, d.rule, d.message));
-    }
-    fp
-}
-
-fn table_fingerprint(src: &str) -> String {
-    let files = [SourceFile {
-        crate_name: "ca-fuzz".to_owned(),
-        path: "fuzz.rs".to_owned(),
-        src: src.to_owned(),
-    }];
-    let table = SymbolTable::build(&files);
-    let mut fp = String::new();
-    for (i, f) in table.fns.iter().enumerate() {
-        fp.push_str(&format!(
-            "{} @{} params={:?} test={} calls={:?}\n",
-            f.qualified, f.line, f.params, f.is_test, table.calls[i]
-        ));
-    }
-    fp
+fn parse(src: &str) -> Vec<FnDecl> {
+    let tokens = lex(src);
+    let masked = mask_cfg_test(&tokens);
+    parse_fns(&tokens, &masked)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Arbitrary bytes (lossily decoded to UTF-8) never panic the
-    /// lexer → parser → symbol builder → pass stack, and two runs over
-    /// the same bytes agree exactly.
+    /// lexer → mask → parser stack, and two runs over the same bytes
+    /// agree exactly.
     #[test]
     fn byte_fuzz_never_panics_and_is_deterministic(
         data in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
         let src = String::from_utf8_lossy(&data).into_owned();
-        prop_assert_eq!(table_fingerprint(&src), table_fingerprint(&src));
-        prop_assert_eq!(semantic_fingerprint(&src), semantic_fingerprint(&src));
+        prop_assert_eq!(parse(&src), parse(&src));
     }
 
     /// Rust-shaped token soup — unbalanced brackets, stray pragmas,
@@ -148,8 +124,7 @@ proptest! {
             src.push_str(SOUP[p]);
             src.push(if newlines.get(i).copied().unwrap_or(false) { '\n' } else { ' ' });
         }
-        prop_assert_eq!(table_fingerprint(&src), table_fingerprint(&src));
-        prop_assert_eq!(semantic_fingerprint(&src), semantic_fingerprint(&src));
+        prop_assert_eq!(parse(&src), parse(&src));
     }
 
     /// A fn item buried in hostile surroundings is still found, and the
@@ -183,16 +158,11 @@ proptest! {
             src.push_str(SOUP[p]);
             src.push(' ');
         }
-        let files = [SourceFile {
-            crate_name: "ca-fuzz".to_owned(),
-            path: "fuzz.rs".to_owned(),
-            src,
-        }];
-        let table = SymbolTable::build(&files);
+        let fns = parse(&src);
         prop_assert!(
-            table.fns.iter().any(|f| f.name == "anchor_fn_for_prop"),
+            fns.iter().any(|f| f.name == "anchor_fn_for_prop"),
             "anchor fn lost among {} parsed fns",
-            table.fns.len()
+            fns.len()
         );
     }
 }

@@ -54,6 +54,10 @@ impl BitString {
     /// Builds a bitstring from explicit bits (MSB first).
     pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
         let bits = bits.into_iter();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the caller's iterator's lower bound"
+        )]
         let mut bytes = Vec::with_capacity(bits.size_hint().0.div_ceil(8));
         let mut len = 0usize;
         let mut acc = 0u8;
@@ -221,6 +225,7 @@ impl BitString {
             self.len
         );
         // Sized once: a clone followed by a resize would copy the value twice.
+        #[expect(clippy::disallowed_methods, reason = "the caller's target length")]
         let mut bytes = Vec::with_capacity(ell.div_ceil(8));
         bytes.extend_from_slice(&self.bytes);
         bytes.resize(ell.div_ceil(8), 0);

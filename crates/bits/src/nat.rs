@@ -200,6 +200,10 @@ impl Nat {
         } else {
             (&other.limbs, &self.limbs)
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the longer operand's limbs plus a carry"
+        )]
         let mut out = Vec::with_capacity(long.len() + 1);
         let mut carry = 0u64;
         for (i, &limb) in long.iter().enumerate() {
@@ -220,6 +224,7 @@ impl Nat {
         if self < other {
             return None;
         }
+        #[expect(clippy::disallowed_methods, reason = "the minuend's own limb count")]
         let mut out = Vec::with_capacity(self.limbs.len());
         let mut borrow = 0i64;
         for i in 0..self.limbs.len() {
@@ -242,6 +247,10 @@ impl Nat {
 
     /// `self * m` for a small factor.
     pub fn mul_u32(&self, m: u32) -> Nat {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the value's own limbs plus a carry"
+        )]
         let mut out = Vec::with_capacity(self.limbs.len() + 1);
         let mut carry = 0u64;
         for &limb in &self.limbs {

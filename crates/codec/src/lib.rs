@@ -46,12 +46,14 @@
 
 mod error;
 mod reader;
+mod wire_len;
 mod writer;
 
 use bytes::Bytes;
 
 pub use error::CodecError;
 pub use reader::Reader;
+pub use wire_len::WireLen;
 pub use writer::Writer;
 
 /// Hard ceiling on any single decoder-side collection length.
@@ -201,7 +203,7 @@ impl Decode for u8 {
     }
     fn decode_seq(r: &mut Reader<'_>) -> Result<Vec<Self>, CodecError> {
         let len = r.get_seq_len()?;
-        Ok(r.get_raw(len)?.to_vec())
+        Ok(r.get_raw(len.get())?.to_vec())
     }
 }
 

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 
-use crate::CodecError;
+use crate::{CodecError, WireLen};
 
 /// Read cursor used by [`Decode`](crate::Decode) implementations.
 ///
@@ -159,8 +159,8 @@ impl<'a> Reader<'a> {
         mut f: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
     ) -> Result<Vec<T>, CodecError> {
         let len = self.get_seq_len()?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
+        let mut out = len.with_capacity();
+        for _ in 0..len.get() {
             out.push(f(self)?);
         }
         Ok(out)
@@ -168,15 +168,12 @@ impl<'a> Reader<'a> {
 
     /// The element count of a sequence, after [`Reader::get_len`]'s check
     /// and the [`MAX_DECODE_CAPACITY`](crate::MAX_DECODE_CAPACITY) ceiling.
-    pub(crate) fn get_seq_len(&mut self) -> Result<usize, CodecError> {
+    pub(crate) fn get_seq_len(&mut self) -> Result<WireLen, CodecError> {
         let len = self.get_len()?;
-        if len > crate::MAX_DECODE_CAPACITY {
-            return Err(CodecError::CapacityExceeded {
-                requested: len,
-                limit: crate::MAX_DECODE_CAPACITY,
-            });
-        }
-        Ok(len)
+        WireLen::at_most(len, crate::MAX_DECODE_CAPACITY).ok_or(CodecError::CapacityExceeded {
+            requested: len,
+            limit: crate::MAX_DECODE_CAPACITY,
+        })
     }
 
     /// Reads an unsigned LEB128 varint.

@@ -61,6 +61,7 @@ fn candidate_from(offers: &mut Vec<(ca_net::PartyId, Offer)>, n: usize) -> Optio
     if offers.len() != n {
         return None;
     }
+    #[expect(clippy::disallowed_methods, reason = "one value per party")]
     let mut values: Vec<Nat> = Vec::with_capacity(n);
     for (_, offer) in offers.drain(..) {
         values.push(offer?);

@@ -46,6 +46,7 @@ pub fn broadcast_ca<V: Value>(ctx: &mut dyn Comm, input: V, ba: BaKind) -> V {
     ctx.scoped("broadcast_ca", |ctx| {
         let n = ctx.n();
         let t = ctx.t();
+        #[expect(clippy::disallowed_methods, reason = "one value per party")]
         let mut agreed: Vec<V> = Vec::with_capacity(n);
 
         for sender in 0..n {

@@ -24,6 +24,10 @@ impl Hash256 {
 
     /// Lowercase hex rendering (64 characters).
     pub fn to_hex(&self) -> String {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a constant: two hex digits per digest byte"
+        )]
         let mut s = String::with_capacity(64);
         for b in self.0 {
             s.push_str(&format!("{b:02x}"));

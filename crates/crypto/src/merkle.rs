@@ -142,6 +142,7 @@ impl MerkleTree {
     /// Panics if `index >= self.leaf_count()`.
     pub fn witness(&self, index: usize) -> Witness {
         assert!(index < self.leaf_count, "leaf index {index} out of range");
+        #[expect(clippy::disallowed_methods, reason = "the tree's own depth")]
         let mut path = Vec::with_capacity(self.width.trailing_zeros() as usize);
         let mut pos = self.width + index;
         while pos > 1 {

@@ -267,6 +267,10 @@ impl ReedSolomon {
     /// Frames `data` with its length and pads to a whole number of stripes.
     #[cfg(any(test, feature = "scalar-oracle"))]
     fn frame_payload(&self, data: &[u8]) -> Vec<u8> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the caller's payload plus its length varint"
+        )]
         let mut payload = Writer::with_capacity(data.len() + 9);
         payload.put_varint(data.len() as u64);
         payload.put_raw(data);
@@ -455,6 +459,10 @@ impl ReedSolomon {
         let stripe_bytes = 2 * self.k;
         let stripes = payload.len() / stripe_bytes;
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one symbol per stripe of the caller's payload"
+        )]
         let mut shares = vec![
             Share {
                 symbols: Vec::with_capacity(stripes)

@@ -18,11 +18,14 @@
 //! delivery and a `released` flag, plus the condvar the fiber parks on);
 //! the set shares a *hub* (a mutex over `(arrived, need)`, plus the condvar
 //! the owner parks on). A fiber leaves its step and counts itself in under
-//! the lock order slot, then hub. `collect` sets `need` to the live count
-//! and sleeps once per round, not once per fiber. One notify suffices: each
-//! live fiber owes one arrival per round, so exactly one arrival makes
-//! `arrived == need`, and the owner reads the count under the hub lock
-//! before it sleeps, so that notify cannot be missed.
+//! the lock order slot, then hub; the hub's fields are private to its own
+//! module, so its lock is taken only inside `Hub`'s methods and no other
+//! order can be written. `collect` sets
+//! `need` to the live count and sleeps once per round, not once per
+//! fiber. One notify suffices: each live fiber owes one arrival per round,
+//! so exactly one arrival makes `arrived == need`, and the owner reads the
+//! count under the hub lock before it sleeps, so that notify cannot be
+//! missed.
 //!
 //! Teardown is ownership-driven. [`Fibers::kill`] and dropping the
 //! [`Fibers`] release the slot (`kill` uncounts a step nobody took), and a
@@ -136,27 +139,66 @@ struct SlotState<O> {
     released: bool,
 }
 
-/// The set's `(arrived, need)` count; `collect` sleeps until they meet.
-#[derive(Default)]
-struct Hub {
-    count: Mutex<(usize, usize)>,
-    all_in: Condvar,
-}
+mod hub {
+    //! The hub lives in its own module so that its fields are private to
+    //! it: the compiler rejects a `hub.count.lock()` anywhere else in
+    //! `fiber.rs`, so no code outside these methods can hold the hub's
+    //! lock, let alone take a slot's lock under it.
 
-impl Hub {
-    fn lock(&self) -> MutexGuard<'_, (usize, usize)> {
-        self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    use std::sync::{Condvar, Mutex, PoisonError};
+
+    /// The set's `(arrived, need)` count; `collect` sleeps until they meet.
+    ///
+    /// Every method locks the count, updates it and releases it before it
+    /// returns, and takes no other lock: no guard of the hub leaves this
+    /// module, so a slot's lock is the only one a hub update can be nested
+    /// in.
+    #[derive(Default)]
+    pub(super) struct Hub {
+        count: Mutex<(usize, usize)>,
+        all_in: Condvar,
     }
 
-    /// Sleeps until `need` fibers have arrived.
-    fn wait_for(&self, need: usize) {
-        let mut count = self.lock();
-        count.1 = need;
-        let _all_in = self
-            .all_in
-            .wait_while(count, |(arrived, need)| arrived < need);
+    impl Hub {
+        /// Counts one arrival in, waking the owner if it was the last one.
+        pub(super) fn count_in(&self) {
+            let mut count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
+            count.0 += 1;
+            let last = count.0 == count.1;
+            drop(count);
+            if last {
+                self.all_in.notify_one();
+            }
+        }
+
+        /// Takes back one arrival whose step nobody will collect.
+        pub(super) fn uncount(&self) {
+            self.count.lock().unwrap_or_else(PoisonError::into_inner).0 -= 1;
+        }
+
+        /// Starts the next round's count from zero.
+        pub(super) fn reset(&self) {
+            *self.count.lock().unwrap_or_else(PoisonError::into_inner) = (0, 0);
+        }
+
+        /// Sleeps until `need` fibers have arrived.
+        pub(super) fn wait_for(&self, need: usize) {
+            let mut count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
+            count.1 = need;
+            let _all_in = self
+                .all_in
+                .wait_while(count, |(arrived, need)| arrived < need);
+        }
+
+        /// A copy of `(arrived, need)`.
+        #[cfg(test)]
+        pub(super) fn counts(&self) -> (usize, usize) {
+            *self.count.lock().unwrap_or_else(PoisonError::into_inner)
+        }
     }
 }
+
+use hub::Hub;
 
 impl<O> Slot<O> {
     /// Leaves `step` for the owner and counts it in. Returns the slot
@@ -167,13 +209,7 @@ impl<O> Slot<O> {
             return None;
         }
         state.step = Some(step);
-        let mut count = self.hub.lock();
-        count.0 += 1;
-        let last = count.0 == count.1;
-        drop(count);
-        if last {
-            self.hub.all_in.notify_one();
-        }
+        self.hub.count_in();
         Some(state)
     }
 
@@ -196,7 +232,7 @@ impl<O> Slot<O> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.released = true;
         if state.step.take().is_some() {
-            self.hub.lock().0 -= 1;
+            self.hub.uncount();
         }
         drop(state);
         self.delivered.notify_one();
@@ -285,6 +321,7 @@ impl<'scope, 'env, K: Ord + Clone, O: Send + 'scope> Fibers<'scope, 'env, K, O> 
     pub fn collect(&mut self) -> Vec<(K, Step<O>)> {
         let need = self.live.len();
         self.hub.wait_for(need);
+        #[expect(clippy::disallowed_methods, reason = "one step per live fiber")]
         let mut steps = Vec::with_capacity(need);
         // `retain` visits in ascending key order.
         self.live.retain(|key, slot| {
@@ -298,7 +335,7 @@ impl<'scope, 'env, K: Ord + Clone, O: Send + 'scope> Fibers<'scope, 'env, K, O> 
             parked
         });
         // None of them arrives again before its delivery.
-        *self.hub.lock() = (0, 0);
+        self.hub.reset();
         steps
     }
 
@@ -645,7 +682,7 @@ mod tests {
     ) {
         let hub = Arc::clone(&fibers.hub);
         scope.spawn(move || {
-            while hub.lock().1 != need {
+            while hub.counts().1 != need {
                 std::thread::sleep(Duration::from_millis(1));
             }
             gate.store(true, Ordering::SeqCst);
@@ -653,7 +690,7 @@ mod tests {
     }
 
     fn arrived<K, O>(fibers: &Fibers<'_, '_, K, O>) -> usize {
-        fibers.hub.lock().0
+        fibers.hub.counts().0
     }
 
     /// Fiber 0 arrives and is killed before `collect`; fiber 1 is still

@@ -175,9 +175,17 @@ impl TcpCluster {
         F: Fn(&mut TcpParty, PartyId) -> O + Send + Sync,
     {
         // Reserve n free localhost ports.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one address per configured party"
+        )]
         let mut addrs: Vec<SocketAddr> = Vec::with_capacity(self.n);
         {
             // Hold the listeners until all ports are chosen, then drop.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "one listener per configured party"
+            )]
             let mut holders = Vec::with_capacity(self.n);
             for _ in 0..self.n {
                 let l = StdTcpListener::bind(("127.0.0.1", 0))?;
@@ -193,6 +201,7 @@ impl TcpCluster {
         let delta = self.delta;
         let clock_factory = self.clock_factory.clone();
         std::thread::scope(|scope| {
+            #[expect(clippy::disallowed_methods, reason = "one thread per configured party")]
             let mut handles = Vec::with_capacity(self.n);
             for i in 0..self.n {
                 let addrs = addrs.clone();

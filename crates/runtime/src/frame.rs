@@ -25,7 +25,7 @@
 use std::io::{self, Write};
 
 use bytes::Bytes;
-use ca_codec::{CodecError, Decode, Encode, Reader, Writer};
+use ca_codec::{CodecError, Decode, Encode, Reader, WireLen, Writer};
 
 /// Bytes of big-endian length prefix the TCP transport puts before every
 /// encoded frame.
@@ -81,14 +81,10 @@ impl std::error::Error for FrameTooLarge {}
 ///
 /// [`FrameTooLarge`] when the claimed length exceeds
 /// [`MAX_WIRE_FRAME_LEN`].
-pub fn validate_frame_len(len: u32) -> Result<usize, FrameTooLarge> {
-    let len = len as usize;
-    if len > MAX_WIRE_FRAME_LEN {
-        return Err(FrameTooLarge {
-            claimed: len as u64,
-        });
-    }
-    Ok(len)
+pub fn validate_frame_len(len: u32) -> Result<WireLen, FrameTooLarge> {
+    WireLen::at_most(len as usize, MAX_WIRE_FRAME_LEN).ok_or(FrameTooLarge {
+        claimed: u64::from(len),
+    })
 }
 
 /// [`validate_frame_len`] for the handshake path: same contract, but
@@ -99,14 +95,10 @@ pub fn validate_frame_len(len: u32) -> Result<usize, FrameTooLarge> {
 ///
 /// [`FrameTooLarge`] when the claimed length exceeds
 /// [`MAX_HELLO_FRAME_LEN`].
-pub fn validate_hello_len(len: u32) -> Result<usize, FrameTooLarge> {
-    let len = len as usize;
-    if len > MAX_HELLO_FRAME_LEN {
-        return Err(FrameTooLarge {
-            claimed: len as u64,
-        });
-    }
-    Ok(len)
+pub fn validate_hello_len(len: u32) -> Result<WireLen, FrameTooLarge> {
+    WireLen::at_most(len as usize, MAX_HELLO_FRAME_LEN).ok_or(FrameTooLarge {
+        claimed: u64::from(len),
+    })
 }
 
 /// A length-prefixed frame exchanged between two parties.
@@ -194,6 +186,10 @@ impl Frame {
     ///
     /// Whatever `out.write_all` returns.
     pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sized by the frame this party built"
+        )]
         let mut w = Writer::with_capacity(self.wire_len());
         self.put_wire(&mut w, |w, msg| w.put_raw(msg));
         out.write_all(w.as_slice())
@@ -234,14 +230,25 @@ impl Decode for Frame {
     }
 }
 
+/// The most message handles a round frame within [`MAX_WIRE_FRAME_LEN`]
+/// can decode to.
+const MAX_ROUND_MSGS: usize = MAX_WIRE_FRAME_LEN / std::mem::size_of::<Bytes>();
+
 /// A round's messages, refused once their decoded size (see `held`) passes
 /// [`MAX_WIRE_FRAME_LEN`]. The count sizes nothing beyond the bytes present
 /// or that bound, so empty messages cannot decode to many times their bytes.
 fn decode_msgs(r: &mut Reader<'_>) -> Result<Vec<Bytes>, CodecError> {
     let count = r.get_varint()?;
-    let most = MAX_WIRE_FRAME_LEN / std::mem::size_of::<Bytes>();
-    let claimed = usize::try_from(count).unwrap_or(usize::MAX);
-    let (mut msgs, mut size) = (Vec::with_capacity(claimed.min(r.remaining()).min(most)), 0);
+    // A message takes at least a byte and holds at least a handle, so the
+    // count reserves no more messages than bytes present, and none once
+    // that passes the handles the wire limit fits: such a frame is
+    // refused.
+    let room = usize::try_from(count)
+        .unwrap_or(usize::MAX)
+        .min(r.remaining());
+    let mut msgs =
+        WireLen::at_most(room, MAX_ROUND_MSGS).map_or_else(Vec::new, WireLen::with_capacity);
+    let mut size = 0;
     for _ in 0..count {
         let len = usize::try_from(r.get_varint()?).unwrap_or(usize::MAX);
         let msg = r.get_shared(len)?;
@@ -304,7 +311,10 @@ mod tests {
             assert_eq!(wire.len(), f.wire_len());
             assert_eq!(wire[..LENGTH_PREFIX_LEN], (body.len() as u32).to_be_bytes());
             assert_eq!(wire[LENGTH_PREFIX_LEN..], body[..]);
-            assert_eq!(validate_frame_len(body.len() as u32), Ok(body.len()));
+            assert_eq!(
+                validate_frame_len(body.len() as u32).map(WireLen::get),
+                Ok(body.len())
+            );
         }
     }
 
@@ -318,7 +328,7 @@ mod tests {
         // The boundary is exact: the largest decodable body passes, one
         // byte more is refused.
         assert_eq!(
-            validate_frame_len(MAX_WIRE_FRAME_LEN as u32),
+            validate_frame_len(MAX_WIRE_FRAME_LEN as u32).map(WireLen::get),
             Ok(MAX_WIRE_FRAME_LEN)
         );
         assert!(validate_frame_len(MAX_WIRE_FRAME_LEN as u32 + 1).is_err());

@@ -46,6 +46,12 @@
 //! assert_eq!(outputs, vec![4, 4, 4, 4]);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![cfg_attr(
     test,
     allow(

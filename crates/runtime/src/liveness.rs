@@ -173,8 +173,7 @@ impl Liveness {
         let (round, effects) = (self.round, &mut self.effects);
         for (from, peer) in self.peers.iter_mut().enumerate() {
             // Tags rise along a link, so only the front can be due.
-            if peer.early.front().is_some_and(|(tag, _)| *tag == round) {
-                let (_, msgs) = peer.early.pop_front().expect("checked non-empty");
+            if let Some((_, msgs)) = peer.early.pop_front_if(|(tag, _)| *tag == round) {
                 peer.early_bytes -= held(&msgs);
                 effects.extend(
                     msgs.into_iter()

@@ -197,7 +197,7 @@ impl Assembler {
             prefix.copy_from_slice(&self.buf[..LENGTH_PREFIX_LEN]);
             let len =
                 validate_frame_len(u32::from_be_bytes(prefix)).map_err(|_| Reason::Malformed)?;
-            (used, self.body) = (LENGTH_PREFIX_LEN, Some((vec![0; len], 0)));
+            (used, self.body) = (LENGTH_PREFIX_LEN, Some((len.zeroed(), 0)));
         }
         let Some((body, got)) = &mut self.body else {
             return Ok(None);
@@ -811,6 +811,7 @@ fn establish_clique(
     let n = addrs.len();
     let listener = TcpListener::bind(addrs[me.index()])?;
     let deadline = clock.now().saturating_add(ESTABLISH_DEADLINE);
+    #[expect(clippy::disallowed_methods, reason = "one stream per configured peer")]
     let mut streams: Vec<(usize, TcpStream)> = Vec::with_capacity(n.saturating_sub(1));
 
     // Dial everyone below us, retrying with backoff while they come up.
@@ -899,7 +900,7 @@ fn read_hello(stream: &mut TcpStream) -> Option<usize> {
     // Validate the claimed length BEFORE sizing the buffer, same as the
     // round-frame reader — a stray connection gets no allocation budget.
     let len = crate::frame::validate_hello_len(u32::from_be_bytes(len_buf)).ok()?;
-    let mut body = vec![0u8; len];
+    let mut body = len.zeroed();
     stream.read_exact(&mut body).ok()?;
     match Frame::decode_from_slice(&body) {
         Ok(Frame::Hello { from }) => Some(from as usize),

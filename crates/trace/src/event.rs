@@ -138,6 +138,10 @@ pub struct Record {
 impl Record {
     /// Serializes the record as one JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a constant: one typical record line"
+        )]
         let mut out = String::with_capacity(96);
         out.push_str("{\"party\":");
         match self.party {
@@ -301,6 +305,10 @@ pub fn compact_debug<T: fmt::Debug + ?Sized>(value: &T) -> String {
 /// Renders an arbitrary byte string as lowercase hex (for tracing values
 /// that have no decimal rendering, e.g. hashes).
 pub fn hex(bytes: &[u8]) -> String {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "two hex digits per byte of the caller's slice"
+    )]
     let mut out = String::with_capacity(2 * bytes.len());
     for b in bytes {
         out.push(char::from_digit(u32::from(b >> 4), 16).unwrap_or('?'));

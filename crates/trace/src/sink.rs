@@ -82,6 +82,7 @@ impl RingBufferSink {
         if state.records.len() < self.capacity {
             state.records.clone()
         } else {
+            #[expect(clippy::disallowed_methods, reason = "the ring's own record count")]
             let mut out = Vec::with_capacity(state.records.len());
             out.extend_from_slice(&state.records[state.head..]);
             out.extend_from_slice(&state.records[..state.head]);

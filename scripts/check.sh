@@ -5,10 +5,15 @@
 #   2. clippy        — Rust lints plus the protocol-soundness ones, warnings
 #                      denied: no panic/unwrap/indexing/truncating cast on
 #                      a message path, no HashMap or wall clock in replayed
-#                      code, no unbounded channel, no stdout/stderr in
-#                      protocol crates, no unsafe (root Cargo.toml
-#                      [workspace.lints], clippy.toml, and the message
-#                      crates' `#![deny(...)]` line; DESIGN.md §6)
+#                      code, no unbounded channel, no allocation sized by
+#                      a length a peer claimed (`Vec::with_capacity`,
+#                      `reserve`, `reserve_exact`, `String::with_capacity`
+#                      and `Writer::with_capacity` are disallowed; a wire
+#                      length sizes one only as a `ca_codec::WireLen`, a
+#                      local size carries an `#[expect]` naming it), no
+#                      stdout/stderr in protocol crates, no unsafe (root
+#                      Cargo.toml [workspace.lints], clippy.toml, and the
+#                      message crates' `#![deny(...)]` line; DESIGN.md §6)
 #   3. lint canary   — scripts/lint-canary.sh: a crate outside the workspace
 #                      with one violation per lint, checked under that same
 #                      configuration, must report exactly the expected lints,
@@ -21,7 +26,7 @@
 #                      gate artifacts, not tests.
 #   5. trace smoke   — a real traced experiment run must produce artifacts
 #                      that pass `ca-trace check`. The seven --quick
-#                      experiments behind stages 5–8 and 10 run here, once;
+#                      experiments behind stages 5–9 run here, once;
 #                      T1, F3, E1, A1 and AS1 are exact units only (bits,
 #                      rounds, virtual time), so their fresh BENCH files
 #                      must equal the ones committed at the repo root — a
@@ -45,14 +50,10 @@
 #   8. adaptive smoke — the fault-adaptive fast path: the A1 sweep must
 #                      emit its BENCH artifact with the fast path beating
 #                      the worst-case protocol at f = 0
-#   9. deep analysis  — the two semantic workspace passes (wire-taint,
-#                      concurrency-discipline) over the whole workspace;
-#                      any tainted allocation, lock inversion or channel
-#                      operation under a lock fails the gate
-#  10. async smoke    — the event-driven backend: the AS1 experiment must
+#   9. async smoke    — the event-driven backend: the AS1 experiment must
 #                      emit its BENCH artifact with the async path beating
 #                      the Δ-mistuned sync baselines
-#  11. kernel smoke   — the data-plane kernels (RS at four codeword rows per
+#  10. kernel smoke   — the data-plane kernels (RS at four codeword rows per
 #                      table lookup, the Merkle build): the P1 scaling grid
 #                      (built in release; throughput gates are meaningless
 #                      at -O0) must emit its BENCH artifact, whose claim
@@ -61,7 +62,7 @@
 #                      ≥ 2× faster on the grid's largest cell. That gate is
 #                      a ratio; the absolute n = 256 MB/s is recorded in
 #                      the committed BENCH_p1.json, not gated here
-#  12. benchmark      — `benchmark/` is a workspace of its own that stages 2
+#  11. benchmark      — `benchmark/` is a workspace of its own that stages 2
 #                      and 4 never compile: build it in release against
 #                      this tree and run every BENCHMARK.json workload for
 #                      one second each: `sim_small`, `sim_bulk` (Pi_Z at
@@ -88,16 +89,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/12] cargo fmt --check"
+echo "==> [1/11] cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> [2/12] cargo clippy (warnings denied)"
+echo "==> [2/11] cargo clippy (warnings denied)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> [3/12] lint canary"
+echo "==> [3/11] lint canary"
 scripts/lint-canary.sh
 
-echo "==> [4/12] cargo test (workspace)"
+echo "==> [4/11] cargo test (workspace)"
 # A deadlock shows up as a run that never ends, so the run is bounded at
 # 30 minutes, several times its duration on a 2-vCPU box (≈ 3.5 min after
 # an incremental build). `timeout` exits 124 when the bound expires.
@@ -108,7 +109,7 @@ if [ "$status" -eq 124 ]; then
 fi
 [ "$status" -eq 0 ] || exit "$status"
 
-echo "==> [5/12] trace smoke (artifacts + invariants)"
+echo "==> [5/11] trace smoke (artifacts + invariants)"
 artifacts="$(mktemp -d)"
 trap 'rm -rf "$artifacts"' EXIT
 # Fails unless the fresh exact-unit artifact equals the committed one.
@@ -126,7 +127,7 @@ done
 cargo run --offline -q -p ca-trace --bin ca-trace -- check "$artifacts/run.jsonl"
 cargo run --offline -q -p ca-trace --bin ca-trace -- report "$artifacts/run.jsonl" >/dev/null
 
-echo "==> [6/12] engine smoke (S1 artifact + closed-loop load)"
+echo "==> [6/11] engine smoke (S1 artifact + closed-loop load)"
 test -s "$artifacts/BENCH_s1.json"  || { echo "missing BENCH_s1.json"; exit 1; }
 # S1's exact part: every line but the wall-clock sessions/s.
 diff -u <(grep -v '"sessions_per_sec"' BENCH_s1.json) \
@@ -134,7 +135,7 @@ diff -u <(grep -v '"sessions_per_sec"' BENCH_s1.json) \
     || { echo "BENCH_s1.json: exact metrics differ from the committed artifact"; exit 1; }
 cargo run --offline -q -p ca-engine --example closed_loop -- 2 >/dev/null
 
-echo "==> [7/12] chaos smoke (R1 artifact content)"
+echo "==> [7/11] chaos smoke (R1 artifact content)"
 test -s "$artifacts/BENCH_r1.json"  || { echo "missing BENCH_r1.json"; exit 1; }
 # One "key": value per line; each run's fields follow its crashed_parties.
 awk -F': *' '
@@ -149,23 +150,19 @@ awk -F': *' '
         exit bad
     }' "$artifacts/BENCH_r1.json"
 
-echo "==> [8/12] adaptive smoke (A1 fast-path gate)"
+echo "==> [8/11] adaptive smoke (A1 fast-path gate)"
 test -s "$artifacts/BENCH_a1.json"  || { echo "missing BENCH_a1.json"; exit 1; }
 same_as_committed BENCH_a1.json
 grep -q '"f0_beats_worst_case": true' "$artifacts/BENCH_a1.json" \
     || { echo "BENCH_a1.json: fast path did not beat the worst case at f = 0"; exit 1; }
 
-echo "==> [9/12] deep semantic analysis (offline)"
-cargo run --offline -q -p ca-analyzer
-cargo run --offline -q -p ca-analyzer -- --emit json >/dev/null   # JSON emitter stays parseable for CI
-
-echo "==> [10/12] async smoke (AS1 artifact gate)"
+echo "==> [9/11] async smoke (AS1 artifact gate)"
 test -s "$artifacts/BENCH_as1.json" || { echo "missing BENCH_as1.json"; exit 1; }
 same_as_committed BENCH_as1.json
 grep -q '"as1_async_wins": true' "$artifacts/BENCH_as1.json" \
     || { echo "BENCH_as1.json: async did not beat the mistuned sync baselines"; exit 1; }
 
-echo "==> [11/12] kernel smoke (P1 blocked-vs-scalar gate, release build)"
+echo "==> [10/11] kernel smoke (P1 blocked-vs-scalar gate, release build)"
 cargo run --offline -q --release -p ca-bench --bin experiments -- p1 --quick --artifacts "$artifacts" >/dev/null
 test -s "$artifacts/BENCH_p1.json" || { echo "missing BENCH_p1.json"; exit 1; }
 grep -q '"differential_equal": false' "$artifacts/BENCH_p1.json" \
@@ -173,7 +170,7 @@ grep -q '"differential_equal": false' "$artifacts/BENCH_p1.json" \
 grep -q '"p1_blocked_beats_scalar": true' "$artifacts/BENCH_p1.json" \
     || { echo "BENCH_p1.json: blocked kernels did not beat the scalar oracle 2x"; exit 1; }
 
-echo "==> [12/12] benchmark package (release build + six short workloads + traced tcp_small)"
+echo "==> [11/11] benchmark package (release build + six short workloads + traced tcp_small)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # One-run mode exits 0 even when a decision is wrong; its last line says
 # whether every decision was correct.

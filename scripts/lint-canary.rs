@@ -27,6 +27,17 @@ pub fn instant_now() -> Instant { Instant::now() }
 pub fn system_time_now() -> SystemTime { SystemTime::now() }
 // expect: clippy::disallowed_methods std::sync::mpsc::channel
 pub fn channel() -> (mpsc::Sender<u8>, mpsc::Receiver<u8>) { mpsc::channel() }
+// expect: clippy::disallowed_methods std::vec::Vec::with_capacity
+pub fn vec_with_capacity(n: usize) -> Vec<u8> { Vec::with_capacity(n) }
+// expect: clippy::disallowed_methods std::vec::Vec::reserve
+pub fn vec_reserve(v: &mut Vec<u8>, n: usize) { v.reserve(n) }
+// expect: clippy::disallowed_methods std::vec::Vec::reserve_exact
+pub fn vec_reserve_exact(v: &mut Vec<u8>, n: usize) { v.reserve_exact(n) }
+// expect: clippy::disallowed_methods std::string::String::with_capacity
+pub fn string_with_capacity(n: usize) -> String { String::with_capacity(n) }
+// The fifth allocation ban, ca_codec::Writer::with_capacity, cannot fire
+// here: this crate has no dependencies. Stage 2 covers it, where an
+// #[expect] at each of its call sites would go unfulfilled without it.
 // expect: clippy::print_stdout
 pub fn print_stdout() { println!("canary") }
 // expect: clippy::print_stderr
