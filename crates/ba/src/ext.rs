@@ -17,9 +17,12 @@
 //! identical — so all honest parties reconstruct the same value, which is
 //! the input of an honest party (Lemma 6).
 //!
-//! So a party whose own root is `z*` already holds every codeword an
-//! honest peer can send it: it compares instead of hashing, and skips
-//! `RS.DECODE` when all it collects are its own (DESIGN.md §13).
+//! Step 1 encodes each message `(j, sⱼ, wⱼ)` once and hashes its codeword
+//! where it lies. So a party whose own root is `z*` already holds every
+//! message an honest peer can send it: it keeps them through the echo
+//! round, recognises a copy by byte equality instead of hashing it, and
+//! skips `RS.DECODE` when all it collects are its own. The echo forwards
+//! the bytes it verified, their own re-encoding (DESIGN.md §13).
 //!
 //! ## Adaptive corner (documented deviation)
 //!
@@ -31,11 +34,12 @@
 //! simulator's round-granular corruption this yields a uniform `⊥` for all
 //! honest parties, preserving Agreement.
 
+use bytes::Bytes;
 use ca_crypto::{Hash256, MerkleTree, Witness};
 use ca_erasure::{ReedSolomon, Share, ShareRef};
 use ca_net::{Comm, CommExt, Inbox, PartyId};
 
-use ca_codec::{CodecError, Decode, Encode, Reader};
+use ca_codec::{CodecError, Decode, Encode, Reader, Writer};
 
 use crate::{ba_plus, BaKind, Value};
 
@@ -44,6 +48,8 @@ use crate::{ba_plus, BaKind, Value};
 /// from the receive buffer, so Merkle verification hashes the wire bytes
 /// directly instead of re-encoding the share.
 struct ShareMsgRef<'a> {
+    /// The whole message, which a holder compares with its own.
+    raw: &'a [u8],
     idx: u32,
     share: ShareRef<'a>,
     witness: Witness,
@@ -64,6 +70,7 @@ impl<'a> ShareMsgRef<'a> {
             });
         }
         Ok(ShareMsgRef {
+            raw: bytes,
             idx,
             share,
             witness,
@@ -83,19 +90,13 @@ impl<'a> ShareMsgRef<'a> {
 }
 
 /// Every well-formed `(idx, share, witness)` message in `inbox`, in sender
-/// order; malformed messages are silence. Decoding slices the share
-/// without hashing it: callers verify only the candidates they need.
-fn share_msgs(inbox: &Inbox) -> Vec<ShareMsgRef<'_>> {
-    let mut out = Vec::new();
-    for sender in 0..inbox.party_count() {
-        for raw in inbox.raw_from(PartyId(sender)) {
-            let Ok(msg) = ShareMsgRef::decode_from_slice(raw) else {
-                continue;
-            };
-            out.push(msg);
-        }
-    }
-    out
+/// order, with the buffer it arrived in; malformed messages are silence.
+/// Decoding slices the share without hashing it: callers verify only the
+/// candidates they need.
+fn share_msgs(inbox: &Inbox) -> impl Iterator<Item = (&Bytes, ShareMsgRef<'_>)> + '_ {
+    (0..inbox.party_count())
+        .flat_map(|sender| inbox.raw_from(PartyId(sender)))
+        .filter_map(|raw| Some((raw, ShareMsgRef::decode_from_slice(raw).ok()?)))
 }
 
 /// The first `k` indices, ascending, that hold a codeword verifying
@@ -129,7 +130,7 @@ fn first_verified<'a>(
     recognises: impl Fn(&ShareMsgRef<'_>) -> bool,
 ) -> Vec<(usize, ShareRef<'a>, bool)> {
     let mut buckets: Vec<Vec<ShareMsgRef<'_>>> = (0..n).map(|_| Vec::new()).collect();
-    for msg in share_msgs(inbox) {
+    for (_, msg) in share_msgs(inbox) {
         if let Some(bucket) = buckets.get_mut(msg.idx as usize) {
             bucket.push(msg);
         }
@@ -177,12 +178,35 @@ fn first_verified<'a>(
 }
 
 /// Step 1: `RS.ENCODE` the payload and `MT.BUILD` over the codewords'
-/// encodings, the tree's leaves.
-fn encode_and_accumulate(rs: &ReedSolomon, payload: &[u8]) -> (Vec<Vec<u8>>, MerkleTree) {
+/// encodings. Returns the root and the `n` dispersal messages
+/// `(j, sⱼ, wⱼ)`, each encoded once into a buffer of exactly its length:
+/// the tree hashes each codeword's span in place, then its witness is
+/// appended.
+fn dispersal(rs: &ReedSolomon, payload: &[u8]) -> (Hash256, Vec<Vec<u8>>) {
     let shares = rs.encode(payload);
-    let leaves: Vec<Vec<u8>> = shares.into_iter().map(|s| s.encode_to_vec()).collect();
-    let tree = MerkleTree::build(&leaves);
-    (leaves, tree)
+    let witness_len = MerkleTree::witness_len(shares.len() as u32);
+    let mut msgs: Vec<Writer> = (0u32..)
+        .zip(shares)
+        .map(|head| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "one message: its index, its codeword and a witness of the local tree"
+            )]
+            let mut w = Writer::with_capacity(head.encoded_len() + witness_len);
+            head.encode(&mut w);
+            w
+        })
+        .collect();
+    let spans: Vec<&[u8]> = (0u32..)
+        .zip(&msgs)
+        .map(|(j, w)| &w.as_slice()[j.encoded_len()..])
+        .collect();
+    let tree = MerkleTree::build(&spans);
+    for (j, w) in msgs.iter_mut().enumerate() {
+        tree.witness(j).encode(w);
+    }
+    let msgs = msgs.into_iter().map(Writer::into_vec).collect();
+    (tree.root(), msgs)
 }
 
 /// The defense-in-depth check: does the reconstruction `decoded`
@@ -200,7 +224,7 @@ fn reaccumulates(
     z: Hash256,
     payload: &[u8],
 ) -> bool {
-    (z == z_star && decoded == payload) || encode_and_accumulate(rs, decoded).1.root() == z_star
+    (z == z_star && decoded == payload) || dispersal(rs, decoded).0 == z_star
 }
 
 /// Runs `Π_ℓBA+` on `input`, instantiating the assumed `Π_BA` with `ba`.
@@ -223,7 +247,7 @@ pub fn lba_plus<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V
 /// Each received codeword is hashed only when its step needs it: the echo
 /// step stops at the first copy of its own codeword that verifies, the
 /// decode step at the `k`-th verified index. A holder of `z*` hashes no
-/// copy of its own codeword, nor decodes `k` of them (module doc).
+/// copy of its own messages, nor decodes `k` of them (module doc).
 fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V> {
     let n = ctx.n();
     let me = ctx.me();
@@ -234,45 +258,36 @@ fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<
     let rs = ReedSolomon::new(n, ctx.quorum()).expect("valid (n, n−t) parameters");
     let k = rs.threshold();
 
-    // Step 1: erasure-code and accumulate.
+    // Step 1: erasure-code and accumulate, into the dispersal messages.
     let payload = input.encode_to_vec();
-    let (mut leaves, tree) = encode_and_accumulate(&rs, &payload);
-    let z = tree.root();
+    let (z, msgs) = dispersal(&rs, &payload);
 
     // Step 2: agree on an accumulator value.
     let z_star = ba_plus(ctx, z, ba)?;
 
     // Step 3a: holders of the agreed value disperse codewords and keep
-    // the tree and the parity leaves to recognise their own below.
-    let own = (z == z_star).then(|| {
-        for (j, leaf) in leaves.iter().enumerate() {
-            // The encoding of `(j, share, w)`: its fields' encodings in a row.
-            let (j32, w) = ((j as u32).encode_to_vec(), tree.witness(j).encode_to_vec());
-            ctx.send_bytes(PartyId(j), [&j32[..], leaf, &w].concat().into());
-        }
-        (leaves.split_off(k), tree)
-    });
-    drop(leaves);
-    // A copy of our own codeword and witness (idx < n) passes MT.VERIFY.
-    let recognises = |msg: &ShareMsgRef<'_>| {
-        let (idx, bytes) = (msg.idx as usize, msg.share.encoded_bytes());
-        own.as_ref().is_some_and(|(parity, tree)| {
-            msg.witness == tree.witness(idx)
-                && match idx.checked_sub(k) {
-                    None => rs.is_systematic_share(&payload, idx, bytes),
-                    Some(p) => parity[p] == bytes,
-                }
-        })
-    };
+    // the messages to recognise their own below; the others drop theirs.
+    let own: Vec<Bytes> = msgs
+        .into_iter()
+        .filter(|_| z == z_star)
+        .map(Bytes::from)
+        .collect();
+    for (j, msg) in own.iter().enumerate() {
+        ctx.send_bytes(PartyId(j), msg.clone());
+    }
+    // A byte-equal copy of one of our messages passes MT.VERIFY.
+    let recognises =
+        |msg: &ShareMsgRef<'_>| own.get(msg.idx as usize).is_some_and(|m| m[..] == *msg.raw);
     let inbox = ctx.next_round();
 
     // Step 3b: echo the first copy of our own codeword that verifies, in
-    // sender order.
-    if let Some(msg) = share_msgs(&inbox)
-        .into_iter()
-        .find(|msg| msg.idx as usize == me.index() && (recognises(msg) || msg.verifies(z_star)))
-    {
-        ctx.send_all(&(msg.idx, msg.share.to_share(), &msg.witness));
+    // sender order, as it arrived (accepted bytes are their own encoding).
+    if let Some((raw, _)) = share_msgs(&inbox).find(|(_, msg)| {
+        msg.idx as usize == me.index() && (recognises(msg) || msg.verifies(z_star))
+    }) {
+        for p in 0..n {
+            ctx.send_bytes(PartyId(p), raw.clone());
+        }
     }
     drop(inbox);
     let inbox = ctx.next_round();
@@ -313,7 +328,7 @@ mod eager {
         mut keep: impl FnMut(usize) -> bool,
     ) -> Vec<ShareMsg> {
         let mut out = Vec::new();
-        for msg in share_msgs(inbox) {
+        for (_, msg) in share_msgs(inbox) {
             if keep(msg.idx as usize) && msg.verifies(z_star) {
                 out.push((msg.idx, msg.share.to_share(), msg.witness));
             }
@@ -372,10 +387,10 @@ mod eager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use ca_adversary::{Equivocate, Garbage, Replay};
     use ca_bits::BitString;
     use ca_net::{max_faults, Adversary, Corruption, RoundActions, RoundView, SendSpec, Sim};
+    use proptest::prelude::*;
 
     fn long_input(bits: usize, seed: u8) -> BitString {
         BitString::from_bits((0..bits).map(|i| (i as u8).wrapping_mul(seed).is_multiple_of(3)))
@@ -553,12 +568,121 @@ mod tests {
         }
     }
 
+    /// `lazy_body_matches_the_eager_oracle` at the benchmark's shape
+    /// (n = 31, k = 21) with a 64 KiB payload: holders recognise parity
+    /// indices ≥ 21 among their own messages, and the decode step's
+    /// verify batches fall back past forgeries in more than one pass.
+    #[test]
+    fn lazy_body_matches_the_eager_oracle_at_n31() {
+        let n = 31;
+        let t = max_faults(n);
+        let shared = bytes_input(64 << 10, 7);
+        let split = |holders: usize| -> Vec<Vec<u8>> {
+            (0..n)
+                .map(|i| {
+                    if i < holders {
+                        shared.clone()
+                    } else {
+                        bytes_input(64 << 10, 11 + i as u8)
+                    }
+                })
+                .collect()
+        };
+        let cases = [
+            (Faults::None, split(n)),
+            (Faults::Silent, split(n)),
+            (Faults::Tamper, split(n)),
+            (Faults::TamperMid, split(n)),
+            (Faults::WrongWitness, split(n)),
+            (Faults::WrongWitness, split(n - t)),
+            (Faults::None, split(n - 2 * t - 1)),
+        ];
+        for (faults, inputs) in &cases {
+            let lazy = run_body(faults.sim(n), inputs, lba_plus_body);
+            let eager = run_body(faults.sim(n), inputs, eager::lba_plus_body);
+            assert_eq!(lazy, eager, "{faults:?}");
+        }
+    }
+
+    /// Step 1's messages are `(j, shareⱼ, wⱼ)` as the codec spells them,
+    /// under the root of the tree over the codewords' encodings, each in a
+    /// buffer with no spare capacity: the witness append never
+    /// reallocates, and `Bytes::from` keeps the buffer as it is.
+    #[test]
+    fn dispersal_messages_are_the_encoded_share_tuples() {
+        for n in [4, 7, 31] {
+            let rs = ReedSolomon::new(n, n - max_faults(n)).unwrap();
+            let k = rs.threshold();
+            for len in [0, 1, 2 * k - 1, 2 * k, 2 * k + 1, 64 << 10] {
+                let payload = bytes_input(len, 5);
+                let shares = rs.encode(&payload);
+                let leaves: Vec<Vec<u8>> = shares.iter().map(Encode::encode_to_vec).collect();
+                let tree = MerkleTree::build(&leaves);
+                let (z, msgs) = dispersal(&rs, &payload);
+                assert_eq!(z, tree.root(), "n = {n}, len = {len}");
+                assert_eq!(msgs.len(), n, "n = {n}, len = {len}");
+                for (j, (msg, share)) in msgs.iter().zip(shares).enumerate() {
+                    let expected = (j as u32, share, tree.witness(j)).encode_to_vec();
+                    assert_eq!(*msg, expected, "n = {n}, len = {len}, j = {j}");
+                    assert_eq!(msg.capacity(), msg.len(), "n = {n}, len = {len}, j = {j}");
+                }
+            }
+        }
+    }
+
+    /// A varint that claims 2⁶³ of whatever the decoder counts next.
+    const HUGE_LEN: [u8; 10] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+
+    /// `ShareMsgRef` and the owned tuple decoder accept `bytes` alike, and
+    /// an accepted message is the same tuple and its own encoding, which
+    /// whole-message recognition and the forwarded echo rest on.
+    fn decoders_agree(bytes: &[u8]) {
+        let owned = <(u32, Share, Witness)>::decode_from_slice(bytes);
+        match (ShareMsgRef::decode_from_slice(bytes), owned) {
+            (Ok(view), Ok(owned)) => {
+                assert_eq!(view.raw, bytes);
+                assert_eq!((view.idx, view.share.to_share(), view.witness), owned);
+                assert_eq!(owned.encode_to_vec(), bytes);
+            }
+            (view, owned) => assert_eq!(view.is_ok(), owned.is_ok(), "{bytes:02x?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// Every truncation of a step-1 message, all 255 other values of
+        /// a byte at up to 64 offsets, and [`HUGE_LEN`] spliced in there.
+        #[test]
+        fn prop_share_msg_view_accepts_what_the_tuple_decoder_accepts(
+            data in proptest::collection::vec(any::<u8>(), 0..300),
+            n in 4usize..12,
+            pick in any::<usize>(),
+        ) {
+            let rs = ReedSolomon::new(n, n - max_faults(n)).unwrap();
+            let msg = dispersal(&rs, &data).1.swap_remove(pick % n);
+            decoders_agree(&msg);
+            for cut in 0..msg.len() {
+                decoders_agree(&msg[..cut]);
+            }
+            decoders_agree(&[&msg[..], &[0]].concat());
+            let stride = msg.len().div_ceil(64);
+            for at in (pick % stride..msg.len()).step_by(stride) {
+                let mut bad = msg.clone();
+                for delta in 1..=255u8 {
+                    bad[at] = msg[at].wrapping_add(delta);
+                    decoders_agree(&bad);
+                }
+                decoders_agree(&[&msg[..at], &HUGE_LEN, &msg[at..]].concat());
+            }
+        }
+    }
+
     #[test]
     fn reaccumulation_check_takes_the_shortcut_only_when_it_is_exact() {
         let rs = ReedSolomon::new(7, 5).unwrap();
         let a = bytes_input(900, 3);
         let b = bytes_input(900, 5);
-        let root = |payload: &[u8]| encode_and_accumulate(&rs, payload).1.root();
+        let root = |payload: &[u8]| dispersal(&rs, payload).0;
         let (za, zb) = (root(&a), root(&b));
 
         // Shortcut: z = z* and the same bytes; the full path agrees.

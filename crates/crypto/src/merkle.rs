@@ -78,6 +78,15 @@ fn expected_depth(leaf_count: u32) -> usize {
     u64::from(leaf_count).next_power_of_two().trailing_zeros() as usize
 }
 
+impl MerkleTree {
+    /// Encoded length of every witness of a tree over `leaf_count`
+    /// leaves: the count, the path length and [`expected_depth`] hashes.
+    pub fn witness_len(leaf_count: u32) -> usize {
+        let depth = expected_depth(leaf_count);
+        leaf_count.encoded_len() + depth.encoded_len() + 32 * depth
+    }
+}
+
 /// A built Merkle tree over a sequence of byte-string leaves.
 ///
 /// `MerkleTree::build(S)` is the paper's `MT.BUILD(S)`: it returns (via
@@ -554,6 +563,19 @@ mod tests {
         let s256 = t256.witness(0).encode_to_vec().len();
         // 4 extra levels of 32-byte hashes.
         assert_eq!(s256 - s16, 4 * 32 + 1); // +1 varint growth for leaf_count
+    }
+
+    #[test]
+    fn witness_len_matches_every_encoded_witness() {
+        use ca_codec::Encode;
+        for count in 1..=70u32 {
+            let tree = MerkleTree::build(&leaves(count as usize));
+            for j in 0..count as usize {
+                let len = tree.witness(j).encode_to_vec().len();
+                assert_eq!(len, tree.witness(j).encoded_len(), "{count} leaves, #{j}");
+                assert_eq!(MerkleTree::witness_len(count), len, "{count} leaves, #{j}");
+            }
+        }
     }
 
     proptest! {

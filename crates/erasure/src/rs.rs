@@ -296,21 +296,6 @@ impl ReedSolomon {
         Ok(payload)
     }
 
-    /// Whether `encoded` is exactly `encode(data)[idx].encode_to_vec()` for
-    /// a systematic `idx < k`, compared in place against the framed
-    /// payload `varint(len) ‖ data ‖ zero padding` without building it:
-    /// share `idx` holds symbol `idx` of every stripe.
-    pub fn is_systematic_share(&self, data: &[u8], idx: usize, encoded: &[u8]) -> bool {
-        let head = data.len().encode_to_vec();
-        let stripes = (head.len() + data.len()).div_ceil(2 * self.k);
-        // `stripes ≥ 1`, so a missing count prefix fails the length check.
-        let count = stripes.encode_to_vec();
-        let syms = encoded.strip_prefix(&count[..]).unwrap_or_default();
-        let mut pairs = syms.as_chunks::<2>().0.iter();
-        let same = |x: Gf| pairs.next().is_some_and(|&b| x.0 == u16::from_be_bytes(b));
-        idx < self.k && syms.len() == 2 * stripes && self.column(&head, data, idx).all(same)
-    }
-
     /// Symbol `j` of every stripe of the framed payload `head ‖ data ‖ zero
     /// padding`, with `head = varint(data.len())`, which is share `j` for
     /// `j < k`, read in place rather than framed into a copy: stripes
@@ -955,36 +940,6 @@ mod tests {
             let subset: Vec<_> = shares.iter().cloned().enumerate().skip(2).collect();
             let decoded = rs.decode(&subset).unwrap();
             prop_assert_eq!(rs.encode(&decoded), shares);
-        }
-
-        #[test]
-        fn prop_is_systematic_share_is_byte_equality(
-            data in proptest::collection::vec(any::<u8>(), 0..400),
-            n in 4usize..20,
-            bump in 1u8..,
-        ) {
-            // True exactly for the systematic encodings; false for a parity
-            // index, for any single changed byte (length head, symbols or
-            // zero-padding tail) and for a truncated or extended span.
-            let k = n - (n - 1) / 3;
-            let rs = ReedSolomon::new(n, k).unwrap();
-            let encoded: Vec<Vec<u8>> = rs.encode(&data).iter().map(Encode::encode_to_vec).collect();
-            for (idx, share) in encoded.iter().enumerate() {
-                prop_assert_eq!(rs.is_systematic_share(&data, idx, share), idx < k, "idx {}", idx);
-                prop_assert!(!rs.is_systematic_share(&data, idx + k, share));
-                if idx >= k {
-                    continue;
-                }
-                for at in 0..share.len() {
-                    let mut changed = share.clone();
-                    changed[at] = changed[at].wrapping_add(bump);
-                    prop_assert!(!rs.is_systematic_share(&data, idx, &changed), "idx {} byte {}", idx, at);
-                }
-                prop_assert!(!rs.is_systematic_share(&data, idx, &share[..share.len() - 1]));
-                let mut extended = share.clone();
-                extended.push(0);
-                prop_assert!(!rs.is_systematic_share(&data, idx, &extended));
-            }
         }
 
         #[test]
