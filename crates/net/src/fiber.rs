@@ -645,6 +645,10 @@ mod tests {
     /// Runs `test` on a thread named `label` and fails it if it has not
     /// finished within 30 s, so a miscounted hub fails instead of hanging;
     /// a failure names `label`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a hung test must not hold its watchdog: the thread is left behind on a hang"
+    )]
     fn within_30s(label: &str, test: impl FnOnce() + Send + 'static) {
         let (done_tx, done_rx) = sync_channel(1);
         let run = std::thread::Builder::new()

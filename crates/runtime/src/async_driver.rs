@@ -21,8 +21,8 @@
 //! crash round is matched against the count of protocol messages this
 //! party has delivered. "Crash at round 20" means "crash when the 20th
 //! message arrives" — that message is never seen by the protocol. The
-//! crash itself behaves exactly as on the sync path (abrupt EOF after the
-//! frames already sent).
+//! crash itself behaves exactly as on the sync path (abrupt EOF after
+//! what the sockets already took; what is still queued is dropped).
 //!
 //! # Termination
 //!

@@ -6,8 +6,7 @@
 //! production uses [`MonotonicClock`], tests use [`ManualClock`] and advance
 //! time explicitly.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A monotonic time source, reporting elapsed time since an arbitrary
@@ -47,7 +46,7 @@ impl Clock for MonotonicClock {
 /// while the transport holds another.
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock {
-    nanos: Arc<AtomicU64>,
+    now: Arc<Mutex<Duration>>,
 }
 
 impl ManualClock {
@@ -59,14 +58,14 @@ impl ManualClock {
 
     /// Advances the clock by `d`.
     pub fn advance(&self, d: Duration) {
-        let nanos = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.nanos.fetch_add(nanos, Ordering::SeqCst);
+        let mut now = self.now.lock().unwrap_or_else(PoisonError::into_inner);
+        *now = now.saturating_add(d);
     }
 }
 
 impl Clock for ManualClock {
     fn now(&self) -> Duration {
-        Duration::from_nanos(self.nanos.load(Ordering::SeqCst))
+        *self.now.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

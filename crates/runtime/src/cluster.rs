@@ -339,7 +339,7 @@ mod tests {
 
     /// Every party hears every other, first in a round in which all of
     /// them write 4 MiB to every peer at once — whatever a socket does not
-    /// take goes to a spill thread — and then in five small rounds. Every
+    /// take waits in the peer's write queue — and then in five small rounds. Every
     /// party reads its sockets while it waits on the round, so the bulk
     /// round neither deadlocks nor cuts anyone off.
     #[test]
@@ -748,8 +748,8 @@ mod tests {
 
     /// A peer that stops reading is cut off by the Δ write timeout: the
     /// frames it was not sent are shed, the peer is disconnected and
-    /// suspected, and no round blocks on it: the write that times out
-    /// runs on the peer's spill thread.
+    /// suspected, and no round blocks on it: what the socket does not take
+    /// waits in the peer's write queue, whose deadline every sweep checks.
     #[test]
     fn write_timeout_cuts_off_a_peer_that_stops_reading() {
         let addr0 = free_addr();
@@ -896,9 +896,9 @@ mod tests {
 
     /// A peer that falls behind still reads every frame in send order.
     /// Raw P1 reads nothing while party 0 sends it 8 MiB, more than the
-    /// socket buffers hold, so the rest goes to P1's spill thread; then P1
+    /// socket buffers hold, so the rest waits in P1's write queue; then P1
     /// drains slowly while party 0 keeps sending small rounds, which must
-    /// queue behind the spilled bytes rather than overtake them.
+    /// queue behind the unwritten bytes rather than overtake them.
     #[test]
     fn a_peer_that_falls_behind_reads_every_frame_in_order() {
         use ca_codec::Encode as _;
@@ -951,5 +951,107 @@ mod tests {
         drop(comm);
         assert!(peer.join().unwrap() == expected, "wire image differs");
         assert_eq!((stats.frames_shed, stats.peers_gone), (0, 0), "{stats:?}");
+    }
+
+    /// Dropping a party does not hang on a peer that never reads. Party 0
+    /// sends raw P1, which never reads, 4 MiB a round until 8 MiB wait
+    /// unwritten, and raw P2, which reads, a small frame a round; both end
+    /// every round up front. The drop returns once P1's head batch misses
+    /// its `Δ` deadline, and P2 reads every round frame, then `Bye`, then
+    /// EOF.
+    #[test]
+    fn a_dropped_party_does_not_hang_on_a_peer_that_never_reads() {
+        use ca_codec::Encode as _;
+        let addr0 = free_addr();
+        let delta = Duration::from_secs(2);
+        let all_rounds = || Frame::Round {
+            round: 1 << 40,
+            msgs: Vec::new(),
+        };
+        let stuck = std::thread::spawn(move || {
+            let mut stream = dial_as(addr0, 1);
+            all_rounds().write_to(&mut stream).unwrap();
+            stream
+        });
+        let reader = std::thread::spawn(move || {
+            let mut stream = dial_as(addr0, 2);
+            all_rounds().write_to(&mut stream).unwrap();
+            let mut stream = std::io::BufReader::new(stream);
+            std::iter::from_fn(|| read_frame(&mut stream)).collect::<Vec<_>>()
+        });
+        let mut comm = party0(addr0, 3, delta);
+        let bulk = Bytes::from(vec![0u8; 4 << 20]);
+        let mut expected = Vec::new();
+        while comm.unwritten(1) < 8 << 20 && expected.len() < 16 {
+            let round = expected.len() as u64 + 1;
+            let msgs = vec![Bytes::from(round.encode_to_vec())];
+            comm.send_bytes(PartyId(1), bulk.clone());
+            comm.send_bytes(PartyId(2), msgs[0].clone());
+            let _ = comm.next_round();
+            expected.push(Frame::Round { round, msgs });
+        }
+        assert!(
+            comm.unwritten(1) >= 8 << 20,
+            "{} B queued",
+            comm.unwritten(1)
+        );
+        let started = std::time::Instant::now();
+        drop(comm);
+        let took = started.elapsed();
+        assert!(
+            took < delta + Duration::from_secs(2),
+            "the drop took {took:?}"
+        );
+        expected.push(Frame::Bye);
+        assert!(reader.join().unwrap() == expected, "P2's frames differ");
+        drop(stuck.join().unwrap());
+    }
+
+    /// A crash writes nothing more. Party 0 sends raw P1, which reads
+    /// nothing yet, 4 MiB a round until its socket backs up, then crashes
+    /// at the next round. P1 then reads a byte prefix of the rounds before
+    /// the crash, short of their end, and EOF without `Bye`; the batches
+    /// the crash left unwritten count as shed.
+    #[test]
+    fn a_crash_writes_nothing_more() {
+        let addr0 = free_addr();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let mut stream = dial_as(addr0, 1);
+            let msgs = Vec::new();
+            Frame::Round {
+                round: 1 << 40,
+                msgs,
+            }
+            .write_to(&mut stream)
+            .unwrap();
+            go_rx.recv().unwrap();
+            let mut wire = Vec::new();
+            std::io::Read::read_to_end(&mut stream, &mut wire).unwrap();
+            wire
+        });
+        let mut comm = party0(addr0, 2, Duration::from_secs(30));
+        let mut wire = Vec::new();
+        while comm.unwritten(1) == 0 && comm.round() < 16 {
+            let round = comm.round() + 1;
+            let msgs = vec![Bytes::from(vec![round as u8; 4 << 20])];
+            comm.send_bytes(PartyId(1), msgs[0].clone());
+            let _ = comm.next_round();
+            Frame::Round { round, msgs }.write_to(&mut wire).unwrap();
+        }
+        assert!(comm.unwritten(1) > 0, "P1's socket never backed up");
+        comm.set_fault_plan(FaultPlan::new().crash_at(comm.round() + 1));
+        comm.send_bytes(PartyId(1), Bytes::from_static(b"never sent"));
+        let _ = comm.next_round();
+        let stats = comm.stats();
+        assert!(stats.frames_shed >= 1, "{stats:?}");
+        go_tx.send(()).unwrap();
+        let got = peer.join().unwrap();
+        assert!(
+            got.len() < wire.len(),
+            "the backlog went out after the crash"
+        );
+        assert!(wire.starts_with(&got), "not a prefix of the wire image");
+        drop(comm);
     }
 }

@@ -10,10 +10,10 @@
 //!
 //! Protocol code is *identical* to what the simulator runs — anything
 //! written against [`ca_net::Comm`] works here unchanged; each party's
-//! protocol runs on a dedicated thread, which also writes each round's
-//! frames and reads its peers' nonblocking sockets itself, while a spill
-//! thread, started for a peer the first time its socket is full, finishes
-//! what that socket did not take.
+//! protocol runs on one thread, which also writes each round's frames and
+//! reads its peers' nonblocking sockets itself. What a full socket does
+//! not take waits in that peer's write queue, which the thread writes out
+//! whenever it reads, so a party starts no thread of its own.
 //!
 //! The runtime also has an **event-driven mode** for asynchronous
 //! protocols ([`ca_async::AsyncProtocol`]): [`run_async_party`] and

@@ -31,8 +31,8 @@ pub(crate) enum Reason {
     Malformed,
     /// The peer overfilled its early-batch buffer.
     Flood,
-    /// A write to the peer missed its `Δ` deadline, or its spill queue
-    /// filled.
+    /// A write to the peer missed its `Δ` deadline, or its write queue
+    /// overfilled.
     Stalled,
     /// A write to the peer failed: the link is closed.
     Closed,

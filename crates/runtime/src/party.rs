@@ -5,8 +5,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -17,7 +16,7 @@ use ca_trace::{Event as TraceEvent, NullSink, Record, TraceSink};
 use crate::clock::{Clock, MonotonicClock};
 use crate::frame::{validate_frame_len, LENGTH_PREFIX_LEN};
 use crate::liveness::{Effect, Liveness, Reason};
-use crate::stats::{RuntimeStats, StatsInner};
+use crate::stats::RuntimeStats;
 use crate::{FaultPlan, Frame};
 
 /// Errors from establishing or running a TCP party.
@@ -80,18 +79,13 @@ const EARLY_BYTES: usize = 64 << 20;
 /// frame headers around it.
 const SOCKET_BUFFER: usize = 64 * 1024;
 
-/// The longest the protocol thread blocks on one peer's socket before it
-/// sweeps every peer again.
+/// The longest the party blocks on one peer's socket before it sweeps
+/// every peer again.
 pub(crate) const SLICE: Duration = Duration::from_millis(1);
 
-/// How long a spill thread waits before it retries a write its socket did
-/// not take, and the write timeout that bounds its write while the
-/// protocol thread has the socket in blocking mode for a [`SLICE`].
-const WRITE_POLL: Duration = Duration::from_millis(1);
-
-/// Capacity of each spill thread's queue, in batches (one per round on
+/// Cap, per peer, on the batches waiting to be written (one per round on
 /// the sync path, one per message on the async path).
-const SPILL_QUEUE: usize = 1024;
+const WRITE_QUEUE: usize = 1024;
 
 /// One frame's wire image, minus what is already written: the framing
 /// and small payloads copied together, each large payload as its own
@@ -138,7 +132,7 @@ impl Outbound {
                 }
                 Err(e) => match e.kind() {
                     io::ErrorKind::Interrupted => {}
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => return Ok(false),
+                    io::ErrorKind::WouldBlock => return Ok(false),
                     _ => return Err(e),
                 },
             }
@@ -216,53 +210,21 @@ impl Assembler {
     }
 }
 
-/// The protocol thread's end of one peer's connection.
+/// This party's end of one peer's connection.
 struct Link {
-    /// The socket: nonblocking, but for the [`SLICE`]s the protocol
-    /// thread waits on it; under the [`WRITE_POLL`] write timeout.
+    /// The socket: nonblocking, but for the [`SLICE`]s the party waits on
+    /// it.
     socket: TcpStream,
-    /// The peer's spill thread, started the first time a write to the
-    /// peer came back short.
-    spill: Option<Spill>,
+    /// Batches not yet written in full, oldest first: the head may be
+    /// part written, and the rest wait behind it, so the peer reads every
+    /// frame in send order.
+    unwritten: VecDeque<Outbound>,
+    /// When the head must be out, in real time: `Δ` after its first write
+    /// that came back short.
+    due: Option<Duration>,
     /// What has been read of the peer's stream; `None` once the peer
     /// said `Bye` or its stream was lost.
     inbound: Option<Assembler>,
-}
-
-/// A thread that finishes writing what a peer's socket did not take at
-/// once, so that a peer that reads slowly or not at all blocks only it.
-struct Spill {
-    /// Bounded by [`SPILL_QUEUE`].
-    tx: mpsc::SyncSender<Outbound>,
-    /// Batches handed over and not yet written. While there are any,
-    /// later batches queue behind them, so the peer reads them in order.
-    unwritten: Arc<AtomicUsize>,
-    /// Returns whether it stopped because a batch missed its deadline.
-    thread: std::thread::JoinHandle<bool>,
-}
-
-impl Spill {
-    /// Starts `peer`'s spill thread on a handle of `socket`.
-    fn start(
-        peer: usize,
-        socket: &TcpStream,
-        delta: Duration,
-        stats: &Arc<StatsInner>,
-    ) -> Result<Self, Reason> {
-        let socket = socket.try_clone().map_err(|_| Reason::Closed)?;
-        let (tx, rx) = mpsc::sync_channel::<Outbound>(SPILL_QUEUE);
-        let unwritten = Arc::new(AtomicUsize::new(0));
-        let (left, stats) = (Arc::clone(&unwritten), Arc::clone(stats));
-        let thread = std::thread::Builder::new()
-            .name(format!("ca-spill-{peer}"))
-            .spawn(move || spill_loop(&socket, &rx, &left, delta, &stats))
-            .map_err(|_| Reason::Closed)?;
-        Ok(Self {
-            tx,
-            unwritten,
-            thread,
-        })
-    }
 }
 
 /// A fully connected TCP party implementing [`Comm`].
@@ -272,12 +234,13 @@ impl Spill {
 /// round's sends to it, which is also its end-of-round marker, then reads
 /// its peers' sockets itself until every live peer's frame for the round
 /// arrives or `Δ` elapses. A write never blocks: what a full socket does
-/// not take goes to that peer's spill thread, so a peer that stops
-/// reading delays no other peer.
+/// not take waits in that peer's queue, and the party writes it out
+/// whenever it reads, so a peer that stops reading delays no other peer.
+/// The party starts no thread.
 ///
 /// # Crash tolerance
 ///
-/// The party owns the sockets and threads; who is gone, what is shed and
+/// The party owns the sockets; who is gone, what is shed and
 /// when a round ends is decided by its liveness core (`crate::liveness`).
 /// A peer whose stream ends without `Bye` or carries a malformed frame,
 /// that stops reading, or that floods the early-batch buffer is *gone*:
@@ -302,10 +265,12 @@ pub struct TcpParty {
     /// Time source for the Δ deadline, and the async driver's only one;
     /// injectable for tests.
     pub(crate) clock: Box<dyn Clock>,
+    /// Real time for the write deadlines, which, like an OS socket timer,
+    /// do not follow the injected clock.
+    wall: MonotonicClock,
     /// The liveness policy, which both drivers feed.
     pub(crate) core: Liveness,
-    /// Transport counters shared with the spill threads.
-    stats: Arc<StatsInner>,
+    stats: RuntimeStats,
     /// Trace destination ([`NullSink`] unless [`TcpParty::set_trace`]).
     sink: Arc<dyn TraceSink>,
 }
@@ -343,14 +308,14 @@ impl TcpParty {
     ) -> Result<Self, RuntimeError> {
         let n = addrs.len();
         let t = ca_net::max_faults(n);
-        let stats = Arc::new(StatsInner::default());
+        let mut stats = RuntimeStats::default();
         let mut links: Vec<Option<Link>> = (0..n).map(|_| None).collect();
-        for (peer, socket) in establish_clique(me, addrs, &*clock, &stats)? {
+        for (peer, socket) in establish_clique(me, addrs, &*clock, &mut stats)? {
             socket.set_nonblocking(true)?;
-            socket.set_write_timeout(Some(WRITE_POLL))?;
             links[peer] = Some(Link {
                 socket,
-                spill: None,
+                unwritten: VecDeque::new(),
+                due: None,
                 inbound: Some(Assembler::new()),
             });
         }
@@ -364,6 +329,7 @@ impl TcpParty {
             links,
             recent: 0,
             clock,
+            wall: MonotonicClock::default(),
             core: Liveness::new(n, me.index(), EARLY_BATCHES, EARLY_BYTES),
             stats,
             sink: Arc::new(NullSink),
@@ -387,7 +353,7 @@ impl TcpParty {
     /// Snapshot of this party's transport counters.
     #[must_use]
     pub fn stats(&self) -> RuntimeStats {
-        self.stats.snapshot()
+        self.stats
     }
 
     /// Rounds completed so far (the round number of the last
@@ -406,37 +372,55 @@ impl TcpParty {
         });
     }
 
-    /// Feeds the core each whole frame the peers sent: one nonblocking read
-    /// from every peer still read from, and while nothing arrives and
-    /// `budget` lasts, a wait of at most [`SLICE`] on one of them (the first
-    /// the round waits for, else the last heard from, else any), then again.
-    /// Returns whether bytes arrived or a stream ended; `false` at once when
-    /// no peer is read from any more.
+    /// Sweeps (see [`TcpParty::sweep`]) until something changes, and while
+    /// nothing does and `budget` lasts, waits at most [`SLICE`] for bytes
+    /// between sweeps. Returns whether bytes arrived, a stream ended or a
+    /// link was cut; `false` at once when no peer is read from any more.
     pub(crate) fn pump(&mut self, budget: Duration) -> bool {
         let deadline = self.clock.now().saturating_add(budget);
         loop {
-            let (mut any, mut arrived) = (None, false);
-            for peer in 0..self.n {
-                if self.readable(peer) {
-                    any.get_or_insert(peer);
-                    arrived |= self.read(peer, None);
-                }
-            }
-            if arrived {
+            if self.sweep() {
                 return true;
             }
-            let Some(any) = any else {
+            if !(0..self.n).any(|peer| self.readable(peer)) {
                 return false;
-            };
+            }
             let Some(left) = remaining_budget(deadline, &*self.clock) else {
                 return false;
             };
-            let peer = (self.core.awaited())
-                .chain([self.recent])
-                .find(|&p| self.readable(p))
-                .unwrap_or(any);
-            if self.read(peer, Some(left.min(SLICE))) {
+            if self.wait(left.min(SLICE)) {
                 return true;
+            }
+        }
+    }
+
+    /// Writes what every peer's socket takes of its queue, then reads once
+    /// from every peer still read from, without blocking. Returns whether
+    /// bytes arrived, a stream ended or a link was cut.
+    fn sweep(&mut self) -> bool {
+        let mut changed = false;
+        for peer in 0..self.n {
+            changed |= self.flush(peer);
+        }
+        for peer in 0..self.n {
+            changed |= self.read(peer, None);
+        }
+        changed
+    }
+
+    /// Blocks for at most `wait` on one peer's socket: the first the round
+    /// waits for, else the last heard from, else any still read from; with
+    /// none, just sleeps. Returns whether bytes arrived or a stream ended.
+    fn wait(&mut self, wait: Duration) -> bool {
+        let peer = (self.core.awaited())
+            .chain([self.recent])
+            .chain(0..self.n)
+            .find(|&p| self.readable(p));
+        match peer {
+            Some(peer) => self.read(peer, Some(wait)),
+            None => {
+                std::thread::sleep(wait);
+                false
             }
         }
     }
@@ -514,11 +498,9 @@ impl TcpParty {
                 Effect::Disconnect { peer, reason } => {
                     self.close(peer);
                     if reason == Reason::Stalled {
-                        self.stats
-                            .overflow_disconnects
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.stats.overflow_disconnects += 1;
                     }
-                    self.stats.peers_gone.fetch_add(1, Ordering::Relaxed);
+                    self.stats.peers_gone += 1;
                     if self.sink.enabled() {
                         self.emit(TraceEvent::PeerGone {
                             peer: peer as u64,
@@ -526,9 +508,7 @@ impl TcpParty {
                         });
                     }
                 }
-                Effect::Shed => {
-                    self.stats.frames_shed.fetch_add(1, Ordering::Relaxed);
-                }
+                Effect::Shed => self.stats.frames_shed += 1,
                 // No `Bye`: this models a process kill, not a graceful exit.
                 Effect::Crash { strategy } => {
                     if self.sink.enabled() {
@@ -544,86 +524,70 @@ impl TcpParty {
         None
     }
 
-    /// Sends `batch` to `to`, counted as sent; skipped if `to` has no link.
+    /// Queues `batch` for `to` behind what is already queued, counted as
+    /// sent, and writes what the socket takes; skipped if `to` has no link.
     fn send_batch(&mut self, to: usize, batch: Outbound) {
-        if self.links[to].is_none() {
+        let Some(link) = self.links[to].as_mut() else {
             return;
-        }
-        self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .wire_bytes_sent
-            .fetch_add(batch.wire_len(), Ordering::Relaxed);
-        self.write_or_report(to, batch);
+        };
+        self.stats.frames_sent += 1;
+        self.stats.wire_bytes_sent += batch.wire_len();
+        link.unwritten.push_back(batch);
+        self.flush(to);
     }
 
-    /// [`TcpParty::write_out`]; a failure closes the link and goes to the
-    /// core.
-    fn write_or_report(&mut self, to: usize, batch: Outbound) {
-        if let Err(failure) = self.write_out(to, batch) {
-            self.close(to);
-            self.core.on_write_failed(to, failure);
-        }
+    /// Writes what `peer`'s socket takes of its queue. A head batch not
+    /// out within `Δ` of its first short write, or a queue past
+    /// [`WRITE_QUEUE`], means the peer is off the synchronous schedule: the
+    /// batch and those behind it are shed and the peer goes to the core as
+    /// `Stalled`. Any other failed write goes as `Closed`. Either closes
+    /// the link; returns whether it did.
+    fn flush(&mut self, peer: usize) -> bool {
+        let Some(link) = self.links[peer].as_mut() else {
+            return false;
+        };
+        let failure = loop {
+            let Some(head) = link.unwritten.front_mut() else {
+                return false;
+            };
+            match head.write_some(&link.socket) {
+                Ok(true) => {
+                    link.unwritten.pop_front();
+                    link.due = None;
+                }
+                Ok(false) => {
+                    let now = self.wall.now();
+                    let due = *link.due.get_or_insert(now.saturating_add(self.delta));
+                    if now < due && link.unwritten.len() <= WRITE_QUEUE {
+                        return false;
+                    }
+                    // The core sheds the head; those behind it are shed here.
+                    self.stats.frames_shed += link.unwritten.len() as u64 - 1;
+                    break Reason::Stalled;
+                }
+                Err(_) => break Reason::Closed,
+            }
+        };
+        self.close(peer);
+        self.core.on_write_failed(peer, failure);
+        true
     }
 
-    /// Shuts `peer`'s socket down both ways and drops the link, so that
-    /// the peer's spill thread exits and nothing more of it is read.
+    /// Shuts `peer`'s socket down both ways and drops the link with what
+    /// is queued for it, so nothing more of it is written or read.
     fn close(&mut self, peer: usize) {
         if let Some(link) = self.links[peer].take() {
             let _ = link.socket.shutdown(Shutdown::Both);
         }
     }
 
-    /// Writes `batch` to `to` from this thread if nothing is queued for
-    /// the peer, and hands what its socket does not take at once to the
-    /// peer's spill thread, started on first use. So this never blocks,
-    /// and a peer that stops reading delays no other peer.
-    fn write_out(&mut self, to: usize, mut batch: Outbound) -> Result<(), Reason> {
-        let Some(link) = self.links[to].as_mut() else {
-            return Ok(());
-        };
-        let queued = link
-            .spill
-            .as_ref()
-            .is_some_and(|spill| spill.unwritten.load(Ordering::Acquire) > 0);
-        if !queued && batch.write_some(&link.socket).map_err(|_| Reason::Closed)? {
-            return Ok(());
-        }
-        let spill = match link.spill.take() {
-            Some(spill) => link.spill.insert(spill),
-            None => link
-                .spill
-                .insert(Spill::start(to, &link.socket, self.delta, &self.stats)?),
-        };
-        spill.unwritten.fetch_add(1, Ordering::Relaxed);
-        match spill.tx.try_send(batch) {
-            Ok(()) => Ok(()),
-            Err(mpsc::TrySendError::Full(_)) => Err(Reason::Stalled),
-            // The spill thread dropped its queue on the way out; joined,
-            // it says why.
-            Err(mpsc::TrySendError::Disconnected(_)) => {
-                let stalled = self.links[to].take().is_some_and(|link| {
-                    let _ = link.socket.shutdown(Shutdown::Both);
-                    link.spill
-                        .is_some_and(|spill| spill.thread.join().unwrap_or(false))
-                });
-                Err(if stalled {
-                    Reason::Stalled
-                } else {
-                    Reason::Closed
-                })
-            }
-        }
-    }
-
-    /// Drops every link after its last write. A spill thread shuts the
-    /// write side down once it has written what it holds; a link without
-    /// one has nothing pending, so it is shut down here. Peers read the
-    /// frames already sent, then EOF.
+    /// Drops every link with what is still queued for it, counted as shed,
+    /// and shuts its write side down: peers read what their sockets took,
+    /// then EOF.
     fn close_links(&mut self) {
         for link in self.links.iter_mut().filter_map(Option::take) {
-            if link.spill.is_none() {
-                let _ = link.socket.shutdown(Shutdown::Write);
-            }
+            self.stats.frames_shed += link.unwritten.len() as u64;
+            let _ = link.socket.shutdown(Shutdown::Write);
         }
     }
 }
@@ -650,6 +614,10 @@ impl Comm for TcpParty {
         // A crashed party neither sends nor observes anything; calls keep
         // returning empty so driver loops above stay simple.
         let tracing = self.sink.enabled() && !self.core.crashed();
+        // What the sockets did not take of earlier rounds goes first.
+        for peer in 0..self.n {
+            self.flush(peer);
+        }
         self.core.begin_round();
         if tracing {
             self.emit(TraceEvent::RoundStart);
@@ -741,58 +709,26 @@ impl Comm for TcpParty {
 impl Drop for TcpParty {
     fn drop(&mut self) {
         // A crashed party has no links left. The rest say `Bye` behind
-        // everything already sent and close: peers read the `Bye`, then
-        // EOF; a spill thread finishes in the background. A last sweep
-        // takes the peers' own `Bye`s, so fewer sockets close unread.
-        for peer in 0..self.n {
-            self.write_or_report(peer, Outbound::new(&Frame::Bye));
+        // everything already queued, then sweep until every queue is out
+        // or cut off on its deadline, so peers read every frame, the `Bye`,
+        // then EOF. The sweeps also take the peers' own `Bye`s, so fewer
+        // sockets close unread.
+        for link in self.links.iter_mut().flatten() {
+            link.unwritten.push_back(Outbound::new(&Frame::Bye));
         }
-        for peer in 0..self.n {
-            self.read(peer, None);
+        loop {
+            let changed = self.sweep();
+            while self.next_delivery().is_some() {}
+            if self.links.iter().flatten().all(|l| l.unwritten.is_empty()) {
+                break;
+            }
+            if !changed {
+                self.wait(SLICE);
+            }
         }
-        while self.next_delivery().is_some() {}
         self.close_links();
         self.sink.flush();
     }
-}
-
-/// Spill thread: writes each batch it is handed, behind the ones before
-/// it, waiting [`WRITE_POLL`] whenever the socket takes no more. A batch
-/// must be out within `Δ` of this thread starting on it,
-/// measured in real time like an OS socket timer; a peer that takes it
-/// more slowly is off the synchronous schedule, so that batch and those
-/// still queued are shed and the thread returns `true`. When the queue's
-/// sender is dropped (normal exit or injected crash) the queue drains
-/// FIFO, then the write side shuts down — peers observe EOF only after
-/// in-flight frames land.
-fn spill_loop(
-    socket: &TcpStream,
-    rx: &mpsc::Receiver<Outbound>,
-    unwritten: &AtomicUsize,
-    delta: Duration,
-    stats: &StatsInner,
-) -> bool {
-    let clock = MonotonicClock::default();
-    let mut stalled = false;
-    'batches: while let Ok(mut batch) = rx.recv() {
-        let deadline = clock.now().saturating_add(delta);
-        loop {
-            match batch.write_some(socket) {
-                Ok(true) => break,
-                Ok(false) if clock.now() < deadline => std::thread::sleep(WRITE_POLL),
-                Ok(false) => {
-                    stalled = true;
-                    let shed = 1 + rx.try_iter().count() as u64;
-                    stats.frames_shed.fetch_add(shed, Ordering::Relaxed);
-                    break 'batches;
-                }
-                Err(_) => break 'batches,
-            }
-        }
-        unwritten.fetch_sub(1, Ordering::Release);
-    }
-    let _ = socket.shutdown(Shutdown::Write);
-    stalled
 }
 
 /// Establishes one TCP stream per peer: lower-indexed parties accept,
@@ -806,7 +742,7 @@ fn establish_clique(
     me: PartyId,
     addrs: &[SocketAddr],
     clock: &dyn Clock,
-    stats: &StatsInner,
+    stats: &mut RuntimeStats,
 ) -> Result<Vec<(usize, TcpStream)>, RuntimeError> {
     let n = addrs.len();
     let listener = TcpListener::bind(addrs[me.index()])?;
@@ -826,7 +762,7 @@ fn establish_clique(
             match TcpStream::connect_timeout(addr, remaining.min(ESTABLISH_POLL)) {
                 Ok(s) => break s,
                 Err(_) => {
-                    stats.dial_retries.fetch_add(1, Ordering::Relaxed);
+                    stats.dial_retries += 1;
                     std::thread::sleep(backoff);
                     backoff = backoff.saturating_mul(2).min(ESTABLISH_POLL);
                 }
@@ -879,7 +815,7 @@ fn establish_clique(
                 accepted += 1;
             }
             _ => {
-                stats.handshake_rejects.fetch_add(1, Ordering::Relaxed);
+                stats.handshake_rejects += 1;
                 // Drop the stray and keep accepting.
             }
         }
@@ -916,6 +852,13 @@ impl TcpParty {
         let inbound = self.links[peer].as_ref()?.inbound.as_ref()?;
         let (body, got) = inbound.body.as_ref()?;
         Some((body.capacity(), *got))
+    }
+
+    /// The wire bytes queued for `peer` and not written yet.
+    pub(crate) fn unwritten(&self, peer: usize) -> u64 {
+        self.links[peer].as_ref().map_or(0, |link| {
+            link.unwritten.iter().map(Outbound::wire_len).sum()
+        })
     }
 }
 

@@ -27,6 +27,10 @@ pub fn instant_now() -> Instant { Instant::now() }
 pub fn system_time_now() -> SystemTime { SystemTime::now() }
 // expect: clippy::disallowed_methods std::sync::mpsc::channel
 pub fn channel() -> (mpsc::Sender<u8>, mpsc::Receiver<u8>) { mpsc::channel() }
+// expect: clippy::disallowed_methods std::thread::spawn
+pub fn thread_spawn() -> std::thread::JoinHandle<()> { std::thread::spawn(|| {}) }
+// expect: clippy::disallowed_methods std::thread::Builder::spawn
+pub fn builder_spawn() -> std::io::Result<std::thread::JoinHandle<()>> { std::thread::Builder::new().spawn(|| {}) }
 // expect: clippy::disallowed_methods std::vec::Vec::with_capacity
 pub fn vec_with_capacity(n: usize) -> Vec<u8> { Vec::with_capacity(n) }
 // expect: clippy::disallowed_methods std::vec::Vec::reserve
