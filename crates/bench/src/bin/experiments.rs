@@ -1,11 +1,10 @@
 //! Experiment driver: `cargo run -p ca-bench --release --bin experiments --
-//! [t1|f1|f2|t2|f3|t3|t4|f4|f5|e1|s1|r1|a1|as1|p1|all] [--quick]
-//! [--artifacts <dir>]`
+//! [<id>…|all] [--quick] [--artifacts <dir>]`, the ids being those of
+//! `ca_bench::experiments::EXPERIMENTS`.
 //!
-//! `--artifacts <dir>` makes artifact-aware experiments (currently T1, F3,
-//! E1, S1, R1, A1, AS1, and P1) write machine-readable outputs into `<dir>`: a
-//! `run.jsonl` event timeline (inspect with `ca-trace report/check/diff`)
-//! and a `BENCH_<exp>.json` claim-vs-measured summary.
+//! `--artifacts <dir>` makes every experiment write its report into `<dir>`
+//! as a `BENCH_<id>.json` claim-vs-measured summary; F3 also writes a
+//! `run.jsonl` event timeline (inspect with `ca-trace report/check/diff`).
 
 #![allow(
     clippy::print_stderr,
@@ -13,6 +12,8 @@
 )]
 
 use std::path::PathBuf;
+
+use ca_bench::experiments::{run_by_name_opts, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,9 +41,10 @@ fn main() {
     }
     let ids = if ids.is_empty() { vec!["all"] } else { ids };
     for id in ids {
-        if !ca_bench::experiments::run_by_name_opts(id, quick, artifacts.as_deref()) {
+        if !run_by_name_opts(id, quick, artifacts.as_deref()) {
             eprintln!("unknown experiment id: {id}");
-            eprintln!("known: t1 f1 f2 t2 f3 t3 t4 f4 f5 e1 s1 r1 a1 as1 p1 all");
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+            eprintln!("known: {} all", known.join(" "));
             std::process::exit(2);
         }
     }

@@ -1,125 +1,128 @@
 //! The experiment suite: one function per table/figure of `DESIGN.md` §3.
 //!
-//! Every function prints its table(s) to stdout; `EXPERIMENTS.md` records
-//! the claim-vs-measured discussion. `quick` shrinks sweeps for CI.
+//! Every experiment returns a [`Report`] — its claim line, verdict flags
+//! and [`Row`]s — and prints the same rows as its table(s); with
+//! `--artifacts` the driver writes the report as `BENCH_<id>.json`.
+//! `EXPERIMENTS.md` records the claim-vs-measured discussion. `quick`
+//! shrinks sweeps for CI.
 
 use ca_adversary::{Attack, AttackKind};
 use ca_ba::{ba_plus, lba_plus, turpin_coan, BaKind};
-use ca_bits::BitString;
+use ca_bits::{BitString, Nat};
 use ca_core::find_prefix;
 use ca_crypto::sha256;
-use ca_net::Sim;
+use ca_net::{Metrics, Sim, TraceSink};
 
 use std::path::Path;
+use std::sync::Arc;
 
-use crate::summary::{run_row, BenchSummary, Row, Value};
-use crate::table::{fmt_bits, Table};
+use crate::summary::{run_row, Report, Row, Value, COR2_CLAIM};
+use crate::table::render;
 use crate::workload::{apply_lies, clustered_nats};
-use crate::{run_nat_protocol, runner::run_nat_protocol_traced, Protocol};
+use crate::{run_nat_protocol, Protocol, RunStats};
 
-/// Runs one experiment by id (`"t1"`, `"f1"`, …, or `"all"`), with an
-/// optional artifact directory: experiments that support machine-readable
-/// output (T1, F3, E1, S1, R1, A1, AS1, P1) additionally write a
-/// `BENCH_<exp>.json` claim-vs-measured summary — and, for F3, a
-/// `run.jsonl` event timeline — into `artifacts`.
+/// One experiment: `(quick, artifacts)` to its report. `artifacts` is the
+/// directory for side files (F3's `run.jsonl`); the driver writes the
+/// report itself.
+pub type Experiment = fn(bool, Option<&Path>) -> Report;
+
+/// Every experiment by id, in the order `all` runs them.
+pub const EXPERIMENTS: [(&str, Experiment); 15] = [
+    ("t1", t1_protocol_comparison),
+    ("f1", f1_scaling_ell),
+    ("f2", f2_scaling_n),
+    ("t2", t2_rounds),
+    ("f3", f3_breakdown),
+    ("t3", t3_extension),
+    ("t4", t4_adversarial),
+    ("f4", f4_ba_ablation),
+    ("f5", f5_findprefix),
+    ("e1", e1_approx_vs_exact),
+    ("s1", s1_service_throughput),
+    ("r1", r1_crash_resilience),
+    ("a1", a1_adaptive_sweep),
+    ("as1", as1_async_vs_sync),
+    ("p1", p1_kernel_grid),
+];
+
+/// Runs the experiment of [`EXPERIMENTS`] named `name`, or every one for
+/// `"all"`: prints its tables and verdict flags and, with `artifacts` set,
+/// writes its report to `<dir>/BENCH_<id>.json`.
 ///
 /// Returns `false` if the id is unknown.
 pub fn run_by_name_opts(name: &str, quick: bool, artifacts: Option<&Path>) -> bool {
-    let started = std::time::Instant::now();
-    let ok = run_inner(name, quick, artifacts);
-    if ok && name != "all" {
-        eprintln!("[{name} finished in {:.1?}]", started.elapsed());
+    if name == "all" {
+        for (id, _) in EXPERIMENTS {
+            run_by_name_opts(id, quick, artifacts);
+        }
+        return true;
     }
-    ok
+    let Some((id, run)) = EXPERIMENTS.iter().find(|(id, _)| *id == name) else {
+        return false;
+    };
+    let started = std::time::Instant::now();
+    let report = run(quick, artifacts);
+    for (flag, value) in &report.flags {
+        println!("{} verdict: {flag} = {value}", id.to_uppercase());
+    }
+    report.write(id, artifacts);
+    eprintln!("[{id} finished in {:.1?}]", started.elapsed());
+    true
 }
 
-fn run_inner(name: &str, quick: bool, artifacts: Option<&Path>) -> bool {
-    match name {
-        "t1" => t1_protocol_comparison(quick, artifacts),
-        "f1" => f1_scaling_ell(quick),
-        "f2" => f2_scaling_n(quick),
-        "t2" => t2_rounds(quick),
-        "f3" => f3_breakdown(quick, artifacts),
-        "t3" => t3_extension(quick),
-        "t4" => t4_adversarial(quick),
-        "f4" => f4_ba_ablation(quick),
-        "f5" => f5_findprefix(quick),
-        "e1" => e1_approx_vs_exact(quick, artifacts),
-        "s1" => s1_service_throughput(quick, artifacts),
-        "r1" => r1_crash_resilience(quick, artifacts),
-        "a1" => a1_adaptive_sweep(quick, artifacts),
-        "as1" => as1_async_vs_sync(quick, artifacts),
-        "p1" => p1_kernel_grid(quick, artifacts),
-        "all" => {
-            for id in [
-                "t1", "f1", "f2", "t2", "f3", "t3", "t4", "f4", "f5", "e1", "s1", "r1", "a1",
-                "as1", "p1",
-            ] {
-                run_by_name_opts(id, quick, artifacts);
-            }
-        }
-        _ => return false,
-    }
-    true
+/// The paper's protocol, with Turpin–Coan as `Π_BA`.
+const PI_N: Protocol = Protocol::PiN(BaKind::TurpinCoan);
+
+/// The table columns of a [`run_row`].
+const RUN_KEYS: [&str; 5] = [
+    "label",
+    "measured.honest_bits",
+    "measured.rounds",
+    "agreement",
+    "validity",
+];
+
+/// The metrics of `proto`'s fault-free run on `inputs`.
+fn honest_run(proto: Protocol, inputs: &[Nat]) -> Metrics {
+    run_nat_protocol(proto, inputs, Attack::none(), None).metrics
+}
+
+/// Prints `rows` under `title`, one column per key (see [`render`]).
+fn show(title: &str, keys: &[&str], rows: &[Row]) {
+    print!("{}", render(title, keys, rows));
 }
 
 /// **T1** — Corollary 2: `Π_ℕ` vs the `O(ℓn²)` and `O(ℓn³)` baselines at a
 /// fixed large `ℓ`. Expected shape: ours wins, by a factor growing ≈
 /// linearly (vs broadcast) resp. ≈ quadratically (vs high-cost) in `n`.
 ///
-/// One `Π_ℤ` run on mixed-sign inputs follows the line-up. With
-/// `artifacts` set, every run lands in `<dir>/BENCH_t1.json`.
-pub fn t1_protocol_comparison(quick: bool, artifacts: Option<&Path>) {
+/// One `Π_ℤ` run on mixed-sign inputs follows the line-up.
+pub fn t1_protocol_comparison(quick: bool, _artifacts: Option<&Path>) -> Report {
     let ns: &[usize] = if quick { &[4, 7] } else { &[4, 7, 10, 13] };
     let ell = 1 << 14;
-    let mut summary = BenchSummary::new("t1");
-    let mut table = Table::new(
-        "T1: communication at ℓ = 2^14 (honest bits; paper Cor. 2 vs §1 baselines)",
-        &[
-            "n", "protocol", "BITS_l", "rounds", "vs pi_n", "agree", "convex",
-        ],
-    );
+    let mut rows = Vec::new();
     for &n in ns {
         let inputs = clustered_nats(0x71 ^ n as u64, n, ell, ell / 2);
-        let mut ours_bits = 0u64;
         for proto in Protocol::lineup() {
-            let stats = run_nat_protocol(proto, &inputs, Attack::none());
-            if matches!(proto, Protocol::PiN(_)) {
-                ours_bits = stats.honest_bits;
-            }
-            summary.push(run_row(&format!("n = {n}, {}", stats.protocol), &stats));
-            let ratio = stats.honest_bits as f64 / ours_bits.max(1) as f64;
-            table.row_strings(vec![
-                n.to_string(),
-                stats.protocol.to_string(),
-                fmt_bits(stats.honest_bits),
-                stats.rounds.to_string(),
-                format!("{ratio:.2}x"),
-                stats.agreement.to_string(),
-                stats.validity.to_string(),
-            ]);
+            let stats = run_nat_protocol(proto, &inputs, Attack::none(), None);
+            rows.push(run_row(&format!("n = {n}, {}", stats.protocol), &stats));
         }
     }
-    table.print();
-
     let z = t1_pi_z_mixed_signs(ell);
-    println!(
-        "T1 (pi_z, n = {}, mixed signs): {} bits, {} rounds, agree {}, convex {}",
-        z.n,
-        fmt_bits(z.honest_bits),
-        z.rounds,
-        z.agreement,
-        z.validity
+    rows.push(run_row(&format!("n = {}, pi_z, mixed signs", z.n), &z));
+    show(
+        "T1: communication at ℓ = 2^14 (honest bits; paper Cor. 2 vs §1 baselines, then pi_z)",
+        &RUN_KEYS,
+        &rows,
     );
-    summary.push(run_row(&format!("n = {}, pi_z, mixed signs", z.n), &z));
-    summary.write(artifacts);
+    Report::new(COR2_CLAIM, rows)
 }
 
 /// One honest `Π_ℤ` run at `n = 7`: the T1 magnitudes, negative at five
 /// parties and non-negative at two. The sign BA settles on negative (an
 /// `n − t` quorum holds it), and the two others enter `Π_ℕ` with
 /// magnitude 0, so the whole `Π_ℕ` stack runs on the magnitudes.
-fn t1_pi_z_mixed_signs(ell: usize) -> crate::runner::RunStats {
+fn t1_pi_z_mixed_signs(ell: usize) -> RunStats {
     use ca_bits::{Int, Sign};
     use ca_core::{check_agreement, check_convex_validity, pi_z};
 
@@ -136,57 +139,48 @@ fn t1_pi_z_mixed_signs(ell: usize) -> crate::runner::RunStats {
     let report =
         Sim::new(n).run(move |ctx, id| pi_z(ctx, &run_inputs[id.index()], BaKind::TurpinCoan));
     let outs: Vec<Int> = report.honest_outputs().into_iter().cloned().collect();
-    crate::runner::RunStats {
-        protocol: "pi_z",
-        n,
-        t: ca_net::max_faults(n),
-        ell,
-        attack: Attack::none().name(),
-        honest_bits: report.metrics.honest_bits,
-        rounds: report.metrics.rounds,
-        agreement: check_agreement(&outs),
-        validity: check_convex_validity(&outs, &inputs),
-        metrics: report.metrics,
-    }
+    let verdicts = (
+        check_agreement(&outs),
+        check_convex_validity(&outs, &inputs),
+    );
+    RunStats::new("pi_z", n, ell, "honest", verdicts, report.metrics)
 }
 
 /// **F1** — §1/§8: `Π_ℕ` is communication-optimal for
 /// `ℓ = Ω(κ·n·log²n)`; below that threshold the additive `poly(n, κ)` term
 /// dominates and the simpler baselines can be cheaper — the crossover.
-pub fn f1_scaling_ell(quick: bool) {
+pub fn f1_scaling_ell(quick: bool, _artifacts: Option<&Path>) -> Report {
     let n = 7;
     let exps: &[usize] = if quick {
         &[6, 10, 14]
     } else {
         &[6, 8, 10, 12, 14, 16, 18]
     };
-    let mut table = Table::new(
-        "F1: honest bits vs ℓ at n = 7 (series; crossover where pi_n wins)",
-        &["l=2^k", "pi_n", "broadcast_ca", "high_cost_ca", "winner"],
-    );
+    let mut rows = Vec::new();
     for &k in exps {
         let ell = 1usize << k;
         let inputs = clustered_nats(0xF1 ^ k as u64, n, ell, ell / 2);
-        let mut bits = Vec::new();
+        let mut row = Row::new(&format!("l = 2^{k}")).with("ell", ell);
+        let mut winner = ("", u64::MAX);
         for proto in Protocol::lineup() {
-            bits.push(run_nat_protocol(proto, &inputs, Attack::none()).honest_bits);
+            let bits = honest_run(proto, &inputs).honest_bits;
+            if bits < winner.1 {
+                winner = (proto.name(), bits);
+            }
+            row = row.with(proto.name(), bits);
         }
-        let winner = Protocol::lineup()[bits
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, b)| **b)
-            .map(|(i, _)| i)
-            .unwrap_or(0)]
-        .name();
-        table.row_strings(vec![
-            format!("2^{k}"),
-            fmt_bits(bits[0]),
-            fmt_bits(bits[1]),
-            fmt_bits(bits[2]),
-            winner.to_string(),
-        ]);
+        rows.push(row.with("winner", winner.0));
     }
-    table.print();
+    show(
+        "F1: honest bits vs ℓ at n = 7 (series; crossover where pi_n wins)",
+        &["label", "pi_n", "broadcast_ca", "high_cost_ca", "winner"],
+        &rows,
+    );
+    Report::new(
+        "CROSSOVER: pi_n sends the fewest honest bits once l = Omega(kappa*n*log2(n)^2); \
+         below that the baselines can be cheaper",
+        rows,
+    )
 }
 
 /// **F2** — asymptotic slope in `n` of the **value term** `∂BITS/∂ℓ`.
@@ -195,99 +189,107 @@ pub fn f1_scaling_ell(quick: bool) {
 /// dominates at practical `ℓ` and hides the slopes; the *marginal* cost of
 /// one extra input bit isolates the value term exactly: the paper claims
 /// `Θ(n)` for `Π_ℕ` vs `Θ(n²)` for broadcast-based CA vs `Θ(n³)` for
-/// `HighCostCA`.
-pub fn f2_scaling_n(quick: bool) {
+/// `HighCostCA`. The last row is the log-log exponent between the first
+/// and the last `n`.
+pub fn f2_scaling_n(quick: bool, _artifacts: Option<&Path>) -> Report {
     let (ell_lo, ell_hi) = (1usize << 13, 1usize << 14);
     let ns: &[usize] = if quick {
         &[4, 7, 10]
     } else {
         &[4, 7, 10, 13, 16]
     };
-    let mut series: Vec<(Protocol, Vec<(usize, f64)>)> = Protocol::lineup()
-        .into_iter()
-        .map(|p| (p, Vec::new()))
-        .collect();
-    let mut table = Table::new(
-        "F2: marginal bits per input bit, (BITS(2^14) − BITS(2^13)) / 2^13",
-        &["n", "pi_n", "broadcast_ca", "high_cost_ca"],
-    );
+    let mut rows = Vec::new();
+    let mut marginals: Vec<[f64; 3]> = Vec::new();
     for &n in ns {
         let inputs_lo = clustered_nats(0xF2 ^ n as u64, n, ell_lo, ell_lo / 2);
         let inputs_hi = clustered_nats(0xF2 ^ n as u64, n, ell_hi, ell_hi / 2);
-        let mut row = vec![n.to_string()];
-        for (proto, points) in series.iter_mut() {
-            let lo = run_nat_protocol(*proto, &inputs_lo, Attack::none()).honest_bits;
-            let hi = run_nat_protocol(*proto, &inputs_hi, Attack::none()).honest_bits;
-            let marginal = hi.saturating_sub(lo) as f64 / (ell_hi - ell_lo) as f64;
-            points.push((n, marginal));
-            row.push(format!("{marginal:.1}"));
+        let mut row = Row::new(&format!("n = {n}")).with("n", n);
+        let mut marginal = [0.0; 3];
+        for (m, proto) in marginal.iter_mut().zip(Protocol::lineup()) {
+            let lo = honest_run(proto, &inputs_lo).honest_bits;
+            let hi = honest_run(proto, &inputs_hi).honest_bits;
+            *m = hi.saturating_sub(lo) as f64 / (ell_hi - ell_lo) as f64;
+            row = row.with(proto.name(), Value::Fixed(*m, 1));
         }
-        table.row_strings(row);
+        marginals.push(marginal);
+        rows.push(row);
     }
-    table.print();
-
-    let mut fit = Table::new(
-        "F2 (fit): log-log exponent of the marginal cost in n (paper: 1 / 2 / 3)",
-        &["protocol", "exponent"],
+    let (first, last) = (marginals[0], marginals[marginals.len() - 1]);
+    let n_ratio = ns[ns.len() - 1] as f64 / ns[0] as f64;
+    let mut fit = Row::new("exponent in n");
+    for (i, proto) in Protocol::lineup().into_iter().enumerate() {
+        let slope = (last[i] / first[i]).ln() / n_ratio.ln();
+        fit = fit.with(proto.name(), Value::Fixed(slope, 2));
+    }
+    rows.push(fit);
+    show(
+        "F2: marginal bits per input bit, (BITS(2^14) − BITS(2^13)) / 2^13, \
+         and its log-log exponent in n (paper: 1 / 2 / 3)",
+        &["label", "pi_n", "broadcast_ca", "high_cost_ca"],
+        &rows,
     );
-    for (proto, points) in &series {
-        if points.len() >= 2 {
-            let (n1, b1) = points[0];
-            let (n2, b2) = points[points.len() - 1];
-            let slope = (b2 / b1).ln() / ((n2 as f64) / (n1 as f64)).ln();
-            fit.row_strings(vec![proto.name().to_string(), format!("{slope:.2}")]);
-        }
-    }
-    fit.print();
+    Report::new(
+        "SLOPE: marginal bits per input bit grow as n^1 for pi_n, n^2 for broadcast_ca \
+         and n^3 for high_cost_ca",
+        rows,
+    )
 }
 
 /// **T2** — round complexity: Cor. 2 claims `ROUNDSℓ(Π_ℤ) = O(n log n)`;
 /// with phase-king `Π_BA` the dominant term is
 /// `O(log n)` BA invocations × `O(n)` rounds each.
-pub fn t2_rounds(quick: bool) {
+pub fn t2_rounds(quick: bool, _artifacts: Option<&Path>) -> Report {
     let ns: &[usize] = if quick {
         &[4, 7, 10]
     } else {
         &[4, 7, 10, 13, 16]
     };
     let ell = 1 << 10;
-    let mut table = Table::new(
-        "T2: rounds vs n at ℓ = 2^10 (paper: O(n log n) for pi_n)",
+    let mut rows = Vec::new();
+    for &n in ns {
+        let inputs = clustered_nats(0x72 ^ n as u64, n, ell, ell / 2);
+        let rounds = |proto| honest_run(proto, &inputs).rounds;
+        let ours = rounds(PI_N);
+        let norm = ours as f64 / (n as f64 * (n as f64).log2());
+        rows.push(
+            Row::new(&format!("n = {n}"))
+                .with("n", n)
+                .with("pi_n", ours)
+                .with("pi_n_per_nlogn", Value::Fixed(norm, 1))
+                .with("high_cost_ca", rounds(Protocol::HighCostCa))
+                .with("broadcast_ca", rounds(Protocol::BroadcastCa)),
+        );
+    }
+    show(
+        "T2: rounds vs n at ℓ = 2^10 (paper: O(n log n) for pi_n; broadcast_ca runs its \
+         instances in sequence)",
         &[
             "n",
             "pi_n",
-            "rounds/(n·log2 n)",
+            "pi_n_per_nlogn",
             "high_cost_ca",
-            "broadcast_ca(seq)",
+            "broadcast_ca",
         ],
+        &rows,
     );
-    for &n in ns {
-        let inputs = clustered_nats(0x72 ^ n as u64, n, ell, ell / 2);
-        let ours = run_nat_protocol(Protocol::PiN(BaKind::TurpinCoan), &inputs, Attack::none());
-        let hc = run_nat_protocol(Protocol::HighCostCa, &inputs, Attack::none());
-        let bc = run_nat_protocol(Protocol::BroadcastCa, &inputs, Attack::none());
-        let norm = ours.rounds as f64 / (n as f64 * (n as f64).log2());
-        table.row_strings(vec![
-            n.to_string(),
-            ours.rounds.to_string(),
-            format!("{norm:.1}"),
-            hc.rounds.to_string(),
-            bc.rounds.to_string(),
-        ]);
-    }
-    table.print();
+    Report::new(
+        "ROUNDS(pi_n) = O(n*log2 n): pi_n_per_nlogn stays bounded as n grows",
+        rows,
+    )
 }
 
 /// **F3** — Theorem 5's cost decomposition: which subprotocol pays what.
+/// Each run's per-scope subtree breakdown prints as its own table; the
+/// report holds the two runs.
 ///
 /// With `artifacts` set, the short-path run is re-emitted as a structured
 /// trace (`<dir>/run.jsonl`, one event per line — `ca-trace report/check`
-/// consume it) and both runs land in `<dir>/BENCH_f3.json`.
-pub fn f3_breakdown(quick: bool, artifacts: Option<&Path>) {
+/// consume it).
+pub fn f3_breakdown(quick: bool, artifacts: Option<&Path>) -> Report {
     let n: usize = if quick { 7 } else { 10 };
     // The short path requires ℓ ≤ n²; pick the largest power of two below.
     let short_ell = 1usize << ((n * n).ilog2() - 1);
-    let mut summary = BenchSummary::new("f3");
+    let mut rows = Vec::new();
     for (idx, (label, ell)) in [
         (format!("short path, ℓ = {short_ell}"), short_ell),
         ("long path, ℓ = 2^16".to_owned(), 1 << 16),
@@ -296,37 +298,19 @@ pub fn f3_breakdown(quick: bool, artifacts: Option<&Path>) {
     .enumerate()
     {
         let inputs = clustered_nats(0xF3, n, ell, ell / 2);
-        let proto = Protocol::PiN(BaKind::TurpinCoan);
         // Trace the (small) short-path run; the long-path timeline would be
         // tens of MB for no extra check coverage.
-        let traced_sink = match (idx, artifacts) {
-            (0, Some(dir)) => {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("warning: cannot create {}: {e}", dir.display());
-                    None
-                } else {
-                    match ca_trace::JsonlSink::create(&dir.join("run.jsonl")) {
-                        Ok(sink) => Some(std::sync::Arc::new(sink)),
-                        Err(e) => {
-                            eprintln!("warning: cannot create run.jsonl: {e}");
-                            None
-                        }
-                    }
-                }
-            }
-            _ => None,
-        };
-        let stats = match traced_sink {
-            Some(sink) => run_nat_protocol_traced(proto, &inputs, Attack::none(), sink),
-            None => run_nat_protocol(proto, &inputs, Attack::none()),
-        };
-        summary.push(run_row(&label, &stats));
-        let mut table = Table::new(
-            &format!("F3: per-subprotocol breakdown, n = {n}, {label}"),
-            &["scope", "bits", "share", "rounds"],
-        );
-        let total = stats.metrics.honest_bits.max(1);
-        for scope in [
+        let sink = artifacts.filter(|_| idx == 0).and_then(|dir| {
+            std::fs::create_dir_all(dir)
+                .and_then(|()| ca_trace::JsonlSink::create(&dir.join("run.jsonl")))
+                .map_err(|e| eprintln!("warning: cannot create run.jsonl: {e}"))
+                .ok()
+                .map(|sink| Arc::new(sink) as Arc<dyn TraceSink>)
+        });
+        let stats = run_nat_protocol(PI_N, &inputs, Attack::none(), sink);
+        let m = &stats.metrics;
+        let share = |bits: u64| Value::Fixed(100.0 * bits as f64 / m.honest_bits.max(1) as f64, 1);
+        let mut scopes: Vec<Row> = [
             "pi_n/path_ba",
             "pi_n/len_est",
             "pi_n/blocksize",
@@ -336,86 +320,92 @@ pub fn f3_breakdown(quick: bool, artifacts: Option<&Path>) {
             "pi_n/flcab/find_prefix",
             "pi_n/flcab/add_last_block",
             "pi_n/flcab/get_output",
-        ] {
-            let m = stats.metrics.scope_subtree(scope);
-            if m.honest_bits == 0 && m.rounds == 0 {
-                continue;
-            }
-            table.row_strings(vec![
-                scope.to_string(),
-                fmt_bits(m.honest_bits),
-                format!("{:.1}%", 100.0 * m.honest_bits as f64 / total as f64),
-                m.rounds.to_string(),
-            ]);
-        }
-        table.row_strings(vec![
-            "TOTAL".to_string(),
-            fmt_bits(stats.honest_bits),
-            "100%".to_string(),
-            stats.rounds.to_string(),
-        ]);
-        table.print();
+        ]
+        .into_iter()
+        .map(|scope| (scope, m.scope_subtree(scope)))
+        .filter(|(_, sub)| sub.honest_bits != 0 || sub.rounds != 0)
+        .map(|(scope, sub)| {
+            Row::new(scope)
+                .with("bits", sub.honest_bits)
+                .with("share_pct", share(sub.honest_bits))
+                .with("rounds", sub.rounds)
+        })
+        .collect();
+        scopes.push(
+            Row::new("TOTAL")
+                .with("bits", m.honest_bits)
+                .with("share_pct", share(m.honest_bits))
+                .with("rounds", m.rounds),
+        );
+        show(
+            &format!("F3: per-subprotocol breakdown, n = {n}, {label}"),
+            &["label", "bits", "share_pct", "rounds"],
+            &scopes,
+        );
+        rows.push(run_row(&label, &stats));
     }
-    summary.write(artifacts);
+    Report::new(COR2_CLAIM, rows)
 }
 
 /// **T3** — Theorem 1: the extension protocol `Π_ℓBA+` vs running the
 /// multi-valued BA directly on ℓ-bit values (`O(ℓn + κn²log n)` vs
 /// `O(ℓn²)`); the gap should grow ≈ linearly in ℓ·n.
-pub fn t3_extension(quick: bool) {
+pub fn t3_extension(quick: bool, _artifacts: Option<&Path>) -> Report {
     let n = 7;
     let exps: &[usize] = if quick {
         &[10, 14]
     } else {
         &[8, 10, 12, 14, 16]
     };
-    let mut table = Table::new(
-        "T3: Π_ℓBA+ vs direct multi-valued BA on ℓ-bit inputs, n = 7",
-        &["l=2^k", "lba+ bits", "direct tc bits", "ratio"],
-    );
+    let mut rows = Vec::new();
     for &k in exps {
         let ell = 1usize << k;
         let inputs: Vec<BitString> = clustered_nats(0x73 ^ k as u64, n, ell, ell / 2)
             .iter()
             .map(|v| v.to_bits_len(ell).expect("sized"))
             .collect();
-        let a = {
+        let lba = {
             let inputs = inputs.clone();
             Sim::new(n)
                 .run(move |ctx, id| lba_plus(ctx, &inputs[id.index()], BaKind::TurpinCoan))
                 .metrics
                 .honest_bits
         };
-        let b = {
-            let inputs = inputs.clone();
-            Sim::new(n)
-                .run(move |ctx, id| turpin_coan(ctx, inputs[id.index()].clone()))
-                .metrics
-                .honest_bits
-        };
-        table.row_strings(vec![
-            format!("2^{k}"),
-            fmt_bits(a),
-            fmt_bits(b),
-            format!("{:.2}x", b as f64 / a as f64),
-        ]);
+        let direct = Sim::new(n)
+            .run(move |ctx, id| turpin_coan(ctx, inputs[id.index()].clone()))
+            .metrics
+            .honest_bits;
+        rows.push(
+            Row::new(&format!("l = 2^{k}"))
+                .with("ell", ell)
+                .with("lba_plus_bits", lba)
+                .with("direct_tc_bits", direct)
+                .with("ratio", Value::ratio(direct, lba)),
+        );
     }
-    table.print();
+    show(
+        "T3: Π_ℓBA+ vs direct multi-valued BA on ℓ-bit inputs, n = 7",
+        &["label", "lba_plus_bits", "direct_tc_bits", "ratio"],
+        &rows,
+    );
+    Report::new(
+        "Thm 1: lBA+ sends O(l*n + kappa*n^2*log n) bits against O(l*n^2) for the \
+         multi-valued BA run directly on l-bit values",
+        rows,
+    )
 }
 
 /// **T4** — Definition 1 under the full adversary matrix: every protocol ×
-/// every attack × seeds; all cells must read `ok`.
-pub fn t4_adversarial(quick: bool) {
+/// every attack × seeds; every cell's verdict must read `ok`, beside the
+/// most honest bits any seed cost.
+pub fn t4_adversarial(quick: bool, _artifacts: Option<&Path>) -> Report {
     let n = 7;
     let t = ca_net::max_faults(n);
     let ell = 256;
     let seeds: &[u64] = if quick { &[1] } else { &[1, 2, 3] };
-    let mut table = Table::new(
-        "T4: Termination ∧ Agreement ∧ Convex Validity, n = 7, ℓ = 256",
-        &["attack", "pi_n", "broadcast_ca", "high_cost_ca"],
-    );
+    let mut rows = Vec::new();
     for attack in Attack::standard_suite(0) {
-        let mut row = vec![attack.name().to_string()];
+        let mut row = Row::new(attack.name());
         for proto in Protocol::lineup() {
             let mut ok = true;
             let mut worst_bits = 0u64;
@@ -423,85 +413,94 @@ pub fn t4_adversarial(quick: bool) {
                 let attack = attack.with_seed(seed);
                 let mut inputs = clustered_nats(0x74 ^ seed, n, ell, ell / 2);
                 apply_lies(&mut inputs, &attack, n, t, ell);
-                let stats = run_nat_protocol(proto, &inputs, attack);
+                let stats = run_nat_protocol(proto, &inputs, attack, None);
                 ok &= stats.agreement && stats.validity;
-                worst_bits = worst_bits.max(stats.honest_bits);
+                worst_bits = worst_bits.max(stats.metrics.honest_bits);
             }
-            row.push(if ok {
-                format!("ok ({})", fmt_bits(worst_bits))
-            } else {
-                "VIOLATION".to_string()
-            });
+            let verdict = if ok { "ok" } else { "VIOLATION" };
+            row = row.with(
+                proto.name(),
+                Value::Obj(vec![
+                    ("verdict", verdict.into()),
+                    ("worst_bits", worst_bits.into()),
+                ]),
+            );
         }
-        table.row_strings(row);
+        rows.push(row);
     }
-    table.print();
+    show(
+        "T4: Termination ∧ Agreement ∧ Convex Validity, n = 7, ℓ = 256",
+        &[
+            "label",
+            "pi_n.verdict",
+            "pi_n.worst_bits",
+            "broadcast_ca.verdict",
+            "broadcast_ca.worst_bits",
+            "high_cost_ca.verdict",
+            "high_cost_ca.worst_bits",
+        ],
+        &rows,
+    );
+    Report::new(
+        "Def. 1: termination, agreement and convex validity hold for every protocol under \
+         every attack and seed (every verdict ok)",
+        rows,
+    )
 }
 
 /// **F4** — ablation: `Π_BA` instantiation (Turpin–Coan reduction vs direct
 /// multi-valued phase-king) inside the full stack and inside `Π_BA+`.
-pub fn f4_ba_ablation(quick: bool) {
+pub fn f4_ba_ablation(quick: bool, _artifacts: Option<&Path>) -> Report {
     let ns: &[usize] = if quick { &[4, 7] } else { &[4, 7, 10, 13] };
     let ell = 1 << 10;
-    let mut table = Table::new(
+    let mut rows = Vec::new();
+    for &n in ns {
+        let inputs = clustered_nats(0xF4 ^ n as u64, n, ell, ell / 2);
+        let pi_n_bits = |ba| honest_run(Protocol::PiN(ba), &inputs).honest_bits;
+        let hashes: Vec<_> = (0..n).map(|i| sha256(&[i as u8, (i / 3) as u8])).collect();
+        let ba_plus_bits = |ba| {
+            let hashes = hashes.clone();
+            Sim::new(n)
+                .run(move |ctx, id| ba_plus(ctx, hashes[id.index() / 3], ba))
+                .metrics
+                .honest_bits
+        };
+        rows.push(
+            Row::new(&format!("n = {n}"))
+                .with("n", n)
+                .with("pi_n_tc_bits", pi_n_bits(BaKind::TurpinCoan))
+                .with("pi_n_pk_bits", pi_n_bits(BaKind::PhaseKing))
+                .with("ba_plus_tc_bits", ba_plus_bits(BaKind::TurpinCoan))
+                .with("ba_plus_pk_bits", ba_plus_bits(BaKind::PhaseKing)),
+        );
+    }
+    show(
         "F4: Π_BA ablation (Turpin–Coan vs phase-king)",
         &[
             "n",
-            "pi_n[tc] bits",
-            "pi_n[pk] bits",
-            "ba+[tc] bits",
-            "ba+[pk] bits",
+            "pi_n_tc_bits",
+            "pi_n_pk_bits",
+            "ba_plus_tc_bits",
+            "ba_plus_pk_bits",
         ],
+        &rows,
     );
-    for &n in ns {
-        let inputs = clustered_nats(0xF4 ^ n as u64, n, ell, ell / 2);
-        let tc = run_nat_protocol(Protocol::PiN(BaKind::TurpinCoan), &inputs, Attack::none());
-        let pk = run_nat_protocol(Protocol::PiN(BaKind::PhaseKing), &inputs, Attack::none());
-        let hashes: Vec<_> = (0..n).map(|i| sha256(&[i as u8, (i / 3) as u8])).collect();
-        let bap_tc = {
-            let hashes = hashes.clone();
-            Sim::new(n)
-                .run(move |ctx, id| ba_plus(ctx, hashes[id.index() / 3], BaKind::TurpinCoan))
-                .metrics
-                .honest_bits
-        };
-        let bap_pk = {
-            let hashes = hashes.clone();
-            Sim::new(n)
-                .run(move |ctx, id| ba_plus(ctx, hashes[id.index() / 3], BaKind::PhaseKing))
-                .metrics
-                .honest_bits
-        };
-        table.row_strings(vec![
-            n.to_string(),
-            fmt_bits(tc.honest_bits),
-            fmt_bits(pk.honest_bits),
-            fmt_bits(bap_tc),
-            fmt_bits(bap_pk),
-        ]);
-    }
-    table.print();
+    Report::new(
+        "ABLATION: honest bits of pi_n and Pi_BA+ with Turpin-Coan vs phase-king as Pi_BA, \
+         measured side by side (no bound claimed)",
+        rows,
+    )
 }
 
 /// **F5** — Lemma 1/8 behaviour of `FindPrefix`: iteration count is
 /// `≤ ⌈log₂ ℓ⌉ + 1` and the agreed prefix is never shorter than the honest
 /// inputs' longest common prefix, with and without a splitting input
 /// attack.
-pub fn f5_findprefix(quick: bool) {
+pub fn f5_findprefix(quick: bool, _artifacts: Option<&Path>) -> Report {
     let n = 7;
     let t = ca_net::max_faults(n);
     let exps: &[usize] = if quick { &[6, 10] } else { &[4, 6, 8, 10, 12] };
-    let mut table = Table::new(
-        "F5: FindPrefix iterations and agreed-prefix length vs ℓ, n = 7",
-        &[
-            "l=2^k",
-            "attack",
-            "iters",
-            "log2(l)+1",
-            "|PREFIX*|",
-            "honest LCP",
-        ],
-    );
+    let mut rows = Vec::new();
     for &k in exps {
         let ell = 1usize << k;
         for attack in [
@@ -514,13 +513,9 @@ pub fn f5_findprefix(quick: bool) {
                 .iter()
                 .map(|v| v.to_bits_len(ell).expect("sized"))
                 .collect();
+            let corrupted = attack.corrupted_parties(n, t);
             let honest_bits_strs: Vec<&BitString> = (0..n)
-                .filter(|i| {
-                    !attack
-                        .corrupted_parties(n, t)
-                        .iter()
-                        .any(|p| p.index() == *i)
-                })
+                .filter(|i| !corrupted.iter().any(|p| p.index() == *i))
                 .map(|i| &bits[i])
                 .collect();
             let lcp = honest_bits_strs
@@ -529,22 +524,36 @@ pub fn f5_findprefix(quick: bool) {
                 .min()
                 .unwrap_or(ell);
             let sim = attack.install(Sim::new(n), n, t);
-            let bits_owned = bits.clone();
-            let report = sim.run(move |ctx, id| {
-                find_prefix(ctx, ell, &bits_owned[id.index()], BaKind::TurpinCoan)
-            });
-            let out = report.honest_outputs()[0].clone();
-            table.row_strings(vec![
-                format!("2^{k}"),
-                attack.name().to_string(),
-                out.iterations.to_string(),
-                (k + 1).to_string(),
-                out.prefix.len().to_string(),
-                lcp.to_string(),
-            ]);
+            let report = sim
+                .run(move |ctx, id| find_prefix(ctx, ell, &bits[id.index()], BaKind::TurpinCoan));
+            let out = report.honest_outputs()[0];
+            rows.push(
+                Row::new(&format!("l = 2^{k}, {}", attack.name()))
+                    .with("ell", ell)
+                    .with("attack", attack.name())
+                    .with("iterations", out.iterations)
+                    .with("iteration_bound", k + 1)
+                    .with("prefix_len", out.prefix.len())
+                    .with("honest_lcp", lcp),
+            );
         }
     }
-    table.print();
+    show(
+        "F5: FindPrefix iterations and agreed-prefix length vs ℓ, n = 7",
+        &[
+            "label",
+            "iterations",
+            "iteration_bound",
+            "prefix_len",
+            "honest_lcp",
+        ],
+        &rows,
+    );
+    Report::new(
+        "Lemma 1/8: FindPrefix runs <= log2(l) + 1 iterations and agrees on a prefix no \
+         shorter than the honest inputs' longest common prefix",
+        rows,
+    )
 }
 
 /// **E1** (extra, beyond the paper) — exact CA vs the classical relaxation
@@ -552,18 +561,13 @@ pub fn f5_findprefix(quick: bool) {
 /// halving round for ε-agreement on bounded integers; CA pays once for
 /// exact agreement on unbounded integers.
 ///
-/// With `artifacts` set, both runs of every `n` land in
-/// `<dir>/BENCH_e1.json`; the approximate row's `agreement` means
-/// ε-agreement.
-pub fn e1_approx_vs_exact(quick: bool, artifacts: Option<&Path>) {
+/// Both runs of every `n` are rows; the approximate row's `agreement`
+/// means ε-agreement.
+pub fn e1_approx_vs_exact(quick: bool, _artifacts: Option<&Path>) -> Report {
     use ca_core::{approx_agreement, check_convex_validity};
     let ns: &[usize] = if quick { &[7] } else { &[4, 7, 10, 13] };
     let (range, epsilon) = ((0, 1 << 20), 1);
-    let mut summary = BenchSummary::new("e1");
-    let mut table = Table::new(
-        "E1: Approximate Agreement [16] vs exact CA (inputs in [0, 2^20), ε = 1)",
-        &["n", "aa bits", "aa rounds", "pi_n bits", "pi_n rounds"],
-    );
+    let mut rows = Vec::new();
     for &n in ns {
         let inputs: Vec<i64> = (0..n as i64).map(|i| 500_000 + i * 1_000).collect();
         let run_inputs = inputs.clone();
@@ -574,44 +578,24 @@ pub fn e1_approx_vs_exact(quick: bool, artifacts: Option<&Path>) {
             (Some(lo), Some(hi)) => hi.abs_diff(*lo),
             _ => 0,
         };
-        let aa_stats = crate::runner::RunStats {
-            protocol: "approx_agreement",
-            n,
-            t: ca_net::max_faults(n),
-            ell: 20,
-            attack: Attack::none().name(),
-            honest_bits: aa.metrics.honest_bits,
-            rounds: aa.metrics.rounds,
-            // Approximate agreement: outputs within ε of each other.
-            agreement: spread <= epsilon,
-            validity: check_convex_validity(&outs, &inputs),
-            metrics: aa.metrics,
-        };
-        summary.push(
+        // Approximate agreement: outputs within ε of each other.
+        let verdicts = (spread <= epsilon, check_convex_validity(&outs, &inputs));
+        let aa_stats = RunStats::new("approx_agreement", n, 20, "honest", verdicts, aa.metrics);
+        rows.push(
             run_row(&format!("n = {n}, approx_agreement"), &aa_stats)
                 .with("epsilon", epsilon)
                 .with("output_spread", spread),
         );
-        let ca_inputs: Vec<_> = inputs
-            .iter()
-            .map(|&v| ca_bits::Nat::from_u64(v as u64))
-            .collect();
-        let ca = run_nat_protocol(
-            Protocol::PiN(BaKind::TurpinCoan),
-            &ca_inputs,
-            Attack::none(),
-        );
-        summary.push(run_row(&format!("n = {n}, pi_n"), &ca));
-        table.row_strings(vec![
-            n.to_string(),
-            fmt_bits(aa_stats.honest_bits),
-            aa_stats.rounds.to_string(),
-            fmt_bits(ca.honest_bits),
-            ca.rounds.to_string(),
-        ]);
+        let ca_inputs: Vec<_> = inputs.iter().map(|&v| Nat::from_u64(v as u64)).collect();
+        let ca = run_nat_protocol(PI_N, &ca_inputs, Attack::none(), None);
+        rows.push(run_row(&format!("n = {n}, pi_n"), &ca));
     }
-    table.print();
-    summary.write(artifacts);
+    show(
+        "E1: Approximate Agreement [16] vs exact CA (inputs in [0, 2^20), ε = 1)",
+        &RUN_KEYS,
+        &rows,
+    );
+    Report::new(COR2_CLAIM, rows)
 }
 
 /// **S1** (service layer, beyond the paper) — multiplexing amortization:
@@ -621,29 +605,14 @@ pub fn e1_approx_vs_exact(quick: bool, artifacts: Option<&Path>) {
 /// the payload — the one `Frame::Round` per peer per round that batched
 /// envelopes share, and per-connection `Hello`/`Bye` — so per-session
 /// **wire** bits fall strictly below the `K = 1` cost as `K` grows.
-pub fn s1_service_throughput(quick: bool, artifacts: Option<&Path>) {
+pub fn s1_service_throughput(quick: bool, _artifacts: Option<&Path>) -> Report {
     use ca_engine::loadgen::{run_load_timed, LoadProfile};
     use ca_runtime::MonotonicClock;
 
     let n: usize = if quick { 4 } else { 7 };
     let ell: usize = if quick { 64 } else { 256 };
-    let mut summary = BenchSummary::new("s1");
-    let mut table = Table::new(
-        &format!("S1: K sessions multiplexed through one engine, n = {n}, ℓ = {ell}"),
-        &[
-            "K",
-            "attack",
-            "sess/s",
-            "rounds",
-            "payload/sess",
-            "wire/sess",
-            "vs K=1",
-            "batch p50",
-            "ok",
-        ],
-    );
+    let mut rows = Vec::new();
     let clock = MonotonicClock::default();
-    let mut single_wire_per_session = 0u64;
     for (k, attack) in [
         (1usize, Attack::none()),
         (16, Attack::new(AttackKind::Garbage).with_seed(7)),
@@ -654,59 +623,56 @@ pub fn s1_service_throughput(quick: bool, artifacts: Option<&Path>) {
         profile.config.max_sessions = k;
         let report = run_load_timed(&profile, &clock);
         let decided = report.sessions_decided.max(1);
-        let wire_per_session = report.stats.wire_bits / decided;
-        if k == 1 {
-            single_wire_per_session = wire_per_session;
-        }
         let s = &report.stats;
         let rate = report.sessions_per_sec();
         // Session throughput, per-session cost, engine-round latency
         // quantiles, and the batching profile that explains the
         // amortization.
-        let row = Row::new(&format!("K={k}"))
-            .with("kind", "throughput")
-            .with("attack", profile.attack.name())
-            .with("runs", report.runs)
-            .with("sessions_submitted", report.sessions_submitted)
-            .with("sessions_decided", report.sessions_decided)
-            .with("agreement", report.agreement)
-            .with("validity", report.validity)
-            .with(
-                "sessions_per_sec",
-                rate.map_or(Value::Null, |r| Value::Fixed(r, 1)),
-            )
-            .with("engine_rounds", s.engine_rounds)
-            .with("envelopes_sent", s.envelopes_sent)
-            .with("frames_sent", s.frames_sent)
-            .with("payload_bits", report.payload_bits)
-            .with("wire_bits", s.wire_bits)
-            .with("payload_bits_per_session", report.payload_bits / decided)
-            .with("wire_bits_per_session", wire_per_session)
-            .with("shed_frames", s.shed_frames)
-            .with("stray_frames", s.stray_frames)
-            .with("late_frames", s.late_frames)
-            .with("malformed_envelopes", s.malformed_envelopes)
-            .with("session_latency_rounds", &s.session_latency_rounds)
-            .with("session_rounds", &s.session_rounds)
-            .with("batch_occupancy", &s.batch_occupancy);
-        table.row_strings(vec![
-            k.to_string(),
-            row.cell("attack"),
-            rate.map_or_else(|| "-".to_owned(), |r| format!("{r:.0}")),
-            row.cell("engine_rounds"),
-            fmt_bits(report.payload_bits / decided),
-            fmt_bits(wire_per_session),
-            format!(
-                "{:.2}x",
-                wire_per_session as f64 / single_wire_per_session.max(1) as f64
-            ),
-            s.batch_occupancy.quantile_permille(500).to_string(),
-            (report.agreement && report.validity).to_string(),
-        ]);
-        summary.push(row);
+        rows.push(
+            Row::new(&format!("K={k}"))
+                .with("kind", "throughput")
+                .with("attack", profile.attack.name())
+                .with("runs", report.runs)
+                .with("sessions_submitted", report.sessions_submitted)
+                .with("sessions_decided", report.sessions_decided)
+                .with("agreement", report.agreement)
+                .with("validity", report.validity)
+                .with(
+                    "sessions_per_sec",
+                    rate.map_or(Value::Null, |r| Value::Fixed(r, 1)),
+                )
+                .with("engine_rounds", s.engine_rounds)
+                .with("envelopes_sent", s.envelopes_sent)
+                .with("frames_sent", s.frames_sent)
+                .with("payload_bits", report.payload_bits)
+                .with("wire_bits", s.wire_bits)
+                .with("payload_bits_per_session", report.payload_bits / decided)
+                .with("wire_bits_per_session", s.wire_bits / decided)
+                .with("shed_frames", s.shed_frames)
+                .with("stray_frames", s.stray_frames)
+                .with("late_frames", s.late_frames)
+                .with("malformed_envelopes", s.malformed_envelopes)
+                .with("session_latency_rounds", &s.session_latency_rounds)
+                .with("session_rounds", &s.session_rounds)
+                .with("batch_occupancy", &s.batch_occupancy),
+        );
     }
-    table.print();
-    summary.write(artifacts);
+    show(
+        &format!("S1: K sessions multiplexed through one engine, n = {n}, ℓ = {ell}"),
+        &[
+            "label",
+            "attack",
+            "sessions_per_sec",
+            "engine_rounds",
+            "payload_bits_per_session",
+            "wire_bits_per_session",
+            "batch_occupancy.p50",
+            "agreement",
+            "validity",
+        ],
+        &rows,
+    );
+    Report::new(COR2_CLAIM, rows)
 }
 
 /// **R1** (runtime resilience, beyond the paper) — crash-fault tolerance
@@ -718,7 +684,7 @@ pub fn s1_service_throughput(quick: bool, artifacts: Option<&Path>) {
 /// shows what the outage costs on the wire (fewer frames, `peers_gone`
 /// observations). A frozen [`ca_runtime::ManualClock`] keeps both runs
 /// off the `Δ`-timeout path, so the byte counts are reproducible.
-pub fn r1_crash_resilience(quick: bool, artifacts: Option<&Path>) {
+pub fn r1_crash_resilience(quick: bool, _artifacts: Option<&Path>) -> Report {
     use ca_net::{Comm, CommExt, PartyId};
     use ca_runtime::{Clock, FaultPlan, ManualClock, TcpCluster};
 
@@ -754,28 +720,13 @@ pub fn r1_crash_resilience(quick: bool, artifacts: Option<&Path>) {
         })
     };
 
-    let mut summary = BenchSummary::new("r1");
-    let mut table = Table::new(
-        &format!(
-            "R1: crash resilience over TCP, n = {n}, {rounds} rounds, crash at round {crash_round}"
-        ),
-        &[
-            "crashed",
-            "rounds",
-            "agree",
-            "convex",
-            "frames",
-            "wire bytes",
-            "shed",
-            "gone",
-        ],
-    );
+    let mut rows = Vec::new();
     for crashed in [0usize, t] {
         let report = match run(crashed) {
             Ok(report) => report,
             Err(e) => {
                 eprintln!("warning: r1 cluster run failed: {e}");
-                return;
+                break;
             }
         };
         let honest: Vec<u64> = (0..n - crashed).map(|i| report.outputs[i]).collect();
@@ -790,37 +741,41 @@ pub fn r1_crash_resilience(quick: bool, artifacts: Option<&Path>) {
         let sum =
             |f: fn(&ca_runtime::RuntimeStats) -> u64| -> u64 { report.stats.iter().map(f).sum() };
         let gone = report.stats.iter().map(|s| s.peers_gone).max().unwrap_or(0);
-        let row = Row::new(&format!("{crashed} crashed"))
-            .with("kind", "resilience")
-            .with("n", report.stats.len())
-            .with("crashed_parties", crashed)
-            .with("rounds_to_decide", rounds_to_decide)
-            .with("agreement", agreement)
-            .with("validity", validity)
-            .with("frames_sent", sum(|s| s.frames_sent))
-            .with("wire_bytes_sent", sum(|s| s.wire_bytes_sent))
-            .with("frames_shed", sum(|s| s.frames_shed))
-            .with("overflow_disconnects", sum(|s| s.overflow_disconnects))
-            .with("handshake_rejects", sum(|s| s.handshake_rejects))
-            .with("dial_retries", sum(|s| s.dial_retries))
-            .with("peers_gone", gone);
-        table.row_of(
-            &row,
-            &[
-                "crashed_parties",
-                "rounds_to_decide",
-                "agreement",
-                "validity",
-                "frames_sent",
-                "wire_bytes_sent",
-                "frames_shed",
-                "peers_gone",
-            ],
+        rows.push(
+            Row::new(&format!("{crashed} crashed"))
+                .with("kind", "resilience")
+                .with("n", report.stats.len())
+                .with("crashed_parties", crashed)
+                .with("rounds_to_decide", rounds_to_decide)
+                .with("agreement", agreement)
+                .with("validity", validity)
+                .with("frames_sent", sum(|s| s.frames_sent))
+                .with("wire_bytes_sent", sum(|s| s.wire_bytes_sent))
+                .with("frames_shed", sum(|s| s.frames_shed))
+                .with("overflow_disconnects", sum(|s| s.overflow_disconnects))
+                .with("handshake_rejects", sum(|s| s.handshake_rejects))
+                .with("dial_retries", sum(|s| s.dial_retries))
+                .with("peers_gone", gone),
         );
-        summary.push(row);
     }
-    table.print();
-    summary.write(artifacts);
+    show(
+        &format!(
+            "R1: crash resilience over TCP, n = {n}, {rounds} rounds, crash at round \
+                 {crash_round}"
+        ),
+        &[
+            "crashed_parties",
+            "rounds_to_decide",
+            "agreement",
+            "validity",
+            "frames_sent",
+            "wire_bytes_sent",
+            "frames_shed",
+            "peers_gone",
+        ],
+        &rows,
+    );
+    Report::new(COR2_CLAIM, rows)
 }
 
 /// **A1** — the fault-adaptive fast path (ROADMAP item 1): sweep the
@@ -833,47 +788,27 @@ pub fn r1_crash_resilience(quick: bool, artifacts: Option<&Path>) {
 /// `ca-trace check` (agreement + decide-in-hull + the fast-path
 /// invariants).
 ///
-/// With `artifacts` set, writes `BENCH_a1.json` including the top-level
-/// gate `"f0_beats_worst_case"` (true iff `f = 0` used strictly fewer
-/// rounds and ≤ 0.5× the wire bits of the worst case, all sweep points
-/// correct and trace-clean).
-pub fn a1_adaptive_sweep(quick: bool, artifacts: Option<&Path>) {
-    use ca_bits::Nat;
+/// The report's top-level gate `"f0_beats_worst_case"` is true iff
+/// `f = 0` used strictly fewer rounds and ≤ 0.5× the wire bits of the
+/// worst case, all sweep points correct and trace-clean. Trace violations
+/// print on stderr.
+pub fn a1_adaptive_sweep(quick: bool, _artifacts: Option<&Path>) -> Report {
     use ca_core::{check_agreement, check_convex_validity, pi_n_adaptive};
     use ca_net::{Corruption, PartyId};
-    use std::sync::Arc;
 
     let n: usize = 7;
     let t = ca_net::max_faults(n);
     let ell = if quick { 96 } else { 256 };
     let inputs = clustered_nats(0xA1, n, ell, ell / 2);
 
-    let mut summary = BenchSummary::new("a1");
-    let worst = run_nat_protocol(Protocol::PiN(BaKind::TurpinCoan), &inputs, Attack::none());
-    summary.push(run_row("worst-case pi_n, f = 0", &worst));
-
-    let mut table = Table::new(
-        &format!("A1: fault-adaptive fast path, n = {n}, t = {t}, ℓ = {ell}"),
-        &[
-            "f", "protocol", "bits", "rounds", "path", "agree", "convex", "trace",
-        ],
-    );
-    table.row_strings(vec![
-        "0".to_string(),
-        worst.protocol.to_string(),
-        fmt_bits(worst.honest_bits),
-        worst.rounds.to_string(),
-        "worst-case".to_string(),
-        worst.agreement.to_string(),
-        worst.validity.to_string(),
-        "-".to_string(),
-    ]);
+    let worst = run_nat_protocol(PI_N, &inputs, Attack::none(), None);
+    let mut rows = vec![run_row("worst-case pi_n, f = 0", &worst)];
 
     let mut all_correct = true;
     let mut f0 = None;
     for f in 0..=t {
         let sink = Arc::new(ca_trace::RingBufferSink::new(16 << 20));
-        let mut sim = Sim::new(n).with_trace(Arc::clone(&sink) as Arc<dyn ca_trace::TraceSink>);
+        let mut sim = Sim::new(n).with_trace(Arc::clone(&sink) as Arc<dyn TraceSink>);
         for p in n - f..n {
             // Scripted with no adversary: silent from round 0 — exactly
             // `f` actual crash faults, deterministically.
@@ -888,8 +823,10 @@ pub fn a1_adaptive_sweep(quick: bool, artifacts: Option<&Path>) {
             .map(|p| inputs[p.index()].clone())
             .collect();
         let outs: Vec<Nat> = report.honest_outputs().into_iter().cloned().collect();
-        let agreement = check_agreement(&outs);
-        let validity = check_convex_validity(&outs, &honest_inputs);
+        let verdicts = (
+            check_agreement(&outs),
+            check_convex_validity(&outs, &honest_inputs),
+        );
         let records = sink.records();
         assert_eq!(
             sink.total_seen() as usize,
@@ -897,62 +834,31 @@ pub fn a1_adaptive_sweep(quick: bool, artifacts: Option<&Path>) {
             "a1 trace ring wrapped; raise its capacity"
         );
         let violations = ca_trace::check(&records);
-        let clean = violations.is_empty();
         for v in &violations {
             eprintln!("a1 trace violation at f = {f}: {v}");
         }
-        let fast_deciders = records
-            .iter()
-            .filter(|r| matches!(r.event, ca_trace::Event::FastPathTaken { .. }))
-            .count();
-        let path = if fast_deciders > 0 {
-            format!("fast ({fast_deciders})")
-        } else {
-            "fallback".to_string()
-        };
-        all_correct &= agreement && validity && clean;
+        all_correct &= verdicts.0 && verdicts.1 && violations.is_empty();
         if f == 0 {
             f0 = Some((report.metrics.honest_bits, report.metrics.rounds));
         }
-
-        let stats = crate::runner::RunStats {
-            protocol: "pi_n_adaptive",
-            n,
-            t,
-            ell,
-            attack: if f == 0 { "none" } else { "crash" },
-            honest_bits: report.metrics.honest_bits,
-            rounds: report.metrics.rounds,
-            agreement,
-            validity,
-            metrics: report.metrics.clone(),
-        };
-        summary.push(run_row(&format!("adaptive, f = {f}"), &stats));
-        table.row_strings(vec![
-            f.to_string(),
-            "pi_n_adaptive".to_string(),
-            fmt_bits(stats.honest_bits),
-            stats.rounds.to_string(),
-            path,
-            agreement.to_string(),
-            validity.to_string(),
-            if clean { "clean" } else { "VIOLATION" }.to_string(),
-        ]);
+        let attack = if f == 0 { "none" } else { "crash" };
+        let stats = RunStats::new("pi_n_adaptive", n, ell, attack, verdicts, report.metrics);
+        rows.push(run_row(&format!("adaptive, f = {f}"), &stats));
     }
-    table.print();
+    show(
+        &format!("A1: fault-adaptive fast path, n = {n}, t = {t}, ℓ = {ell}"),
+        &RUN_KEYS,
+        &rows,
+    );
 
     let (f0_bits, f0_rounds) = f0.expect("sweep includes f = 0");
-    let f0_beats = all_correct && f0_rounds < worst.rounds && f0_bits * 2 <= worst.honest_bits;
-    summary.set_flag("f0_beats_worst_case", f0_beats);
-    println!(
-        "A1 verdict: f0_beats_worst_case = {f0_beats} \
-         (adaptive {} bits / {} rounds vs worst-case {} bits / {} rounds)",
-        fmt_bits(f0_bits),
-        f0_rounds,
-        fmt_bits(worst.honest_bits),
-        worst.rounds
-    );
-    summary.write(artifacts);
+    let w = &worst.metrics;
+    let f0_beats = all_correct && f0_rounds < w.rounds && f0_bits * 2 <= w.honest_bits;
+    Report {
+        claim: COR2_CLAIM,
+        flags: vec![("f0_beats_worst_case", f0_beats)],
+        rows,
+    }
 }
 
 /// **AS1** — synchrony-model ablation: the *same* asynchronous
@@ -977,13 +883,8 @@ pub fn a1_adaptive_sweep(quick: bool, artifacts: Option<&Path>) {
 /// and the async host beat the mistuned baselines on their failure
 /// axes: less wall clock than the over-estimate, zero wasted rounds
 /// while the under-estimate wasted some.
-///
-/// With `artifacts` set, writes `BENCH_as1.json`.
-pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
-    use std::sync::Arc;
-
+pub fn as1_async_vs_sync(quick: bool, _artifacts: Option<&Path>) -> Report {
     use ca_async::{rounds_for_spread, run_on_comm, AsyncApprox, Executor};
-    use ca_bits::Nat;
     use ca_net::{EdgeDelays, PartyId};
 
     let n: usize = 4;
@@ -1025,25 +926,7 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
         (outs, m.rounds, m.honest_msgs, m.honest_bits / 8)
     };
 
-    let mut summary = BenchSummary::new("as1");
-    let mut table = Table::new(
-        &format!(
-            "AS1: sync Δ-hosts vs event-driven async, n = {n}, delays ∈ [{base}, {max_delay}], \
-             spread = {spread}, {rounds} AAA rounds"
-        ),
-        &[
-            "config",
-            "delta",
-            "wall",
-            "rounds",
-            "wasted",
-            "msgs",
-            "payload B",
-            "agree",
-            "convex",
-        ],
-    );
-
+    let mut rows = Vec::new();
     // One measured configuration, in the shared abstract time units of
     // the delay distribution. `delta` is `None` on the async path (no Δ
     // exists anywhere — that is the point); `wall` is `rounds × Δ` for
@@ -1061,32 +944,19 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
                     outs: &[Nat]| {
         let (agreement, validity) = check(outs);
         all_correct &= agreement && validity;
-        let row = Row::new(label)
-            .with("kind", "async")
-            .with("mode", mode)
-            .with("delta", delta.map_or(Value::Null, Value::Int))
-            .with("wall", wall)
-            .with("rounds", rounds)
-            .with("wasted_rounds", wasted)
-            .with("messages", messages)
-            .with("payload_bytes", payload_bytes)
-            .with("agreement", agreement)
-            .with("validity", validity);
-        table.row_of(
-            &row,
-            &[
-                "label",
-                "delta",
-                "wall",
-                "rounds",
-                "wasted_rounds",
-                "messages",
-                "payload_bytes",
-                "agreement",
-                "validity",
-            ],
+        rows.push(
+            Row::new(label)
+                .with("kind", "async")
+                .with("mode", mode)
+                .with("delta", delta.map_or(Value::Null, Value::Int))
+                .with("wall", wall)
+                .with("rounds", rounds)
+                .with("wasted_rounds", wasted)
+                .with("messages", messages)
+                .with("payload_bytes", payload_bytes)
+                .with("agreement", agreement)
+                .with("validity", validity),
         );
-        summary.push(row);
     };
 
     // Δ tuned to the (here known) worst-case delay: the synchrony
@@ -1141,7 +1011,7 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
         .map(|i| AsyncApprox::new(n, t, PartyId(i), Nat::from_u64(inputs[i]), rounds))
         .collect();
     let report = Executor::new(parties, delays())
-        .with_trace(Arc::clone(&sink) as Arc<dyn ca_trace::TraceSink>)
+        .with_trace(Arc::clone(&sink) as Arc<dyn TraceSink>)
         .run();
     let records = sink.records();
     assert_eq!(
@@ -1166,16 +1036,30 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
     );
     all_correct &= async_decided && violations.is_empty();
 
-    table.print();
-
-    let async_wins = all_correct && async_wall < over_wall && under_wasted > 0;
-    summary.set_flag("as1_async_wins", async_wins);
-    println!(
-        "AS1 verdict: as1_async_wins = {async_wins} \
-         (async wall {async_wall} vs over-estimated sync {over_wall}; \
-         under-estimated sync wasted {under_wasted} rounds, async 0)"
+    show(
+        &format!(
+            "AS1: sync Δ-hosts vs event-driven async, n = {n}, delays ∈ [{base}, \
+                 {max_delay}], spread = {spread}, {rounds} AAA rounds"
+        ),
+        &[
+            "label",
+            "delta",
+            "wall",
+            "rounds",
+            "wasted_rounds",
+            "messages",
+            "payload_bytes",
+            "agreement",
+            "validity",
+        ],
+        &rows,
     );
-    summary.write(artifacts);
+    let async_wins = all_correct && async_wall < over_wall && under_wasted > 0;
+    Report {
+        claim: COR2_CLAIM,
+        flags: vec![("as1_async_wins", async_wins)],
+        rows,
+    }
 }
 
 /// **P1** (hot-path kernels, beyond the paper) — the n = 256 scaling
@@ -1191,13 +1075,12 @@ pub fn as1_async_vs_sync(quick: bool, artifacts: Option<&Path>) {
 /// the full k-term coefficient row. That is the kernel's worst case and
 /// the regime the blocking targets.
 ///
-/// With `artifacts` set, writes `BENCH_p1.json`, whose claim line is this
-/// kernel claim rather than Corollary 2's bits formula, including the
-/// top-level gate `"p1_blocked_beats_scalar"` (true iff all cells are
-/// differentially equal and the largest cell — n = 256, ℓ = 1 MiB on the
-/// full grid — shows ≥ 2× blocked-over-scalar speedup on both encode and
-/// decode).
-pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
+/// The report's claim line is this kernel claim rather than Corollary 2's
+/// bits formula, and its top-level gate `"p1_blocked_beats_scalar"` is
+/// true iff all cells are differentially equal and the largest cell —
+/// n = 256, ℓ = 1 MiB on the full grid — shows ≥ 2× blocked-over-scalar
+/// speedup on both encode and decode.
+pub fn p1_kernel_grid(quick: bool, _artifacts: Option<&Path>) -> Report {
     use ca_codec::Encode;
     use ca_crypto::MerkleTree;
     use ca_erasure::{ReedSolomon, Share};
@@ -1230,20 +1113,9 @@ pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
     }
 
     let budget_ms: u64 = if quick { 30 } else { 200 };
-    let mut summary = BenchSummary::new("p1");
-    summary.set_claim(
-        "KERNELS: blocked RS encode/decode byte-identical to the scalar oracle \
-         in every cell and >= 2x its MB/s on the largest cell",
-    );
-    let mut table = Table::new(
-        "P1: blocked vs scalar kernel throughput, one core (MB/s of payload)",
-        &[
-            "n", "l", "enc blk", "enc sca", "enc x", "dec blk", "dec sca", "dec x", "mrk", "equal",
-        ],
-    );
-
+    let mut rows = Vec::new();
     let mut all_equal = true;
-    let mut last_cell: Option<(String, f64, f64)> = None;
+    let mut last_speedups = (0.0, 0.0);
     for &n in ns {
         let k = n - ca_net::max_faults(n);
         let rs = ReedSolomon::new(n, k).expect("valid grid parameters");
@@ -1295,52 +1167,58 @@ pub fn p1_kernel_grid(quick: bool, artifacts: Option<&Path>) {
                     ("speedup", Value::Fixed(x, 2)),
                 ])
             };
-            let label = format!("n={n}, l={}KiB", ell >> 10);
-            let row = Row::new(&label)
-                .with("kind", "kernel")
-                .with("n", n)
-                .with("k", k)
-                .with("ell_bytes", ell)
-                .with("encode", kernel(enc_blk, enc_sca, enc_x))
-                .with("decode", kernel(dec_blk, dec_sca, dec_x))
-                .with("merkle", Value::Obj(vec![("mbps", Value::Fixed(mrk, 1))]))
-                .with("differential_equal", equal);
-            table.row_strings(vec![
-                row.cell("n"),
-                format!("{}KiB", ell >> 10),
-                format!("{enc_blk:.0}"),
-                format!("{enc_sca:.0}"),
-                format!("{enc_x:.2}x"),
-                format!("{dec_blk:.0}"),
-                format!("{dec_sca:.0}"),
-                format!("{dec_x:.2}x"),
-                format!("{mrk:.0}"),
-                row.cell("differential_equal"),
-            ]);
-            summary.push(row);
-            last_cell = Some((label, enc_x, dec_x));
+            rows.push(
+                Row::new(&format!("n={n}, l={}KiB", ell >> 10))
+                    .with("kind", "kernel")
+                    .with("n", n)
+                    .with("k", k)
+                    .with("ell_bytes", ell)
+                    .with("encode", kernel(enc_blk, enc_sca, enc_x))
+                    .with("decode", kernel(dec_blk, dec_sca, dec_x))
+                    .with("merkle", Value::Obj(vec![("mbps", Value::Fixed(mrk, 1))]))
+                    .with("differential_equal", equal),
+            );
+            last_speedups = (enc_x, dec_x);
         }
     }
-    table.print();
+    show(
+        "P1: blocked vs scalar kernel throughput, one core (MB/s of payload)",
+        &[
+            "label",
+            "encode.blocked_mbps",
+            "encode.scalar_mbps",
+            "encode.speedup",
+            "decode.blocked_mbps",
+            "decode.scalar_mbps",
+            "decode.speedup",
+            "merkle.mbps",
+            "differential_equal",
+        ],
+        &rows,
+    );
 
     // The gate reads the grid's largest cell (n = 256, ℓ = 1 MiB on the
     // full grid; the quick grid gates on its own largest cell so CI still
     // exercises the comparison).
-    let (label, enc_x, dec_x) = last_cell.expect("grid has cells");
-    let beats = all_equal && enc_x >= 2.0 && dec_x >= 2.0;
-    summary.set_flag("p1_blocked_beats_scalar", beats);
-    println!(
-        "P1 verdict: p1_blocked_beats_scalar = {beats} \
-         ({label}: encode {enc_x:.2}x, decode {dec_x:.2}x, all cells equal = {all_equal})"
-    );
-    summary.write(artifacts);
+    let (enc_x, dec_x) = last_speedups;
+    Report {
+        claim: "KERNELS: blocked RS encode/decode byte-identical to the scalar oracle \
+                in every cell and >= 2x its MB/s on the largest cell",
+        flags: vec![(
+            "p1_blocked_beats_scalar",
+            all_equal && enc_x >= 2.0 && dec_x >= 2.0,
+        )],
+        rows,
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{run_by_name_opts, EXPERIMENTS};
+
     #[test]
     fn unknown_experiment_rejected() {
-        assert!(!super::run_by_name_opts("nope", true, None));
+        assert!(!run_by_name_opts("nope", true, None));
     }
 
     /// The acceptance claim behind S1: per-session wire cost at K = 64
@@ -1370,139 +1248,122 @@ mod tests {
         );
     }
 
-    #[test]
-    fn s1_artifact_has_throughput_fields() {
-        let dir = std::env::temp_dir().join(format!("ca-bench-s1-{}", std::process::id()));
-        assert!(super::run_by_name_opts("s1", true, Some(&dir)));
-        let bench = std::fs::read_to_string(dir.join("BENCH_s1.json")).unwrap();
-        for key in [
-            "\"experiment\": \"s1\"",
-            "\"kind\": \"throughput\"",
-            "\"sessions_per_sec\"",
-            "\"wire_bits_per_session\"",
-            "\"session_latency_rounds\"",
-            "\"batch_occupancy\"",
-            "\"label\": \"K=64\"",
-        ] {
-            assert!(bench.contains(key), "missing {key} in:\n{bench}");
+    /// What `BENCH_<id>.json` must hold beyond `"experiment": "<id>"`,
+    /// and what it must not: the fields, flags and verdicts each
+    /// experiment's gates key on. P1's speedup flag is machine-dependent,
+    /// so only its presence and the differential verdict are pinned.
+    fn artifact_contract(id: &str) -> (&'static [&'static str], &'static [&'static str]) {
+        const BOTH_VERDICTS: &str = "\"agreement\": true,\n      \"validity\": true";
+        match id {
+            "t1" | "e1" => (&["\"measured\"", "\"ratio\"", "\"scopes\""], &[]),
+            "f1" => (&["\"claim\": \"CROSSOVER: ", "\"winner\": \"pi_n\""], &[]),
+            "f2" => (
+                &["\"claim\": \"SLOPE: ", "\"label\": \"exponent in n\""],
+                &[],
+            ),
+            "t2" => (&["\"pi_n_per_nlogn\""], &[]),
+            "t3" => (&["\"lba_plus_bits\"", "\"direct_tc_bits\""], &[]),
+            "t4" => (&["\"verdict\": \"ok\"", "\"worst_bits\""], &["VIOLATION"]),
+            "f4" => (&["\"pi_n_pk_bits\"", "\"ba_plus_pk_bits\""], &[]),
+            "f5" => (&["\"iteration_bound\"", "\"honest_lcp\""], &[]),
+            "f3" => (&["\"claim\"", "\"measured\"", "\"ratio\"", "\"p99\""], &[]),
+            "s1" => (
+                &[
+                    "\"kind\": \"throughput\"",
+                    "\"sessions_per_sec\"",
+                    "\"wire_bits_per_session\"",
+                    "\"session_latency_rounds\"",
+                    "\"batch_occupancy\"",
+                    "\"label\": \"K=64\"",
+                ],
+                &[],
+            ),
+            "r1" => (
+                &[
+                    "\"kind\": \"resilience\"",
+                    "\"label\": \"0 crashed\"",
+                    "\"label\": \"1 crashed\"",
+                    "\"rounds_to_decide\"",
+                    "\"agreement\": true",
+                    "\"validity\": true",
+                    "\"wire_bytes_sent\"",
+                    "\"peers_gone\": 1",
+                ],
+                &[],
+            ),
+            "a1" => (
+                &[
+                    "\"f0_beats_worst_case\": true",
+                    "\"label\": \"worst-case pi_n, f = 0\"",
+                    "\"label\": \"adaptive, f = 0\"",
+                    "\"label\": \"adaptive, f = 2\"",
+                    "\"protocol\": \"pi_n_adaptive\"",
+                    BOTH_VERDICTS,
+                ],
+                &[],
+            ),
+            "as1" => (
+                &[
+                    "\"as1_async_wins\": true",
+                    "\"kind\": \"async\"",
+                    "\"mode\": \"sync-tuned\"",
+                    "\"mode\": \"sync-mistuned\"",
+                    "\"mode\": \"async\"",
+                    "\"label\": \"async, event-driven\"",
+                    "\"delta\": null",
+                    "\"wasted_rounds\"",
+                    BOTH_VERDICTS,
+                ],
+                &[],
+            ),
+            "p1" => (
+                &[
+                    "\"claim\": \"KERNELS: ",
+                    "\"p1_blocked_beats_scalar\"",
+                    "\"kind\": \"kernel\"",
+                    "\"label\": \"n=16, l=64KiB\"",
+                    "\"label\": \"n=64, l=256KiB\"",
+                    "\"encode\"",
+                    "\"decode\"",
+                    "\"merkle\"",
+                    "\"blocked_mbps\"",
+                    "\"scalar_mbps\"",
+                    "\"speedup\"",
+                    "\"mbps\"",
+                ],
+                &["\"differential_equal\": false"],
+            ),
+            _ => panic!("no artifact contract for {id}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every id in [`EXPERIMENTS`] writes a balanced `BENCH_<id>.json`
+    /// naming itself and meeting its contract, and F3's `run.jsonl`
+    /// timeline passes `ca-trace check`.
     #[test]
-    fn r1_artifact_has_resilience_fields() {
-        let dir = std::env::temp_dir().join(format!("ca-bench-r1-{}", std::process::id()));
-        assert!(super::run_by_name_opts("r1", true, Some(&dir)));
-        let bench = std::fs::read_to_string(dir.join("BENCH_r1.json")).unwrap();
-        for key in [
-            "\"experiment\": \"r1\"",
-            "\"kind\": \"resilience\"",
-            "\"label\": \"0 crashed\"",
-            "\"label\": \"1 crashed\"",
-            "\"rounds_to_decide\"",
-            "\"agreement\": true",
-            "\"validity\": true",
-            "\"wire_bytes_sent\"",
-            "\"peers_gone\": 1",
-        ] {
-            assert!(bench.contains(key), "missing {key} in:\n{bench}");
+    fn every_experiment_writes_its_artifact() {
+        let dir = std::env::temp_dir().join(format!("ca-bench-all-{}", std::process::id()));
+        for (id, _) in EXPERIMENTS {
+            assert!(run_by_name_opts(id, true, Some(&dir)));
+            let path = dir.join(format!("BENCH_{id}.json"));
+            let bench = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{id} wrote no {}: {e}", path.display()));
+            for (open, close) in [('{', '}'), ('[', ']')] {
+                assert_eq!(
+                    bench.matches(open).count(),
+                    bench.matches(close).count(),
+                    "unbalanced {open}{close} in:\n{bench}"
+                );
+            }
+            let name = format!("\"experiment\": \"{id}\"");
+            let (present, absent) = artifact_contract(id);
+            for key in present.iter().copied().chain([name.as_str()]) {
+                assert!(bench.contains(key), "missing {key} in:\n{bench}");
+            }
+            for key in absent {
+                assert!(!bench.contains(key), "{key} in:\n{bench}");
+            }
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn a1_artifact_gates_on_fast_path_win() {
-        let dir = std::env::temp_dir().join(format!("ca-bench-a1-{}", std::process::id()));
-        assert!(super::run_by_name_opts("a1", true, Some(&dir)));
-        let bench = std::fs::read_to_string(dir.join("BENCH_a1.json")).unwrap();
-        assert_eq!(
-            bench.matches('{').count(),
-            bench.matches('}').count(),
-            "unbalanced braces in:\n{bench}"
-        );
-        for key in [
-            "\"experiment\": \"a1\"",
-            "\"f0_beats_worst_case\": true",
-            "\"label\": \"worst-case pi_n, f = 0\"",
-            "\"label\": \"adaptive, f = 0\"",
-            "\"label\": \"adaptive, f = 2\"",
-            "\"protocol\": \"pi_n_adaptive\"",
-            "\"agreement\": true,\n      \"validity\": true",
-        ] {
-            assert!(bench.contains(key), "missing {key} in:\n{bench}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn as1_artifact_gates_on_async_win() {
-        let dir = std::env::temp_dir().join(format!("ca-bench-as1-{}", std::process::id()));
-        assert!(super::run_by_name_opts("as1", true, Some(&dir)));
-        let bench = std::fs::read_to_string(dir.join("BENCH_as1.json")).unwrap();
-        assert_eq!(
-            bench.matches('{').count(),
-            bench.matches('}').count(),
-            "unbalanced braces in:\n{bench}"
-        );
-        for key in [
-            "\"experiment\": \"as1\"",
-            "\"as1_async_wins\": true",
-            "\"kind\": \"async\"",
-            "\"mode\": \"sync-tuned\"",
-            "\"mode\": \"sync-mistuned\"",
-            "\"mode\": \"async\"",
-            "\"label\": \"async, event-driven\"",
-            "\"delta\": null",
-            "\"wasted_rounds\"",
-            "\"agreement\": true,\n      \"validity\": true",
-        ] {
-            assert!(bench.contains(key), "missing {key} in:\n{bench}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// P1's artifact carries the kernel grid with the blocked-vs-scalar
-    /// gate. The speedup value is machine-dependent, so the test pins the
-    /// structure and the differential-equality verdict (which must hold
-    /// anywhere), not the flag itself.
-    #[test]
-    fn p1_artifact_has_kernel_grid() {
-        let dir = std::env::temp_dir().join(format!("ca-bench-p1-{}", std::process::id()));
-        assert!(super::run_by_name_opts("p1", true, Some(&dir)));
-        let bench = std::fs::read_to_string(dir.join("BENCH_p1.json")).unwrap();
-        assert_eq!(
-            bench.matches('{').count(),
-            bench.matches('}').count(),
-            "unbalanced braces in:\n{bench}"
-        );
-        for key in [
-            "\"experiment\": \"p1\"",
-            "\"claim\": \"KERNELS: ",
-            "\"p1_blocked_beats_scalar\"",
-            "\"kind\": \"kernel\"",
-            "\"label\": \"n=16, l=64KiB\"",
-            "\"label\": \"n=64, l=256KiB\"",
-            "\"encode\"",
-            "\"decode\"",
-            "\"merkle\"",
-            "\"blocked_mbps\"",
-            "\"scalar_mbps\"",
-            "\"speedup\"",
-            "\"mbps\"",
-        ] {
-            assert!(bench.contains(key), "missing {key} in:\n{bench}");
-        }
-        assert!(
-            !bench.contains("\"differential_equal\": false"),
-            "blocked and scalar kernels disagreed:\n{bench}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn f3_artifacts_trace_checks_clean() {
-        let dir = std::env::temp_dir().join(format!("ca-bench-f3-{}", std::process::id()));
-        assert!(super::run_by_name_opts("f3", true, Some(&dir)));
 
         let records = ca_trace::read_jsonl(&dir.join("run.jsonl")).unwrap();
         assert!(!records.is_empty());
@@ -1511,17 +1372,6 @@ mod tests {
             vec![],
             "fault-free trace must check clean"
         );
-
-        let bench = std::fs::read_to_string(dir.join("BENCH_f3.json")).unwrap();
-        for key in [
-            "\"experiment\": \"f3\"",
-            "\"claim\"",
-            "\"measured\"",
-            "\"ratio\"",
-            "\"p99\"",
-        ] {
-            assert!(bench.contains(key), "missing {key}");
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

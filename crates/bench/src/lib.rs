@@ -15,11 +15,18 @@
 //! | T4 | Def. 1 properties under the adversary matrix | `experiments -- t4` |
 //! | F4 | `Π_BA` instantiation ablation | `experiments -- f4` |
 //! | F5 | `FindPrefix` iteration/prefix behaviour | `experiments -- f5` |
-//! | T5 | substrate throughput (SHA-256, Merkle, RS, `bits`) | `experiments -- p1`, `benchmark/run.sh` probes |
+//! | E1 | approximate agreement vs exact CA (beyond the paper) | `experiments -- e1` |
+//! | S1 | engine multiplexing amortization (beyond the paper) | `experiments -- s1` |
+//! | R1 | crash resilience over TCP (beyond the paper) | `experiments -- r1` |
+//! | A1 | fault-adaptive fast path vs worst case | `experiments -- a1` |
+//! | AS1 | async executor vs Δ-tuned/mistuned sync hosts | `experiments -- as1` |
+//! | P1 | blocked vs scalar RS and Merkle kernel throughput | `experiments -- p1`, `benchmark/run.sh` probes |
 //!
-//! Each experiment is a library function driven by the `experiments`
-//! binary (`cargo run -p ca-bench --release --bin experiments --
-//! <id>|all [--quick]`).
+//! Each experiment is a library function listed once in
+//! [`experiments::EXPERIMENTS`] and returning a [`Report`] of [`Row`]s;
+//! its table and its `BENCH_<id>.json` are two renderings of those rows.
+//! The `experiments` binary drives them (`cargo run -p ca-bench --release
+//! --bin experiments -- <id>…|all [--quick] [--artifacts <dir>]`).
 
 #![allow(
     clippy::print_stdout,
@@ -34,6 +41,5 @@ pub mod summary;
 pub mod table;
 pub mod workload;
 
-pub use runner::{run_nat_protocol, run_nat_protocol_traced, Protocol, RunStats};
-pub use summary::{BenchSummary, Row, Value};
-pub use table::Table;
+pub use runner::{run_nat_protocol, Protocol, RunStats};
+pub use summary::{Report, Row, Value};

@@ -42,7 +42,8 @@ impl Protocol {
     }
 }
 
-/// Everything measured about one run.
+/// Everything measured about one run. `metrics.honest_bits` is `BITSℓ`
+/// and `metrics.rounds` is `ROUNDSℓ`.
 #[derive(Debug, Clone)]
 pub struct RunStats {
     /// Protocol name.
@@ -55,10 +56,6 @@ pub struct RunStats {
     pub ell: usize,
     /// Attack name.
     pub attack: &'static str,
-    /// `BITSℓ`: bits sent by honest parties.
-    pub honest_bits: u64,
-    /// `ROUNDSℓ`.
-    pub rounds: u64,
     /// Did all honest outputs agree?
     pub agreement: bool,
     /// Were all honest outputs inside the honest inputs' hull?
@@ -67,36 +64,48 @@ pub struct RunStats {
     pub metrics: Metrics,
 }
 
+impl RunStats {
+    /// The stats of one run of `protocol` by `n` parties with
+    /// `t = ⌊(n−1)/3⌋` on `ell`-bit inputs under `attack`, with its
+    /// `(agreement, validity)` verdicts.
+    #[must_use]
+    pub fn new(
+        protocol: &'static str,
+        n: usize,
+        ell: usize,
+        attack: &'static str,
+        (agreement, validity): (bool, bool),
+        metrics: Metrics,
+    ) -> Self {
+        Self {
+            protocol,
+            n,
+            t: ca_net::max_faults(n),
+            ell,
+            attack,
+            agreement,
+            validity,
+            metrics,
+        }
+    }
+}
+
 /// Runs `protocol` on `inputs` (`inputs[i]` = party `i`'s value) under
 /// `attack`, with `t = ⌊(n−1)/3⌋`, and checks Definition 1's properties.
-pub fn run_nat_protocol(protocol: Protocol, inputs: &[Nat], attack: Attack) -> RunStats {
-    run_nat_protocol_inner(protocol, inputs, attack, None)
-}
-
-/// [`run_nat_protocol`] with every trace event mirrored into `sink`
-/// (e.g. a [`ca_trace::JsonlSink`] producing a `run.jsonl` timeline).
 ///
-/// The measured [`Metrics`] are identical to the untraced run's: tracing
-/// observes sends/rounds, it never adds any.
-pub fn run_nat_protocol_traced(
-    protocol: Protocol,
-    inputs: &[Nat],
-    attack: Attack,
-    sink: Arc<dyn TraceSink>,
-) -> RunStats {
-    run_nat_protocol_inner(protocol, inputs, attack, Some(sink))
-}
-
-fn run_nat_protocol_inner(
+/// With `sink` set, every trace event is mirrored into it (e.g. a
+/// [`ca_trace::JsonlSink`] producing a `run.jsonl` timeline). The measured
+/// [`Metrics`] are identical to the untraced run's: tracing observes
+/// sends/rounds, it never adds any.
+pub fn run_nat_protocol(
     protocol: Protocol,
     inputs: &[Nat],
     attack: Attack,
     sink: Option<Arc<dyn TraceSink>>,
 ) -> RunStats {
     let n = inputs.len();
-    let t = ca_net::max_faults(n);
     let ell = inputs.iter().map(Nat::bit_len).max().unwrap_or(0);
-    let mut sim = attack.install(Sim::new(n), n, t);
+    let mut sim = attack.install(Sim::new(n), n, ca_net::max_faults(n));
     if let Some(sink) = sink {
         sim = sim.with_trace(sink);
     }
@@ -111,25 +120,24 @@ fn run_nat_protocol_inner(
         }
     });
 
-    let honest_parties = report.honest_parties();
-    let honest_inputs: Vec<Nat> = honest_parties
+    let honest_inputs: Vec<Nat> = report
+        .honest_parties()
         .iter()
         .map(|p| inputs[p.index()].clone())
         .collect();
     let honest_outputs: Vec<Nat> = report.honest_outputs().into_iter().cloned().collect();
-
-    RunStats {
-        protocol: protocol.name(),
+    let verdicts = (
+        check_agreement(&honest_outputs),
+        check_convex_validity(&honest_outputs, &honest_inputs),
+    );
+    RunStats::new(
+        protocol.name(),
         n,
-        t,
         ell,
-        attack: attack.name(),
-        honest_bits: report.metrics.honest_bits,
-        rounds: report.metrics.rounds,
-        agreement: check_agreement(&honest_outputs),
-        validity: check_convex_validity(&honest_outputs, &honest_inputs),
-        metrics: report.metrics,
-    }
+        attack.name(),
+        verdicts,
+        report.metrics,
+    )
 }
 
 #[cfg(test)]
@@ -141,13 +149,13 @@ mod tests {
     fn tracing_does_not_perturb_metrics() {
         let inputs = clustered_nats(5, 4, 64, 8);
         let proto = Protocol::PiN(BaKind::TurpinCoan);
-        let base = run_nat_protocol(proto, &inputs, Attack::none());
+        let base = run_nat_protocol(proto, &inputs, Attack::none(), None);
         let sink = Arc::new(ca_trace::RingBufferSink::new(1 << 20));
-        let traced = run_nat_protocol_traced(
+        let traced = run_nat_protocol(
             proto,
             &inputs,
             Attack::none(),
-            Arc::clone(&sink) as Arc<dyn TraceSink>,
+            Some(Arc::clone(&sink) as Arc<dyn TraceSink>),
         );
         assert_eq!(
             base.metrics, traced.metrics,
@@ -163,10 +171,10 @@ mod tests {
     fn all_protocols_pass_basic_run() {
         let inputs = clustered_nats(3, 4, 64, 8);
         for proto in Protocol::lineup() {
-            let stats = run_nat_protocol(proto, &inputs, Attack::none());
+            let stats = run_nat_protocol(proto, &inputs, Attack::none(), None);
             assert!(stats.agreement, "{}", stats.protocol);
             assert!(stats.validity, "{}", stats.protocol);
-            assert!(stats.honest_bits > 0);
+            assert!(stats.metrics.honest_bits > 0);
         }
     }
 }

@@ -11,10 +11,10 @@
 //! [`ca_net::Metrics`].
 //!
 //! Every experiment states a measurement once, as a [`Row`] — a label plus
-//! ordered `key → `[`Value`] fields — which [`BenchSummary::push`]
-//! serialises and [`crate::Table::row_of`] renders. The JSON is hand-rolled
-//! (the workspace builds offline with no serde); numbers are emitted as
-//! JSON numbers, ratios with three decimals.
+//! ordered `key → `[`Value`] fields. Its [`Report`] serialises the rows and
+//! [`crate::table::render`] prints them, each cell through [`Row::cell`].
+//! The JSON is hand-rolled (the workspace builds offline with no serde);
+//! numbers are emitted as JSON numbers, ratios with three decimals.
 
 use std::path::Path;
 
@@ -182,18 +182,28 @@ impl Row {
     }
 
     /// The table cell for `key`: the value as the JSON prints it, except
-    /// strings unquoted and `null` as `-`.
+    /// counts grouped by `_` (`1_234`), strings unquoted and `null` as
+    /// `-`. A dotted key reaches into an object field
+    /// (`measured.honest_bits`, `batch_occupancy.p50`).
     ///
     /// # Panics
     ///
     /// Panics if the row has no such field — a typo in the experiment.
     #[must_use]
     pub fn cell(&self, key: &str) -> String {
-        let field = self.fields.iter().find(|(k, _)| *k == key);
-        let (_, value) = field.unwrap_or_else(|| panic!("row has no field {key:?}"));
+        let value = lookup(&self.fields, key).unwrap_or_else(|| panic!("row has no field {key:?}"));
         match value {
             Value::Str(s) => s.clone(),
             Value::Null => "-".to_owned(),
+            Value::Int(v) => {
+                let mut cell = v.to_string();
+                let mut at = cell.len();
+                while at > 3 {
+                    at -= 3;
+                    cell.insert(at, '_');
+                }
+                cell
+            }
             other => {
                 let mut cell = String::new();
                 other.write_json(&mut cell, 0);
@@ -211,6 +221,20 @@ impl Row {
             value.write_json(out, 6);
         }
         out.push_str("\n    }");
+    }
+}
+
+/// The value at `key` in `fields`, a dotted key descending into
+/// [`Value::Obj`] fields.
+fn lookup<'a>(fields: &'a [(&'static str, Value)], key: &str) -> Option<&'a Value> {
+    let (head, rest) = key
+        .split_once('.')
+        .map_or((key, None), |(h, r)| (h, Some(r)));
+    let (_, value) = fields.iter().find(|(k, _)| *k == head)?;
+    match (rest, value) {
+        (None, value) => Some(value),
+        (Some(rest), Value::Obj(inner)) => lookup(inner, rest),
+        (Some(_), _) => None,
     }
 }
 
@@ -257,17 +281,17 @@ pub fn run_row(label: &str, stats: &RunStats) -> Row {
         .with(
             "measured",
             Value::Obj(vec![
-                ("honest_bits", stats.honest_bits.into()),
+                ("honest_bits", m.honest_bits.into()),
                 ("honest_msgs", m.honest_msgs.into()),
-                ("rounds", stats.rounds.into()),
+                ("rounds", m.rounds.into()),
                 ("adversary_bits", m.adversary_bits.into()),
             ]),
         )
         .with(
             "ratio",
             Value::Obj(vec![
-                ("bits", Value::ratio(stats.honest_bits, cb)),
-                ("rounds", Value::ratio(stats.rounds, cr)),
+                ("bits", Value::ratio(m.honest_bits, cb)),
+                ("rounds", Value::ratio(m.rounds, cr)),
             ]),
         )
         .with("msg_bytes", &m.msg_bytes)
@@ -275,65 +299,50 @@ pub fn run_row(label: &str, stats: &RunStats) -> Row {
         .with("scopes", Value::List(scopes))
 }
 
-/// Accumulates the rows of one experiment and serializes them as
-/// `BENCH_<exp>.json`.
-pub struct BenchSummary {
-    experiment: String,
-    claim: String,
-    flags: Vec<(String, bool)>,
-    runs: Vec<Row>,
+/// Corollary 2's claim line: the shapes of [`claim_bits`] and
+/// [`claim_rounds`].
+pub const COR2_CLAIM: &str =
+    "BITS = l*n + kappa*n^2*ceil(log2 n)^2; ROUNDS = n*ceil(log2 n); constant 1";
+
+/// What one experiment measured, as `BENCH_<exp>.json` holds it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// The claim the rows are measured against.
+    pub claim: &'static str,
+    /// Top-level boolean verdicts (e.g. `"f0_beats_worst_case"`), emitted
+    /// right after the claim line so gating tooling can grep for
+    /// `"<name>": true`.
+    pub flags: Vec<(&'static str, bool)>,
+    /// The measured rows, in order.
+    pub rows: Vec<Row>,
 }
 
-impl BenchSummary {
-    /// Starts an empty summary for experiment `experiment` (e.g. `"f3"`).
+impl Report {
+    /// A report of `rows` against `claim`, with no flags.
     #[must_use]
-    pub fn new(experiment: &str) -> Self {
+    pub fn new(claim: &'static str, rows: Vec<Row>) -> Self {
         Self {
-            experiment: experiment.to_owned(),
-            claim: "BITS = l*n + kappa*n^2*ceil(log2 n)^2; ROUNDS = n*ceil(log2 n); constant 1"
-                .to_owned(),
+            claim,
             flags: Vec::new(),
-            runs: Vec::new(),
+            rows,
         }
     }
 
-    /// Replaces the claim line, which defaults to Corollary 2's bits and
-    /// rounds shape, for an experiment that tests something else.
-    pub fn set_claim(&mut self, claim: &str) {
-        claim.clone_into(&mut self.claim);
-    }
-
-    /// Sets a top-level boolean verdict field (e.g.
-    /// `"f0_beats_worst_case"`), emitted right after the claim line so
-    /// gating tooling can grep for `"<name>": true`. Setting the same
-    /// name again overwrites the previous value.
-    pub fn set_flag(&mut self, name: &str, value: bool) {
-        if let Some(f) = self.flags.iter_mut().find(|(k, _)| k == name) {
-            f.1 = value;
-        } else {
-            self.flags.push((name.to_owned(), value));
-        }
-    }
-
-    /// Appends one measured row.
-    pub fn push(&mut self, row: Row) {
-        self.runs.push(row);
-    }
-
-    /// Renders the whole summary document.
+    /// Renders the whole `BENCH_<experiment>.json` document.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut json = format!("{{\n  \"experiment\": \"{}\",\n", self.experiment);
-        json.push_str(&format!("  \"claim\": \"{}\",\n", self.claim));
+    pub fn to_json(&self, experiment: &str) -> String {
+        let mut json = format!("{{\n  \"experiment\": \"{experiment}\",\n  \"claim\": ");
+        Value::from(self.claim).write_json(&mut json, 2);
+        json.push_str(",\n");
         for (name, value) in &self.flags {
             json.push_str(&format!("  \"{name}\": {value},\n"));
         }
         json.push_str("  \"runs\": [");
-        for (i, run) in self.runs.iter().enumerate() {
+        for (i, row) in self.rows.iter().enumerate() {
             json.push_str(if i == 0 { "\n" } else { ",\n" });
-            run.write_json(&mut json);
+            row.write_json(&mut json);
         }
-        json.push_str(if self.runs.is_empty() {
+        json.push_str(if self.rows.is_empty() {
             "]\n}\n"
         } else {
             "\n  ]\n}\n"
@@ -341,15 +350,16 @@ impl BenchSummary {
         json
     }
 
-    /// With `artifacts` set, writes `<dir>/BENCH_<exp>.json` (creating
-    /// `<dir>` if needed) and reports the path, or the failure, on stderr.
-    pub fn write(&self, artifacts: Option<&Path>) {
+    /// With `artifacts` set, writes `<dir>/BENCH_<experiment>.json`
+    /// (creating `<dir>` if needed) and reports the path, or the failure,
+    /// on stderr.
+    pub fn write(&self, experiment: &str, artifacts: Option<&Path>) {
         let Some(dir) = artifacts else { return };
-        let exp = &self.experiment;
-        let path = dir.join(format!("BENCH_{exp}.json"));
-        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, self.to_json())) {
-            Ok(()) => eprintln!("[{exp} artifacts: {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write BENCH_{exp}.json: {e}"),
+        let path = dir.join(format!("BENCH_{experiment}.json"));
+        let json = self.to_json(experiment);
+        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json)) {
+            Ok(()) => eprintln!("[{experiment} artifacts: {}]", path.display()),
+            Err(e) => eprintln!("warning: cannot write BENCH_{experiment}.json: {e}"),
         }
     }
 }
@@ -397,9 +407,7 @@ mod tests {
                 Value::List(vec![Value::Obj(vec![("scope", "a/b".into())])]),
             )
             .with("none", Value::List(Vec::new()));
-        let mut s = BenchSummary::new("demo");
-        s.push(row.clone());
-        let json = s.to_json();
+        let json = Report::new(COR2_CLAIM, vec![row.clone()]).to_json("demo");
         for fragment in [
             "\"label\": \"tab\\there \\\"ℓ\\\"\"",
             "\"kind\": \"async\"",
@@ -421,15 +429,21 @@ mod tests {
         assert_eq!(row.cell("delta"), "-");
         assert_eq!(row.cell("sessions_per_sec"), "1234.6");
         assert_eq!(row.cell("agreement"), "true");
+        assert_eq!(row.cell("ratio.bits"), "3.454");
+        assert_eq!(row.cell("ratio.rounds"), "-");
+        assert_eq!(row.cell("msg_bytes.max"), "102");
     }
 
     #[test]
     fn summary_json_is_well_formed_and_complete() {
         let inputs = clustered_nats(9, 4, 64, 8);
-        let stats = run_nat_protocol(Protocol::PiN(BaKind::TurpinCoan), &inputs, Attack::none());
-        let mut s = BenchSummary::new("demo");
-        s.push(run_row("short", &stats));
-        let json = s.to_json();
+        let stats = run_nat_protocol(
+            Protocol::PiN(BaKind::TurpinCoan),
+            &inputs,
+            Attack::none(),
+            None,
+        );
+        let json = Report::new(COR2_CLAIM, vec![run_row("short", &stats)]).to_json("demo");
         // Structural sanity without a JSON parser: balanced braces/brackets
         // and the fields downstream tooling keys on.
         assert_eq!(
@@ -453,15 +467,13 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-        assert!(json.contains(&format!("\"honest_bits\": {}", stats.honest_bits)));
+        assert!(json.contains(&format!("\"honest_bits\": {}", stats.metrics.honest_bits)));
     }
 
     #[test]
     fn write_creates_bench_file() {
         let dir = std::env::temp_dir().join(format!("ca-bench-sum-{}", std::process::id()));
-        let mut s = BenchSummary::new("f3");
-        s.push(Row::new("x"));
-        s.write(Some(&dir));
+        Report::new(COR2_CLAIM, vec![Row::new("x")]).write("f3", Some(&dir));
         let text = std::fs::read_to_string(dir.join("BENCH_f3.json")).unwrap();
         assert!(text.contains("\"experiment\": \"f3\""));
         std::fs::remove_dir_all(&dir).ok();
@@ -469,18 +481,25 @@ mod tests {
 
     #[test]
     fn empty_summary_renders() {
-        let json = BenchSummary::new("void").to_json();
+        let json = Report::new(COR2_CLAIM, Vec::new()).to_json("void");
         assert!(json.contains("\"runs\": []"));
     }
 
     #[test]
-    fn flags_render_at_top_level_and_overwrite() {
-        let mut s = BenchSummary::new("a1");
-        s.set_flag("f0_beats_worst_case", false);
-        s.set_flag("f0_beats_worst_case", true);
-        let json = s.to_json();
+    fn flags_render_at_top_level() {
+        let report = Report {
+            claim: COR2_CLAIM,
+            flags: vec![
+                ("f0_beats_worst_case", true),
+                ("p1_blocked_beats_scalar", false),
+            ],
+            rows: vec![Row::new("x")],
+        };
+        let json = report.to_json("a1");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"f0_beats_worst_case\": true"));
-        assert!(!json.contains("\"f0_beats_worst_case\": false"));
+        assert!(json.contains(&format!(
+            "\"claim\": \"{COR2_CLAIM}\",\n  \"f0_beats_worst_case\": true,\n  \
+             \"p1_blocked_beats_scalar\": false,\n  \"runs\": ["
+        )));
     }
 }

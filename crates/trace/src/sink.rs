@@ -3,13 +3,21 @@
 //! Instrumented code holds an `Arc<dyn TraceSink>` and calls
 //! [`TraceSink::enabled`] before building a [`Record`], so the disabled
 //! path ([`NullSink`]) costs one virtual call and no allocation.
+//!
+//! Each sink that locks lives in a private module of its own (`ring`,
+//! `jsonl`), so its lock field is private to that module. The rule there:
+//! every method takes exactly one lock, its own sink's, releases it before
+//! it returns, returns no guard and is handed no other sink. No code can
+//! then hold two sinks' locks at once, and there is no lock order to get
+//! wrong; outside those modules a `buf.lock()` or `writer.lock()` does not
+//! compile (E0616).
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::Mutex;
 
 use crate::Record;
+
+pub use jsonl::JsonlSink;
+pub use ring::RingBufferSink;
 
 /// Destination for trace records.
 ///
@@ -43,116 +51,131 @@ impl TraceSink for NullSink {
     fn record(&self, _rec: &Record) {}
 }
 
-/// Keeps the most recent `capacity` records in memory — the post-mortem
-/// sink: cheap enough to leave on, and a property-test failure can dump
-/// the tail of the timeline.
-#[derive(Debug)]
-pub struct RingBufferSink {
-    capacity: usize,
-    buf: Mutex<RingState>,
-}
+mod ring {
+    use std::sync::Mutex;
 
-#[derive(Debug, Default)]
-struct RingState {
-    records: Vec<Record>,
-    /// Next write position once the buffer has wrapped.
-    head: usize,
-    /// Total records ever offered (≥ `records.len()`).
-    seen: u64,
-}
+    use crate::{Record, TraceSink};
 
-impl RingBufferSink {
-    /// Creates a ring holding at most `capacity` records (min 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            buf: Mutex::new(RingState::default()),
+    /// Keeps the most recent `capacity` records in memory — the post-mortem
+    /// sink: cheap enough to leave on, and a property-test failure can dump
+    /// the tail of the timeline.
+    #[derive(Debug)]
+    pub struct RingBufferSink {
+        capacity: usize,
+        buf: Mutex<RingState>,
+    }
+
+    #[derive(Debug, Default)]
+    struct RingState {
+        records: Vec<Record>,
+        /// Next write position once the buffer has wrapped.
+        head: usize,
+        /// Total records ever offered (≥ `records.len()`).
+        seen: u64,
+    }
+
+    impl RingBufferSink {
+        /// Creates a ring holding at most `capacity` records (min 1).
+        #[must_use]
+        pub fn new(capacity: usize) -> Self {
+            Self {
+                capacity: capacity.max(1),
+                buf: Mutex::new(RingState::default()),
+            }
+        }
+
+        /// Returns the retained records in arrival order (oldest first).
+        ///
+        /// # Panics
+        ///
+        /// If a writer panicked while holding the internal lock.
+        #[must_use]
+        pub fn records(&self) -> Vec<Record> {
+            let state = self.buf.lock().expect("ring sink poisoned");
+            if state.records.len() < self.capacity {
+                state.records.clone()
+            } else {
+                #[expect(clippy::disallowed_methods, reason = "the ring's own record count")]
+                let mut out = Vec::with_capacity(state.records.len());
+                out.extend_from_slice(&state.records[state.head..]);
+                out.extend_from_slice(&state.records[..state.head]);
+                out
+            }
+        }
+
+        /// Total number of records offered over the sink's lifetime,
+        /// including ones that have since been overwritten.
+        ///
+        /// # Panics
+        ///
+        /// If a writer panicked while holding the internal lock.
+        #[must_use]
+        pub fn total_seen(&self) -> u64 {
+            self.buf.lock().expect("ring sink poisoned").seen
         }
     }
 
-    /// Returns the retained records in arrival order (oldest first).
-    ///
-    /// # Panics
-    ///
-    /// If a writer panicked while holding the internal lock.
-    #[must_use]
-    pub fn records(&self) -> Vec<Record> {
-        let state = self.buf.lock().expect("ring sink poisoned");
-        if state.records.len() < self.capacity {
-            state.records.clone()
-        } else {
-            #[expect(clippy::disallowed_methods, reason = "the ring's own record count")]
-            let mut out = Vec::with_capacity(state.records.len());
-            out.extend_from_slice(&state.records[state.head..]);
-            out.extend_from_slice(&state.records[..state.head]);
-            out
-        }
-    }
-
-    /// Total number of records offered over the sink's lifetime,
-    /// including ones that have since been overwritten.
-    ///
-    /// # Panics
-    ///
-    /// If a writer panicked while holding the internal lock.
-    #[must_use]
-    pub fn total_seen(&self) -> u64 {
-        self.buf.lock().expect("ring sink poisoned").seen
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&self, rec: &Record) {
-        let mut state = self.buf.lock().expect("ring sink poisoned");
-        state.seen += 1;
-        if state.records.len() < self.capacity {
-            state.records.push(rec.clone());
-            state.head = state.records.len() % self.capacity;
-        } else {
-            let head = state.head;
-            state.records[head] = rec.clone();
-            state.head = (head + 1) % self.capacity;
+    impl TraceSink for RingBufferSink {
+        fn record(&self, rec: &Record) {
+            let mut state = self.buf.lock().expect("ring sink poisoned");
+            state.seen += 1;
+            if state.records.len() < self.capacity {
+                state.records.push(rec.clone());
+                state.head = state.records.len() % self.capacity;
+            } else {
+                let head = state.head;
+                state.records[head] = rec.clone();
+                state.head = (head + 1) % self.capacity;
+            }
         }
     }
 }
 
-/// Streams records to a JSONL file, one record per line, in arrival
-/// order. Durable artifact sink for `ca-trace report|diff|check`.
-#[derive(Debug)]
-pub struct JsonlSink {
-    writer: Mutex<BufWriter<File>>,
-}
+mod jsonl {
+    use std::fs::File;
+    use std::io::{BufWriter, Write};
+    use std::path::Path;
+    use std::sync::Mutex;
 
-impl JsonlSink {
-    /// Creates (truncating) the file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation failures.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        Ok(Self {
-            writer: Mutex::new(BufWriter::new(File::create(path)?)),
-        })
-    }
-}
+    use crate::{Record, TraceSink};
 
-impl TraceSink for JsonlSink {
-    fn record(&self, rec: &Record) {
-        let mut w = self.writer.lock().expect("jsonl sink poisoned");
-        // Disk-full during tracing degrades the artifact, not the run.
-        let _ = writeln!(w, "{}", rec.to_jsonl());
+    /// Streams records to a JSONL file, one record per line, in arrival
+    /// order. Durable artifact sink for `ca-trace report|diff|check`.
+    #[derive(Debug)]
+    pub struct JsonlSink {
+        writer: Mutex<BufWriter<File>>,
     }
 
-    fn flush(&self) {
-        let mut w = self.writer.lock().expect("jsonl sink poisoned");
-        let _ = w.flush();
+    impl JsonlSink {
+        /// Creates (truncating) the file at `path`.
+        ///
+        /// # Errors
+        ///
+        /// Propagates file-creation failures.
+        pub fn create(path: &Path) -> std::io::Result<Self> {
+            Ok(Self {
+                writer: Mutex::new(BufWriter::new(File::create(path)?)),
+            })
+        }
     }
-}
 
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        self.flush();
+    impl TraceSink for JsonlSink {
+        fn record(&self, rec: &Record) {
+            let mut w = self.writer.lock().expect("jsonl sink poisoned");
+            // Disk-full during tracing degrades the artifact, not the run.
+            let _ = writeln!(w, "{}", rec.to_jsonl());
+        }
+
+        fn flush(&self) {
+            let mut w = self.writer.lock().expect("jsonl sink poisoned");
+            let _ = w.flush();
+        }
+    }
+
+    impl Drop for JsonlSink {
+        fn drop(&mut self) {
+            self.flush();
+        }
     }
 }
 

@@ -25,8 +25,10 @@
 #                      async chaos suites included); the smoke stages below
 #                      gate artifacts, not tests.
 #   5. trace smoke   — a real traced experiment run must produce artifacts
-#                      that pass `ca-trace check`. The seven --quick
-#                      experiments behind stages 5–9 run here, once;
+#                      that pass `ca-trace check`. The eight --quick
+#                      experiments behind stages 5–9 run here, once.
+#                      T4's artifact must hold no VIOLATION verdict: every
+#                      protocol keeps Definition 1 under every attack.
 #                      T1, F3, E1, A1 and AS1 are exact units only (bits,
 #                      rounds, virtual time), so their fresh BENCH files
 #                      must equal the ones committed at the repo root — a
@@ -117,9 +119,12 @@ same_as_committed() {
     diff -u "$1" "$artifacts/$1" \
         || { echo "$1: exact metrics differ from the committed artifact"; exit 1; }
 }
-cargo run --offline -q -p ca-bench --bin experiments -- t1 e1 f3 s1 r1 a1 as1 --quick \
+cargo run --offline -q -p ca-bench --bin experiments -- t1 e1 f3 s1 r1 a1 as1 t4 --quick \
     --artifacts "$artifacts" >/dev/null
 test -s "$artifacts/run.jsonl"      || { echo "missing run.jsonl"; exit 1; }
+test -s "$artifacts/BENCH_t4.json"  || { echo "missing BENCH_t4.json"; exit 1; }
+grep -q 'VIOLATION' "$artifacts/BENCH_t4.json" \
+    && { echo "BENCH_t4.json: a protocol violated Definition 1 under an attack"; exit 1; }
 for exact in BENCH_t1.json BENCH_f3.json BENCH_e1.json; do
     test -s "$artifacts/$exact" || { echo "missing $exact"; exit 1; }
     same_as_committed "$exact"
