@@ -129,6 +129,7 @@ impl<P: AsyncProtocol> Executor<P> {
     {
         let n = self.parties.len();
         let tracing = self.sink.enabled();
+        #[expect(clippy::disallowed_methods, reason = "one decision slot per party")]
         let mut report = ExecReport {
             outputs: (0..n).map(|_| None).collect(),
             decide_time: vec![None; n],
@@ -137,7 +138,9 @@ impl<P: AsyncProtocol> Executor<P> {
             payload_bytes: 0,
             final_time: 0,
         };
+        #[expect(clippy::disallowed_methods, reason = "one flag per party")]
         let mut crashed = vec![false; n];
+        #[expect(clippy::disallowed_methods, reason = "one flag per party")]
         let mut decided = vec![false; n];
         // The queue: (virtual time, tie-break seq) → event. BTreeMap keys
         // are unique and iterate in order, giving a deterministic total

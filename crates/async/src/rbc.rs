@@ -262,6 +262,10 @@ impl Rbc {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
 

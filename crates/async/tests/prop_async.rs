@@ -4,6 +4,11 @@
 //! approximate-agreement instance must keep Definition 1's convexity
 //! while reaching ε-agreement — for every sampled schedule.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
+
 use std::collections::BTreeMap;
 
 use bytes::Bytes;

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use ca_codec::{CodecError, Decode, Encode, Reader, Writer};
-use ca_net::{Comm, CommExt};
+use ca_net::{block_on, Comm, Ctx};
 
 use crate::{BaKind, Value};
 
@@ -72,12 +72,17 @@ impl<V: Decode + Ord> Decode for Vote<V> {
 /// * **Bounded Pre-Agreement**: output `None` implies fewer than `n − 2t`
 ///   honest parties shared an input.
 pub fn ba_plus<V: Value>(ctx: &mut dyn Comm, input: V, ba: BaKind) -> Option<V> {
-    ctx.scoped("ba+", |ctx| {
+    block_on(ba_plus_async(&mut Ctx::live(ctx), input, ba))
+}
+
+/// [`ba_plus`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn ba_plus_async<V: Value>(ctx: &mut Ctx<'_>, input: V, ba: BaKind) -> Option<V> {
+    ctx.scoped("ba+", async |ctx| {
         let n = ctx.n();
         let t = ctx.t();
 
         // Line 1: distribute inputs.
-        let inbox = ctx.exchange(&input);
+        let inbox = ctx.exchange(&input).await;
         let mut counts: BTreeMap<V, usize> = BTreeMap::new();
         for (_, v) in inbox.decode_each::<V>() {
             *counts.entry(v).or_insert(0) += 1;
@@ -90,7 +95,7 @@ pub fn ba_plus<V: Value>(ctx: &mut dyn Comm, input: V, ba: BaKind) -> Option<V> 
             .collect();
         seen.truncate(2); // provably ≤ 2 already; defensive
         let votes_msg = Vote { values: seen };
-        let inbox = ctx.exchange(&votes_msg);
+        let inbox = ctx.exchange(&votes_msg).await;
 
         // Line 3: a ≤ b = the values voted by ≥ n − t parties.
         let mut vote_counts: BTreeMap<V, usize> = BTreeMap::new();
@@ -115,9 +120,9 @@ pub fn ba_plus<V: Value>(ctx: &mut dyn Comm, input: V, ba: BaKind) -> Option<V> 
         // Lines 4–5: try to agree on a, then on b.
         let mut out = None;
         for candidate in [a, b] {
-            let agreed: Option<V> = ba.run(ctx, candidate.clone());
+            let agreed: Option<V> = ba.run_async(ctx, candidate.clone()).await;
             let happy = agreed.is_some() && agreed == candidate;
-            if ba.run_bit(ctx, happy) {
+            if ba.run_bit_async(ctx, happy).await {
                 // Some honest party voted 1, so `agreed` is its non-⊥
                 // candidate; by Agreement everyone holds the same `agreed`.
                 out = agreed;
@@ -127,6 +132,7 @@ pub fn ba_plus<V: Value>(ctx: &mut dyn Comm, input: V, ba: BaKind) -> Option<V> 
         ctx.trace_decide(|| ca_net::compact_debug(&out));
         out
     })
+    .await
 }
 
 #[cfg(test)]

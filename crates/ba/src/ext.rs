@@ -37,11 +37,12 @@
 use bytes::Bytes;
 use ca_crypto::{Hash256, MerkleTree, Witness};
 use ca_erasure::{ReedSolomon, Share, ShareRef};
-use ca_net::{Comm, CommExt, Inbox, PartyId};
+use ca_net::{block_on, Comm, Ctx, Inbox, PartyId};
 
 use ca_codec::{CodecError, Decode, Encode, Reader, Writer};
 
-use crate::{ba_plus, BaKind, Value};
+use crate::ba_plus::ba_plus_async;
+use crate::{BaKind, Value};
 
 /// Borrowed view of a distributed codeword `(index, share, witness)` — the
 /// paper's `(j, sⱼ, wⱼ)` tuples. The share borrows its exact encoded span
@@ -137,7 +138,9 @@ fn first_verified<'a>(
     }
     // Per index: the copy up next (or the one that verified), and
     // whether one did, by recognition or by hashing.
+    #[expect(clippy::disallowed_methods, reason = "one cursor per codeword index")]
     let mut next = vec![0; n];
+    #[expect(clippy::disallowed_methods, reason = "one verdict per codeword index")]
     let mut verified: Vec<Option<bool>> = vec![None; n];
     let mut collected = 0;
     loop {
@@ -234,11 +237,17 @@ fn reaccumulates(
 /// Guarantees (for `t < n/3`), per Theorem 1: Termination, Agreement,
 /// Validity, Intrusion Tolerance, Bounded Pre-Agreement.
 pub fn lba_plus<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V> {
-    ctx.scoped("lba+", |ctx| {
-        let out = lba_plus_body(ctx, input, ba);
+    block_on(lba_plus_async(&mut Ctx::live(ctx), input, ba))
+}
+
+/// [`lba_plus`] as an `async fn` over a [`Ctx`].
+pub async fn lba_plus_async<V: Value>(ctx: &mut Ctx<'_>, input: &V, ba: BaKind) -> Option<V> {
+    ctx.scoped("lba+", async |ctx| {
+        let out = lba_plus_body(ctx, input, ba).await;
         ctx.trace_decide(|| ca_net::compact_debug(&out));
         out
     })
+    .await
 }
 
 /// `Π_ℓBA+` proper, inside the `lba+` scope (split out so the decide
@@ -248,7 +257,7 @@ pub fn lba_plus<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V
 /// step stops at the first copy of its own codeword that verifies, the
 /// decode step at the `k`-th verified index. A holder of `z*` hashes no
 /// copy of its own messages, nor decodes `k` of them (module doc).
-fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<V> {
+async fn lba_plus_body<V: Value>(ctx: &mut Ctx<'_>, input: &V, ba: BaKind) -> Option<V> {
     let n = ctx.n();
     let me = ctx.me();
     #[expect(
@@ -263,7 +272,7 @@ fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<
     let (z, msgs) = dispersal(&rs, &payload);
 
     // Step 2: agree on an accumulator value.
-    let z_star = ba_plus(ctx, z, ba)?;
+    let z_star = ba_plus_async(ctx, z, ba).await?;
 
     // Step 3a: holders of the agreed value disperse codewords and keep
     // the messages to recognise their own below; the others drop theirs.
@@ -278,7 +287,7 @@ fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<
     // A byte-equal copy of one of our messages passes MT.VERIFY.
     let recognises =
         |msg: &ShareMsgRef<'_>| own.get(msg.idx as usize).is_some_and(|m| m[..] == *msg.raw);
-    let inbox = ctx.next_round();
+    let inbox = ctx.next_round().await;
 
     // Step 3b: echo the first copy of our own codeword that verifies, in
     // sender order, as it arrived (accepted bytes are their own encoding).
@@ -290,7 +299,7 @@ fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<
         }
     }
     drop(inbox);
-    let inbox = ctx.next_round();
+    let inbox = ctx.next_round().await;
     let collected = first_verified(&inbox, z_star, n, k, recognises);
     drop(own);
     if collected.len() == k && collected.iter().all(|&(_, _, own)| own) {
@@ -317,8 +326,14 @@ fn lba_plus_body<V: Value>(ctx: &mut dyn Comm, input: &V, ba: BaKind) -> Option<
 /// verified and materialized, a second `RS.ENCODE` + `MT.BUILD` for the
 /// re-accumulation check — kept as the differential oracle.
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod eager {
     use super::*;
+    use crate::ba_plus;
+    use ca_net::CommExt as _;
 
     type ShareMsg = (u32, Share, Witness);
 
@@ -385,11 +400,17 @@ mod eager {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use ca_adversary::{Equivocate, Garbage, Replay};
     use ca_bits::BitString;
-    use ca_net::{max_faults, Adversary, Corruption, RoundActions, RoundView, SendSpec, Sim};
+    use ca_net::{
+        max_faults, Adversary, CommExt as _, Corruption, RoundActions, RoundView, SendSpec, Sim,
+    };
     use proptest::prelude::*;
 
     fn long_input(bits: usize, seed: u8) -> BitString {
@@ -403,6 +424,11 @@ mod tests {
     }
 
     type Body = fn(&mut dyn Comm, &Vec<u8>, BaKind) -> Option<Vec<u8>>;
+
+    /// The lazy body over a blocking transport, as a [`Body`].
+    fn lazy_body(ctx: &mut dyn Comm, input: &Vec<u8>, ba: BaKind) -> Option<Vec<u8>> {
+        block_on(lba_plus_body(&mut Ctx::live(ctx), input, ba))
+    }
 
     /// Who misbehaves in a differential case: nobody, or parties `0..t`
     /// (`t..2t` for `TamperMid`).
@@ -561,7 +587,7 @@ mod tests {
             }
             cases.push((Faults::Tamper, high));
             for (case, (faults, inputs)) in cases.iter().enumerate() {
-                let lazy = run_body(faults.sim(n), inputs, lba_plus_body);
+                let lazy = run_body(faults.sim(n), inputs, lazy_body);
                 let eager = run_body(faults.sim(n), inputs, eager::lba_plus_body);
                 assert_eq!(lazy, eager, "n = {n}, case {case} ({faults:?})");
             }
@@ -598,7 +624,7 @@ mod tests {
             (Faults::None, split(n - 2 * t - 1)),
         ];
         for (faults, inputs) in &cases {
-            let lazy = run_body(faults.sim(n), inputs, lba_plus_body);
+            let lazy = run_body(faults.sim(n), inputs, lazy_body);
             let eager = run_body(faults.sim(n), inputs, eager::lba_plus_body);
             assert_eq!(lazy, eager, "{faults:?}");
         }

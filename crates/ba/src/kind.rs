@@ -1,8 +1,10 @@
 //! Selecting the `Π_BA` instantiation.
 
-use ca_net::Comm;
+use ca_net::{block_on, Comm, Ctx};
 
-use crate::{phase_king, turpin_coan, Value};
+use crate::phase_king::phase_king_async;
+use crate::turpin_coan::turpin_coan_async;
+use crate::Value;
 
 /// Which concrete byzantine-agreement protocol instantiates the paper's
 /// assumed `Π_BA`.
@@ -24,9 +26,14 @@ pub enum BaKind {
 impl BaKind {
     /// Runs one BA instance on `input` under this instantiation.
     pub fn run<V: Value>(self, ctx: &mut dyn Comm, input: V) -> V {
+        block_on(self.run_async(&mut Ctx::live(ctx), input))
+    }
+
+    /// [`BaKind::run`] as an `async fn` over a [`Ctx`].
+    pub(crate) async fn run_async<V: Value>(self, ctx: &mut Ctx<'_>, input: V) -> V {
         match self {
-            BaKind::TurpinCoan => turpin_coan(ctx, input),
-            BaKind::PhaseKing => phase_king(ctx, input),
+            BaKind::TurpinCoan => turpin_coan_async(ctx, input).await,
+            BaKind::PhaseKing => phase_king_async(ctx, input).await,
         }
     }
 
@@ -35,7 +42,12 @@ impl BaKind {
     /// instantiations reduce to phase-king on bits; going through
     /// Turpin–Coan for one bit would just add rounds).
     pub fn run_bit(self, ctx: &mut dyn Comm, input: bool) -> bool {
-        phase_king(ctx, input)
+        block_on(self.run_bit_async(&mut Ctx::live(ctx), input))
+    }
+
+    /// [`BaKind::run_bit`] as an `async fn` over a [`Ctx`].
+    pub async fn run_bit_async(self, ctx: &mut Ctx<'_>, input: bool) -> bool {
+        phase_king_async(ctx, input).await
     }
 
     /// Short name for tables.

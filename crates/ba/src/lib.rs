@@ -47,7 +47,7 @@ mod turpin_coan;
 mod value;
 
 pub use ba_plus::ba_plus;
-pub use ext::lba_plus;
+pub use ext::{lba_plus, lba_plus_async};
 pub use kind::BaKind;
 pub use phase_king::phase_king;
 pub use turpin_coan::turpin_coan;

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use ca_net::{Comm, CommExt, PartyId};
+use ca_net::{block_on, Comm, Ctx, PartyId};
 
 use crate::Value;
 
@@ -35,7 +35,12 @@ use crate::Value;
 /// decision variable is, at every phase boundary, either its own previous
 /// value or a value proposed by `≥ t+1` parties (hence by an honest party).
 pub fn phase_king<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
-    ctx.scoped("pk", |ctx| {
+    block_on(phase_king_async(&mut Ctx::live(ctx), input))
+}
+
+/// [`phase_king`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn phase_king_async<V: Value>(ctx: &mut Ctx<'_>, input: V) -> V {
+    ctx.scoped("pk", async |ctx| {
         let n = ctx.n();
         let t = ctx.t();
         let quorum = n - t;
@@ -45,7 +50,7 @@ pub fn phase_king<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
             let king = PartyId(phase % n);
 
             // Round 1: universal exchange of the current values.
-            let values = ctx.exchange(&current);
+            let values = ctx.exchange(&current).await;
             let mut counts: BTreeMap<V, usize> = BTreeMap::new();
             for (_, v) in values.decode_each::<V>() {
                 *counts.entry(v).or_insert(0) += 1;
@@ -59,7 +64,7 @@ pub fn phase_king<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
             if let Some(p) = &proposal {
                 ctx.send_all(p);
             }
-            let proposes = ctx.next_round();
+            let proposes = ctx.next_round().await;
             let mut prop_counts: BTreeMap<V, usize> = BTreeMap::new();
             for (_, v) in proposes.decode_each::<V>() {
                 *prop_counts.entry(v).or_insert(0) += 1;
@@ -83,7 +88,7 @@ pub fn phase_king<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
                 let king_value = backed.unwrap_or_else(|| current.clone());
                 ctx.send_all(&king_value);
             }
-            let king_msgs = ctx.next_round();
+            let king_msgs = ctx.next_round().await;
             if !strongly_backed {
                 if let Some(kv) = king_msgs.decode_from::<V>(king) {
                     current = kv;
@@ -97,13 +102,18 @@ pub fn phase_king<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
         ctx.trace_decide(|| ca_net::compact_debug(&current));
         current
     })
+    .await
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use ca_adversary::{Equivocate, Garbage, Replay};
-    use ca_net::{Adversary, Corruption, RoundActions, RoundView, Sim};
+    use ca_net::{Adversary, CommExt as _, Corruption, RoundActions, RoundView, Sim};
 
     fn run_pk(n: usize, inputs: Vec<u64>, setup: impl FnOnce(Sim) -> Sim) -> Vec<u64> {
         let report = setup(Sim::new(n)).run(|ctx, id| phase_king(ctx, inputs[id.index()]));

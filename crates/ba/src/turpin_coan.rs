@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use ca_net::{Comm, CommExt};
+use ca_net::{block_on, Comm, Ctx};
 
 use crate::{BaKind, Value};
 
@@ -56,12 +56,17 @@ use crate::{BaKind, Value};
 /// assert!(outs.windows(2).all(|w| w[0] == w[1]));
 /// ```
 pub fn turpin_coan<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
-    ctx.scoped("tc", |ctx| {
+    block_on(turpin_coan_async(&mut Ctx::live(ctx), input))
+}
+
+/// [`turpin_coan`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn turpin_coan_async<V: Value>(ctx: &mut Ctx<'_>, input: V) -> V {
+    ctx.scoped("tc", async |ctx| {
         let quorum = ctx.quorum();
         let t = ctx.t();
 
         // Round 1: candidates.
-        let values = ctx.exchange(&input);
+        let values = ctx.exchange(&input).await;
         let mut counts: BTreeMap<V, usize> = BTreeMap::new();
         for (_, v) in values.decode_each::<V>() {
             *counts.entry(v).or_insert(0) += 1;
@@ -72,7 +77,7 @@ pub fn turpin_coan<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
             .map(|(v, _)| v.clone());
 
         // Round 2: confirmation.
-        let cands = ctx.exchange(&cand);
+        let cands = ctx.exchange(&cand).await;
         let mut cand_counts: BTreeMap<V, usize> = BTreeMap::new();
         for (_, c) in cands.decode_each::<Option<V>>() {
             if let Some(v) = c {
@@ -83,7 +88,7 @@ pub fn turpin_coan<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
 
         // Binary agreement on whether a confirmed candidate exists,
         // through the one binary-BA entry every protocol shares.
-        let bit = BaKind::TurpinCoan.run_bit(ctx, confirmed);
+        let bit = BaKind::TurpinCoan.run_bit_async(ctx, confirmed).await;
         let out = if !bit {
             V::default()
         } else {
@@ -91,7 +96,7 @@ pub fn turpin_coan<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
             if let Some(v) = &cand {
                 ctx.send_all(v);
             }
-            let finals = ctx.next_round();
+            let finals = ctx.next_round().await;
             let mut final_counts: BTreeMap<V, usize> = BTreeMap::new();
             for (_, v) in finals.decode_each::<V>() {
                 *final_counts.entry(v).or_insert(0) += 1;
@@ -107,6 +112,7 @@ pub fn turpin_coan<V: Value>(ctx: &mut dyn Comm, input: V) -> V {
         ctx.trace_decide(|| ca_net::compact_debug(&out));
         out
     })
+    .await
 }
 
 #[cfg(test)]

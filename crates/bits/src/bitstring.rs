@@ -45,6 +45,7 @@ impl BitString {
 
     /// A bitstring of `len` copies of `bit`.
     pub fn repeat(bit: bool, len: usize) -> Self {
+        #[expect(clippy::disallowed_methods, reason = "the caller's length, in bytes")]
         let bytes = vec![if bit { 0xff } else { 0x00 }; len.div_ceil(8)];
         let mut s = Self { bytes, len };
         s.clear_tail();
@@ -171,6 +172,10 @@ impl BitString {
             self.len
         );
         let len = end - start;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the slice's length, in bytes, within this bitstring's"
+        )]
         let mut bytes = vec![0u8; len.div_ceil(8)];
         copy_bits(&mut bytes, 0, &self.bytes, start, len);
         BitString { bytes, len }

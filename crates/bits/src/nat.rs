@@ -80,6 +80,10 @@ impl Nat {
     /// `2^k − 1`: the all-ones value of `k` bits (`Π_ℕ` lines 3, 7, 10 clamp
     /// over-long inputs to this).
     pub fn all_ones(k: usize) -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the caller's bit count, in limbs"
+        )]
         let mut limbs = vec![u32::MAX; k / 32];
         if !k.is_multiple_of(32) {
             limbs.push((1 << (k % 32)) - 1);
@@ -89,6 +93,7 @@ impl Nat {
 
     /// `2^k`.
     pub fn pow2(k: usize) -> Self {
+        #[expect(clippy::disallowed_methods, reason = "the caller's exponent, in limbs")]
         let mut limbs = vec![0u32; k / 32 + 1];
         limbs[k / 32] = 1 << (k % 32);
         let mut n = Nat { limbs };
@@ -130,6 +135,7 @@ impl Nat {
         let body = body
             .chunks_exact(4)
             .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]));
+        #[expect(clippy::disallowed_methods, reason = "the caller's bytes, in limbs")]
         let mut limbs = vec![0u32; body.len() + 1];
         let mut upper = 0u32;
         for (limb, word) in limbs.iter_mut().rev().zip(std::iter::once(top).chain(body)) {
@@ -150,6 +156,10 @@ impl Nat {
         // The inverse of `from_bits`: the packed bytes spell VAL · 2^pad, so
         // each limb goes out shifted left by `pad`, carrying its top bits
         // into the next one, four bytes at a time from the back.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the caller's target length, in bytes"
+        )]
         let mut bytes = vec![0u8; ell.div_ceil(8)];
         let pad = 8 * bytes.len() - ell;
         let mut limbs = self.limbs.iter();
@@ -273,6 +283,7 @@ impl Nat {
     /// Panics if `d == 0`.
     pub fn div_rem_u32(&self, d: u32) -> (Nat, u32) {
         assert!(d != 0, "division by zero");
+        #[expect(clippy::disallowed_methods, reason = "the dividend's own limb count")]
         let mut out = vec![0u32; self.limbs.len()];
         let mut rem = 0u64;
         for i in (0..self.limbs.len()).rev() {

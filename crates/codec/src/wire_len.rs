@@ -42,6 +42,10 @@ impl WireLen {
     }
 
     /// This many zero bytes: a receive buffer for a body of this length.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the length is a wire length checked against its cap"
+    )]
     pub fn zeroed(self) -> Vec<u8> {
         vec![0; self.0]
     }

@@ -38,7 +38,7 @@ use ca_ba::BaKind;
 use ca_bits::Nat;
 use ca_codec::Encode;
 use ca_crypto::{sha256, Hash256};
-use ca_net::{Comm, CommExt};
+use ca_net::{block_on, Comm, Ctx};
 
 use crate::pi_n::pi_n_body;
 
@@ -92,13 +92,18 @@ fn candidate_from(offers: &mut Vec<(ca_net::PartyId, Offer)>, n: usize) -> Optio
 /// assert!(report.honest_outputs().iter().all(|v| **v == Nat::from_u64(42)));
 /// ```
 pub fn pi_n_adaptive(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
-    ctx.scoped("pi_n_a", |ctx| {
+    block_on(pi_n_adaptive_async(&mut Ctx::live(ctx), v_in, ba))
+}
+
+/// [`pi_n_adaptive`] as an `async fn` over a [`Ctx`].
+pub async fn pi_n_adaptive_async(ctx: &mut Ctx<'_>, v_in: &Nat, ba: BaKind) -> Nat {
+    ctx.scoped("pi_n_a", async |ctx| {
         ctx.trace_input(|| v_in.to_string());
         let n = ctx.n();
 
         // Round 1 (offer): ship the value, or mark it too long.
         let offer: Offer = (v_in.bit_len() <= MAX_FAST_BITS).then(|| v_in.clone());
-        let inbox = ctx.exchange(&offer);
+        let inbox = ctx.exchange(&offer).await;
         let candidate = candidate_from(&mut inbox.decode_each::<Offer>(), n);
 
         // Round 2 (echo): commit to the candidate by digest.
@@ -107,13 +112,15 @@ pub fn pi_n_adaptive(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
             None => sha256(b""),
         };
         let happy = candidate.is_some() && ctx.fault_estimate().within(FAULT_BUDGET);
-        let inbox = ctx.exchange(&(happy, digest));
+        let inbox = ctx.exchange(&(happy, digest)).await;
         let echoes = inbox.decode_each::<(bool, Hash256)>();
         let confirm =
             happy && echoes.len() == n && echoes.iter().all(|(_, (h, d))| *h && *d == digest);
 
         // Certify the path choice so every honest party takes the same one.
-        let fast = ctx.scoped("fast_ba", |ctx| ba.run_bit(ctx, confirm));
+        let fast = ctx
+            .scoped("fast_ba", async |ctx| ba.run_bit_async(ctx, confirm).await)
+            .await;
         let out = match candidate {
             Some(v) if fast => {
                 ctx.trace_fast_path(|| v.to_string());
@@ -136,15 +143,20 @@ pub fn pi_n_adaptive(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
                     "ba-rejected"
                 };
                 ctx.trace_fallback(reason);
-                pi_n_body(ctx, v_in, ba)
+                pi_n_body(ctx, v_in, ba).await
             }
         };
         ctx.trace_decide(|| out.to_string());
         out
     })
+    .await
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use ca_adversary::Attack;

@@ -21,7 +21,7 @@
 //! `⌈log₂(D/ε)⌉` rounds (`D` a public bound on the initial honest
 //! diameter) the diameter is `≤ ε`.
 
-use ca_net::{Comm, CommExt};
+use ca_net::{block_on, Comm, Ctx};
 
 /// Runs synchronous Approximate Agreement on `input`.
 ///
@@ -51,12 +51,27 @@ use ca_net::{Comm, CommExt};
 ///
 /// Panics if `epsilon == 0` or `range.0 > range.1`.
 pub fn approx_agreement(ctx: &mut dyn Comm, input: i64, range: (i64, i64), epsilon: u64) -> i64 {
+    block_on(approx_agreement_async(
+        &mut Ctx::live(ctx),
+        input,
+        range,
+        epsilon,
+    ))
+}
+
+/// [`approx_agreement`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn approx_agreement_async(
+    ctx: &mut Ctx<'_>,
+    input: i64,
+    range: (i64, i64),
+    epsilon: u64,
+) -> i64 {
     assert!(epsilon > 0, "epsilon must be positive");
     let (lo, hi) = range;
     assert!(lo <= hi, "empty range");
     let t = ctx.t();
 
-    ctx.scoped("approx", |ctx| {
+    ctx.scoped("approx", async |ctx| {
         let mut v = input.clamp(lo, hi);
         let diameter = (hi as i128 - lo as i128).max(1) as u128;
         let ratio = (diameter / u128::from(epsilon)).max(1);
@@ -64,7 +79,7 @@ pub fn approx_agreement(ctx: &mut dyn Comm, input: i64, range: (i64, i64), epsil
         let rounds = ratio.next_power_of_two().trailing_zeros() as usize + 1;
 
         for _ in 0..rounds {
-            let inbox = ctx.exchange(&zigzag(v));
+            let inbox = ctx.exchange(&zigzag(v)).await;
             let mut received: Vec<i64> = inbox
                 .decode_each::<u64>()
                 .into_iter()
@@ -81,6 +96,7 @@ pub fn approx_agreement(ctx: &mut dyn Comm, input: i64, range: (i64, i64), epsil
         }
         v
     })
+    .await
 }
 
 fn zigzag(v: i64) -> u64 {

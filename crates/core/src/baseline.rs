@@ -21,8 +21,8 @@
 //! experiments compare `BITSℓ`, where sequencing is immaterial. T2 reports
 //! measured rounds with this caveat.
 
-use ca_ba::{lba_plus, BaKind, Value};
-use ca_net::{Comm, CommExt, PartyId};
+use ca_ba::{lba_plus_async, BaKind, Value};
+use ca_net::{block_on, Comm, Ctx, PartyId};
 
 /// Runs broadcast-based CA on `input`.
 ///
@@ -43,7 +43,12 @@ use ca_net::{Comm, CommExt, PartyId};
 /// assert!((5..=9).contains(outs[0]));
 /// ```
 pub fn broadcast_ca<V: Value>(ctx: &mut dyn Comm, input: V, ba: BaKind) -> V {
-    ctx.scoped("broadcast_ca", |ctx| {
+    block_on(broadcast_ca_async(&mut Ctx::live(ctx), input, ba))
+}
+
+/// [`broadcast_ca`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn broadcast_ca_async<V: Value>(ctx: &mut Ctx<'_>, input: V, ba: BaKind) -> V {
+    ctx.scoped("broadcast_ca", async |ctx| {
         let n = ctx.n();
         let t = ctx.t();
         #[expect(clippy::disallowed_methods, reason = "one value per party")]
@@ -54,10 +59,10 @@ pub fn broadcast_ca<V: Value>(ctx: &mut dyn Comm, input: V, ba: BaKind) -> V {
             if ctx.me().index() == sender {
                 ctx.send_all(&input);
             }
-            let inbox = ctx.next_round();
+            let inbox = ctx.next_round().await;
             let received: Option<V> = inbox.decode_from::<V>(PartyId(sender));
             // Agreement on what the sender said (⊥ if it equivocated enough).
-            if let Some(Some(v)) = lba_plus(ctx, &received, ba) {
+            if let Some(Some(v)) = lba_plus_async(ctx, &received, ba).await {
                 agreed.push(v);
             }
         }
@@ -72,6 +77,7 @@ pub fn broadcast_ca<V: Value>(ctx: &mut dyn Comm, input: V, ba: BaKind) -> V {
             V::default()
         }
     })
+    .await
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 //!   precondition `GetOutput` later needs — and the search continues to
 //!   the left.
 
-use ca_ba::{lba_plus, BaKind};
+use ca_ba::{lba_plus_async, BaKind};
 use ca_bits::BitString;
-use ca_net::{Comm, CommExt};
+use ca_net::{block_on, Comm, Ctx};
 
 /// Outcome of a prefix search (`FindPrefix` / `FindPrefixBlocks`).
 ///
@@ -72,7 +72,17 @@ pub struct PrefixSearch {
 ///
 /// Panics if `v_in.len() != ell` or `ell == 0`.
 pub fn find_prefix(ctx: &mut dyn Comm, ell: usize, v_in: &BitString, ba: BaKind) -> PrefixSearch {
-    search(ctx, ell, 1, v_in, ba)
+    block_on(find_prefix_async(&mut Ctx::live(ctx), ell, v_in, ba))
+}
+
+/// [`find_prefix`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn find_prefix_async(
+    ctx: &mut Ctx<'_>,
+    ell: usize,
+    v_in: &BitString,
+    ba: BaKind,
+) -> PrefixSearch {
+    search(ctx, ell, 1, v_in, ba).await
 }
 
 /// `FindPrefixBlocks(ℓ, v)`: block-granular search (§4) over `n²` blocks of
@@ -91,18 +101,28 @@ pub fn find_prefix_blocks(
     v_in: &BitString,
     ba: BaKind,
 ) -> PrefixSearch {
+    block_on(find_prefix_blocks_async(&mut Ctx::live(ctx), ell, v_in, ba))
+}
+
+/// [`find_prefix_blocks`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn find_prefix_blocks_async(
+    ctx: &mut Ctx<'_>,
+    ell: usize,
+    v_in: &BitString,
+    ba: BaKind,
+) -> PrefixSearch {
     let n2 = ctx.n() * ctx.n();
     assert!(
         ell > 0 && ell.is_multiple_of(n2),
         "ℓ = {ell} must be a positive multiple of n² = {n2}"
     );
-    search(ctx, ell, ell / n2, v_in, ba)
+    search(ctx, ell, ell / n2, v_in, ba).await
 }
 
 /// Shared binary-search engine; `unit` is the granularity in bits
 /// (1 for `FindPrefix`, `ℓ/n²` for `FindPrefixBlocks`).
-fn search(
-    ctx: &mut dyn Comm,
+async fn search(
+    ctx: &mut Ctx<'_>,
     ell: usize,
     unit: usize,
     v_in: &BitString,
@@ -112,7 +132,7 @@ fn search(
     assert_eq!(v_in.len(), ell, "input must be an ℓ-bit representation");
     let units = ell / unit;
 
-    ctx.scoped("find_prefix", |ctx| {
+    ctx.scoped("find_prefix", async |ctx| {
         // Half-open unit window [lo, hi); PREFIX* always holds lo units.
         let mut lo = 0usize;
         let mut hi = units;
@@ -129,7 +149,7 @@ fn search(
             let mid = (lo + hi) / 2;
             let window = v.slice(lo * unit, (mid + 1) * unit);
 
-            match lba_plus(ctx, &window, ba) {
+            match lba_plus_async(ctx, &window, ba).await {
                 Some(agreed) if agreed.len() == window.len() => {
                     // Agreement on an honest window: extend the prefix and
                     // realign values that disagree (Remark 2 keeps them
@@ -166,6 +186,7 @@ fn search(
             iterations,
         }
     })
+    .await
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 
 use ca_ba::BaKind;
 use ca_bits::BitString;
-use ca_net::{Comm, CommExt};
+use ca_net::{block_on, Comm, Ctx};
 
-use crate::{add_last_bit, find_prefix, get_output};
+use crate::find_prefix::find_prefix_async;
+use crate::steps::{add_last_bit_async, get_output_async};
 
 /// Runs `FixedLengthCA(ℓ, v)`.
 ///
@@ -40,22 +41,37 @@ use crate::{add_last_bit, find_prefix, get_output};
 ///
 /// Panics if `v_in.len() != ell` or `ell == 0`.
 pub fn fixed_length_ca(ctx: &mut dyn Comm, ell: usize, v_in: &BitString, ba: BaKind) -> BitString {
-    ctx.scoped("flca", |ctx| {
+    block_on(fixed_length_ca_async(&mut Ctx::live(ctx), ell, v_in, ba))
+}
+
+/// [`fixed_length_ca`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn fixed_length_ca_async(
+    ctx: &mut Ctx<'_>,
+    ell: usize,
+    v_in: &BitString,
+    ba: BaKind,
+) -> BitString {
+    ctx.scoped("flca", async |ctx| {
         // Step 1: agree on a valid prefix (and pick up the v, v⊥ witnesses).
-        let search = find_prefix(ctx, ell, v_in, ba);
+        let search = find_prefix_async(ctx, ell, v_in, ba).await;
         if search.prefix.len() == ell {
             // All honest parties hold the same valid value.
             return search.v;
         }
         // Step 2: extend the prefix by one more bit, keeping it valid.
-        let prefix = add_last_bit(ctx, ell, &search.v, &search.prefix, ba);
+        let prefix = add_last_bit_async(ctx, ell, &search.v, &search.prefix, ba).await;
         // Step 3: the t+1 dissenting honest parties vote the output down to
         // MINℓ(PREFIX*) or up to MAXℓ(PREFIX*).
-        get_output(ctx, ell, &search.v_bot, &prefix, ba)
+        get_output_async(ctx, ell, &search.v_bot, &prefix, ba).await
     })
+    .await
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use ca_adversary::{Attack, AttackKind, LieKind};

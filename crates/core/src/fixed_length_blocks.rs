@@ -9,9 +9,10 @@
 
 use ca_ba::BaKind;
 use ca_bits::BitString;
-use ca_net::{Comm, CommExt};
+use ca_net::{block_on, Comm, Ctx};
 
-use crate::{add_last_block, find_prefix_blocks, get_output};
+use crate::find_prefix::find_prefix_blocks_async;
+use crate::steps::{add_last_block_async, get_output_async};
 
 /// Runs `FixedLengthCABlocks(ℓ, v)`.
 ///
@@ -32,20 +33,36 @@ pub fn fixed_length_ca_blocks(
     v_in: &BitString,
     ba: BaKind,
 ) -> BitString {
+    block_on(fixed_length_ca_blocks_async(
+        &mut Ctx::live(ctx),
+        ell,
+        v_in,
+        ba,
+    ))
+}
+
+/// [`fixed_length_ca_blocks`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn fixed_length_ca_blocks_async(
+    ctx: &mut Ctx<'_>,
+    ell: usize,
+    v_in: &BitString,
+    ba: BaKind,
+) -> BitString {
     let n2 = ctx.n() * ctx.n();
     assert!(
         ell > 0 && ell.is_multiple_of(n2),
         "ℓ = {ell} must be a positive multiple of n² = {n2}"
     );
     let block_len = ell / n2;
-    ctx.scoped("flcab", |ctx| {
-        let search = find_prefix_blocks(ctx, ell, v_in, ba);
+    ctx.scoped("flcab", async |ctx| {
+        let search = find_prefix_blocks_async(ctx, ell, v_in, ba).await;
         if search.prefix.len() == ell {
             return search.v;
         }
-        let prefix = add_last_block(ctx, ell, block_len, &search.v, &search.prefix, ba);
-        get_output(ctx, ell, &search.v_bot, &prefix, ba)
+        let prefix = add_last_block_async(ctx, ell, block_len, &search.v, &search.prefix, ba).await;
+        get_output_async(ctx, ell, &search.v_bot, &prefix, ba).await
     })
+    .await
 }
 
 #[cfg(test)]

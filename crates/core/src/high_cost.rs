@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 
 use ca_ba::Value;
-use ca_net::{Comm, CommExt, PartyId};
+use ca_net::{block_on, Comm, Ctx, PartyId};
 
 /// Runs `HighCostCA` on `input`; `valid` is the domain predicate applied to
 /// every received value (the paper's "ignore values outside ℕ").
@@ -57,14 +57,23 @@ where
     V: Value,
     F: Fn(&V) -> bool,
 {
-    ctx.scoped("high_cost", |ctx| {
+    block_on(high_cost_ca_async(&mut Ctx::live(ctx), input, valid))
+}
+
+/// [`high_cost_ca`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn high_cost_ca_async<V, F>(ctx: &mut Ctx<'_>, input: V, valid: F) -> V
+where
+    V: Value,
+    F: Fn(&V) -> bool,
+{
+    ctx.scoped("high_cost", async |ctx| {
         ctx.trace_input(|| ca_net::compact_debug(&input));
         let n = ctx.n();
         let t = ctx.t();
         let quorum = n - t;
 
         // --- Setup stage ---
-        let inbox = ctx.exchange(&input);
+        let inbox = ctx.exchange(&input).await;
         let mut values: Vec<V> = inbox
             .decode_each::<V>()
             .into_iter()
@@ -81,7 +90,9 @@ where
             (values[k].clone(), values[values.len() - 1 - k].clone())
         };
 
-        let inbox = ctx.exchange(&(interval_min.clone(), interval_max.clone()));
+        let inbox = ctx
+            .exchange(&(interval_min.clone(), interval_max.clone()))
+            .await;
         let intervals: Vec<(V, V)> = inbox
             .decode_each::<(V, V)>()
             .into_iter()
@@ -115,7 +126,7 @@ where
             let king = PartyId(phase % n);
 
             // Exchange current values.
-            let inbox = ctx.exchange(&current);
+            let inbox = ctx.exchange(&current).await;
             let mut counts: BTreeMap<V, usize> = BTreeMap::new();
             for (_, v) in inbox.decode_each::<V>() {
                 if valid(&v) {
@@ -131,7 +142,7 @@ where
             if let Some(p) = &proposal {
                 ctx.send_all(p);
             }
-            let inbox = ctx.next_round();
+            let inbox = ctx.next_round().await;
             let mut prop_counts: BTreeMap<V, usize> = BTreeMap::new();
             for (_, v) in inbox.decode_each::<V>() {
                 if valid(&v) {
@@ -152,7 +163,7 @@ where
                 let king_value = backed.clone().unwrap_or_else(|| suggestion.clone());
                 ctx.send_all(&king_value);
             }
-            let inbox = ctx.next_round();
+            let inbox = ctx.next_round().await;
             let king_value: Option<V> = inbox.decode_from::<V>(king).filter(|v| valid(v));
 
             // Vote round: endorse the king's value only if it matches our
@@ -162,7 +173,7 @@ where
                     ctx.send_all(kv);
                 }
             }
-            let inbox = ctx.next_round();
+            let inbox = ctx.next_round().await;
             if !strongly_backed {
                 let mut vote_counts: BTreeMap<V, usize> = BTreeMap::new();
                 for (_, v) in inbox.decode_each::<V>() {
@@ -179,6 +190,7 @@ where
         ctx.trace_decide(|| ca_net::compact_debug(&current));
         current
     })
+    .await
 }
 
 #[cfg(test)]

@@ -80,7 +80,7 @@ mod pi_n;
 mod pi_z;
 mod steps;
 
-pub use adaptive::pi_n_adaptive;
+pub use adaptive::{pi_n_adaptive, pi_n_adaptive_async};
 pub use approx::approx_agreement;
 pub use baseline::broadcast_ca;
 pub use convex::{check_agreement, check_convex_validity, convex_hull};
@@ -88,7 +88,7 @@ pub use find_prefix::{find_prefix, find_prefix_blocks, PrefixSearch};
 pub use fixed_length::fixed_length_ca;
 pub use fixed_length_blocks::fixed_length_ca_blocks;
 pub use high_cost::high_cost_ca;
-pub use pi_n::pi_n;
+pub use pi_n::{pi_n, pi_n_async};
 pub use pi_z::pi_z;
 pub use steps::{add_last_bit, add_last_block, get_output};
 

@@ -28,9 +28,11 @@
 
 use ca_ba::BaKind;
 use ca_bits::{BitString, Nat};
-use ca_net::{Comm, CommExt};
+use ca_net::{block_on, Comm, Ctx};
 
-use crate::{fixed_length_ca, fixed_length_ca_blocks, high_cost_ca};
+use crate::fixed_length::fixed_length_ca_async;
+use crate::fixed_length_blocks::fixed_length_ca_blocks_async;
+use crate::high_cost::high_cost_ca_async;
 
 /// Runs `Π_ℕ` on an arbitrary-size natural input.
 ///
@@ -51,23 +53,33 @@ use crate::{fixed_length_ca, fixed_length_ca_blocks, high_cost_ca};
 /// assert!(*outs[0] >= Nat::from_u64(90) && *outs[0] <= Nat::from_u64(100));
 /// ```
 pub fn pi_n(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
-    ctx.scoped("pi_n", |ctx| {
+    block_on(pi_n_async(&mut Ctx::live(ctx), v_in, ba))
+}
+
+/// [`pi_n`] as an `async fn` over a [`Ctx`].
+pub async fn pi_n_async(ctx: &mut Ctx<'_>, v_in: &Nat, ba: BaKind) -> Nat {
+    ctx.scoped("pi_n", async |ctx| {
         ctx.trace_input(|| v_in.to_string());
-        let out = pi_n_body(ctx, v_in, ba);
+        let out = pi_n_body(ctx, v_in, ba).await;
         ctx.trace_decide(|| out.to_string());
         out
     })
+    .await
 }
 
 /// `Π_ℕ` proper, inside the `pi_n` scope (split out so the input/decide
 /// trace events bracket every return path; also the worst-case fallback
 /// of [`crate::pi_n_adaptive`], which brackets it with its own events).
-pub(crate) fn pi_n_body(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
+pub(crate) async fn pi_n_body(ctx: &mut Ctx<'_>, v_in: &Nat, ba: BaKind) -> Nat {
     let n = ctx.n();
     let n2 = n * n;
 
     // Line 1: decide the regime.
-    let long = ctx.scoped("path_ba", |ctx| ba.run_bit(ctx, v_in.bit_len() > n2));
+    let long = ctx
+        .scoped("path_ba", async |ctx| {
+            ba.run_bit_async(ctx, v_in.bit_len() > n2).await
+        })
+        .await;
 
     if !long {
         // --- Short path ---
@@ -82,7 +94,11 @@ pub(crate) fn pi_n_body(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
         let max_i = usize::max(1, n2.next_power_of_two().trailing_zeros() as usize);
         for i in 0..=max_i {
             let ell = 1usize << i;
-            let fits = ctx.scoped("len_est", |ctx| ba.run_bit(ctx, v.bit_len() > ell));
+            let fits = ctx
+                .scoped("len_est", async |ctx| {
+                    ba.run_bit_async(ctx, v.bit_len() > ell).await
+                })
+                .await;
             if !fits {
                 // Agreed: some honest party fits in 2^i bits.
                 if v.bit_len() > ell {
@@ -90,7 +106,7 @@ pub(crate) fn pi_n_body(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
                 }
                 #[expect(clippy::expect_used, reason = "v was clamped to ℓ bits two lines up")]
                 let bits = v.to_bits_len(ell).expect("clamped to ℓ bits");
-                return fixed_length_ca(ctx, ell, &bits, ba).val();
+                return fixed_length_ca_async(ctx, ell, &bits, ba).await.val();
             }
         }
         // Unreachable: at i with 2^i ≥ n² every honest party fits, so
@@ -101,12 +117,16 @@ pub(crate) fn pi_n_body(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
         }
         #[expect(clippy::expect_used, reason = "v was clamped to ℓ bits two lines up")]
         let bits = v.to_bits_len(ell).expect("clamped");
-        fixed_length_ca(ctx, ell, &bits, ba).val()
+        fixed_length_ca_async(ctx, ell, &bits, ba).await.val()
     } else {
         // --- Long path ---
         // Lines 9–10: agree on a block size within the honest range.
         let blocksize = v_in.bit_len().div_ceil(n2) as u64;
-        let blocksize = ctx.scoped("blocksize", |ctx| high_cost_ca(ctx, blocksize, |_| true));
+        let blocksize = ctx
+            .scoped("blocksize", async |ctx| {
+                high_cost_ca_async(ctx, blocksize, |_| true).await
+            })
+            .await;
         if blocksize == 0 {
             // ⌈ℓ_min/n²⌉ = 0 ⇒ some honest party holds 0; 0 is valid.
             return Nat::zero();
@@ -122,11 +142,17 @@ pub(crate) fn pi_n_body(ctx: &mut dyn Comm, v_in: &Nat, ba: BaKind) -> Nat {
             reason = "v was clamped to ℓ_EST bits two lines up"
         )]
         let bits: BitString = v.to_bits_len(ell_est).expect("clamped to ℓ_EST bits");
-        fixed_length_ca_blocks(ctx, ell_est, &bits, ba).val()
+        fixed_length_ca_blocks_async(ctx, ell_est, &bits, ba)
+            .await
+            .val()
     }
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use ca_adversary::{Attack, LieKind};

@@ -7,9 +7,9 @@
 
 use ca_ba::BaKind;
 use ca_bits::{Int, Nat, Sign};
-use ca_net::{Comm, CommExt};
+use ca_net::{block_on, Comm, Ctx};
 
-use crate::pi_n;
+use crate::pi_n_async;
 
 /// Runs `Π_ℤ` on a signed integer input.
 ///
@@ -17,23 +17,37 @@ use crate::pi_n;
 /// Validity over `ℤ`. With the default `Π_BA` this realizes Corollary 2:
 /// `BITSℓ(Π_ℤ) = O(ℓn + κ·n²·log²n)`, `ROUNDSℓ(Π_ℤ) = O(n log n)`.
 pub fn pi_z(ctx: &mut dyn Comm, input: &Int, ba: BaKind) -> Int {
-    ctx.scoped("pi_z", |ctx| {
+    block_on(pi_z_async(&mut Ctx::live(ctx), input, ba))
+}
+
+/// [`pi_z`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn pi_z_async(ctx: &mut Ctx<'_>, input: &Int, ba: BaKind) -> Int {
+    ctx.scoped("pi_z", async |ctx| {
         ctx.trace_input(|| input.to_string());
-        let sign_out = ctx.scoped("sign_ba", |ctx| ba.run_bit(ctx, input.sign().as_bit()));
+        let sign_out = ctx
+            .scoped("sign_ba", async |ctx| {
+                ba.run_bit_async(ctx, input.sign().as_bit()).await
+            })
+            .await;
         let sign_out = Sign::from_bit(sign_out);
         let magnitude = if sign_out == input.sign() {
             input.magnitude().clone()
         } else {
             Nat::zero()
         };
-        let mag_out = pi_n(ctx, &magnitude, ba);
+        let mag_out = pi_n_async(ctx, &magnitude, ba).await;
         let out = Int::from_parts(sign_out, mag_out);
         ctx.trace_decide(|| out.to_string());
         out
     })
+    .await
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use ca_adversary::{Attack, LieKind};

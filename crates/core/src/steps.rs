@@ -3,9 +3,9 @@
 
 use ca_ba::BaKind;
 use ca_bits::BitString;
-use ca_net::{Comm, CommExt};
+use ca_net::{block_on, Comm, Ctx};
 
-use crate::high_cost_ca;
+use crate::high_cost::high_cost_ca_async;
 
 /// `AddLastBit(ℓ, v, PREFIX*)`: extends the agreed prefix by one bit that is
 /// still some valid value's prefix — simply binary BA over everyone's next
@@ -27,15 +27,27 @@ pub fn add_last_bit(
     prefix: &BitString,
     ba: BaKind,
 ) -> BitString {
+    block_on(add_last_bit_async(&mut Ctx::live(ctx), ell, v, prefix, ba))
+}
+
+/// [`add_last_bit`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn add_last_bit_async(
+    ctx: &mut Ctx<'_>,
+    ell: usize,
+    v: &BitString,
+    prefix: &BitString,
+    ba: BaKind,
+) -> BitString {
     assert!(prefix.len() < ell, "prefix already ℓ bits");
     assert!(prefix.is_prefix_of(v), "own value must extend the prefix");
-    ctx.scoped("add_last_bit", |ctx| {
+    ctx.scoped("add_last_bit", async |ctx| {
         let my_bit = v.get(prefix.len());
-        let b_star = ba.run_bit(ctx, my_bit);
+        let b_star = ba.run_bit_async(ctx, my_bit).await;
         let mut out = prefix.clone();
         out.push(b_star);
         out
     })
+    .await
 }
 
 /// `AddLastBlock(ℓ, v, PREFIX*)`: the block-granular analogue — extends the
@@ -58,6 +70,25 @@ pub fn add_last_block(
     prefix: &BitString,
     ba: BaKind,
 ) -> BitString {
+    block_on(add_last_block_async(
+        &mut Ctx::live(ctx),
+        ell,
+        block_len,
+        v,
+        prefix,
+        ba,
+    ))
+}
+
+/// [`add_last_block`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn add_last_block_async(
+    ctx: &mut Ctx<'_>,
+    ell: usize,
+    block_len: usize,
+    v: &BitString,
+    prefix: &BitString,
+    ba: BaKind,
+) -> BitString {
     assert!(
         block_len > 0 && ell.is_multiple_of(block_len),
         "bad block geometry"
@@ -69,14 +100,16 @@ pub fn add_last_block(
     assert!(prefix.len() < ell, "prefix already ℓ bits");
     assert!(prefix.is_prefix_of(v), "own value must extend the prefix");
     let _ = ba;
-    ctx.scoped("add_last_block", |ctx| {
+    ctx.scoped("add_last_block", async |ctx| {
         let i_star = prefix.len() / block_len;
         let my_block = v.block(i_star, block_len);
         // Paper remark: honest parties ignore values outside the domain —
         // here, bitstrings that are not exactly one block long.
-        let block = high_cost_ca(ctx, my_block, move |b: &BitString| b.len() == block_len);
+        let block =
+            high_cost_ca_async(ctx, my_block, move |b: &BitString| b.len() == block_len).await;
         prefix.concat(&block)
     })
+    .await
 }
 
 /// `GetOutput(ℓ, v⊥, PREFIX*)`: the final step. Precondition (established
@@ -112,14 +145,31 @@ pub fn get_output(
     prefix: &BitString,
     ba: BaKind,
 ) -> BitString {
-    ctx.scoped("get_output", |ctx| {
+    block_on(get_output_async(
+        &mut Ctx::live(ctx),
+        ell,
+        v_bot,
+        prefix,
+        ba,
+    ))
+}
+
+/// [`get_output`] as an `async fn` over a [`Ctx`].
+pub(crate) async fn get_output_async(
+    ctx: &mut Ctx<'_>,
+    ell: usize,
+    v_bot: &BitString,
+    prefix: &BitString,
+    ba: BaKind,
+) -> BitString {
+    ctx.scoped("get_output", async |ctx| {
         let k = v_bot.common_prefix_len(prefix);
         if k < prefix.len() {
             // B = 0 ⇔ v⊥ < MINℓ(PREFIX*): v⊥ leaves PREFIX* at bit k, and
             // its bit there says on which side of PREFIX*'s range it lies.
             ctx.send_all(&v_bot.get(k));
         }
-        let inbox = ctx.next_round();
+        let inbox = ctx.next_round().await;
         let bits: Vec<bool> = inbox
             .decode_each::<bool>()
             .into_iter()
@@ -132,13 +182,14 @@ pub fn get_output(
         // qualify and either is safe — pick 0 deterministically).
         let choice = 2 * ones > m;
         ctx.trace_note("get_output", || format!("announced={m} choice={choice}"));
-        let agreed = ba.run_bit(ctx, choice);
+        let agreed = ba.run_bit_async(ctx, choice).await;
         if agreed {
             prefix.max_extend(ell)
         } else {
             prefix.min_extend(ell)
         }
     })
+    .await
 }
 
 #[cfg(test)]

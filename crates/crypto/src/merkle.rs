@@ -117,6 +117,7 @@ impl MerkleTree {
         let leaf_count = leaves.len();
         let width = leaf_count.next_power_of_two();
 
+        #[expect(clippy::disallowed_methods, reason = "the tree's own node count")]
         let mut nodes = vec![empty_leaf(); 2 * width];
         let leaves: Vec<Leaf<'_>> = leaves
             .iter()
@@ -236,9 +237,9 @@ type Leaf<'a> = (u32, u32, &'a [u8]);
 
 /// Leaves shorter than this are hashed one at a time, for memory: the
 /// lane path's frames are ~2 KiB deeper, and without this cutoff
-/// `engine_mux`, whose ~450 session threads each hash small trees, read
-/// 0.6–2.1 MiB more peak RSS (3 of 3 pairs). `lba_bulk`'s leaves are
-/// ~50 KB.
+/// `engine_mux`, while its ~450 sessions each hashed small trees on a
+/// thread of their own, read 0.6–2.1 MiB more peak RSS (3 of 3 pairs).
+/// `lba_bulk`'s leaves are ~50 KB.
 const MIN_LANE_LEN: usize = 1024;
 
 /// `hash_leaf` of every leaf, in order. Leaves of one length, at least
@@ -246,6 +247,7 @@ const MIN_LANE_LEN: usize = 1024;
 /// a time, wherever they sit in the list; any other leaf goes through
 /// [`Sha256`].
 fn hash_leaves(leaves: &[Leaf<'_>]) -> Vec<Hash256> {
+    #[expect(clippy::disallowed_methods, reason = "one hash per caller's leaf")]
     let mut out = vec![Hash256::default(); leaves.len()];
     let mut order: Vec<usize> = (0..leaves.len()).collect();
     order.sort_unstable_by_key(|&i| (leaves[i].2.len(), i));
@@ -311,6 +313,10 @@ fn empty_leaf() -> Hash256 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

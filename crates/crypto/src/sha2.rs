@@ -332,6 +332,10 @@ pub fn sha256(data: &[u8]) -> Hash256 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

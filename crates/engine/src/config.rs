@@ -8,8 +8,9 @@
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Session-table capacity: the maximum number of concurrently live
-    /// sessions, and so of session fibers (OS threads) per party. Sessions
-    /// past it wait in id order until a slot frees.
+    /// sessions per party, and so of session tasks (or, for a blocking
+    /// body, of session threads). Sessions past it wait in id order until
+    /// a slot frees.
     pub max_sessions: usize,
 }
 

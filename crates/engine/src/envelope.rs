@@ -112,6 +112,10 @@ impl Decode for Envelope {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
 

@@ -11,13 +11,13 @@
 use ca_adversary::{Attack, LieKind};
 use ca_ba::BaKind;
 use ca_bits::{BitString, Nat};
-use ca_core::{check_agreement, check_convex_validity, pi_n};
-use ca_net::{max_faults, Comm, Sim};
+use ca_core::{check_agreement, check_convex_validity, pi_n_async};
+use ca_net::{max_faults, Ctx, Sim};
 use ca_runtime::Clock;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{run_engine_party, EngineConfig, EngineStats, SessionPlan};
+use crate::{run_engine_party_async, EngineConfig, EngineStats, SessionPlan};
 
 /// One load scenario: how many `pi_n` sessions of what shape, under which
 /// capacity, against which fault mix. Every session is queued up front
@@ -164,15 +164,15 @@ pub fn plan_of(profile: &LoadProfile) -> SessionPlan {
 /// decided session for agreement and convex validity.
 #[must_use]
 pub fn run_load(profile: &LoadProfile) -> LoadReport {
-    run_load_seeded(profile, profile.seed, pi_n)
+    run_load_seeded(profile, profile.seed, pi_n_async)
 }
 
-/// [`run_load`] under `seed`, every session running `protocol`: `pi_n`,
-/// or in tests `pi_n_adaptive`.
+/// [`run_load`] under `seed`, every session a task running `protocol`:
+/// `pi_n_async`, or in tests `pi_n_adaptive_async`.
 fn run_load_seeded(
     profile: &LoadProfile,
     seed: u64,
-    protocol: fn(&mut dyn Comm, &Nat, BaKind) -> Nat,
+    protocol: impl AsyncFn(&mut Ctx<'static>, &Nat, BaKind) -> Nat + Sync,
 ) -> LoadReport {
     let n = profile.n;
     let t = max_faults(n);
@@ -192,9 +192,9 @@ fn run_load_seeded(
 
     let sim = profile.attack.install(Sim::new(n), n, t);
     let report = sim.run(|ctx, _id| {
-        run_engine_party(ctx, &plan, &profile.config, |sctx, sid| {
+        run_engine_party_async(ctx, &plan, &profile.config, async |sctx, sid| {
             let input = &inputs[sid.0 as usize][sctx.me().index()];
-            protocol(sctx, input, profile.ba)
+            protocol(sctx, input, profile.ba).await
         })
     });
 
@@ -259,7 +259,8 @@ pub fn run_closed_loop_for(
     let mut run = 0u64;
     loop {
         let run_start = clock.now();
-        let mut one = run_load_seeded(profile, derive_seed(profile.seed, 0x1000 + run), pi_n);
+        let seed = derive_seed(profile.seed, 0x1000 + run);
+        let mut one = run_load_seeded(profile, seed, pi_n_async);
         one.elapsed_us = (clock.now() - run_start).as_micros() as u64;
         total.absorb(&one);
         run += 1;
@@ -273,7 +274,7 @@ pub fn run_closed_loop_for(
 mod tests {
     use super::*;
     use ca_adversary::AttackKind;
-    use ca_core::pi_n_adaptive;
+    use ca_core::pi_n_adaptive_async;
     use ca_runtime::ManualClock;
 
     #[test]
@@ -302,13 +303,14 @@ mod tests {
         }
     }
 
-    /// Adaptive sessions, hosted like any body (`run_engine_party` over
-    /// `Sim` with `pi_n_adaptive`), decide correctly and cheaper.
+    /// Adaptive sessions, hosted like any body (`run_engine_party_async`
+    /// over `Sim` with `pi_n_adaptive_async`), decide correctly and
+    /// cheaper.
     #[test]
     fn adaptive_sessions_decide_correctly_and_cheaper() {
         let mut profile = LoadProfile::closed(4, 4, 48);
         profile.spread_bits = 0; // unanimous inputs: fast path certifies
-        let fast = run_load_seeded(&profile, profile.seed, pi_n_adaptive);
+        let fast = run_load_seeded(&profile, profile.seed, pi_n_adaptive_async);
         assert_eq!(fast.sessions_decided, 4);
         assert!(fast.agreement && fast.validity);
 
@@ -329,7 +331,7 @@ mod tests {
         for kind in [AttackKind::Garbage, AttackKind::Crash] {
             let mut profile = LoadProfile::closed(4, 3, 40);
             profile.attack = Attack::new(kind).with_seed(13);
-            let report = run_load_seeded(&profile, profile.seed, pi_n_adaptive);
+            let report = run_load_seeded(&profile, profile.seed, pi_n_adaptive_async);
             assert_eq!(report.sessions_decided, 3, "{kind:?}");
             assert!(report.agreement && report.validity, "{kind:?}");
         }

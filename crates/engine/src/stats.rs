@@ -8,7 +8,7 @@ use ca_trace::Histogram;
 /// `wire_bits` models the full TCP deployment cost from
 /// `ca_runtime::Frame` framing — the quantity the S1 experiment amortizes
 /// across sessions.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Transport rounds the engine consumed.
     pub engine_rounds: u64,

@@ -25,7 +25,15 @@ struct Tables {
 fn tables() -> &'static Tables {
     static TABLES: OnceLock<Tables> = OnceLock::new();
     TABLES.get_or_init(|| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the field's exp table, a constant size"
+        )]
         let mut exp = vec![0u16; 2 * ORDER];
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the field's log table, a constant size"
+        )]
         let mut log = vec![0u16; 1 << 16];
         let mut x: u32 = 1;
         for (i, e) in exp.iter_mut().enumerate().take(ORDER) {

@@ -324,6 +324,7 @@ impl ReedSolomon {
     /// Selects the first `k` distinct in-range shares and validates their
     /// stripe counts agree.
     fn pick<'s>(&self, shares: &'s [(usize, Share)]) -> Result<Vec<(usize, &'s Share)>, RsError> {
+        #[expect(clippy::disallowed_methods, reason = "one slot per codeword index")]
         let mut chosen: Vec<Option<&Share>> = vec![None; self.n];
         let mut distinct = 0;
         for (idx, share) in shares {
@@ -426,6 +427,10 @@ impl ReedSolomon {
         // Transpose back to stripe-major bytes in one pass over the output
         // and strip the framing.
         let stripe_bytes = 2 * self.k;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "k symbols for each stripe the shares hold"
+        )]
         let mut payload = vec![0u8; stripes * stripe_bytes];
         for (s, stripe) in payload.chunks_exact_mut(stripe_bytes).enumerate() {
             for (out, col) in stripe.chunks_exact_mut(2).zip(&out_cols) {
@@ -454,6 +459,10 @@ impl ReedSolomon {
             };
             self.n
         ];
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one symbol per data row of the code"
+        )]
         let mut data_syms = vec![Gf::ZERO; self.k];
         for s in 0..stripes {
             let base = s * stripe_bytes;
@@ -492,6 +501,10 @@ impl ReedSolomon {
         let coeff_rows = self.coeff_rows(&picked);
 
         let stripe_bytes = 2 * self.k;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "k symbols for each stripe the shares hold"
+        )]
         let mut payload = vec![0u8; stripes * stripe_bytes];
         for s in 0..stripes {
             for (j, row) in coeff_rows.iter().enumerate() {
@@ -520,6 +533,10 @@ impl ReedSolomon {
 /// a time in packed `u64`s, then splits the lanes into its rows. Under 256
 /// stripes a table costs more than it saves, and [`Gf::mul`] is used.
 fn combine<R: AsRef<[Gf]>, C: AsRef<[Gf]>>(rows: &[R], cols: &[C], stripes: usize) -> Vec<Vec<Gf>> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the caller's rows times its stripes"
+    )]
     let mut out = vec![vec![Gf::ZERO; stripes]; rows.len()];
     if stripes < 256 {
         for (row, out) in rows.iter().zip(&mut out) {
@@ -531,6 +548,10 @@ fn combine<R: AsRef<[Gf]>, C: AsRef<[Gf]>>(rows: &[R], cols: &[C], stripes: usiz
         }
         return out;
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one block of at most STRIPE_BLOCK stripes"
+    )]
     let (mut acc, mut tables) = (vec![0u64; stripes.min(STRIPE_BLOCK)], Vec::new());
     for (group, outs) in rows.chunks(LANES).zip(out.chunks_mut(LANES)) {
         let lanes =
@@ -581,6 +602,10 @@ fn lagrange_row(xs: &[Gf], ws: &[Gf], x: Gf) -> Vec<Gf> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

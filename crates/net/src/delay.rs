@@ -105,6 +105,10 @@ impl EdgeDelays {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use crate::{Comm, CommExt, Inbox, PartyId, Sim};

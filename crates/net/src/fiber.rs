@@ -1,12 +1,15 @@
-//! The one way to park a blocking protocol body at a round boundary.
+//! Threaded hosting: many blocking protocol bodies, each parked at its
+//! round boundary on a thread of its own.
 //!
-//! Every protocol in this workspace is blocking code over
-//! [`Comm::next_round`]. An executor that hosts several such bodies — the
-//! simulator its parties, the engine driver its sessions — needs each
-//! body suspended at the boundary, its buffered sends taken, and the body
-//! resumed with an [`Inbox`]. A *fiber* is that: one scoped OS thread
-//! running the body against a private [`Comm`] whose `next_round` hands a
-//! [`Step`] to the owner and parks until the owner delivers.
+//! A blocking body is code over [`Comm::next_round`]. An executor that
+//! hosts several such bodies — the simulator its parties, the engine
+//! driver the sessions of a blocking body — needs each body suspended at
+//! the boundary, its buffered sends taken, and the body resumed with an
+//! [`Inbox`]. A *fiber* is that: one scoped OS thread running the body
+//! against a private [`Comm`] whose `next_round` hands a [`Step`] to the
+//! owner and parks until the owner delivers. (`async` bodies over a
+//! [`crate::Ctx`] need none of this: [`crate::Tasks`] polls them on the
+//! owner's thread, under the same contract.)
 //!
 //! The owner repeats [`Fibers::collect`] (exactly one step from every live
 //! fiber, in key order, so nothing downstream depends on thread
@@ -34,88 +37,16 @@
 //! hook — so it exits silently and the process-global hook is never
 //! touched.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::Scope;
 
 use bytes::Bytes;
-use ca_trace::{Event, ROOT_SCOPE};
+use ca_trace::Event;
 
+use crate::step::{FaultView, Step, StepBuf};
 use crate::{Comm, FaultEstimate, Inbox, PartyId};
-
-/// What a fiber handed its owner at one [`Fibers::collect`].
-pub enum Step<O> {
-    /// The body called `next_round` and is parked until
-    /// [`Fibers::deliver`].
-    Round {
-        /// Sends buffered since the previous step.
-        sends: Vec<(PartyId, Bytes)>,
-        /// The body's scope path at the boundary.
-        scope: String,
-        /// Trace events buffered since the previous step (scope
-        /// enters/exits included); empty unless tracing is on.
-        events: Vec<Event>,
-    },
-    /// The body returned; `sends` is its fire-and-forget tail.
-    Done {
-        /// The body's return value.
-        output: O,
-        /// Sends buffered since the previous step.
-        sends: Vec<(PartyId, Bytes)>,
-        /// Trace events buffered since the previous step.
-        events: Vec<Event>,
-    },
-    /// The body panicked; the original payload, for the owner to present.
-    Panicked(Box<dyn Any + Send>),
-}
-
-/// The owner's view of transport faults, handed to a fiber at spawn and
-/// with every delivery so hosted protocols see what the transport
-/// beneath their host knows ([`Comm::silent_parties`],
-/// [`Comm::fault_estimate`]). The default is "no one".
-#[derive(Debug, Clone, Default)]
-pub struct FaultView {
-    silent: Vec<PartyId>,
-    estimate: FaultEstimate,
-}
-
-impl FaultView {
-    /// Snapshot of `ctx`'s current fault view.
-    pub fn of(ctx: &dyn Comm) -> Self {
-        Self {
-            silent: ctx.silent_parties(),
-            estimate: ctx.fault_estimate(),
-        }
-    }
-
-    /// Parties the snapshotted transport had stopped hearing from.
-    pub fn silent(&self) -> &[PartyId] {
-        &self.silent
-    }
-}
-
-/// Renders a scope stack as the `/`-joined path traces and metrics use.
-pub fn scope_path(stack: &[String]) -> String {
-    if stack.is_empty() {
-        ROOT_SCOPE.to_owned()
-    } else {
-        stack.join("/")
-    }
-}
-
-/// The text of a panic payload, for owners that re-raise a
-/// [`Step::Panicked`] under their own message.
-pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "<non-string panic>"
-    }
-}
 
 /// Payload a fiber unwinds with when its owner has let go of it.
 struct Released;
@@ -291,20 +222,12 @@ impl<'scope, 'env, K: Ord + Clone, O: Send + 'scope> Fibers<'scope, 'env, K, O> 
             n: self.n,
             t: self.t,
             me,
-            trace_on: self.trace_on,
-            pending: Vec::new(),
-            scopes: Vec::new(),
-            events: Vec::new(),
-            faults,
+            buf: StepBuf::new(self.n, self.trace_on, faults),
             slot: Arc::clone(&slot),
         };
         self.scope.spawn(move || {
             let step = match panic::catch_unwind(AssertUnwindSafe(|| body(&mut comm))) {
-                Ok(output) => Step::Done {
-                    output,
-                    sends: std::mem::take(&mut comm.pending),
-                    events: std::mem::take(&mut comm.events),
-                },
+                Ok(output) => comm.buf.done(output),
                 Err(payload) if payload.is::<Released>() => return,
                 Err(payload) => Step::Panicked(payload),
             };
@@ -364,16 +287,12 @@ impl<K, O> Drop for Fibers<'_, '_, K, O> {
 }
 
 /// The `Comm` a fiber's body runs against: sends and trace events buffer
-/// locally; `next_round` trades them for the owner's delivery.
+/// in its [`StepBuf`]; `next_round` trades them for the owner's delivery.
 struct FiberComm<O> {
     n: usize,
     t: usize,
     me: PartyId,
-    trace_on: bool,
-    pending: Vec<(PartyId, Bytes)>,
-    scopes: Vec<String>,
-    events: Vec<Event>,
-    faults: FaultView,
+    buf: StepBuf,
     slot: Arc<Slot<O>>,
 }
 
@@ -391,17 +310,11 @@ impl<O> Comm for FiberComm<O> {
     }
 
     fn send_bytes(&mut self, to: PartyId, payload: Bytes) {
-        assert!(to.0 < self.n, "send to nonexistent {to}");
-        self.pending.push((to, payload));
+        self.buf.send_bytes(to, payload);
     }
 
     fn next_round(&mut self) -> Inbox {
-        let step = Step::Round {
-            sends: std::mem::take(&mut self.pending),
-            scope: scope_path(&self.scopes),
-            events: std::mem::take(&mut self.events),
-        };
-        let delivery = self.slot.arrive(step).and_then(|state| {
+        let delivery = self.slot.arrive(self.buf.round()).and_then(|state| {
             let mut state = (self.slot.delivered)
                 .wait_while(state, |state| state.delivery.is_none() && !state.released)
                 .unwrap_or_else(PoisonError::into_inner);
@@ -411,53 +324,40 @@ impl<O> Comm for FiberComm<O> {
         let Some((inbox, faults)) = delivery else {
             release()
         };
-        self.faults = faults;
+        self.buf.resume(faults);
         inbox
     }
 
     fn push_scope(&mut self, name: &str) {
-        self.scopes.push(name.to_owned());
-        if self.trace_on {
-            self.events.push(Event::ScopeEnter {
-                name: name.to_owned(),
-            });
-        }
+        self.buf.push_scope(name);
     }
 
     fn pop_scope(&mut self) {
-        assert!(
-            self.pending.is_empty(),
-            "{} send(s) still pending at the exit of scope {}",
-            self.pending.len(),
-            scope_path(&self.scopes)
-        );
-        if let Some(name) = self.scopes.pop() {
-            if self.trace_on {
-                self.events.push(Event::ScopeExit { name });
-            }
-        }
+        self.buf.pop_scope();
     }
 
     fn silent_parties(&self) -> Vec<PartyId> {
-        self.faults.silent.clone()
+        self.buf.silent_parties()
     }
 
     fn fault_estimate(&self) -> FaultEstimate {
-        self.faults.estimate
+        self.buf.fault_estimate()
     }
 
     fn trace_enabled(&self) -> bool {
-        self.trace_on
+        self.buf.trace_enabled()
     }
 
     fn trace(&mut self, event: Event) {
-        if self.trace_on {
-            self.events.push(event);
-        }
+        self.buf.trace(event);
     }
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use crate::CommExt;

@@ -56,6 +56,7 @@ impl Heard {
 
 impl Inbox {
     /// Creates an inbox for `n` potential senders.
+    #[expect(clippy::disallowed_methods, reason = "one slot per party")]
     pub fn with_parties(n: usize) -> Self {
         Self {
             by_sender: vec![Heard::Silent; n],
@@ -103,6 +104,10 @@ impl Inbox {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
 mod tests {
     use super::*;
     use ca_codec::{Decode, Encode};

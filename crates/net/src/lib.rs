@@ -7,17 +7,24 @@
 //!
 //! This crate implements that model exactly and measurably:
 //!
-//! * [`Comm`] — the channel abstraction protocol code is written against
-//!   (`send`, `next_round`). The same protocol code runs on the simulator
-//!   here and on the TCP runtime in `ca-runtime`.
+//! * [`Comm`] — the channel abstraction a transport implements and a
+//!   blocking protocol body is written against (`send`, `next_round`).
+//!   The same protocol code runs on the simulator here and on the TCP
+//!   runtime in `ca-runtime`.
+//! * [`Ctx`] — the one round context the protocols of `ca-core` and
+//!   `ca-ba` are written against, as `async fn`s: live over any
+//!   `&mut dyn Comm` (every blocking entry point is [`block_on`] over
+//!   one), or hosted by [`Tasks`].
 //! * [`Sim`] — the deterministic lock-step executor: one [`fiber`] per
 //!   honest party, exact per-scope bit/round accounting, and a rushing
 //!   adversary hook that sees the honest messages of round `r` *before*
 //!   choosing the corrupted parties' round-`r` messages (and may adaptively
 //!   corrupt more parties mid-protocol).
-//! * [`fiber`] — the one mechanism that parks a blocking protocol body at
-//!   a round boundary; [`Sim`] and the `ca-engine` driver are policies
-//!   over it.
+//! * Two hosts of many bodies under one owner, with one contract (spawn,
+//!   [`step::Step`]s collected in key order, deliver, kill): [`fiber`]
+//!   parks blocking bodies on threads of their own, [`Tasks`] polls
+//!   `async` ones on the owner's thread. [`Sim`] and the `ca-engine`
+//!   driver are policies over them.
 //! * [`Adversary`] / [`RoundView`] — the attacker interface; strategy
 //!   implementations live in `ca-adversary`.
 //! * [`Metrics`] — the quantities the paper bounds: `BITSℓ(Π)` (bits sent by
@@ -54,11 +61,14 @@
 
 mod adversary;
 mod comm;
+mod ctx;
 mod delay;
 pub mod fiber;
 mod inbox;
 mod metrics;
 mod sim;
+pub mod step;
+mod tasks;
 
 pub use adversary::{Adversary, RoundActions, RoundView, SendSpec, Silent};
 // Re-exported so downstream code can name the types that appear in
@@ -66,10 +76,12 @@ pub use adversary::{Adversary, RoundActions, RoundView, SendSpec, Silent};
 // trace helpers) without a separate `ca-trace` import.
 pub use ca_trace::{compact_debug, Histogram, TraceSink};
 pub use comm::{Comm, CommExt, FaultEstimate};
+pub use ctx::{block_on, Ctx};
 pub use delay::{splitmix64, EdgeDelays, EdgeRule};
 pub use inbox::Inbox;
 pub use metrics::{Metrics, ScopeMetrics};
 pub use sim::{Corruption, RunReport, Sim};
+pub use tasks::Tasks;
 
 use std::fmt;
 

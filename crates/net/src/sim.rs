@@ -8,7 +8,8 @@ use ca_trace::{Event as TraceEvent, NullSink, Record, TraceSink, ROOT_SCOPE};
 
 use crate::adversary::{Adversary, RoundActions, RoundView, Silent};
 use crate::delay::EdgeDelays;
-use crate::fiber::{panic_message, scope_path, FaultView, Fibers, Step};
+use crate::fiber::Fibers;
+use crate::step::{panic_message, scope_path, FaultView, Step};
 use crate::{Comm, Inbox, Metrics, PartyId};
 
 /// How a party participates in a run.
@@ -89,6 +90,7 @@ impl Sim {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[expect(clippy::disallowed_methods, reason = "one corruption mode per party")]
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "need at least one party");
         Self {
@@ -232,6 +234,7 @@ impl Sim {
                 .collect();
             // Each party's scope stack as of its last flushed event; party
             // events arrive unstamped and are stamped against it.
+            #[expect(clippy::disallowed_methods, reason = "one scope stack per party")]
             let mut stacks: Vec<Vec<String>> = vec![Vec::new(); n];
             let mut round: u64 = 0;
             // Per-round buffers, drained every round and reused. The
@@ -244,6 +247,7 @@ impl Sim {
             let mut batches: Vec<(usize, usize, bool)> = Vec::new();
             let mut waiting: Vec<usize> = Vec::new();
             // The scope path each waiting party submitted; `None` otherwise.
+            #[expect(clippy::disallowed_methods, reason = "one scope path per party")]
             let mut scopes: Vec<Option<String>> = vec![None; n];
 
             // Statically corrupted parties are faulted before round 0.
@@ -381,13 +385,16 @@ impl Sim {
                 // --- Metering + delivery assembly. ---
                 let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::with_parties(n)).collect();
                 // (receiver, sender, bytes) for this round's deliveries, in
-                // assembly order — traced after the send events.
+                // assembly order — traced after the send events; filled
+                // only while tracing, the one reader.
                 let mut deliveries: Vec<(usize, usize, u64)> = Vec::new();
                 // Messages held back by the delay model whose arrival round
                 // has come are delivered first (they were sent earlier).
                 if let Some(model) = self.delay_model.as_mut() {
                     for (from, to, payload) in model.held.remove(&round).unwrap_or_default() {
-                        deliveries.push((to.0, from.0, payload.len() as u64));
+                        if tracing {
+                            deliveries.push((to.0, from.0, payload.len() as u64));
+                        }
                         inboxes[to.0].push(from, payload);
                     }
                 }
@@ -454,7 +461,9 @@ impl Sim {
                                     .push((from_id, to, payload));
                             }
                         } else {
-                            deliveries.push((to.0, from, payload.len() as u64));
+                            if tracing {
+                                deliveries.push((to.0, from, payload.len() as u64));
+                            }
                             inboxes[to.0].push(from_id, payload);
                         }
                     }
@@ -478,7 +487,9 @@ impl Sim {
                             },
                         });
                     }
-                    deliveries.push((spec.to.0, spec.from.0, spec.payload.len() as u64));
+                    if tracing {
+                        deliveries.push((spec.to.0, spec.from.0, spec.payload.len() as u64));
+                    }
                     inboxes[spec.to.0].push(spec.from, spec.payload);
                 }
 

@@ -194,6 +194,7 @@ impl Liveness {
         if self.crashed {
             return;
         }
+        #[expect(clippy::disallowed_methods, reason = "one batch per peer")]
         let mut batches: Vec<Vec<Bytes>> = vec![Vec::new(); self.peers.len()];
         for (to, payload) in sends {
             if to == self.me {

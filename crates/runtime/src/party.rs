@@ -154,6 +154,10 @@ struct Assembler {
 }
 
 impl Assembler {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one socket buffer, a constant size"
+    )]
     fn new() -> Self {
         Self {
             buf: vec![0; SOCKET_BUFFER].into_boxed_slice(),
@@ -367,7 +371,7 @@ impl TcpParty {
         self.sink.record(&Record {
             party: Some(self.me.index() as u64),
             round: self.core.round(),
-            scope: ca_net::fiber::scope_path(&self.scopes),
+            scope: ca_net::step::scope_path(&self.scopes),
             event,
         });
     }
@@ -677,7 +681,7 @@ impl Comm for TcpParty {
             self.pending.is_empty(),
             "{} send(s) still pending at the exit of scope {}",
             self.pending.len(),
-            ca_net::fiber::scope_path(&self.scopes)
+            ca_net::step::scope_path(&self.scopes)
         );
         let popped = self.scopes.pop();
         if self.sink.enabled() {
@@ -780,6 +784,7 @@ fn establish_clique(
     // has no accept with a deadline, so the listener is polled.
     listener.set_nonblocking(true)?;
     let expected = n - me.index() - 1;
+    #[expect(clippy::disallowed_methods, reason = "one flag per party")]
     let mut taken = vec![false; n];
     let mut accepted = 0usize;
     while accepted < expected {

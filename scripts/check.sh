@@ -7,8 +7,9 @@
 #                      a message path, no HashMap or wall clock in replayed
 #                      code, no unbounded channel, no allocation sized by
 #                      a length a peer claimed (`Vec::with_capacity`,
-#                      `reserve`, `reserve_exact`, `String::with_capacity`
-#                      and `Writer::with_capacity` are disallowed; a wire
+#                      `reserve`, `reserve_exact`, `String::with_capacity`,
+#                      `Writer::with_capacity` and `vec![x; n]` are
+#                      disallowed; a wire
 #                      length sizes one only as a `ca_codec::WireLen`, a
 #                      local size carries an `#[expect]` naming it), no
 #                      stdout/stderr in protocol crates, no unsafe (root

@@ -39,7 +39,9 @@ pub fn vec_reserve(v: &mut Vec<u8>, n: usize) { v.reserve(n) }
 pub fn vec_reserve_exact(v: &mut Vec<u8>, n: usize) { v.reserve_exact(n) }
 // expect: clippy::disallowed_methods std::string::String::with_capacity
 pub fn string_with_capacity(n: usize) -> String { String::with_capacity(n) }
-// The fifth allocation ban, ca_codec::Writer::with_capacity, cannot fire
+// expect: clippy::disallowed_methods alloc::vec::from_elem
+pub fn vec_from_elem(n: usize) -> Vec<u8> { vec![0; n] }
+// The sixth allocation ban, ca_codec::Writer::with_capacity, cannot fire
 // here: this crate has no dependencies. Stage 2 covers it, where an
 // #[expect] at each of its call sites would go unfulfilled without it.
 // expect: clippy::print_stdout

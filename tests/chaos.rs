@@ -11,6 +11,11 @@
 //! asynchronous — so the byte comparison strips those lines (their
 //! *content* is still asserted separately).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "test fixtures sized by literals and party counts"
+)]
+
 use std::path::Path;
 use std::time::Duration;
 
